@@ -138,14 +138,9 @@ def _rhs_values(spec, host):
     family = spec.get("family")
     t = host.nodes
     if family == "monomial":
-        n = int(spec.get("degree", -1))
-        if n < 0:
-            raise _ConfigError("monomial rhs needs a degree >= 0", key="rhs")
-        return t ** n
+        return t ** _degree(spec)
     if family == "chebyshev-T":
-        n = int(spec.get("degree", -1))
-        if n < 0:
-            raise _ConfigError("chebyshev-T rhs needs a degree >= 0", key="rhs")
+        n = _degree(spec)
         coeffs = np.zeros(n + 1)
         coeffs[n] = 1.0
         return np.polynomial.chebyshev.chebval(t, coeffs).astype(complex)
@@ -166,6 +161,17 @@ def _rhs_values(spec, host):
             return read_solution_csv(path, host=host)
         return read_density_csv(path, expect=host.n_nodes)
     raise _ConfigError(f"unknown rhs family {family!r}", key="rhs")
+
+
+def _degree(spec):
+    """The integer degree >= 0 of a polynomial rhs family."""
+    try:
+        if int(spec["degree"]) >= 0:
+            return int(spec["degree"])
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise _ConfigError(f"{spec['family']} rhs needs an integer degree >= 0",
+                       key="degree" if "degree" in spec else "rhs")
 
 
 def _potential_evaluator(spec):
@@ -473,18 +479,15 @@ def main(argv=None):
         return 64
     try:
         return run_config(config, args.out, tol=args.tol, serial=args.serial)
-    except _ConfigError as exc:
-        print(f"{args.config}:{_key_line(text, exc.key)}: {exc}",
-              file=sys.stderr)
-        return 64
     except ResolutionError as exc:
         # under-resolution outranks the GeometryError base it derives from:
         # the config parsed fine, the numerics just cannot be done on it
         print(f"numerical resolution failure: {exc}", file=sys.stderr)
         return 65
-    except (SchemaError, GeometryError, AlignmentError, KeyError,
+    except (_ConfigError, GeometryError, SchemaError, AlignmentError, KeyError,
             TypeError, OSError) as exc:
-        print(f"{args.config}:1: {exc}", file=sys.stderr)
+        line = _key_line(text, getattr(exc, "key", None))
+        print(f"{args.config}:{line}: {exc}", file=sys.stderr)
         return 64
     except CauchypotError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

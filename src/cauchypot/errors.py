@@ -6,7 +6,11 @@ class CauchypotError(Exception):
 
 
 class GeometryError(CauchypotError):
-    """Invalid or degenerate geometry (self-intersection, bad orientation, ...)."""
+    """Invalid or degenerate geometry; ``key`` names the spec key at fault."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ResolutionError(GeometryError):

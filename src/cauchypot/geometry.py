@@ -55,6 +55,7 @@ __all__ = [
 _MIN_NODES = 16
 _FAR_FACTOR = 1.0e6
 _NEAR_CUTOFF_FACTOR = 1.0e-8
+_BLOCK = 1 << 18  # array elements per pass of the chunked vectorised loops
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,9 @@ class ClosedContour:
             raise GeometryError("tangent field is not unit length")
         if self.signed_area() <= 0.0:
             raise GeometryError("contour is not positively oriented")
-        _check_simple_at_panel_resolution(self.nodes, closed=True)
+        _, i, j = _polyline_contacts([self.nodes], closed=True)
+        if i.size:
+            raise GeometryError(f"curve crosses or touches itself at segments {i[0]} and {j[0]}")
 
     # -- derived fields ----------------------------------------------------
 
@@ -147,34 +150,65 @@ class ClosedContour:
         return self.winding_number(z) != 0
 
 
-def _check_simple_at_panel_resolution(nodes, closed):
-    """Reject curves whose coarse polyline self-intersects."""
-    n = nodes.size
-    step = max(1, n // 256)
-    poly = nodes[::step]
+def _polyline_contacts(polylines, closed=False):
+    """Non-adjacent segments of point polylines that cross or touch.
+
+    With ``closed`` the one polyline also joins its last point to its first.
+    Midpoints are hashed into a grid whose cell is the longest segment, so
+    segments can meet only in equal or neighbouring cells; candidates pass a
+    bounding-box filter, then four orientation signs decide, counting touching
+    and collinear overlap as contact (Shamos & Hoey, FOCS 1976).  Returns the
+    polyline index of every segment and the segment indices i < j of contacts.
+    """
     if closed:
-        poly = np.append(poly, nodes[0])
-    segs = list(zip(poly[:-1], poly[1:]))
-    m = len(segs)
-    for i in range(m):
-        for j in range(i + 2, m):
-            if closed and i == 0 and j == m - 1:
-                continue
-            if _segments_cross(segs[i], segs[j]):
-                raise GeometryError("curve self-intersects at panel resolution")
+        polylines = [np.append(polylines[0], polylines[0][0])]
+    p = np.concatenate([pts[:-1] for pts in polylines])
+    q = np.concatenate([pts[1:] for pts in polylines])
+    owner = np.repeat(np.arange(len(polylines)), [pts.size - 1 for pts in polylines])
+    n = p.size
+    xmin, xmax = np.minimum(p.real, q.real), np.maximum(p.real, q.real)
+    ymin, ymax = np.minimum(p.imag, q.imag), np.maximum(p.imag, q.imag)
+
+    mid = 0.5 * (p + q)
+    cell = (1.0 + 1e-7) * float(np.max(np.abs(q - p))) or 1.0  # margin for rounding
+    cx = np.floor((mid.real - mid.real.min()) / cell).astype(np.int64)
+    cy = np.floor((mid.imag - mid.imag.min()) / cell).astype(np.int64)
+    width = int(cy.max()) + 3
+    key = (cx + 1) * width + cy + 1
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    # each segment against the later ones of its own cell and all of four
+    # neighbour cells; the other four neighbours see it from their side
+    rows = np.arange(n)
+    lo, hi = [rows + 1], [np.searchsorted(skey, skey, "right")]
+    for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
+        target = skey + dx * width + dy
+        lo.append(np.searchsorted(skey, target, "left"))
+        hi.append(np.searchsorted(skey, target, "right"))
+    rows, lo = np.tile(rows, 5), np.concatenate(lo)
+    count = np.concatenate(hi) - lo
+
+    cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
+    hits_i, hits_j = [], []
+    for r, l, c in zip(np.split(rows, cuts), np.split(lo, cuts), np.split(count, cuts)):
+        first = np.cumsum(c) - c
+        i = order[np.repeat(r, c)]
+        j = order[np.arange(c.sum()) - np.repeat(first - l, c)]
+        gap = np.abs(i - j)
+        adjacent = (owner[i] == owner[j]) & ((gap == 1) | (closed & (gap == n - 1)))
+        keep = (~adjacent & (xmin[i] <= xmax[j]) & (xmin[j] <= xmax[i])
+                & (ymin[i] <= ymax[j]) & (ymin[j] <= ymax[i]))
+        i, j = i[keep], j[keep]
+        meet = ((_orientation(p[j], q[j], p[i]) * _orientation(p[j], q[j], q[i]) <= 0)
+                & (_orientation(p[i], q[i], p[j]) * _orientation(p[i], q[i], q[j]) <= 0))
+        hits_i.append(np.minimum(i, j)[meet])
+        hits_j.append(np.maximum(i, j)[meet])
+    return owner, np.concatenate(hits_i), np.concatenate(hits_j)
 
 
-def _segments_cross(s1, s2):
-    (p1, p2), (q1, q2) = s1, s2
-
-    def orient(a, b, c):
-        return -np.sign(np.imag((b - a).conjugate() * (c - a)))
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return (d1 * d2 < 0) and (d3 * d4 < 0)
+def _orientation(a, b, c):
+    """Sign of the turn a -> b -> c: +1 left, -1 right, 0 collinear."""
+    return np.sign(np.imag(np.conj(b - a) * (c - a)))
 
 
 def _point_set_diameter(pts):
@@ -219,12 +253,11 @@ def build_closed_contour(spec):
     ``node-chain`` (a closed chain of explicit points).
     """
     kind = spec.get("type")
-    n_panels = int(spec.get("panels", 8))
-    per = int(spec.get("nodes_per_panel", 16))
-    n = n_panels * per
+    n_panels = _count(spec, "panels", 8)
+    n = n_panels * _count(spec, "nodes_per_panel", 16)
 
     if kind == "circle":
-        c = _as_complex(spec.get("center", 0.0))
+        c = _as_complex(spec.get("center", 0.0), "center")
         r = float(spec["radius"])
         if r <= 0:
             raise GeometryError("circle radius must be positive")
@@ -235,7 +268,7 @@ def build_closed_contour(spec):
         )
 
     if kind == "ellipse":
-        c = _as_complex(spec.get("center", 0.0))
+        c = _as_complex(spec.get("center", 0.0), "center")
         sa, sb = (float(v) for v in spec["semi_axes"])
         if sa <= 0 or sb <= 0:
             raise GeometryError("ellipse semi-axes must be positive")
@@ -246,13 +279,13 @@ def build_closed_contour(spec):
         )
 
     if kind == "rounded-polygon":
-        verts = np.array([_as_complex(v) for v in spec["vertices"]])
+        verts = np.array([_as_complex(v, "vertices") for v in spec["vertices"]])
         radius = float(spec["corner_radius"])
         return _rounded_polygon(verts, radius, n, n_panels)
 
     if kind == "node-chain":
-        nodes = np.array([_as_complex(v) for v in spec["nodes"]])
-        return _closed_node_chain(nodes, n_panels=int(spec.get("panels", 8)))
+        nodes = np.array([_as_complex(v, "nodes") for v in spec["nodes"]])
+        return _closed_node_chain(nodes, n_panels=n_panels)
 
     raise GeometryError(f"unknown closed-contour kind {kind!r}")
 
@@ -577,63 +610,62 @@ def _build_chain_arc(points, n_panels):
 
 
 def _chain_factor_eval(arc, z):
-    """Own factor on a chain arc by sign tracking along an escape path."""
+    """Own factor on a chain arc by sign tracking along escape paths."""
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zs = np.atleast_1d(z)
-    out = np.empty(zs.shape, dtype=complex)
+    flat = z.ravel()
+    out = np.empty(flat.size, dtype=complex)
     diam = max(abs(arc.b - arc.a), arc.total_length)
-    for i, zz in enumerate(zs.ravel()):
-        out.ravel()[i] = _tracked_sqrt(arc, zz, diam)
-    return complex(out.ravel()[0]) if scalar else out
+    rows = _BLOCK // 322
+    for lo in range(0, flat.size, rows):
+        out[lo:lo + rows] = _tracked_sqrt(arc, flat[lo:lo + rows], diam)
+    return out.reshape(z.shape)[()]
 
 
 def _principal_pair(arc, z):
     return np.sqrt(z - arc.a) * np.sqrt(z - arc.b)
 
 
+def _nearest_node(nodes, z):
+    """Index of the node nearest to each point of the 1-d array z."""
+    idx = np.empty(z.size, dtype=int)
+    rows = max(1, _BLOCK // nodes.size)
+    for lo in range(0, z.size, rows):
+        idx[lo:lo + rows] = np.argmin(np.abs(nodes - z[lo:lo + rows, None]), axis=1)
+    return idx
+
+
 def _tracked_sqrt(arc, z, diam):
-    # walk from z away from the arc, then far out; count branch flips of the
-    # per-factor principal product, whose discontinuities are two leftward
-    # rays; calibrate against the asymptotic value at the far end.
-    near = arc.nodes[np.argmin(np.abs(arc.nodes - z))]
-    u = z - near
-    u = u / abs(u) if abs(u) > 0 else 1.0
-    leg1 = z + u * np.linspace(0.0, 8.0 * diam, 257)
-    zfar_dir = leg1[-1] / abs(leg1[-1]) if abs(leg1[-1]) > 0 else 1.0
-    leg2 = leg1[-1] * np.linspace(1.0, (_FAR_FACTOR * diam) / abs(leg1[-1]), 65)
-    path = np.concatenate((leg1, leg2))
+    # walk from each z away from the arc, then far out (322 points); count
+    # branch flips of the per-factor principal product, whose discontinuities
+    # are two leftward rays; calibrate against the asymptotic value far out.
+    u = z - arc.nodes[_nearest_node(arc.nodes, z)]
+    u = np.where(u != 0, u / np.abs(np.where(u != 0, u, 1.0)), 1.0)
+    leg1 = z[:, None] + u[:, None] * np.linspace(0.0, 8.0 * diam, 257)
+    end = leg1[:, -1]
+    leg2 = end[:, None] * np.linspace(1.0, (_FAR_FACTOR * diam) / np.abs(end), 65, axis=1)
+    path = np.concatenate((leg1, leg2), axis=1)
     vals = _principal_pair(arc, path)
-    sign = 1.0
-    for k in range(len(path) - 1):
-        if abs(vals[k + 1] - sign * vals[k]) > abs(vals[k + 1] + sign * vals[k]):
-            sign = -sign
-    zf = path[-1]
-    far_ok = abs(vals[-1] / zf - 1.0) < abs(vals[-1] / zf + 1.0)
-    # sign is the flip count from z to far; the far value must match +z
-    s0 = 1.0 if far_ok else -1.0
+    flips = np.abs(vals[:, 1:] - vals[:, :-1]) > np.abs(vals[:, 1:] + vals[:, :-1])
+    # the product of the step signs is the flip count from z to far
+    sign = np.prod(np.where(flips, -1.0, 1.0), axis=1)
+    # the far value must match +z
+    ratio = vals[:, -1] / path[:, -1]
+    s0 = np.where(np.abs(ratio - 1.0) < np.abs(ratio + 1.0), 1.0, -1.0)
     return s0 * sign * _principal_pair(arc, z)
 
 
 def _chain_factor_plus(arc, t):
     t = np.asarray(t, dtype=complex)
-    scalar = t.ndim == 0
-    ts = np.atleast_1d(t)
-    idx = np.array([np.argmin(np.abs(arc.nodes - tt)) for tt in ts.ravel()])
-    tang = arc.tangents[idx]
+    ts = t.ravel()
+    normal = 1j * arc.tangents[_nearest_node(arc.nodes, ts)]
     diam = max(abs(arc.b - arc.a), arc.total_length)
     eps1 = 1e-5 * diam
-    out = np.empty(ts.shape, dtype=complex)
-    for i, tt in enumerate(ts.ravel()):
-        n = 1j * tang[i]
-        v1 = _chain_factor_eval(arc, tt + eps1 * n)
-        v2 = _chain_factor_eval(arc, tt + 0.5 * eps1 * n)
-        ph1, ph2 = np.angle(v1), np.angle(v2)
-        ph2 += round((ph1 - ph2) / (2 * np.pi)) * 2 * np.pi
-        phase = 2.0 * ph2 - ph1
-        mag = math.sqrt(abs((tt - arc.a) * (tt - arc.b)))
-        out.ravel()[i] = mag * cmath.exp(1j * phase)
-    return complex(out.ravel()[0]) if scalar else out
+    v = _chain_factor_eval(arc, np.concatenate((ts + eps1 * normal, ts + 0.5 * eps1 * normal)))
+    ph1, ph2 = np.angle(v[:ts.size]), np.angle(v[ts.size:])
+    ph2 = ph2 + np.round((ph1 - ph2) / (2 * np.pi)) * 2 * np.pi
+    phase = 2.0 * ph2 - ph1
+    out = np.sqrt(np.abs((ts - arc.a) * (ts - arc.b))) * np.exp(1j * phase)
+    return out.reshape(t.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -718,13 +750,6 @@ class ArcSystem:
     def local_panel_length(self):
         return self.total_length / max(len(self.panels), 1)
 
-    def node_arc_index(self):
-        idx = np.empty(self.n_nodes, dtype=int)
-        for k, arc in enumerate(self.arcs):
-            o = self.arc_offsets[k]
-            idx[o:o + arc.n_nodes] = k
-        return idx
-
     def diameter(self):
         pts = np.concatenate([self.endpoints, self.nodes])
         return _point_set_diameter(pts)
@@ -738,20 +763,13 @@ class ArcSystem:
         return np.min(np.abs(pts - z))
 
     def _check_disjoint(self):
-        for i in range(self.n_arcs):
-            for j in range(i + 1, self.n_arcs):
-                pi = np.concatenate(([self.arcs[i].a], self.arcs[i].nodes, [self.arcs[i].b]))
-                pj = np.concatenate(([self.arcs[j].a], self.arcs[j].nodes, [self.arcs[j].b]))
-                step_i = max(1, pi.size // 64)
-                step_j = max(1, pj.size // 64)
-                pi_c, pj_c = pi[::step_i], pj[::step_j]
-                for k in range(pi_c.size - 1):
-                    for l in range(pj_c.size - 1):
-                        if _segments_cross((pi_c[k], pi_c[k + 1]), (pj_c[l], pj_c[l + 1])):
-                            raise DisjointnessError("arcs intersect at panel resolution")
-                dmin = np.min(np.abs(pi[:, None] - pj[None, :]))
-                if dmin == 0.0:
-                    raise DisjointnessError("arcs share a point")
+        owner, i, j = _polyline_contacts(
+            [np.concatenate(([arc.a], arc.nodes, [arc.b])) for arc in self.arcs])
+        for a, b in zip(owner[i], owner[j]):
+            if a != b:
+                raise DisjointnessError(f"arcs {a} and {b} cross or touch")
+        if i.size:
+            raise GeometryError(f"arc {owner[i[0]]} crosses or touches itself")
 
     # -- the square-root branch ---------------------------------------------
 
@@ -816,18 +834,17 @@ def build_arc_system(arc_specs):
     arcs = []
     for spec in arc_specs:
         kind = spec.get("type", "segment")
-        n_panels = int(spec.get("panels", 8))
-        per = int(spec.get("nodes_per_panel", 16))
-        m = n_panels * per
+        n_panels = _count(spec, "panels", 8)
+        m = n_panels * _count(spec, "nodes_per_panel", 16)
         if kind == "segment":
             arcs.append(_build_segment_arc(
-                _as_complex(spec["a"]), _as_complex(spec["b"]), m, n_panels))
+                _as_complex(spec["a"], "a"), _as_complex(spec["b"], "b"), m, n_panels))
         elif kind == "circular":
             arcs.append(_build_circular_arc(
-                _as_complex(spec.get("center", 0.0)), float(spec["radius"]),
+                _as_complex(spec.get("center", 0.0), "center"), float(spec["radius"]),
                 float(spec["theta_a"]), float(spec["theta_b"]), m, n_panels))
         elif kind == "chain":
-            pts = [_as_complex(p) for p in spec["nodes"]]
+            pts = [_as_complex(p, "nodes") for p in spec["nodes"]]
             arcs.append(_build_chain_arc(pts, n_panels))
         else:
             raise GeometryError(f"unknown arc kind {kind!r}")
@@ -860,10 +877,27 @@ def sqrtR_boundary_plus(system, node_index=None, point=None, arc_index=None):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _as_complex(v):
-    if isinstance(v, (list, tuple)):
-        return complex(float(v[0]), float(v[1]))
-    return complex(v)
+def _as_complex(v, key):
+    """A point given as a number or an [re, im] pair."""
+    try:
+        if isinstance(v, (list, tuple)):
+            re, im = v
+            return complex(float(re), float(im))
+        return complex(v)
+    except (TypeError, ValueError):
+        raise GeometryError(f"'{key}' must be a number or an [re, im] pair, "
+                            f"not {v!r}", key=key) from None
+
+
+def _count(spec, key, default):
+    """A positive integer field of a geometry spec."""
+    v = spec.get(key, default)
+    try:
+        if int(v) > 0:
+            return int(v)
+    except (TypeError, ValueError):
+        pass
+    raise GeometryError(f"'{key}' must be a positive integer, not {v!r}", key=key)
 
 
 def parse_geometry(spec):

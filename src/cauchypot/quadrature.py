@@ -51,8 +51,6 @@ __all__ = [
     "integrate_arclength",
     "pv_integrate",
     "fourier_derivative",
-    "cheb_series",
-    "cheb_derivative_values",
     "barycentric_interpolate",
     "analytic_pole_kernel",
 ]
@@ -225,41 +223,6 @@ def fourier_derivative(values):
     if n % 2 == 0:
         k[n // 2] = 0.0  # zero the Nyquist mode for a real-symmetric derivative
     return np.fft.ifft(1j * k * np.fft.fft(values))
-
-
-def cheb_series(values):
-    """Chebyshev coefficients from samples at first-kind points.
-
-    values[j] = f(cos u_j) with u_j = (2(m-j)-1)pi/(2m) (ascending tau).
-    Discrete orthogonality of cosines at these points makes this exact for
-    degree < m.
-    """
-    m = values.size
-    u = np.arccos(np.clip(_first_kind_tau(m), -1.0, 1.0))
-    n = np.arange(m)
-    cosmat = np.cos(np.outer(n, u))
-    c = (2.0 / m) * cosmat @ values
-    c[0] *= 0.5
-    return c
-
-
-def _first_kind_tau(m):
-    k = np.arange(m, 0, -1)
-    return np.cos((2.0 * k - 1.0) * np.pi / (2.0 * m))
-
-
-def cheb_derivative_values(arc, values):
-    """df/dt at the nodes of a graded arc, via the u-space cosine series."""
-    if not arc.graded:
-        raise GeometryError("spectral arc derivative needs cosine-graded nodes")
-    m = values.size
-    c = cheb_series(values)
-    u = np.arccos(np.clip(arc.params, -1.0, 1.0))
-    n = np.arange(m)
-    sinmat = np.sin(np.outer(u, n))
-    df_du = -sinmat @ (n * c)
-    dt_du = -arc.dt_dtau * arc.sin_u  # t = t(tau), tau = cos u
-    return df_du / dt_du
 
 
 def closed_node_derivative(host, values):

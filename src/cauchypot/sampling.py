@@ -53,11 +53,6 @@ class SampledDensity:
     def from_function(cls, host, f):
         return cls(host, np.asarray(f(host.nodes), dtype=complex))
 
-    def arc_values(self, k):
-        """Slice of the samples living on arc k of an arc-system host."""
-        off = self.host.arc_offsets
-        return self.values[off[k]:off[k + 1]]
-
     def __add__(self, other):
         return SampledDensity(self.host, self.values + other.values)
 

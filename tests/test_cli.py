@@ -341,6 +341,51 @@ def test_unknown_geometry_kind(tmp_path, capsys):
     assert code == 64
 
 
+def config_line(tmp_path, key):
+    """1-based line of a key in the config file run_cli wrote."""
+    lines = (tmp_path / "config.json").read_text().splitlines()
+    return next(n for n, line in enumerate(lines, start=1) if f'"{key}"' in line)
+
+
+def test_non_integer_degree_reports_its_line(tmp_path, capsys):
+    config = {
+        "command": "moments",
+        "geometry": {"arcs": [SEGMENT]},
+        "rhs": {"family": "monomial", "degree": "two"},
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f":{config_line(tmp_path, 'degree')}: " in err
+    assert "degree" in err and "Traceback" not in err
+
+
+def test_one_coordinate_endpoint_reports_its_line(tmp_path, capsys):
+    config = {
+        "command": "moments",
+        "geometry": {"arcs": [dict(SEGMENT, a=[-1.0])]},
+        "rhs": {"family": "constant", "value": 1.0},
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f":{config_line(tmp_path, 'a')}: " in err
+    assert "[re, im]" in err
+
+
+def test_zero_panels_reports_its_line(tmp_path, capsys):
+    config = {
+        "command": "solve-closed",
+        "geometry": {"curve": dict(CIRCLE, panels=0)},
+        "rhs": {"family": "monomial", "degree": 2},
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f":{config_line(tmp_path, 'panels')}: " in err
+    assert "positive integer" in err
+
+
 def test_wrong_host_family_for_command(tmp_path, capsys):
     config = {
         "command": "solve-closed",

@@ -94,6 +94,33 @@ def test_self_intersection_rejected():
         })
 
 
+def test_one_node_spike_on_fine_circle_rejected():
+    # the spike crosses the curve between two nodes of a 4096-node circle
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    z[1029] = -1.5 * z[1029]
+    with pytest.raises(GeometryError, match="crosses or touches"):
+        build_closed_contour({
+            "type": "node-chain",
+            "nodes": np.stack([z.real, z.imag], axis=1).tolist(),
+            "panels": 8,
+        })
+
+
+def test_jittered_rounded_polygons_accepted():
+    # straight edges give runs of nearly collinear segments, none of which
+    # may test as a contact; one of these 40 used to fail a sign-only test
+    gen = np.random.default_rng(3)
+    base = np.array([[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]])
+    for _ in range(40):
+        per = int(gen.integers(32, 513))
+        host = build_closed_contour({
+            "type": "rounded-polygon",
+            "vertices": (base + gen.uniform(-0.1, 0.1, base.shape)).tolist(),
+            "corner_radius": 0.25, "panels": 8, "nodes_per_panel": per,
+        })
+        assert host.n_nodes == 8 * per
+
+
 def test_winding_number():
     c = circle(r=1.5, c=0.3j)
     assert c.winding_number(0.3j) == 1
@@ -166,6 +193,44 @@ def test_disjointness_enforced():
             {"type": "segment", "a": [-1, 0], "b": [0, 0], "panels": 2, "nodes_per_panel": 8},
             {"type": "segment", "a": [0, 0], "b": [1, 0], "panels": 2, "nodes_per_panel": 8},
         ])
+
+
+def test_touching_arcs_rejected():
+    # the endpoint of one segment lies inside the other
+    with pytest.raises(DisjointnessError):
+        build_arc_system([
+            {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 2, "nodes_per_panel": 8},
+            {"type": "segment", "a": [0, 0], "b": [0, 1], "panels": 2, "nodes_per_panel": 8},
+        ])
+    # a circular arc that ends where it is tangent to the segment
+    with pytest.raises(DisjointnessError):
+        build_arc_system([
+            {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 2, "nodes_per_panel": 8},
+            {"type": "circular", "center": [0, 1], "radius": 1.0,
+             "theta_a": -np.pi / 2 - 1.0, "theta_b": -np.pi / 2,
+             "panels": 2, "nodes_per_panel": 8},
+        ])
+
+
+def test_overlapping_collinear_segments_rejected():
+    with pytest.raises(DisjointnessError):
+        build_arc_system([
+            {"type": "segment", "a": [-1, 0], "b": [0.5, 0], "panels": 2, "nodes_per_panel": 8},
+            {"type": "segment", "a": [0, 0], "b": [1, 0], "panels": 2, "nodes_per_panel": 8},
+        ])
+    # a chain that doubles back along itself
+    x = np.concatenate((np.linspace(0.0, 1.0, 9), np.linspace(0.9, 0.5, 5)))
+    with pytest.raises(GeometryError) as info:
+        build_arc_system([{"type": "chain", "nodes": [[v, 0.0] for v in x]}])
+    assert not isinstance(info.value, DisjointnessError)
+
+
+def test_self_crossing_chain_arc_rejected():
+    t = np.linspace(-1.5, 1.5, 40)  # (t^2 - 1, t^3 - t) crosses itself at 0
+    with pytest.raises(GeometryError, match="arc 0 crosses or touches itself") as info:
+        build_arc_system([{"type": "chain",
+                           "nodes": np.stack([t * t - 1, t ** 3 - t], axis=1).tolist()}])
+    assert not isinstance(info.value, DisjointnessError)
 
 
 def test_degenerate_endpoints_rejected():
@@ -256,6 +321,77 @@ def test_chain_arc_matches_segment_closed_form():
     x = chain.nodes.real
     ref = 1j * np.sqrt(1.0 - x**2)
     assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) < 1e-4
+
+
+def _walked_chain_factor(arc, z):
+    """Loop reference for the chain-arc branch: walk the escape path point
+    by point, flipping the sign wherever the principal product jumps."""
+    diam = max(abs(arc.b - arc.a), arc.total_length)
+    u = z - arc.nodes[np.argmin(np.abs(arc.nodes - z))]
+    u = u / abs(u)
+    leg1 = z + u * np.linspace(0.0, 8.0 * diam, 257)
+    leg2 = leg1[-1] * np.linspace(1.0, 1e6 * diam / abs(leg1[-1]), 65)
+    path = np.concatenate((leg1, leg2))
+    vals = np.sqrt(path - arc.a) * np.sqrt(path - arc.b)
+    sign = 1.0
+    for k in range(path.size - 1):
+        if abs(vals[k + 1] - vals[k]) > abs(vals[k + 1] + vals[k]):
+            sign = -sign
+    far = vals[-1] / path[-1]
+    s0 = 1.0 if abs(far - 1.0) < abs(far + 1.0) else -1.0
+    return s0 * sign * np.sqrt(z - arc.a) * np.sqrt(z - arc.b)
+
+
+def test_chain_branch_matches_recorded_values():
+    # values recorded from the point-by-point walk on a straight horizontal
+    # chain, where the principal product's cut is the chain itself
+    x = np.linspace(-1.0, 1.0, 41)
+    x = x + 0.01 * np.sin(7 * x) * (1 - x * x)
+    chain = build_arc_system([
+        {"type": "chain", "nodes": np.stack([x, np.zeros_like(x)], axis=1).tolist()},
+    ])
+    recorded = {
+        1.7 + 0.3j: 1.3908473600557323 + 0.3666829406640021j,
+        -0.4 + 1.1j: -0.30074630563761795 + 1.4630271153859986j,
+        0.2 - 0.9j: 0.13460903910741717 - 1.3372058904332653j,
+        3.0: 2.8284271247461903 + 0j,
+        -2.5 - 0.2j: -2.292934944404482 - 0.21806113654474368j,
+    }
+    got = chain.eval_sqrtR(np.array(list(recorded)))
+    assert np.max(np.abs(got - np.array(list(recorded.values())))) < 1e-14
+    plus = {
+        0: -2.542395171445839e-12 + 0.31118401306441j,
+        7: -1.1914139757281458e-14 + 0.8041533354407604j,
+        19: 6.123233995736766e-17 + 1j,
+        33: 2.526943638459045e-14 + 0.7190198929518353j,
+        38: 2.5424332804963878e-12 + 0.31118401306440935j,
+    }
+    own = chain.arcs[0].sqrt_own_plus[list(plus)]
+    assert np.max(np.abs(own - np.array(list(plus.values())))) < 1e-14
+
+
+def test_curved_chain_branch_matches_circular_arc():
+    # a chain sampled from a circular arc has the circular arc's branch off
+    # the arc and on its plus side, including between the two leftward rays
+    # where the principal product has the opposite sign
+    th = np.linspace(0.4, 2.3, 130)
+    pts = np.exp(1j * th)
+    chain = build_arc_system([
+        {"type": "chain", "nodes": np.stack([pts.real, pts.imag], axis=1).tolist()},
+    ])
+    circ = build_arc_system([
+        {"type": "circular", "center": [0, 0], "radius": 1.0,
+         "theta_a": 0.4, "theta_b": 2.3, "panels": 1, "nodes_per_panel": 32},
+    ])
+    z = 2.5 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+    z = np.concatenate((z[[chain.distance_to(w) > 0.05 for w in z]],
+                        [-0.18 + 0.5j, -5.6 + 0.65j, 0.0 + 0.6j]))
+    want = circ.eval_sqrtR(z)
+    assert np.max(np.abs(chain.eval_sqrtR(z) - want) / np.abs(want)) < 1e-12
+    for w in z[:20]:
+        assert abs(chain.arcs[0].factor_eval(w) - _walked_chain_factor(chain.arcs[0], w)) < 1e-14
+    ref = np.array([circ.sqrtR_plus_at(0, t) for t in chain.nodes])
+    assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) < 1e-8
 
 
 def test_near_boundary_guard():
