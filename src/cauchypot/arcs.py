@@ -111,6 +111,16 @@ def _require_system(host):
     return host
 
 
+def _system_of(g, system):
+    """The arc system that the samples g live on, checked against ``system``."""
+    if system is None:
+        system = g.host
+    _require_system(system)
+    if g.host is not system:
+        raise GeometryError("sample host does not match the arc system")
+    return system
+
+
 def sqrtR_polynomial_part(system):
     """Polynomial part Q of sqrt(R) at infinity, monic of degree N.
 
@@ -157,11 +167,7 @@ def solvability_moments(g, system=None):
     The inverse square root is folded into the graded rule, so polynomial g
     is integrated exactly.
     """
-    if system is None:
-        system = g.host
-    _require_system(system)
-    if g.host is not system:
-        raise GeometryError("sample host does not match the arc system")
+    system = _system_of(g, system)
     rule = host_rule(system)
     s_plus = system.sqrtR_plus_nodes()
     t = system.nodes
@@ -177,11 +183,7 @@ def general_solution(g, system=None, P=None):
 
     P selects the kernel component; degree must stay <= N-1.
     """
-    if system is None:
-        system = g.host
-    _require_system(system)
-    if g.host is not system:
-        raise GeometryError("sample host does not match the arc system")
+    system = _system_of(g, system)
     s_plus = system.sqrtR_plus_nodes()
     weighted = SampledDensity(system, g.values * s_plus)
     sw = singular_S(weighted, density_class="sqrt")
@@ -204,11 +206,7 @@ def candidate_f0(g, system=None):
     solves S_L f0 = g exactly when the solvability moments vanish, and the
     modified equation S_L f0 = g + P otherwise.
     """
-    if system is None:
-        system = g.host
-    _require_system(system)
-    if g.host is not system:
-        raise GeometryError("sample host does not match the arc system")
+    system = _system_of(g, system)
     s_plus = system.sqrtR_plus_nodes()
     inner = SampledDensity(system, g.values / s_plus)
     si = singular_S(inner, density_class="inverse_sqrt")
@@ -223,12 +221,14 @@ def defect_polynomial(g, system=None):
     part Q of sqrt(R) reduces P to a moment sum:
     P_i = (1/pi i) * sum_{m >= i+1} Q_m * m_{m-1-i}.
     """
-    if system is None:
-        system = g.host
-    _require_system(system)
+    system = _system_of(g, system)
+    return _defect_from_moments(system, solvability_moments(g, system))
+
+
+def _defect_from_moments(system, m):
+    """The defect polynomial of the solvability moments m of g."""
     n = system.n_arcs
     q = sqrtR_polynomial_part(system).coefficients
-    m = solvability_moments(g, system)
     p = np.zeros(n, dtype=complex)
     for i in range(n):
         acc = 0.0 + 0.0j
@@ -240,9 +240,7 @@ def defect_polynomial(g, system=None):
 
 def modified_residual(g, system=None):
     """sup-norm residual of the modified equation S_L f0 = g + P at nodes."""
-    if system is None:
-        system = g.host
-    _require_system(system)
+    system = _system_of(g, system)
     f0 = candidate_f0(g, system)
     sf0 = singular_S(f0, density_class="sqrt")
     P = defect_polynomial(g, system)
@@ -263,15 +261,13 @@ def bounded_solution(g, system=None, holder_hint=0.5):
     1e-8 * ||g||_inf * diam^(N - 1/2).  ``holder_hint`` records the caller's
     regularity assumption on g; it is not verified.
     """
-    if system is None:
-        system = g.host
-    _require_system(system)
+    system = _system_of(g, system)
     moments = solvability_moments(g, system)
     tol = _moment_tolerance(g, system)
     bounded = bool(np.max(np.abs(moments)) <= tol) if moments.size else True
     f0 = candidate_f0(g, system)
     f0.meta["holder_hint"] = float(holder_hint)
-    P = defect_polynomial(g, system)
+    P = _defect_from_moments(system, moments)
     sf0 = singular_S(f0, density_class="sqrt")
     if bounded:
         residual = float(np.max(np.abs(sf0.values - g.values)))

@@ -19,25 +19,22 @@ The class picks the folding that turns every quadrature into the exact
 weighted Gauss rule of the graded grid; mislabelling costs accuracy but not
 correctness.  On closed contours the classes coincide.
 
+S itself is evaluated by the pole-subtraction kernels of the quadrature
+layer (``quadrature.singular_values``), the same ones ``pv_integrate`` uses.
+
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
 analytically known transform) at a short ladder of distances h0, h0/2, h0/4
-along the normal, extrapolated to h = 0 through the Neville tableau.
+along the normal, extrapolated to h = 0 through ``quadrature.neville``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryLimitError, GeometryError, NearBoundaryError
+from .errors import BoundaryLimitError, NearBoundaryError
 from .geometry import ArcSystem, ClosedContour
-from .quadrature import (
-    analytic_pole_kernel,
-    fd4_arc_derivative,
-    closed_node_derivative,
-    host_rule,
-    _locate,
-)
+from .quadrature import host_rule, neville, singular_values
 from .sampling import SampledDensity
 
 __all__ = [
@@ -80,93 +77,10 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     full = at_indices is None
     if full:
         at_indices = np.arange(host.n_nodes)
-    idx = np.atleast_1d(np.asarray(at_indices, dtype=int))
-    if isinstance(host, ClosedContour):
-        out = _S_closed(host, values, idx)
-    elif isinstance(host, ArcSystem):
-        out = _S_arcs(host, values, idx, density_class)
-    else:
-        raise GeometryError(f"no singular operator for host {type(host).__name__}")
+    out = singular_values(host, values, at_indices, density_class)
     if scalar:
         return complex(out[0])
     return SampledDensity(host, out) if full else out
-
-
-def _S_closed(host, values, idx):
-    t = host.nodes
-    w = host.complex_weights
-    df = closed_node_derivative(host, values)
-    out = np.empty(idx.size, dtype=complex)
-    for i, k in enumerate(idx):
-        x = t[k]
-        fx = values[k]
-        diff = t - x
-        diff[k] = 1.0
-        reg = (values - fx) / diff
-        reg[k] = df[k]
-        out[i] = (np.sum(w * reg) + fx * 1j * np.pi) / (1j * np.pi)
-    return out
-
-
-def _S_arcs(host, values, idx, density_class):
-    off = host.arc_offsets
-    t = host.nodes
-    w = host_rule(host).dt_weights
-    wf = w * values  # plain weighted samples for the cross-arc sums
-
-    # per-arc folded densities and their spectral derivatives
-    folded, dfolded = [], []
-    for l, arc in enumerate(host.arcs):
-        if not arc.graded:
-            raise GeometryError("the singular operator needs cosine-graded arcs")
-        fl = values[off[l]:off[l + 1]]
-        if density_class == "inverse_sqrt":
-            phi = fl * arc.sqrt_own_plus
-        elif density_class == "sqrt":
-            phi = fl / arc.sqrt_own_plus
-        else:
-            phi = fl.copy()
-        folded.append(phi)
-        dfolded.append(fd4_arc_derivative(arc, phi))
-
-    out = np.empty(idx.size, dtype=complex)
-    for i, k in enumerate(idx):
-        ak, arc, local = _locate(host, k)
-        x = t[k]
-        sl = slice(off[ak], off[ak + 1])
-
-        # other arcs: the pole is at a positive distance, plain sums converge
-        # at the weighted rule's rate because w already carries the grading
-        diff_all = t - x
-        diff_all[k] = 1.0
-        total = np.sum(wf / diff_all) - np.sum(wf[sl] / diff_all[sl])
-
-        phi = folded[ak]
-        phix = phi[local]
-        t_own = t[sl]
-        w_own = w[sl]
-        d_own = t_own - x
-        d_own[local] = 1.0
-        s_plus = arc.sqrt_own_plus
-
-        if density_class == "inverse_sqrt":
-            reg = (phi - phix) / (d_own * s_plus)
-            reg[local] = dfolded[ak][local] / s_plus[local]
-            total += np.sum(w_own * reg)
-            # PV int dt/(s_plus (t-x)) = 0: no kernel term
-        elif density_class == "sqrt":
-            reg = (phi - phix) * s_plus / d_own
-            reg[local] = dfolded[ak][local] * s_plus[local]
-            total += np.sum(w_own * reg)
-            total += phix * (-1j * np.pi) * (x - arc.midpoint)
-        else:
-            reg = (phi - phix) / d_own
-            reg[local] = dfolded[ak][local]
-            total += np.sum(w_own * reg)
-            total += phix * analytic_pole_kernel(host, k)
-
-        out[i] = total / (1j * np.pi)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +132,7 @@ def boundary_value(f, side="plus", node=0, h0=None, levels=3, tol=None,
     stay a few node spacings away from the curve at the smallest level or
     the quadrature under the ladder is meaningless.
 
-    With ``tol`` set, the deepest two extrapolants must agree to within
+    With ``tol`` set, the two finest extrapolants must agree to within
     10 * tol, else the limit is declared non-convergent.
     """
     _check_class(density_class)
@@ -244,28 +158,13 @@ def _boundary_value(host, rule, values, side, k, h0, levels, tol,
         raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
     vals = [_compensated_cauchy(host, rule, values, host.nodes[k] + h * nu, k)
             for h in hs]
-    diag = _neville_diagonal(hs, vals)
-    if tol is not None and len(diag) >= 2:
-        if abs(diag[-1] - diag[-2]) > 10.0 * tol:
-            raise BoundaryLimitError(
-                f"extrapolation at node {k} ({side}) not converged: "
-                f"last estimates differ by {abs(diag[-1] - diag[-2]):.3g}"
-            )
-    return diag[-1]
-
-
-def _neville_diagonal(hs, vals):
-    """Diagonal of the Neville tableau for extrapolation to h = 0."""
-    n = len(vals)
-    rows = [list(vals)]
-    for lev in range(1, n):
-        prev = rows[-1]
-        nxt = []
-        for i in range(n - lev):
-            hi, hj = hs[i], hs[i + lev]
-            nxt.append((hi * prev[i + 1] - hj * prev[i]) / (hi - hj))
-        rows.append(nxt)
-    return [rows[lev][0] for lev in range(n)]
+    value, gap = neville(vals)
+    if tol is not None and levels >= 2 and gap > 10.0 * tol:
+        raise BoundaryLimitError(
+            f"extrapolation at node {k} ({side}) not converged: "
+            f"last estimates differ by {gap:.3g}"
+        )
+    return complex(value)
 
 
 def _compensated_cauchy(host, rule, values, z, k):
@@ -283,13 +182,12 @@ def _compensated_cauchy(host, rule, values, z, k):
     if isinstance(host, ClosedContour):
         fk = values[k]
         total = np.sum(w * (values - fk) / (t - z)) / (2j * np.pi)
-        return complex(total + fk * np.asarray(host.winding_number(z)).ravel()[0])
+        return complex(total + fk * host.winding_number(z))
     sqrtR_plus = host.sqrtR_plus_nodes()
     phi = values * sqrtR_plus
     phik = phi[k]
     total = np.sum(w * (phi - phik) / (sqrtR_plus * (t - z))) / (2j * np.pi)
-    rz = np.asarray(host.eval_sqrtR(z, check_distance=False)).ravel()[0]
-    return complex(total + phik / (2.0 * rz))
+    return complex(total + phik / (2.0 * host.eval_sqrtR(z, check_distance=False)))
 
 
 def plemelj_residuals(f, at_indices=None, h0=None, levels=3, tol=None,

@@ -796,7 +796,7 @@ class ArcSystem:
         out = np.ones(zs.shape, dtype=complex)
         for arc in self.arcs:
             out = out * arc.factor_eval(zs)
-        return out[()] if scalar else out
+        return out[0] if scalar else out
 
     def sqrtR_plus_nodes(self):
         """Plus boundary values of sqrt(R) at every host node (cached)."""

@@ -33,7 +33,7 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import host_rule
+from .quadrature import host_rule, neville
 from .sampling import SampledDensity, write_density_csv
 
 __all__ = [
@@ -144,6 +144,24 @@ def _seg_log_moment(l1, l2):
     return left + right
 
 
+def _split_log_sum(g, d, dpar, k, log_speed):
+    """sum g * log(d) with the log split at the pole k.
+
+    log(d) = log(d / dpar) + log(dpar), dpar a parameter distance to the
+    pole: the ratio is bounded through the pole (limit ``log_speed``), and
+    log(dpar) is summed against g - g[k], the density frozen at the pole,
+    whose own integral the caller adds in closed form (or knows to vanish).
+    """
+    n = g.size
+    nz = np.arange(n) != k
+    ratio = np.empty(n)
+    ratio[nz] = np.log(d[nz] / dpar[nz])
+    ratio[k] = log_speed
+    logs = np.zeros(n)
+    logs[nz] = np.log(dpar[nz])
+    return float(np.sum(g * ratio) + np.sum((g - g[k]) * logs))
+
+
 def _closed_potential_on_node(host, rho, k):
     """int rho log|t - t_k| ds over a closed contour, pole at node k.
 
@@ -153,18 +171,12 @@ def _closed_potential_on_node(host, rho, k):
     vanishes; only the subtracted remainder is summed.
     """
     th = host.params
-    n = host.n_nodes
-    wth = 2.0 * np.pi / n
+    wth = 2.0 * np.pi / host.n_nodes
     v = rho * np.abs(host.dz_dtheta)
     half = np.abs(2.0 * np.sin(0.5 * (th - th[k])))
     d = np.abs(host.nodes - host.nodes[k])
-    nz = np.arange(n) != k
-    ratio = np.empty(n)
-    ratio[nz] = np.log(d[nz] / half[nz])
-    ratio[k] = math.log(float(np.abs(host.dz_dtheta[k])))
-    logs = np.zeros(n)
-    logs[nz] = np.log(half[nz])
-    return wth * float(np.sum(v * ratio) + np.sum((v - v[k]) * logs))
+    log_speed = math.log(float(np.abs(host.dz_dtheta[k])))
+    return wth * _split_log_sum(v, d, half, k, log_speed)
 
 
 def _arc_log_self(arc, rho_arc, k_local):
@@ -177,21 +189,14 @@ def _arc_log_self(arc, rho_arc, k_local):
     """
     if not arc.graded:
         raise GeometryError("on-arc potential needs a graded (cosine) arc")
-    m = arc.n_nodes
     u = np.arccos(np.clip(arc.params, -1.0, 1.0))
-    du_w = np.pi / m
+    du_w = np.pi / arc.n_nodes
     speed = np.abs(arc.dt_dtau) * arc.sin_u
     g = rho_arc * speed
     uk = u[k_local]
     d = np.abs(arc.nodes - arc.nodes[k_local])
-    du = np.abs(u - uk)
-    nz = np.arange(m) != k_local
-    ratio = np.empty(m)
-    ratio[nz] = np.log(d[nz] / du[nz])
-    ratio[k_local] = math.log(max(float(speed[k_local]), 1e-300))
-    logs = np.zeros(m)
-    logs[nz] = np.log(du[nz])
-    part12 = du_w * float(np.sum(g * ratio) + np.sum((g - g[k_local]) * logs))
+    log_speed = math.log(max(float(speed[k_local]), 1e-300))
+    part12 = du_w * _split_log_sum(g, d, np.abs(u - uk), k_local, log_speed)
     return part12 + float(g[k_local]) * _seg_log_moment(uk, np.pi - uk)
 
 
@@ -269,22 +274,6 @@ def log_potential(measure, z):
 # inverse maps
 # ---------------------------------------------------------------------------
 
-def _neville(d):
-    """Extrapolate one-sided differences d(h), d(h/2), ... to h = 0.
-
-    Returns the extrapolated value and the gap between the last two
-    diagonal entries, the usual convergence estimate.
-    """
-    rows = [np.asarray(d, dtype=float)]
-    levels = rows[0].size
-    for lev in range(1, levels):
-        prev = rows[-1]
-        rows.append((2.0 ** lev * prev[1:] - prev[:-1]) / (2.0 ** lev - 1.0))
-    diag = [float(r[-1]) for r in rows]
-    gap = abs(diag[-1] - diag[-2]) if levels >= 2 else math.inf
-    return diag[-1], gap
-
-
 def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     """Density of the curve part of mu from one-sided normal derivatives.
 
@@ -296,13 +285,9 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError("curve recovery needs a contour or arc system host")
-    if isinstance(u, PotentialField):
-        if u.is_grid:
-            raise ValueError("curve recovery needs an evaluator, not a grid")
-        ueval = u
-    elif callable(u):
-        ueval = u
-    else:
+    if isinstance(u, PotentialField) and u.is_grid:
+        raise ValueError("curve recovery needs an evaluator, not a grid")
+    if not callable(u):
         raise TypeError("u must be callable or an evaluator PotentialField")
     if levels < 2:
         raise ValueError("extrapolation needs at least two offset levels")
@@ -324,13 +309,13 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
         n_hat = normals[k]
         hs = h0_k[k] / 2.0 ** np.arange(levels)
         try:
-            u0 = float(ueval(z))
+            u0 = float(u(z))
             total = 0.0
             worst = 0.0
             for sgn in (1.0, -1.0):
-                d = np.array([(float(ueval(z + sgn * hh * n_hat)) - u0) / hh
+                d = np.array([(float(u(z + sgn * hh * n_hat)) - u0) / hh
                               for hh in hs])
-                val, gap = _neville(d)
+                val, gap = neville(d)
                 total += val
                 worst = max(worst, gap)
             if not math.isfinite(total):

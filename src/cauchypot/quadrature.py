@@ -21,11 +21,14 @@ samples supply the smooth cofactor g, and the rule returns
 int g(t)/sqrt((t-a)(b-t)) dt (first kind) or int g(t)*sqrt((t-a)(b-t)) dt
 (second kind).
 
-Principal values are computed by pole subtraction.  The subtracted kernel
-integral is known in closed form per host (pi*i for a closed curve, a log
-ratio for a segment, a sine-ratio log for a circular arc), and the diagonal
-of the regularized part needs the derivative of the density at the pole,
-taken spectrally (Fourier on closed contours, Chebyshev on graded arcs).
+Principal values and the singular operator S share one pole-subtraction
+kernel per host type (``singular_values``); ``pv_integrate`` is pi*i times S
+at one node.  The subtracted kernel integral is known in closed form per
+host (pi*i for a closed curve, a log ratio for a segment, a sine-ratio log
+for a circular arc), and the diagonal of the regularized part needs the
+derivative of the density at the pole (Fourier on closed contours, 4th-order
+differences in the cosine angle on graded arcs).  ``neville`` is the one
+extrapolation tableau, for boundary limits and curve-density recovery.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ __all__ = [
     "fourier_derivative",
     "barycentric_interpolate",
     "analytic_pole_kernel",
+    "singular_values",
+    "neville",
 ]
 
 RULE_KINDS = (
@@ -147,8 +152,7 @@ def build_rule(panel, kind, order):
             raise GeometryError(
                 f"trapezoid rule uses the contour's own {panel.n_nodes} nodes"
             )
-        r = host_rule(panel)
-        return r
+        return host_rule(panel)
 
     if kind == "gauss-legendre":
         xi, w = np.polynomial.legendre.leggauss(order)
@@ -277,6 +281,22 @@ def barycentric_interpolate(arc, values, tau_eval):
     return out if np.ndim(tau_eval) else complex(out[0])
 
 
+def neville(d):
+    """Extrapolate samples d(h), d(h/2), d(h/4), ... to h = 0.
+
+    Neville's tableau on the halving ladder, for errors in powers of h.
+    Returns the extrapolated value and the gap between the two finest
+    diagonal entries, the usual convergence estimate (inf for one level).
+    """
+    row = np.asarray(d)
+    gap = math.inf
+    for lev in range(1, row.size):
+        nxt = (2.0 ** lev * row[1:] - row[:-1]) / (2.0 ** lev - 1.0)
+        gap = abs(nxt[-1] - row[-1])
+        row = nxt
+    return row[-1], gap
+
+
 # ---------------------------------------------------------------------------
 # principal values
 # ---------------------------------------------------------------------------
@@ -348,68 +368,93 @@ def pv_integrate(samples, host, pole, endpoint_singular=False):
     arc's own square-root factor (f = smooth / s_plus); the smooth cofactor
     is recovered by folding, which turns the rule into the exact weighted
     one.  On closed contours the flag is ignored (there are no endpoints).
+    The value is pi*i times the singular operator S f at that node.
     """
     values = _values_of(samples, host.n_nodes)
     k = resolve_pole(host, pole)
+    density_class = "inverse_sqrt" if endpoint_singular else "smooth"
+    return 1j * np.pi * complex(singular_values(host, values, [k], density_class)[0])
+
+
+def singular_values(host, values, idx, density_class="smooth"):
+    """S f = (1/pi i) PV int f(t)/(t - x) dt at the host nodes ``idx``.
+
+    ``values`` are the samples of f at every host node; ``density_class``
+    (``smooth``, ``inverse_sqrt`` or ``sqrt``) picks the fold on arcs.
+    """
+    idx = np.atleast_1d(np.asarray(idx, dtype=int))
     if isinstance(host, ClosedContour):
-        return _pv_closed(host, values, k)
-    return _pv_arcs(host, values, k, endpoint_singular)
+        return _S_closed(host, values, idx)
+    if isinstance(host, ArcSystem):
+        return _S_arcs(host, values, idx, density_class)
+    raise GeometryError(f"no singular operator for host {type(host).__name__}")
 
 
-def _pv_closed(host, values, k):
+def _S_closed(host, values, idx):
     t = host.nodes
     w = host.complex_weights
-    x = t[k]
-    fx = values[k]
-    diff = t - x
-    diff[k] = 1.0  # placeholder; the diagonal is patched below
-    reg = (values - fx) / diff
-    # diagonal of the regularized kernel: f'(x) along the curve
-    reg[k] = closed_node_derivative(host, values)[k]
-    return complex(np.sum(w * reg) + fx * 1j * np.pi)
+    df = closed_node_derivative(host, values)
+    out = np.empty(idx.size, dtype=complex)
+    for i, k in enumerate(idx):
+        x = t[k]
+        fx = values[k]
+        diff = t - x
+        diff[k] = 1.0
+        reg = (values - fx) / diff
+        reg[k] = df[k]
+        out[i] = (np.sum(w * reg) + fx * 1j * np.pi) / (1j * np.pi)
+    return out
 
 
-def _pv_arcs(host, values, k, endpoint_singular):
-    ak, arc, local = _locate(host, k)
-    if not arc.graded:
-        raise GeometryError("principal values need cosine-graded arcs")
+def _S_arcs(host, values, idx, density_class):
     off = host.arc_offsets
-    rule = host_rule(host)
-    x = host.nodes[k]
-    total = 0.0 + 0.0j
+    t = host.nodes
+    w = host_rule(host).dt_weights
+    wf = w * values  # plain weighted samples for the cross-arc sums
 
-    # other arcs contribute nonsingular sums
-    for l, other in enumerate(host.arcs):
-        if l == ak:
-            continue
-        sl = slice(off[l], off[l + 1])
-        total += np.sum(rule.dt_weights[sl] * values[sl] / (host.nodes[sl] - x))
+    # folded densities and their spectral derivatives, only on the arcs that
+    # hold requested nodes: other arcs (chains included) enter as plain sums
+    folds = {}
+    out = np.empty(idx.size, dtype=complex)
+    for i, k in enumerate(idx):
+        ak, arc, local = _locate(host, k)
+        x = t[k]
+        sl = slice(off[ak], off[ak + 1])
+        if ak not in folds:
+            if not arc.graded:
+                raise GeometryError("the singular operator needs cosine-graded arcs")
+            fl = values[sl]
+            if density_class == "inverse_sqrt":
+                phi = fl * arc.sqrt_own_plus
+            elif density_class == "sqrt":
+                phi = fl / arc.sqrt_own_plus
+            else:
+                phi = fl.copy()
+            folds[ak] = phi, fd4_arc_derivative(arc, phi)
+        phi, dphi = folds[ak]
 
-    sl = slice(off[ak], off[ak + 1])
-    w_own = rule.dt_weights[sl]
-    f_own = values[sl]
-    t_own = host.nodes[sl]
+        # other arcs: the pole is at a positive distance, plain sums converge
+        # at the weighted rule's rate because w already carries the grading
+        diff_all = t - x
+        diff_all[k] = 1.0
+        total = np.sum(wf / diff_all) - np.sum(wf[sl] / diff_all[sl])
 
-    if endpoint_singular:
-        # fold the own factor: phi = f * s_plus is smooth on the closed arc
-        s_plus = arc.sqrt_own_plus
-        phi = f_own * s_plus
         phix = phi[local]
-        diff = t_own - x
-        diff[local] = 1.0
-        reg = (phi - phix) / (diff * s_plus)
-        dphi = fd4_arc_derivative(arc, phi)
-        reg[local] = dphi[local] / s_plus[local]
-        # PV int dt/(s_plus(t)(t-x)) = 0, so the subtracted term drops out
-        total += np.sum(w_own * reg)
-        return complex(total)
+        d_own = diff_all[sl]  # its pole entry is already the placeholder 1
+        s_plus = arc.sqrt_own_plus
 
-    fx = f_own[local]
-    diff = t_own - x
-    diff[local] = 1.0
-    reg = (f_own - fx) / diff
-    df = fd4_arc_derivative(arc, f_own)
-    reg[local] = df[local]
-    total += np.sum(w_own * reg)
-    total += fx * analytic_pole_kernel(host, k)
-    return complex(total)
+        if density_class == "inverse_sqrt":
+            reg = (phi - phix) / (d_own * s_plus)
+            reg[local] = dphi[local] / s_plus[local]
+            pole = 0.0  # PV int dt/(s_plus (t-x)) = 0
+        elif density_class == "sqrt":
+            reg = (phi - phix) * s_plus / d_own
+            reg[local] = dphi[local] * s_plus[local]
+            pole = phix * (-1j * np.pi) * (x - arc.midpoint)
+        else:
+            reg = (phi - phix) / d_own
+            reg[local] = dphi[local]
+            pole = phix * analytic_pole_kernel(host, k)
+        out[i] = (total + np.sum(w[sl] * reg) + pole) / (1j * np.pi)
+    return out
+

@@ -16,6 +16,7 @@ from cauchypot.errors import (
 from cauchypot.geometry import (
     build_arc_system,
     build_closed_contour,
+    eval_sqrtR,
     node_table_csv,
     parse_geometry,
     sqrtR_boundary_plus,
@@ -261,6 +262,16 @@ def test_sqrtR_normalized_at_infinity():
     for ang in (0.3, 1.7, 2.9, -2.2):
         z = 1e8 * np.exp(1j * ang)
         assert abs(sysm.eval_sqrtR(z) / z**2 - 1.0) < 1e-6
+
+
+def test_sqrtR_scalar_point_gives_scalar():
+    sysm = two_intervals()
+    pts = np.array([3.0, 0.5 + 1.0j])
+    want = sysm.eval_sqrtR(pts)
+    for z, w in zip(pts, want):
+        for v in (sysm.eval_sqrtR(z), eval_sqrtR(sysm, z)):
+            assert np.ndim(v) == 0
+            assert complex(v) == w
 
 
 def test_sqrtR_single_valued_off_arcs():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from cauchypot.errors import (
@@ -10,12 +11,14 @@ from cauchypot.errors import (
     GeometryError,
     InterpolationRequiredError,
 )
+from cauchypot.cauchy import singular_S
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
     barycentric_interpolate,
     build_rule,
     host_rule,
     integrate,
+    neville,
     pv_integrate,
 )
 from cauchypot.sampling import SampledDensity
@@ -266,6 +269,83 @@ def test_pv_on_circular_arc_against_theta_reference():
     )
     # smooth class on arcs is 2nd order; m = 256 puts this near 1e-5
     assert abs(val - ref) <= 1e-4
+
+
+PV_HOSTS = {
+    "circle": circle(8, 8),
+    "ellipse": build_closed_contour(
+        {"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 8}),
+    "segment": segment(64),
+    "two segments": build_arc_system([
+        {"type": "segment", "a": [-2, 0], "b": [-0.5, 0], "panels": 4, "nodes_per_panel": 8},
+        {"type": "segment", "a": [0.5, 0.5], "b": [2, 0.2], "panels": 4, "nodes_per_panel": 8},
+    ]),
+    "circular arc": build_arc_system(
+        [{"type": "circular", "radius": 1.0, "theta_a": 0.4, "theta_b": 2.5,
+          "panels": 4, "nodes_per_panel": 16}]),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(PV_HOSTS)),
+    trig=st.booleans(),
+    coeffs=st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                       allow_infinity=False),
+                    min_size=1, max_size=6),
+    pole=st.floats(0.0, 1.0, exclude_max=True),
+    endpoint_singular=st.booleans(),
+)
+def test_pv_is_pi_i_times_singular_operator(name, trig, coeffs, pole,
+                                            endpoint_singular):
+    host = PV_HOSTS[name]
+    # a trigonometric polynomial in the node parameter, or a polynomial in t
+    x = np.exp(1j * host_rule(host).params) if trig else host.nodes
+    values = np.polynomial.polynomial.polyval(x, coeffs)
+    f = SampledDensity(host, values)
+    k = int(pole * host.n_nodes)
+    density_class = "inverse_sqrt" if endpoint_singular else "smooth"
+    got = pv_integrate(f, host, k, endpoint_singular=endpoint_singular)
+    want = 1j * np.pi * singular_S(f, at_indices=k, density_class=density_class)
+    assert abs(got - want) <= 1e-12 * max(abs(want), np.max(np.abs(values)))
+
+
+def test_pv_on_segment_beside_a_chain_arc():
+    # chain arcs carry no graded rule; a pole on a segment still gets its
+    # principal value, with the chain entering as a plain quadrature sum
+    chain = [[v, 1.0] for v in np.linspace(-1.0, 1.0, 12)]
+    sysm = build_arc_system([
+        {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 8, "nodes_per_panel": 16},
+        {"type": "chain", "nodes": chain},
+    ])
+    ones = SampledDensity(sysm, np.ones(sysm.n_nodes))
+    n_seg = sysm.arcs[0].n_nodes
+    w_chain = host_rule(sysm).dt_weights[n_seg:]
+    t_chain = sysm.nodes[n_seg:]
+    seg_nodes = np.arange(0, n_seg, 9)
+    for k in seg_nodes:
+        x = sysm.nodes[k].real
+        exact = np.log((1.0 - x) / (1.0 + x)) + np.sum(w_chain / (t_chain - x))
+        assert abs(pv_integrate(ones, sysm, int(k)) - exact) <= 1e-10
+    s_seg = singular_S(ones, at_indices=seg_nodes)
+    want = [pv_integrate(ones, sysm, int(k)) / (1j * np.pi) for k in seg_nodes]
+    assert np.max(np.abs(s_seg - want)) <= 1e-14
+    # a pole on the chain itself has no principal-value rule
+    with pytest.raises(GeometryError):
+        pv_integrate(ones, sysm, n_seg + 3)
+    with pytest.raises(GeometryError):
+        singular_S(ones, at_indices=[0, n_seg + 3])
+
+
+def test_neville_exact_on_quadratic_ladder():
+    a, b, c, h = 0.7 - 0.2j, -1.3 + 0.5j, 2.5 + 1.0j, 0.1
+    hs = h / 2.0 ** np.arange(3)
+    value, gap = neville(a + b * hs + c * hs ** 2)
+    assert abs(value - a) <= 1e-14
+    # finest pair: the order-1 entry from h/2, h/4 is a - c h^2 / 8
+    assert abs(gap - abs(c) * h ** 2 / 8.0) <= 1e-14
+    # one level has no convergence estimate
+    assert neville([a]) == (a, np.inf)
 
 
 def test_pole_lookup_errors():
