@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryLimitError, NearBoundaryError
-from .geometry import ArcSystem, ClosedContour
+from .geometry import ClosedContour
 from .quadrature import host_rule, neville, singular_values
 from .sampling import SampledDensity
 
@@ -91,8 +91,8 @@ def cauchy_transform(f, z, density_class="smooth"):
     """C f at points strictly off the curve.
 
     Accuracy degrades within a few node spacings of the curve; inside the
-    hard cutoff the call is refused.  Use ``boundary_value`` for one-sided
-    limits on the curve itself.
+    host's ``near_cutoff`` the call is refused.  Use ``boundary_value`` for
+    one-sided limits on the curve itself.
     """
     _check_class(density_class)
     host, values = _host_values(f)
@@ -100,9 +100,8 @@ def cauchy_transform(f, z, density_class="smooth"):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     zs = np.atleast_1d(z).ravel()
-    cutoff = _hard_cutoff(host)
     for zz in zs:
-        if host.distance_to(zz) < cutoff:
+        if host.distance_to(zz) < host.near_cutoff:
             raise NearBoundaryError(
                 "point is on top of the curve; use boundary_value for limits"
             )
@@ -110,12 +109,6 @@ def cauchy_transform(f, z, density_class="smooth"):
     out = np.array([np.sum(wf / (rule.nodes - zz)) for zz in zs]) / (2j * np.pi)
     out = out.reshape(np.atleast_1d(z).shape)
     return complex(out.ravel()[0]) if scalar else out
-
-
-def _hard_cutoff(host):
-    if isinstance(host, ArcSystem):
-        return host.near_cutoff
-    return 1e-8 * host.diameter()
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +147,7 @@ def _boundary_value(host, rule, values, side, k, h0, levels, tol,
     if side == "minus":
         nu = -nu
     hs = [h0 / 2.0 ** j for j in range(levels)]
-    if hs[-1] < _hard_cutoff(host) * 10.0:
+    if hs[-1] < host.near_cutoff * 10.0:
         raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
     vals = [_compensated_cauchy(host, rule, values, host.nodes[k] + h * nu, k)
             for h in hs]

@@ -38,7 +38,7 @@ from .errors import (
     ResolutionError,
     SchemaError,
 )
-from .geometry import ArcSystem, ClosedContour, parse_geometry
+from .geometry import ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
 from .potential import (
     PotentialField,
     detect_point_masses,
@@ -180,8 +180,12 @@ def _potential_evaluator(spec):
         raise _ConfigError("config needs a 'potential' mapping", key="potential")
     family = spec.get("family")
     if family == "point-charges":
-        charges = [(complex(float(c[0]), float(c[1])), float(c[2]))
-                   for c in spec.get("charges", [])]
+        try:
+            charges = [(complex(float(c[0]), float(c[1])), float(c[2]))
+                       for c in spec.get("charges", [])]
+        except (TypeError, ValueError, IndexError):
+            raise _ConfigError("'charges' must be a list of [re, im, mass] numbers",
+                               key="charges") from None
         if not charges:
             raise _ConfigError("point-charges needs a nonempty 'charges' list",
                                key="potential")
@@ -191,16 +195,15 @@ def _potential_evaluator(spec):
 
         return u
     if family == "disk-wall":
-        r = float(spec.get("radius", 1.0))
-        c = spec.get("center", [0.0, 0.0])
-        c = complex(float(c[0]), float(c[1]))
+        r = _real(spec, "radius", 1.0)
+        c = _as_complex(spec.get("center", [0.0, 0.0]), "center")
         if r <= 0:
             raise _ConfigError("disk-wall needs a positive radius", key="potential")
         # equilibrium potential of the uniform circle measure
         return lambda z: max(math.log(abs(z - c)), math.log(r))
     if family == "segment-green":
-        a = float(spec.get("a", -1.0))
-        b = float(spec.get("b", 1.0))
+        a = _real(spec, "a", -1.0)
+        b = _real(spec, "b", 1.0)
         if not b > a:
             raise _ConfigError("segment-green needs b > a", key="potential")
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -253,10 +256,8 @@ def _cmd_solve_closed(config, out_dir, tols):
         "tolerance": tol,
     }
     if residual > tol:
-        back = singular_S(f)
-        worst = int(np.argmax(np.abs(back.values - g.values)))
         print(f"solve-closed did not converge: residual {residual:.3g} "
-              f"exceeds {tol:.3g} at node {worst}", file=sys.stderr)
+              f"exceeds {tol:.3g} at node {f.meta['worst_node']}", file=sys.stderr)
         return 65, summary
     return 0, summary
 
@@ -371,14 +372,14 @@ def _cmd_recover_area(config, out_dir, tols):
 
 def _cmd_point_masses(config, out_dir, tols):
     grid = _potential_grid(config.get("potential"))
-    radius = config.get("cluster_radius")
-    if radius is None:
+    if config.get("cluster_radius") is None:
         raise _ConfigError("point-masses needs 'cluster_radius'",
                            key="cluster_radius")
+    radius = _real(config, "cluster_radius")
     overlaps = []
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        est = detect_point_masses(grid, cluster_radius=float(radius))
+        est = detect_point_masses(grid, cluster_radius=radius)
         overlaps = [str(w.message) for w in rec]
     with open(out_dir / "masses.csv", "w", encoding="ascii") as fh:
         fh.write("index,re_a,im_a,mass\n")

@@ -19,6 +19,12 @@ Two kinds of hosts are supported:
 Arc nodes are placed at cosine-graded parameters (the first-kind Chebyshev
 points mapped onto the arc), which is the natural grid for densities with
 inverse-square-root endpoint behaviour.  Node chains keep the supplied points.
+
+A host is a frozen record of its inputs: the nodes and their parameter
+derivative on a contour, the arcs of a system.  Everything derived from them
+(tangents, arclength, the diameter and the near cutoff it scales, R and the
+plus values of sqrt(R)) is a ``functools.cached_property``, computed on first
+use and then kept, since the inputs never change.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import cmath
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,32 +65,56 @@ _NEAR_CUTOFF_FACTOR = 1.0e-8
 _BLOCK = 1 << 18  # array elements per pass of the chunked vectorised loops
 
 
+class _Host:
+    """Size and cutoffs common to both hosts, taken over their ``_points``."""
+
+    @property
+    def n_nodes(self):
+        return self.nodes.size
+
+    @property
+    def local_panel_length(self):
+        return self.total_length / max(len(self.panels), 1)
+
+    @cached_property
+    def _diameter(self):
+        return _point_set_diameter(self._points)
+
+    def diameter(self):
+        return self._diameter
+
+    @cached_property
+    def near_cutoff(self):
+        return _NEAR_CUTOFF_FACTOR * self.diameter()
+
+    def distance_to(self, z):
+        return np.min(np.abs(self._points - z))
+
+
 # ---------------------------------------------------------------------------
 # closed contours
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClosedContour:
+class ClosedContour(_Host):
     """Positively oriented closed curve sampled at parameter-uniform nodes.
 
-    Attributes
-    ----------
+    Inputs
+    ------
     nodes : complex ndarray, shape (n,)
         Node positions z(theta_k), theta_k = 2*pi*k/n.
     dz_dtheta : complex ndarray
-        Parameter derivative at the nodes; ``tangents`` is its unit field.
-    arclength : real ndarray
-        Cumulative arclength at the nodes, starting at 0.
+        Parameter derivative at the nodes.
     panels : tuple of (start, stop)
         Contiguous node-index ranges; bookkeeping for panel-based rules.
+
+    Derived once: ``params`` (the theta_k), ``tangents`` (the unit field of
+    dz_dtheta), ``arclength`` (cumulative at the nodes, starting at 0),
+    ``total_length``, ``diameter()`` and ``near_cutoff``.
     """
 
     nodes: np.ndarray
-    params: np.ndarray
     dz_dtheta: np.ndarray
-    tangents: np.ndarray
-    arclength: np.ndarray
-    total_length: float
     panels: tuple
     kind: str = "closed"
 
@@ -106,8 +137,24 @@ class ClosedContour:
     # -- derived fields ----------------------------------------------------
 
     @property
-    def n_nodes(self):
-        return self.nodes.size
+    def _points(self):
+        return self.nodes
+
+    @cached_property
+    def params(self):
+        return 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+
+    @cached_property
+    def tangents(self):
+        return self.dz_dtheta / np.abs(self.dz_dtheta)
+
+    @cached_property
+    def arclength(self):
+        return np.concatenate(([0.0], np.cumsum(self.arclength_weights)))[:-1]
+
+    @cached_property
+    def total_length(self):
+        return float(np.sum(self.arclength_weights))
 
     @property
     def normals_plus(self):
@@ -125,20 +172,10 @@ class ClosedContour:
         h = 2.0 * np.pi / self.n_nodes
         return h * np.abs(self.dz_dtheta)
 
-    @property
-    def local_panel_length(self):
-        return self.total_length / max(len(self.panels), 1)
-
     def signed_area(self):
         z = self.nodes
         zn = np.roll(z, -1)
         return 0.5 * float(np.sum(np.imag(np.conj(z) * zn)))
-
-    def diameter(self):
-        return _point_set_diameter(self.nodes)
-
-    def distance_to(self, z):
-        return np.min(np.abs(self.nodes - z))
 
     def winding_number(self, z):
         """Winding number of the node polyline about ``z`` (robust, O(n))."""
@@ -229,21 +266,7 @@ def _make_panels(n_nodes, n_panels):
 
 def _closed_from_parametrization(pos, dpos, n_nodes, n_panels):
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    nodes = pos(theta)
-    dz = dpos(theta)
-    tangents = dz / np.abs(dz)
-    w = np.abs(dz) * (2.0 * np.pi / n_nodes)
-    arclength = np.concatenate(([0.0], np.cumsum(w)))[:-1]
-    total = float(np.sum(w))
-    return ClosedContour(
-        nodes=nodes,
-        params=theta,
-        dz_dtheta=dz,
-        tangents=tangents,
-        arclength=arclength,
-        total_length=total,
-        panels=_make_panels(n_nodes, n_panels),
-    )
+    return ClosedContour(pos(theta), dpos(theta), _make_panels(n_nodes, n_panels))
 
 
 def build_closed_contour(spec):
@@ -258,7 +281,7 @@ def build_closed_contour(spec):
 
     if kind == "circle":
         c = _as_complex(spec.get("center", 0.0), "center")
-        r = float(spec["radius"])
+        r = _real(spec, "radius")
         if r <= 0:
             raise GeometryError("circle radius must be positive")
         return _closed_from_parametrization(
@@ -269,7 +292,11 @@ def build_closed_contour(spec):
 
     if kind == "ellipse":
         c = _as_complex(spec.get("center", 0.0), "center")
-        sa, sb = (float(v) for v in spec["semi_axes"])
+        try:
+            sa, sb = (float(v) for v in spec["semi_axes"])
+        except (TypeError, ValueError):
+            raise GeometryError(f"'semi_axes' must be two numbers, not {spec['semi_axes']!r}",
+                                key="semi_axes") from None
         if sa <= 0 or sb <= 0:
             raise GeometryError("ellipse semi-axes must be positive")
         return _closed_from_parametrization(
@@ -280,8 +307,7 @@ def build_closed_contour(spec):
 
     if kind == "rounded-polygon":
         verts = np.array([_as_complex(v, "vertices") for v in spec["vertices"]])
-        radius = float(spec["corner_radius"])
-        return _rounded_polygon(verts, radius, n, n_panels)
+        return _rounded_polygon(verts, _real(spec, "corner_radius"), n, n_panels)
 
     if kind == "node-chain":
         nodes = np.array([_as_complex(v, "nodes") for v in spec["nodes"]])
@@ -300,7 +326,6 @@ def _rounded_polygon(verts, radius, n_nodes, n_panels):
         verts = verts[::-1]
 
     nv = verts.size
-    pieces = []  # (kind, data, length)
     tang_pts = []
     for k in range(nv):
         prev = verts[(k - 1) % nv]
@@ -320,69 +345,39 @@ def _rounded_polygon(verts, radius, n_nodes, n_panels):
         center = p1 + 1j * e1 * radius * np.sign(phi)
         tang_pts.append((p1, p2, center, phi, e1))
 
+    pieces = []  # (length, start, unit, center, ang0, turn); turn 0 marks an edge
     for k in range(nv):
         p1, p2, center, phi, e1 = tang_pts[k]
         p2_prev = tang_pts[(k - 1) % nv][1]
         seg_len = abs(p1 - p2_prev)
         if seg_len > 0:
-            pieces.append(("seg", (p2_prev, p1), seg_len))
+            pieces.append((seg_len, p2_prev, (p1 - p2_prev) / seg_len, 0.0, 0.0, 0.0))
         if center is not None:
-            pieces.append(("arc", (center, radius, p1, phi), radius * abs(phi)))
+            pieces.append((radius * abs(phi), 0.0, 0.0, center, cmath.phase(p1 - center), phi))
 
-    total = sum(p[2] for p in pieces)
-    s_samples = total * np.arange(n_nodes) / n_nodes
-    nodes = np.empty(n_nodes, dtype=complex)
-    dz = np.empty(n_nodes, dtype=complex)
-    bounds = np.cumsum([0.0] + [p[2] for p in pieces])
-    idx = np.searchsorted(bounds, s_samples, side="right") - 1
-    idx = np.clip(idx, 0, len(pieces) - 1)
+    total = sum(p[0] for p in pieces)
+    length, *cols = (np.array(col) for col in zip(*pieces))
+    bounds = np.concatenate(([0.0], np.cumsum(length)))
+    s = total * np.arange(n_nodes) / n_nodes
+    k = np.clip(np.searchsorted(bounds, s, side="right") - 1, 0, len(pieces) - 1)
+    loc = s - bounds[k]
+    start, unit, center, ang0, turn = (col[k] for col in cols)
     scale = total / (2.0 * np.pi)  # ds/dtheta, constant
-    for i, s in enumerate(s_samples):
-        kind, data, plen = pieces[idx[i]]
-        loc = s - bounds[idx[i]]
-        if kind == "seg":
-            a, b = data
-            u = (b - a) / abs(b - a)
-            nodes[i] = a + u * loc
-            dz[i] = u * scale
-        else:
-            center, r, start, phi = data
-            ang0 = cmath.phase(start - center)
-            sweep = math.copysign(loc / r, phi)
-            nodes[i] = center + r * cmath.exp(1j * (ang0 + sweep))
-            dz[i] = 1j * (nodes[i] - center) / r * np.sign(phi) * scale
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    w = np.abs(dz) * (2.0 * np.pi / n_nodes)
-    return ClosedContour(
-        nodes=nodes,
-        params=theta,
-        dz_dtheta=dz,
-        tangents=dz / np.abs(dz),
-        arclength=np.concatenate(([0.0], np.cumsum(w)))[:-1],
-        total_length=float(np.sum(w)),
-        panels=_make_panels(n_nodes, n_panels),
-    )
+    nodes = start + unit * loc
+    dz = unit * scale
+    arc = turn != 0
+    c, turn = center[arc], turn[arc]
+    nodes[arc] = c + radius * np.exp(1j * (ang0[arc] + np.copysign(loc[arc] / radius, turn)))
+    dz[arc] = 1j * (nodes[arc] - c) / radius * np.sign(turn) * scale
+    return ClosedContour(nodes, dz, _make_panels(n_nodes, n_panels))
 
 
 def _closed_node_chain(nodes, n_panels):
     n = nodes.size
     if n < _MIN_NODES:
         raise ResolutionError(f"closed contour needs >= {_MIN_NODES} nodes, got {n}")
-    if n % n_panels:
-        n_panels = 1
-    theta = 2.0 * np.pi * np.arange(n) / n
     dz = _periodic_fd4(nodes) / (2.0 * np.pi / n)
-    w = np.abs(dz) * (2.0 * np.pi / n)
-    contour = ClosedContour(
-        nodes=nodes,
-        params=theta,
-        dz_dtheta=dz,
-        tangents=dz / np.abs(dz),
-        arclength=np.concatenate(([0.0], np.cumsum(w)))[:-1],
-        total_length=float(np.sum(w)),
-        panels=_make_panels(n, n_panels),
-    )
-    return contour
+    return ClosedContour(nodes, dz, _make_panels(n, 1 if n % n_panels else n_panels))
 
 
 def _periodic_fd4(values):
@@ -425,9 +420,12 @@ class Arc:
     the first-kind Chebyshev points, for ``chain`` arcs they are the supplied
     interior points.
 
-    ``sqrt_own_plus`` holds the plus boundary values of this arc's own factor
-    s_j(z) = sqrt((z - a)(z - b)), normalized s_j(z)/z -> 1 at infinity with
-    its cut along the arc.
+    The fields are what the builders lay down: the nodes with their
+    parameters, derivative, tangents and arclength, the panels, the branch
+    calibration and, on circular arcs, the circle.  ``sqrt_own_plus`` is
+    derived once: the plus boundary values at the nodes of this arc's own
+    factor s_j(z) = sqrt((z - a)(z - b)), normalized s_j(z)/z -> 1 at
+    infinity with its cut along the arc.
     """
 
     kind: str
@@ -440,7 +438,6 @@ class Arc:
     arclength: np.ndarray
     total_length: float
     panels: tuple
-    sqrt_own_plus: np.ndarray
     # branch bookkeeping for the Moebius closed form
     _psi: float = 0.0
     _sign: float = 1.0
@@ -466,6 +463,10 @@ class Arc:
     def graded(self):
         """True when nodes follow the cosine grading (weighted rules valid)."""
         return self.kind in ("segment", "circular")
+
+    @cached_property
+    def sqrt_own_plus(self):
+        return self.factor_plus(self.nodes, tau=self.params)
 
     @property
     def sin_u(self):
@@ -511,10 +512,8 @@ def _sqrt_ray(xi, psi):
     return np.sqrt(xi * rot) * cmath.exp(0.5j * (psi - math.pi))
 
 
-def _calibrate_branch(arc_like, midpoint, diameter):
+def _calibrate_branch(a, b, mid_on_arc, midpoint, diameter):
     """Fix the ray angle and overall sign so the factor ~ z at infinity."""
-    a, b = arc_like["a"], arc_like["b"]
-    mid_on_arc = arc_like["mid_on_arc"]
     psi = cmath.phase((mid_on_arc - a) / (mid_on_arc - b))
     zfar = midpoint + _FAR_FACTOR * diameter * cmath.exp(0.7j)
     raw = (zfar - b) * _sqrt_ray((zfar - a) / (zfar - b), psi)
@@ -541,17 +540,13 @@ def _build_segment_arc(a, b, m, n_panels):
     dt = np.full(m, half, dtype=complex)
     tangents = dt / np.abs(dt)
     arclen = np.abs(half) * (tau + 1.0)
-    psi, sign = _calibrate_branch(
-        {"a": a, "b": b, "mid_on_arc": mid}, mid, abs(b - a)
-    )
-    arc = Arc(
+    psi, sign = _calibrate_branch(a, b, mid, mid, abs(b - a))
+    return Arc(
         kind="segment", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=tangents, arclength=arclen, total_length=abs(b - a),
         panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
-        sqrt_own_plus=1j * half * np.sqrt(1.0 - tau ** 2),
         _psi=psi, _sign=sign,
     )
-    return arc
 
 
 def _build_circular_arc(center, radius, theta_a, theta_b, m, n_panels):
@@ -567,22 +562,15 @@ def _build_circular_arc(center, radius, theta_a, theta_b, m, n_panels):
     a = center + radius * cmath.exp(1j * theta_a)
     b = center + radius * cmath.exp(1j * theta_b)
     mid_on_arc = center + radius * cmath.exp(1j * 0.5 * (theta_a + theta_b))
-    psi, sign = _calibrate_branch(
-        {"a": a, "b": b, "mid_on_arc": mid_on_arc},
-        0.5 * (a + b), max(abs(b - a), radius),
-    )
-    arc = Arc(
+    psi, sign = _calibrate_branch(a, b, mid_on_arc, 0.5 * (a + b), max(abs(b - a), radius))
+    return Arc(
         kind="circular", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=dt / np.abs(dt), arclength=radius * abs(sweep) * 0.5 * (tau + 1.0),
         total_length=radius * abs(sweep),
         panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
-        sqrt_own_plus=np.empty(0),  # filled below
         _psi=psi, _sign=sign,
         center=center, radius=radius, theta_a=theta_a, theta_b=theta_b,
     )
-    plus = arc.factor_plus(nodes)
-    object.__setattr__(arc, "sqrt_own_plus", plus)
-    return arc
 
 
 def _build_chain_arc(points, n_panels):
@@ -595,18 +583,14 @@ def _build_chain_arc(points, n_panels):
     s_all = np.concatenate(([0.0], np.cumsum(chord)))
     tang_all = _open_fd4(pts, 1.0)
     tang_all = tang_all / np.abs(tang_all)
-    m = nodes.size
-    arc = Arc(
+    return Arc(
         kind="chain", a=a, b=b, nodes=nodes,
         params=2.0 * s_all[1:-1] / s_all[-1] - 1.0,
         dt_dtau=np.gradient(pts, 2.0 / (pts.size - 1))[1:-1],
         tangents=tang_all[1:-1],
         arclength=s_all[1:-1], total_length=float(s_all[-1]),
-        panels=((0, m),),
-        sqrt_own_plus=np.empty(0),
+        panels=((0, nodes.size),),
     )
-    object.__setattr__(arc, "sqrt_own_plus", _chain_factor_plus(arc, nodes))
-    return arc
 
 
 def _chain_factor_eval(arc, z):
@@ -673,11 +657,15 @@ def _chain_factor_plus(arc, t):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ArcSystem:
-    """Union of pairwise disjoint arcs carrying R and its square-root branch."""
+class ArcSystem(_Host):
+    """Union of pairwise disjoint arcs carrying R and its square-root branch.
+
+    The one input is ``arcs``; the node set and its bookkeeping, ``R_coeffs``,
+    ``diameter()``, ``near_cutoff`` and the plus values of sqrt(R) at the
+    nodes are derived once, on first use.
+    """
 
     arcs: tuple
-    R_coeffs: np.ndarray = field(default=None)
     kind: str = "arcs"
 
     def __post_init__(self):
@@ -689,8 +677,6 @@ class ArcSystem:
                 if abs(ends[i] - ends[j]) == 0.0:
                     raise DegenerateSystemError("coincident arc endpoints make R degenerate")
         self._check_disjoint()
-        coeffs = np.polynomial.polynomial.polyfromroots(ends)
-        object.__setattr__(self, "R_coeffs", coeffs)
 
     # -- structure ----------------------------------------------------------
 
@@ -698,33 +684,26 @@ class ArcSystem:
     def n_arcs(self):
         return len(self.arcs)
 
-    @property
+    @cached_property
     def endpoints(self):
-        out = []
-        for arc in self.arcs:
-            out.extend((arc.a, arc.b))
-        return np.array(out)
+        return np.array([end for arc in self.arcs for end in (arc.a, arc.b)])
 
-    @property
+    @cached_property
     def nodes(self):
         return np.concatenate([arc.nodes for arc in self.arcs])
 
-    @property
-    def n_nodes(self):
-        return sum(arc.n_nodes for arc in self.arcs)
-
-    @property
+    @cached_property
     def arc_offsets(self):
         off = [0]
         for arc in self.arcs:
             off.append(off[-1] + arc.n_nodes)
         return off
 
-    @property
+    @cached_property
     def tangents(self):
         return np.concatenate([arc.tangents for arc in self.arcs])
 
-    @property
+    @cached_property
     def arclength(self):
         # global arclength, accumulated across arcs in order
         out = []
@@ -738,29 +717,15 @@ class ArcSystem:
     def total_length(self):
         return sum(arc.total_length for arc in self.arcs)
 
-    @property
+    @cached_property
     def panels(self):
-        out = []
-        for k, arc in enumerate(self.arcs):
-            base = self.arc_offsets[k]
-            out.extend((base + p0, base + p1) for (p0, p1) in arc.panels)
-        return tuple(out)
+        return tuple((base + p0, base + p1)
+                     for arc, base in zip(self.arcs, self.arc_offsets)
+                     for (p0, p1) in arc.panels)
 
-    @property
-    def local_panel_length(self):
-        return self.total_length / max(len(self.panels), 1)
-
-    def diameter(self):
-        pts = np.concatenate([self.endpoints, self.nodes])
-        return _point_set_diameter(pts)
-
-    @property
-    def near_cutoff(self):
-        return _NEAR_CUTOFF_FACTOR * self.diameter()
-
-    def distance_to(self, z):
-        pts = np.concatenate([self.nodes, self.endpoints])
-        return np.min(np.abs(pts - z))
+    @cached_property
+    def _points(self):
+        return np.concatenate([self.endpoints, self.nodes])
 
     def _check_disjoint(self):
         owner, i, j = _polyline_contacts(
@@ -773,6 +738,10 @@ class ArcSystem:
 
     # -- the square-root branch ---------------------------------------------
 
+    @cached_property
+    def R_coeffs(self):
+        return np.polynomial.polynomial.polyfromroots(self.endpoints)
+
     def eval_R(self, z):
         return np.polynomial.polynomial.polyval(z, self.R_coeffs)
 
@@ -783,11 +752,10 @@ class ArcSystem:
         zs = np.atleast_1d(z)
         if check_distance:
             cut = self.near_cutoff
-            pts = np.concatenate([self.nodes, self.endpoints])
             flat = zs.ravel()
             for lo in range(0, flat.size, 4096):
                 chunk = flat[lo:lo + 4096]
-                dmin = np.min(np.abs(chunk[:, None] - pts[None, :]), axis=1)
+                dmin = np.min(np.abs(chunk[:, None] - self._points[None, :]), axis=1)
                 if np.any(dmin < cut):
                     raise NearBoundaryError(
                         "evaluation point is within the near-boundary cutoff; "
@@ -798,31 +766,21 @@ class ArcSystem:
             out = out * arc.factor_eval(zs)
         return out[0] if scalar else out
 
+    @cached_property
+    def _plus_nodes(self):
+        return np.concatenate([self.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
+                               for k, arc in enumerate(self.arcs)])
+
     def sqrtR_plus_nodes(self):
         """Plus boundary values of sqrt(R) at every host node (cached)."""
-        cached = getattr(self, "_plus_cache", None)
-        if cached is not None:
-            return cached
-        vals = np.empty(self.n_nodes, dtype=complex)
-        off = self.arc_offsets
-        for k, arc in enumerate(self.arcs):
-            own = arc.sqrt_own_plus.astype(complex)
-            others = np.ones(arc.n_nodes, dtype=complex)
-            for l, other in enumerate(self.arcs):
-                if l != k:
-                    others = others * other.factor_eval(arc.nodes)
-            vals[off[k]:off[k] + arc.n_nodes] = own * others
-        object.__setattr__(self, "_plus_cache", vals)
-        return vals
+        return self._plus_nodes
 
     def sqrtR_plus_at(self, arc_index, t, tau=None):
         """Plus boundary value at an arbitrary interior point of one arc."""
-        arc = self.arcs[arc_index]
-        val = arc.factor_plus(t, tau=tau)
-        for l, other in enumerate(self.arcs):
-            if l != arc_index:
-                val = val * other.factor_eval(np.asarray(t, dtype=complex))
-        return val
+        own = self.arcs[arc_index].factor_plus(t, tau=tau)
+        t = np.asarray(t, dtype=complex)
+        others = [arc.factor_eval(t) for l, arc in enumerate(self.arcs) if l != arc_index]
+        return own * np.prod(others, axis=0) if others else own
 
 
 def build_arc_system(arc_specs):
@@ -841,8 +799,8 @@ def build_arc_system(arc_specs):
                 _as_complex(spec["a"], "a"), _as_complex(spec["b"], "b"), m, n_panels))
         elif kind == "circular":
             arcs.append(_build_circular_arc(
-                _as_complex(spec.get("center", 0.0), "center"), float(spec["radius"]),
-                float(spec["theta_a"]), float(spec["theta_b"]), m, n_panels))
+                _as_complex(spec.get("center", 0.0), "center"), _real(spec, "radius"),
+                _real(spec, "theta_a"), _real(spec, "theta_b"), m, n_panels))
         elif kind == "chain":
             pts = [_as_complex(p, "nodes") for p in spec["nodes"]]
             arcs.append(_build_chain_arc(pts, n_panels))
@@ -887,6 +845,15 @@ def _as_complex(v, key):
     except (TypeError, ValueError):
         raise GeometryError(f"'{key}' must be a number or an [re, im] pair, "
                             f"not {v!r}", key=key) from None
+
+
+def _real(spec, key, default=None):
+    """A real-number field of a spec; required when there is no default."""
+    v = spec[key] if default is None else spec.get(key, default)
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise GeometryError(f"'{key}' must be a real number, not {v!r}", key=key) from None
 
 
 def _count(spec, key, default):

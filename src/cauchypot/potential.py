@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import (
     ArcSystem,
     ClosedContour,
+    _real,
     build_arc_system,
     build_closed_contour,
 )
@@ -207,8 +208,7 @@ def _curve_potential(density, z):
     t = host.nodes
     d = np.abs(t - z)
     k = int(np.argmin(d))
-    diam = max(host.diameter(), 1e-300)
-    if d[k] <= 1e-9 * diam:
+    if d[k] <= 1e-9 * host.diameter():
         if isinstance(host, ClosedContour):
             return _closed_potential_on_node(host, rho, k)
         total = 0.0
@@ -221,8 +221,7 @@ def _curve_potential(density, z):
                 dj = np.abs(arc.nodes - t[k])
                 total += float(np.sum(w[lo:hi] * rho[lo:hi] * np.log(dj)))
         return total
-    cutoff = getattr(host, "near_cutoff", 1e-8 * diam)
-    if d[k] < cutoff:
+    if d[k] < host.near_cutoff:
         raise NearBoundaryError(
             "potential evaluation between nodes near the curve; "
             "evaluate at a node or beyond the cutoff"
@@ -450,10 +449,10 @@ def equilibrium_density(shape):
     to 1 exactly, node count notwithstanding.
     """
     kind = shape.get("type")
-    panels = int(shape.get("panels", 8))
-    per = int(shape.get("nodes_per_panel", 32))
+    panels = shape.get("panels", 8)
+    per = shape.get("nodes_per_panel", 32)
     if kind == "disk":
-        r = float(shape.get("radius", 1.0))
+        r = _real(shape, "radius", 1.0)
         host = build_closed_contour({
             "type": "circle", "radius": r,
             "center": shape.get("center", [0.0, 0.0]),

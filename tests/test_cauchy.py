@@ -206,6 +206,22 @@ def test_plemelj_residuals_cubic_on_circle():
     assert total <= 1e-6
 
 
+def test_plemelj_residuals_measure_the_diameter_once(monkeypatch):
+    import cauchypot.geometry as geometry
+
+    calls = []
+    diameter = geometry._point_set_diameter
+
+    def counted(pts):
+        calls.append(pts.size)
+        return diameter(pts)
+
+    monkeypatch.setattr(geometry, "_point_set_diameter", counted)
+    c = circle(32)
+    plemelj_residuals(SampledDensity.from_function(c, lambda t: t ** 3))
+    assert len(calls) == 1
+
+
 def test_plemelj_residuals_laurent_density():
     c = circle(2048)
     f = SampledDensity.from_function(c, lambda t: 2.0 * t + 5.0 / t)

@@ -386,6 +386,55 @@ def test_zero_panels_reports_its_line(tmp_path, capsys):
     assert "positive integer" in err
 
 
+RHS = {"family": "monomial", "degree": 1}
+CIRCULAR = {"type": "circular", "radius": 1.0, "theta_a": -1.0, "theta_b": 1.0,
+            "panels": 4, "nodes_per_panel": 8}
+POLYGON = {"type": "rounded-polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]],
+           "corner_radius": 0.2}
+ON_SEGMENT = {"command": "recover-curve", "geometry": {"arcs": [SEGMENT]}}
+ON_CIRCLE = {"command": "recover-curve", "geometry": {"curve": CIRCLE}}
+
+# (key at fault, config): every one of these exited 1 with a traceback
+BAD_NUMBERS = {
+    "circle-radius": ("radius", {"command": "solve-closed", "rhs": RHS,
+                                 "geometry": {"curve": dict(CIRCLE, radius="one")}}),
+    "ellipse-axes": ("semi_axes", {"command": "solve-closed", "rhs": RHS, "geometry": {
+        "curve": {"type": "ellipse", "semi_axes": [2.0]}}}),
+    "corner-radius": ("corner_radius", {"command": "solve-closed", "rhs": RHS, "geometry": {
+        "curve": dict(POLYGON, corner_radius="round")}}),
+    "circular-radius": ("radius", {"command": "moments", "rhs": RHS,
+                                   "geometry": {"arcs": [dict(CIRCULAR, radius="r")]}}),
+    "circular-theta-a": ("theta_a", {"command": "moments", "rhs": RHS,
+                                     "geometry": {"arcs": [dict(CIRCULAR, theta_a="x")]}}),
+    "circular-theta-b": ("theta_b", {"command": "moments", "rhs": RHS,
+                                     "geometry": {"arcs": [dict(CIRCULAR, theta_b="y")]}}),
+    "point-charge": ("charges", dict(ON_SEGMENT, potential={
+        "family": "point-charges", "charges": [[0.1, "a", 1.0]]})),
+    "disk-wall-radius": ("radius", dict(ON_SEGMENT, potential={
+        "family": "disk-wall", "radius": "r"})),
+    "segment-green-a": ("a", dict(ON_CIRCLE, potential={"family": "segment-green", "a": "left"})),
+    "segment-green-b": ("b", dict(ON_CIRCLE, potential={"family": "segment-green", "b": "right"})),
+    "cluster-radius": ("cluster_radius", {"command": "point-masses", "cluster_radius": "wide",
+                                          "potential": {"family": "csv"}}),
+    "equilibrium-radius": ("radius", {"command": "equilibrium",
+                                      "shape": {"type": "disk", "radius": "big"}}),
+    "equilibrium-panels": ("panels", {"command": "equilibrium", "shape": {
+        "type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "panels": "eight"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_bad_number_reports_its_line(tmp_path, capsys, case):
+    key, config = BAD_NUMBERS[case]
+    if config["command"] == "point-masses":
+        config = dict(config, potential={"family": "csv", "path": str(grid_csv(tmp_path)[0])})
+    code, _ = run_cli(tmp_path, config)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f":{config_line(tmp_path, key)}: " in err
+    assert key in err
+
+
 def test_wrong_host_family_for_command(tmp_path, capsys):
     config = {
         "command": "solve-closed",
@@ -427,6 +476,33 @@ def test_residual_failure_exits_65_with_node(tmp_path, capsys):
     # artifacts still land so the run can be inspected
     assert (out / "solution.csv").exists()
     assert "residual" in summary(out)
+
+
+def test_failed_solve_closed_applies_S_twice(tmp_path, capsys, monkeypatch):
+    # the worst node comes from the S(S g) the solver already formed
+    host = build_closed_contour(CIRCLE)
+    g = SampledDensity(host, host.nodes ** 40)
+    err = np.abs(singular_S(singular_S(g)).values - g.values)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return singular_S(*args, **kwargs)
+
+    monkeypatch.setattr("cauchypot.closed.singular_S", counted)
+    monkeypatch.setattr("cauchypot.cli.singular_S", counted)
+    config = {
+        "command": "solve-closed",
+        "geometry": {"curve": CIRCLE},
+        "rhs": {"family": "monomial", "degree": 40},
+        "tolerances": {"residual": 1e-15},
+    }
+    code, _ = run_cli(tmp_path, config)
+    assert code == 65
+    assert len(calls) == 2
+    assert capsys.readouterr().err == (
+        f"solve-closed did not converge: residual {np.max(err):.3g} exceeds "
+        f"1e-15 at node {int(np.argmax(err))}\n")
 
 
 def test_flagged_recovery_exits_65(tmp_path, capsys):

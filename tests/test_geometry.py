@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchypot.errors import (
     DegenerateSystemError,
@@ -161,6 +162,47 @@ def test_vertex_ordering_of_polygon_is_normalized():
         "panels": 8, "nodes_per_panel": 16,
     })
     assert cw.signed_area() > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    gaps=st.lists(st.floats(0.3, 1.0), min_size=3, max_size=8),
+    axes=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+    spin=st.floats(0.0, 2.0 * np.pi),
+    fill=st.floats(0.05, 0.95),
+    per=st.integers(4, 96),
+    clockwise=st.booleans(),
+)
+def test_convex_rounded_polygon_nodes_lie_on_edges_and_corners(gaps, axes, spin, fill,
+                                                               per, clockwise):
+    # vertices on an ellipse, counter-clockwise, are in convex position
+    ang = spin + 2.0 * np.pi * np.cumsum(gaps) / sum(gaps)
+    v = axes[0] * np.cos(ang) + 1j * axes[1] * np.sin(ang)
+    prev, nxt = np.roll(v, 1), np.roll(v, -1)
+    e1 = (v - prev) / np.abs(v - prev)
+    e2 = (nxt - v) / np.abs(nxt - v)
+    turn = np.angle(e2 / e1)
+    # a corner radius whose tangent points stay inside their edges
+    room = 0.5 * np.minimum(np.abs(v - prev), np.abs(nxt - v)) / np.tan(0.5 * turn)
+    radius = fill * float(np.min(room))
+    verts = v[::-1] if clockwise else v
+    host = build_closed_contour({
+        "type": "rounded-polygon", "vertices": [[z.real, z.imag] for z in verts],
+        "corner_radius": radius, "panels": 4, "nodes_per_panel": per,
+    })
+    z = host.nodes[:, None]
+    t = np.clip(np.real((z - prev) / (v - prev)), 0.0, 1.0)
+    to_edge = np.abs(prev + t * (v - prev) - z)
+    # corner centres on the inner bisectors, radius / cos(turn / 2) from the vertex
+    centre = v + (e2 - e1) / np.abs(e2 - e1) * radius / np.cos(0.5 * turn)
+    to_circle = np.abs(np.abs(z - centre) - radius)
+    gap = np.minimum(to_edge.min(axis=1), to_circle.min(axis=1))
+    assert np.max(gap) <= 1e-12 * max(axes)
+    speed = np.abs(host.dz_dtheta)
+    assert np.max(np.abs(speed - host.total_length / (2.0 * np.pi))) <= 1e-12 * speed[0]
+    # no node slides along its piece: neighbours are at most one step apart
+    chord = np.abs(np.diff(np.append(host.nodes, host.nodes[0])))
+    assert np.max(chord) <= (1.0 + 1e-12) * host.total_length / host.n_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +445,24 @@ def test_curved_chain_branch_matches_circular_arc():
         assert abs(chain.arcs[0].factor_eval(w) - _walked_chain_factor(chain.arcs[0], w)) < 1e-14
     ref = np.array([circ.sqrtR_plus_at(0, t) for t in chain.nodes])
     assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) < 1e-8
+
+
+def test_sqrtR_plus_at_nodes_matches_node_values():
+    s = np.linspace(0.0, 1.0, 40)
+    pts = 3.0 + s + 0.3j * np.sin(3.0 * s)
+    sysm = build_arc_system([
+        {"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0],
+         "panels": 4, "nodes_per_panel": 16},
+        {"type": "circular", "center": [0.0, -3.0], "radius": 1.0,
+         "theta_a": 0.5, "theta_b": 2.5, "panels": 4, "nodes_per_panel": 16},
+        {"type": "chain", "nodes": np.stack([pts.real, pts.imag], axis=1).tolist()},
+    ])
+    plus = sysm.sqrtR_plus_nodes()
+    off = sysm.arc_offsets
+    for k, arc in enumerate(sysm.arcs):
+        ref = plus[off[k]:off[k + 1]]
+        at = sysm.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
+        assert np.max(np.abs(at - ref) / np.abs(ref)) <= 1e-15
 
 
 def test_near_boundary_guard():

@@ -225,6 +225,27 @@ def test_consistency_loop_segment():
     assert worst <= 1e-3
 
 
+def test_host_diameter_computed_once(monkeypatch):
+    # the diameter scales every near-curve cutoff; it is fixed by the nodes,
+    # so one recovery plus a potential at every node measure it only once
+    import cauchypot.geometry as geometry
+
+    calls = []
+    diameter = geometry._point_set_diameter
+
+    def counted(pts):
+        calls.append(pts.size)
+        return diameter(pts)
+
+    monkeypatch.setattr(geometry, "_point_set_diameter", counted)
+    host = segment_host(per=64)
+    assert host.n_nodes == 512
+    est = recover_curve_density(PotentialField(evaluator=segment_green), host)
+    for z in host.nodes:
+        log_potential(est.curve_density, z)
+    assert len(calls) == 1
+
+
 def test_recovery_argument_validation():
     host = circle_host()
     with pytest.raises(GeometryError):
