@@ -132,8 +132,7 @@ def sqrtR_polynomial_part(system):
     n = system.n_arcs
     c = system.R_coeffs  # ascending, degree 2N, monic
     r = np.zeros(n + 1, dtype=complex)
-    for j in range(1, n + 1):
-        r[j] = c[2 * n - j]
+    r[1:] = c[2 * n - 1:n - 1:-1]  # r_j = c_{2N-j}
     s = np.zeros(n + 1, dtype=complex)
     s[0] = 1.0
     for j in range(1, n + 1):
@@ -141,24 +140,16 @@ def sqrtR_polynomial_part(system):
         for i in range(1, j):
             acc -= s[i] * s[j - i]
         s[j] = 0.5 * acc
-    q = np.zeros(n + 1, dtype=complex)
-    for j in range(n + 1):
-        q[n - j] = s[j]
-    return ComplexPolynomial(q)
+    return ComplexPolynomial(s[::-1].copy())
 
 
 def homogeneous_basis(system):
     """The N kernel elements t^k / sqrt(R)+(t), sampled at the nodes."""
     _require_system(system)
     s_plus = system.sqrtR_plus_nodes()
-    t = system.nodes
-    out = []
-    for k in range(system.n_arcs):
-        vals = t ** k / s_plus
-        out.append(SampledDensity(system, vals,
-                                  meta={"kernel_index": k,
-                                        "density_class": "inverse_sqrt"}))
-    return out
+    return [SampledDensity(system, system.nodes ** k / s_plus,
+                           meta={"kernel_index": k, "density_class": "inverse_sqrt"})
+            for k in range(system.n_arcs)]
 
 
 def solvability_moments(g, system=None):

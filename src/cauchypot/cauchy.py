@@ -19,13 +19,15 @@ The class picks the folding that turns every quadrature into the exact
 weighted Gauss rule of the graded grid; mislabelling costs accuracy but not
 correctness.  On closed contours the classes coincide.
 
-S itself is evaluated by the pole-subtraction kernels of the quadrature
-layer (``quadrature.singular_values``), the same ones ``pv_integrate`` uses.
+S itself is evaluated by the pole subtraction of the quadrature layer
+(``quadrature.singular_values``), the same one ``pv_integrate`` uses.
 
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
 analytically known transform) at a short ladder of distances h0, h0/2, h0/4
 along the normal, extrapolated to h = 0 through ``quadrature.neville``.
+All points of a call (node x side x level on the ladders) go through the
+quadrature layer's Cauchy-sum kernel as one batch.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import BoundaryLimitError, NearBoundaryError
 from .geometry import ClosedContour
-from .quadrature import host_rule, neville, singular_values
+from .quadrature import _cauchy_sum, host_rule, neville, singular_values
 from .sampling import SampledDensity
 
 __all__ = [
@@ -46,11 +48,6 @@ __all__ = [
 ]
 
 DENSITY_CLASSES = ("smooth", "inverse_sqrt", "sqrt")
-
-
-def _check_class(density_class):
-    if density_class not in DENSITY_CLASSES:
-        raise ValueError(f"density_class must be one of {DENSITY_CLASSES}")
 
 
 def _host_values(f):
@@ -71,7 +68,8 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     index a complex number.  Arc endpoints are not nodes, so the endpoint
     singularities of Sf never appear in the output.
     """
-    _check_class(density_class)
+    if density_class not in DENSITY_CLASSES:
+        raise ValueError(f"density_class must be one of {DENSITY_CLASSES}")
     host, values = _host_values(f)
     scalar = np.isscalar(at_indices)
     full = at_indices is None
@@ -87,36 +85,30 @@ def singular_S(f, at_indices=None, density_class="smooth"):
 # off-curve transform
 # ---------------------------------------------------------------------------
 
-def cauchy_transform(f, z, density_class="smooth"):
+def cauchy_transform(f, z):
     """C f at points strictly off the curve.
 
     Accuracy degrades within a few node spacings of the curve; inside the
     host's ``near_cutoff`` the call is refused.  Use ``boundary_value`` for
     one-sided limits on the curve itself.
     """
-    _check_class(density_class)
     host, values = _host_values(f)
     rule = host_rule(host)
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    zs = np.atleast_1d(z).ravel()
-    for zz in zs:
-        if host.distance_to(zz) < host.near_cutoff:
-            raise NearBoundaryError(
-                "point is on top of the curve; use boundary_value for limits"
-            )
-    wf = rule.dt_weights * values
-    out = np.array([np.sum(wf / (rule.nodes - zz)) for zz in zs]) / (2j * np.pi)
-    out = out.reshape(np.atleast_1d(z).shape)
-    return complex(out.ravel()[0]) if scalar else out
+    zs = z.ravel()
+    if np.any(host.distance_to(zs) < host.near_cutoff):
+        raise NearBoundaryError(
+            "point is on top of the curve; use boundary_value for limits"
+        )
+    out = _cauchy_sum(rule.nodes, zs, rule.dt_weights * values) / (2j * np.pi)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------
 # one-sided boundary limits
 # ---------------------------------------------------------------------------
 
-def boundary_value(f, side="plus", node=0, h0=None, levels=3, tol=None,
-                   density_class="smooth"):
+def boundary_value(f, side="plus", node=0, h0=None, levels=3, tol=None):
     """One-sided limit of C f at a host node by compensated extrapolation.
 
     Walks to the node along the side normal at distances h0 > h0/2 > ... ,
@@ -128,40 +120,43 @@ def boundary_value(f, side="plus", node=0, h0=None, levels=3, tol=None,
     With ``tol`` set, the two finest extrapolants must agree to within
     10 * tol, else the limit is declared non-convergent.
     """
-    _check_class(density_class)
     host, values = _host_values(f)
-    rule = host_rule(host)
-    return _boundary_value(host, rule, values, side, int(node), h0, levels,
-                           tol, density_class)
-
-
-def _boundary_value(host, rule, values, side, k, h0, levels, tol,
-                    density_class):
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
+    return complex(_boundary_values(host, values, [int(node)], (side,), h0,
+                                    levels, tol)[0, 0])
+
+
+def _boundary_values(host, values, idx, sides, h0, levels, tol):
+    """One-sided limits at the nodes ``idx`` (rows) on each of ``sides`` (columns).
+
+    With ``tol`` set, the first node and side, in that order, whose ladder
+    has not converged raises."""
     if h0 is None:
         h0 = 1e-2 * host.local_panel_length
     if h0 <= 0:
         raise BoundaryLimitError("h0 must be positive")
-    nu = host.tangents[k] * 1j
-    if side == "minus":
-        nu = -nu
-    hs = [h0 / 2.0 ** j for j in range(levels)]
+    hs = h0 / 2.0 ** np.arange(levels)
     if hs[-1] < host.near_cutoff * 10.0:
         raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
-    vals = [_compensated_cauchy(host, rule, values, host.nodes[k] + h * nu, k)
-            for h in hs]
-    value, gap = neville(vals)
-    if tol is not None and levels >= 2 and gap > 10.0 * tol:
+    idx = np.asarray(idx)
+    sign = np.array([1.0 if side == "plus" else -1.0 for side in sides])
+    nu = (host.tangents[idx] * 1j)[:, None] * sign
+    z = host.nodes[idx, None, None] + hs * nu[:, :, None]
+    k = np.broadcast_to(idx[:, None, None], z.shape)
+    value, gap = neville(_compensated_cauchy(host, values, z.ravel(), k.ravel())
+                         .reshape(z.shape))
+    if tol is not None and levels >= 2 and np.any(gap > 10.0 * tol):
+        i, j = np.unravel_index(np.argmax(gap > 10.0 * tol), gap.shape)
         raise BoundaryLimitError(
-            f"extrapolation at node {k} ({side}) not converged: "
-            f"last estimates differ by {gap:.3g}"
+            f"extrapolation at node {idx[i]} ({sides[j]}) not converged: "
+            f"last estimates differ by {gap[i, j]:.3g}"
         )
-    return complex(value)
+    return value
 
 
-def _compensated_cauchy(host, rule, values, z, k):
-    """C f(z) with the nearest-node sample subtracted and restored exactly.
+def _compensated_cauchy(host, values, z, k):
+    """C f(z_i) with the sample at node k_i subtracted and restored exactly.
 
     Closed contour:  C[f - f_k](z) + f_k * chi(z), chi the exact indicator
     of the bounded side (winding number of the node polyline).
@@ -170,17 +165,14 @@ def _compensated_cauchy(host, rule, values, z, k):
     grid for every density class), subtract phi_k, and restore through
     C[1/sqrtR](z) = 1/(2 sqrtR(z)), exact for the system branch.
     """
-    t = rule.nodes
-    w = rule.dt_weights
+    rule = host_rule(host)
     if isinstance(host, ClosedContour):
-        fk = values[k]
-        total = np.sum(w * (values - fk) / (t - z)) / (2j * np.pi)
-        return complex(total + fk * host.winding_number(z))
+        total = _cauchy_sum(rule.nodes, z, values, values[k], rule.dt_weights)
+        return total / (2j * np.pi) + values[k] * host.winding_number(z)
     sqrtR_plus = host.sqrtR_plus_nodes()
     phi = values * sqrtR_plus
-    phik = phi[k]
-    total = np.sum(w * (phi - phik) / (sqrtR_plus * (t - z))) / (2j * np.pi)
-    return complex(total + phik / (2.0 * host.eval_sqrtR(z, check_distance=False)))
+    total = _cauchy_sum(rule.nodes, z, phi, phi[k], rule.dt_weights, div=sqrtR_plus)
+    return total / (2j * np.pi) + phi[k] / (2.0 * host.eval_sqrtR(z, check_distance=False))
 
 
 def plemelj_residuals(f, at_indices=None, h0=None, levels=3, tol=None,
@@ -193,19 +185,10 @@ def plemelj_residuals(f, at_indices=None, h0=None, levels=3, tol=None,
     """
     host, values = _host_values(f)
     if at_indices is None:
-        n = host.n_nodes
-        step = max(1, n // 64)
-        at_indices = np.arange(0, n, step)
+        at_indices = np.arange(0, host.n_nodes, max(1, host.n_nodes // 64))
     idx = np.atleast_1d(np.asarray(at_indices, dtype=int))
-    rule = host_rule(host)
     sf = singular_S(f, at_indices=idx, density_class=density_class)
-    jump = np.empty(idx.size)
-    total = np.empty(idx.size)
-    for i, k in enumerate(idx):
-        cp = _boundary_value(host, rule, values, "plus", int(k), h0, levels,
-                             tol, density_class)
-        cm = _boundary_value(host, rule, values, "minus", int(k), h0, levels,
-                             tol, density_class)
-        jump[i] = abs(cp - cm - values[k])
-        total[i] = abs(cp + cm - sf[i])
+    cp, cm = _boundary_values(host, values, idx, ("plus", "minus"), h0, levels, tol).T
+    jump = np.abs(cp - cm - values[idx])
+    total = np.abs(cp + cm - sf)
     return float(jump.max()), float(total.max())

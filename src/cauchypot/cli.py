@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,7 @@ from .errors import (
 from .geometry import ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
 from .potential import (
     PotentialField,
+    _write_grid_csv,
     detect_point_masses,
     equilibrium_density,
     read_potential_binary,
@@ -71,14 +73,21 @@ class _ConfigError(Exception):
         self.key = key
 
 
-def _key_line(text, key):
-    """1-based line of the first occurrence of a config key, for messages."""
-    if key:
-        needle = f'"{key}"'
-        for ln, line in enumerate(text.splitlines(), start=1):
-            if needle in line:
-                return ln
-    return 1
+@contextmanager
+def _section(name):
+    """Tag the errors raised while reading one top-level config section."""
+    try:
+        yield
+    except (_ConfigError, CauchypotError) as exc:
+        exc.section = name
+        raise
+
+
+def _key_line(text, key, section=None):
+    """1-based line of a config key, looked for from its section's line on."""
+    lines = text.splitlines()
+    start = next((i for i, line in enumerate(lines) if section and f'"{section}"' in line), 0)
+    return next((i + 1 for i in range(start, len(lines)) if key and f'"{key}"' in lines[i]), 1)
 
 
 def _fmt(x):
@@ -125,13 +134,19 @@ def _pairs(values):
 # config ingestion
 # ---------------------------------------------------------------------------
 
-def _geometry(config):
+@_section("geometry")
+def _geometry(config, kind=(ClosedContour, ArcSystem)):
     spec = config.get("geometry")
     if not isinstance(spec, dict):
         raise _ConfigError("config needs a 'geometry' mapping", key="geometry")
-    return parse_geometry(spec)
+    host = parse_geometry(spec)
+    if not isinstance(host, kind):
+        family = "a closed-contour" if kind is ClosedContour else "an arc-system"
+        raise _ConfigError(f"{config['command']} needs {family} geometry", key="geometry")
+    return host
 
 
+@_section("rhs")
 def _rhs_values(spec, host):
     if not isinstance(spec, dict):
         raise _ConfigError("config needs an 'rhs' mapping", key="rhs")
@@ -174,6 +189,7 @@ def _degree(spec):
                        key="degree" if "degree" in spec else "rhs")
 
 
+@_section("potential")
 def _potential_evaluator(spec):
     """Analytic potential families for the normal-derivative recovery."""
     if not isinstance(spec, dict):
@@ -217,6 +233,7 @@ def _potential_evaluator(spec):
     raise _ConfigError(f"unknown potential family {family!r}", key="potential")
 
 
+@_section("potential")
 def _potential_grid(spec):
     if not isinstance(spec, dict):
         raise _ConfigError("config needs a 'potential' mapping", key="potential")
@@ -241,10 +258,7 @@ def _potential_grid(spec):
 
 def _cmd_solve_closed(config, out_dir, tols):
     tol = tols["residual"]
-    host = _geometry(config)
-    if not isinstance(host, ClosedContour):
-        raise _ConfigError("solve-closed needs a closed-contour geometry",
-                           key="geometry")
+    host = _geometry(config, ClosedContour)
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     f = solve_closed(g, tolerance=None)
     residual = f.meta["residual"]
@@ -264,10 +278,7 @@ def _cmd_solve_closed(config, out_dir, tols):
 
 def _cmd_solve_arcs(config, out_dir, tols):
     tol = tols["residual"]
-    host = _geometry(config)
-    if not isinstance(host, ArcSystem):
-        raise _ConfigError("solve-arcs needs an arc-system geometry",
-                           key="geometry")
+    host = _geometry(config, ArcSystem)
     if "defect_poly" not in config:
         raise _ConfigError(
             "solve-arcs requires 'defect_poly' (kernel polynomial "
@@ -276,29 +287,25 @@ def _cmd_solve_arcs(config, out_dir, tols):
     P = ComplexPolynomial.from_json(config["defect_poly"])
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     f = general_solution(g, system=host, P=P)
-    applied = singular_S(f, density_class="inverse_sqrt")
-    residual = float(np.max(np.abs(applied.values - g.values)))
+    err = np.abs(singular_S(f, density_class="inverse_sqrt").values - g.values)
+    residual = float(np.max(err))
     write_solution_csv(out_dir / "solution.csv", host, f.values)
     summary = {
         "command": "solve-arcs",
         "n_nodes": host.n_nodes,
-        "kernel_poly": [[float(c.real), float(c.imag)]
-                        for c in P.coefficients],
+        "kernel_poly": P.to_json(),
         "residual": residual,
         "tolerance": tol,
     }
     if residual > tol:
-        worst = int(np.argmax(np.abs(applied.values - g.values)))
         print(f"solve-arcs did not converge: residual {residual:.3g} "
-              f"exceeds {tol:.3g} at node {worst}", file=sys.stderr)
+              f"exceeds {tol:.3g} at node {int(np.argmax(err))}", file=sys.stderr)
         return 65, summary
     return 0, summary
 
 
 def _cmd_bounded(config, out_dir, tols):
-    host = _geometry(config)
-    if not isinstance(host, ArcSystem):
-        raise _ConfigError("bounded needs an arc-system geometry", key="geometry")
+    host = _geometry(config, ArcSystem)
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     report = bounded_solution(g, system=host)
     write_solution_csv(out_dir / "solution.csv", host, report.solution.values)
@@ -309,9 +316,7 @@ def _cmd_bounded(config, out_dir, tols):
 
 
 def _cmd_moments(config, out_dir, tols):
-    host = _geometry(config)
-    if not isinstance(host, ArcSystem):
-        raise _ConfigError("moments needs an arc-system geometry", key="geometry")
+    host = _geometry(config, ArcSystem)
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     m = solvability_moments(g, system=host)
     write_solution_csv(out_dir / "solution.csv", host, g.values)
@@ -344,23 +349,12 @@ def _cmd_recover_curve(config, out_dir, tols):
     return 0, summary
 
 
-def _grid_table(out_dir, name, est):
-    ny, nx = est.area_density.shape
-    x0, y0 = est.area_origin
-    h = est.area_h
-    with open(out_dir / name, "w", encoding="ascii") as fh:
-        fh.write("x,y,density\n")
-        for iy in range(ny):
-            for ix in range(nx):
-                fh.write(f"{_fmt(x0 + ix * h)},{_fmt(y0 + iy * h)},"
-                         f"{_fmt(est.area_density[iy, ix])}\n")
-
-
 def _cmd_recover_area(config, out_dir, tols):
     grid = _potential_grid(config.get("potential"))
     h_max = config.get("tolerances", {}).get("h_max")
     est = recover_area_density(grid, h_max=h_max)
-    _grid_table(out_dir, "density.csv", est)
+    _write_grid_csv(out_dir / "density.csv", "density", est.area_density,
+                    *est.area_origin, est.area_h)
     ny, nx = est.area_density.shape
     return 0, {
         "command": "recover-area",
@@ -398,7 +392,8 @@ def _cmd_equilibrium(config, out_dir, tols):
     shape = config.get("shape")
     if not isinstance(shape, dict):
         raise _ConfigError("equilibrium needs a 'shape' mapping", key="shape")
-    est = equilibrium_density(shape)
+    with _section("shape"):
+        est = equilibrium_density(shape)
     host = est.curve_density.host
     write_solution_csv(out_dir / "solution.csv", host,
                        est.curve_density.values)
@@ -487,7 +482,7 @@ def main(argv=None):
         return 65
     except (_ConfigError, GeometryError, SchemaError, AlignmentError, KeyError,
             TypeError, OSError) as exc:
-        line = _key_line(text, getattr(exc, "key", None))
+        line = _key_line(text, getattr(exc, "key", None), getattr(exc, "section", None))
         print(f"{args.config}:{line}: {exc}", file=sys.stderr)
         return 64
     except CauchypotError as exc:

@@ -48,8 +48,6 @@ def solve_closed(g, tolerance=1e-8):
 
 def involution_residual(g):
     """Max node error of S(Sg) - g; zero in exact arithmetic."""
-    host = g.host
-    if not isinstance(host, ClosedContour):
+    if not isinstance(g.host, ClosedContour):
         raise GeometryError("the involution check needs a closed contour host")
-    back = singular_S(singular_S(g))
-    return float(np.max(np.abs(back.values - g.values)))
+    return solve_closed(g, tolerance=None).meta["residual"]

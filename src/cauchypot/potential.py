@@ -508,14 +508,17 @@ def read_potential_csv(path):
 def write_potential_csv(path, fieldobj):
     if not fieldobj.is_grid:
         raise ValueError("only grid potentials serialize to CSV")
-    ny, nx = fieldobj.values.shape
+    _write_grid_csv(path, "u", fieldobj.values, fieldobj.x0, fieldobj.y0, fieldobj.h)
+
+
+def _write_grid_csv(path, column, values, x0, y0, h):
+    """Rows x, y and the value at each lattice point, 17 significant digits."""
+    ny, nx = values.shape
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,y,u\n")
+        fh.write(f"x,y,{column}\n")
         for iy in range(ny):
             for ix in range(nx):
-                x = fieldobj.x0 + ix * fieldobj.h
-                y = fieldobj.y0 + iy * fieldobj.h
-                fh.write(f"{x:.17g},{y:.17g},{fieldobj.values[iy, ix]:.17g}\n")
+                fh.write(f"{x0 + ix * h:.17g},{y0 + iy * h:.17g},{values[iy, ix]:.17g}\n")
 
 
 def read_potential_binary(data_path, header_path):

@@ -21,14 +21,15 @@ samples supply the smooth cofactor g, and the rule returns
 int g(t)/sqrt((t-a)(b-t)) dt (first kind) or int g(t)*sqrt((t-a)(b-t)) dt
 (second kind).
 
-Principal values and the singular operator S share one pole-subtraction
-kernel per host type (``singular_values``); ``pv_integrate`` is pi*i times S
-at one node.  The subtracted kernel integral is known in closed form per
-host (pi*i for a closed curve, a log ratio for a segment, a sine-ratio log
-for a circular arc), and the diagonal of the regularized part needs the
-derivative of the density at the pole (Fourier on closed contours, 4th-order
-differences in the cosine angle on graded arcs).  ``neville`` is the one
-extrapolation tableau, for boundary limits and curve-density recovery.
+Every Cauchy sum goes through one blocked kernel, ``_cauchy_sum``: S by
+pole subtraction (``singular_values``; ``pv_integrate`` is pi*i times S at
+one node), and the Cauchy transform and its one-sided limits.  The
+subtracted kernel integral is known in closed form per host (pi*i for a
+closed curve, a log ratio for a segment, a sine-ratio log for a circular
+arc), and the diagonal of the regularized part needs the derivative of the
+density at the pole (Fourier on closed contours, 4th-order differences in
+the cosine angle on graded arcs).  ``neville`` is the one extrapolation
+tableau, for boundary limits and curve-density recovery.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     GeometryError,
     InterpolationRequiredError,
 )
-from .geometry import Arc, ArcSystem, ClosedContour, _open_fd4, _periodic_fd4
+from .geometry import Arc, ArcSystem, ClosedContour, _by_rows, _open_fd4, _periodic_fd4
 
 __all__ = [
     "QuadratureRule",
@@ -268,33 +269,30 @@ def barycentric_interpolate(arc, values, tau_eval):
     j = np.arange(m)
     # ascending tau means descending u; the alternating sign pattern survives
     w = ((-1.0) ** j) * arc.sin_u
-    te = np.atleast_1d(np.asarray(tau_eval, dtype=float))
-    out = np.empty(te.shape, dtype=complex)
-    for i, x in enumerate(te):
-        d = x - tau
-        hit = np.nonzero(d == 0.0)[0]
-        if hit.size:
-            out[i] = values[hit[0]]
-            continue
-        q = w / d
-        out[i] = np.sum(q * values) / np.sum(q)
+    d = np.atleast_1d(np.asarray(tau_eval, dtype=float))[:, None] - tau
+    hit = d == 0.0
+    q = w / np.where(hit, 1.0, d)
+    out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
+    on = hit.any(axis=1)
+    out[on] = values[np.argmax(hit[on], axis=1)]
     return out if np.ndim(tau_eval) else complex(out[0])
 
 
 def neville(d):
     """Extrapolate samples d(h), d(h/2), d(h/4), ... to h = 0.
 
-    Neville's tableau on the halving ladder, for errors in powers of h.
-    Returns the extrapolated value and the gap between the two finest
-    diagonal entries, the usual convergence estimate (inf for one level).
+    Neville's tableau on the halving ladder, for errors in powers of h, along
+    the last axis of ``d`` (one ladder per leading index).  Returns the
+    extrapolated values and the gaps between the two finest diagonal
+    entries, the usual convergence estimate (inf for one level).
     """
     row = np.asarray(d)
-    gap = math.inf
-    for lev in range(1, row.size):
-        nxt = (2.0 ** lev * row[1:] - row[:-1]) / (2.0 ** lev - 1.0)
-        gap = abs(nxt[-1] - row[-1])
+    gap = np.full(row.shape[:-1], math.inf)
+    for lev in range(1, row.shape[-1]):
+        nxt = (2.0 ** lev * row[..., 1:] - row[..., :-1]) / (2.0 ** lev - 1.0)
+        gap = np.abs(nxt[..., -1] - row[..., -1])
         row = nxt
-    return row[-1], gap
+    return row[..., -1][()], gap[()]
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +304,29 @@ def analytic_pole_kernel(host, pole_index):
 
     Closed contour: pi*i regardless of shape.  Segment from a to b with the
     pole at an interior point x: log(|b - x|/|x - a|).  Circular arc: the
-    sine-ratio log plus half the sweep times i.
+    sine-ratio log plus half the sweep times i.  ``pole_index`` is a node
+    index, or an array of node indices on one arc.
     """
     if isinstance(host, ClosedContour):
         return 1j * np.pi
-    _, arc, local = _locate(host, pole_index)
+    k = np.asarray(pole_index)
+    if np.any((k < 0) | (k >= host.n_nodes)):
+        raise IndexError(f"pole index {pole_index} out of range")
+    a = int(np.searchsorted(host.arc_offsets, np.min(k), side="right")) - 1
+    arc, local = host.arcs[a], k - host.arc_offsets[a]
     x = arc.nodes[local]
     if arc.kind == "segment":
-        return complex(np.log(abs(arc.b - x) / abs(x - arc.a)))
-    if arc.kind == "circular":
+        # hypot forms |z| as numpy's scalar abs does (the array abs may differ)
+        db, da = arc.b - x, x - arc.a
+        val = np.log(np.hypot(db.real, db.imag) / np.hypot(da.real, da.imag))
+    elif arc.kind == "circular":
         thx = arc.theta_a + (arc.theta_b - arc.theta_a) * 0.5 * (arc.params[local] + 1.0)
         num = np.sin(0.5 * (arc.theta_b - thx))
         den = np.sin(0.5 * (arc.theta_a - thx))
-        return complex(np.log(abs(num / den)) + 0.5j * (arc.theta_b - arc.theta_a))
-    raise GeometryError("analytic pole kernel needs a segment or circular arc")
-
-
-def _locate(system, pole_index):
-    off = system.arc_offsets
-    for k, arc in enumerate(system.arcs):
-        if off[k] <= pole_index < off[k + 1]:
-            return k, arc, pole_index - off[k]
-    raise IndexError(f"pole index {pole_index} out of range")
+        val = np.log(np.abs(num / den)) + 0.5j * (arc.theta_b - arc.theta_a)
+    else:
+        raise GeometryError("analytic pole kernel needs a segment or circular arc")
+    return complex(val) if k.ndim == 0 else val
 
 
 def resolve_pole(host, pole):
@@ -390,20 +389,55 @@ def singular_values(host, values, idx, density_class="smooth"):
     raise GeometryError(f"no singular operator for host {type(host).__name__}")
 
 
+def _cauchy_sum(t, z, phi, s=None, w=None, mul=None, div=None, diag=None,
+                diag_value=None):
+    """sum_j w_j (phi_j - s_i) mul_j / ((t_j - z_i) div_j) for every target z_i.
+
+    Columns j are nodes, rows i targets; ``s``, ``w``, ``mul`` and ``div``
+    may be left out.  ``diag[i]`` is the column of row i whose node is z_i:
+    its t_j - z_i is taken as 1, and its term before the weight is replaced
+    by ``diag_value[i]`` when given.  A row's sum does not depend on the
+    other rows, whatever the blocks (``geometry._ROW_BLOCK`` elements each).
+    """
+    def block(rows):
+        den = t - z[rows, None]
+        if diag is not None:
+            on = (np.arange(den.shape[0]), diag[rows])
+            den[on] = 1.0
+        if div is not None:
+            den *= div
+        if s is None:
+            reg = np.divide(phi, den, out=den)
+        else:
+            reg = phi - s[rows, None]
+            if mul is not None:
+                reg *= mul
+            reg /= den
+        if diag_value is not None:
+            reg[on] = diag_value[rows]
+        if w is not None:
+            reg = np.multiply(w, reg, out=reg)
+        return np.sum(reg, axis=1)
+
+    return _by_rows(block, z.size, t.size, complex)
+
+
+def _cmul(a, b):
+    """a * b as numpy's scalar product forms it; the array product may differ
+    in the last bit (fused multiply-adds)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _S_closed(host, values, idx):
     t = host.nodes
-    w = host.complex_weights
     df = closed_node_derivative(host, values)
-    out = np.empty(idx.size, dtype=complex)
-    for i, k in enumerate(idx):
-        x = t[k]
-        fx = values[k]
-        diff = t - x
-        diff[k] = 1.0
-        reg = (values - fx) / diff
-        reg[k] = df[k]
-        out[i] = (np.sum(w * reg) + fx * 1j * np.pi) / (1j * np.pi)
-    return out
+    fx = values[idx]
+    total = _cauchy_sum(t, t[idx], values, fx, host.complex_weights,
+                        diag=idx, diag_value=df[idx])
+    return (total + fx * 1j * np.pi) / (1j * np.pi)
 
 
 def _S_arcs(host, values, idx, density_class):
@@ -411,50 +445,50 @@ def _S_arcs(host, values, idx, density_class):
     t = host.nodes
     w = host_rule(host).dt_weights
     wf = w * values  # plain weighted samples for the cross-arc sums
+    arc_of = np.searchsorted(off, idx, side="right") - 1
+    # a requested node must lie on a graded arc; the first bad one decides
+    ok = np.array([arc.graded for arc in host.arcs] + [False])[arc_of]
+    if not ok.all():
+        k = idx[np.argmin(ok)]
+        if 0 <= k < host.n_nodes:
+            raise GeometryError("the singular operator needs cosine-graded arcs")
+        raise IndexError(f"pole index {k} out of range")
 
+    out = np.empty(idx.size, dtype=complex)
     # folded densities and their spectral derivatives, only on the arcs that
     # hold requested nodes: other arcs (chains included) enter as plain sums
-    folds = {}
-    out = np.empty(idx.size, dtype=complex)
-    for i, k in enumerate(idx):
-        ak, arc, local = _locate(host, k)
-        x = t[k]
-        sl = slice(off[ak], off[ak + 1])
-        if ak not in folds:
-            if not arc.graded:
-                raise GeometryError("the singular operator needs cosine-graded arcs")
-            fl = values[sl]
-            if density_class == "inverse_sqrt":
-                phi = fl * arc.sqrt_own_plus
-            elif density_class == "sqrt":
-                phi = fl / arc.sqrt_own_plus
-            else:
-                phi = fl.copy()
-            folds[ak] = phi, fd4_arc_derivative(arc, phi)
-        phi, dphi = folds[ak]
-
-        # other arcs: the pole is at a positive distance, plain sums converge
-        # at the weighted rule's rate because w already carries the grading
-        diff_all = t - x
-        diff_all[k] = 1.0
-        total = np.sum(wf / diff_all) - np.sum(wf[sl] / diff_all[sl])
-
-        phix = phi[local]
-        d_own = diff_all[sl]  # its pole entry is already the placeholder 1
+    for a in np.unique(arc_of):
+        arc = host.arcs[a]
+        sl = slice(off[a], off[a + 1])
+        rows = arc_of == a
+        local = idx[rows] - off[a]
+        x = t[idx[rows]]
         s_plus = arc.sqrt_own_plus
-
         if density_class == "inverse_sqrt":
-            reg = (phi - phix) / (d_own * s_plus)
-            reg[local] = dphi[local] / s_plus[local]
+            phi = values[sl] * s_plus
+        elif density_class == "sqrt":
+            phi = values[sl] / s_plus
+        else:
+            phi = values[sl]
+        dphi = fd4_arc_derivative(arc, phi)[local]
+        own = dict(s=phi[local], w=w[sl], diag=local)
+        if density_class == "inverse_sqrt":
+            reg = _cauchy_sum(t[sl], x, phi, div=s_plus,
+                              diag_value=dphi / s_plus[local], **own)
             pole = 0.0  # PV int dt/(s_plus (t-x)) = 0
         elif density_class == "sqrt":
-            reg = (phi - phix) * s_plus / d_own
-            reg[local] = dphi[local] * s_plus[local]
-            pole = phix * (-1j * np.pi) * (x - arc.midpoint)
+            reg = _cauchy_sum(t[sl], x, phi, mul=s_plus,
+                              diag_value=_cmul(dphi, s_plus[local]), **own)
+            pole = _cmul(phi[local] * (-1j * np.pi), x - arc.midpoint)
         else:
-            reg = (phi - phix) / d_own
-            reg[local] = dphi[local]
-            pole = phix * analytic_pole_kernel(host, k)
-        out[i] = (total + np.sum(w[sl] * reg) + pole) / (1j * np.pi)
+            reg = _cauchy_sum(t[sl], x, phi, diag_value=dphi, **own)
+            pole = _cmul(phi[local], analytic_pole_kernel(host, idx[rows]))
+        # other arcs: the pole is at a positive distance, plain sums converge
+        # at the weighted rule's rate because w already carries the grading;
+        # all columns minus own columns, which is exactly +0 on one arc
+        cross = 0.0
+        if host.n_arcs > 1:
+            cross = (_cauchy_sum(t, x, wf, diag=idx[rows])
+                     - _cauchy_sum(t[sl], x, wf[sl], diag=local))
+        out[rows] = (cross + reg + pole) / (1j * np.pi)
     return out
-

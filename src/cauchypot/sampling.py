@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
+from .geometry import _write_node_table
 
 __all__ = [
     "SampledDensity",
@@ -100,17 +101,7 @@ def read_density_csv(path, expect=None):
 
 def write_solution_csv(path, host, values):
     """Full node table plus samples: index, s, re_z, im_z, re_f, im_f."""
-    nodes = host.nodes
-    s = host.arclength
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_SOLUTION_HEADER)
-        for k in range(nodes.size):
-            w.writerow([
-                k, f"{s[k]:.17g}",
-                f"{nodes[k].real:.17g}", f"{nodes[k].imag:.17g}",
-                f"{values[k].real:.17g}", f"{values[k].imag:.17g}",
-            ])
+    _write_node_table(path, host, _SOLUTION_HEADER[4:], values)
 
 
 def read_solution_csv(path, host=None):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchypot.cauchy import (
     boundary_value,
@@ -9,7 +10,12 @@ from cauchypot.cauchy import (
     plemelj_residuals,
     singular_S,
 )
-from cauchypot.errors import AlignmentError, BoundaryLimitError, NearBoundaryError
+from cauchypot.errors import (
+    AlignmentError,
+    BoundaryLimitError,
+    GeometryError,
+    NearBoundaryError,
+)
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import host_rule, integrate_arclength
 from cauchypot.sampling import (
@@ -78,6 +84,16 @@ def test_cauchy_transform_refuses_points_on_curve():
     f = SampledDensity.from_function(c, lambda t: t)
     with pytest.raises(NearBoundaryError):
         cauchy_transform(f, c.nodes[3])
+
+
+def test_cauchy_transform_refuses_an_array_with_one_point_on_curve():
+    c = circle()
+    f = SampledDensity.from_function(c, lambda t: t)
+    z = np.array([[0.5, 3.0], [2j, 0.1 - 0.2j]])
+    assert cauchy_transform(f, z).shape == (2, 2)
+    z[1, 0] = c.nodes[5] + 0.1 * c.near_cutoff
+    with pytest.raises(NearBoundaryError):
+        cauchy_transform(f, z)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +166,58 @@ def test_S_at_selected_indices_matches_full():
     assert abs(one - full.values[77]) <= 1e-13
 
 
+CHAIN = {"type": "chain", "nodes": [[v, 1.0] for v in np.linspace(-1.0, 1.0, 12)]}
+SUBSET_HOSTS = {
+    "circle": circle(8, 8),
+    "ellipse": build_closed_contour(
+        {"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 8}),
+    "segment": segment(64),
+    "two segments": build_arc_system([
+        {"type": "segment", "a": [-2, 0], "b": [-0.5, 0], "panels": 4, "nodes_per_panel": 8},
+        {"type": "segment", "a": [0.5, 0.5], "b": [2, 0.2], "panels": 4, "nodes_per_panel": 6},
+    ]),
+    "circular arcs": build_arc_system([
+        {"type": "circular", "radius": 1.0, "theta_a": 0.4, "theta_b": 2.5,
+         "panels": 4, "nodes_per_panel": 8},
+        {"type": "circular", "radius": 1.0, "theta_a": 3.5, "theta_b": 5.5,
+         "panels": 2, "nodes_per_panel": 10},
+    ]),
+    "segment and chain": build_arc_system([
+        {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 4, "nodes_per_panel": 8},
+        CHAIN,
+    ]),
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(SUBSET_HOSTS)),
+    density_class=st.sampled_from(["smooth", "inverse_sqrt", "sqrt"]),
+    seed=st.integers(0, 2 ** 16),
+    picks=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12)),
+)
+def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, picks):
+    host = SUBSET_HOSTS[name]
+    rng = np.random.default_rng(seed)
+    f = SampledDensity(host, rng.standard_normal(host.n_nodes)
+                       + 1j * rng.standard_normal(host.n_nodes))
+    # a chain arc has no principal-value rule: only graded nodes are valid
+    n_ok = host.arcs[0].n_nodes if name == "segment and chain" else host.n_nodes
+    full = singular_S(f, at_indices=np.arange(n_ok), density_class=density_class)
+    if isinstance(picks, float):  # one int index gives one complex number
+        k = int(picks * n_ok)
+        one = singular_S(f, at_indices=k, density_class=density_class)
+        assert np.complex128(one).tobytes() == full[k].tobytes()
+        return
+    idx = (np.array(picks) * n_ok).astype(int)  # unsorted, may repeat
+    part = singular_S(f, at_indices=idx, density_class=density_class)
+    assert part.tobytes() == full[idx].tobytes()
+    if n_ok < host.n_nodes:
+        with pytest.raises(GeometryError):
+            singular_S(f, at_indices=np.append(idx, n_ok + 2), density_class=density_class)
+
+
 # ---------------------------------------------------------------------------
 # boundary values
 # ---------------------------------------------------------------------------
@@ -220,6 +288,36 @@ def test_plemelj_residuals_measure_the_diameter_once(monkeypatch):
     c = circle(32)
     plemelj_residuals(SampledDensity.from_function(c, lambda t: t ** 3))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("host", [circle(32), segment(256)], ids=["circle", "segment"])
+def test_plemelj_residuals_at_one_node_match_boundary_values(host):
+    f = SampledDensity(host, np.exp(host.nodes) + 0.5j * host.nodes)
+    for k in (0, 17, host.n_nodes // 2, host.n_nodes - 1):
+        jump, total = plemelj_residuals(f, at_indices=[k], levels=4)
+        cp = boundary_value(f, "plus", k, levels=4)
+        cm = boundary_value(f, "minus", k, levels=4)
+        assert jump == pytest.approx(abs(cp - cm - f.values[k]), rel=1e-12, abs=1e-15)
+        assert total == pytest.approx(abs(cp + cm - singular_S(f, at_indices=k)),
+                                      rel=1e-12, abs=1e-15)
+
+
+def test_plemelj_ladder_reports_the_first_failing_node_and_side():
+    # near the pole at 1.25 the minus ladder of node 0 misses 10 * tol while
+    # its plus ladder passes; the nodes before it in idx pass on both sides
+    c = circle(16)
+    f = SampledDensity.from_function(c, lambda t: 1.0 / (t - 1.25))
+    idx, tol = [64, 32, 0, 8, 120], 1e-4
+    first = None
+    for k in idx:  # the node-by-node order, plus before minus
+        for side in ("plus", "minus"):
+            try:
+                boundary_value(f, side, k, tol=tol)
+            except BoundaryLimitError:
+                first = first or (k, side)
+    assert first == (0, "minus")
+    with pytest.raises(BoundaryLimitError, match=r"at node 0 \(minus\)"):
+        plemelj_residuals(f, at_indices=idx, tol=tol)
 
 
 def test_plemelj_residuals_laurent_density():

@@ -435,6 +435,21 @@ def test_bad_number_reports_its_line(tmp_path, capsys, case):
     assert key in err
 
 
+def test_bad_key_shared_with_an_earlier_section_reports_its_own_line(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{\n'
+        '  "command": "recover-curve",\n'
+        '  "geometry": {"curve": {"type": "circle", "radius": 1.0,\n'
+        '                         "panels": 8, "nodes_per_panel": 32}},\n'
+        '  "potential": {"family": "disk-wall",\n'
+        '                "radius": "r"}\n'
+        '}\n')
+    code = main(["--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 64
+    assert f"{path}:6: " in capsys.readouterr().err
+
+
 def test_wrong_host_family_for_command(tmp_path, capsys):
     config = {
         "command": "solve-closed",

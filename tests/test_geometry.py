@@ -131,6 +131,15 @@ def test_winding_number():
     assert c.contains(0.0) and not c.contains(10.0)
 
 
+def test_winding_number_of_an_array_matches_each_point():
+    c = circle()
+    z = np.array([[0.3j, 2.0 + 2.0j, 0.0], [10.0, -0.99, 0.5 - 0.5j]])
+    got = c.winding_number(z)
+    assert got.shape == z.shape
+    assert got.tolist() == [[c.winding_number(p) for p in row] for row in z]
+    assert got.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+
 def test_rounded_polygon():
     sq = build_closed_contour({
         "type": "rounded-polygon",
