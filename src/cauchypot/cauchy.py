@@ -25,9 +25,9 @@ S itself is evaluated by the pole subtraction of the quadrature layer
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
 analytically known transform) at a short ladder of distances h0, h0/2, h0/4
-along the normal, extrapolated to h = 0 through ``quadrature.neville``.
-All points of a call (node x side x level on the ladders) go through the
-quadrature layer's Cauchy-sum kernel as one batch.
+along the normal, extrapolated to h = 0.  ``quadrature.normal_ladder`` lays
+out the ladders and extrapolates them; all points of a call (node x side x
+level) go through the quadrature layer's Cauchy-sum kernel as one batch.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BoundaryLimitError, NearBoundaryError
 from .geometry import ClosedContour
-from .quadrature import _cauchy_sum, host_rule, neville, singular_values
+from .quadrature import _cauchy_sum, host_rule, normal_ladder, singular_values
 from .sampling import SampledDensity
 
 __all__ = [
@@ -132,22 +132,18 @@ def _boundary_values(host, values, idx, sides, h0, levels, tol):
 
     With ``tol`` set, the first node and side, in that order, whose ladder
     has not converged raises."""
-    if h0 is None:
-        h0 = 1e-2 * host.local_panel_length
-    if h0 <= 0:
-        raise BoundaryLimitError("h0 must be positive")
-    hs = h0 / 2.0 ** np.arange(levels)
-    if hs[-1] < host.near_cutoff * 10.0:
-        raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
     idx = np.asarray(idx)
-    sign = np.array([1.0 if side == "plus" else -1.0 for side in sides])
-    nu = (host.tangents[idx] * 1j)[:, None] * sign
-    z = host.nodes[idx, None, None] + hs * nu[:, :, None]
-    k = np.broadcast_to(idx[:, None, None], z.shape)
-    value, gap = neville(_compensated_cauchy(host, values, z.ravel(), k.ravel())
-                         .reshape(z.shape))
-    if tol is not None and levels >= 2 and np.any(gap > 10.0 * tol):
-        i, j = np.unravel_index(np.argmax(gap > 10.0 * tol), gap.shape)
+
+    def sample(z, hs):
+        if hs.min() < host.near_cutoff * 10.0:
+            raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
+        k = np.broadcast_to(idx[:, None, None], z.shape)
+        return _compensated_cauchy(host, values, z.ravel(), k.ravel()).reshape(z.shape)
+
+    h0 = 1e-2 * host.local_panel_length if h0 is None else h0
+    value, gap, bad = normal_ladder(host, idx, sides, h0, levels, tol, sample)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise BoundaryLimitError(
             f"extrapolation at node {idx[i]} ({sides[j]}) not converged: "
             f"last estimates differ by {gap[i, j]:.3g}"

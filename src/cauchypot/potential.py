@@ -14,6 +14,7 @@ two-sided jump structure of the Cauchy transform on arcs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import warnings
@@ -34,7 +35,7 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import host_rule, neville
+from .quadrature import host_rule, normal_ladder
 from .sampling import SampledDensity, write_density_csv
 
 __all__ = [
@@ -276,10 +277,10 @@ def log_potential(measure, z):
 def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     """Density of the curve part of mu from one-sided normal derivatives.
 
-    At each node the potential is differenced along both unit normals with
-    offsets h0 / 2**i and Richardson-extrapolated to the curve; the density
-    is the sum of the two one-sided derivatives over 2*pi.  Nodes whose
-    extrapolation fails the convergence check (gap above 10x tol) or whose
+    The scalar callable ``u`` is differenced along both unit normals of each
+    node at offsets h0 / 2**i (1 + 2 * levels calls per node) and extrapolated
+    by ``quadrature.normal_ladder``; the density is the sum of the two one-sided
+    derivatives over 2*pi.  Nodes failing the gap check (above 10x tol) or whose
     evaluations blow up are flagged in the estimate, never fatal.
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
@@ -290,47 +291,31 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
         raise TypeError("u must be callable or an evaluator PotentialField")
     if levels < 2:
         raise ValueError("extrapolation needs at least two offset levels")
-    nodes = host.nodes
-    normals = 1j * host.tangents
     # the offset scale is local: near an arc endpoint the potential is only
     # smooth in the normal direction out to the endpoint distance, so the
     # ladder must shrink with it or the extrapolation diverges there
     scale = np.full(host.n_nodes, host.local_panel_length)
     if isinstance(host, ArcSystem):
-        ends = host.endpoints
-        gap = np.min(np.abs(nodes[:, None] - ends[None, :]), axis=1)
-        scale = np.minimum(scale, gap)
-    h0_k = np.full(host.n_nodes, h0) if h0 is not None else 1e-3 * scale
-    dens = np.zeros(host.n_nodes)
-    flagged = []
-    for k in range(host.n_nodes):
-        z = nodes[k]
-        n_hat = normals[k]
-        hs = h0_k[k] / 2.0 ** np.arange(levels)
-        try:
-            u0 = float(u(z))
-            total = 0.0
-            worst = 0.0
-            for sgn in (1.0, -1.0):
-                d = np.array([(float(u(z + sgn * hh * n_hat)) - u0) / hh
-                              for hh in hs])
-                val, gap = neville(d)
-                total += val
-                worst = max(worst, gap)
-            if not math.isfinite(total):
-                raise ValueError("non-finite derivative")
-            dens[k] = total / (2.0 * math.pi)
-            if tol is not None and worst > 10.0 * tol:
-                flagged.append(k)
-        except (ValueError, OverflowError, FloatingPointError):
-            flagged.append(k)
-            dens[k] = 0.0
-    sd = SampledDensity(host, dens.astype(complex),
-                        meta={"flagged_nodes": list(flagged)})
-    w = host_rule(host).weights
-    mass = float(np.sum(dens * w))
-    return MeasureEstimate(curve_density=sd, total_mass=mass,
-                           flagged_nodes=flagged)
+        scale = np.minimum(scale, np.min(np.abs(host.nodes[:, None] - host.endpoints), axis=1))
+
+    def at(z):  # float(u) at every point, NaN where u fails there
+        out = np.full(z.shape, math.nan)
+        for i, zi in enumerate(z.flat):
+            with contextlib.suppress(ValueError, OverflowError, FloatingPointError):
+                out.flat[i] = float(u(zi))
+        return out
+
+    u0 = at(host.nodes)[:, None, None]
+    value, _, bad = normal_ladder(host, np.arange(host.n_nodes), ("plus", "minus"),
+                                  1e-3 * scale if h0 is None else h0, levels, tol,
+                                  lambda z, hs: (at(z) - u0) / hs)
+    total = 0.0 + value[:, 0] + value[:, 1]  # +0.0 first: two -0.0 limits sum to +0.0
+    ok = np.isfinite(total)
+    dens = np.where(ok, total / (2.0 * math.pi), 0.0)
+    flagged = np.flatnonzero(~ok | bad.any(axis=1)).tolist()
+    sd = SampledDensity(host, dens.astype(complex), meta={"flagged_nodes": list(flagged)})
+    mass = float(np.sum(dens * host_rule(host).weights))
+    return MeasureEstimate(curve_density=sd, total_mass=mass, flagged_nodes=flagged)
 
 
 def _laplacian(values, h):

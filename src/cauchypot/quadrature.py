@@ -29,7 +29,7 @@ closed curve, a log ratio for a segment, a sine-ratio log for a circular
 arc), and the diagonal of the regularized part needs the derivative of the
 density at the pole (Fourier on closed contours, 4th-order differences in
 the cosine angle on graded arcs).  ``neville`` is the one extrapolation
-tableau, for boundary limits and curve-density recovery.
+tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
 """
 
 from __future__ import annotations
@@ -41,11 +41,12 @@ import numpy as np
 
 from .errors import (
     AlignmentError,
+    BoundaryLimitError,
     EndpointSingularityError,
     GeometryError,
     InterpolationRequiredError,
 )
-from .geometry import Arc, ArcSystem, ClosedContour, _by_rows, _open_fd4, _periodic_fd4
+from .geometry import Arc, ArcSystem, ClosedContour, _by_rows, _open_fd4
 
 __all__ = [
     "QuadratureRule",
@@ -59,6 +60,7 @@ __all__ = [
     "analytic_pole_kernel",
     "singular_values",
     "neville",
+    "normal_ladder",
 ]
 
 RULE_KINDS = (
@@ -293,6 +295,27 @@ def neville(d):
         gap = np.abs(nxt[..., -1] - row[..., -1])
         row = nxt
     return row[..., -1][()], gap[()]
+
+
+def normal_ladder(host, idx, sides, h0, levels, tol, sample):
+    """Limits at h = 0 of samples at nodes[k] + s*h*i*tangent[k], k in ``idx``.
+
+    s = +1 or -1 per side (``plus``, ``minus``), h = h0 / 2**i for i < levels,
+    ``h0`` a scalar or one per node.  ``sample(z, h)`` gets all points in one
+    call, shaped (node, side, level); ``neville`` extrapolates each ladder.
+    Returns limits, gaps and gaps > 10 * tol (all False without tol or with
+    one level).
+    """
+    h0 = np.asarray(h0, dtype=float)
+    if not np.all(np.isfinite(h0) & (h0 > 0)):
+        raise BoundaryLimitError("h0 must be finite and positive")
+    if not isinstance(levels, (int, np.integer)) or levels < 1:
+        raise BoundaryLimitError("levels must be an integer >= 1")
+    hs = h0.reshape(-1, 1, 1) / 2.0 ** np.arange(levels)
+    nu = (host.tangents[idx] * 1j)[:, None] * [1.0 if s == "plus" else -1.0 for s in sides]
+    z = host.nodes[idx, None, None] + hs * nu[:, :, None]
+    value, gap = neville(sample(z, hs))
+    return value, gap, gap > (math.inf if tol is None or levels == 1 else 10.0 * tol)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ panels, explicit regularization of principal values, and scipy special
 functions.  None of it shares code with the package under test.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
@@ -132,3 +134,60 @@ def chebyshev_T(n, x):
 
 def chebyshev_U(n, x):
     return special.eval_chebyu(n, x)
+
+
+def _halving_neville(d):
+    """Neville's tableau on the ladder d(h), d(h/2), ...: the value at h = 0
+    and the gap between the two finest extrapolants."""
+    row = np.asarray(d)
+    gap = math.inf
+    for lev in range(1, row.size):
+        nxt = (2.0 ** lev * row[1:] - row[:-1]) / (2.0 ** lev - 1.0)
+        gap = np.abs(nxt[-1] - row[-1])
+        row = nxt
+    return row[-1], gap
+
+
+def recover_curve_density_loop(u, host, weights, h0=None, levels=3, tol=None):
+    """Curve-density recovery node by node, one side and one offset at a time.
+
+    Returns (density, total mass, flagged nodes) as the package's
+    ``recover_curve_density`` defines them: the sum of the two extrapolated
+    one-sided normal derivatives of u over 2*pi at each node, zeroed and
+    flagged where an evaluation fails or the sum is not finite, flagged
+    where a ladder's gap exceeds 10 * tol; ``weights`` are the host's
+    arclength weights.
+    """
+    nodes = host.nodes
+    normals = 1j * host.tangents
+    scale = np.full(host.n_nodes, host.local_panel_length)
+    if hasattr(host, "endpoints"):
+        ends = host.endpoints
+        gap = np.min(np.abs(nodes[:, None] - ends[None, :]), axis=1)
+        scale = np.minimum(scale, gap)
+    h0_k = np.full(host.n_nodes, h0) if h0 is not None else 1e-3 * scale
+    dens = np.zeros(host.n_nodes)
+    flagged = []
+    for k in range(host.n_nodes):
+        z = nodes[k]
+        n_hat = normals[k]
+        hs = h0_k[k] / 2.0 ** np.arange(levels)
+        try:
+            u0 = float(u(z))
+            total = 0.0
+            worst = 0.0
+            for sgn in (1.0, -1.0):
+                d = np.array([(float(u(z + sgn * hh * n_hat)) - u0) / hh
+                              for hh in hs])
+                val, gap = _halving_neville(d)
+                total += val
+                worst = max(worst, gap)
+            if not math.isfinite(total):
+                raise ValueError("non-finite derivative")
+            dens[k] = total / (2.0 * math.pi)
+            if tol is not None and worst > 10.0 * tol:
+                flagged.append(k)
+        except (ValueError, OverflowError, FloatingPointError):
+            flagged.append(k)
+            dens[k] = 0.0
+    return dens, float(np.sum(dens * weights)), flagged

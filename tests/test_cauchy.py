@@ -262,6 +262,15 @@ def test_boundary_value_rejects_ladder_into_cutoff():
         boundary_value(f, "plus", 0, h0=1e-9)
 
 
+@pytest.mark.parametrize("ladder", [dict(h0=np.nan), dict(h0=np.inf), dict(levels=0)],
+                         ids=["h0-nan", "h0-inf", "no-levels"])
+def test_boundary_value_rejects_a_bad_ladder(ladder):
+    c = circle(64)
+    f = SampledDensity.from_function(c, lambda t: t)
+    with pytest.raises(BoundaryLimitError):
+        boundary_value(f, "plus", 0, **ladder)
+
+
 # ---------------------------------------------------------------------------
 # Plemelj identities
 # ---------------------------------------------------------------------------

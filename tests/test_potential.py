@@ -12,8 +12,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cauchypot.errors import (
+    BoundaryLimitError,
     GeometryError,
     NearBoundaryError,
     ResolutionError,
@@ -35,6 +37,8 @@ from cauchypot.potential import (
 )
 from cauchypot.quadrature import host_rule
 from cauchypot.sampling import SampledDensity, read_density_csv
+
+from oracles import recover_curve_density_loop
 
 LOG2 = math.log(2.0)
 
@@ -277,6 +281,117 @@ def test_recovery_flags_bad_nodes_without_raising():
     assert est.curve_density.values[7] == 0.0
     others = np.delete(est.curve_density.values.real, 7)
     assert np.max(np.abs(others - 1.0 / (2.0 * np.pi))) <= 1e-6
+
+
+@pytest.mark.parametrize("h0", [-1e-4, 0.0, math.nan], ids=["negative", "zero", "nan"])
+def test_recovery_rejects_a_bad_offset(h0):
+    # a negative offset would walk the ladder to the wrong sides and negate
+    # the measure; zero or NaN would flag every node instead of failing
+    host = circle_host(per=8)
+    with pytest.raises(BoundaryLimitError):
+        recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), host, h0=h0)
+
+
+FLOATS = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def recovery_hosts(draw):
+    """A circle, an ellipse, or one or two disjoint segments and circular arcs."""
+    per = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(["circle", "ellipse", "arcs"]))
+    if kind == "circle":
+        return build_closed_contour({
+            "type": "circle", "radius": draw(st.floats(0.3, 3.0)),
+            "center": [draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))],
+            "panels": 4, "nodes_per_panel": per})
+    if kind == "ellipse":
+        return build_closed_contour({
+            "type": "ellipse", "semi_axes": [draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))],
+            "panels": 4, "nodes_per_panel": per})
+    arcs = []
+    for x in 5.0 * np.arange(draw(st.integers(1, 2))):  # each arc in its own 5-wide box
+        if draw(st.booleans()):
+            a = [x + draw(st.floats(-2.0, -0.5)), draw(st.floats(-1.0, 1.0))]
+            b = [x + draw(st.floats(0.5, 2.0)), draw(st.floats(-1.0, 1.0))]
+            arcs.append({"type": "segment", "a": a, "b": b, "panels": 4, "nodes_per_panel": per})
+        else:
+            theta_a = draw(st.floats(-np.pi, np.pi))
+            arcs.append({"type": "circular", "center": [x, 0.0],
+                         "radius": draw(st.floats(0.5, 2.0)), "theta_a": theta_a,
+                         "theta_b": theta_a + draw(st.floats(0.5, 2.5)),
+                         "panels": 4, "nodes_per_panel": per})
+    return build_arc_system(arcs)
+
+
+def harmonic(coeffs, charges, z0=0.0, scale=1.0):
+    """Re sum c_k w^k + sum m log|z - a| with w = (z - z0)/scale."""
+    def u(z):
+        w = (complex(z) - z0) / scale
+        return (sum((c * w ** k).real for k, c in enumerate(coeffs))
+                + math.fsum(m * math.log(abs(z - a)) for a, m in charges))
+    return u
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    host=recovery_hosts(),
+    coeffs=st.lists(st.complex_numbers(max_magnitude=1.0, **FLOATS), max_size=4),
+    charges=st.lists(st.tuples(st.complex_numbers(max_magnitude=8.0, **FLOATS),
+                               st.floats(-2.0, 2.0)), max_size=3),
+    h0=st.one_of(st.none(), st.floats(1e-5, 1e-2)),
+    levels=st.integers(2, 5),
+    tol=st.one_of(st.none(), st.floats(1e-14, 1e-4)),
+    period=st.sampled_from([5, 23, 2 ** 62]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_recovery_is_bitwise_the_node_by_node_loop(host, coeffs, charges, h0,
+                                                           levels, tol, period, seed):
+    charges = [(a, m) for a, m in charges if host.distance_to(a) > 0.05]
+    smooth = harmonic(coeffs, charges)
+    failures = (ValueError, OverflowError, FloatingPointError)
+
+    def u(z):
+        # fails at a fixed pseudo-random set of points, whatever the call order
+        draw = hash((complex(z), seed)) % period
+        if draw == 0:
+            raise failures[seed % 3]("pole")
+        return math.nan if draw == 1 else smooth(z)
+
+    est = recover_curve_density(u, host, h0=h0, levels=levels, tol=tol)
+    dens, mass, flagged = recover_curve_density_loop(u, host, host_rule(host).weights,
+                                                     h0, levels, tol)
+    assert est.curve_density.values.tobytes() == dens.astype(complex).tobytes()
+    assert np.float64(est.total_mass).tobytes() == np.float64(mass).tobytes()
+    assert est.flagged_nodes == flagged
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    segment=st.booleans(),
+    m=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    centre=st.complex_numbers(max_magnitude=2.0, **FLOATS),
+    size=st.floats(0.3, 3.0),
+    per=st.integers(8, 32),
+    coeffs=st.lists(st.complex_numbers(max_magnitude=1.0, **FLOATS), max_size=4),
+    charge=st.floats(-2.0, 2.0),
+)
+def test_recovered_mass_is_conserved(segment, m, centre, size, per, coeffs, charge):
+    # m times a unit-mass potential plus a harmonic term: the polynomial and
+    # a charge two sizes off the curve carry no mass on it
+    far = [(centre + 3.0 * size * (1.0 + 1.0j), charge)]
+    extra = harmonic(coeffs, far, centre, size)
+    if segment:
+        a, b = centre.real - size, centre.real + size
+        host = segment_host(per=per, a=a, b=b)
+        unit = lambda z: segment_green((complex(z) - centre.real) / size) + math.log(size)
+        tol = 1e-4
+    else:
+        host = circle_host(per=per, radius=size, center=(centre.real, centre.imag))
+        unit = lambda z: max(math.log(abs(z - centre)), math.log(size))
+        tol = 1e-6
+    est = recover_curve_density(lambda z: m * unit(z) + extra(z), host)
+    assert abs(est.total_mass - m) <= tol * abs(m)
 
 
 # ---------------------------------------------------------------------------

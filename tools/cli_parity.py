@@ -8,11 +8,12 @@ exported with ``git archive`` into a temporary directory.  A fixed set of
 configs then runs twice, each in a fresh interpreter: once on REV's
 ``src/`` and once on the working tree's ``src/``.  The set covers all eight
 commands; circle, ellipse, rounded-polygon and node-chain curves; segment,
-two-segment, circular and segment+chain arc systems; csv and binary
-potential grids; runs that exit 65; and four schema errors.  For every
-config the script compares each output file, stdout, stderr and the exit
-code, prints one line, and exits 1 if anything differs.  It needs the
-standard library and numpy only.
+two-segment, circular, segment+circular and segment+chain arc systems
+(curve recovery included on several arcs, where the ladder shrinks toward
+each arc's endpoints); csv and binary potential grids; runs that exit 65;
+and four schema errors.  For every config the script compares each output
+file, stdout, stderr and the exit code, prints one line, and exits 1 if
+anything differs.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -117,6 +118,14 @@ def configs(inputs):
                                   "potential": {"family": "point-charges",
                                                 "charges": [[0.3, 0.1, 1.0], [3.0, 0.0, 0.5]]},
                                   "tolerances": {"flag": 1e-12}},
+        "recover-curve-segment-arc": {"command": "recover-curve",
+                                      "geometry": {"arcs": [SEGMENT, CIRCULAR[0]]},
+                                      "potential": {"family": "point-charges", "charges": [
+                                          [0.0, -0.5, 1.0], [0.3, 0.5, -0.7], [2.0, 1.5, 0.4]]}},
+        "recover-curve-two-segments-flagged": {"command": "recover-curve",
+                                               "geometry": {"arcs": [LEFT, RIGHT]},
+                                               "potential": {"family": "segment-green"},
+                                               "tolerances": {"flag": 1e-9}},
         "equilibrium-disk": {"command": "equilibrium",
                              "shape": {"type": "disk", "radius": 2.0, "center": [0.5, 0.0]}},
         "equilibrium-segment": {"command": "equilibrium",
