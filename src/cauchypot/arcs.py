@@ -245,19 +245,17 @@ def _moment_tolerance(g, system):
     return 1e-8 * float(np.max(np.abs(g.values))) * system.diameter() ** (n - 0.5)
 
 
-def bounded_solution(g, system=None, holder_hint=0.5):
+def bounded_solution(g, system=None):
     """Decide existence of a bounded solution and report the full outcome.
 
     The moments are compared against a scale-aware tolerance
-    1e-8 * ||g||_inf * diam^(N - 1/2).  ``holder_hint`` records the caller's
-    regularity assumption on g; it is not verified.
+    1e-8 * ||g||_inf * diam^(N - 1/2).
     """
     system = _system_of(g, system)
     moments = solvability_moments(g, system)
     tol = _moment_tolerance(g, system)
     bounded = bool(np.max(np.abs(moments)) <= tol) if moments.size else True
     f0 = candidate_f0(g, system)
-    f0.meta["holder_hint"] = float(holder_hint)
     P = _defect_from_moments(system, moments)
     sf0 = singular_S(f0, density_class="sqrt")
     if bounded:

@@ -15,6 +15,10 @@ Two kinds of hosts are supported:
   and the branch of sqrt(R) that is single valued off the arcs and satisfies
   sqrt(R)(z) / z**N -> 1 as z -> infinity (N = number of arcs).  Boundary
   values taken from the two sides of an arc are negatives of each other.
+  The branch is a product of one factor ~ z per arc, each fixed by rule: on
+  segments and circular arcs, a root of (z - a)/(z - b) cut along the ray
+  through the arc's midpoint, whose sign follows from that ray's angle; on
+  chains, the sign of a product of principal roots, one per chain segment.
 
 Arc nodes are placed at cosine-graded parameters (the first-kind Chebyshev
 points mapped onto the arc), which is the natural grid for densities with
@@ -60,18 +64,17 @@ __all__ = [
 ]
 
 _MIN_NODES = 16
-_FAR_FACTOR = 1.0e6
 _NEAR_CUTOFF_FACTOR = 1.0e-8
-_BLOCK = 1 << 18  # array elements per pass of the chunked vectorised loops
+_BLOCK = 1 << 18  # segment pairs per pass of the polyline contact test
 # array elements per block of rows of point-to-node sums: about 2**14 keeps a
 # block's temporaries in cache (2**18 ran 1.5-3x slower at 4096-16384 nodes)
 _ROW_BLOCK = 1 << 14
 
 
-def _by_rows(fn, n, width, dtype=float, budget=_ROW_BLOCK):
-    """fn(rows) over slices of range(n) of about ``budget`` / ``width`` rows each."""
+def _by_rows(fn, n, width, dtype=float):
+    """fn(rows) over slices of range(n) of about ``_ROW_BLOCK`` / ``width`` rows each."""
     out = np.empty(n, dtype=dtype)
-    step = max(1, budget // width)
+    step = max(1, _ROW_BLOCK // width)
     for lo in range(0, n, step):
         out[lo:lo + step] = fn(slice(lo, lo + step))
     return out
@@ -444,7 +447,7 @@ class Arc:
 
     The fields are what the builders lay down: the nodes with their
     parameters, derivative, tangents and arclength, the panels, the branch
-    calibration and, on circular arcs, the circle.  ``sqrt_own_plus`` is
+    ray angle and, on circular arcs, the circle.  ``sqrt_own_plus`` is
     derived once: the plus boundary values at the nodes of this arc's own
     factor s_j(z) = sqrt((z - a)(z - b)), normalized s_j(z)/z -> 1 at
     infinity with its cut along the arc.
@@ -460,9 +463,8 @@ class Arc:
     arclength: np.ndarray
     total_length: float
     panels: tuple
-    # branch bookkeeping for the Moebius closed form
+    # ray angle of the Moebius closed form: phase((m - a)/(m - b)), m mid-arc
     _psi: float = 0.0
-    _sign: float = 1.0
     # circular-arc data
     center: complex = 0.0
     radius: float = 0.0
@@ -480,6 +482,14 @@ class Arc:
     @property
     def normals_plus(self):
         return 1j * self.tangents
+
+    @property
+    def _sign(self):
+        """+1 or -1 so the closed form ~ z at infinity, where (z - a)/(z - b) -> 1.
+
+        ``_sqrt_ray(1, psi)`` is +1 for psi in [0, pi] and -1 for psi < 0.
+        """
+        return 1.0 if self._psi >= 0.0 else -1.0
 
     @property
     def graded(self):
@@ -534,15 +544,6 @@ def _sqrt_ray(xi, psi):
     return np.sqrt(xi * rot) * cmath.exp(0.5j * (psi - math.pi))
 
 
-def _calibrate_branch(a, b, mid_on_arc, midpoint, diameter):
-    """Fix the ray angle and overall sign so the factor ~ z at infinity."""
-    psi = cmath.phase((mid_on_arc - a) / (mid_on_arc - b))
-    zfar = midpoint + _FAR_FACTOR * diameter * cmath.exp(0.7j)
-    raw = (zfar - b) * _sqrt_ray((zfar - a) / (zfar - b), psi)
-    sign = 1.0 if abs(raw / zfar - 1.0) < abs(raw / zfar + 1.0) else -1.0
-    return psi, sign
-
-
 def _cheb_grading(m):
     """First-kind Chebyshev parameters, ascending, with sin(u) attached."""
     if m < 2:
@@ -562,12 +563,11 @@ def _build_segment_arc(a, b, m, n_panels):
     dt = np.full(m, half, dtype=complex)
     tangents = dt / np.abs(dt)
     arclen = np.abs(half) * (tau + 1.0)
-    psi, sign = _calibrate_branch(a, b, mid, mid, abs(b - a))
     return Arc(
         kind="segment", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=tangents, arclength=arclen, total_length=abs(b - a),
         panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
-        _psi=psi, _sign=sign,
+        _psi=cmath.phase((mid - a) / (mid - b)),
     )
 
 
@@ -584,13 +584,12 @@ def _build_circular_arc(center, radius, theta_a, theta_b, m, n_panels):
     a = center + radius * cmath.exp(1j * theta_a)
     b = center + radius * cmath.exp(1j * theta_b)
     mid_on_arc = center + radius * cmath.exp(1j * 0.5 * (theta_a + theta_b))
-    psi, sign = _calibrate_branch(a, b, mid_on_arc, 0.5 * (a + b), max(abs(b - a), radius))
     return Arc(
         kind="circular", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=dt / np.abs(dt), arclength=radius * abs(sweep) * 0.5 * (tau + 1.0),
         total_length=radius * abs(sweep),
         panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
-        _psi=psi, _sign=sign,
+        _psi=cmath.phase((mid_on_arc - a) / (mid_on_arc - b)),
         center=center, radius=radius, theta_a=theta_a, theta_b=theta_b,
     )
 
@@ -616,42 +615,32 @@ def _build_chain_arc(points, n_panels):
 
 
 def _chain_factor_eval(arc, z):
-    """Own factor on a chain arc by sign tracking along escape paths."""
+    """Own factor on a chain arc: the principal pair sqrt(z - a)*sqrt(z - b)
+    with the sign of the polyline product over p = (a, nodes, b),
+
+        (z - b) * prod_k sqrt((z - p_k)/(z - p_{k+1})),
+
+    whose principal roots are each cut exactly along their own segment: the
+    product is single valued off the chain and tends to z at infinity.
+    """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
-    diam = max(abs(arc.b - arc.a), arc.total_length)
-    out = _by_rows(lambda r: _tracked_sqrt(arc, flat[r], diam), flat.size, 322, complex, _BLOCK)
-    return out.reshape(z.shape)[()]
+    p = np.concatenate(([arc.a], arc.nodes, [arc.b]))
 
+    def signed(rows):
+        w = flat[rows]
+        branch = (w - arc.b) * np.prod(np.sqrt((w[:, None] - p[:-1]) / (w[:, None] - p[1:])),
+                                       axis=1)
+        pair = np.sqrt(w - arc.a) * np.sqrt(w - arc.b)
+        return np.where(np.abs(branch - pair) < np.abs(branch + pair), 1.0, -1.0) * pair
 
-def _principal_pair(arc, z):
-    return np.sqrt(z - arc.a) * np.sqrt(z - arc.b)
+    return _by_rows(signed, flat.size, p.size, complex).reshape(z.shape)[()]
 
 
 def _nearest_node(nodes, z):
     """Index of the node nearest to each point of the 1-d array z."""
     return _by_rows(lambda r: np.argmin(np.abs(nodes - z[r, None]), axis=1), z.size,
-                    nodes.size, int, _BLOCK)
-
-
-def _tracked_sqrt(arc, z, diam):
-    # walk from each z away from the arc, then far out (322 points); count
-    # branch flips of the per-factor principal product, whose discontinuities
-    # are two leftward rays; calibrate against the asymptotic value far out.
-    u = z - arc.nodes[_nearest_node(arc.nodes, z)]
-    u = np.where(u != 0, u / np.abs(np.where(u != 0, u, 1.0)), 1.0)
-    leg1 = z[:, None] + u[:, None] * np.linspace(0.0, 8.0 * diam, 257)
-    end = leg1[:, -1]
-    leg2 = end[:, None] * np.linspace(1.0, (_FAR_FACTOR * diam) / np.abs(end), 65, axis=1)
-    path = np.concatenate((leg1, leg2), axis=1)
-    vals = _principal_pair(arc, path)
-    flips = np.abs(vals[:, 1:] - vals[:, :-1]) > np.abs(vals[:, 1:] + vals[:, :-1])
-    # the product of the step signs is the flip count from z to far
-    sign = np.prod(np.where(flips, -1.0, 1.0), axis=1)
-    # the far value must match +z
-    ratio = vals[:, -1] / path[:, -1]
-    s0 = np.where(np.abs(ratio - 1.0) < np.abs(ratio + 1.0), 1.0, -1.0)
-    return s0 * sign * _principal_pair(arc, z)
+                    nodes.size, int)
 
 
 def _chain_factor_plus(arc, t):

@@ -359,22 +359,21 @@ def _clusters_8(mask):
     ny, nx = mask.shape
     labels = np.zeros((ny, nx), dtype=int)
     current = 0
-    for iy in range(ny):
-        for ix in range(nx):
-            if not mask[iy, ix] or labels[iy, ix]:
-                continue
-            current += 1
-            stack = [(iy, ix)]
-            labels[iy, ix] = current
-            while stack:
-                cy, cx = stack.pop()
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        yy, xx = cy + dy, cx + dx
-                        if (0 <= yy < ny and 0 <= xx < nx
-                                and mask[yy, xx] and not labels[yy, xx]):
-                            labels[yy, xx] = current
-                            stack.append((yy, xx))
+    for iy, ix in zip(*np.nonzero(mask)):  # row-major: clusters numbered in reading order
+        if labels[iy, ix]:
+            continue
+        current += 1
+        stack = [(iy, ix)]
+        labels[iy, ix] = current
+        while stack:
+            cy, cx = stack.pop()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    yy, xx = cy + dy, cx + dx
+                    if (0 <= yy < ny and 0 <= xx < nx
+                            and mask[yy, xx] and not labels[yy, xx]):
+                        labels[yy, xx] = current
+                        stack.append((yy, xx))
     return labels, current
 
 

@@ -304,13 +304,15 @@ def normal_ladder(host, idx, sides, h0, levels, tol, sample):
     ``h0`` a scalar or one per node.  ``sample(z, h)`` gets all points in one
     call, shaped (node, side, level); ``neville`` extrapolates each ladder.
     Returns limits, gaps and gaps > 10 * tol (all False without tol or with
-    one level).
+    one level).  A bad ``h0``, ``levels`` or ``tol`` raises BoundaryLimitError.
     """
     h0 = np.asarray(h0, dtype=float)
     if not np.all(np.isfinite(h0) & (h0 > 0)):
         raise BoundaryLimitError("h0 must be finite and positive")
     if not isinstance(levels, (int, np.integer)) or levels < 1:
         raise BoundaryLimitError("levels must be an integer >= 1")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise BoundaryLimitError("tol must be finite and positive")
     hs = h0.reshape(-1, 1, 1) / 2.0 ** np.arange(levels)
     nu = (host.tangents[idx] * 1j)[:, None] * [1.0 if s == "plus" else -1.0 for s in sides]
     z = host.nodes[idx, None, None] + hs * nu[:, :, None]

@@ -271,6 +271,17 @@ def test_boundary_value_rejects_a_bad_ladder(ladder):
         boundary_value(f, "plus", 0, **ladder)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_boundary_value_rejects_a_bad_tolerance(tol):
+    # a tolerance that no gap can meet, or that every gap meets, is a bad
+    # input, not a failed extrapolation
+    c = circle(64)
+    f = SampledDensity.from_function(c, lambda t: t)
+    with pytest.raises(BoundaryLimitError, match="tol must be finite and positive"):
+        boundary_value(f, "plus", 0, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # Plemelj identities
 # ---------------------------------------------------------------------------

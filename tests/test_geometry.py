@@ -385,23 +385,15 @@ def test_chain_arc_matches_segment_closed_form():
     assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) < 1e-4
 
 
-def _walked_chain_factor(arc, z):
-    """Loop reference for the chain-arc branch: walk the escape path point
-    by point, flipping the sign wherever the principal product jumps."""
-    diam = max(abs(arc.b - arc.a), arc.total_length)
-    u = z - arc.nodes[np.argmin(np.abs(arc.nodes - z))]
-    u = u / abs(u)
-    leg1 = z + u * np.linspace(0.0, 8.0 * diam, 257)
-    leg2 = leg1[-1] * np.linspace(1.0, 1e6 * diam / abs(leg1[-1]), 65)
-    path = np.concatenate((leg1, leg2))
-    vals = np.sqrt(path - arc.a) * np.sqrt(path - arc.b)
-    sign = 1.0
-    for k in range(path.size - 1):
-        if abs(vals[k + 1] - vals[k]) > abs(vals[k + 1] + vals[k]):
-            sign = -sign
-    far = vals[-1] / path[-1]
-    s0 = 1.0 if abs(far - 1.0) < abs(far + 1.0) else -1.0
-    return s0 * sign * np.sqrt(z - arc.a) * np.sqrt(z - arc.b)
+def _polyline_chain_factor(arc, z):
+    """Loop reference for the chain-arc branch: the principal pair, signed by
+    the polyline product (z - b) * prod_k sqrt((z - p_k)/(z - p_{k+1}))."""
+    p = np.concatenate(([arc.a], arc.nodes, [arc.b]))
+    branch = z - arc.b
+    for k in range(p.size - 1):
+        branch *= np.sqrt((z - p[k]) / (z - p[k + 1]))
+    pair = np.sqrt(z - arc.a) * np.sqrt(z - arc.b)
+    return pair if abs(branch - pair) < abs(branch + pair) else -pair
 
 
 def test_chain_branch_matches_recorded_values():
@@ -435,7 +427,7 @@ def test_chain_branch_matches_recorded_values():
 def test_curved_chain_branch_matches_circular_arc():
     # a chain sampled from a circular arc has the circular arc's branch off
     # the arc and on its plus side, including between the two leftward rays
-    # where the principal product has the opposite sign
+    # where the principal pair has the opposite sign
     th = np.linspace(0.4, 2.3, 130)
     pts = np.exp(1j * th)
     chain = build_arc_system([
@@ -451,9 +443,69 @@ def test_curved_chain_branch_matches_circular_arc():
     want = circ.eval_sqrtR(z)
     assert np.max(np.abs(chain.eval_sqrtR(z) - want) / np.abs(want)) < 1e-12
     for w in z[:20]:
-        assert abs(chain.arcs[0].factor_eval(w) - _walked_chain_factor(chain.arcs[0], w)) < 1e-14
+        assert abs(chain.arcs[0].factor_eval(w) - _polyline_chain_factor(chain.arcs[0], w)) < 1e-14
     ref = np.array([circ.sqrtR_plus_at(0, t) for t in chain.nodes])
     assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) < 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    centre=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    radius=st.floats(0.3, 3.0),
+    start=st.floats(-np.pi, np.pi),
+    sweep=st.floats(0.3, 5.5),
+    clockwise=st.booleans(),
+    n_points=st.integers(40, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_branch_is_the_circular_arc_branch(centre, radius, start, sweep, clockwise,
+                                                 n_points, seed):
+    # the chain's cut is the polyline, so off it (away from the thin lenses
+    # between chords and circle) the branch is the circular arc's closed form,
+    # inside the circle too, where rays from a point cross the chain again
+    c = complex(*centre)
+    end = start - sweep if clockwise else start + sweep
+    pts = c + radius * np.exp(1j * np.linspace(start, end, n_points))
+    chain = build_arc_system([
+        {"type": "chain", "nodes": np.stack([pts.real, pts.imag], axis=1).tolist()},
+    ])
+    circ = build_arc_system([
+        {"type": "circular", "center": [c.real, c.imag], "radius": radius,
+         "theta_a": start, "theta_b": end, "panels": 1, "nodes_per_panel": 32},
+    ])
+    gen = np.random.default_rng(seed)
+    z = c + radius * 2.5 * np.sqrt(gen.random(64)) * np.exp(2j * np.pi * gen.random(64))
+    z = z[np.abs(np.abs(z - c) - radius) > 0.05]
+    want = circ.eval_sqrtR(z)
+    assert np.max(np.abs(chain.eval_sqrtR(z) - want) / np.abs(want)) <= 1e-12
+    ref = circ.sqrtR_plus_at(0, chain.nodes)
+    assert np.max(np.abs(chain.sqrtR_plus_nodes() - ref)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    arcs=st.lists(st.tuples(st.booleans(), st.floats(0.2, 2.0), st.floats(-np.pi, np.pi),
+                            st.floats(-2.0 * np.pi + 0.1, 2.0 * np.pi - 0.1)),
+                  min_size=1, max_size=3),
+    direction=st.floats(-np.pi, np.pi),
+)
+def test_closed_form_branch_is_z_to_the_n_at_infinity(arcs, direction):
+    # segments and circular arcs, each in its own cell 6 apart: the sign of
+    # each closed-form factor is fixed by its ray angle alone
+    specs = []
+    for k, (segment, size, angle, sweep) in enumerate(arcs):
+        c = 6.0 * k
+        if segment:
+            a, b = c - size * np.exp(1j * angle), c + size * np.exp(1j * (angle + sweep))
+            specs.append({"type": "segment", "a": [a.real, a.imag], "b": [b.real, b.imag]})
+        elif abs(sweep) > 1e-3:
+            specs.append({"type": "circular", "center": [c, 0.0], "radius": size,
+                          "theta_a": angle, "theta_b": angle + sweep})
+    if not specs:
+        return
+    sysm = build_arc_system(specs)
+    z = 1e6 * sysm.diameter() * np.exp(1j * direction)
+    assert abs(sysm.eval_sqrtR(z) / z ** sysm.n_arcs - 1.0) <= 1e-4
 
 
 def test_sqrtR_plus_at_nodes_matches_node_values():

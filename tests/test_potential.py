@@ -292,6 +292,16 @@ def test_recovery_rejects_a_bad_offset(h0):
         recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), host, h0=h0)
 
 
+@pytest.mark.parametrize("tol", [-1e-6, 0.0, math.nan, math.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_recovery_rejects_a_bad_tolerance(tol):
+    # a negative or zero tolerance would flag every node, a NaN or infinite
+    # one would switch the gap check off
+    host = circle_host(per=8)
+    with pytest.raises(BoundaryLimitError):
+        recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), host, tol=tol)
+
+
 FLOATS = dict(allow_nan=False, allow_infinity=False)
 
 

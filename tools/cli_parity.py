@@ -10,7 +10,8 @@ configs then runs twice, each in a fresh interpreter: once on REV's
 commands; circle, ellipse, rounded-polygon and node-chain curves; segment,
 two-segment, circular, segment+circular and segment+chain arc systems
 (curve recovery included on several arcs, where the ladder shrinks toward
-each arc's endpoints); csv and binary potential grids; runs that exit 65;
+each arc's endpoints; one chain is C-shaped, a 3/4 circle that rays from
+inside it cross again); csv and binary potential grids; runs that exit 65;
 and four schema errors.  For every config the script compares each output
 file, stdout, stderr and the exit code, prints one line, and exits 1 if
 anything differs.  It needs the standard library and numpy only.
@@ -41,6 +42,9 @@ STAR = {"type": "node-chain", "panels": 4, "nodes": np.stack(
     axis=1).tolist()}
 _x = np.linspace(2.0, 3.0, 40)
 CHAIN = {"type": "chain", "panels": 1, "nodes": np.stack([_x, 0.2 * _x * _x - 2.0], axis=1).tolist()}
+_ct = np.linspace(0.25 * np.pi, 1.75 * np.pi, 60)
+C_CHAIN = {"type": "chain", "panels": 1,
+           "nodes": np.stack([3.0 + np.cos(_ct), np.sin(_ct)], axis=1).tolist()}
 CIRCULAR = [{"type": "circular", "radius": 1.0, "theta_a": a, "theta_b": b, "panels": 8,
              "nodes_per_panel": 16} for a, b in ((0.3, 1.4), (2.2, 4.0))]
 
@@ -109,6 +113,8 @@ def configs(inputs):
                                  "rhs": mono(4)},
         "moments-segment-chain": {"command": "moments", "geometry": {"arcs": [SEGMENT, CHAIN]},
                                   "rhs": mono(2)},
+        "moments-segment-c-chain": {"command": "moments",
+                                    "geometry": {"arcs": [SEGMENT, C_CHAIN]}, "rhs": mono(2)},
         "recover-curve-disk": {"command": "recover-curve", "geometry": {"curve": CIRCLE},
                                "potential": {"family": "disk-wall", "radius": 1.3,
                                              "center": [0.1, -0.2]}},
