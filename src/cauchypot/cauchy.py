@@ -19,8 +19,10 @@ The class picks the folding that turns every quadrature into the exact
 weighted Gauss rule of the graded grid; mislabelling costs accuracy but not
 correctness.  On closed contours the classes coincide.
 
-S itself is evaluated by the pole subtraction of the quadrature layer
-(``quadrature.singular_values``), the same one ``pv_integrate`` uses.
+S itself is ``quadrature.singular_values``, the same one ``pv_integrate``
+uses: pole subtraction on closed contours, and on graded arcs a Chebyshev
+transform of each arc's own part plus an interpolated smooth remainder.
+S at a node of a chain arc raises ``GeometryError``.
 
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an

@@ -212,15 +212,19 @@ class ClosedContour(_Host):
         return self.winding_number(z) != 0
 
 
-def _polyline_contacts(polylines, closed=False):
+def _polyline_contacts(polylines, closed=False, circles=None):
     """Non-adjacent segments of point polylines that cross or touch.
 
     With ``closed`` the one polyline also joins its last point to its first.
-    Midpoints are hashed into a grid whose cell is the longest segment, so
-    segments can meet only in equal or neighbouring cells; candidates pass a
-    bounding-box filter, then four orientation signs decide, counting touching
-    and collinear overlap as contact (Shamos & Hoey, FOCS 1976).  Returns the
-    polyline index of every segment and the segment indices i < j of contacts.
+    ``circles`` may give, per polyline, None or (center, radius, angles of its
+    points): its segments are then the arcs of that circle between the points,
+    and their boxes grow by the sagitta r(1 - cos(dtheta/2)).  Midpoints are
+    hashed into a grid whose cell is the longest segment plus two sagittas,
+    so segments can meet only in equal or neighbouring cells; candidates pass
+    a bounding-box filter, then four orientation signs decide, counting
+    touching and collinear overlap as contact (Shamos & Hoey, FOCS 1976), or
+    ``_pieces_meet`` where one of the two is curved.  Returns the polyline
+    index of every segment and the segment indices i < j of contacts.
     """
     if closed:
         polylines = [np.append(polylines[0], polylines[0][0])]
@@ -230,9 +234,23 @@ def _polyline_contacts(polylines, closed=False):
     n = p.size
     xmin, xmax = np.minimum(p.real, q.real), np.maximum(p.real, q.real)
     ymin, ymax = np.minimum(p.imag, q.imag), np.maximum(p.imag, q.imag)
+    span = np.abs(q - p)
+    pieces = None
+    if any(c is not None for c in circles or ()):
+        cen, rad, th0, dth = (np.concatenate(parts) for parts in zip(*(
+            (np.zeros(pts.size - 1, complex), np.zeros(pts.size - 1), np.zeros(pts.size - 1),
+             np.zeros(pts.size - 1)) if c is None else
+            (np.full(pts.size - 1, complex(c[0])), np.full(pts.size - 1, float(c[1])),
+             c[2][:-1], np.diff(c[2]))
+            for pts, c in zip(polylines, circles))))
+        pieces = (p, q, cen, rad, th0, dth)
+        # 2 r sin^2(dtheta/4) = r(1 - cos(dtheta/2)), with a margin for rounding
+        sag = (1.0 + 1e-7) * 2.0 * rad * np.sin(0.25 * dth) ** 2
+        xmin, xmax, ymin, ymax = xmin - sag, xmax + sag, ymin - sag, ymax + sag
+        span += 2.0 * sag
 
     mid = 0.5 * (p + q)
-    cell = (1.0 + 1e-7) * float(np.max(np.abs(q - p))) or 1.0  # margin for rounding
+    cell = (1.0 + 1e-7) * float(np.max(span)) or 1.0  # margin for rounding
     cx = np.floor((mid.real - mid.real.min()) / cell).astype(np.int64)
     cy = np.floor((mid.imag - mid.imag.min()) / cell).astype(np.int64)
     width = int(cy.max()) + 3
@@ -263,9 +281,49 @@ def _polyline_contacts(polylines, closed=False):
         i, j = i[keep], j[keep]
         meet = ((_orientation(p[j], q[j], p[i]) * _orientation(p[j], q[j], q[i]) <= 0)
                 & (_orientation(p[i], q[i], p[j]) * _orientation(p[i], q[i], q[j]) <= 0))
+        if pieces is not None:
+            curved = (rad[i] > 0) | (rad[j] > 0)
+            if curved.any():
+                meet[curved] = _pieces_meet(pieces, i[curved], j[curved])
         hits_i.append(np.minimum(i, j)[meet])
         hits_j.append(np.maximum(i, j)[meet])
     return owner, np.concatenate(hits_i), np.concatenate(hits_j)
+
+
+def _pieces_meet(pieces, i, j):
+    """Whether pieces i and j, at least one an arc of a circle, share a point.
+
+    The candidates are the four ends and the points where the two carriers
+    (circle and circle, or circle and line) meet, or come closest when they
+    miss by rounding; the pieces meet if one candidate lies within 1e-14 of
+    the coordinates' size of both.
+    """
+    p, q, cen, rad, th0, dth = pieces
+    a = np.where(rad[i] > 0, i, j)           # an arc
+    b = np.where(rad[i] > 0, j, i)
+    ca, ra, line = cen[a], rad[a], rad[b] == 0
+    e = cen[b] - ca
+    d = np.abs(e)
+    d = np.where(d > 0, d, 1.0)
+    v = (q[b] - p[b]) / np.abs(q[b] - p[b])
+    foot = np.where(line, p[b] + v * np.real(np.conj(v) * (ca - p[b])),
+                    ca + e / d * (d * d + ra * ra - rad[b] ** 2) / (2.0 * d))
+    w = np.where(line, v, 1j * e / d) * np.sqrt(np.maximum(ra * ra - np.abs(foot - ca) ** 2, 0.0))
+    x = np.stack([p[i], q[i], p[j], q[j], foot + w, foot - w])
+    gap = np.maximum(_piece_distance(x, pieces, i), _piece_distance(x, pieces, j))
+    scale = np.max(np.abs(np.vstack([x[:4], rad[i], rad[j]])), axis=0)
+    return np.any(gap <= 1e-14 * scale, axis=0)
+
+
+def _piece_distance(x, pieces, k):
+    """Distance from the points x (rows) to the pieces k (columns)."""
+    p, q, cen, rad, th0, dth = (arr[k] for arr in pieces)
+    v = q - p
+    s = np.clip(np.real(np.conj(v) * (x - p)) / np.abs(v) ** 2, 0.0, 1.0)
+    ang = np.mod(np.sign(dth) * np.angle((x - cen) * np.exp(-1j * th0)), 2.0 * np.pi)
+    on_arc = np.where(ang <= np.abs(dth), np.abs(np.abs(x - cen) - rad),
+                      np.minimum(np.abs(x - p), np.abs(x - q)))
+    return np.where(rad > 0, on_arc, np.abs(x - p - s * v))
 
 
 def _orientation(a, b, c):
@@ -724,7 +782,11 @@ class ArcSystem(_Host):
 
     def _check_disjoint(self):
         owner, i, j = _polyline_contacts(
-            [np.concatenate(([arc.a], arc.nodes, [arc.b])) for arc in self.arcs])
+            [np.concatenate(([arc.a], arc.nodes, [arc.b])) for arc in self.arcs],
+            circles=[(arc.center, arc.radius, np.concatenate((
+                [arc.theta_a], 0.5 * (arc.theta_a + arc.theta_b)
+                + 0.5 * (arc.theta_b - arc.theta_a) * arc.params, [arc.theta_b])))
+                if arc.kind == "circular" else None for arc in self.arcs])
         for a, b in zip(owner[i], owner[j]):
             if a != b:
                 raise DisjointnessError(f"arcs {a} and {b} cross or touch")

@@ -21,15 +21,20 @@ samples supply the smooth cofactor g, and the rule returns
 int g(t)/sqrt((t-a)(b-t)) dt (first kind) or int g(t)*sqrt((t-a)(b-t)) dt
 (second kind).
 
-Every Cauchy sum goes through one blocked kernel, ``_cauchy_sum``: S by
-pole subtraction (``singular_values``; ``pv_integrate`` is pi*i times S at
-one node), and the Cauchy transform and its one-sided limits.  The
-subtracted kernel integral is known in closed form per host (pi*i for a
-closed curve, a log ratio for a segment, a sine-ratio log for a circular
-arc), and the diagonal of the regularized part needs the derivative of the
-density at the pole (Fourier on closed contours, 4th-order differences in
-the cosine angle on graded arcs).  ``neville`` is the one extrapolation
+``singular_values`` is the one S (``pv_integrate`` is pi*i times S at one
+node).  On a closed contour it subtracts the pole: the subtracted kernel
+integral is pi*i, and the diagonal of the regularized part is the Fourier
+derivative of the density.  On a graded arc it is spectral, O(m log m) per
+arc: in the parameter tau = cos(u) the arc's own part is diagonal in
+Chebyshev coefficients (length-2m FFTs), and what is left is smooth -- the
+other arcs' sums and, on a circular arc, the difference between its kernel
+and 1/(tau - tau_x) -- so it is summed at a few first-kind proxy points and
+interpolated.  Every Cauchy sum over nodes goes through one blocked kernel,
+``_cauchy_sum``: the closed-contour S, the arc remainders, and the Cauchy
+transform and its one-sided limits.  ``neville`` is the one extrapolation
 tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
+``fd4_arc_derivative`` and ``analytic_pole_kernel`` are kept as public
+helpers; S no longer uses them.
 """
 
 from __future__ import annotations
@@ -414,12 +419,11 @@ def singular_values(host, values, idx, density_class="smooth"):
     raise GeometryError(f"no singular operator for host {type(host).__name__}")
 
 
-def _cauchy_sum(t, z, phi, s=None, w=None, mul=None, div=None, diag=None,
-                diag_value=None):
-    """sum_j w_j (phi_j - s_i) mul_j / ((t_j - z_i) div_j) for every target z_i.
+def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None):
+    """sum_j w_j (phi_j - s_i) / ((t_j - z_i) div_j) for every target z_i.
 
-    Columns j are nodes, rows i targets; ``s``, ``w``, ``mul`` and ``div``
-    may be left out.  ``diag[i]`` is the column of row i whose node is z_i:
+    Columns j are nodes, rows i targets; ``s``, ``w`` and ``div`` may be
+    left out.  ``diag[i]`` is the column of row i whose node is z_i:
     its t_j - z_i is taken as 1, and its term before the weight is replaced
     by ``diag_value[i]`` when given.  A row's sum does not depend on the
     other rows, whatever the blocks (``geometry._ROW_BLOCK`` elements each).
@@ -435,8 +439,6 @@ def _cauchy_sum(t, z, phi, s=None, w=None, mul=None, div=None, diag=None,
             reg = np.divide(phi, den, out=den)
         else:
             reg = phi - s[rows, None]
-            if mul is not None:
-                reg *= mul
             reg /= den
         if diag_value is not None:
             reg[on] = diag_value[rows]
@@ -445,15 +447,6 @@ def _cauchy_sum(t, z, phi, s=None, w=None, mul=None, div=None, diag=None,
         return np.sum(reg, axis=1)
 
     return _by_rows(block, z.size, t.size, complex)
-
-
-def _cmul(a, b):
-    """a * b as numpy's scalar product forms it; the array product may differ
-    in the last bit (fused multiply-adds)."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _S_closed(host, values, idx):
@@ -467,9 +460,6 @@ def _S_closed(host, values, idx):
 
 def _S_arcs(host, values, idx, density_class):
     off = host.arc_offsets
-    t = host.nodes
-    w = host_rule(host).dt_weights
-    wf = w * values  # plain weighted samples for the cross-arc sums
     arc_of = np.searchsorted(off, idx, side="right") - 1
     # a requested node must lie on a graded arc; the first bad one decides
     ok = np.array([arc.graded for arc in host.arcs] + [False])[arc_of]
@@ -479,41 +469,168 @@ def _S_arcs(host, values, idx, density_class):
             raise GeometryError("the singular operator needs cosine-graded arcs")
         raise IndexError(f"pole index {k} out of range")
 
+    # every arc is a source: its samples times its rule's dt weights, the
+    # weights of a graded arc taken through the class fold
+    folds = [_fold(arc, values[off[a]:off[a + 1]], density_class) if arc.graded else None
+             for a, arc in enumerate(host.arcs)]
+    wf = np.concatenate([(np.pi / arc.n_nodes) * fold[1] * arc.dt_dtau if arc.graded
+                         else _arc_weights(arc) * values[off[a]:off[a + 1]]
+                         for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     out = np.empty(idx.size, dtype=complex)
-    # folded densities and their spectral derivatives, only on the arcs that
-    # hold requested nodes: other arcs (chains included) enter as plain sums
     for a in np.unique(arc_of):
-        arc = host.arcs[a]
-        sl = slice(off[a], off[a + 1])
+        arc, (g, q) = host.arcs[a], folds[a]
         rows = arc_of == a
-        local = idx[rows] - off[a]
-        x = t[idx[rows]]
-        s_plus = arc.sqrt_own_plus
-        if density_class == "inverse_sqrt":
-            phi = values[sl] * s_plus
-        elif density_class == "sqrt":
-            phi = values[sl] / s_plus
-        else:
-            phi = values[sl]
-        dphi = fd4_arc_derivative(arc, phi)[local]
-        own = dict(s=phi[local], w=w[sl], diag=local)
-        if density_class == "inverse_sqrt":
-            reg = _cauchy_sum(t[sl], x, phi, div=s_plus,
-                              diag_value=dphi / s_plus[local], **own)
-            pole = 0.0  # PV int dt/(s_plus (t-x)) = 0
-        elif density_class == "sqrt":
-            reg = _cauchy_sum(t[sl], x, phi, mul=s_plus,
-                              diag_value=_cmul(dphi, s_plus[local]), **own)
-            pole = _cmul(phi[local] * (-1j * np.pi), x - arc.midpoint)
-        else:
-            reg = _cauchy_sum(t[sl], x, phi, diag_value=dphi, **own)
-            pole = _cmul(phi[local], analytic_pole_kernel(host, idx[rows]))
-        # other arcs: the pole is at a positive distance, plain sums converge
-        # at the weighted rule's rate because w already carries the grading;
-        # all columns minus own columns, which is exactly +0 on one arc
-        cross = 0.0
-        if host.n_arcs > 1:
-            cross = (_cauchy_sum(t, x, wf, diag=idx[rows])
-                     - _cauchy_sum(t[sl], x, wf[sl], diag=local))
-        out[rows] = (cross + reg + pole) / (1j * np.pi)
+        pv = _own_pv(g, arc.params, density_class)
+        other = np.ones(host.n_nodes, dtype=bool)
+        other[off[a]:off[a + 1]] = False
+        t, w = host.nodes[other], wf[other]
+        if t.size or arc.kind == "circular":
+            pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau), arc.params)
+        out[rows] = pv[idx[rows] - off[a]] / (1j * np.pi)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the spectral operator on graded arcs
+# ---------------------------------------------------------------------------
+
+def _angles(m):
+    """The angles u of the m first-kind points tau = cos(u), in node order."""
+    k = np.arange(m, 0, -1)
+    return (2.0 * k - 1.0) * np.pi / (2.0 * m)
+
+
+def _trig_coeffs(v, odd=False):
+    """c_n, n < m, with v = sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``.
+
+    One length-2m FFT of the even (odd) extension; the cosine coefficients
+    are the Chebyshev coefficients of the interpolant of v in tau.
+    """
+    m = v.size
+    c = np.fft.fft(np.concatenate((v[::-1], -v if odd else v)))[:m]
+    c *= np.exp(-0.5j * np.pi * np.arange(m) / m) / m
+    if odd:
+        return 1j * c
+    c[0] *= 0.5
+    return c
+
+
+def _trig_sum(c, m, odd=False):
+    """sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``, for c.size <= m."""
+    n = np.arange(1, c.size)
+    ph = np.exp(0.5j * np.pi * n / m)
+    b = np.zeros(2 * m, dtype=complex)
+    b[0] = 0.0 if odd else 2.0 * c[0]
+    b[n] = c[1:] * ph
+    b[2 * m - n] = (-1.0 if odd else 1.0) * c[1:] * ph.conj()
+    out = m * np.fft.ifft(b)[m - 1::-1]
+    return -1j * out if odd else out
+
+
+def _own_sigma(arc, u):
+    """The arc's own factor over sin(u), s_own / sqrt(1 - tau^2), in closed form.
+
+    On a segment it is i(b - a)/2.  On a circular arc of radius r, sweep D
+    and mid angle th_m, (t - a)(t - b) = 4 r^2 e^{i(th + th_m)}
+    sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs,
+    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes.
+    """
+    if arc.kind == "segment":
+        return np.full(u.size, 0.5j * (arc.b - arc.a))
+    half = 0.5 * (arc.theta_b - arc.theta_a)
+    c2, s2 = np.cos(0.5 * u) ** 2, np.sin(0.5 * u) ** 2
+    mid = 0.5 * (arc.theta_a + arc.theta_b)
+    sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * arc.params)) * np.sqrt(
+        np.sin(half * c2) / c2 * (np.sin(half * s2) / s2))
+    return sigma if np.vdot(sigma * np.sin(u), arc.sqrt_own_plus).real > 0 else -sigma
+
+
+def _fold(arc, f, density_class):
+    """(g, q) for the samples f of a density on one graded arc.
+
+    g is what the own-arc transform expands: f = g / sin(u) for
+    ``inverse_sqrt``, f = g otherwise (for ``sqrt``, g is a sine series).
+    The arc's own factor is undone with the ``sqrt_own_plus`` samples the
+    density was built with, so their rounding cancels, and sin(u) comes
+    from u in closed form.
+    q = f sin(u) gives int f h dtau = (pi/m) sum_j q_j h(tau_j) for smooth h.
+    """
+    u = _angles(arc.n_nodes)
+    if density_class == "inverse_sqrt":
+        g = f * arc.sqrt_own_plus / _own_sigma(arc, u)
+        return g, g
+    if density_class == "sqrt":
+        f = f / arc.sqrt_own_plus * _own_sigma(arc, u) * np.sin(u)
+    return f, f * np.sin(u)
+
+
+def _own_pv(g, tau, density_class):
+    """PV int f(tau)/(tau - tau_x) dtau over (-1, 1) at every node, f from g.
+
+    Diagonal in Chebyshev coefficients (S. Olver, Math. Comp. 80, 2011):
+    sqrt(1 - tau^2) U_{n-1} -> -pi T_n, and T_n / sqrt(1 - tau^2) -> pi U_{n-1},
+    summed as the T series (2 - delta_k0) pi (c_{k+1} + c_{k+3} + ...), so
+    nothing is divided by sin(u).  A smooth f gives f(x) log((1 - x)/(1 + x))
+    plus the integral of its divided difference, the T series
+    (2 - delta_k0) sum_{n>k} c_n mu_{n-1-k} with mu_j = int U_j = 2/(j+1) for
+    even j and 0 for odd j: one FFT correlation.
+    """
+    m = g.size
+    if density_class == "sqrt":
+        return -np.pi * _trig_sum(_trig_coeffs(g, odd=True), m)
+    c = _trig_coeffs(g)
+    if density_class == "inverse_sqrt":
+        e = np.empty(m - 1, dtype=complex)
+        for r in (0, 1):
+            e[r::2] = np.pi * np.cumsum(c[1 + r::2][::-1])[::-1]
+    else:
+        j = np.arange(m - 1)
+        mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
+        e = np.fft.ifft(np.fft.fft(c[1:], 2 * m) * np.fft.fft(mu, 2 * m).conj())[:m - 1]
+    e[1:] *= 2.0
+    out = _trig_sum(e, m)
+    return out if density_class == "inverse_sqrt" else out + g * np.log((1.0 - tau) / (1.0 + tau))
+
+
+def _remainder(arc, q, t, wf, tau):
+    """The smooth part of pi*i*S on one arc, at its parameters ``tau``.
+
+    Every other arc's plain sum over its nodes t with weighted samples wf
+    and, on a circular arc of sweep D, the own-arc correction
+    (pi/m) sum_j q_j K(tau_j - tau), where t'(tau)/(t(tau) - t(tau_x)) =
+    1/(tau - tau_x) + K(tau - tau_x) and K(s) = (D/4)(cot(Ds/4) - 4/(Ds))
+    + iD/4 is smooth for |s| < 2 (a series where |Ds/4| < 0.05).
+    """
+    out = _cauchy_sum(t, arc.point_at(tau), wf) if t.size else np.zeros(tau.size, complex)
+    if arc.kind != "circular":
+        return out
+    d4 = 0.25 * (arc.theta_b - arc.theta_a)
+
+    def block(rows):
+        y = d4 * (arc.params - tau[rows, None])
+        small = np.abs(y) < 0.05
+        y_far = np.where(small, 1.0, y)
+        y2 = y * y
+        k = np.where(small, -y * (1 / 3 + y2 * (1 / 45 + y2 * (2 / 945 + y2 / 4725))),
+                     1.0 / np.tan(y_far) - 1.0 / y_far)
+        return k @ q
+
+    kq = _by_rows(block, tau.size, q.size, complex) + 1j * np.sum(q)
+    return out + (np.pi / q.size) * d4 * kq
+
+
+def _interpolated(fn, tau):
+    """fn at the nodes ``tau`` (first-kind points) of a smooth fn of tau.
+
+    fn is sampled at p first-kind proxies, p = 32, 64, ..., until the last
+    p/8 Chebyshev coefficients are below 1e-14 of the largest, and its
+    interpolant is summed at the nodes; from p >= m on fn takes the nodes.
+    """
+    m = tau.size
+    p = 32
+    while p < m:
+        c = _trig_coeffs(fn(np.cos(_angles(p))))
+        if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
+            return _trig_sum(c, m)
+        p *= 2
+    return fn(tau)

@@ -1,9 +1,15 @@
 """Arc-system solution theory: kernel, moments, bounded solutions, defects."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import cauchypot
 from cauchypot.arcs import (
     ComplexPolynomial,
     bounded_solution,
@@ -464,3 +470,26 @@ def test_holder_quotient_error_paths():
     gc = SampledDensity(circle, np.ones(circle.n_nodes, complex))
     with pytest.raises(GeometryError):
         holder_diagnostic(gc, 0.1)
+
+
+def test_arc_solver_runs_without_scipy():
+    # scipy is a test extra, so an import of it (scipy.fft, say) in the library
+    # would pass every other test; here it cannot be imported at all
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import cauchypot as cp\n"
+        "s = cp.build_arc_system([\n"
+        "    {'type': 'circular', 'radius': 1.0, 'theta_a': 0.4, 'theta_b': 2.5,\n"
+        "     'panels': 4, 'nodes_per_panel': 16},\n"
+        "    {'type': 'segment', 'a': [-0.5, -0.5], 'b': [0.6, -0.8],\n"
+        "     'panels': 4, 'nodes_per_panel': 16}])\n"
+        "report = cp.bounded_solution(cp.SampledDensity(s, s.nodes ** 3 + 0.5))\n"
+        "assert report.residual < 1e-12, report.residual\n"
+    )
+    src = str(Path(cauchypot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

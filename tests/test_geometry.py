@@ -264,6 +264,32 @@ def test_touching_arcs_rejected():
         ])
 
 
+def test_curved_arcs_that_meet_between_nodes_rejected():
+    # unit circles about -1 and +1 touch at 0, which is no node of either arc:
+    # the node polylines stay 6e-4 apart, the arcs themselves meet
+    def pair(shift):
+        return [{"type": "circular", "center": [-shift, 0], "radius": 1.0,
+                 "theta_a": -0.5, "theta_b": 0.5, "panels": 1, "nodes_per_panel": 16},
+                {"type": "circular", "center": [shift, 0], "radius": 1.0,
+                 "theta_a": np.pi - 0.5, "theta_b": np.pi + 0.5,
+                 "panels": 1, "nodes_per_panel": 16}]
+
+    with pytest.raises(DisjointnessError):
+        build_arc_system(pair(1.0))
+    build_arc_system(pair(1.001))
+    # segments that cross a 4-node circular arc past its middle chord (x = 0.97),
+    # or touch it at its middle, where there is no node
+    arc = {"type": "circular", "radius": 1.0, "theta_a": -0.6, "theta_b": 0.6,
+           "panels": 1, "nodes_per_panel": 4}
+    for a, b in (([0.99, 0.0], [1.5, 0.0]), ([1.0, -0.3], [1.0, 0.3])):
+        with pytest.raises(DisjointnessError):
+            build_arc_system([arc, {"type": "segment", "a": a, "b": b,
+                                    "panels": 1, "nodes_per_panel": 4}])
+    # between the chord and the arc, clear of both
+    build_arc_system([arc, {"type": "segment", "a": [0.98, -0.01], "b": [0.98, 0.01],
+                            "panels": 1, "nodes_per_panel": 4}])
+
+
 def test_overlapping_collinear_segments_rejected():
     with pytest.raises(DisjointnessError):
         build_arc_system([

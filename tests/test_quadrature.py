@@ -1,5 +1,7 @@
 """Quadrature rules and principal values against independent references."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from cauchypot.errors import (
     GeometryError,
     InterpolationRequiredError,
 )
+from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import singular_S
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
@@ -23,7 +26,7 @@ from cauchypot.quadrature import (
 )
 from cauchypot.sampling import SampledDensity
 
-from oracles import pv_arc_theta_dense, pv_segment_dense
+from oracles import chebyshev_T, chebyshev_U, pv_arc_theta_dense, pv_segment_dense
 
 
 def circle(n_per=16, panels=8, r=1.0):
@@ -195,8 +198,7 @@ def test_pv_inverse_sqrt_chebyshev_identity_at_x_point_four():
 
 
 def test_pv_smooth_density_against_dense_reference():
-    # generic smooth densities on the graded grid converge at 2nd order;
-    # only the weighted endpoint classes are spectral
+    # a smooth density against a dense Gauss-Legendre reference
     seg = segment(256)
     f = SampledDensity(seg, np.exp(seg.nodes.real))
     k = int(np.argmin(np.abs(seg.nodes - 0.25)))
@@ -335,6 +337,100 @@ def test_pv_on_segment_beside_a_chain_arc():
         pv_integrate(ones, sysm, n_seg + 3)
     with pytest.raises(GeometryError):
         singular_S(ones, at_indices=[0, n_seg + 3])
+
+
+# ---------------------------------------------------------------------------
+# the spectral operator on graded arcs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("density_class", ["inverse_sqrt", "sqrt", "smooth"])
+def test_S_of_T3_plus_iT4_on_a_segment_in_closed_form(density_class):
+    # T_n / sqrt(1 - x^2) -> -i U_{n-1}; sqrt(1 - x^2) T_n = sqrt(1 - x^2)
+    # (U_n - U_{n-2}) / 2 with sqrt(1 - x^2) U_{n-1} -> i T_n; and pi*i*S p =
+    # p(x) log((1 - x)/(1 + x)) + int (p(t) - p(x))/(t - x) dt for a polynomial p
+    seg = segment(64)
+    x = seg.nodes.real
+    T, U = (lambda n: chebyshev_T(n, x)), (lambda n: chebyshev_U(n, x))
+    p, w = T(3) + 1j * T(4), np.sqrt(1.0 - x ** 2)
+    if density_class == "inverse_sqrt":
+        f, want = p / w, -1j * (U(2) + 1j * U(3))
+    elif density_class == "sqrt":
+        f, want = p * w, 0.5j * (T(4) - T(2) + 1j * (T(5) - T(3)))
+    else:
+        divided = 8 * x ** 2 - 10 / 3 + 1j * (16 * x ** 3 - 32 * x / 3)
+        f, want = p, (p * np.log((1 - x) / (1 + x)) + divided) / (1j * np.pi)
+    got = singular_S(SampledDensity(seg, f), density_class=density_class).values
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@st.composite
+def arc_systems(draw):
+    """1-3 segments or circular arcs (sweeps of either sign), arc k in the
+    disk of radius 0.6 about 3k, each with 48-160 nodes."""
+    specs = []
+    for k in range(draw(st.integers(1, 3))):
+        c = 3.0 * k + draw(st.complex_numbers(max_magnitude=0.1, allow_nan=False,
+                                              allow_infinity=False))
+        angle = draw(st.floats(0.0, 2.0 * np.pi))
+        nodes = {"panels": 1, "nodes_per_panel": draw(st.integers(48, 160))}
+        if draw(st.booleans()):
+            a = c + 0.5 * cmath.exp(1j * angle)
+            specs.append({"type": "segment", "a": [a.real, a.imag],
+                          "b": [2 * c.real - a.real, 2 * c.imag - a.imag], **nodes})
+        else:
+            sweep = draw(st.floats(0.3, 4.5)) * draw(st.sampled_from([-1.0, 1.0]))
+            specs.append({"type": "circular", "center": [c.real, c.imag],
+                          "radius": draw(st.floats(0.2, 0.5)), "theta_a": angle,
+                          "theta_b": angle + sweep, **nodes})
+    return build_arc_system(specs)
+
+
+polynomials = st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                          allow_infinity=False), min_size=1, max_size=6)
+
+
+def poly_values(host, coeffs):
+    return np.polynomial.polynomial.polyval(host.nodes - np.mean(host.nodes), coeffs)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(host=arc_systems())
+def test_S_annihilates_the_kernel_on_random_arc_systems(host):
+    # S t^k / sqrtR+ = 0 for k < N, to rounding in the size of the density
+    # (which grows like m at the end nodes); the dense pole subtraction
+    # with its 4th-order diagonal missed by up to 7e-8 of it
+    s_plus = host.sqrtR_plus_nodes()
+    for k in range(host.n_arcs):
+        f = host.nodes ** k / s_plus
+        sf = singular_S(SampledDensity(host, f), density_class="inverse_sqrt").values
+        assert np.max(np.abs(sf)) <= 1e-13 * np.max(np.abs(f))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(host=arc_systems(), coeffs=polynomials)
+def test_bounded_solution_residual_on_random_arc_systems(host, coeffs):
+    # S f0 = g + P at every node, to 1e-14 m |g| with m nodes on the finest
+    # arc; the dense pole subtraction left up to 1.4e-7 m |g| on such systems
+    g = poly_values(host, coeffs)
+    report = bounded_solution(SampledDensity(host, g))
+    m = max(arc.n_nodes for arc in host.arcs)
+    assert report.residual <= 1e-14 * m * np.max(np.abs(g))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(host=arc_systems(), coeffs=polynomials, seed=st.integers(0, 2 ** 16),
+       density_class=st.sampled_from(["smooth", "inverse_sqrt", "sqrt"]))
+def test_S_is_linear_on_random_arc_systems(host, coeffs, seed, density_class):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(host.n_nodes) + 1j * rng.standard_normal(host.n_nodes)
+    h = poly_values(host, coeffs)
+    alpha, beta = complex(*rng.standard_normal(2)), 0.7 - 0.2j
+
+    def S(v):
+        return singular_S(SampledDensity(host, v), density_class=density_class).values
+
+    want = alpha * S(f) + beta * S(h)
+    assert np.max(np.abs(S(alpha * f + beta * h) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_neville_exact_on_quadratic_ladder():
