@@ -171,6 +171,9 @@ SUBSET_HOSTS = {
     "circle": circle(8, 8),
     "ellipse": build_closed_contour(
         {"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 8}),
+    # enough nodes that smooth data take the interpolated closed-contour route
+    "ellipse 512": build_closed_contour(
+        {"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 64}),
     "segment": segment(64),
     "two segments": build_arc_system([
         {"type": "segment", "a": [-2, 0], "b": [-0.5, 0], "panels": 4, "nodes_per_panel": 8},
@@ -194,14 +197,20 @@ SUBSET_HOSTS = {
     name=st.sampled_from(sorted(SUBSET_HOSTS)),
     density_class=st.sampled_from(["smooth", "inverse_sqrt", "sqrt"]),
     seed=st.integers(0, 2 ** 16),
+    smooth=st.booleans(),
     picks=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
                     st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12)),
 )
-def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, picks):
+def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, smooth, picks):
     host = SUBSET_HOSTS[name]
     rng = np.random.default_rng(seed)
-    f = SampledDensity(host, rng.standard_normal(host.n_nodes)
-                       + 1j * rng.standard_normal(host.n_nodes))
+    if smooth:  # a degree-8 trigonometric polynomial in the node parameter
+        k = np.arange(-8, 9)
+        x = np.exp(1j * np.outer(host_rule(host).params, k))
+        f = SampledDensity(host, x @ (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)))
+    else:
+        f = SampledDensity(host, rng.standard_normal(host.n_nodes)
+                           + 1j * rng.standard_normal(host.n_nodes))
     # a chain arc has no principal-value rule: only graded nodes are valid
     n_ok = host.arcs[0].n_nodes if name == "segment and chain" else host.n_nodes
     full = singular_S(f, at_indices=np.arange(n_ok), density_class=density_class)

@@ -19,6 +19,7 @@ from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
     barycentric_interpolate,
     build_rule,
+    closed_node_derivative,
     host_rule,
     integrate,
     neville,
@@ -431,6 +432,128 @@ def test_S_is_linear_on_random_arc_systems(host, coeffs, seed, density_class):
 
     want = alpha * S(f) + beta * S(h)
     assert np.max(np.abs(S(alpha * f + beta * h) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the operator on closed contours
+# ---------------------------------------------------------------------------
+
+ROUNDED_POLYGONS = (
+    [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]],
+    [[0.0, 0.0], [2.0, 0.0], [2.5, 1.0], [0.0, 1.5]],
+)
+
+
+@st.composite
+def closed_contours(draw, kinds=("circle", "ellipse", "polygon")):
+    """(kind, host): a circle (random center and radius), a 2:1 or 1.5:0.75
+    ellipse (random center) or one of two rounded polygons, 64-1024 nodes."""
+    kind = draw(st.sampled_from(kinds))
+    c = draw(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
+    nodes = {"panels": 8, "nodes_per_panel": draw(st.sampled_from([8, 16, 32, 64, 128]))}
+    if kind == "circle":
+        spec = {"type": "circle", "center": [c.real, c.imag],
+                "radius": draw(st.floats(0.2, 3.0))}
+    elif kind == "ellipse":
+        spec = {"type": "ellipse", "center": [c.real, c.imag],
+                "semi_axes": draw(st.sampled_from([[2.0, 1.0], [1.5, 0.75]]))}
+    else:
+        spec = {"type": "rounded-polygon", "corner_radius": 0.2,
+                "vertices": draw(st.sampled_from(ROUNDED_POLYGONS))}
+    return kind, build_closed_contour({**spec, **nodes})
+
+
+def trig_polynomial(host, degree, seed):
+    """Frequencies k, |k| <= degree (capped below n/2), their random
+    coefficients, and the trigonometric polynomial at the nodes."""
+    degree = min(degree, host.n_nodes // 2 - 1)
+    rng = np.random.default_rng(seed)
+    k = np.arange(-degree, degree + 1)
+    c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    return k, c, np.exp(1j * np.outer(host.params, k)) @ c
+
+
+def closed_S(host, values):
+    return singular_S(SampledDensity(host, values)).values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(host=closed_contours(kinds=("circle",)), degree=st.integers(0, 511),
+       seed=st.integers(0, 2 ** 16))
+def test_S_of_fourier_modes_on_circles_is_sgn_plus(host, degree, seed):
+    _, host = host
+    # on a circle S e^{ik theta} = e^{ik theta} for k >= 0 and -e^{ik theta}
+    # for k < 0, to rounding that grows with the node count
+    k, c, g = trig_polynomial(host, degree, seed)
+    want = np.exp(1j * np.outer(host.params, k)) @ (np.where(k >= 0, 1.0, -1.0) * c)
+    assert np.max(np.abs(closed_S(host, g) - want)) <= 1e-15 * host.n_nodes * np.max(np.abs(g))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(host=closed_contours(), degree=st.integers(0, 511), seed=st.integers(0, 2 ** 16))
+def test_S_is_an_involution_on_random_closed_contours(host, degree, seed):
+    # a trigonometric polynomial of degree below n/2 is resolved on a circle
+    # or an ellipse, so S(S g) = g to rounding; a rounded polygon's curvature
+    # jumps where the corner arcs meet the edges, which limits the rule to
+    # algebraic convergence, measured below 1/n at 64-1024 nodes
+    kind, host = host
+    _, _, g = trig_polynomial(host, degree, seed)
+    back = closed_S(host, closed_S(host, g))
+    tol = 4.0 / host.n_nodes if kind == "polygon" else 1e-12
+    assert np.max(np.abs(back - g)) <= tol * np.max(np.abs(g))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(host=closed_contours(), degree=st.integers(0, 511), seed=st.integers(0, 2 ** 16))
+def test_S_is_linear_on_random_closed_contours(host, degree, seed):
+    _, host = host
+    _, _, f = trig_polynomial(host, degree, seed)
+    rng = np.random.default_rng(seed + 1)
+    h = rng.standard_normal(host.n_nodes) + 1j * rng.standard_normal(host.n_nodes)
+    alpha, beta = complex(*rng.standard_normal(2)), 0.7 - 0.2j
+    want = alpha * closed_S(host, f) + beta * closed_S(host, h)
+    got = closed_S(host, alpha * f + beta * h)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def pole_subtracted_rows(host, f):
+    """S f as the trapezoid rule on (f(t) - f(x))/(t - x) dt plus pi*i f(x),
+    the diagonal term f'(x) dt, summed row by row over all nodes."""
+    t, w = host.nodes, host.complex_weights
+    df = closed_node_derivative(host, f)
+    out = np.empty(t.size, dtype=complex)
+    for lo in range(0, t.size, 64):
+        rows = np.arange(lo, min(lo + 64, t.size))
+        on = (np.arange(rows.size), rows)
+        den = t - t[rows, None]
+        den[on] = 1.0
+        reg = (f - f[rows, None]) / den
+        reg[on] = df[rows]
+        out[rows] = (np.sum(w * reg, axis=1) + f[rows] * 1j * np.pi) / (1j * np.pi)
+    return out
+
+
+@pytest.mark.parametrize("name", ["polygon", "under-resolved ellipse"])
+def test_S_falls_back_to_the_pole_subtracted_rows(name):
+    # data on a rounded polygon are not smooth in the node parameter (the
+    # curvature jumps), and degree-200 Laurent data on a 512-node ellipse
+    # are far from resolved (S misses P - Q by about max|g|), so S is the
+    # directly summed rows, bit for bit
+    rng = np.random.default_rng(3)
+    p, q = (rng.standard_normal(201) + 1j * rng.standard_normal(201) for _ in range(2))
+    if name == "polygon":
+        host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
+                                     "vertices": ROUNDED_POLYGONS[0], "panels": 8,
+                                     "nodes_per_panel": 512})
+        p, q = p[:33], q[:33]
+    else:
+        host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                     "panels": 8, "nodes_per_panel": 64})
+    t = host.nodes
+    g = (np.polynomial.polynomial.polyval(t / np.max(np.abs(t)), p)
+         + np.polynomial.polynomial.polyval(np.min(np.abs(t)) / t, q) - q[0])
+    assert singular_S(SampledDensity(host, g)).values.tobytes() == \
+        pole_subtracted_rows(host, g).tobytes()
 
 
 def test_neville_exact_on_quadratic_ladder():
