@@ -20,7 +20,9 @@ weighted Gauss rule of the graded grid; mislabelling costs accuracy but not
 correctness.  On closed contours the classes coincide.
 
 S itself is ``quadrature.singular_values``, the same one ``pv_integrate``
-uses: pole subtraction on closed contours, and on graded arcs a Chebyshev
+uses: on closed contours the periodic Hilbert transform (an FFT sign
+multiplier) plus an interpolated smooth remainder, with the pole-subtracted
+rows where the remainder is not resolved; on graded arcs a Chebyshev
 transform of each arc's own part plus an interpolated smooth remainder.
 S at a node of a chain arc raises ``GeometryError``.
 

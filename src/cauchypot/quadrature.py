@@ -22,16 +22,20 @@ int g(t)/sqrt((t-a)(b-t)) dt (first kind) or int g(t)*sqrt((t-a)(b-t)) dt
 (second kind).
 
 ``singular_values`` is the one S (``pv_integrate`` is pi*i times S at one
-node).  On a closed contour it subtracts the pole: the subtracted kernel
-integral is pi*i, and the diagonal of the regularized part is the Fourier
-derivative of the density.  On a graded arc it is spectral, O(m log m) per
-arc: in the parameter tau = cos(u) the arc's own part is diagonal in
-Chebyshev coefficients (length-2m FFTs), and what is left is smooth -- the
-other arcs' sums and, on a circular arc, the difference between its kernel
-and 1/(tau - tau_x) -- so it is summed at a few first-kind proxy points and
-interpolated.  Every Cauchy sum over nodes goes through one blocked kernel,
-``_cauchy_sum``: the closed-contour S, the arc remainders, and the Cauchy
-transform and its one-sided limits.  ``neville`` is the one extrapolation
+node).  Both hosts split S into a part diagonal in a spectral basis and a
+smooth remainder summed at a few proxy nodes and interpolated.  On a closed
+contour the first part is the periodic Hilbert transform, one FFT sign
+multiplier; the remainder at a proxy is the pole-subtracted row there
+(subtracted kernel integral pi*i, the Fourier derivative of the density on
+the diagonal) minus that transform.  Data or curves that leave the
+remainder unresolved (rounded polygons, node chains, rough data) get the
+pole-subtracted rows at every requested node.  On a graded arc, in the
+parameter tau = cos(u), the arc's own part is diagonal in Chebyshev
+coefficients (length-2m FFTs), and the remainder is the other arcs' sums
+and, on a circular arc, the difference between its kernel and
+1/(tau - tau_x).  Every Cauchy sum over nodes goes through one blocked
+kernel, ``_cauchy_sum``: the closed-contour rows, the arc remainders, and
+the Cauchy transform and its one-sided limits.  ``neville`` is the one extrapolation
 tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
 ``fd4_arc_derivative`` and ``analytic_pole_kernel`` are kept as public
 helpers; S no longer uses them.
@@ -450,12 +454,56 @@ def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None)
 
 
 def _S_closed(host, values, idx):
-    t = host.nodes
+    """S on a closed contour: the periodic Hilbert transform plus a smooth remainder.
+
+    z'(th)/(z(th) - z(ph)) = cot((th - ph)/2)/2 + K(th, ph) with K smooth on
+    a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
+    smooth in ph.  When f is resolved (its top n/8 modes below 1e-14 max|f|),
+    R is taken at p = 32, 64, ... nested proxy nodes as the pole-subtracted
+    row there minus H f, until its top p/8 modes are below 1e-14 max|f| too,
+    and trigonometrically interpolated.  Otherwise, and past p = n/4 or
+    when p does not divide n, the requested rows are summed directly, the
+    probed ones reused.  The choice depends on the host and f only, so S at
+    any ``idx`` is bitwise the full S.
+    """
+    n = values.size
+    t, w = host.nodes, host.complex_weights
     df = closed_node_derivative(host, values)
-    fx = values[idx]
-    total = _cauchy_sum(t, t[idx], values, fx, host.complex_weights,
-                        diag=idx, diag_value=df[idx])
-    return (total + fx * 1j * np.pi) / (1j * np.pi)
+
+    def rows(r):
+        total = _cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r])
+        return (total + values[r] * 1j * np.pi) / (1j * np.pi)
+
+    fk = np.fft.fft(values)
+    sgn = np.sign(np.fft.fftfreq(n))
+    if n % 2 == 0:
+        sgn[n // 2] = 0.0
+    hf = np.fft.ifft(sgn * fk)
+    row = np.empty(n, dtype=complex)
+    done = np.zeros(n, dtype=bool)
+    tol = 1e-14 * np.max(np.abs(values))
+    p = 32 if _top_modes(fk) <= n * tol else n  # under-resolved f: no probes
+    while 4 * p <= n and n % p == 0:
+        proxy = np.arange(0, n, n // p)
+        new = proxy[~done[proxy]]
+        row[new], done[new] = rows(new), True
+        c = np.fft.fft(row[proxy] - hf[proxy])
+        if _top_modes(c) <= p * tol:
+            h = p // 2
+            pad = np.zeros(n, dtype=complex)
+            pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
+            pad[h] = pad[n - h] = 0.5 * c[h]
+            return (hf + np.fft.ifft(pad) * (n / p))[idx]
+        p *= 2
+    new = np.unique(idx[~done[idx]])
+    row[new] = rows(new)
+    return row[idx]
+
+
+def _top_modes(c):
+    """max |c_k| over the highest eighth of the frequencies of a DFT c."""
+    m = c.size
+    return np.max(np.abs(c[7 * m // 16:m - 7 * m // 16]))
 
 
 def _S_arcs(host, values, idx, density_class):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from cauchypot import quadrature
 from cauchypot.errors import (
     AlignmentError,
     EndpointSingularityError,
@@ -554,6 +555,27 @@ def test_S_falls_back_to_the_pole_subtracted_rows(name):
          + np.polynomial.polynomial.polyval(np.min(np.abs(t)) / t, q) - q[0])
     assert singular_S(SampledDensity(host, g)).values.tobytes() == \
         pole_subtracted_rows(host, g).tobytes()
+
+
+def test_S_on_a_circle_sums_few_rows(monkeypatch):
+    # on a circle the remainder S f - H f is the mean of f, so zero-mean data
+    # leave only rounding and the first 32 proxies settle it
+    counted = []
+    kernel = quadrature._cauchy_sum
+
+    def counting(t, z, *args, **kwargs):
+        counted.append(z.size)
+        return kernel(t, z, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_cauchy_sum", counting)
+    host = circle(512, 8)
+    k, c, g = trig_polynomial(host, 40, 11)
+    g = g - np.mean(g)
+    got = closed_S(host, g)
+    want = np.exp(1j * np.outer(host.params, k)) @ (np.where(k > 0, 1.0, -1.0) * c)
+    want = want - np.mean(want)
+    assert 0 < sum(counted) <= 64
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
 def test_neville_exact_on_quadratic_ladder():

@@ -11,10 +11,11 @@ commands; circle, ellipse, rounded-polygon and node-chain curves; segment,
 two-segment, circular, segment+circular and segment+chain arc systems
 (curve recovery included on several arcs, where the ladder shrinks toward
 each arc's endpoints; one chain is C-shaped, a 3/4 circle that rays from
-inside it cross again); csv and binary potential grids; runs that exit 65;
-and four schema errors.  For every config the script compares each output
-file, stdout, stderr and the exit code, prints one line, and exits 1 if
-anything differs.  It needs the standard library and numpy only.
+inside it cross again); csv and binary potential grids; runs that exit 65,
+one of them on an ellipse rhs that is not resolved; and four schema errors.
+For every config the script compares each output file, stdout, stderr and
+the exit code, prints one line, and exits 1 if anything differs.  It needs
+the standard library and numpy only.
 """
 
 import argparse
@@ -76,10 +77,10 @@ def write_inputs(work):
             {"nx": xs.size, "ny": xs.size, "x0": xs[0], "y0": xs[0], "h": h}))
         specs[f"{name}-binary"] = {"family": "binary", "data": str(work / f"{name}.f64"),
                                    "header": str(work / f"{name}.json")}
-    k = np.arange(256)
-    rows = "".join(f"{i},{np.cos(0.1 * i):.17g},{np.sin(0.3 * i):.17g}\n" for i in k)
-    (work / "rhs.csv").write_text("index,re_f,im_f\n" + rows)
-    specs["rhs-csv"] = {"family": "csv", "path": str(work / "rhs.csv")}
+    for n, name in ((256, "rhs"), (512, "rhs-512")):
+        rows = "".join(f"{i},{np.cos(0.1 * i):.17g},{np.sin(0.3 * i):.17g}\n" for i in range(n))
+        (work / f"{name}.csv").write_text("index,re_f,im_f\n" + rows)
+        specs[f"{name}-csv"] = {"family": "csv", "path": str(work / f"{name}.csv")}
     return specs
 
 
@@ -95,6 +96,11 @@ def configs(inputs):
                                     "rhs": mono(1), "tolerances": {"residual": 1e-3}},
         "solve-closed-csv-rhs": {"command": "solve-closed", "geometry": {"curve": CIRCLE},
                                  "rhs": inputs["rhs-csv"]},
+        # cos(0.1 k) + i sin(0.3 k) at node k jumps where the node order wraps: the
+        # rhs is not resolved, so S sums every row, and the residual 7e-4 exits 65
+        "solve-closed-under-resolved": {"command": "solve-closed",
+                                        "geometry": {"curve": ELLIPSE},
+                                        "rhs": inputs["rhs-512-csv"]},
         "solve-closed-exit-65": {"command": "solve-closed", "geometry": {"curve": CIRCLE},
                                  "rhs": mono(40), "tolerances": {"residual": 1e-15}},
         "solve-arcs-segment": {"command": "solve-arcs", "geometry": {"arcs": [SEGMENT]},
