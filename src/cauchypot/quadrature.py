@@ -458,13 +458,12 @@ def _S_closed(host, values, idx):
 
     z'(th)/(z(th) - z(ph)) = cot((th - ph)/2)/2 + K(th, ph) with K smooth on
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
-    smooth in ph.  When f is resolved (its top n/8 modes below 1e-14 max|f|),
-    R is taken at p = 32, 64, ... nested proxy nodes as the pole-subtracted
-    row there minus H f, until its top p/8 modes are below 1e-14 max|f| too,
-    and trigonometrically interpolated.  Otherwise, and past p = n/4 or
-    when p does not divide n, the requested rows are summed directly, the
-    probed ones reused.  The choice depends on the host and f only, so S at
-    any ``idx`` is bitwise the full S.
+    smooth in ph.  When f and z' are resolved, R is taken at p = 32, 64, ...
+    nested proxy nodes as the pole-subtracted row there minus H f until it
+    is resolved too, and trigonometrically interpolated.  Otherwise, and
+    past p = n/4 or when p does not divide n, the requested rows are summed
+    directly, the probed ones reused.  The choice depends on the host and f
+    only, so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
     t, w = host.nodes, host.complex_weights
@@ -481,14 +480,16 @@ def _S_closed(host, values, idx):
     hf = np.fft.ifft(sgn * fk)
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
-    tol = 1e-14 * np.max(np.abs(values))
-    p = 32 if _top_modes(fk) <= n * tol else n  # under-resolved f: no probes
+    scale = np.max(np.abs(values))
+    dz = host.dz_dtheta
+    # rough data, or a curve with corners, leave R rough: no probes
+    p = 32 if _resolved(fk, scale) and _resolved(np.fft.fft(dz), np.max(np.abs(dz))) else n
     while 4 * p <= n and n % p == 0:
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]
         row[new], done[new] = rows(new), True
         c = np.fft.fft(row[proxy] - hf[proxy])
-        if _top_modes(c) <= p * tol:
+        if _resolved(c, scale):
             h = p // 2
             pad = np.zeros(n, dtype=complex)
             pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
@@ -500,10 +501,11 @@ def _S_closed(host, values, idx):
     return row[idx]
 
 
-def _top_modes(c):
-    """max |c_k| over the highest eighth of the frequencies of a DFT c."""
+def _resolved(c, scale):
+    """Whether the DFT c of m samples has its top eighth of frequencies below
+    1e-14 * scale (a size of the samples)."""
     m = c.size
-    return np.max(np.abs(c[7 * m // 16:m - 7 * m // 16]))
+    return np.max(np.abs(c[7 * m // 16:m - 7 * m // 16])) <= 1e-14 * m * scale
 
 
 def _S_arcs(host, values, idx, density_class):
