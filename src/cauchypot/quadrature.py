@@ -27,16 +27,17 @@ smooth remainder summed at a few proxy nodes and interpolated.  On a closed
 contour the first part is the periodic Hilbert transform, one FFT sign
 multiplier; the remainder at a proxy is the pole-subtracted row there
 (subtracted kernel integral pi*i, the Fourier derivative of the density on
-the diagonal) minus that transform.  Data or curves that leave the
-remainder unresolved (rounded polygons, node chains, rough data) get the
+the diagonal) minus that transform.  Curves or data that leave the
+remainder unresolved (rounded polygons, rough data) get the
 pole-subtracted rows at every requested node.  On a graded arc, in the
 parameter tau = cos(u), the arc's own part is diagonal in Chebyshev
 coefficients (length-2m FFTs), and the remainder is the other arcs' sums
 and, on a circular arc, the difference between its kernel and
 1/(tau - tau_x).  Every Cauchy sum over nodes goes through one blocked
 kernel, ``_cauchy_sum``: the closed-contour rows, the arc remainders, and
-the Cauchy transform and its one-sided limits.  ``neville`` is the one extrapolation
-tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
+the Cauchy transform and its one-sided limits.  ``neville`` is the one
+extrapolation tableau, fed by ``normal_ladder`` for boundary limits and
+curve recovery.
 ``fd4_arc_derivative`` and ``analytic_pole_kernel`` are kept as public
 helpers; S no longer uses them.
 """
@@ -496,7 +497,7 @@ def _S_closed(host, values, idx):
             pad[h] = pad[n - h] = 0.5 * c[h]
             return (hf + np.fft.ifft(pad) * (n / p))[idx]
         p *= 2
-    new = np.unique(idx[~done[idx]])
+    new = idx[~done[idx]]
     row[new] = rows(new)
     return row[idx]
 

@@ -207,7 +207,8 @@ def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, 
     if smooth:  # a degree-8 trigonometric polynomial in the node parameter
         k = np.arange(-8, 9)
         x = np.exp(1j * np.outer(host_rule(host).params, k))
-        f = SampledDensity(host, x @ (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)))
+        c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        f = SampledDensity(host, x @ c)
     else:
         f = SampledDensity(host, rng.standard_normal(host.n_nodes)
                            + 1j * rng.standard_normal(host.n_nodes))

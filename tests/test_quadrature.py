@@ -578,6 +578,23 @@ def test_S_on_a_circle_sums_few_rows(monkeypatch):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
+def test_S_at_one_polygon_node_sums_one_row(monkeypatch):
+    # the corners leave the remainder rough whatever the data, so even
+    # smooth data in the node parameter are not probed
+    counted = []
+    kernel = quadrature._cauchy_sum
+    monkeypatch.setattr(quadrature, "_cauchy_sum",
+                        lambda t, z, *args, **kwargs: counted.append(z.size)
+                        or kernel(t, z, *args, **kwargs))
+    host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
+                                 "vertices": ROUNDED_POLYGONS[0], "panels": 8,
+                                 "nodes_per_panel": 128})
+    g = np.exp(3j * host.params)
+    one = singular_S(SampledDensity(host, g), at_indices=5)
+    assert counted == [1]
+    assert np.complex128(one).tobytes() == pole_subtracted_rows(host, g)[5].tobytes()
+
+
 def test_neville_exact_on_quadratic_ladder():
     a, b, c, h = 0.7 - 0.2j, -1.3 + 0.5j, 2.5 + 1.0j, 0.1
     hs = h / 2.0 ** np.arange(3)
