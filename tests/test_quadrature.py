@@ -496,7 +496,7 @@ def test_S_is_an_involution_on_random_closed_contours(host, degree, seed):
     # a trigonometric polynomial of degree below n/2 is resolved on a circle
     # or an ellipse, so S(S g) = g to rounding; a rounded polygon's curvature
     # jumps where the corner arcs meet the edges, which limits the rule to
-    # algebraic convergence, measured below 1/n at 64-1024 nodes
+    # algebraic convergence, measured below 2/n at 64-1024 nodes
     kind, host = host
     _, _, g = trig_polynomial(host, degree, seed)
     back = closed_S(host, closed_S(host, g))
