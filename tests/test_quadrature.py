@@ -557,9 +557,9 @@ def test_S_falls_back_to_the_pole_subtracted_rows(name):
         pole_subtracted_rows(host, g).tobytes()
 
 
-def test_S_on_a_circle_sums_few_rows(monkeypatch):
-    # on a circle the remainder S f - H f is the mean of f, so zero-mean data
-    # leave only rounding and the first 32 proxies settle it
+@pytest.fixture
+def counted_rows(monkeypatch):
+    """The target counts of every ``_cauchy_sum`` call, in call order."""
     counted = []
     kernel = quadrature._cauchy_sum
 
@@ -568,30 +568,31 @@ def test_S_on_a_circle_sums_few_rows(monkeypatch):
         return kernel(t, z, *args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_cauchy_sum", counting)
+    return counted
+
+
+def test_S_on_a_circle_sums_few_rows(counted_rows):
+    # on a circle the remainder S f - H f is the mean of f, so zero-mean data
+    # leave only rounding and the first 32 proxies settle it
     host = circle(512, 8)
     k, c, g = trig_polynomial(host, 40, 11)
     g = g - np.mean(g)
     got = closed_S(host, g)
     want = np.exp(1j * np.outer(host.params, k)) @ (np.where(k > 0, 1.0, -1.0) * c)
     want = want - np.mean(want)
-    assert 0 < sum(counted) <= 64
+    assert 0 < sum(counted_rows) <= 64
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
-def test_S_at_one_polygon_node_sums_one_row(monkeypatch):
+def test_S_at_one_polygon_node_sums_one_row(counted_rows):
     # the corners leave the remainder rough whatever the data, so even
     # smooth data in the node parameter are not probed
-    counted = []
-    kernel = quadrature._cauchy_sum
-    monkeypatch.setattr(quadrature, "_cauchy_sum",
-                        lambda t, z, *args, **kwargs: counted.append(z.size)
-                        or kernel(t, z, *args, **kwargs))
     host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
                                  "vertices": ROUNDED_POLYGONS[0], "panels": 8,
                                  "nodes_per_panel": 128})
     g = np.exp(3j * host.params)
     one = singular_S(SampledDensity(host, g), at_indices=5)
-    assert counted == [1]
+    assert counted_rows == [1]
     assert np.complex128(one).tobytes() == pole_subtracted_rows(host, g)[5].tobytes()
 
 
