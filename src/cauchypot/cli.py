@@ -41,7 +41,6 @@ from .errors import (
 )
 from .geometry import ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
 from .potential import (
-    PotentialField,
     _write_grid_csv,
     detect_point_masses,
     equilibrium_density,
@@ -65,20 +64,12 @@ _COMMANDS = (
 )
 
 
-class _ConfigError(Exception):
-    """Schema-level complaint, annotated with the offending config key."""
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key
-
-
 @contextmanager
 def _section(name):
     """Tag the errors raised while reading one top-level config section."""
     try:
         yield
-    except (_ConfigError, CauchypotError) as exc:
+    except CauchypotError as exc:
         exc.section = name
         raise
 
@@ -138,18 +129,18 @@ def _pairs(values):
 def _geometry(config, kind=(ClosedContour, ArcSystem)):
     spec = config.get("geometry")
     if not isinstance(spec, dict):
-        raise _ConfigError("config needs a 'geometry' mapping", key="geometry")
+        raise SchemaError("config needs a 'geometry' mapping", key="geometry")
     host = parse_geometry(spec)
     if not isinstance(host, kind):
         family = "a closed-contour" if kind is ClosedContour else "an arc-system"
-        raise _ConfigError(f"{config['command']} needs {family} geometry", key="geometry")
+        raise SchemaError(f"{config['command']} needs {family} geometry", key="geometry")
     return host
 
 
 @_section("rhs")
 def _rhs_values(spec, host):
     if not isinstance(spec, dict):
-        raise _ConfigError("config needs an 'rhs' mapping", key="rhs")
+        raise SchemaError("config needs an 'rhs' mapping", key="rhs")
     family = spec.get("family")
     t = host.nodes
     if family == "monomial":
@@ -167,7 +158,7 @@ def _rhs_values(spec, host):
     if family == "csv":
         path = spec.get("path")
         if not path:
-            raise _ConfigError("csv rhs needs a 'path'", key="rhs")
+            raise SchemaError("csv rhs needs a 'path'", key="rhs")
         # accept both the 3-column density table and the 6-column solution
         # table, so solver outputs feed straight back in as right-hand sides
         with open(path, newline="") as fh:
@@ -175,7 +166,7 @@ def _rhs_values(spec, host):
         if ncols >= 6:
             return read_solution_csv(path, host=host)
         return read_density_csv(path, expect=host.n_nodes)
-    raise _ConfigError(f"unknown rhs family {family!r}", key="rhs")
+    raise SchemaError(f"unknown rhs family {family!r}", key="rhs")
 
 
 def _degree(spec):
@@ -185,26 +176,26 @@ def _degree(spec):
             return int(spec["degree"])
     except (KeyError, TypeError, ValueError):
         pass
-    raise _ConfigError(f"{spec['family']} rhs needs an integer degree >= 0",
-                       key="degree" if "degree" in spec else "rhs")
+    raise SchemaError(f"{spec['family']} rhs needs an integer degree >= 0",
+                      key="degree" if "degree" in spec else "rhs")
 
 
 @_section("potential")
 def _potential_evaluator(spec):
     """Analytic potential families for the normal-derivative recovery."""
     if not isinstance(spec, dict):
-        raise _ConfigError("config needs a 'potential' mapping", key="potential")
+        raise SchemaError("config needs a 'potential' mapping", key="potential")
     family = spec.get("family")
     if family == "point-charges":
         try:
             charges = [(complex(float(c[0]), float(c[1])), float(c[2]))
                        for c in spec.get("charges", [])]
         except (TypeError, ValueError, IndexError):
-            raise _ConfigError("'charges' must be a list of [re, im, mass] numbers",
-                               key="charges") from None
+            raise SchemaError("'charges' must be a list of [re, im, mass] numbers",
+                              key="charges") from None
         if not charges:
-            raise _ConfigError("point-charges needs a nonempty 'charges' list",
-                               key="potential")
+            raise SchemaError("point-charges needs a nonempty 'charges' list",
+                              key="potential")
 
         def u(z):
             return math.fsum(m * math.log(abs(z - a)) for a, m in charges)
@@ -214,14 +205,14 @@ def _potential_evaluator(spec):
         r = _real(spec, "radius", 1.0)
         c = _as_complex(spec.get("center", [0.0, 0.0]), "center")
         if r <= 0:
-            raise _ConfigError("disk-wall needs a positive radius", key="potential")
+            raise SchemaError("disk-wall needs a positive radius", key="potential")
         # equilibrium potential of the uniform circle measure
         return lambda z: max(math.log(abs(z - c)), math.log(r))
     if family == "segment-green":
         a = _real(spec, "a", -1.0)
         b = _real(spec, "b", 1.0)
         if not b > a:
-            raise _ConfigError("segment-green needs b > a", key="potential")
+            raise SchemaError("segment-green needs b > a", key="potential")
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
         def u(z):
@@ -230,24 +221,24 @@ def _potential_evaluator(spec):
             return math.log(abs(w + s)) + math.log(half / 2.0)
 
         return u
-    raise _ConfigError(f"unknown potential family {family!r}", key="potential")
+    raise SchemaError(f"unknown potential family {family!r}", key="potential")
 
 
 @_section("potential")
 def _potential_grid(spec):
     if not isinstance(spec, dict):
-        raise _ConfigError("config needs a 'potential' mapping", key="potential")
+        raise SchemaError("config needs a 'potential' mapping", key="potential")
     family = spec.get("family")
     if family == "csv":
         if "path" not in spec:
-            raise _ConfigError("csv potential needs a 'path'", key="potential")
+            raise SchemaError("csv potential needs a 'path'", key="potential")
         return read_potential_csv(spec["path"])
     if family == "binary":
         if "data" not in spec or "header" not in spec:
-            raise _ConfigError("binary potential needs 'data' and 'header' "
-                               "paths", key="potential")
+            raise SchemaError("binary potential needs 'data' and 'header' "
+                              "paths", key="potential")
         return read_potential_binary(spec["data"], spec["header"])
-    raise _ConfigError(
+    raise SchemaError(
         f"grid commands need a csv or binary potential, not {family!r}",
         key="potential")
 
@@ -280,7 +271,7 @@ def _cmd_solve_arcs(config, out_dir, tols):
     tol = tols["residual"]
     host = _geometry(config, ArcSystem)
     if "defect_poly" not in config:
-        raise _ConfigError(
+        raise SchemaError(
             "solve-arcs requires 'defect_poly' (kernel polynomial "
             "coefficients as [re, im] pairs; use [[0.0, 0.0]] for none)",
             key="defect_poly")
@@ -367,8 +358,8 @@ def _cmd_recover_area(config, out_dir, tols):
 def _cmd_point_masses(config, out_dir, tols):
     grid = _potential_grid(config.get("potential"))
     if config.get("cluster_radius") is None:
-        raise _ConfigError("point-masses needs 'cluster_radius'",
-                           key="cluster_radius")
+        raise SchemaError("point-masses needs 'cluster_radius'",
+                          key="cluster_radius")
     radius = _real(config, "cluster_radius")
     overlaps = []
     with warnings.catch_warnings(record=True) as rec:
@@ -391,7 +382,7 @@ def _cmd_point_masses(config, out_dir, tols):
 def _cmd_equilibrium(config, out_dir, tols):
     shape = config.get("shape")
     if not isinstance(shape, dict):
-        raise _ConfigError("equilibrium needs a 'shape' mapping", key="shape")
+        raise SchemaError("equilibrium needs a 'shape' mapping", key="shape")
     with _section("shape"):
         est = equilibrium_density(shape)
     host = est.curve_density.host
@@ -420,17 +411,17 @@ def run_config(config, out_dir, tol=None, serial=False):
     """Run one validated config mapping; returns the process exit code."""
     command = config.get("command")
     if command not in _COMMANDS:
-        raise _ConfigError(
+        raise SchemaError(
             f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}",
             key="command")
     tolerances = config.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        raise _ConfigError("'tolerances' must be a mapping", key="tolerances")
+        raise SchemaError("'tolerances' must be a mapping", key="tolerances")
     for name, val in tolerances.items():
         if not (isinstance(val, (int, float)) and not isinstance(val, bool)
                 and val > 0):
-            raise _ConfigError(f"tolerance '{name}' must be positive",
-                               key="tolerances")
+            raise SchemaError(f"tolerance '{name}' must be positive",
+                              key="tolerances")
     flag_tol = tol if tol is not None else tolerances.get("flag")
     tols = {
         "residual": float(tol if tol is not None
@@ -480,7 +471,7 @@ def main(argv=None):
         # the config parsed fine, the numerics just cannot be done on it
         print(f"numerical resolution failure: {exc}", file=sys.stderr)
         return 65
-    except (_ConfigError, GeometryError, SchemaError, AlignmentError, KeyError,
+    except (GeometryError, SchemaError, AlignmentError, KeyError,
             TypeError, OSError) as exc:
         line = _key_line(text, getattr(exc, "key", None), getattr(exc, "section", None))
         print(f"{args.config}:{line}: {exc}", file=sys.stderr)

@@ -46,10 +46,9 @@ class BoundaryLimitError(CauchypotError):
 
 
 class SchemaError(CauchypotError):
-    """Configuration file violates the expected schema."""
+    """Config or input file violates the expected schema; ``key`` names the
+    config key at fault."""
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, message, key=None):
         super().__init__(message)
-        self.line = line
+        self.key = key

@@ -28,7 +28,10 @@ A host is a frozen record of its inputs: the nodes and their parameter
 derivative on a contour, the arcs of a system.  Everything derived from them
 (tangents, arclength, the diameter and the near cutoff it scales, R and the
 plus values of sqrt(R)) is a ``functools.cached_property``, computed on first
-use and then kept, since the inputs never change.
+use and then kept, since the inputs never change.  Panels split no node
+set: a contour or arc keeps only the panel count of its spec, and
+``local_panel_length`` (total length over that count) scales the normal
+offsets of boundary limits and curve recovery.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class _Host:
 
     @property
     def local_panel_length(self):
-        return self.total_length / max(len(self.panels), 1)
+        return self.total_length / self.n_panels
 
     @cached_property
     def _diameter(self):
@@ -125,8 +128,8 @@ class ClosedContour(_Host):
         Node positions z(theta_k), theta_k = 2*pi*k/n.
     dz_dtheta : complex ndarray
         Parameter derivative at the nodes.
-    panels : tuple of (start, stop)
-        Contiguous node-index ranges; bookkeeping for panel-based rules.
+    n_panels : int
+        Panel count of the spec, which sets ``local_panel_length``.
 
     Derived once: ``params`` (the theta_k), ``tangents`` (the unit field of
     dz_dtheta), ``arclength`` (cumulative at the nodes, starting at 0),
@@ -135,7 +138,7 @@ class ClosedContour(_Host):
 
     nodes: np.ndarray
     dz_dtheta: np.ndarray
-    panels: tuple
+    n_panels: int
     kind: str = "closed"
 
     def __post_init__(self):
@@ -340,16 +343,9 @@ def _point_set_diameter(pts):
     return float(np.max(d))
 
 
-def _make_panels(n_nodes, n_panels):
-    if n_panels <= 0 or n_nodes % n_panels:
-        raise GeometryError(f"{n_nodes} nodes do not split into {n_panels} panels")
-    per = n_nodes // n_panels
-    return tuple((k * per, (k + 1) * per) for k in range(n_panels))
-
-
 def _closed_from_parametrization(pos, dpos, n_nodes, n_panels):
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    return ClosedContour(pos(theta), dpos(theta), _make_panels(n_nodes, n_panels))
+    return ClosedContour(pos(theta), dpos(theta), n_panels)
 
 
 def build_closed_contour(spec):
@@ -452,7 +448,7 @@ def _rounded_polygon(verts, radius, n_nodes, n_panels):
     c, turn = center[arc], turn[arc]
     nodes[arc] = c + radius * np.exp(1j * (ang0[arc] + np.copysign(loc[arc] / radius, turn)))
     dz[arc] = 1j * (nodes[arc] - c) / radius * np.sign(turn) * scale
-    return ClosedContour(nodes, dz, _make_panels(n_nodes, n_panels))
+    return ClosedContour(nodes, dz, n_panels)
 
 
 def _closed_node_chain(nodes, n_panels):
@@ -460,7 +456,7 @@ def _closed_node_chain(nodes, n_panels):
     if n < _MIN_NODES:
         raise ResolutionError(f"closed contour needs >= {_MIN_NODES} nodes, got {n}")
     dz = _periodic_fd4(nodes) / (2.0 * np.pi / n)
-    return ClosedContour(nodes, dz, _make_panels(n, 1 if n % n_panels else n_panels))
+    return ClosedContour(nodes, dz, 1 if n % n_panels else n_panels)
 
 
 def _periodic_fd4(values):
@@ -504,7 +500,7 @@ class Arc:
     interior points.
 
     The fields are what the builders lay down: the nodes with their
-    parameters, derivative, tangents and arclength, the panels, the branch
+    parameters, derivative, tangents and arclength, the panel count, the branch
     ray angle and, on circular arcs, the circle.  ``sqrt_own_plus`` is
     derived once: the plus boundary values at the nodes of this arc's own
     factor s_j(z) = sqrt((z - a)(z - b)), normalized s_j(z)/z -> 1 at
@@ -520,7 +516,7 @@ class Arc:
     tangents: np.ndarray
     arclength: np.ndarray
     total_length: float
-    panels: tuple
+    n_panels: int
     # ray angle of the Moebius closed form: phase((m - a)/(m - b)), m mid-arc
     _psi: float = 0.0
     # circular-arc data
@@ -602,13 +598,17 @@ def _sqrt_ray(xi, psi):
     return np.sqrt(xi * rot) * cmath.exp(0.5j * (psi - math.pi))
 
 
+def _angles(m):
+    """The angles u of the m first-kind points tau = cos(u), in node order."""
+    k = np.arange(m, 0, -1)
+    return (2.0 * k - 1.0) * np.pi / (2.0 * m)
+
+
 def _cheb_grading(m):
-    """First-kind Chebyshev parameters, ascending, with sin(u) attached."""
+    """First-kind Chebyshev parameters, ascending in (-1, 1)."""
     if m < 2:
         raise ResolutionError("an arc needs at least 2 interior nodes")
-    k = np.arange(m, 0, -1)
-    u = (2.0 * k - 1.0) * np.pi / (2.0 * m)
-    return np.cos(u)  # ascending in (-1, 1)
+    return np.cos(_angles(m))
 
 
 def _build_segment_arc(a, b, m, n_panels):
@@ -624,8 +624,7 @@ def _build_segment_arc(a, b, m, n_panels):
     return Arc(
         kind="segment", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=tangents, arclength=arclen, total_length=abs(b - a),
-        panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
-        _psi=cmath.phase((mid - a) / (mid - b)),
+        n_panels=n_panels, _psi=cmath.phase((mid - a) / (mid - b)),
     )
 
 
@@ -645,14 +644,13 @@ def _build_circular_arc(center, radius, theta_a, theta_b, m, n_panels):
     return Arc(
         kind="circular", a=a, b=b, nodes=nodes, params=tau, dt_dtau=dt,
         tangents=dt / np.abs(dt), arclength=radius * abs(sweep) * 0.5 * (tau + 1.0),
-        total_length=radius * abs(sweep),
-        panels=_make_panels(m, n_panels) if m % n_panels == 0 else ((0, m),),
+        total_length=radius * abs(sweep), n_panels=n_panels,
         _psi=cmath.phase((mid_on_arc - a) / (mid_on_arc - b)),
         center=center, radius=radius, theta_a=theta_a, theta_b=theta_b,
     )
 
 
-def _build_chain_arc(points, n_panels):
+def _build_chain_arc(points):
     pts = np.asarray(points, dtype=complex)
     if pts.size < 8:
         raise ResolutionError("chain arc needs at least 8 points")
@@ -667,8 +665,7 @@ def _build_chain_arc(points, n_panels):
         params=2.0 * s_all[1:-1] / s_all[-1] - 1.0,
         dt_dtau=np.gradient(pts, 2.0 / (pts.size - 1))[1:-1],
         tangents=tang_all[1:-1],
-        arclength=s_all[1:-1], total_length=float(s_all[-1]),
-        panels=((0, nodes.size),),
+        arclength=s_all[1:-1], total_length=float(s_all[-1]), n_panels=1,
     )
 
 
@@ -734,7 +731,8 @@ class ArcSystem(_Host):
     def __post_init__(self):
         if not self.arcs:
             raise GeometryError("arc system needs at least one arc")
-        if np.unique(self.endpoints).size < self.endpoints.size:
+        ends = np.sort(self.endpoints)
+        if np.any(ends[1:] == ends[:-1]):
             raise DegenerateSystemError("coincident arc endpoints make R degenerate")
         self._check_disjoint()
 
@@ -770,11 +768,9 @@ class ArcSystem(_Host):
     def total_length(self):
         return sum(arc.total_length for arc in self.arcs)
 
-    @cached_property
-    def panels(self):
-        return tuple((base + p0, base + p1)
-                     for arc, base in zip(self.arcs, self.arc_offsets)
-                     for (p0, p1) in arc.panels)
+    @property
+    def n_panels(self):
+        return sum(arc.n_panels for arc in self.arcs)
 
     @cached_property
     def _points(self):
@@ -854,7 +850,7 @@ def build_arc_system(arc_specs):
                 _real(spec, "theta_a"), _real(spec, "theta_b"), m, n_panels))
         elif kind == "chain":
             pts = [_as_complex(p, "nodes") for p in spec["nodes"]]
-            arcs.append(_build_chain_arc(pts, n_panels))
+            arcs.append(_build_chain_arc(pts))
         else:
             raise GeometryError(f"unknown arc kind {kind!r}")
     return ArcSystem(arcs=tuple(arcs))

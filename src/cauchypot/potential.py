@@ -466,11 +466,13 @@ def equilibrium_density(shape):
 
 def read_potential_csv(path):
     """Read a potential grid from CSV rows x,y,u forming a full lattice."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"potential CSV is not a table of numbers: {exc}") from None
     if data.shape[1] != 3:
         raise SchemaError("potential CSV needs exactly the columns x,y,u")
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
+    xs, ys = _axis(data[:, 0]), _axis(data[:, 1])
     nx, ny = xs.size, ys.size
     if nx < 2 or ny < 2:
         raise SchemaError("potential lattice needs at least 2 points per axis")
@@ -487,6 +489,14 @@ def read_potential_csv(path):
     iy = np.searchsorted(ys, data[:, 1])
     vals[iy, ix] = data[:, 2]
     return PotentialField(values=vals, x0=float(xs[0]), y0=float(ys[0]), h=h)
+
+
+def _axis(coords):
+    """The distinct values of ``coords``, ascending."""
+    v = np.sort(coords)
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
 
 
 def write_potential_csv(path, fieldobj):
@@ -507,13 +517,20 @@ def _write_grid_csv(path, column, values, x0, y0, h):
 
 def read_potential_binary(data_path, header_path):
     """Row-major little-endian float64 lattice with a JSON header."""
-    with open(header_path, "r", encoding="ascii") as fh:
-        hdr = json.load(fh)
+    try:
+        with open(header_path, "r", encoding="ascii") as fh:
+            hdr = json.load(fh)
+    except ValueError as exc:
+        raise SchemaError(f"potential header is not JSON: {exc}") from None
     try:
         nx, ny = int(hdr["nx"]), int(hdr["ny"])
         x0, y0, h = float(hdr["x0"]), float(hdr["y0"]), float(hdr["h"])
     except KeyError as exc:
         raise SchemaError(f"potential header missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"potential header fields must be numbers: {exc}") from None
+    if nx < 1 or ny < 1 or not h > 0:
+        raise SchemaError("potential header needs nx, ny >= 1 and h > 0")
     raw = np.fromfile(data_path, dtype="<f8")
     if raw.size != nx * ny:
         raise SchemaError(

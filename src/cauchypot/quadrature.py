@@ -1,8 +1,10 @@
 """Quadrature rules matched to the node layouts of the geometry layer.
 
-Closed contours carry the periodic trapezoid rule, which is spectrally
-accurate for smooth integrands.  Graded arcs carry the rule induced by the
-cosine substitution t = t(cos u): with nodes at the first-kind Chebyshev
+Each host carries one rule over all its nodes, ``host_rule``.  Closed
+contours carry the periodic trapezoid rule, which is spectrally accurate
+for smooth integrands.  Chain arcs carry the composite trapezoid rule over
+their points.  Graded arcs carry the rule induced by the cosine
+substitution t = t(cos u): with nodes at the first-kind Chebyshev
 parameters the plain weights
 
     W0_j = (pi/m) * sin(u_j) * (dt/dtau)_j
@@ -12,14 +14,6 @@ values of the arc's own square-root factor turns the same sum into the
 first-kind Gauss-Chebyshev rule, exact for polynomial numerators.  This is
 what makes densities with inverse-square-root endpoint growth integrable to
 machine precision on the graded grid.
-
-Panel-level rules (``build_rule``) cover the reference constructions:
-trapezoid on a closed contour, Gauss-Legendre on a panel, and the two
-Gauss-Chebyshev families on straight segments.  The Chebyshev rules follow
-the usual convention that the endpoint weight function lives in the weights:
-samples supply the smooth cofactor g, and the rule returns
-int g(t)/sqrt((t-a)(b-t)) dt (first kind) or int g(t)*sqrt((t-a)(b-t)) dt
-(second kind).
 
 ``singular_values`` is the one S (``pv_integrate`` is pi*i times S at one
 node).  Both hosts split S into a part diagonal in a spectral basis and a
@@ -56,42 +50,31 @@ from .errors import (
     GeometryError,
     InterpolationRequiredError,
 )
-from .geometry import Arc, ArcSystem, ClosedContour, _by_rows, _open_fd4
+from .geometry import ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4
 
 __all__ = [
     "QuadratureRule",
-    "build_rule",
     "host_rule",
     "integrate",
     "integrate_arclength",
     "pv_integrate",
     "fourier_derivative",
-    "barycentric_interpolate",
     "analytic_pole_kernel",
     "singular_values",
     "neville",
     "normal_ladder",
 ]
 
-RULE_KINDS = (
-    "uniform-trapezoid",
-    "gauss-legendre",
-    "first-kind-chebyshev",
-    "second-kind-chebyshev",
-)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights on a panel or a whole host.
+    """Nodes and weights over all nodes of a host.
 
     ``weights`` are the real magnitudes (arclength scale); ``dt_weights``
     carry the complex line element and are what ``integrate`` uses.  The two
     coincide on real segments.
     """
 
-    host: object
-    kind: str
     params: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
@@ -102,8 +85,6 @@ def host_rule(host):
     """The package-default rule over all nodes of a contour or arc system."""
     if isinstance(host, ClosedContour):
         return QuadratureRule(
-            host=host,
-            kind="uniform-trapezoid",
             params=host.params,
             nodes=host.nodes,
             weights=host.arclength_weights,
@@ -112,8 +93,6 @@ def host_rule(host):
     if isinstance(host, ArcSystem):
         w = np.concatenate([_arc_weights(arc) for arc in host.arcs])
         return QuadratureRule(
-            host=host,
-            kind="graded-cosine",
             params=np.concatenate([arc.params for arc in host.arcs]),
             nodes=host.nodes,
             weights=np.abs(w),
@@ -131,77 +110,6 @@ def _arc_weights(arc):
     pts = np.concatenate(([arc.a], arc.nodes, [arc.b]))
     d = np.diff(pts)
     return 0.5 * (d[:-1] + d[1:])
-
-
-def _panel_ends(panel):
-    """Endpoints of a straight panel given as a pair or a segment arc."""
-    if isinstance(panel, Arc):
-        if panel.kind != "segment":
-            raise GeometryError("Chebyshev rules require a straight segment panel")
-        return panel.a, panel.b
-    try:
-        a, b = panel
-    except (TypeError, ValueError):
-        raise GeometryError(f"cannot read panel endpoints from {panel!r}")
-    return complex(a), complex(b)
-
-
-def build_rule(panel, kind, order):
-    """A reference rule of the requested kind mapped onto the panel.
-
-    Panels are endpoint pairs ``(a, b)`` or segment arcs for the Gauss
-    kinds, and a closed contour for the trapezoid kind (which reuses the
-    contour's own nodes, so ``order`` must match).
-    """
-    if kind not in RULE_KINDS:
-        raise GeometryError(f"unknown rule kind {kind!r}")
-    if order < 2:
-        raise ValueError("rule order must be at least 2")
-
-    if kind == "uniform-trapezoid":
-        if not isinstance(panel, ClosedContour):
-            raise GeometryError("the trapezoid kind applies to closed contours")
-        if order != panel.n_nodes:
-            raise GeometryError(
-                f"trapezoid rule uses the contour's own {panel.n_nodes} nodes"
-            )
-        return host_rule(panel)
-
-    if kind == "gauss-legendre":
-        xi, w = np.polynomial.legendre.leggauss(order)
-        if isinstance(panel, Arc) and panel.kind == "circular":
-            # map through the arc's angular parametrization
-            th = panel.theta_a + (panel.theta_b - panel.theta_a) * 0.5 * (xi + 1.0)
-            nodes = panel.center + panel.radius * np.exp(1j * th)
-            dt = 1j * panel.radius * np.exp(1j * th) \
-                * 0.5 * (panel.theta_b - panel.theta_a)
-            dt_w = w * dt
-            return QuadratureRule(panel, kind, xi, nodes, np.abs(dt_w), dt_w)
-        a, b = _panel_ends(panel)
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (a + b) + half * xi
-        dt_w = w * half
-        return QuadratureRule(panel, kind, xi, nodes, np.abs(dt_w), dt_w)
-
-    a, b = _panel_ends(panel)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    m = order
-    if kind == "first-kind-chebyshev":
-        k = np.arange(1, m + 1)
-        xi = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * m))   # descending
-        # weight function 1/sqrt((t-a)(b-t)); the |half| factors cancel
-        w = np.full(m, np.pi / m)
-        dt_w = w * (half / abs(half))
-    else:
-        k = np.arange(1, m + 1)
-        xi = np.cos(k * np.pi / (m + 1.0))                 # descending
-        w = (np.pi / (m + 1.0)) * np.sin(k * np.pi / (m + 1.0)) ** 2
-        # weight function sqrt((t-a)(b-t)) contributes |half|, dt another half
-        dt_w = w * half * abs(half)
-        w = w * abs(half) ** 2
-    nodes = mid + half * xi
-    return QuadratureRule(panel, kind, xi, nodes, w, dt_w)
 
 
 def _values_of(samples, n=None):
@@ -266,28 +174,6 @@ def fd4_arc_derivative(arc, values):
     df_du = _open_fd4(values, -np.pi / m)
     dt_du = -arc.dt_dtau * arc.sin_u
     return df_du / dt_du
-
-
-def barycentric_interpolate(arc, values, tau_eval):
-    """Barycentric interpolation from first-kind Chebyshev nodes.
-
-    Weights for the first-kind points are (-1)^j sin(u_j) (up to scale).
-    ``tau_eval`` may hit a node exactly; the sample is returned unchanged.
-    """
-    if not arc.graded:
-        raise GeometryError("interpolation needs cosine-graded nodes")
-    tau = arc.params
-    m = tau.size
-    j = np.arange(m)
-    # ascending tau means descending u; the alternating sign pattern survives
-    w = ((-1.0) ** j) * arc.sin_u
-    d = np.atleast_1d(np.asarray(tau_eval, dtype=float))[:, None] - tau
-    hit = d == 0.0
-    q = w / np.where(hit, 1.0, d)
-    out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
-    on = hit.any(axis=1)
-    out[on] = values[np.argmax(hit[on], axis=1)]
-    return out if np.ndim(tau_eval) else complex(out[0])
 
 
 def neville(d):
@@ -528,7 +414,7 @@ def _S_arcs(host, values, idx, density_class):
                          else _arc_weights(arc) * values[off[a]:off[a + 1]]
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     out = np.empty(idx.size, dtype=complex)
-    for a in np.unique(arc_of):
+    for a in np.flatnonzero(np.bincount(arc_of)):
         arc, (g, q) = host.arcs[a], folds[a]
         rows = arc_of == a
         pv = _own_pv(g, arc.params, density_class)
@@ -544,12 +430,6 @@ def _S_arcs(host, values, idx, density_class):
 # ---------------------------------------------------------------------------
 # the spectral operator on graded arcs
 # ---------------------------------------------------------------------------
-
-def _angles(m):
-    """The angles u of the m first-kind points tau = cos(u), in node order."""
-    k = np.arange(m, 0, -1)
-    return (2.0 * k - 1.0) * np.pi / (2.0 * m)
-
 
 def _trig_coeffs(v, odd=False):
     """c_n, n < m, with v = sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``.

@@ -82,21 +82,36 @@ def write_density_csv(path, values):
             w.writerow([k, f"{v.real:.17g}", f"{v.imag:.17g}"])
 
 
-def read_density_csv(path, expect=None):
+def _read_rows(path, header, what, cols):
+    """One complex array per pair of the float columns ``cols`` (real part,
+    imaginary part) of a CSV table whose rows are indexed 0, 1, 2, ...
+
+    A wrong header, a row that is short or has a cell that is not a number
+    (named by its file line), or a gap in the index raises AlignmentError.
+    """
     idx, vals = [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if [h.strip() for h in header] != _DENSITY_HEADER:
-            raise AlignmentError(f"unexpected density header {header!r}")
+        first = next(r, [])
+        if [h.strip() for h in first] != header:
+            raise AlignmentError(f"unexpected {what} header {first!r}")
         for row in r:
-            idx.append(int(row[0]))
-            vals.append(complex(float(row[1]), float(row[2])))
+            try:
+                idx.append(int(row[0]))
+                vals.append([float(row[c]) for c in cols])
+            except (IndexError, ValueError):
+                raise AlignmentError(f"{what} row at line {r.line_num} is not "
+                                     f"{len(header)} numbers: {row!r}") from None
     if idx != list(range(len(idx))):
-        raise AlignmentError("density rows are not a contiguous index range")
-    if expect is not None and len(vals) != expect:
-        raise AlignmentError(f"host has {expect} nodes but file has {len(vals)} rows")
-    return np.array(vals, dtype=complex)
+        raise AlignmentError(f"{what} rows are not a contiguous index range")
+    return np.array(vals, dtype=float).reshape(-1, len(cols)).view(complex).T.copy()
+
+
+def read_density_csv(path, expect=None):
+    (vals,) = _read_rows(path, _DENSITY_HEADER, "density", (1, 2))
+    if expect is not None and vals.size != expect:
+        raise AlignmentError(f"host has {expect} nodes but file has {vals.size} rows")
+    return vals
 
 
 def write_solution_csv(path, host, values):
@@ -107,20 +122,7 @@ def write_solution_csv(path, host, values):
 def read_solution_csv(path, host=None):
     """Read samples from a solution table, checking node alignment if a host
     is supplied (positions must match to ~1e-12 of the host diameter)."""
-    idx, zs, fs = [], [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if [h.strip() for h in header] != _SOLUTION_HEADER:
-            raise AlignmentError(f"unexpected solution header {header!r}")
-        for row in r:
-            idx.append(int(row[0]))
-            zs.append(complex(float(row[2]), float(row[3])))
-            fs.append(complex(float(row[4]), float(row[5])))
-    if idx != list(range(len(idx))):
-        raise AlignmentError("solution rows are not a contiguous index range")
-    zs = np.array(zs)
-    fs = np.array(fs)
+    zs, fs = _read_rows(path, _SOLUTION_HEADER, "solution", (2, 3, 4, 5))
     if host is not None:
         if zs.size != host.n_nodes:
             raise AlignmentError(

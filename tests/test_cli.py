@@ -7,12 +7,15 @@ point as shipped.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cauchypot
 from cauchypot.cauchy import singular_S
 from cauchypot.cli import main
 from cauchypot.geometry import build_arc_system, build_closed_contour
@@ -22,6 +25,7 @@ from cauchypot.sampling import (
     read_density_csv,
     read_solution_csv,
     write_density_csv,
+    write_solution_csv,
 )
 
 CIRCLE = {"type": "circle", "radius": 1.0, "center": [0.0, 0.0],
@@ -552,6 +556,101 @@ def test_point_masses_needs_cluster_radius(tmp_path, capsys):
     code, _ = run_cli(tmp_path, config)
     assert code == 64
     assert "cluster_radius" in capsys.readouterr().err
+
+
+def _rewrite(path, edit):
+    """Replace the lines of a text file by edit(lines)."""
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+
+def _rhs_table(tmp_path, table, edit):
+    """A csv rhs for SEGMENT written by the package, then edited."""
+    host = build_arc_system([SEGMENT])
+    path = tmp_path / "rhs.csv"
+    if table == "density":
+        write_density_csv(path, host.nodes)
+    elif table == "solution":
+        write_solution_csv(path, host, host.nodes)
+    else:  # "shifted": a solution table on a host half a unit off SEGMENT
+        shifted = build_arc_system([dict(SEGMENT, a=[-1.0, 0.5], b=[1.0, 0.5])])
+        write_solution_csv(path, shifted, host.nodes)
+    _rewrite(path, edit)
+    return {"command": "moments", "geometry": {"arcs": [SEGMENT]},
+            "rhs": {"family": "csv", "path": str(path)}}
+
+
+def _grid(tmp_path, table, edit):
+    """A recover-area config on a csv or binary grid, its table then edited."""
+    if table == "grid-csv":
+        path, _ = grid_csv(tmp_path)
+        _rewrite(path, edit)
+        return {"command": "recover-area", "potential": {"family": "csv", "path": str(path)}}
+    field = PotentialField(values=np.zeros((4, 4)), h=0.1)
+    write_potential_binary(tmp_path / "u.f64", tmp_path / "u.json", field)
+    _rewrite(tmp_path / "u.json", edit)
+    return {"command": "recover-area", "potential": {
+        "family": "binary", "data": str(tmp_path / "u.f64"), "header": str(tmp_path / "u.json")}}
+
+
+# (table, edit of its lines, words of the message)
+MALFORMED_TABLES = {
+    "density-cell": ("density", lambda r: r[:2] + ["1,abc,0"] + r[3:], "line 3"),
+    "density-short-row": ("density", lambda r: r[:2] + ["1,0.5"] + r[3:], "line 3"),
+    "density-header": ("density", lambda r: ["index,re,im"] + r[1:], "density header"),
+    "density-index-gap": ("density", lambda r: r[:2] + r[3:], "contiguous"),
+    "density-row-count": ("density", lambda r: r[:-1], "file has 255 rows"),
+    "solution-cell": ("solution", lambda r: r[:2] + ["1,0,0,0,x,0"] + r[3:], "line 3"),
+    "solution-header": ("solution", lambda r: ["index,s,x,y,re_f,im_f"] + r[1:],
+                        "solution header"),
+    "solution-off-host": ("shifted", lambda r: r, "deviate from host nodes"),
+    "grid-csv-cell": ("grid-csv", lambda r: r[:2] + ["-1.45,-1.5,abc"] + r[3:],
+                      "not a table of numbers"),
+    "grid-header-nx": ("grid-binary",
+                       lambda r: ['{"nx": "two", "ny": 4, "x0": 0, "y0": 0, "h": 0.1}'],
+                       "must be numbers"),
+    "grid-header-json": ("grid-binary", lambda r: ["nx = 4"], "not JSON"),
+    # nx * ny matches the 16 values, but the lattice has no shape
+    "grid-header-negative-nx": ("grid-binary",
+                                lambda r: ['{"nx": -4, "ny": -4, "x0": 0, "y0": 0, "h": 0.1}'],
+                                "nx, ny >= 1"),
+    "grid-header-zero-h": ("grid-binary",
+                           lambda r: ['{"nx": 4, "ny": 4, "x0": 0, "y0": 0, "h": 0}'], "h > 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_input_table_exits_64(tmp_path, capsys, case):
+    table, edit, words = MALFORMED_TABLES[case]
+    make = _grid if table.startswith("grid") else _rhs_table
+    code, _ = run_cli(tmp_path, make(tmp_path, table, edit))
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert words in err
+    assert "Traceback" not in err
+
+
+def test_runs_leave_numpy_ma_unimported(tmp_path):
+    # importing numpy.ma (which np.unique pulls in) costs about 15 ms of a run
+    path, _ = grid_csv(tmp_path)
+    configs = [
+        {"command": "bounded", "geometry": {"arcs": [SEGMENT]},
+         "rhs": {"family": "chebyshev-T", "degree": 2}},
+        {"command": "recover-area", "potential": {"family": "csv", "path": str(path)}},
+    ]
+    args = []
+    for k, config in enumerate(configs):
+        (tmp_path / f"{k}.json").write_text(json.dumps(config))
+        args += [str(tmp_path / f"{k}.json"), str(tmp_path / f"out{k}")]
+    script = ("import sys\n"
+              "from cauchypot.cli import main\n"
+              "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    assert main(['--config', config, '--out', out]) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cauchypot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

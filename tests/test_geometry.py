@@ -567,6 +567,22 @@ def test_R_coefficients_are_monic_product():
     assert np.max(np.abs(sysm.R_coeffs - ref)) < 1e-12
 
 
+def test_local_panel_length_is_length_over_panel_count():
+    c = circle(panels=8, per=16)
+    assert c.local_panel_length == c.total_length / 8
+    # 8 panels do not divide a 100-node chain, which then counts one
+    th = 2 * np.pi * np.arange(100) / 100
+    chain = build_closed_contour({"type": "node-chain", "panels": 8,
+                                  "nodes": np.stack([np.cos(th), np.sin(th)], axis=1).tolist()})
+    assert chain.local_panel_length == chain.total_length
+    # a segment counts its panels, a chain arc one whatever its spec says
+    x = np.linspace(2.0, 3.0, 40)
+    sysm = build_arc_system([
+        {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 4, "nodes_per_panel": 8},
+        {"type": "chain", "panels": 3, "nodes": np.stack([x, 0.2 * x * x - 2.0], axis=1).tolist()}])
+    assert sysm.local_panel_length == sysm.total_length / 5
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -123,6 +123,27 @@ def test_segment_potential_off_curve_matches_branch():
         assert abs(log_potential(sd, z) - segment_green(z)) <= 1e-12
 
 
+def arcsine(host):
+    """The unit-mass arcsine density on every segment of a system."""
+    rho = [1.0 / (math.pi * np.sqrt(np.abs(arc.nodes - arc.a) * np.abs(arc.b - arc.nodes)))
+           for arc in host.arcs]
+    return SampledDensity(host, np.concatenate(rho).astype(complex))
+
+
+@pytest.mark.parametrize("per", [4, 8, 16])
+def test_on_node_potential_adds_the_other_arc_in_closed_form(per):
+    # at the nodes of [-1, -0.3], the second segment [0.2, 1] adds its Green
+    # potential log(r/2) + log|w - sqrt(w^2 - 1)|, w = (x - 0.6)/r < -1, r = 0.4
+    left = {"type": "segment", "a": -1.0, "b": -0.3, "panels": 8, "nodes_per_panel": per}
+    right = {"type": "segment", "a": 0.2, "b": 1.0, "panels": 8, "nodes_per_panel": per}
+    alone = arcsine(build_arc_system([left]))
+    both = arcsine(build_arc_system([left, right]))
+    for x in alone.host.nodes:
+        w = (x.real - 0.6) / 0.4
+        green = math.log(0.2) + math.log(math.sqrt(w * w - 1.0) - w)
+        assert abs(log_potential(both, x) - log_potential(alone, x) - green) <= 1e-13
+
+
 def test_area_component_far_field():
     # gridded uniform disk density: exterior potential approaches mass*log|z|
     h = 0.02

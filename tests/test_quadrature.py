@@ -18,8 +18,6 @@ from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import singular_S
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
-    barycentric_interpolate,
-    build_rule,
     closed_node_derivative,
     host_rule,
     integrate,
@@ -45,104 +43,45 @@ def segment(m=128, a=-1.0, b=1.0):
 
 
 # ---------------------------------------------------------------------------
-# reference rules
+# host rules
 # ---------------------------------------------------------------------------
 
 def test_trapezoid_integrates_entire_integrand_to_zero():
     c = circle(8, 8)  # 64 nodes
-    rule = build_rule(c, "uniform-trapezoid", 64)
-    val = integrate(SampledDensity.from_function(c, lambda t: t), rule)
+    val = integrate(SampledDensity.from_function(c, lambda t: t), host_rule(c))
     assert abs(val) <= 1e-12
 
 
-def test_trapezoid_rule_requires_matching_order():
-    c = circle(8, 8)
-    with pytest.raises(GeometryError):
-        build_rule(c, "uniform-trapezoid", 32)
-
-
-def test_gauss_legendre_weights_sum_to_panel_length():
-    rule = build_rule((0.0, 2.0), "gauss-legendre", 8)
-    assert abs(np.sum(rule.weights) - 2.0) <= 1e-12
-
-
-def test_gauss_legendre_integrates_quadratic():
-    rule = build_rule((-1.0, 1.0), "gauss-legendre", 8)
-    val = integrate(rule.nodes ** 2, rule)
-    assert abs(val - 2.0 / 3.0) <= 1e-14
-
-
-def test_gauss_legendre_polynomial_exactness():
-    m = 6
-    rule = build_rule((-1.0, 1.0), "gauss-legendre", m)
-    for deg in range(2 * m):
-        exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-        val = integrate(rule.nodes ** deg, rule)
-        assert abs(val - exact) <= 1e-12 * max(1.0, abs(exact))
-
-
 def test_first_kind_chebyshev_nodes_and_weights():
-    rule = build_rule((-1.0, 1.0), "first-kind-chebyshev", 16)
-    k = np.arange(1, 17)
-    assert np.allclose(rule.params, np.cos((2 * k - 1) * np.pi / 32), atol=0, rtol=0)
-    assert np.allclose(rule.weights, np.pi / 16, atol=0, rtol=0)
+    # the graded rule on [-1, 1]: first-kind points, weights pi/m times the
+    # first-kind weight function sqrt(1 - t^2)
+    rule = host_rule(segment(16))
+    k = np.arange(16, 0, -1)
+    assert np.array_equal(rule.params, np.cos((2 * k - 1) * np.pi / 32))
+    assert np.allclose(rule.weights / np.sqrt(1.0 - rule.params ** 2), np.pi / 16,
+                       rtol=1e-15, atol=0)
 
 
 def test_first_kind_chebyshev_arcsine_integral():
-    # samples carry the smooth cofactor of 1/sqrt(1 - t^2), here g = 1
-    rule = build_rule((-1.0, 1.0), "first-kind-chebyshev", 16)
-    assert abs(integrate(np.ones(16), rule) - np.pi) <= 1e-12
-
-
-def test_second_kind_chebyshev_order4_weights():
-    rule = build_rule((-1.0, 1.0), "second-kind-chebyshev", 4)
-    k = np.arange(1, 5)
-    ref = (np.pi / 5.0) * np.sin(k * np.pi / 5.0) ** 2
-    assert np.allclose(rule.weights, ref, rtol=0, atol=1e-15)
+    rule = host_rule(segment(16))
+    assert abs(integrate(1.0 / np.sqrt(1.0 - rule.nodes.real ** 2), rule) - np.pi) <= 1e-12
 
 
 def test_second_kind_chebyshev_moment_matching():
-    # int t^j sqrt(1-t^2) dt = B(j/2 + 1/2, 3/2) for even j, 0 for odd j
-    m = 4
-    rule = build_rule((-1.0, 1.0), "second-kind-chebyshev", m)
-    for j in range(2 * m):
+    # int t^j sqrt(1-t^2) dt = B(j/2 + 1/2, 3/2) for even j, 0 for odd j; the
+    # graded rule is exact while t^j (1 - t^2) has degree below 2m
+    m = 8
+    rule = host_rule(segment(m))
+    t = rule.nodes.real
+    for j in range(2 * m - 2):
         exact = 0.0 if j % 2 else special.beta((j + 1) / 2.0, 1.5)
-        val = integrate(rule.nodes ** j, rule)
-        assert abs(val - exact) <= 1e-13
-
-
-def test_gauss_legendre_on_circular_arc_panel():
-    sys = build_arc_system(
-        [{"type": "circular", "radius": 1.0, "theta_a": 0.3, "theta_b": 1.9,
-          "panels": 2, "nodes_per_panel": 8}]
-    )
-    arc = sys.arcs[0]
-    rule = build_rule(arc, "gauss-legendre", 24)
-    # int dt = b - a and int t dt = (b^2 - a^2)/2 for any path
-    assert abs(integrate(np.ones(24), rule) - (arc.b - arc.a)) <= 1e-12
-    assert abs(integrate(rule.nodes, rule) - 0.5 * (arc.b ** 2 - arc.a ** 2)) <= 1e-12
-
-
-def test_chebyshev_rules_refuse_curved_panels():
-    sys = build_arc_system(
-        [{"type": "circular", "radius": 1.0, "theta_a": 0.3, "theta_b": 1.9,
-          "panels": 2, "nodes_per_panel": 8}]
-    )
-    with pytest.raises(GeometryError):
-        build_rule(sys.arcs[0], "first-kind-chebyshev", 8)
-
-
-def test_build_rule_rejects_tiny_order_and_unknown_kind():
-    with pytest.raises(ValueError):
-        build_rule((-1.0, 1.0), "gauss-legendre", 1)
-    with pytest.raises(GeometryError):
-        build_rule((-1.0, 1.0), "simpson", 4)
+        assert abs(integrate(t ** j * np.sqrt(1.0 - t * t), rule) - exact) <= 1e-13
 
 
 def test_integrate_checks_alignment():
-    rule = build_rule((-1.0, 1.0), "gauss-legendre", 8)
+    rule = host_rule(circle(8, 8))
     with pytest.raises(AlignmentError):
-        integrate(np.ones(9), rule)
+        integrate(np.ones(65), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +555,6 @@ def test_pole_lookup_errors():
         pv_integrate(ones, seg, 0.3123456 + 0.0j)
     with pytest.raises(IndexError):
         pv_integrate(ones, seg, 10_000)
-
-
-# ---------------------------------------------------------------------------
-# interpolation helper
-# ---------------------------------------------------------------------------
-
-def test_barycentric_reproduces_polynomials_off_nodes():
-    seg = segment(32)
-    arc = seg.arcs[0]
-    vals = 3.0 * arc.params ** 5 - arc.params ** 2 + 0.5j * arc.params
-    for x in (-0.77, 0.0, 0.313, 0.9):
-        p = barycentric_interpolate(arc, vals, x)
-        exact = 3.0 * x ** 5 - x ** 2 + 0.5j * x
-        assert abs(p - exact) <= 1e-12
-    # hitting a node returns the sample
-    assert barycentric_interpolate(arc, vals, float(arc.params[7])) == vals[7]
 
 
 def test_host_rule_weights_recover_total_length():
