@@ -22,8 +22,9 @@ correctness.  On closed contours the classes coincide.
 S itself is ``quadrature.singular_values``, the same one ``pv_integrate``
 uses: on closed contours the periodic Hilbert transform (an FFT sign
 multiplier) plus an interpolated smooth remainder, with the pole-subtracted
-rows where the remainder is not resolved; on graded arcs a Chebyshev
-transform of each arc's own part plus an interpolated smooth remainder.
+rows where the remainder is not resolved (their far field from multipole
+expansions from 1024 nodes on); on graded arcs a Chebyshev transform of
+each arc's own part plus an interpolated smooth remainder.
 S at a node of a chain arc raises ``GeometryError``.
 
 Near-boundary values of C f are taken by one-sided limits: compensated

@@ -74,6 +74,11 @@ _BLOCK = 1 << 18  # segment pairs per pass of the polyline contact test
 _ROW_BLOCK = 1 << 14
 
 
+def _ranges(start, count):
+    """start[i], start[i] + 1, ..., start[i] + count[i] - 1 for each i, in one array."""
+    return np.arange(np.sum(count)) + np.repeat(start - (np.cumsum(count) - count), count)
+
+
 def _by_rows(fn, n, width, dtype=float):
     """fn(rows) over slices of range(n) of about ``_ROW_BLOCK`` / ``width`` rows each."""
     out = np.empty(n, dtype=dtype)
@@ -200,16 +205,57 @@ class ClosedContour(_Host):
         zn = np.roll(z, -1)
         return 0.5 * float(np.sum(np.imag(np.conj(z) * zn)))
 
+    @cached_property
+    def _y_buckets(self):
+        """The node polyline's segments bucketed by the y-range each spans.
+
+        Buckets are rows of height h = sum |dy| / n (the mean height of a
+        segment) from the lowest node up; a segment is listed in every bucket
+        its closed y-range meets.  Returns y0, h, the first entry of each
+        bucket (one more at the end) and the segment indices.
+        """
+        y = self.nodes.imag
+        ny = np.roll(y, -1)
+        y0 = float(np.min(y))
+        h = float(np.sum(np.abs(ny - y))) / y.size or 1.0
+        b0 = np.floor((np.minimum(y, ny) - y0) / h).astype(np.int64)
+        count = np.floor((np.maximum(y, ny) - y0) / h).astype(np.int64) - b0 + 1
+        seg = np.repeat(np.arange(y.size), count)
+        bucket = _ranges(b0, count)
+        order = np.argsort(bucket, kind="stable")
+        first = np.searchsorted(bucket[order], np.arange(int(bucket.max()) + 2))
+        return y0, h, first, seg[order]
+
     def winding_number(self, z):
-        """Winding number of the node polyline about each point of ``z`` (O(n) each)."""
+        """Winding number of the node polyline about each point of ``z``.
+
+        Counts the signed crossings of each point's rightward horizontal ray
+        (D. Sunday's rule: a segment going up past the point's left counts
+        +1, one going down past its right -1).  Only the segments of the
+        point's y-bucket are tested, so a call costs O(n + P k) for P points
+        and k segments to a bucket.
+        """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
+        y0, h, first, seg = self._y_buckets
+        cell = np.clip(np.floor((flat.imag - y0) / h), 0, first.size - 2).astype(np.int64)
+        lo, count = first[cell], first[cell + 1] - first[cell]
+        p, q = self.nodes, np.roll(self.nodes, -1)
 
         def turns(rows):
-            v = self.nodes - flat[rows, None]
-            return np.rint(np.sum(np.angle(np.roll(v, -1, axis=1) / v), axis=1) / (2.0 * np.pi))
+            c = count[rows]
+            point = np.repeat(np.arange(c.size), c)
+            j = seg[_ranges(lo[rows], c)]
+            a, b = p[j], q[j]
+            x, y = flat.real[rows][point], flat.imag[rows][point]
+            side = (b.real - a.real) * (y - a.imag) - (x - a.real) * (b.imag - a.imag)
+            up = (a.imag <= y) & (b.imag > y) & (side > 0)
+            down = (b.imag <= y) & (a.imag > y) & (side < 0)
+            return (np.bincount(point[up], minlength=c.size)
+                    - np.bincount(point[down], minlength=c.size))
 
-        return _by_rows(turns, flat.size, self.n_nodes, int).reshape(z.shape)[()]
+        width = int(np.max(np.diff(first)))
+        return _by_rows(turns, flat.size, width, int).reshape(z.shape)[()]
 
     def contains(self, z):
         return self.winding_number(z) != 0
@@ -274,9 +320,8 @@ def _polyline_contacts(polylines, closed=False, circles=None):
     cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
     hits_i, hits_j = [], []
     for r, l, c in zip(np.split(rows, cuts), np.split(lo, cuts), np.split(count, cuts)):
-        first = np.cumsum(c) - c
         i = order[np.repeat(r, c)]
-        j = order[np.arange(c.sum()) - np.repeat(first - l, c)]
+        j = order[_ranges(l, c)]
         gap = np.abs(i - j)
         adjacent = (owner[i] == owner[j]) & ((gap == 1) | (closed & (gap == n - 1)))
         keep = (~adjacent & (xmin[i] <= xmax[j]) & (xmin[j] <= xmax[i])

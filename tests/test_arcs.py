@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 import cauchypot
@@ -25,6 +26,7 @@ from cauchypot.arcs import (
 from cauchypot.cauchy import singular_S
 from cauchypot.errors import GeometryError, ResolutionError
 from cauchypot.geometry import build_arc_system, build_closed_contour
+from cauchypot.quadrature import host_rule
 from cauchypot.sampling import SampledDensity
 
 from oracles import chebyshev_T, sL_union_dense
@@ -356,16 +358,81 @@ def test_bounded_solution_zero_data():
     assert np.max(np.abs(rep.solution.values)) == 0.0
 
 
+def scaled_moment_ratios(g, system):
+    """|m_k| over sum |w| |tau|^k |g/sqrtR+|, m_k the moments in the basis
+    tau^k, tau = (t - c)/rho, c the mean endpoint and rho the largest
+    distance from c to an endpoint; plain sums, no compensated summation."""
+    w = host_rule(system).dt_weights
+    ends = system.endpoints
+    tau = (system.nodes - ends.mean()) / np.max(np.abs(ends - ends.mean()))
+    base = g / system.sqrtR_plus_nodes()
+    return np.array([abs(np.sum(w * tau ** k * base))
+                     / np.sum(np.abs(w) * np.abs(tau) ** k * np.abs(base))
+                     for k in range(system.n_arcs)])
+
+
 def test_bounded_iff_moment_tolerance():
     sysm = two_intervals()
-    diam = sysm.diameter()
     for gv in (sysm.nodes**2, np.exp(sysm.nodes), sysm.nodes**2 - 1.3):
         g = SampledDensity(sysm, np.asarray(gv, complex))
         rep = bounded_solution(g)
-        tol = 1e-8 * np.max(np.abs(g.values)) * diam ** (sysm.n_arcs - 0.5)
-        assert rep.bounded == (np.max(np.abs(rep.moments)) <= tol)
+        assert rep.bounded == bool(np.all(scaled_moment_ratios(g.values, sysm) <= 1e-8))
         if rep.bounded:
             assert rep.residual <= 1e-6
+
+
+def equal_segments(k, lo, hi, per=8):
+    """k equal segments, evenly spaced on [lo, hi], 4 * per nodes each."""
+    h = (hi - lo) / (2 * k - 1)
+    return build_arc_system([{"type": "segment", "a": [lo + 2 * j * h, 0],
+                              "b": [lo + (2 * j + 1) * h, 0], "panels": 4,
+                              "nodes_per_panel": per} for j in range(k)])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-4.0, 4.0)])
+def test_constant_data_on_sixteen_segments_have_no_bounded_solution(lo, hi):
+    # the moments of 1 cancel to 1e-2 of their absolute sums; a bar of
+    # 1e-8 max|g| diam^(N - 1/2) let them pass on [-4, 4]
+    sysm = equal_segments(16, lo, hi)
+    g = np.ones(sysm.n_nodes, complex)
+    ratio = np.max(scaled_moment_ratios(g, sysm))
+    assert 1e-3 < ratio < 1e-1
+    assert not bounded_solution(SampledDensity(sysm, g)).bounded
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ends=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=8),
+       coef=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=4),
+       scale=st.floats(-3.0, 3.0), turn=st.floats(0.0, 2 * np.pi),
+       shift=st.complex_numbers(max_magnitude=10.0))
+def test_bounded_verdict_is_invariant_under_similarity(ends, coef, scale, turn, shift):
+    # g = S f0 with f0 = sqrtR+ p has a bounded solution; g plus a 1e-6 max|g|
+    # perturbation that the first moment sees in full does not.  Both
+    # verdicts hold for the same samples on the system moved by z -> az + b
+    # (S and the moment test are invariant under it)
+    cuts = np.cumsum(ends) - ends[0]
+    segs = [(cuts[j], cuts[j + 1]) for j in range(0, len(cuts) - 1, 2)]
+    a = 10.0 ** scale * np.exp(1j * turn)
+
+    def system(z):
+        return build_arc_system([{"type": "segment", "a": [z(u).real, z(u).imag],
+                                  "b": [z(v).real, z(v).imag], "panels": 4,
+                                  "nodes_per_panel": 8} for u, v in segs])
+
+    sysm = system(lambda x: x)
+    t = sysm.nodes
+    p = np.polynomial.polynomial.polyval((t - t.mean()) / np.ptp(t.real), coef)
+    g = singular_S(SampledDensity(sysm, sysm.sqrtR_plus_nodes() * p),
+                   density_class="sqrt").values
+    size = np.max(np.abs(g))
+    if size == 0.0:
+        return
+    w, s_plus = host_rule(sysm).dt_weights, sysm.sqrtR_plus_nodes()
+    bump = 1e-6 * size * np.conj(w) * s_plus / np.abs(w * s_plus)
+    moved = system(lambda x: a * x + shift)
+    for host in (sysm, moved):
+        assert bounded_solution(SampledDensity(host, g)).bounded
+        assert not bounded_solution(SampledDensity(host, g + bump)).bounded
 
 
 def test_bounded_solution_after_killing_moments():

@@ -140,6 +140,47 @@ def test_winding_number_of_an_array_matches_each_point():
     assert got.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
+def angle_sum_winding(host, z):
+    """The winding number as the sum of the angles the node polyline's
+    segments subtend at each point (O(n) per point), and each point's
+    distance to the polyline, where that sum is undefined."""
+    turns, dist = [], []
+    p, q = host.nodes, np.roll(host.nodes, -1)
+    for chunk in np.array_split(np.asarray(z, dtype=complex), max(1, z.size // 256)):
+        v = p - chunk[:, None]
+        turns.append(np.rint(np.sum(np.angle(np.roll(v, -1, axis=1) / v), axis=1) / (2 * np.pi)))
+        s = np.clip(np.real(-v * np.conj(q - p)) / np.abs(q - p) ** 2, 0.0, 1.0)
+        dist.append(np.min(np.abs(v + s * (q - p)), axis=1))
+    return np.concatenate(turns).astype(int), np.concatenate(dist)
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "rounded-polygon", "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]],
+     "corner_radius": 0.25, "panels": 8, "nodes_per_panel": 128},
+    # horizontal edges put many segments in one bucket, at exactly one y
+    {"type": "rounded-polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]],
+     "corner_radius": 0.2, "panels": 8, "nodes_per_panel": 64},
+    {"type": "ellipse", "center": [0.3, -0.2], "semi_axes": [2.0, 1.0], "panels": 8,
+     "nodes_per_panel": 64},
+    {"type": "circle", "radius": 1.0, "panels": 8, "nodes_per_panel": 256},
+], ids=["polygon", "rectangle", "ellipse", "circle"])
+def test_winding_number_counts_crossings_as_the_angle_sum(spec):
+    host = build_closed_contour(spec)
+    gen = np.random.default_rng(5)
+    t, n = host.nodes, host.n_nodes
+    lo, hi = t.real.min() - 0.5, t.real.max() + 0.5
+    x = gen.uniform(lo, hi, 2000)
+    ys = np.concatenate([gen.uniform(t.imag.min() - 0.5, t.imag.max() + 0.5, 1000),
+                         t.imag[gen.integers(0, n, 1000)]])  # half at a node's height
+    ladder = t[:, None] + np.outer(1j * host.tangents, [1e-9, -1e-9, 1e-3, -1e-3, 0.02])
+    z = np.concatenate([x + 1j * ys, ladder.ravel()])
+    want, dist = angle_sum_winding(host, z)
+    off = dist > 1e-12
+    got = host.winding_number(z[off])
+    assert np.array_equal(got, want[off])
+    assert set(got.tolist()) == {0, 1}
+
+
 def test_rounded_polygon():
     sq = build_closed_contour({
         "type": "rounded-polygon",

@@ -1,6 +1,10 @@
 """Quadrature rules and principal values against independent references."""
 
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,27 +477,56 @@ def pole_subtracted_rows(host, f):
     return out
 
 
-@pytest.mark.parametrize("name", ["polygon", "under-resolved ellipse"])
+def fallback_input(name):
+    """A host whose S takes the pole-subtracted rows, and Laurent data on it."""
+    rng = np.random.default_rng(3)
+    p, q = (rng.standard_normal(201) + 1j * rng.standard_normal(201) for _ in range(2))
+    if name == "under-resolved ellipse":
+        host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                     "panels": 8, "nodes_per_panel": 64})
+    else:
+        per = {"polygon": 512, "polygon below the crossover": 64}[name]
+        host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
+                                     "vertices": ROUNDED_POLYGONS[0], "panels": 8,
+                                     "nodes_per_panel": per})
+        p, q = p[:33], q[:33]
+    t = host.nodes
+    g = (np.polynomial.polynomial.polyval(t / np.max(np.abs(t)), p)
+         + np.polynomial.polynomial.polyval(np.min(np.abs(t)) / t, q) - q[0])
+    return host, g
+
+
+@pytest.mark.parametrize("name", ["polygon", "under-resolved ellipse",
+                                  "polygon below the crossover"])
 def test_S_falls_back_to_the_pole_subtracted_rows(name):
     # data on a rounded polygon are not smooth in the node parameter (the
     # curvature jumps), and degree-200 Laurent data on a 512-node ellipse
     # are far from resolved (S misses P - Q by about max|g|), so S is the
-    # directly summed rows, bit for bit
-    rng = np.random.default_rng(3)
-    p, q = (rng.standard_normal(201) + 1j * rng.standard_normal(201) for _ in range(2))
+    # pole-subtracted rows.  Below the crossover they are summed directly,
+    # bit for bit; the 4096-node polygon takes its far field from multipole
+    # expansions, which agree with the direct sums to rounding
+    host, g = fallback_input(name)
+    got = singular_S(SampledDensity(host, g)).values
+    want = pole_subtracted_rows(host, g)
     if name == "polygon":
-        host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
-                                     "vertices": ROUNDED_POLYGONS[0], "panels": 8,
-                                     "nodes_per_panel": 512})
-        p, q = p[:33], q[:33]
+        assert host.n_nodes >= quadrature._FMM_MIN_NODES
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
     else:
-        host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
-                                     "panels": 8, "nodes_per_panel": 64})
-    t = host.nodes
-    g = (np.polynomial.polynomial.polyval(t / np.max(np.abs(t)), p)
-         + np.polynomial.polynomial.polyval(np.min(np.abs(t)) / t, q) - q[0])
-    assert singular_S(SampledDensity(host, g)).values.tobytes() == \
-        pole_subtracted_rows(host, g).tobytes()
+        assert host.n_nodes < quadrature._FMM_MIN_NODES
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vertices, per", [(ROUNDED_POLYGONS[0], 128),
+                                           (ROUNDED_POLYGONS[1], 150)])
+def test_multipole_rows_match_the_pole_subtracted_rows(vertices, per):
+    # 1024 nodes (the crossover) and 1200, where the tree's boxes at one
+    # level differ in size by a node; rough data weigh every box alike
+    host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.2,
+                                 "vertices": vertices, "panels": 8, "nodes_per_panel": per})
+    rng = np.random.default_rng(per)
+    g = rng.standard_normal(host.n_nodes) + 1j * rng.standard_normal(host.n_nodes)
+    got = closed_S(host, g)
+    assert np.max(np.abs(got - pole_subtracted_rows(host, g))) <= 1e-14 * np.max(np.abs(g))
 
 
 @pytest.fixture
@@ -528,11 +561,62 @@ def test_S_at_one_polygon_node_sums_one_row(counted_rows):
     # smooth data in the node parameter are not probed
     host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.25,
                                  "vertices": ROUNDED_POLYGONS[0], "panels": 8,
-                                 "nodes_per_panel": 128})
+                                 "nodes_per_panel": 64})
+    assert host.n_nodes < quadrature._FMM_MIN_NODES
     g = np.exp(3j * host.params)
     one = singular_S(SampledDensity(host, g), at_indices=5)
     assert counted_rows == [1]
     assert np.complex128(one).tobytes() == pole_subtracted_rows(host, g)[5].tobytes()
+
+
+def test_S_at_one_polygon_node_above_the_crossover_sums_no_row(counted_rows):
+    # the far field comes from the expansions and only the near leaves of
+    # the node are summed, so no N-node row is formed
+    host, g = fallback_input("polygon")
+    one = singular_S(SampledDensity(host, g), at_indices=5)
+    assert counted_rows == []
+    assert np.complex128(one).tobytes() == closed_S(host, g)[5].tobytes()
+
+
+def test_S_above_the_crossover_at_any_indices_is_bitwise_the_full_S():
+    host = build_closed_contour({"type": "rounded-polygon", "corner_radius": 0.2,
+                                 "vertices": ROUNDED_POLYGONS[1], "panels": 8,
+                                 "nodes_per_panel": 150})
+    assert host.n_nodes >= quadrature._FMM_MIN_NODES
+    rng = np.random.default_rng(8)
+    f = SampledDensity(host, rng.standard_normal(host.n_nodes)
+                       + 1j * rng.standard_normal(host.n_nodes))
+    full = singular_S(f).values
+    for size in (1, 7, 300, 3 * host.n_nodes):
+        idx = rng.integers(0, host.n_nodes, size)  # unsorted, may repeat
+        assert singular_S(f, at_indices=idx).tobytes() == full[idx].tobytes()
+    assert np.complex128(singular_S(f, at_indices=1199)).tobytes() == full[1199].tobytes()
+
+
+def test_S_above_the_crossover_imports_nothing_beyond_numpy():
+    # numpy is the one runtime dependency: a fresh interpreter that imports
+    # the package and its CLI and applies S on a 4096-node polygon (the
+    # multipole route) loads neither scipy nor numpy.ma, unless numpy itself
+    # did (numpy 1.x imports numpy.ma)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "watched = ('scipy', 'numpy.ma')\n"
+        "before = {m for m in watched if m in sys.modules}\n"
+        "import cauchypot as cp\n"
+        "import cauchypot.cli\n"
+        "host = cp.build_closed_contour({'type': 'rounded-polygon', 'corner_radius': 0.25,\n"
+        f"    'vertices': {ROUNDED_POLYGONS[0]}, 'panels': 8, 'nodes_per_panel': 512}})\n"
+        "cp.singular_S(cp.SampledDensity(host, np.exp(3j * host.params)))\n"
+        "print(sorted({m for m in watched if m in sys.modules} - before))\n"
+    )
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_neville_exact_on_quadratic_ladder():

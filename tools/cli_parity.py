@@ -8,11 +8,12 @@ exported with ``git archive`` into a temporary directory.  A fixed set of
 configs then runs twice, each in a fresh interpreter: once on REV's
 ``src/`` and once on the working tree's ``src/``.  The set covers all eight
 commands; circle, ellipse, rounded-polygon and node-chain curves; segment,
-two-segment, circular, segment+circular and segment+chain arc systems
-(curve recovery included on several arcs, where the ladder shrinks toward
-each arc's endpoints; one chain is C-shaped, a 3/4 circle that rays from
-inside it cross again); csv and binary potential grids; runs that exit 65,
-one of them on an ellipse rhs that is not resolved; and four schema errors.
+two-segment, sixteen-segment, circular, segment+circular and segment+chain
+arc systems (curve recovery included on several arcs, where the ladder
+shrinks toward each arc's endpoints; one chain is C-shaped, a 3/4 circle
+that rays from inside it cross again); csv and binary potential grids; runs
+that exit 65, one of them on an ellipse rhs that is not resolved; and four
+schema errors.
 For every config the script compares each output file, stdout, stderr and
 the exit code, prints one line, and exits 1 if anything differs.  It needs
 the standard library and numpy only.
@@ -48,6 +49,10 @@ C_CHAIN = {"type": "chain", "panels": 1,
            "nodes": np.stack([3.0 + np.cos(_ct), np.sin(_ct)], axis=1).tolist()}
 CIRCULAR = [{"type": "circular", "radius": 1.0, "theta_a": a, "theta_b": b, "panels": 8,
              "nodes_per_panel": 16} for a, b in ((0.3, 1.4), (2.2, 4.0))]
+# sixteen equal segments, evenly spaced on [-4, 4], 32 nodes each
+SIXTEEN = [{"type": "segment", "a": [-4.0 + 2 * j * 8 / 31, 0.0],
+            "b": [-4.0 + (2 * j + 1) * 8 / 31, 0.0], "panels": 4, "nodes_per_panel": 8}
+           for j in range(16)]
 
 
 def mono(n):
@@ -117,6 +122,9 @@ def configs(inputs):
         "bounded-circular": {"command": "bounded", "geometry": {"arcs": CIRCULAR}, "rhs": mono(2)},
         "bounded-csv-rhs": {"command": "bounded", "geometry": {"arcs": [SEGMENT]},
                             "rhs": inputs["rhs-csv"]},
+        # the moments of 1 cancel to 1e-2 of their absolute sums: no bounded solution
+        "bounded-sixteen-segments": {"command": "bounded", "geometry": {"arcs": SIXTEEN},
+                                     "rhs": mono(0)},
         "moments-two-segments": {"command": "moments", "geometry": {"arcs": [LEFT, RIGHT]},
                                  "rhs": mono(4)},
         "moments-segment-chain": {"command": "moments", "geometry": {"arcs": [SEGMENT, CHAIN]},
