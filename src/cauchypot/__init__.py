@@ -50,6 +50,7 @@ from .potential import (
     detect_point_masses,
     equilibrium_density,
     log_potential,
+    log_potential_nodes,
     read_potential_binary,
     read_potential_csv,
     recover_area_density,

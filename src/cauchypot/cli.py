@@ -15,6 +15,7 @@ failing node index when one exists).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -39,7 +40,7 @@ from .errors import (
     ResolutionError,
     SchemaError,
 )
-from .geometry import ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
+from .geometry import _MAX_NODES, ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
 from .potential import (
     _write_grid_csv,
     detect_point_masses,
@@ -151,13 +152,10 @@ def _rhs_values(spec, host):
         coeffs[n] = 1.0
         return np.polynomial.chebyshev.chebval(t, coeffs).astype(complex)
     if family == "constant":
-        v = spec.get("value", 1.0)
-        if isinstance(v, (list, tuple)):
-            v = complex(float(v[0]), float(v[1]))
-        return np.full(t.size, complex(v))
+        return np.full(t.size, _as_complex(spec.get("value", 1.0), "value"))
     if family == "csv":
         path = spec.get("path")
-        if not path:
+        if not (path and isinstance(path, str)):  # an int would open a file descriptor
             raise SchemaError("csv rhs needs a 'path'", key="rhs")
         # accept both the 3-column density table and the 6-column solution
         # table, so solver outputs feed straight back in as right-hand sides
@@ -170,14 +168,18 @@ def _rhs_values(spec, host):
 
 
 def _degree(spec):
-    """The integer degree >= 0 of a polynomial rhs family."""
+    """The integer degree of a polynomial rhs family, from 0 to ``_MAX_NODES``."""
     try:
-        if int(spec["degree"]) >= 0:
-            return int(spec["degree"])
-    except (KeyError, TypeError, ValueError):
-        pass
-    raise SchemaError(f"{spec['family']} rhs needs an integer degree >= 0",
-                      key="degree" if "degree" in spec else "rhs")
+        n = int(spec["degree"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        n = -1
+    if n < 0:
+        raise SchemaError(f"{spec['family']} rhs needs an integer degree >= 0",
+                          key="degree" if "degree" in spec else "rhs")
+    if n > _MAX_NODES:
+        raise SchemaError(f"{spec['family']} rhs degree {n} exceeds the limit of {_MAX_NODES}",
+                          key="degree")
+    return n
 
 
 @_section("potential")
@@ -190,9 +192,12 @@ def _potential_evaluator(spec):
         try:
             charges = [(complex(float(c[0]), float(c[1])), float(c[2]))
                        for c in spec.get("charges", [])]
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError):
+            charges = None
+        if charges is None or not all(cmath.isfinite(a) and math.isfinite(m)
+                                      for a, m in charges):
             raise SchemaError("'charges' must be a list of [re, im, mass] numbers",
-                              key="charges") from None
+                              key="charges")
         if not charges:
             raise SchemaError("point-charges needs a nonempty 'charges' list",
                               key="potential")
@@ -230,11 +235,11 @@ def _potential_grid(spec):
         raise SchemaError("config needs a 'potential' mapping", key="potential")
     family = spec.get("family")
     if family == "csv":
-        if "path" not in spec:
+        if not isinstance(spec.get("path"), str):
             raise SchemaError("csv potential needs a 'path'", key="potential")
         return read_potential_csv(spec["path"])
     if family == "binary":
-        if "data" not in spec or "header" not in spec:
+        if not (isinstance(spec.get("data"), str) and isinstance(spec.get("header"), str)):
             raise SchemaError("binary potential needs 'data' and 'header' "
                               "paths", key="potential")
         return read_potential_binary(spec["data"], spec["header"])
@@ -275,7 +280,11 @@ def _cmd_solve_arcs(config, out_dir, tols):
             "solve-arcs requires 'defect_poly' (kernel polynomial "
             "coefficients as [re, im] pairs; use [[0.0, 0.0]] for none)",
             key="defect_poly")
-    P = ComplexPolynomial.from_json(config["defect_poly"])
+    try:
+        P = ComplexPolynomial.from_json(config["defect_poly"])
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError("'defect_poly' must be a nonempty list of [re, im] pairs",
+                          key="defect_poly") from None
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     f = general_solution(g, system=host, P=P)
     err = np.abs(singular_S(f, density_class="inverse_sqrt").values - g.values)
@@ -384,7 +393,10 @@ def _cmd_equilibrium(config, out_dir, tols):
     if not isinstance(shape, dict):
         raise SchemaError("equilibrium needs a 'shape' mapping", key="shape")
     with _section("shape"):
-        est = equilibrium_density(shape)
+        try:
+            est = equilibrium_density(shape)
+        except NotImplementedError as exc:
+            raise SchemaError(str(exc), key="type") from None
     host = est.curve_density.host
     write_solution_csv(out_dir / "solution.csv", host,
                        est.curve_density.values)
@@ -419,7 +431,7 @@ def run_config(config, out_dir, tol=None, serial=False):
         raise SchemaError("'tolerances' must be a mapping", key="tolerances")
     for name, val in tolerances.items():
         if not (isinstance(val, (int, float)) and not isinstance(val, bool)
-                and val > 0):
+                and 0 < val <= sys.float_info.max):
             raise SchemaError(f"tolerance '{name}' must be positive",
                               key="tolerances")
     flag_tol = tol if tol is not None else tolerances.get("flag")
@@ -465,7 +477,9 @@ def main(argv=None):
         print(f"{args.config}:1: config must be a JSON object", file=sys.stderr)
         return 64
     try:
-        return run_config(config, args.out, tol=args.tol, serial=args.serial)
+        # overflow or NaN in the arithmetic is a numerical failure, not a crash
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return run_config(config, args.out, tol=args.tol, serial=args.serial)
     except ResolutionError as exc:
         # under-resolution outranks the GeometryError base it derives from:
         # the config parsed fine, the numerics just cannot be done on it
@@ -476,7 +490,7 @@ def main(argv=None):
         line = _key_line(text, getattr(exc, "key", None), getattr(exc, "section", None))
         print(f"{args.config}:{line}: {exc}", file=sys.stderr)
         return 64
-    except CauchypotError as exc:
+    except (CauchypotError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 65
 

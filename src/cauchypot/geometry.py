@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 _MIN_NODES = 16
+# the most nodes a spec may ask for (64 MB per complex array)
+_MAX_NODES = 1 << 22
 _NEAR_CUTOFF_FACTOR = 1.0e-8
 _BLOCK = 1 << 18  # segment pairs per pass of the polyline contact test
 # array elements per block of rows of point-to-node sums: about 2**14 keeps a
@@ -399,9 +401,10 @@ def build_closed_contour(spec):
     Supported kinds: ``circle``, ``ellipse``, ``rounded-polygon``,
     ``node-chain`` (a closed chain of explicit points).
     """
+    if not isinstance(spec, dict):
+        raise GeometryError(f"a curve must be a mapping, not {spec!r}", key="curve")
     kind = spec.get("type")
-    n_panels = _count(spec, "panels", 8)
-    n = n_panels * _count(spec, "nodes_per_panel", 16)
+    n_panels, n = _node_count(spec)
 
     if kind == "circle":
         c = _as_complex(spec.get("center", 0.0), "center")
@@ -421,8 +424,8 @@ def build_closed_contour(spec):
         except (TypeError, ValueError):
             raise GeometryError(f"'semi_axes' must be two numbers, not {spec['semi_axes']!r}",
                                 key="semi_axes") from None
-        if sa <= 0 or sb <= 0:
-            raise GeometryError("ellipse semi-axes must be positive")
+        if not (0.0 < sa < math.inf and 0.0 < sb < math.inf):
+            raise GeometryError("ellipse semi-axes must be positive and finite")
         return _closed_from_parametrization(
             lambda th: c + sa * np.cos(th) + 1j * sb * np.sin(th),
             lambda th: -sa * np.sin(th) + 1j * sb * np.cos(th),
@@ -445,6 +448,8 @@ def _rounded_polygon(verts, radius, n_nodes, n_panels):
         raise GeometryError("polygon needs at least 3 vertices")
     if radius <= 0:
         raise GeometryError("corner radius must be positive")
+    if np.any(verts == np.roll(verts, -1)):
+        raise GeometryError("polygon repeats a vertex in a row")
     area = 0.5 * float(np.sum(np.imag(np.conj(verts) * np.roll(verts, -1))))
     if area < 0:
         verts = verts[::-1]
@@ -881,11 +886,14 @@ def build_arc_system(arc_specs):
     Each entry carries ``type`` (``segment`` | ``circular`` | ``chain``) plus
     ``panels`` / ``nodes_per_panel`` controlling the per-arc node count.
     """
+    if not isinstance(arc_specs, (list, tuple)):
+        raise GeometryError(f"'arcs' must be a list of mappings, not {arc_specs!r}", key="arcs")
     arcs = []
     for spec in arc_specs:
+        if not isinstance(spec, dict):
+            raise GeometryError(f"an arc must be a mapping, not {spec!r}", key="arcs")
         kind = spec.get("type", "segment")
-        n_panels = _count(spec, "panels", 8)
-        m = n_panels * _count(spec, "nodes_per_panel", 16)
+        n_panels, m = _node_count(spec)
         if kind == "segment":
             arcs.append(_build_segment_arc(
                 _as_complex(spec["a"], "a"), _as_complex(spec["b"], "b"), m, n_panels))
@@ -928,24 +936,30 @@ def sqrtR_boundary_plus(system, node_index=None, point=None, arc_index=None):
 # ---------------------------------------------------------------------------
 
 def _as_complex(v, key):
-    """A point given as a number or an [re, im] pair."""
+    """A finite point given as a number or an [re, im] pair."""
     try:
         if isinstance(v, (list, tuple)):
             re, im = v
-            return complex(float(re), float(im))
-        return complex(v)
-    except (TypeError, ValueError):
-        raise GeometryError(f"'{key}' must be a number or an [re, im] pair, "
-                            f"not {v!r}", key=key) from None
+            z = complex(float(re), float(im))
+        else:
+            z = complex(v)
+        if cmath.isfinite(z):
+            return z
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GeometryError(f"'{key}' must be a number or an [re, im] pair, "
+                        f"not {v!r}", key=key)
 
 
 def _real(spec, key, default=None):
-    """A real-number field of a spec; required when there is no default."""
+    """A finite real-number field of a spec; required when there is no default."""
     v = spec[key] if default is None else spec.get(key, default)
     try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise GeometryError(f"'{key}' must be a real number, not {v!r}", key=key) from None
+        if math.isfinite(float(v)):
+            return float(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GeometryError(f"'{key}' must be a real number, not {v!r}", key=key)
 
 
 def _count(spec, key, default):
@@ -954,9 +968,18 @@ def _count(spec, key, default):
     try:
         if int(v) > 0:
             return int(v)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise GeometryError(f"'{key}' must be a positive integer, not {v!r}", key=key)
+
+
+def _node_count(spec):
+    """The panel count of a spec and its node count, at most ``_MAX_NODES``."""
+    n_panels = _count(spec, "panels", 8)
+    n = n_panels * _count(spec, "nodes_per_panel", 16)
+    if n > _MAX_NODES:
+        raise GeometryError(f"{n} nodes exceed the limit of {_MAX_NODES}", key="nodes_per_panel")
+    return n_panels, n
 
 
 def parse_geometry(spec):

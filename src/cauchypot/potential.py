@@ -10,10 +10,17 @@ these; locality is what the recovery tests pin down.
 Arcs are treated as two-sided curves: the normal derivative is taken from
 each side separately and the density is the sum over 2*pi, mirroring the
 two-sided jump structure of the Cauchy transform on arcs.
+
+The forward map at the nodes, where the log kernel is singular, splits like
+S: a part diagonal in a spectral basis, computed once per density for every
+node in O(N log N) (Fourier on closed contours, Chebyshev on graded arcs),
+plus a smooth remainder summed per requested node.  ``log_potential`` at a
+node and ``log_potential_nodes`` share that code and agree bitwise.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import math
@@ -21,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GeometryError,
@@ -31,17 +39,19 @@ from .errors import (
 from .geometry import (
     ArcSystem,
     ClosedContour,
+    _by_rows,
     _real,
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import host_rule, normal_ladder
+from .quadrature import _trig_coeffs, _trig_sum, host_rule, normal_ladder
 from .sampling import SampledDensity, write_density_csv
 
 __all__ = [
     "PotentialField",
     "MeasureEstimate",
     "log_potential",
+    "log_potential_nodes",
     "recover_curve_density",
     "recover_area_density",
     "detect_point_masses",
@@ -139,95 +149,139 @@ class MeasureEstimate:
 # forward map: potential of a measure
 # ---------------------------------------------------------------------------
 
-def _seg_log_moment(l1, l2):
-    # int log|s| ds over (-l1, l2)
-    left = l1 * (math.log(l1) - 1.0) if l1 > 0 else 0.0
-    right = l2 * (math.log(l2) - 1.0) if l2 > 0 else 0.0
-    return left + right
+def _log_memo(density):
+    """(host, values, q, own, ring) for a curve density, built once per density.
 
-
-def _split_log_sum(g, d, dpar, k, log_speed):
-    """sum g * log(d) with the log split at the pole k.
-
-    log(d) = log(d / dpar) + log(dpar), dpar a parameter distance to the
-    pole: the ratio is bounded through the pole (limit ``log_speed``), and
-    log(dpar) is summed against g - g[k], the density frozen at the pole,
-    whose own integral the caller adds in closed form (or knows to vanish).
+    q = w * rho, the density times the host's arclength weights, weights
+    every sum over nodes, off the curve too.  own[k] is the spectral part
+    of the potential at node k over the component holding k
+    (``_own_part``).  On a closed contour of n nodes, ring[n - k, j] =
+    2|sin((th_j - th_k)/2)|, a window of 2|sin(pi m/n)|, m = j - k mod n
+    (None on arcs).  The tuple is kept on the density (not a field: ``==``
+    and ``repr`` ignore it) with a copy of the values it came from, and
+    rebuilt when the host or the values differ from that copy.
     """
-    n = g.size
-    nz = np.arange(n) != k
-    ratio = np.empty(n)
-    ratio[nz] = np.log(d[nz] / dpar[nz])
-    ratio[k] = log_speed
-    logs = np.zeros(n)
-    logs[nz] = np.log(dpar[nz])
-    return float(np.sum(g * ratio) + np.sum((g - g[k]) * logs))
+    memo = getattr(density, "_log_memo", None)
+    if memo is None or memo[0] is not density.host or not np.array_equal(memo[1], density.values):
+        host = density.host
+        q = host_rule(host).weights * density.values.real
+        ring = None
+        if isinstance(host, ClosedContour):
+            n = host.n_nodes
+            chord = np.abs(2.0 * np.sin(np.pi * np.arange(n) / n))
+            ring = sliding_window_view(np.tile(chord, 2), n)
+        memo = (host, density.values.copy(), q, _own_part(host, q), ring)
+        density._log_memo = memo
+    return memo
 
 
-def _closed_potential_on_node(host, rho, k):
-    """int rho log|t - t_k| ds over a closed contour, pole at node k.
+def _own_part(host, q):
+    """int rho log|t - t_k| ds over node k's own component, less a smooth remainder.
 
-    Against the periodic kernel log|2 sin((th - th_k)/2)| the integrand
-    splits into a bounded ratio (diagonal limit log|z'(th_k)|) plus the
-    kernel itself, whose exact integral against the frozen density
-    vanishes; only the subtracted remainder is summed.
+    Closed contour: with v = rho |z'| (q = 2 pi v / n) the kernel
+    log|2 sin((th - th_k)/2)| is diagonal in Fourier, e^{i j th} -> -pi/|j|
+    e^{i j th_k} and 1 -> 0, the Nyquist mode taken as its cosine (R. Kress,
+    Linear Integral Equations, ch. 12); one real FFT pair.  Graded arc: with
+    phi = pi sin(u) |dt/dtau| rho = m q expanded in T_n(tau), the kernel
+    log|tau - tau_k| is diagonal too, T_0 -> -log 2 and T_n -> -T_n/n (S.
+    Olver, Math. Comp. 80, 2011).  On a segment |t - t_k| / |tau - tau_k| is
+    L/2, which adds log(L/2) c_0.  What is left, the log of that ratio on a
+    curve or a circular arc, is summed per node by ``_log_rows``.  Chain arcs
+    get NaN: the potential on them is refused.
     """
-    th = host.params
-    wth = 2.0 * np.pi / host.n_nodes
-    v = rho * np.abs(host.dz_dtheta)
-    half = np.abs(2.0 * np.sin(0.5 * (th - th[k])))
-    d = np.abs(host.nodes - host.nodes[k])
-    log_speed = math.log(float(np.abs(host.dz_dtheta[k])))
-    return wth * _split_log_sum(v, d, half, k, log_speed)
+    if isinstance(host, ClosedContour):
+        n = q.size
+        c = np.fft.rfft(q)
+        c[0] = 0.0
+        c[1:] *= -0.5 * n / np.arange(1, c.size)
+        return np.fft.irfft(c, n)
+    own = np.full(q.size, math.nan)
+    off = host.arc_offsets
+    for j, arc in enumerate(host.arcs):
+        if not arc.graded:
+            continue
+        m = arc.n_nodes
+        c = _trig_coeffs(m * q[off[j]:off[j + 1]])
+        c[1:] /= -np.arange(1, m)
+        log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
+        c[0] *= log_half - math.log(2.0)
+        own[off[j]:off[j + 1]] = _trig_sum(c, m).real
+    return own
 
 
-def _arc_log_self(arc, rho_arc, k_local):
-    """int rho log|t - t_k| ds over one graded arc, pole at a node of it.
+def _log_rows(t, q, x, pole=None, dist=None, speed=None, lo=0):
+    """sum_j q_j log|t_j - x_i| for every target x_i.
 
-    In the u parametrization (nodes on the uniform midpoint lattice of
-    (0, pi)) the kernel splits as log(|t - t_k| / |u - u_k|) + log|u - u_k|;
-    the ratio is smooth through the pole (limit log|dt/du|), and the second
-    factor integrates in closed form against the frozen density.
+    With ``dist``, x_i is the node ``pole[i]`` and ``dist(rows)`` gives, for
+    those rows, parameter distances to the columns lo, lo + 1, ...: the log
+    on them is that of |t_j - x_i| / dist, smooth through the pole, and log
+    ``speed[i]`` (its limit) on the diagonal.  Rows go in blocks of
+    ``geometry._ROW_BLOCK`` elements; a row's sum does not depend on the
+    other rows.
     """
-    if not arc.graded:
-        raise GeometryError("on-arc potential needs a graded (cosine) arc")
-    u = np.arccos(np.clip(arc.params, -1.0, 1.0))
-    du_w = np.pi / arc.n_nodes
-    speed = np.abs(arc.dt_dtau) * arc.sin_u
-    g = rho_arc * speed
-    uk = u[k_local]
-    d = np.abs(arc.nodes - arc.nodes[k_local])
-    log_speed = math.log(max(float(speed[k_local]), 1e-300))
-    part12 = du_w * _split_log_sum(g, d, np.abs(u - uk), k_local, log_speed)
-    return part12 + float(g[k_local]) * _seg_log_moment(uk, np.pi - uk)
+    def block(rows):
+        d = np.abs(t - x[rows, None])
+        if dist is not None:
+            e = dist(rows)
+            own = d[:, lo:lo + e.shape[1]]
+            on = (np.arange(e.shape[0]), pole[rows] - lo)
+            own[on] = e[on] = 1.0
+            own /= e
+            own[on] = speed[rows]
+        np.log(d, out=d)
+        d *= q
+        return np.sum(d, axis=1)
+
+    return _by_rows(block, x.size, t.size)
+
+
+def _on_nodes(density, idx):
+    """The potential of a curve density at its nodes ``idx`` (ascending).
+
+    The memo's own part plus the ``_log_rows`` remainder of each node's
+    component: on a closed contour and on a circular arc the log of chord
+    over parameter distance (2|sin((th - th_k)/2)|, |tau - tau_k|), on an
+    arc system the other arcs' plain sums.
+    """
+    host, _, q, own, ring = _log_memo(density)
+    t = host.nodes
+    if isinstance(host, ClosedContour):
+        return own[idx] + _log_rows(t, q, t[idx], idx, lambda r: ring[t.size - idx[r]],
+                                    np.abs(host.dz_dtheta[idx]))
+    off = host.arc_offsets
+    cut = [bisect.bisect_left(idx, o) for o in off]  # idx is ascending
+    out = own[idx]
+    for a, arc in enumerate(host.arcs):
+        rows = slice(cut[a], cut[a + 1])
+        k = idx[rows]
+        if k.size == 0:
+            continue
+        if not arc.graded:
+            raise GeometryError("on-arc potential needs a graded (cosine) arc")
+        if arc.kind == "circular":
+            tau = arc.params
+            out[rows] += _log_rows(t, q, t[k], k, lambda r: np.abs(tau - tau[k[r] - off[a], None]),
+                                   np.abs(arc.dt_dtau[k - off[a]]), off[a])
+        elif len(off) > 2:
+            other = np.ones(t.size, dtype=bool)
+            other[off[a]:off[a + 1]] = False
+            out[rows] += _log_rows(t[other], q[other], t[k])
+    return out
 
 
 def _curve_potential(density, z):
     host = density.host
-    rho = density.values.real
-    w = host_rule(host).weights
     t = host.nodes
     d = np.abs(t - z)
     k = int(np.argmin(d))
     if d[k] <= 1e-9 * host.diameter():
-        if isinstance(host, ClosedContour):
-            return _closed_potential_on_node(host, rho, k)
-        total = 0.0
-        off = host.arc_offsets
-        for j, arc in enumerate(host.arcs):
-            lo, hi = off[j], off[j] + arc.n_nodes
-            if lo <= k < hi:
-                total += _arc_log_self(arc, rho[lo:hi], k - lo)
-            else:
-                dj = np.abs(arc.nodes - t[k])
-                total += float(np.sum(w[lo:hi] * rho[lo:hi] * np.log(dj)))
-        return total
+        return float(_on_nodes(density, np.array([k]))[0])
     if d[k] < host.near_cutoff:
         raise NearBoundaryError(
             "potential evaluation between nodes near the curve; "
             "evaluate at a node or beyond the cutoff"
         )
-    return float(np.sum(w * rho * np.log(d)))
+    return float(np.sum(_log_memo(density)[2] * np.log(d)))
 
 
 def _area_potential(dens, x0, y0, h, z):
@@ -250,9 +304,10 @@ def log_potential(measure, z):
     """u(z) = int log|z - t| dmu(t) for a sampled or estimated measure.
 
     Accepts a MeasureEstimate or a bare SampledDensity of curve samples.
-    On-curve requests must land on a node (weighted singular quadrature);
-    points between nodes inside the near cutoff are refused.  Evaluation
-    exactly at a point mass raises the log domain error.
+    On-curve requests must land on a node, where the curve part is spectral
+    (see ``log_potential_nodes``; chain arcs raise GeometryError); points
+    between nodes inside the near cutoff are refused.  Evaluation exactly
+    at a point mass raises the log domain error.
     """
     z = complex(z)
     if isinstance(measure, SampledDensity):
@@ -268,6 +323,19 @@ def log_potential(measure, z):
     for a, m in measure.point_masses:
         total += m * math.log(abs(z - a))  # zero distance -> domain error
     return total
+
+
+def log_potential_nodes(density):
+    """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node t_k of a curve density.
+
+    rho is the real part of the samples of a ``SampledDensity``.  Each value
+    is bitwise the one ``log_potential`` gives at that node, and the own
+    part behind them is computed once per density (see ``_own_part``).
+    Nodes on chain arcs are refused with GeometryError.
+    """
+    if not isinstance(density, SampledDensity):
+        raise TypeError("density must be a SampledDensity")
+    return _on_nodes(density, np.arange(density.host.n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -191,3 +191,45 @@ def recover_curve_density_loop(u, host, weights, h0=None, levels=3, tol=None):
             flagged.append(k)
             dens[k] = 0.0
     return dens, float(np.sum(dens * weights)), flagged
+
+
+# ---------------------------------------------------------------------------
+# logarithmic potentials in closed form: (density, potential on the support)
+# ---------------------------------------------------------------------------
+
+def segment_potentials():
+    """Densities on [-1, 1] with U(x) = int log|x - y| rho(y) dy in closed form.
+
+    From int T_n(y) log|x - y| dy / (pi sqrt(1 - y^2)) = -log 2 (n = 0) and
+    -T_n(x)/n (n >= 1), and for the semicircle from its Chebyshev-U
+    expansion; rho = 1 integrates directly.
+    """
+    def arcsine(x):
+        return 1.0 / (np.pi * np.sqrt((1.0 - x) * (1.0 + x)))
+
+    def t3(x):
+        return chebyshev_T(3, x)
+
+    return {
+        "arcsine": (arcsine, lambda x: np.full_like(x, -math.log(2.0))),
+        "T3": (lambda x: t3(x) * arcsine(x), lambda x: -t3(x) / 3.0),
+        "semicircle": (lambda x: 2.0 / np.pi * np.sqrt((1.0 - x) * (1.0 + x)),
+                       lambda x: x * x - 0.5 - math.log(2.0)),
+        "constant": (np.ones_like,
+                     lambda x: (1.0 - x) * np.log(1.0 - x) + (1.0 + x) * np.log(1.0 + x) - 2.0),
+    }
+
+
+def circular_arc_equilibrium(alpha, theta):
+    """The equilibrium density of the unit-circle arc |theta| <= alpha at the
+    angles theta, per unit length; its potential on the arc is
+    log sin(alpha/2), the log of the arc's capacity."""
+    s = np.sin(0.5 * theta)
+    return np.cos(0.5 * theta) / (2.0 * np.pi * np.sqrt(math.sin(0.5 * alpha) ** 2 - s * s))
+
+
+def ellipse_equilibrium(dz_dtheta):
+    """The equilibrium density of the ellipse z = a cos th + i b sin th,
+    d(mu) = d(th)/(2 pi), per unit length; its potential on the ellipse is
+    log((a + b)/2)."""
+    return 1.0 / (2.0 * np.pi * np.abs(dz_dtheta))

@@ -6,6 +6,7 @@ determinism test goes through a real subprocess to cover the module entry
 point as shipped.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -693,3 +694,141 @@ def test_serial_reruns_byte_identical_subprocess(tmp_path):
         blobs.append((out / "solution.csv").read_bytes()
                      + (out / "summary.json").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# (exit code, config): each of these ended in a traceback (exit 1), but
+# "fd", which exited 64 after opening the path 1 as file descriptor 1
+# (standard output) and closing it
+CRASHES = {
+    "nan-radius": (64, {"command": "solve-closed", "rhs": RHS,
+                        "geometry": {"curve": dict(CIRCLE, radius=float("nan"))}}),
+    "curve-not-a-mapping": (64, {"command": "solve-closed", "rhs": RHS,
+                                 "geometry": {"curve": 1.0}}),
+    "arc-not-a-mapping": (64, {"command": "moments", "rhs": RHS,
+                               "geometry": {"arcs": [SEGMENT, "text"]}}),
+    "infinite-panels": (64, {"command": "moments", "rhs": RHS,
+                             "geometry": {"arcs": [dict(SEGMENT, panels=float("-inf"))]}}),
+    "too-many-nodes": (64, {"command": "moments", "rhs": RHS,
+                            "geometry": {"arcs": [dict(SEGMENT, panels=1e308)]}}),
+    "infinite-degree": (64, {"command": "bounded", "geometry": {"arcs": [SEGMENT]},
+                             "rhs": {"family": "chebyshev-T", "degree": float("inf")}}),
+    "repeated-vertex": (64, {"command": "solve-closed", "rhs": RHS, "geometry": {
+        "curve": dict(POLYGON, vertices=[[0, 0], [2, 0], [2, 1], [2, 1], [0, 1]])}}),
+    "constant-value": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]},
+                            "rhs": {"family": "constant", "value": [1.0, "text"]}}),
+    "empty-defect-poly": (64, {"command": "solve-arcs", "geometry": {"arcs": [SEGMENT]},
+                               "rhs": RHS, "defect_poly": []}),
+    "infinite-charge": (64, dict(ON_SEGMENT, potential={
+        "family": "point-charges", "charges": [[0.0, float("-inf"), 1.0]]})),
+    "fd": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]},
+                "rhs": {"family": "csv", "path": 1}}),
+    "equilibrium-shape": (64, {"command": "equilibrium", "shape": {"type": None}}),
+    "overflow": (65, {"command": "solve-closed", "rhs": RHS,
+                      "geometry": {"curve": dict(CIRCLE, center=1e308)}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRASHES))
+def test_configs_that_crashed_exit_cleanly(tmp_path, capsys, case):
+    want, config = CRASHES[case]
+    code, _ = run_cli(tmp_path, config)
+    os.fstat(1)  # standard output is still open
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated valid configs never end in a traceback
+# ---------------------------------------------------------------------------
+
+def fuzz_bases(tmp_path):
+    """One valid config per command, small enough to run in milliseconds."""
+    grid, _ = grid_csv(tmp_path)
+    small = dict(CIRCLE, nodes_per_panel=8)
+    arcs = [dict(SEGMENT, nodes_per_panel=8), dict(CIRCULAR, theta_a=2.0, theta_b=3.0)]
+    return [
+        {"command": "solve-closed", "geometry": {"curve": small},
+         "rhs": {"family": "monomial", "degree": 3}, "tolerances": {"residual": 1e-8}},
+        {"command": "solve-closed", "geometry": {"curve": dict(POLYGON, panels=4,
+                                                               nodes_per_panel=16)},
+         "rhs": {"family": "constant", "value": [1.0, 2.0]}},
+        {"command": "solve-arcs", "geometry": {"arcs": arcs},
+         "rhs": {"family": "monomial", "degree": 1}, "defect_poly": [[0.0, 0.0]]},
+        {"command": "bounded", "geometry": {"arcs": arcs},
+         "rhs": {"family": "chebyshev-T", "degree": 2}},
+        {"command": "moments", "geometry": {"arcs": arcs},
+         "rhs": {"family": "constant", "value": 1.0}},
+        {"command": "recover-curve", "geometry": {"curve": small},
+         "potential": {"family": "disk-wall", "radius": 1.0, "center": [0.0, 0.0]},
+         "tolerances": {"flag": 1e-6}},
+        {"command": "recover-curve", "geometry": {"arcs": arcs[:1]},
+         "potential": {"family": "point-charges", "charges": [[0.0, 2.0, 1.0]]}},
+        {"command": "recover-area", "potential": {"family": "csv", "path": str(grid)},
+         "tolerances": {"h_max": 0.1}},
+        {"command": "point-masses", "potential": {"family": "csv", "path": str(grid)},
+         "cluster_radius": 0.3},
+        {"command": "equilibrium", "shape": {"type": "segment", "a": [-1.0, 0.0],
+                                             "b": [1.0, 0.0], "panels": 4,
+                                             "nodes_per_panel": 8}},
+    ]
+
+
+# Huge counts go up to 1024: one of them on a base config makes at most
+# 32768 nodes (1024 panels of the equilibrium shape's default 32), half a MB
+# per complex array.  Each mutated config carries at most one, so two never
+# multiply.
+_HUGE = 1024
+_COUNTS = ("panels", "nodes_per_panel", "degree")
+_WRONG = ["text", None, True, [], {}, [1.0], [[0.0, 0.0, 0.0]], -1, 0, 0.5,
+          float("nan"), float("inf"), -float("inf"), 1e308, 10 ** 400]
+
+
+def _entries(config, path=()):
+    """Every (path, value) in a config, containers included."""
+    items = config.items() if isinstance(config, dict) else enumerate(config)
+    out = []
+    for key, value in items:
+        out.append((path + (key,), value))
+        if isinstance(value, (dict, list)):
+            out += _entries(value, path + (key,))
+    return out
+
+
+def _mutate(rng, config):
+    """A copy of ``config`` with one to three random edits: a key dropped, a
+    value of the wrong type, a NaN or an infinity, or at most one huge count."""
+    config = copy.deepcopy(config)
+    huge = False
+    for _ in range(int(rng.integers(1, 4))):
+        entries = _entries(config)
+        if not entries:
+            break
+        path, _ = entries[int(rng.integers(len(entries)))]
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = int(rng.integers(3))
+        if kind == 0 and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif kind == 1 and path[-1] in _COUNTS and not huge:
+            parent[path[-1]] = int(rng.integers(_HUGE // 2, _HUGE + 1))
+            huge = True
+        else:
+            parent[path[-1]] = copy.deepcopy(_WRONG[int(rng.integers(len(_WRONG)))])
+    return config
+
+
+@pytest.mark.parametrize("base", range(10))
+def test_mutated_configs_exit_cleanly(tmp_path, capsys, base):
+    # seeded by the base's index, so every run tries the same configs
+    rng = np.random.default_rng(base)
+    valid = fuzz_bases(tmp_path)[base]
+    code, _ = run_cli(tmp_path, valid)
+    assert code == 0, capsys.readouterr().err
+    for case in range(40):
+        config = _mutate(rng, valid)
+        code, _ = run_cli(tmp_path, config, name=f"fuzz{case}.json")
+        err = capsys.readouterr().err
+        assert code in (0, 64, 65), (case, config, err)
+        assert "Traceback" not in err, (case, config, err)

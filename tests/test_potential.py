@@ -28,6 +28,7 @@ from cauchypot.potential import (
     detect_point_masses,
     equilibrium_density,
     log_potential,
+    log_potential_nodes,
     read_potential_binary,
     read_potential_csv,
     recover_area_density,
@@ -38,7 +39,12 @@ from cauchypot.potential import (
 from cauchypot.quadrature import host_rule
 from cauchypot.sampling import SampledDensity, read_density_csv
 
-from oracles import recover_curve_density_loop
+from oracles import (
+    circular_arc_equilibrium,
+    ellipse_equilibrium,
+    recover_curve_density_loop,
+    segment_potentials,
+)
 
 LOG2 = math.log(2.0)
 
@@ -97,24 +103,147 @@ def test_closed_on_node_against_fourier_series():
     sd = SampledDensity(host, rho.astype(complex))
     for k in (3, 40, 177):
         exact = -0.5 * math.cos(host.params[k])
-        assert abs(log_potential(sd, host.nodes[k]) - exact) <= 1e-6
+        assert abs(log_potential(sd, host.nodes[k]) - exact) <= 1e-15
 
 
 def test_arcsine_potential_constant_on_segment():
-    # the segment equilibrium potential is -log 2 at every interior point
-    est = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0})
-    sd = est.curve_density
-    xs = sd.host.nodes.real
-    k_half = int(np.argmin(np.abs(xs - 0.5)))
-    assert abs(log_potential(sd, sd.host.nodes[k_half]) + LOG2) <= 1e-4
-    sel = np.where(np.abs(xs) <= 0.9)[0]
-    worst = max(abs(log_potential(sd, sd.host.nodes[k]) + LOG2)
-                for k in sel[::17])
-    assert worst <= 1e-4
-    # near the endpoints the subtracted quadrature degrades but stays honest
-    worst_all = max(abs(log_potential(sd, sd.host.nodes[k]) + LOG2)
-                    for k in range(0, sd.host.n_nodes, 29))
-    assert worst_all <= 1e-3
+    # the segment equilibrium potential is -log 2 at every interior point,
+    # the end nodes included
+    sd = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0}).curve_density
+    worst = max(abs(log_potential(sd, z) + LOG2) for z in sd.host.nodes)
+    assert worst <= 1e-14
+
+
+# measured worst errors at every node against the closed forms of
+# oracles.segment_potentials; the arcsine and T3 densities reach ~m/pi at the
+# end nodes, so their rounding grows with m.  The first-order rule this
+# replaced missed by 2.3e-3 to 1.4e-4 (arcsine, T3) and 2.9e-4 to 1.3e-6
+# (semicircle)
+SEGMENT_ALLOWANCES = {"arcsine": 4e-16, "T3": 4e-16, "semicircle": 1e-15}
+
+
+@pytest.mark.parametrize("m", [32, 128, 512])
+@pytest.mark.parametrize("name", sorted(SEGMENT_ALLOWANCES))
+def test_on_node_potential_of_segment_densities(name, m):
+    host = segment_host(per=m // 8)
+    x = host.nodes.real
+    rho, exact = segment_potentials()[name]
+    sd = SampledDensity(host, rho(x).astype(complex))
+    scale = m if name != "semicircle" else 1
+    assert np.max(np.abs(log_potential_nodes(sd) - exact(x))) <= SEGMENT_ALLOWANCES[name] * scale
+
+
+@pytest.mark.parametrize(("m", "measured"), [(128, 2.32e-4), (512, 1.88e-5)])
+def test_on_node_potential_of_a_density_nonzero_at_the_ends(m, measured):
+    # rho = 1 makes phi = pi sin(u) rho lose smoothness at the ends in tau,
+    # so the Chebyshev expansion converges algebraically: at the rate of the
+    # first-order rule it replaced, with 1.2-1.4x its error (1.9e-4 / 1.6e-5);
+    # pinned to the measured error
+    host = segment_host(per=m // 8)
+    x = host.nodes.real
+    rho, exact = segment_potentials()["constant"]
+    sd = SampledDensity(host, rho(x).astype(complex))
+    assert np.max(np.abs(log_potential_nodes(sd) - exact(x))) <= 1.05 * measured
+
+
+@pytest.mark.parametrize(("per", "tol"), [(16, 1e-13), (64, 5e-13)])
+def test_on_node_potential_of_the_circular_arc_equilibrium(per, tol):
+    # |theta| <= 1.1 on the unit circle: the potential is log sin(0.55) on
+    # the arc; the first-order rule missed by 5.4e-4 / 1.3e-4 at 128 / 512 nodes
+    alpha = 1.1
+    host = build_arc_system([{"type": "circular", "radius": 1.0, "theta_a": -alpha,
+                              "theta_b": alpha, "panels": 8, "nodes_per_panel": per}])
+    sd = SampledDensity(host, circular_arc_equilibrium(alpha, np.angle(host.nodes)) + 0j)
+    # unit mass up to the rounding of the rule's sqrt(1 - tau^2) at the ends
+    assert abs(np.sum(sd.values.real * host_rule(host).weights) - 1.0) <= 1e-13
+    want = math.log(math.sin(0.5 * alpha))
+    assert np.max(np.abs(log_potential_nodes(sd) - want)) <= tol
+
+
+@pytest.mark.parametrize("per", [16, 128])
+def test_on_node_potential_of_the_ellipse_equilibrium(per):
+    host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                 "panels": 8, "nodes_per_panel": per})
+    sd = SampledDensity(host, ellipse_equilibrium(host.dz_dtheta) + 0j)
+    assert np.max(np.abs(log_potential_nodes(sd) - math.log(1.5))) <= 1e-14
+
+
+BITWISE_HOSTS = {
+    "circle": lambda: circle_host(per=5),
+    "ellipse": lambda: build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                             "panels": 8, "nodes_per_panel": 512}),
+    "segment": lambda: segment_host(per=64),
+    "three arcs": lambda: build_arc_system([
+        {"type": "segment", "a": -1.0, "b": -0.3, "panels": 8, "nodes_per_panel": 8},
+        {"type": "circular", "radius": 1.0, "theta_a": 0.3, "theta_b": 1.4,
+         "panels": 8, "nodes_per_panel": 300},
+        {"type": "segment", "a": [0.2, -1.0], "b": [1.0, -1.2], "panels": 8,
+         "nodes_per_panel": 33}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_HOSTS))
+def test_on_node_loop_is_bitwise_the_all_node_potential(name):
+    # blocks of rows differ between the two (4 rows of the 4096-node ellipse
+    # per block, one row per call), the answers may not
+    host = BITWISE_HOSTS[name]()
+    rng = np.random.default_rng(7)
+    sd = SampledDensity(host, rng.standard_normal(host.n_nodes) + 0j)
+    loop = np.array([log_potential(sd, z) for z in host.nodes])
+    assert np.array_equal(loop, log_potential_nodes(sd))
+
+
+def test_on_node_potential_refuses_chain_arcs():
+    chain = {"type": "chain", "nodes": [[2.0 + 0.1 * k, 0.02 * k * k] for k in range(12)]}
+    host = build_arc_system([{"type": "segment", "a": -1.0, "b": 1.0, "panels": 4,
+                              "nodes_per_panel": 8}, chain])
+    sd = SampledDensity(host, np.ones(host.n_nodes, dtype=complex))
+    assert math.isfinite(log_potential(sd, host.nodes[3]))
+    with pytest.raises(GeometryError):
+        log_potential(sd, host.nodes[-1])
+    with pytest.raises(GeometryError):
+        log_potential_nodes(sd)
+    with pytest.raises(TypeError):
+        log_potential_nodes(MeasureEstimate(curve_density=sd))
+
+
+@pytest.mark.parametrize("edit", ["in place", "reassigned"])
+def test_on_node_memo_follows_the_values(edit):
+    host = segment_host(per=16)
+    rng = np.random.default_rng(3)
+    sd = SampledDensity(host, rng.standard_normal(host.n_nodes) + 0j)
+    text = repr(sd)
+    log_potential(sd, host.nodes[5])
+    assert repr(sd) == text  # the memo is no field
+    new = sd.values + rng.standard_normal(host.n_nodes)
+    if edit == "in place":
+        sd.values[:] = new
+    else:
+        sd.values = new
+    fresh = SampledDensity(host, new)
+    assert log_potential(sd, host.nodes[5]) == log_potential(fresh, host.nodes[5])
+    assert np.array_equal(log_potential_nodes(sd), log_potential_nodes(fresh))
+
+
+def test_curve_potential_takes_the_rule_once_per_density(monkeypatch):
+    # the weights come from the memo after the first call, not from host_rule,
+    # on the nodes and off the curve
+    import cauchypot.potential as potential
+
+    calls = []
+
+    def counted(host):
+        calls.append(host)
+        return host_rule(host)
+
+    monkeypatch.setattr(potential, "host_rule", counted)
+    sd = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0}).curve_density
+    calls.clear()
+    for z in sd.host.nodes:
+        log_potential(sd, z)
+        log_potential(sd, z + 2.0j)
+    log_potential_nodes(sd)
+    assert len(calls) == 1
 
 
 def test_segment_potential_off_curve_matches_branch():
@@ -242,12 +371,9 @@ def test_consistency_loop_segment():
     # off the curve, against the analytic Green potential
     for z in (2.0, 0.3 + 1.2j):
         assert abs(log_potential(est.curve_density, z) - segment_green(z)) <= 1e-3
-    # back on the segment the potential must flatten out at -log 2
-    xs = host.nodes.real
-    sel = np.where(np.abs(xs) <= 0.9)[0]
-    worst = max(abs(log_potential(est.curve_density, host.nodes[k]) + LOG2)
-                for k in sel[::11])
-    assert worst <= 1e-3
+    # back on the segment the potential must flatten out at -log 2, at every
+    # node (measured 2.9e-11, set by the recovered density)
+    assert np.max(np.abs(log_potential_nodes(est.curve_density) + LOG2)) <= 1e-10
 
 
 def test_host_diameter_computed_once(monkeypatch):

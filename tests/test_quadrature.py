@@ -1,6 +1,7 @@
 """Quadrature rules and principal values against independent references."""
 
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from cauchypot.errors import (
     InterpolationRequiredError,
 )
 from cauchypot.arcs import bounded_solution
-from cauchypot.cauchy import singular_S
+from cauchypot.cauchy import plemelj_residuals, singular_S
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
     closed_node_derivative,
@@ -389,12 +390,13 @@ ROUNDED_POLYGONS = (
 
 
 @st.composite
-def closed_contours(draw, kinds=("circle", "ellipse", "polygon")):
+def closed_contours(draw, kinds=("circle", "ellipse", "polygon"), per=(8, 16, 32, 64, 128)):
     """(kind, host): a circle (random center and radius), a 2:1 or 1.5:0.75
-    ellipse (random center) or one of two rounded polygons, 64-1024 nodes."""
+    ellipse (random center) or one of two rounded polygons, with 8 panels of
+    ``per`` nodes (64-1024 nodes by default)."""
     kind = draw(st.sampled_from(kinds))
     c = draw(st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False))
-    nodes = {"panels": 8, "nodes_per_panel": draw(st.sampled_from([8, 16, 32, 64, 128]))}
+    nodes = {"panels": 8, "nodes_per_panel": draw(st.sampled_from(per))}
     if kind == "circle":
         spec = {"type": "circle", "center": [c.real, c.imag],
                 "radius": draw(st.floats(0.2, 3.0))}
@@ -458,6 +460,45 @@ def test_S_is_linear_on_random_closed_contours(host, degree, seed):
     want = alpha * closed_S(host, f) + beta * closed_S(host, h)
     got = closed_S(host, alpha * f + beta * h)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+PLEMELJ_LEVELS = 4
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(host=closed_contours(per=(1024, 2048)), degree=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 16))
+def test_plemelj_jump_on_random_closed_contours(host, degree, seed):
+    # C+ f - C- f = f for a Laurent polynomial f = sum_{|k| <= degree} a_k w^k,
+    # w = (t - c)/delta about the node mean c (inside: every curve here is
+    # convex), delta = min|t - c|, each mode scaled to max 1 on the curve.
+    # The ladder's finest rung sits 10 node spacings off the curve, where the
+    # trapezoid sums are resolved, so the tolerance is the extrapolation
+    # error: Neville on h0, h0/2, ..., h0/2^(L-1) misses by at most
+    # max|g^(L)| h0^L / (L! 2^(L(L-1)/2)), and on the rungs of w^k,
+    # |g^(L)| <= (|k| + L - 1)^L |w^k| / r^L with r = delta - h0 the least
+    # distance to c, where |w^k| is at most (1 + h0/r)^|k| times its
+    # largest value on the curve.  Plus 1e-13 of the data for rounding.
+    # Measured: at most 0.14 of this tolerance, at 8192 and 16384 nodes.
+    _, host = host
+    t, levels = host.nodes, PLEMELJ_LEVELS
+    c = np.mean(t)
+    delta = np.min(np.abs(t - c))
+    k = np.arange(-degree, degree + 1)
+    modes = ((t - c) / delta)[:, None] ** k
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) / np.max(
+        np.abs(modes), axis=0)
+    spacing = np.max(np.abs(t - np.roll(t, 1)))
+    h0 = 10.0 * spacing * 2 ** (levels - 1)
+    r = delta - h0
+    miss = (((np.abs(k) + levels - 1) * h0 / r) ** levels * (1.0 + h0 / r) ** np.abs(k)
+            / (math.factorial(levels) * 2 ** (levels * (levels - 1) // 2)))
+    size = np.abs(a) * np.max(np.abs(modes), axis=0)
+    idx = np.arange(0, t.size, t.size // 16)
+    jump, _ = plemelj_residuals(SampledDensity(host, modes @ a), at_indices=idx,
+                                h0=h0, levels=levels)
+    assert jump <= np.sum(size * miss) + 1e-13 * np.sum(size)
 
 
 def pole_subtracted_rows(host, f):
