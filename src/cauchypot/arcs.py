@@ -24,7 +24,7 @@ plus values of the arc's own square-root factor) are spectrally accurate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
     """Polynomial with complex coefficients, ascending degree order."""
 
@@ -77,15 +77,16 @@ class ComplexPolynomial:
         return cls(np.array([complex(re, im) for re, im in pairs]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a bounded-solution attempt on an arc system.
 
     ``solution`` always satisfies the modified equation S_L f = g + P; when
     ``bounded`` is true the defect P is numerically zero and ``residual`` is
-    taken against g itself.  ``endpoint_values`` follow the order of the
-    system's endpoint list (a_0, b_0, a_1, ...): zero by the continuity
-    limit when bounded, NaN markers otherwise since 1/sqrt(R) terms blow up.
+    taken against g itself.  ``endpoint_values``, derived from ``bounded``,
+    follow the order of the system's endpoint list (a_0, b_0, a_1, ...):
+    zero by the continuity limit when bounded, NaN markers otherwise since
+    1/sqrt(R) terms blow up.
     """
 
     solution: SampledDensity
@@ -93,7 +94,11 @@ class SolveReport:
     defect_poly: ComplexPolynomial
     residual: float
     bounded: bool
-    endpoint_values: np.ndarray = field(default=None)
+
+    @property
+    def endpoint_values(self):
+        fill = 0.0 if self.bounded else complex("nan")
+        return np.full(2 * self.moments.size, fill, dtype=complex)
 
     def to_json(self, solution_csv):
         return {
@@ -109,16 +114,6 @@ def _require_system(host):
     if not isinstance(host, ArcSystem):
         raise GeometryError("arc-system solver needs an ArcSystem host")
     return host
-
-
-def _system_of(g, system):
-    """The arc system that the samples g live on, checked against ``system``."""
-    if system is None:
-        system = g.host
-    _require_system(system)
-    if g.host is not system:
-        raise GeometryError("sample host does not match the arc system")
-    return system
 
 
 def sqrtR_polynomial_part(system):
@@ -152,13 +147,13 @@ def homogeneous_basis(system):
             for k in range(system.n_arcs)]
 
 
-def solvability_moments(g, system=None):
+def solvability_moments(g):
     """Moments m_k = int t^k g(t) / sqrt(R)+(t) dt, k = 0..N-1.
 
     The inverse square root is folded into the graded rule, so polynomial g
     is integrated exactly.
     """
-    system = _system_of(g, system)
+    system = _require_system(g.host)
     rule = host_rule(system)
     s_plus = system.sqrtR_plus_nodes()
     t = system.nodes
@@ -169,12 +164,12 @@ def solvability_moments(g, system=None):
     return out
 
 
-def general_solution(g, system=None, P=None):
+def general_solution(g, P=None):
     """f = S[g * sqrtR+]/sqrtR+ + P/sqrtR+, the full L^1 solution family.
 
     P selects the kernel component; degree must stay <= N-1.
     """
-    system = _system_of(g, system)
+    system = _require_system(g.host)
     s_plus = system.sqrtR_plus_nodes()
     weighted = SampledDensity(system, g.values * s_plus)
     sw = singular_S(weighted, density_class="sqrt")
@@ -190,14 +185,14 @@ def general_solution(g, system=None, P=None):
     return SampledDensity(system, vals, meta={"density_class": "inverse_sqrt"})
 
 
-def candidate_f0(g, system=None):
+def candidate_f0(g):
     """f0 = sqrtR+ * S[g / sqrtR+], the bounded-solution candidate.
 
     Vanishes like sqrt(distance) at every endpoint whenever g is Hoelder;
     solves S_L f0 = g exactly when the solvability moments vanish, and the
     modified equation S_L f0 = g + P otherwise.
     """
-    system = _system_of(g, system)
+    system = _require_system(g.host)
     s_plus = system.sqrtR_plus_nodes()
     inner = SampledDensity(system, g.values / s_plus)
     si = singular_S(inner, density_class="inverse_sqrt")
@@ -205,15 +200,15 @@ def candidate_f0(g, system=None):
                           meta={"density_class": "sqrt"})
 
 
-def defect_polynomial(g, system=None):
+def defect_polynomial(g):
     """The defect P with S_L f0 = g + P, degree <= N-1.
 
     Expanding the divided difference (Q(z) - Q(w))/(z - w) of the polynomial
     part Q of sqrt(R) reduces P to a moment sum:
     P_i = (1/pi i) * sum_{m >= i+1} Q_m * m_{m-1-i}.
     """
-    system = _system_of(g, system)
-    return _defect_from_moments(system, solvability_moments(g, system))
+    system = _require_system(g.host)
+    return _defect_from_moments(system, solvability_moments(g))
 
 
 def _defect_from_moments(system, m):
@@ -229,12 +224,12 @@ def _defect_from_moments(system, m):
     return ComplexPolynomial(p)
 
 
-def modified_residual(g, system=None):
+def modified_residual(g):
     """sup-norm residual of the modified equation S_L f0 = g + P at nodes."""
-    system = _system_of(g, system)
-    f0 = candidate_f0(g, system)
+    system = _require_system(g.host)
+    f0 = candidate_f0(g)
     sf0 = singular_S(f0, density_class="sqrt")
-    P = defect_polynomial(g, system)
+    P = defect_polynomial(g)
     rhs = g.values + P(system.nodes)
     return float(np.max(np.abs(sf0.values - rhs)))
 
@@ -259,32 +254,25 @@ def _moments_vanish(g, system):
                for k in range(system.n_arcs))
 
 
-def bounded_solution(g, system=None):
+def bounded_solution(g):
     """Decide existence of a bounded solution and report the full outcome.
 
     A bounded solution exists when the solvability moments vanish, tested
     by ``_moments_vanish``; the report keeps the moments in t^k.
     """
-    system = _system_of(g, system)
-    moments = solvability_moments(g, system)
+    system = _require_system(g.host)
+    moments = solvability_moments(g)
     bounded = _moments_vanish(g, system)
-    f0 = candidate_f0(g, system)
+    f0 = candidate_f0(g)
     P = _defect_from_moments(system, moments)
     sf0 = singular_S(f0, density_class="sqrt")
-    if bounded:
-        residual = float(np.max(np.abs(sf0.values - g.values)))
-        endpoint_values = np.zeros(2 * system.n_arcs, dtype=complex)
-    else:
-        rhs = g.values + P(system.nodes)
-        residual = float(np.max(np.abs(sf0.values - rhs)))
-        endpoint_values = np.full(2 * system.n_arcs, complex("nan"))
+    rhs = g.values if bounded else g.values + P(system.nodes)
     return SolveReport(
         solution=f0,
         moments=moments,
         defect_poly=P,
-        residual=residual,
+        residual=float(np.max(np.abs(sf0.values - rhs))),
         bounded=bounded,
-        endpoint_values=endpoint_values,
     )
 
 

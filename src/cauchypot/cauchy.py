@@ -30,9 +30,12 @@ S at a node of a chain arc raises ``GeometryError``.
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
 analytically known transform) at a short ladder of distances h0, h0/2, h0/4
-along the normal, extrapolated to h = 0.  ``quadrature.normal_ladder`` lays
-out the ladders and extrapolates them; all points of a call (node x side x
-level) go through the quadrature layer's Cauchy-sum kernel as one batch.
+along the normal, extrapolated to h = 0.  On a closed contour the transform
+added back is f_k * chi, chi the one-sided limit of C[1]: 1 from the plus
+side, 0 from the minus side, so each rung takes it from the side its ladder
+walks on.  ``quadrature.normal_ladder`` lays out the ladders and extrapolates
+them; all points of a call (node x side x level) go through the quadrature
+layer's Cauchy-sum kernel as one batch.
 """
 
 from __future__ import annotations
@@ -138,12 +141,15 @@ def _boundary_values(host, values, idx, sides, h0, levels, tol):
     With ``tol`` set, the first node and side, in that order, whose ladder
     has not converged raises."""
     idx = np.asarray(idx)
+    chi = np.array([1.0 if s == "plus" else 0.0 for s in sides])
 
     def sample(z, hs):
         if hs.min() < host.near_cutoff * 10.0:
             raise BoundaryLimitError("extrapolation ladder descends into the cutoff zone")
         k = np.broadcast_to(idx[:, None, None], z.shape)
-        return _compensated_cauchy(host, values, z.ravel(), k.ravel()).reshape(z.shape)
+        side = np.broadcast_to(chi[None, :, None], z.shape)
+        return _compensated_cauchy(host, values, z.ravel(), k.ravel(),
+                                   side.ravel()).reshape(z.shape)
 
     h0 = 1e-2 * host.local_panel_length if h0 is None else h0
     value, gap, bad = normal_ladder(host, idx, sides, h0, levels, tol, sample)
@@ -156,11 +162,14 @@ def _boundary_values(host, values, idx, sides, h0, levels, tol):
     return value
 
 
-def _compensated_cauchy(host, values, z, k):
+def _compensated_cauchy(host, values, z, k, chi):
     """C f(z_i) with the sample at node k_i subtracted and restored exactly.
 
-    Closed contour:  C[f - f_k](z) + f_k * chi(z), chi the exact indicator
-    of the bounded side (winding number of the node polyline).
+    Closed contour:  C[f - f_k](z) + f_k * chi_i, chi_i the one-sided limit
+    of C[1] at node k_i from the side z_i lies on: 1 on the plus (bounded)
+    side, 0 on the minus side.  That is the winding number of every rung
+    nearer the curve than its local feature size; a rung beyond it can lie
+    across the curve, and the ladder then spans a jump either way.
 
     Arc system:  fold phi = f * sqrtR_plus (phi is smooth on the graded
     grid for every density class), subtract phi_k, and restore through
@@ -169,7 +178,7 @@ def _compensated_cauchy(host, values, z, k):
     rule = host_rule(host)
     if isinstance(host, ClosedContour):
         total = _cauchy_sum(rule.nodes, z, values, values[k], rule.dt_weights)
-        return total / (2j * np.pi) + values[k] * host.winding_number(z)
+        return total / (2j * np.pi) + values[k] * chi
     sqrtR_plus = host.sqrtR_plus_nodes()
     phi = values * sqrtR_plus
     total = _cauchy_sum(rule.nodes, z, phi, phi[k], rule.dt_weights, div=sqrtR_plus)

@@ -286,7 +286,7 @@ def _cmd_solve_arcs(config, out_dir, tols):
         raise SchemaError("'defect_poly' must be a nonempty list of [re, im] pairs",
                           key="defect_poly") from None
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
-    f = general_solution(g, system=host, P=P)
+    f = general_solution(g, P=P)
     err = np.abs(singular_S(f, density_class="inverse_sqrt").values - g.values)
     residual = float(np.max(err))
     write_solution_csv(out_dir / "solution.csv", host, f.values)
@@ -307,7 +307,7 @@ def _cmd_solve_arcs(config, out_dir, tols):
 def _cmd_bounded(config, out_dir, tols):
     host = _geometry(config, ArcSystem)
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
-    report = bounded_solution(g, system=host)
+    report = bounded_solution(g)
     write_solution_csv(out_dir / "solution.csv", host, report.solution.values)
     summary = {"command": "bounded"}
     summary.update(report.to_json("solution.csv"))
@@ -318,7 +318,7 @@ def _cmd_bounded(config, out_dir, tols):
 def _cmd_moments(config, out_dir, tols):
     host = _geometry(config, ArcSystem)
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
-    m = solvability_moments(g, system=host)
+    m = solvability_moments(g)
     write_solution_csv(out_dir / "solution.csv", host, g.values)
     return 0, {
         "command": "moments",

@@ -125,7 +125,7 @@ class _Host:
 # closed contours
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedContour(_Host):
     """Positively oriented closed curve sampled at parameter-uniform nodes.
 
@@ -146,7 +146,6 @@ class ClosedContour(_Host):
     nodes: np.ndarray
     dz_dtheta: np.ndarray
     n_panels: int
-    kind: str = "closed"
 
     def __post_init__(self):
         n = self.nodes.size
@@ -155,9 +154,6 @@ class ClosedContour(_Host):
         speed = np.abs(self.dz_dtheta)
         if np.any(speed <= 0.0):
             raise GeometryError("vanishing parameter speed at a node")
-        tmag = np.abs(self.tangents)
-        if np.max(np.abs(tmag - 1.0)) > 1e-12:
-            raise GeometryError("tangent field is not unit length")
         if self.signed_area() <= 0.0:
             raise GeometryError("contour is not positively oriented")
         _, i, j = _polyline_contacts([self.nodes], closed=True)
@@ -207,57 +203,26 @@ class ClosedContour(_Host):
         zn = np.roll(z, -1)
         return 0.5 * float(np.sum(np.imag(np.conj(z) * zn)))
 
-    @cached_property
-    def _y_buckets(self):
-        """The node polyline's segments bucketed by the y-range each spans.
-
-        Buckets are rows of height h = sum |dy| / n (the mean height of a
-        segment) from the lowest node up; a segment is listed in every bucket
-        its closed y-range meets.  Returns y0, h, the first entry of each
-        bucket (one more at the end) and the segment indices.
-        """
-        y = self.nodes.imag
-        ny = np.roll(y, -1)
-        y0 = float(np.min(y))
-        h = float(np.sum(np.abs(ny - y))) / y.size or 1.0
-        b0 = np.floor((np.minimum(y, ny) - y0) / h).astype(np.int64)
-        count = np.floor((np.maximum(y, ny) - y0) / h).astype(np.int64) - b0 + 1
-        seg = np.repeat(np.arange(y.size), count)
-        bucket = _ranges(b0, count)
-        order = np.argsort(bucket, kind="stable")
-        first = np.searchsorted(bucket[order], np.arange(int(bucket.max()) + 2))
-        return y0, h, first, seg[order]
-
     def winding_number(self, z):
         """Winding number of the node polyline about each point of ``z``.
 
         Counts the signed crossings of each point's rightward horizontal ray
-        (D. Sunday's rule: a segment going up past the point's left counts
-        +1, one going down past its right -1).  Only the segments of the
-        point's y-bucket are tested, so a call costs O(n + P k) for P points
-        and k segments to a bucket.
+        over all segments (D. Sunday's rule: a segment going up past the
+        point's left counts +1, one going down past its right -1), O(n) per
+        point.
         """
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        y0, h, first, seg = self._y_buckets
-        cell = np.clip(np.floor((flat.imag - y0) / h), 0, first.size - 2).astype(np.int64)
-        lo, count = first[cell], first[cell + 1] - first[cell]
-        p, q = self.nodes, np.roll(self.nodes, -1)
+        a, b = self.nodes, np.roll(self.nodes, -1)
 
         def turns(rows):
-            c = count[rows]
-            point = np.repeat(np.arange(c.size), c)
-            j = seg[_ranges(lo[rows], c)]
-            a, b = p[j], q[j]
-            x, y = flat.real[rows][point], flat.imag[rows][point]
+            x, y = flat.real[rows, None], flat.imag[rows, None]
             side = (b.real - a.real) * (y - a.imag) - (x - a.real) * (b.imag - a.imag)
             up = (a.imag <= y) & (b.imag > y) & (side > 0)
             down = (b.imag <= y) & (a.imag > y) & (side < 0)
-            return (np.bincount(point[up], minlength=c.size)
-                    - np.bincount(point[down], minlength=c.size))
+            return np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
 
-        width = int(np.max(np.diff(first)))
-        return _by_rows(turns, flat.size, width, int).reshape(z.shape)[()]
+        return _by_rows(turns, flat.size, a.size, int).reshape(z.shape)[()]
 
     def contains(self, z):
         return self.winding_number(z) != 0
@@ -540,7 +505,7 @@ def _open_fd4(values, spacing):
 # arcs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arc:
     """A single smooth open arc from ``a`` to ``b``.
 
@@ -766,7 +731,7 @@ def _chain_factor_plus(arc, t):
 # arc systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcSystem(_Host):
     """Union of pairwise disjoint arcs carrying R and its square-root branch.
 
@@ -776,7 +741,6 @@ class ArcSystem(_Host):
     """
 
     arcs: tuple
-    kind: str = "arcs"
 
     def __post_init__(self):
         if not self.arcs:

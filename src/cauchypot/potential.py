@@ -64,36 +64,23 @@ __all__ = [
 
 
 class PotentialField:
-    """A potential known either through point evaluations or on a grid.
+    """A potential sampled on a square grid.
 
-    Grid values are row-major: ``values[iy, ix]`` sits at
-    (x0 + ix*h, y0 + iy*h).
+    Values are row-major: ``values[iy, ix]`` sits at (x0 + ix*h, y0 + iy*h).
+    Curve recovery takes the potential as a plain callable instead.
     """
 
-    def __init__(self, evaluator=None, values=None, x0=0.0, y0=0.0, h=0.0):
-        if (evaluator is None) == (values is None):
-            raise ValueError("need exactly one of evaluator or grid values")
-        self.evaluator = evaluator
-        if values is not None:
-            values = np.asarray(values, dtype=float)
-            if values.ndim != 2:
-                raise ValueError("grid values must be 2-d")
-            if h <= 0:
-                raise ValueError("grid spacing must be positive")
+    def __init__(self, values, x0=0.0, y0=0.0, h=0.0):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 2:
+            raise ValueError("grid values must be 2-d")
+        if h <= 0:
+            raise ValueError("grid spacing must be positive")
         self.values = values
         self.x0, self.y0, self.h = float(x0), float(y0), float(h)
 
-    @property
-    def is_grid(self):
-        return self.values is not None
 
-    def __call__(self, z):
-        if self.evaluator is None:
-            raise ValueError("grid potential cannot be point-evaluated")
-        return float(self.evaluator(z))
-
-
-@dataclass
+@dataclass(eq=False)
 class MeasureEstimate:
     """A measure split into curve, area, and atomic components.
 
@@ -353,10 +340,10 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError("curve recovery needs a contour or arc system host")
-    if isinstance(u, PotentialField) and u.is_grid:
-        raise ValueError("curve recovery needs an evaluator, not a grid")
+    if isinstance(u, PotentialField):
+        raise ValueError("curve recovery needs a callable, not a grid")
     if not callable(u):
-        raise TypeError("u must be callable or an evaluator PotentialField")
+        raise TypeError("u must be callable")
     if levels < 2:
         raise ValueError("extrapolation needs at least two offset levels")
     # the offset scale is local: near an arc endpoint the potential is only
@@ -381,7 +368,7 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     ok = np.isfinite(total)
     dens = np.where(ok, total / (2.0 * math.pi), 0.0)
     flagged = np.flatnonzero(~ok | bad.any(axis=1)).tolist()
-    sd = SampledDensity(host, dens.astype(complex), meta={"flagged_nodes": list(flagged)})
+    sd = SampledDensity(host, dens.astype(complex))
     mass = float(np.sum(dens * host_rule(host).weights))
     return MeasureEstimate(curve_density=sd, total_mass=mass, flagged_nodes=flagged)
 
@@ -401,7 +388,7 @@ def recover_area_density(u, h_max=None):
     amplify rounding by 1/h^2, so cells below the noise floor
     10/h^2 * eps * max|u| are zeroed.
     """
-    if not isinstance(u, PotentialField) or not u.is_grid:
+    if not isinstance(u, PotentialField):
         raise TypeError("area recovery needs a grid PotentialField")
     if u.values.shape[0] < 5 or u.values.shape[1] < 5:
         raise ResolutionError("grid needs at least 5 points per axis")
@@ -455,7 +442,7 @@ def detect_point_masses(u, cluster_radius):
     the slow tails the threshold cuts off, and by the discrete divergence
     theorem the sum equals the flux of u through the box boundary.
     """
-    if not isinstance(u, PotentialField) or not u.is_grid:
+    if not isinstance(u, PotentialField):
         raise TypeError("point-mass detection needs a grid PotentialField")
     h = u.h
     if cluster_radius / h < 4.0:
@@ -568,8 +555,6 @@ def _axis(coords):
 
 
 def write_potential_csv(path, fieldobj):
-    if not fieldobj.is_grid:
-        raise ValueError("only grid potentials serialize to CSV")
     _write_grid_csv(path, "u", fieldobj.values, fieldobj.x0, fieldobj.y0, fieldobj.h)
 
 
@@ -608,8 +593,6 @@ def read_potential_binary(data_path, header_path):
 
 
 def write_potential_binary(data_path, header_path, fieldobj):
-    if not fieldobj.is_grid:
-        raise ValueError("only grid potentials serialize to binary")
     ny, nx = fieldobj.values.shape
     fieldobj.values.astype("<f8").tofile(data_path)
     with open(header_path, "w", encoding="ascii") as fh:

@@ -32,7 +32,7 @@ _DENSITY_HEADER = ["index", "re_f", "im_f"]
 _SOLUTION_HEADER = ["index", "s", "re_z", "im_z", "re_f", "im_f"]
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledDensity:
     """Complex samples f(t_k) at the nodes of a host curve."""
 

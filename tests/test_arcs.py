@@ -210,11 +210,14 @@ def test_moments_on_unit_segment():
 
 
 def test_moments_reject_foreign_host():
-    sysm = segment(16)
-    other = segment(16)
-    g = SampledDensity(other, np.ones(other.n_nodes, complex))
-    with pytest.raises(GeometryError):
-        solvability_moments(g, sysm)
+    # the solvers take their system from the samples' host, which must be one
+    host = build_closed_contour({"type": "circle", "radius": 1.0,
+                                 "panels": 2, "nodes_per_panel": 8})
+    g = SampledDensity(host, np.ones(host.n_nodes, complex))
+    for solver in (solvability_moments, general_solution, candidate_f0,
+                   defect_polynomial, modified_residual, bounded_solution):
+        with pytest.raises(GeometryError):
+            solver(g)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,45 @@ def test_plemelj_ladder_reports_the_first_failing_node_and_side():
         plemelj_residuals(f, at_indices=idx, tol=tol)
 
 
+# the rounded polygon of the benchmark's closed-contour workload
+POLYGON = {"type": "rounded-polygon", "corner_radius": 0.25,
+           "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]]}
+
+
+@pytest.mark.parametrize("spec, every", [
+    ({"type": "circle", "radius": 1.0, "nodes_per_panel": 128}, 1),
+    ({"type": "ellipse", "semi_axes": [2.0, 1.0], "nodes_per_panel": 128}, 1),
+    (dict(POLYGON, nodes_per_panel=512), 4),
+    # the recovery benchmark's circle, at the 64 nodes plemelj_residuals samples
+    ({"type": "circle", "radius": 1.0, "nodes_per_panel": 2048}, 256),
+], ids=["circle", "ellipse", "polygon", "circle-16384"])
+@pytest.mark.parametrize("h0, levels", [(None, 3), (0.02, 5)], ids=["default", "h0=0.02"])
+def test_ladder_rungs_take_the_winding_number_of_their_side(monkeypatch, spec, every,
+                                                            h0, levels):
+    # chi, the one-sided limit of C[1], is 1 on plus rungs and 0 on minus
+    # rungs; where each rung's winding number says the same, the limits are
+    # bitwise those that restore f_k through the winding number
+    import cauchypot.cauchy as cauchy
+
+    host = build_closed_contour(dict(spec, panels=8))
+    compensated, rungs = cauchy._compensated_cauchy, []
+
+    def both(host, values, z, k, chi):
+        wind = host.winding_number(z)
+        assert np.array_equal(chi, wind)
+        got = compensated(host, values, z, k, chi)
+        assert np.array_equal(got, compensated(host, values, z, k, wind))
+        rungs.append(z.size)
+        return got
+
+    monkeypatch.setattr(cauchy, "_compensated_cauchy", both)
+    t = host.nodes
+    f = SampledDensity(host, t ** 3 - 0.5j * t + (2.0 + 1.0j) / t)
+    idx = np.arange(0, host.n_nodes, every)
+    plemelj_residuals(f, at_indices=idx, h0=h0, levels=levels)
+    assert rungs == [idx.size * 2 * levels]
+
+
 def test_plemelj_residuals_laurent_density():
     c = circle(2048)
     f = SampledDensity.from_function(c, lambda t: 2.0 * t + 5.0 / t)

@@ -15,6 +15,8 @@ from cauchypot.errors import (
     ResolutionError,
 )
 from cauchypot.geometry import (
+    ArcSystem,
+    ClosedContour,
     build_arc_system,
     build_closed_contour,
     eval_sqrtR,
@@ -157,7 +159,7 @@ def angle_sum_winding(host, z):
 @pytest.mark.parametrize("spec", [
     {"type": "rounded-polygon", "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]],
      "corner_radius": 0.25, "panels": 8, "nodes_per_panel": 128},
-    # horizontal edges put many segments in one bucket, at exactly one y
+    # horizontal edges put many segments at exactly one y
     {"type": "rounded-polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]],
      "corner_radius": 0.2, "panels": 8, "nodes_per_panel": 64},
     {"type": "ellipse", "center": [0.3, -0.2], "semi_axes": [2.0, 1.0], "panels": 8,
@@ -624,6 +626,29 @@ def test_local_panel_length_is_length_over_panel_count():
     assert sysm.local_panel_length == sysm.total_length / 5
 
 
+def test_records_holding_arrays_compare_by_identity_and_hash():
+    # field-wise == would compare arrays and raise on the truth value
+    import cauchypot as cp
+
+    circ = {"type": "circle", "radius": 1.0, "panels": 2, "nodes_per_panel": 8}
+    seg = [{"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 2, "nodes_per_panel": 8}]
+    host = build_closed_contour(circ)
+    for make in [
+        lambda: build_closed_contour(circ),
+        lambda: build_arc_system(seg),
+        lambda: build_arc_system(seg).arcs[0],
+        lambda: cp.SampledDensity(host, np.ones(host.n_nodes)),
+        lambda: cp.host_rule(host),
+        lambda: cp.ComplexPolynomial([1.0, 2.0]),
+        lambda: cp.bounded_solution(cp.SampledDensity.from_function(
+            build_arc_system(seg), lambda t: t)),
+        lambda: cp.recover_area_density(cp.PotentialField(values=np.zeros((5, 5)), h=0.1)),
+    ]:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -632,11 +657,11 @@ def test_parse_geometry_dispatch(tmp_path):
     spec = {"curve": {"type": "circle", "center": [0, 0], "radius": 1.0,
                       "panels": 4, "nodes_per_panel": 8}}
     host = parse_geometry(spec)
-    assert host.kind == "closed"
+    assert isinstance(host, ClosedContour)
     spec2 = {"arcs": [{"type": "segment", "a": [-1, 0], "b": [1, 0],
                        "panels": 2, "nodes_per_panel": 8}]}
     host2 = parse_geometry(spec2)
-    assert host2.kind == "arcs"
+    assert isinstance(host2, ArcSystem)
     with pytest.raises(GeometryError):
         parse_geometry({"neither": 1})
     # file round trip

@@ -312,7 +312,7 @@ def test_log_potential_rejects_wrong_types():
 
 def test_circle_recovery_density_and_mass():
     host = circle_host(per=32)
-    u = PotentialField(evaluator=lambda z: max(math.log(abs(z)), 0.0))
+    u = lambda z: max(math.log(abs(z)), 0.0)
     est = recover_curve_density(u, host, tol=1e-8)
     dv = est.curve_density.values.real
     assert np.max(np.abs(dv - 1.0 / (2.0 * np.pi))) <= 1e-6
@@ -325,7 +325,7 @@ def test_circle_recovery_density_and_mass():
 
 def test_segment_recovery_matches_arcsine():
     host = segment_host(per=32)
-    u = PotentialField(evaluator=segment_green)
+    u = segment_green
     est = recover_curve_density(u, host, tol=1e-6)
     xs = host.nodes.real
     ref = 1.0 / (np.pi * np.sqrt(1.0 - xs ** 2))
@@ -339,7 +339,7 @@ def test_segment_recovery_matches_arcsine():
 
 def test_segment_recovery_value_at_center():
     host = segment_host(per=32)
-    est = recover_curve_density(PotentialField(evaluator=segment_green), host)
+    est = recover_curve_density(segment_green, host)
     k0 = int(np.argmin(np.abs(host.nodes.real)))
     assert abs(est.curve_density.values.real[k0] - 1.0 / np.pi) <= 1e-4
 
@@ -350,8 +350,8 @@ def test_harmonic_addend_contributes_nothing():
     host = circle_host(per=32)
     base = lambda z: 0.5 * max(math.log(abs(z)), 0.0)
     bumped = lambda z: base(z) + math.log(abs(z - 5.0))
-    d1 = recover_curve_density(PotentialField(evaluator=base), host)
-    d2 = recover_curve_density(PotentialField(evaluator=bumped), host)
+    d1 = recover_curve_density(base, host)
+    d2 = recover_curve_density(bumped, host)
     diff = np.abs(d1.curve_density.values - d2.curve_density.values)
     assert np.max(diff) <= 1e-6
     assert np.max(np.abs(d1.curve_density.values.real - 1.0 / (4.0 * np.pi))) <= 1e-6
@@ -359,7 +359,7 @@ def test_harmonic_addend_contributes_nothing():
 
 def test_consistency_loop_circle():
     host = circle_host(per=32)
-    u = PotentialField(evaluator=lambda z: max(math.log(abs(z)), 0.0))
+    u = lambda z: max(math.log(abs(z)), 0.0)
     est = recover_curve_density(u, host)
     for z in (2.0, -1.7 + 0.6j):
         assert abs(log_potential(est.curve_density, z) - math.log(abs(z))) <= 1e-3
@@ -367,7 +367,7 @@ def test_consistency_loop_circle():
 
 def test_consistency_loop_segment():
     host = segment_host(per=32)
-    est = recover_curve_density(PotentialField(evaluator=segment_green), host)
+    est = recover_curve_density(segment_green, host)
     # off the curve, against the analytic Green potential
     for z in (2.0, 0.3 + 1.2j):
         assert abs(log_potential(est.curve_density, z) - segment_green(z)) <= 1e-3
@@ -391,7 +391,7 @@ def test_host_diameter_computed_once(monkeypatch):
     monkeypatch.setattr(geometry, "_point_set_diameter", counted)
     host = segment_host(per=64)
     assert host.n_nodes == 512
-    est = recover_curve_density(PotentialField(evaluator=segment_green), host)
+    est = recover_curve_density(segment_green, host)
     for z in host.nodes:
         log_potential(est.curve_density, z)
     assert len(calls) == 1
@@ -423,7 +423,7 @@ def test_recovery_flags_bad_nodes_without_raising():
             raise ValueError("pole")
         return max(math.log(abs(z)), 0.0)
 
-    est = recover_curve_density(PotentialField(evaluator=u), host)
+    est = recover_curve_density(u, host)
     assert est.flagged_nodes == [7]
     assert est.curve_density.values[7] == 0.0
     others = np.delete(est.curve_density.values.real, 7)
@@ -610,7 +610,7 @@ def test_area_grid_validation():
     with pytest.raises(ResolutionError):
         recover_area_density(PotentialField(values=np.zeros((4, 9)), h=0.1))
     with pytest.raises(TypeError):
-        recover_area_density(PotentialField(evaluator=lambda z: 0.0))
+        recover_area_density(lambda z: 0.0)
 
 
 def test_area_origin_bookkeeping():
@@ -739,7 +739,7 @@ def test_equilibrium_matches_recovery():
     ref = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0,
                                "panels": 8, "nodes_per_panel": 32})
     host = ref.curve_density.host
-    est = recover_curve_density(PotentialField(evaluator=segment_green), host)
+    est = recover_curve_density(segment_green, host)
     rel = (np.abs(est.curve_density.values.real - ref.curve_density.values.real)
            / ref.curve_density.values.real)
     assert np.max(rel) <= 1e-6
@@ -776,16 +776,9 @@ def test_estimate_json_and_curve_csv(tmp_path):
 
 def test_potential_field_validation():
     with pytest.raises(ValueError):
-        PotentialField()
-    with pytest.raises(ValueError):
-        PotentialField(evaluator=lambda z: 0.0, values=np.zeros((4, 4)), h=0.1)
-    with pytest.raises(ValueError):
         PotentialField(values=np.zeros(16), h=0.1)
     with pytest.raises(ValueError):
         PotentialField(values=np.zeros((4, 4)), h=0.0)
-    grid = PotentialField(values=np.zeros((4, 4)), h=0.1)
-    with pytest.raises(ValueError):
-        grid(0.0)
 
 
 def test_potential_csv_roundtrip(tmp_path):
