@@ -40,7 +40,6 @@ from .geometry import (
     ClosedContour,
     build_arc_system,
     build_closed_contour,
-    eval_sqrtR,
     parse_geometry,
     sqrtR_boundary_plus,
 )
@@ -58,7 +57,7 @@ from .potential import (
     write_potential_binary,
     write_potential_csv,
 )
-from .quadrature import QuadratureRule, host_rule, integrate, integrate_arclength
+from .quadrature import host_rule, integrate, integrate_arclength
 from .sampling import (
     SampledDensity,
     read_density_csv,

@@ -31,7 +31,7 @@ import numpy as np
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
 from .geometry import ArcSystem
-from .quadrature import host_rule, integrate, integrate_arclength
+from .quadrature import integrate, integrate_arclength
 from .sampling import SampledDensity
 
 __all__ = [
@@ -142,9 +142,7 @@ def homogeneous_basis(system):
     """The N kernel elements t^k / sqrt(R)+(t), sampled at the nodes."""
     _require_system(system)
     s_plus = system.sqrtR_plus_nodes()
-    return [SampledDensity(system, system.nodes ** k / s_plus,
-                           meta={"kernel_index": k, "density_class": "inverse_sqrt"})
-            for k in range(system.n_arcs)]
+    return [SampledDensity(system, system.nodes ** k / s_plus) for k in range(system.n_arcs)]
 
 
 def solvability_moments(g):
@@ -154,14 +152,9 @@ def solvability_moments(g):
     is integrated exactly.
     """
     system = _require_system(g.host)
-    rule = host_rule(system)
-    s_plus = system.sqrtR_plus_nodes()
     t = system.nodes
-    base = g.values / s_plus
-    out = np.empty(system.n_arcs, dtype=complex)
-    for k in range(system.n_arcs):
-        out[k] = integrate(SampledDensity(system, t ** k * base), rule)
-    return out
+    base = g.values / system.sqrtR_plus_nodes()
+    return np.array([integrate(t ** k * base, system) for k in range(system.n_arcs)])
 
 
 def general_solution(g, P=None):
@@ -182,7 +175,7 @@ def general_solution(g, P=None):
                 f"kernel polynomial degree {P.degree} exceeds N-1 = {system.n_arcs - 1}"
             )
         vals = vals + P(system.nodes) / s_plus
-    return SampledDensity(system, vals, meta={"density_class": "inverse_sqrt"})
+    return SampledDensity(system, vals)
 
 
 def candidate_f0(g):
@@ -196,8 +189,7 @@ def candidate_f0(g):
     s_plus = system.sqrtR_plus_nodes()
     inner = SampledDensity(system, g.values / s_plus)
     si = singular_S(inner, density_class="inverse_sqrt")
-    return SampledDensity(system, s_plus * si.values,
-                          meta={"density_class": "sqrt"})
+    return SampledDensity(system, s_plus * si.values)
 
 
 def defect_polynomial(g):
@@ -244,13 +236,12 @@ def _moments_vanish(g, system):
     change by the same factor, so the verdict does not depend on where the
     system lies or on its size.
     """
-    rule = host_rule(system)
     ends = system.endpoints
     c = np.mean(ends)
     tau = (system.nodes - c) / np.max(np.abs(ends - c))
     base = g.values / system.sqrtR_plus_nodes()
-    return all(abs(integrate(tau ** k * base, rule))
-               <= 1e-8 * integrate_arclength(np.abs(tau) ** k * np.abs(base), rule).real
+    return all(abs(integrate(tau ** k * base, system))
+               <= 1e-8 * integrate_arclength(np.abs(tau) ** k * np.abs(base), system).real
                for k in range(system.n_arcs))
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BoundaryLimitError, NearBoundaryError
 from .geometry import ClosedContour
-from .quadrature import _cauchy_sum, host_rule, normal_ladder, singular_values
+from .quadrature import _cauchy_sum, normal_ladder, singular_values
 from .sampling import SampledDensity
 
 __all__ = [
@@ -72,9 +72,10 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     """S f at host nodes.
 
     With ``at_indices=None`` the full node set is used and the result is a
-    SampledDensity on the same host; an index array gives an array, a single
-    index a complex number.  Arc endpoints are not nodes, so the endpoint
-    singularities of Sf never appear in the output.
+    SampledDensity on the same host; a 1-d index array gives an array, a
+    single index a complex number, and an index outside [0, n) raises
+    IndexError.  Arc endpoints are not nodes, so the endpoint singularities
+    of Sf never appear in the output.
     """
     if density_class not in DENSITY_CLASSES:
         raise ValueError(f"density_class must be one of {DENSITY_CLASSES}")
@@ -101,14 +102,13 @@ def cauchy_transform(f, z):
     one-sided limits on the curve itself.
     """
     host, values = _host_values(f)
-    rule = host_rule(host)
     z = np.asarray(z, dtype=complex)
     zs = z.ravel()
     if np.any(host.distance_to(zs) < host.near_cutoff):
         raise NearBoundaryError(
             "point is on top of the curve; use boundary_value for limits"
         )
-    out = _cauchy_sum(rule.nodes, zs, rule.dt_weights * values) / (2j * np.pi)
+    out = _cauchy_sum(host.nodes, zs, host.dt_weights * values) / (2j * np.pi)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -175,13 +175,12 @@ def _compensated_cauchy(host, values, z, k, chi):
     grid for every density class), subtract phi_k, and restore through
     C[1/sqrtR](z) = 1/(2 sqrtR(z)), exact for the system branch.
     """
-    rule = host_rule(host)
     if isinstance(host, ClosedContour):
-        total = _cauchy_sum(rule.nodes, z, values, values[k], rule.dt_weights)
+        total = _cauchy_sum(host.nodes, z, values, values[k], host.dt_weights)
         return total / (2j * np.pi) + values[k] * chi
     sqrtR_plus = host.sqrtR_plus_nodes()
     phi = values * sqrtR_plus
-    total = _cauchy_sum(rule.nodes, z, phi, phi[k], rule.dt_weights, div=sqrtR_plus)
+    total = _cauchy_sum(host.nodes, z, phi, phi[k], host.dt_weights, div=sqrtR_plus)
     return total / (2j * np.pi) + phi[k] / (2.0 * host.eval_sqrtR(z, check_distance=False))
 
 
@@ -196,7 +195,7 @@ def plemelj_residuals(f, at_indices=None, h0=None, levels=3, tol=None,
     host, values = _host_values(f)
     if at_indices is None:
         at_indices = np.arange(0, host.n_nodes, max(1, host.n_nodes // 64))
-    idx = np.atleast_1d(np.asarray(at_indices, dtype=int))
+    idx = np.atleast_1d(np.asarray(at_indices))
     sf = singular_S(f, at_indices=idx, density_class=density_class)
     cp, cm = _boundary_values(host, values, idx, ("plus", "minus"), h0, levels, tol).T
     jump = np.abs(cp - cm - values[idx])

@@ -59,12 +59,6 @@ from .sampling import (
 
 __all__ = ["main", "run_config"]
 
-_COMMANDS = (
-    "solve-closed", "solve-arcs", "bounded", "moments",
-    "recover-curve", "recover-area", "point-masses", "equilibrium",
-)
-
-
 @contextmanager
 def _section(name):
     """Tag the errors raised while reading one top-level config section."""
@@ -422,9 +416,9 @@ _HANDLERS = {
 def run_config(config, out_dir, tol=None, serial=False):
     """Run one validated config mapping; returns the process exit code."""
     command = config.get("command")
-    if command not in _COMMANDS:
+    if command not in _HANDLERS:
         raise SchemaError(
-            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}",
+            f"unknown command {command!r}; expected one of {', '.join(_HANDLERS)}",
             key="command")
     tolerances = config.get("tolerances", {})
     if not isinstance(tolerances, dict):

@@ -28,17 +28,22 @@ A host is a frozen record of its inputs: the nodes and their parameter
 derivative on a contour, the arcs of a system.  Everything derived from them
 (tangents, arclength, the diameter and the near cutoff it scales, R and the
 plus values of sqrt(R)) is a ``functools.cached_property``, computed on first
-use and then kept, since the inputs never change.  Panels split no node
-set: a contour or arc keeps only the panel count of its spec, and
-``local_panel_length`` (total length over that count) scales the normal
-offsets of boundary limits and curve recovery.
+use and then kept, since the inputs never change.
+
+Each host is its own quadrature rule over all its nodes: ``params``,
+``nodes``, ``weights`` (arclength) and ``dt_weights`` (the complex line
+element), derived like the rest.  That is the periodic trapezoid rule on a
+contour, the rule of the cosine substitution on graded arcs and the
+composite trapezoid rule on chains.  Panels split no node set: a contour or
+arc keeps only the panel count of its spec, and ``local_panel_length``
+(total length over that count) scales the normal offsets of boundary limits
+and curve recovery.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,7 +65,6 @@ __all__ = [
     "ArcSystem",
     "build_closed_contour",
     "build_arc_system",
-    "eval_sqrtR",
     "sqrtR_boundary_plus",
     "parse_geometry",
     "node_table_csv",
@@ -138,9 +142,10 @@ class ClosedContour(_Host):
     n_panels : int
         Panel count of the spec, which sets ``local_panel_length``.
 
-    Derived once: ``params`` (the theta_k), ``tangents`` (the unit field of
-    dz_dtheta), ``arclength`` (cumulative at the nodes, starting at 0),
-    ``total_length``, ``diameter()`` and ``near_cutoff``.
+    Derived once: ``params`` (the theta_k), the periodic trapezoid rule
+    (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
+    field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
+    0), ``total_length``, ``diameter()`` and ``near_cutoff``.
     """
 
     nodes: np.ndarray
@@ -176,27 +181,26 @@ class ClosedContour(_Host):
 
     @cached_property
     def arclength(self):
-        return np.concatenate(([0.0], np.cumsum(self.arclength_weights)))[:-1]
+        return np.concatenate(([0.0], np.cumsum(self.weights)))[:-1]
 
     @cached_property
     def total_length(self):
-        return float(np.sum(self.arclength_weights))
+        return float(np.sum(self.weights))
 
     @property
     def normals_plus(self):
         """Unit normal pointing into the bounded (plus) domain."""
         return 1j * self.tangents
 
-    @property
-    def complex_weights(self):
-        """Weights w_k with  integral f(t) dt  ~=  sum w_k f(t_k)."""
-        h = 2.0 * np.pi / self.n_nodes
-        return h * self.dz_dtheta
+    @cached_property
+    def dt_weights(self):
+        """Trapezoid weights w_k with  integral f(t) dt  ~=  sum w_k f(t_k)."""
+        return (2.0 * np.pi / self.n_nodes) * self.dz_dtheta
 
-    @property
-    def arclength_weights(self):
-        h = 2.0 * np.pi / self.n_nodes
-        return h * np.abs(self.dz_dtheta)
+    @cached_property
+    def weights(self):
+        """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
+        return (2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta)
 
     def signed_area(self):
         z = self.nodes
@@ -516,10 +520,10 @@ class Arc:
 
     The fields are what the builders lay down: the nodes with their
     parameters, derivative, tangents and arclength, the panel count, the branch
-    ray angle and, on circular arcs, the circle.  ``sqrt_own_plus`` is
-    derived once: the plus boundary values at the nodes of this arc's own
-    factor s_j(z) = sqrt((z - a)(z - b)), normalized s_j(z)/z -> 1 at
-    infinity with its cut along the arc.
+    ray angle and, on circular arcs, the circle.  Derived once: the rule's
+    ``dt_weights``, and ``sqrt_own_plus``, the plus boundary values at the
+    nodes of this arc's own factor s_j(z) = sqrt((z - a)(z - b)), normalized
+    s_j(z)/z -> 1 at infinity with its cut along the arc.
     """
 
     kind: str
@@ -568,6 +572,15 @@ class Arc:
     @cached_property
     def sqrt_own_plus(self):
         return self.factor_plus(self.nodes, tau=self.params)
+
+    @cached_property
+    def dt_weights(self):
+        """w_j with int f dt ~= sum w_j f(t_j): (pi/m) sin(u_j) (dt/dtau)_j on a graded
+        arc; on a chain half the chords to both neighbours (composite trapezoid)."""
+        if self.graded:
+            return (np.pi / self.n_nodes) * self.sin_u * self.dt_dtau
+        d = np.diff(np.concatenate(([self.a], self.nodes, [self.b])))
+        return 0.5 * (d[:-1] + d[1:])
 
     @property
     def sin_u(self):
@@ -735,9 +748,10 @@ def _chain_factor_plus(arc, t):
 class ArcSystem(_Host):
     """Union of pairwise disjoint arcs carrying R and its square-root branch.
 
-    The one input is ``arcs``; the node set and its bookkeeping, ``R_coeffs``,
-    ``diameter()``, ``near_cutoff`` and the plus values of sqrt(R) at the
-    nodes are derived once, on first use.
+    The one input is ``arcs``; the node set and its bookkeeping, the rule
+    (the arcs' ``params`` and ``dt_weights`` in node order, and ``weights``,
+    the magnitudes), ``R_coeffs``, ``diameter()``, ``near_cutoff`` and the
+    plus values of sqrt(R) at the nodes are derived once, on first use.
     """
 
     arcs: tuple
@@ -763,6 +777,18 @@ class ArcSystem(_Host):
     @cached_property
     def nodes(self):
         return np.concatenate([arc.nodes for arc in self.arcs])
+
+    @cached_property
+    def params(self):
+        return np.concatenate([arc.params for arc in self.arcs])
+
+    @cached_property
+    def dt_weights(self):
+        return np.concatenate([arc.dt_weights for arc in self.arcs])
+
+    @cached_property
+    def weights(self):
+        return np.abs(self.dt_weights)
 
     @cached_property
     def arc_offsets(self):
@@ -873,11 +899,6 @@ def build_arc_system(arc_specs):
     return ArcSystem(arcs=tuple(arcs))
 
 
-def eval_sqrtR(system, z):
-    """Module-level convenience wrapper for ArcSystem.eval_sqrtR."""
-    return system.eval_sqrtR(z)
-
-
 def sqrtR_boundary_plus(system, node_index=None, point=None, arc_index=None):
     """Plus-side boundary value of sqrt(R) on an arc of the system.
 
@@ -953,11 +974,6 @@ def parse_geometry(spec):
     if "arcs" in spec:
         return build_arc_system(spec["arcs"])
     raise GeometryError("geometry spec needs a 'curve' or 'arcs' entry")
-
-
-def load_geometry(path):
-    with open(path) as fh:
-        return parse_geometry(json.load(fh))
 
 
 def node_table_csv(host, path):

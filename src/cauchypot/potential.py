@@ -44,8 +44,8 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import _trig_coeffs, _trig_sum, host_rule, normal_ladder
-from .sampling import SampledDensity, write_density_csv
+from .quadrature import _trig_coeffs, _trig_sum, normal_ladder
+from .sampling import SampledDensity
 
 __all__ = [
     "PotentialField",
@@ -99,8 +99,8 @@ class MeasureEstimate:
     def component_mass(self):
         total = 0.0
         if self.curve_density is not None:
-            w = host_rule(self.curve_density.host).weights
-            total += float(np.sum(self.curve_density.values.real * w))
+            total += float(np.sum(self.curve_density.values.real
+                                  * self.curve_density.host.weights))
         if self.area_density is not None:
             total += float(np.sum(self.area_density)) * self.area_h ** 2
         total += math.fsum(m for _, m in self.point_masses)
@@ -126,11 +126,6 @@ class MeasureEstimate:
             "flagged_nodes": [int(k) for k in self.flagged_nodes],
         }
 
-    def write_curve_csv(self, path):
-        if self.curve_density is None:
-            raise ValueError("no curve component to write")
-        write_density_csv(path, self.curve_density.values)
-
 
 # ---------------------------------------------------------------------------
 # forward map: potential of a measure
@@ -151,7 +146,7 @@ def _log_memo(density):
     memo = getattr(density, "_log_memo", None)
     if memo is None or memo[0] is not density.host or not np.array_equal(memo[1], density.values):
         host = density.host
-        q = host_rule(host).weights * density.values.real
+        q = host.weights * density.values.real
         ring = None
         if isinstance(host, ClosedContour):
             n = host.n_nodes
@@ -369,7 +364,7 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     dens = np.where(ok, total / (2.0 * math.pi), 0.0)
     flagged = np.flatnonzero(~ok | bad.any(axis=1)).tolist()
     sd = SampledDensity(host, dens.astype(complex))
-    mass = float(np.sum(dens * host_rule(host).weights))
+    mass = float(np.sum(dens * host.weights))
     return MeasureEstimate(curve_density=sd, total_mass=mass, flagged_nodes=flagged)
 
 
@@ -499,7 +494,7 @@ def equilibrium_density(shape):
         })
         dens = np.full(host.n_nodes, 1.0 / (2.0 * math.pi * r), dtype=complex)
         sd = SampledDensity(host, dens)
-        mass = float(np.sum(dens.real * host_rule(host).weights))
+        mass = float(np.sum(dens.real * host.weights))
         return MeasureEstimate(curve_density=sd, total_mass=mass)
     if kind == "segment":
         host = build_arc_system([{
@@ -510,7 +505,7 @@ def equilibrium_density(shape):
         t = host.nodes
         dens = 1.0 / (math.pi * np.sqrt(np.abs(t - arc.a) * np.abs(arc.b - t)))
         sd = SampledDensity(host, dens.astype(complex))
-        mass = float(np.sum(dens * host_rule(host).weights))
+        mass = float(np.sum(dens * host.weights))
         return MeasureEstimate(curve_density=sd, total_mass=mass)
     raise NotImplementedError(f"no equilibrium reference for shape {kind!r}")
 

@@ -1,9 +1,11 @@
-"""Quadrature rules matched to the node layouts of the geometry layer.
+"""Sums over the nodes of a host: integrals, principal values, limits.
 
-Each host carries one rule over all its nodes, ``host_rule``.  Closed
-contours carry the periodic trapezoid rule, which is spectrally accurate
-for smooth integrands.  Chain arcs carry the composite trapezoid rule over
-their points.  Graded arcs carry the rule induced by the cosine
+A host is its own quadrature rule: its ``params``, ``nodes``, ``weights``
+(arclength) and ``dt_weights`` (complex line element), derived once by the
+geometry layer.  ``integrate`` and ``integrate_arclength`` take the host.
+Closed contours carry the periodic trapezoid rule, which is spectrally
+accurate for smooth integrands.  Chain arcs carry the composite trapezoid
+rule over their points.  Graded arcs carry the rule induced by the cosine
 substitution t = t(cos u): with nodes at the first-kind Chebyshev
 parameters the plain weights
 
@@ -34,14 +36,15 @@ over nodes goes through one blocked kernel, ``_cauchy_sum``: the direct
 closed-contour rows, the arc remainders, and the Cauchy transform and its
 one-sided limits.  ``neville`` is the one extrapolation tableau, fed by
 ``normal_ladder`` for boundary limits and curve recovery.
-``fd4_arc_derivative`` and ``analytic_pole_kernel`` are kept as public
-helpers; S no longer uses them.
+No code in the package calls ``host_rule``, which only checks that its
+argument is a host and returns it.  ``host_rule``, ``fd4_arc_derivative`` and
+``analytic_pole_kernel`` stay because the benchmark's span tracer
+(``perfbench/spans.py``) names them; S no longer uses the last two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,12 +58,10 @@ from .errors import (
 from .geometry import ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _ranges
 
 __all__ = [
-    "QuadratureRule",
     "host_rule",
     "integrate",
     "integrate_arclength",
     "pv_integrate",
-    "fourier_derivative",
     "analytic_pole_kernel",
     "singular_values",
     "neville",
@@ -68,50 +69,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights over all nodes of a host.
-
-    ``weights`` are the real magnitudes (arclength scale); ``dt_weights``
-    carry the complex line element and are what ``integrate`` uses.  The two
-    coincide on real segments.
-    """
-
-    params: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-    dt_weights: np.ndarray
-
-
 def host_rule(host):
-    """The package-default rule over all nodes of a contour or arc system."""
-    if isinstance(host, ClosedContour):
-        return QuadratureRule(
-            params=host.params,
-            nodes=host.nodes,
-            weights=host.arclength_weights,
-            dt_weights=host.complex_weights,
-        )
-    if isinstance(host, ArcSystem):
-        w = np.concatenate([_arc_weights(arc) for arc in host.arcs])
-        return QuadratureRule(
-            params=np.concatenate([arc.params for arc in host.arcs]),
-            nodes=host.nodes,
-            weights=np.abs(w),
-            dt_weights=w,
-        )
+    """The rule over all nodes of a contour or arc system: the host itself."""
+    if isinstance(host, (ClosedContour, ArcSystem)):
+        return host
     raise GeometryError(f"no quadrature rule for host {type(host).__name__}")
-
-
-def _arc_weights(arc):
-    if arc.graded:
-        m = arc.n_nodes
-        return (np.pi / m) * arc.sin_u * arc.dt_dtau
-    # chain: composite trapezoid over the supplied points; interior nodes
-    # weighted by half the chord to each neighbour, endpoint chords included
-    pts = np.concatenate(([arc.a], arc.nodes, [arc.b]))
-    d = np.diff(pts)
-    return 0.5 * (d[:-1] + d[1:])
 
 
 def _values_of(samples, n=None):
@@ -122,20 +84,22 @@ def _values_of(samples, n=None):
     return vals
 
 
-def integrate(samples, rule):
-    """Weighted sum of the samples against the rule's complex dt weights.
+def integrate(samples, host):
+    """int f(t) dt: the samples summed against the host's ``dt_weights``.
 
+    ``samples`` is a SampledDensity or an array of one value per node.
     Accumulation is compensated (exact summation of the products), which is
     deterministic and at least as accurate as the plain ascending-order sum.
     """
-    vals = _values_of(samples, rule.nodes.size)
-    prod = rule.dt_weights * vals
+    vals = _values_of(samples, host.n_nodes)
+    prod = host.dt_weights * vals
     return complex(math.fsum(prod.real), math.fsum(prod.imag))
 
 
-def integrate_arclength(samples, rule):
-    vals = _values_of(samples, rule.nodes.size)
-    prod = rule.weights * vals
+def integrate_arclength(samples, host):
+    """int f(t) |dt|: the samples summed against the host's ``weights``."""
+    vals = _values_of(samples, host.n_nodes)
+    prod = host.weights * vals
     return complex(math.fsum(prod.real), math.fsum(prod.imag))
 
 
@@ -143,24 +107,20 @@ def integrate_arclength(samples, rule):
 # spectral derivatives on the two node layouts
 # ---------------------------------------------------------------------------
 
-def fourier_derivative(values):
-    """d/dtheta of samples on the uniform 2*pi-periodic grid."""
+def closed_node_derivative(host, values):
+    """df/dt on a closed contour, for subtracted principal-value diagonals.
+
+    Trigonometric differentiation, df/dtheta by one FFT pair over dz/dtheta:
+    the involution identity S(Sg) = g is only reproduced to 1e-10 on
+    band-limited data if the diagonal term is exact for trigonometric
+    polynomials, which rules out fixed-order difference stencils at moderate
+    node counts.
+    """
     n = values.size
     k = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0  # zero the Nyquist mode for a real-symmetric derivative
-    return np.fft.ifft(1j * k * np.fft.fft(values))
-
-
-def closed_node_derivative(host, values):
-    """df/dt on a closed contour, for subtracted principal-value diagonals.
-
-    Trigonometric differentiation: the involution identity S(Sg) = g is
-    only reproduced to 1e-10 on band-limited data if the diagonal term is
-    exact for trigonometric polynomials, which rules out fixed-order
-    difference stencils at moderate node counts.
-    """
-    return fourier_derivative(values) / host.dz_dtheta
+    return np.fft.ifft(1j * k * np.fft.fft(values)) / host.dz_dtheta
 
 
 def fd4_arc_derivative(arc, values):
@@ -257,13 +217,11 @@ def resolve_pole(host, pole):
 
     Points must land on a node: the singularity subtraction needs the
     sample there.  A point at an arc endpoint is rejected separately, since
-    no principal value exists where the density may blow up.
+    no principal value exists where the density may blow up.  An index is
+    returned as it is; ``singular_values`` checks it.
     """
     if isinstance(pole, (int, np.integer)):
-        k = int(pole)
-        if not 0 <= k < host.n_nodes:
-            raise IndexError(f"pole index {k} out of range")
-        return k
+        return int(pole)
     x = complex(pole)
     tol = 1e-9 * max(host.diameter(), 1.0)
     if isinstance(host, ArcSystem):
@@ -303,13 +261,20 @@ def singular_values(host, values, idx, density_class="smooth"):
 
     ``values`` are the samples of f at every host node; ``density_class``
     (``smooth``, ``inverse_sqrt`` or ``sqrt``) picks the fold on arcs.
+    ``idx`` is an integer or a 1-d array of integers in [0, n) (possibly
+    empty); anything else raises IndexError.
     """
-    idx = np.atleast_1d(np.asarray(idx, dtype=int))
+    if not isinstance(host, (ClosedContour, ArcSystem)):
+        raise GeometryError(f"no singular operator for host {type(host).__name__}")
+    n = host.n_nodes
+    idx = np.atleast_1d(np.asarray(idx))
+    if idx.size == 0:
+        idx = idx.astype(int)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+        raise IndexError(f"node indices must be a 1-d integer array in [0, {n})")
     if isinstance(host, ClosedContour):
         return _S_closed(host, values, idx)
-    if isinstance(host, ArcSystem):
-        return _S_arcs(host, values, idx, density_class)
-    raise GeometryError(f"no singular operator for host {type(host).__name__}")
+    return _S_arcs(host, values, idx, density_class)
 
 
 def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None):
@@ -356,7 +321,7 @@ def _S_closed(host, values, idx):
     depends on the host and f only, so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
-    t, w = host.nodes, host.complex_weights
+    t, w = host.nodes, host.dt_weights
     df = closed_node_derivative(host, values)
 
     def s_of(total, r):
@@ -511,20 +476,15 @@ def _resolved(c, scale):
 def _S_arcs(host, values, idx, density_class):
     off = host.arc_offsets
     arc_of = np.searchsorted(off, idx, side="right") - 1
-    # a requested node must lie on a graded arc; the first bad one decides
-    ok = np.array([arc.graded for arc in host.arcs] + [False])[arc_of]
-    if not ok.all():
-        k = idx[np.argmin(ok)]
-        if 0 <= k < host.n_nodes:
-            raise GeometryError("the singular operator needs cosine-graded arcs")
-        raise IndexError(f"pole index {k} out of range")
+    if not np.array([arc.graded for arc in host.arcs])[arc_of].all():
+        raise GeometryError("the singular operator needs cosine-graded arcs")
 
     # every arc is a source: its samples times its rule's dt weights, the
     # weights of a graded arc taken through the class fold
     folds = [_fold(arc, values[off[a]:off[a + 1]], density_class) if arc.graded else None
              for a, arc in enumerate(host.arcs)]
     wf = np.concatenate([(np.pi / arc.n_nodes) * fold[1] * arc.dt_dtau if arc.graded
-                         else _arc_weights(arc) * values[off[a]:off[a + 1]]
+                         else arc.dt_weights * values[off[a]:off[a + 1]]
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     out = np.empty(idx.size, dtype=complex)
     for a in np.flatnonzero(np.bincount(arc_of)):
@@ -577,7 +537,8 @@ def _own_sigma(arc, u):
     On a segment it is i(b - a)/2.  On a circular arc of radius r, sweep D
     and mid angle th_m, (t - a)(t - b) = 4 r^2 e^{i(th + th_m)}
     sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs,
-    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes.
+    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes,
+    -``arc._sign`` times this one.
     """
     if arc.kind == "segment":
         return np.full(u.size, 0.5j * (arc.b - arc.a))
@@ -586,7 +547,7 @@ def _own_sigma(arc, u):
     mid = 0.5 * (arc.theta_a + arc.theta_b)
     sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * arc.params)) * np.sqrt(
         np.sin(half * c2) / c2 * (np.sin(half * s2) / s2))
-    return sigma if np.vdot(sigma * np.sin(u), arc.sqrt_own_plus).real > 0 else -sigma
+    return sigma if arc._sign < 0 else -sigma
 
 
 def _fold(arc, f, density_class):

@@ -65,13 +65,6 @@ class SampledDensity:
 
     __rmul__ = __mul__
 
-    def to_csv(self, path):
-        write_density_csv(path, self.values)
-
-    @classmethod
-    def from_csv(cls, path, host):
-        return cls(host, read_density_csv(path, expect=host.n_nodes))
-
 
 def write_density_csv(path, values):
     """Density interchange table: index, re_f, im_f."""

@@ -26,7 +26,6 @@ from cauchypot.arcs import (
 from cauchypot.cauchy import singular_S
 from cauchypot.errors import GeometryError, ResolutionError
 from cauchypot.geometry import build_arc_system, build_closed_contour
-from cauchypot.quadrature import host_rule
 from cauchypot.sampling import SampledDensity
 
 from oracles import chebyshev_T, sL_union_dense
@@ -248,6 +247,15 @@ def test_general_solution_pure_kernel():
     assert np.max(np.abs(resid)) <= 1e-6
 
 
+def test_general_solution_takes_a_plain_coefficient_list():
+    sysm = segment(8)
+    g = SampledDensity(sysm, sysm.nodes ** 2)
+    want = general_solution(g, P=ComplexPolynomial([2.0 - 1.0j])).values
+    assert np.array_equal(general_solution(g, P=[2.0 - 1.0j]).values, want)
+    with pytest.raises(ValueError):
+        general_solution(g, P=[0.0, 1.0])  # degree 1 > N-1
+
+
 def test_general_solution_rejects_large_degree():
     sysm = segment(16)
     g = SampledDensity(sysm, np.ones(sysm.n_nodes, complex))
@@ -365,7 +373,7 @@ def scaled_moment_ratios(g, system):
     """|m_k| over sum |w| |tau|^k |g/sqrtR+|, m_k the moments in the basis
     tau^k, tau = (t - c)/rho, c the mean endpoint and rho the largest
     distance from c to an endpoint; plain sums, no compensated summation."""
-    w = host_rule(system).dt_weights
+    w = system.dt_weights
     ends = system.endpoints
     tau = (system.nodes - ends.mean()) / np.max(np.abs(ends - ends.mean()))
     base = g / system.sqrtR_plus_nodes()
@@ -430,7 +438,7 @@ def test_bounded_verdict_is_invariant_under_similarity(ends, coef, scale, turn, 
     size = np.max(np.abs(g))
     if size == 0.0:
         return
-    w, s_plus = host_rule(sysm).dt_weights, sysm.sqrtR_plus_nodes()
+    w, s_plus = sysm.dt_weights, sysm.sqrtR_plus_nodes()
     bump = 1e-6 * size * np.conj(w) * s_plus / np.abs(w * s_plus)
     moved = system(lambda x: a * x + shift)
     for host in (sysm, moved):

@@ -17,11 +17,12 @@ from cauchypot.errors import (
     NearBoundaryError,
 )
 from cauchypot.geometry import build_arc_system, build_closed_contour
-from cauchypot.quadrature import host_rule, integrate_arclength
+from cauchypot.quadrature import integrate_arclength
 from cauchypot.sampling import (
     SampledDensity,
     read_density_csv,
     read_solution_csv,
+    write_density_csv,
     write_solution_csv,
 )
 
@@ -73,7 +74,7 @@ def test_cauchy_transform_decay_bound():
     rng = np.random.default_rng(11)
     f = SampledDensity(c, rng.standard_normal(c.n_nodes)
                        + 1j * rng.standard_normal(c.n_nodes))
-    norm1 = integrate_arclength(np.abs(f.values), host_rule(c)).real
+    norm1 = integrate_arclength(np.abs(f.values), c).real
     for z in (1.8, -2.5 + 1j, 0.2 + 0.1j, 5j):
         bound = norm1 / (2 * np.pi) / c.distance_to(z)
         assert abs(cauchy_transform(f, z)) <= bound * (1 + 1e-12)
@@ -206,7 +207,7 @@ def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, 
     rng = np.random.default_rng(seed)
     if smooth:  # a degree-8 trigonometric polynomial in the node parameter
         k = np.arange(-8, 9)
-        x = np.exp(1j * np.outer(host_rule(host).params, k))
+        x = np.exp(1j * np.outer(host.params, k))
         c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
         f = SampledDensity(host, x @ c)
     else:
@@ -226,6 +227,37 @@ def test_S_at_any_indices_is_bitwise_the_full_result(name, density_class, seed, 
     if n_ok < host.n_nodes:
         with pytest.raises(GeometryError):
             singular_S(f, at_indices=np.append(idx, n_ok + 2), density_class=density_class)
+
+
+INDEX_HOSTS = {
+    # the interpolated remainder, and the summed rows of data that leave it rough
+    "circle 128": circle(16, 8),
+    # corners: the multipole rows from 1024 nodes on
+    "rounded polygon 2048": build_closed_contour(
+        {"type": "rounded-polygon", "vertices": [[0, 0], [2, 0], [2.5, 1], [0, 1.5]],
+         "corner_radius": 0.2, "panels": 8, "nodes_per_panel": 256}),
+    "segment 64": segment(64),
+    "segment 2048": segment(2048),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_HOSTS))
+@pytest.mark.parametrize("rough", [False, True])
+def test_S_refuses_indices_that_are_not_nodes(name, rough):
+    host = INDEX_HOSTS[name]
+    n = host.n_nodes
+    values = (np.random.default_rng(3).standard_normal(n) if rough
+              else host.nodes ** 2 + 1.0)
+    f = SampledDensity(host, values)
+    for bad in (-1, n, [0, -1], [[0, 1]], 1.7, [0.0, 1.0], [True, False]):
+        with pytest.raises(IndexError):
+            singular_S(f, at_indices=bad)
+        with pytest.raises(IndexError):
+            plemelj_residuals(f, at_indices=bad)
+    empty = singular_S(f, at_indices=[])
+    assert empty.shape == (0,) and empty.dtype == complex
+    last = singular_S(f, at_indices=[n - 1])
+    assert last.tobytes() == singular_S(f).values[-1:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +460,11 @@ def test_density_csv_round_trip_is_bit_exact(tmp_path):
             + 1j * rng.standard_normal(c.n_nodes))
     f = SampledDensity(c, vals)
     p = tmp_path / "f.csv"
-    f.to_csv(p)
-    back = SampledDensity.from_csv(p, c)
-    assert np.array_equal(back.values, f.values)
-    raw = read_density_csv(p)
-    assert np.array_equal(raw, f.values)
+    write_density_csv(p, f.values)
+    back = read_density_csv(p, expect=c.n_nodes)
+    assert np.array_equal(back, f.values)
+    with pytest.raises(AlignmentError):
+        read_density_csv(p, expect=c.n_nodes + 1)
 
 
 def test_solution_csv_round_trip_and_host_check(tmp_path):

@@ -333,7 +333,10 @@ def test_malformed_json_reports_line(tmp_path, capsys):
 def test_unknown_command_is_a_schema_error(tmp_path, capsys):
     code, _ = run_cli(tmp_path, {"command": "fit", "geometry": {}})
     assert code == 64
-    assert "unknown command" in capsys.readouterr().err
+    # the commands in their documented order
+    assert ("unknown command 'fit'; expected one of solve-closed, solve-arcs, bounded, "
+            "moments, recover-curve, recover-area, point-masses, equilibrium\n"
+            ) in capsys.readouterr().err
 
 
 def test_unknown_geometry_kind(tmp_path, capsys):

@@ -19,7 +19,6 @@ from cauchypot.geometry import (
     ClosedContour,
     build_arc_system,
     build_closed_contour,
-    eval_sqrtR,
     node_table_csv,
     parse_geometry,
     sqrtR_boundary_plus,
@@ -60,7 +59,7 @@ def test_circle_basic_fields():
     assert c.n_nodes == 128
     assert abs(c.total_length - 4.0 * np.pi) < 1e-13
     # complex weights integrate dt exactly to zero around a closed loop
-    assert abs(np.sum(c.complex_weights)) < 1e-12
+    assert abs(np.sum(c.dt_weights)) < 1e-12
     assert np.max(np.abs(np.abs(c.tangents) - 1.0)) < 1e-13
     # plus normal points into the disc
     inside = c.nodes + 1e-3 * c.normals_plus
@@ -389,9 +388,9 @@ def test_sqrtR_scalar_point_gives_scalar():
     pts = np.array([3.0, 0.5 + 1.0j])
     want = sysm.eval_sqrtR(pts)
     for z, w in zip(pts, want):
-        for v in (sysm.eval_sqrtR(z), eval_sqrtR(sysm, z)):
-            assert np.ndim(v) == 0
-            assert complex(v) == w
+        v = sysm.eval_sqrtR(z)
+        assert np.ndim(v) == 0
+        assert complex(v) == w
 
 
 def test_sqrtR_single_valued_off_arcs():
@@ -577,22 +576,44 @@ def test_closed_form_branch_is_z_to_the_n_at_infinity(arcs, direction):
     assert abs(sysm.eval_sqrtR(z) / z ** sysm.n_arcs - 1.0) <= 1e-4
 
 
-def test_sqrtR_plus_at_nodes_matches_node_values():
+def segment_circular_chain(per=16):
+    """A segment, a circular arc and a chain arc, ``per`` * 4 nodes on the first two."""
     s = np.linspace(0.0, 1.0, 40)
     pts = 3.0 + s + 0.3j * np.sin(3.0 * s)
-    sysm = build_arc_system([
+    return build_arc_system([
         {"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0],
-         "panels": 4, "nodes_per_panel": 16},
+         "panels": 4, "nodes_per_panel": per},
         {"type": "circular", "center": [0.0, -3.0], "radius": 1.0,
-         "theta_a": 0.5, "theta_b": 2.5, "panels": 4, "nodes_per_panel": 16},
+         "theta_a": 0.5, "theta_b": 2.5, "panels": 4, "nodes_per_panel": per},
         {"type": "chain", "nodes": np.stack([pts.real, pts.imag], axis=1).tolist()},
     ])
+
+
+def test_sqrtR_plus_at_nodes_matches_node_values():
+    sysm = segment_circular_chain()
     plus = sysm.sqrtR_plus_nodes()
     off = sysm.arc_offsets
     for k, arc in enumerate(sysm.arcs):
         ref = plus[off[k]:off[k + 1]]
         at = sysm.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
         assert np.max(np.abs(at - ref) / np.abs(ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("per", [16, 256])
+def test_sqrtR_boundary_plus_at_nodes_matches_node_values(per):
+    # by node index it is the cached node value; by point and arc it is
+    # computed afresh (on a segment from tau recovered from the point)
+    sysm = segment_circular_chain(per)
+    plus = sysm.sqrtR_plus_nodes()
+    off = sysm.arc_offsets
+    for i in (0, 7, off[1], off[2] - 1, sysm.n_nodes - 1):
+        assert sqrtR_boundary_plus(sysm, node_index=i) == plus[i]
+    for k, arc in enumerate(sysm.arcs):
+        ref = plus[off[k]:off[k + 1]]
+        got = np.array([sqrtR_boundary_plus(sysm, point=t, arc_index=k) for t in arc.nodes])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+    with pytest.raises(ValueError):
+        sqrtR_boundary_plus(sysm, point=sysm.nodes[3])
 
 
 def test_near_boundary_guard():
@@ -638,7 +659,6 @@ def test_records_holding_arrays_compare_by_identity_and_hash():
         lambda: build_arc_system(seg),
         lambda: build_arc_system(seg).arcs[0],
         lambda: cp.SampledDensity(host, np.ones(host.n_nodes)),
-        lambda: cp.host_rule(host),
         lambda: cp.ComplexPolynomial([1.0, 2.0]),
         lambda: cp.bounded_solution(cp.SampledDensity.from_function(
             build_arc_system(seg), lambda t: t)),
@@ -664,11 +684,10 @@ def test_parse_geometry_dispatch(tmp_path):
     assert isinstance(host2, ArcSystem)
     with pytest.raises(GeometryError):
         parse_geometry({"neither": 1})
-    # file round trip
+    # the spec survives a JSON file round trip
     p = tmp_path / "geom.json"
     p.write_text(json.dumps(spec))
-    from cauchypot.geometry import load_geometry
-    host3 = load_geometry(p)
+    host3 = parse_geometry(json.loads(p.read_text()))
     assert host3.n_nodes == host.n_nodes
 
 

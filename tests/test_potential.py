@@ -36,8 +36,7 @@ from cauchypot.potential import (
     write_potential_binary,
     write_potential_csv,
 )
-from cauchypot.quadrature import host_rule
-from cauchypot.sampling import SampledDensity, read_density_csv
+from cauchypot.sampling import SampledDensity, read_density_csv, write_density_csv
 
 from oracles import (
     circular_arc_equilibrium,
@@ -155,7 +154,7 @@ def test_on_node_potential_of_the_circular_arc_equilibrium(per, tol):
                               "theta_b": alpha, "panels": 8, "nodes_per_panel": per}])
     sd = SampledDensity(host, circular_arc_equilibrium(alpha, np.angle(host.nodes)) + 0j)
     # unit mass up to the rounding of the rule's sqrt(1 - tau^2) at the ends
-    assert abs(np.sum(sd.values.real * host_rule(host).weights) - 1.0) <= 1e-13
+    assert abs(np.sum(sd.values.real * host.weights) - 1.0) <= 1e-13
     want = math.log(math.sin(0.5 * alpha))
     assert np.max(np.abs(log_potential_nodes(sd) - want)) <= tol
 
@@ -226,17 +225,18 @@ def test_on_node_memo_follows_the_values(edit):
 
 
 def test_curve_potential_takes_the_rule_once_per_density(monkeypatch):
-    # the weights come from the memo after the first call, not from host_rule,
-    # on the nodes and off the curve
+    # the weighted samples and the own part come from the memo after the
+    # first call, on the nodes and off the curve
     import cauchypot.potential as potential
 
     calls = []
+    own_part = potential._own_part
 
-    def counted(host):
+    def counted(host, q):
         calls.append(host)
-        return host_rule(host)
+        return own_part(host, q)
 
-    monkeypatch.setattr(potential, "host_rule", counted)
+    monkeypatch.setattr(potential, "_own_part", counted)
     sd = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0}).curve_density
     calls.clear()
     for z in sd.host.nodes:
@@ -516,7 +516,7 @@ def test_batched_recovery_is_bitwise_the_node_by_node_loop(host, coeffs, charges
         return math.nan if draw == 1 else smooth(z)
 
     est = recover_curve_density(u, host, h0=h0, levels=levels, tol=tol)
-    dens, mass, flagged = recover_curve_density_loop(u, host, host_rule(host).weights,
+    dens, mass, flagged = recover_curve_density_loop(u, host, host.weights,
                                                      h0, levels, tol)
     assert est.curve_density.values.tobytes() == dens.astype(complex).tobytes()
     assert np.float64(est.total_mass).tobytes() == np.float64(mass).tobytes()
@@ -769,7 +769,7 @@ def test_estimate_json_and_curve_csv(tmp_path):
     assert doc["point_masses"] == [[1.0, 2.0, 0.5]]
     assert abs(doc["total_mass"] - 1.5) <= 1e-12
     path = tmp_path / "curve.csv"
-    est.write_curve_csv(path)
+    write_density_csv(path, est.curve_density.values)
     back = read_density_csv(path, expect=est.curve_density.host.n_nodes)
     assert np.max(np.abs(back - est.curve_density.values)) == 0.0
 

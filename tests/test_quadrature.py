@@ -21,8 +21,9 @@ from cauchypot.errors import (
 )
 from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import plemelj_residuals, singular_S
-from cauchypot.geometry import build_arc_system, build_closed_contour
+from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
+    _own_sigma,
     closed_node_derivative,
     host_rule,
     integrate,
@@ -53,14 +54,14 @@ def segment(m=128, a=-1.0, b=1.0):
 
 def test_trapezoid_integrates_entire_integrand_to_zero():
     c = circle(8, 8)  # 64 nodes
-    val = integrate(SampledDensity.from_function(c, lambda t: t), host_rule(c))
+    val = integrate(SampledDensity.from_function(c, lambda t: t), c)
     assert abs(val) <= 1e-12
 
 
 def test_first_kind_chebyshev_nodes_and_weights():
     # the graded rule on [-1, 1]: first-kind points, weights pi/m times the
     # first-kind weight function sqrt(1 - t^2)
-    rule = host_rule(segment(16))
+    rule = segment(16)
     k = np.arange(16, 0, -1)
     assert np.array_equal(rule.params, np.cos((2 * k - 1) * np.pi / 32))
     assert np.allclose(rule.weights / np.sqrt(1.0 - rule.params ** 2), np.pi / 16,
@@ -68,7 +69,7 @@ def test_first_kind_chebyshev_nodes_and_weights():
 
 
 def test_first_kind_chebyshev_arcsine_integral():
-    rule = host_rule(segment(16))
+    rule = segment(16)
     assert abs(integrate(1.0 / np.sqrt(1.0 - rule.nodes.real ** 2), rule) - np.pi) <= 1e-12
 
 
@@ -76,7 +77,7 @@ def test_second_kind_chebyshev_moment_matching():
     # int t^j sqrt(1-t^2) dt = B(j/2 + 1/2, 3/2) for even j, 0 for odd j; the
     # graded rule is exact while t^j (1 - t^2) has degree below 2m
     m = 8
-    rule = host_rule(segment(m))
+    rule = segment(m)
     t = rule.nodes.real
     for j in range(2 * m - 2):
         exact = 0.0 if j % 2 else special.beta((j + 1) / 2.0, 1.5)
@@ -84,7 +85,7 @@ def test_second_kind_chebyshev_moment_matching():
 
 
 def test_integrate_checks_alignment():
-    rule = host_rule(circle(8, 8))
+    rule = circle(8, 8)
     with pytest.raises(AlignmentError):
         integrate(np.ones(65), rule)
 
@@ -248,7 +249,7 @@ def test_pv_is_pi_i_times_singular_operator(name, trig, coeffs, pole,
                                             endpoint_singular):
     host = PV_HOSTS[name]
     # a trigonometric polynomial in the node parameter, or a polynomial in t
-    x = np.exp(1j * host_rule(host).params) if trig else host.nodes
+    x = np.exp(1j * host.params) if trig else host.nodes
     values = np.polynomial.polynomial.polyval(x, coeffs)
     f = SampledDensity(host, values)
     k = int(pole * host.n_nodes)
@@ -268,7 +269,7 @@ def test_pv_on_segment_beside_a_chain_arc():
     ])
     ones = SampledDensity(sysm, np.ones(sysm.n_nodes))
     n_seg = sysm.arcs[0].n_nodes
-    w_chain = host_rule(sysm).dt_weights[n_seg:]
+    w_chain = sysm.dt_weights[n_seg:]
     t_chain = sysm.nodes[n_seg:]
     seg_nodes = np.arange(0, n_seg, 9)
     for k in seg_nodes:
@@ -288,6 +289,30 @@ def test_pv_on_segment_beside_a_chain_arc():
 # ---------------------------------------------------------------------------
 # the spectral operator on graded arcs
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 39),
+    radius=st.floats(0.1, 10.0),
+    centre=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    theta_a=st.floats(-7.0, 7.0),
+    sweep=st.floats(0.1, 6.2),
+    clockwise=st.booleans(),
+)
+def test_own_sigma_takes_the_root_of_sqrt_own_plus(m, radius, centre, theta_a, sweep,
+                                                   clockwise):
+    # the closed form's sign is -arc._sign, set by rule rather than by a
+    # comparison with sqrt_own_plus; a wrong sign misses by 2
+    theta_b = theta_a - sweep if clockwise else theta_a + sweep
+    arc = build_arc_system([{
+        "type": "circular", "center": [radius * centre[0], radius * centre[1]],
+        "radius": radius, "theta_a": theta_a, "theta_b": theta_b,
+        "panels": 1, "nodes_per_panel": m}]).arcs[0]
+    u = _angles(m)
+    want = arc.sqrt_own_plus
+    got = _own_sigma(arc, u) * np.sin(u)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 @pytest.mark.parametrize("density_class", ["inverse_sqrt", "sqrt", "smooth"])
 def test_S_of_T3_plus_iT4_on_a_segment_in_closed_form(density_class):
@@ -504,7 +529,7 @@ def test_plemelj_jump_on_random_closed_contours(host, degree, seed):
 def pole_subtracted_rows(host, f):
     """S f as the trapezoid rule on (f(t) - f(x))/(t - x) dt plus pi*i f(x),
     the diagonal term f'(x) dt, summed row by row over all nodes."""
-    t, w = host.nodes, host.complex_weights
+    t, w = host.nodes, host.dt_weights
     df = closed_node_derivative(host, f)
     out = np.empty(t.size, dtype=complex)
     for lo in range(0, t.size, 64):
@@ -684,9 +709,20 @@ def test_pole_lookup_errors():
 
 def test_host_rule_weights_recover_total_length():
     c = circle(16, 8)
-    rc = host_rule(c)
-    assert abs(np.sum(rc.weights) - 2 * np.pi) <= 1e-10
+    assert abs(np.sum(c.weights) - 2 * np.pi) <= 1e-10
     # graded arc weights estimate plain arclength only at 2nd order
     seg = segment(64)
-    rs = host_rule(seg)
-    assert abs(np.sum(rs.weights) - 2.0) <= 1e-3
+    assert abs(np.sum(seg.weights) - 2.0) <= 1e-3
+
+
+def test_host_rule_is_the_host_and_refuses_anything_else():
+    c, seg = circle(8, 8), segment(16)
+    assert host_rule(c) is c and host_rule(seg) is seg
+    # the rule is derived once: the same arrays on every access
+    for host in (c, seg):
+        for name in ("params", "weights", "dt_weights"):
+            assert getattr(host, name) is getattr(host, name)
+        assert np.allclose(host.weights, np.abs(host.dt_weights), rtol=1e-15, atol=0)
+    for other in (seg.arcs[0], SampledDensity(c, np.ones(c.n_nodes)), None):
+        with pytest.raises(GeometryError):
+            host_rule(other)

@@ -10,8 +10,9 @@ configs then runs twice, each in a fresh interpreter: once on REV's
 commands; circle, ellipse, rounded-polygon and node-chain curves; segment,
 two-segment, sixteen-segment, circular, segment+circular and segment+chain
 arc systems (curve recovery included on several arcs, where the ladder
-shrinks toward each arc's endpoints; one chain is C-shaped, a 3/4 circle
-that rays from inside it cross again); csv and binary potential grids; runs
+shrinks toward each arc's endpoints; moments and the recovered mass on
+every arc kind, so each kind's quadrature weights are covered; one chain is
+C-shaped, a 3/4 circle that rays from inside it cross again); csv and binary potential grids; runs
 that exit 65, one of them on an ellipse rhs that is not resolved; and four
 schema errors.
 For every config the script compares each output file, stdout, stderr and
@@ -131,6 +132,8 @@ def configs(inputs):
                                   "rhs": mono(2)},
         "moments-segment-c-chain": {"command": "moments",
                                     "geometry": {"arcs": [SEGMENT, C_CHAIN]}, "rhs": mono(2)},
+        "moments-circular": {"command": "moments", "geometry": {"arcs": CIRCULAR},
+                             "rhs": mono(2)},
         "recover-curve-disk": {"command": "recover-curve", "geometry": {"curve": CIRCLE},
                                "potential": {"family": "disk-wall", "radius": 1.3,
                                              "center": [0.1, -0.2]}},
@@ -144,6 +147,11 @@ def configs(inputs):
                                       "geometry": {"arcs": [SEGMENT, CIRCULAR[0]]},
                                       "potential": {"family": "point-charges", "charges": [
                                           [0.0, -0.5, 1.0], [0.3, 0.5, -0.7], [2.0, 1.5, 0.4]]}},
+        # the chain's trapezoid weights enter the recovered mass
+        "recover-curve-segment-chain": {"command": "recover-curve",
+                                        "geometry": {"arcs": [SEGMENT, CHAIN]},
+                                        "potential": {"family": "point-charges", "charges": [
+                                            [0.0, -0.5, 1.0], [2.5, 1.0, -0.7]]}},
         "recover-curve-two-segments-flagged": {"command": "recover-curve",
                                                "geometry": {"arcs": [LEFT, RIGHT]},
                                                "potential": {"family": "segment-green"},
