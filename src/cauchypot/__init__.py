@@ -29,7 +29,6 @@ from .errors import (
     DisjointnessError,
     EndpointSingularityError,
     GeometryError,
-    InterpolationRequiredError,
     NearBoundaryError,
     ResolutionError,
     SchemaError,

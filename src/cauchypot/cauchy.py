@@ -16,16 +16,18 @@ behaviour at arc endpoints:
 * ``sqrt``          -- smooth times the plus values of sqrt(R).
 
 The class picks the folding that turns every quadrature into the exact
-weighted Gauss rule of the graded grid; mislabelling costs accuracy but not
-correctness.  On closed contours the classes coincide.
+weighted Gauss rule of the graded grid.  It must be the class the density
+was built in: a wrong label gives a wrong result on arcs, without an error
+(``general_solution`` returns ``inverse_sqrt`` densities, ``candidate_f0``
+``sqrt`` ones).  On closed contours the classes coincide.
 
-S itself is ``quadrature.singular_values``, the same one ``pv_integrate``
-uses: on closed contours the periodic Hilbert transform (an FFT sign
+``singular_S`` is the one S, through ``quadrature._S_closed`` and
+``_S_arcs``: on closed contours the periodic Hilbert transform (an FFT sign
 multiplier) plus an interpolated smooth remainder, with the pole-subtracted
 rows where the remainder is not resolved (their far field from multipole
 expansions from 1024 nodes on); on graded arcs a Chebyshev transform of
-each arc's own part plus an interpolated smooth remainder.
-S at a node of a chain arc raises ``GeometryError``.
+each arc's own part plus an interpolated smooth remainder.  S at a node of
+a chain arc raises ``GeometryError``.
 
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
@@ -42,9 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryLimitError, NearBoundaryError
-from .geometry import ClosedContour
-from .quadrature import _cauchy_sum, normal_ladder, singular_values
+from .errors import BoundaryLimitError, GeometryError, NearBoundaryError
+from .geometry import ArcSystem, ClosedContour
+from .quadrature import _S_arcs, _S_closed, _cauchy_sum, normal_ladder
 from .sampling import SampledDensity
 
 __all__ = [
@@ -73,21 +75,28 @@ def singular_S(f, at_indices=None, density_class="smooth"):
 
     With ``at_indices=None`` the full node set is used and the result is a
     SampledDensity on the same host; a 1-d index array gives an array, a
-    single index a complex number, and an index outside [0, n) raises
-    IndexError.  Arc endpoints are not nodes, so the endpoint singularities
-    of Sf never appear in the output.
+    single index a complex number.  Indices must be integers in [0, n) (an
+    empty array gives an empty one); anything else raises IndexError.  Arc
+    endpoints are not nodes, so the endpoint singularities of Sf never
+    appear in the output.  ``density_class`` must be the class f was built
+    in: a wrong one gives a wrong S f on arcs, and no error.
     """
     if density_class not in DENSITY_CLASSES:
         raise ValueError(f"density_class must be one of {DENSITY_CLASSES}")
     host, values = _host_values(f)
-    scalar = np.isscalar(at_indices)
-    full = at_indices is None
-    if full:
-        at_indices = np.arange(host.n_nodes)
-    out = singular_values(host, values, at_indices, density_class)
-    if scalar:
+    if not isinstance(host, (ClosedContour, ArcSystem)):
+        raise GeometryError(f"no singular operator for host {type(host).__name__}")
+    n = host.n_nodes
+    idx = np.arange(n) if at_indices is None else np.atleast_1d(np.asarray(at_indices))
+    if idx.size == 0:
+        idx = idx.astype(int)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+        raise IndexError(f"node indices must be a 1-d integer array in [0, {n})")
+    out = (_S_closed(host, values, idx) if isinstance(host, ClosedContour)
+           else _S_arcs(host, values, idx, density_class))
+    if np.isscalar(at_indices):
         return complex(out[0])
-    return SampledDensity(host, out) if full else out
+    return SampledDensity(host, out) if at_indices is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class EndpointSingularityError(CauchypotError):
     """Quantity requested at an arc endpoint where it is singular."""
 
 
-class InterpolationRequiredError(CauchypotError):
-    """Pole (or evaluation point) does not coincide with a host node."""
-
-
 class BoundaryLimitError(CauchypotError):
     """One-sided limit did not converge under extrapolation."""
 

@@ -187,11 +187,6 @@ class ClosedContour(_Host):
     def total_length(self):
         return float(np.sum(self.weights))
 
-    @property
-    def normals_plus(self):
-        """Unit normal pointing into the bounded (plus) domain."""
-        return 1j * self.tangents
-
     @cached_property
     def dt_weights(self):
         """Trapezoid weights w_k with  integral f(t) dt  ~=  sum w_k f(t_k)."""
@@ -553,10 +548,6 @@ class Arc:
         return 0.5 * (self.a + self.b)
 
     @property
-    def normals_plus(self):
-        return 1j * self.tangents
-
-    @property
     def _sign(self):
         """+1 or -1 so the closed form ~ z at infinity, where (z - a)/(z - b) -> 1.
 
@@ -899,17 +890,13 @@ def build_arc_system(arc_specs):
     return ArcSystem(arcs=tuple(arcs))
 
 
-def sqrtR_boundary_plus(system, node_index=None, point=None, arc_index=None):
-    """Plus-side boundary value of sqrt(R) on an arc of the system.
+def sqrtR_boundary_plus(system, point, arc_index):
+    """Plus-side boundary value of sqrt(R) at a ``point`` on arc ``arc_index``.
 
-    Either pass a global ``node_index`` or an on-arc ``point`` together with
-    ``arc_index``.  Requests at an arc endpoint raise, since sqrt(R) vanishes
-    there only as a limit and the reciprocal densities blow up.
+    At the nodes the values are ``system.sqrtR_plus_nodes()``.  Requests at
+    an arc endpoint raise, since sqrt(R) vanishes there only as a limit and
+    the reciprocal densities blow up.
     """
-    if node_index is not None:
-        return system.sqrtR_plus_nodes()[node_index]
-    if point is None or arc_index is None:
-        raise ValueError("need node_index, or point and arc_index")
     arc = system.arcs[arc_index]
     if min(abs(point - arc.a), abs(point - arc.b)) < system.near_cutoff:
         raise EndpointSingularityError("boundary value requested at an arc endpoint")

@@ -67,17 +67,22 @@ class PotentialField:
     """A potential sampled on a square grid.
 
     Values are row-major: ``values[iy, ix]`` sits at (x0 + ix*h, y0 + iy*h).
-    Curve recovery takes the potential as a plain callable instead.
+    Values, origin and spacing must be finite: a NaN cell would drop out of
+    the recoveries' thresholds and turn their sums into NaN.  Curve recovery
+    takes the potential as a plain callable instead.
     """
 
     def __init__(self, values, x0=0.0, y0=0.0, h=0.0):
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("grid values must be 2-d")
+        x0, y0, h = float(x0), float(y0), float(h)
+        if not (np.isfinite(values).all() and np.isfinite([x0, y0, h]).all()):
+            raise ValueError("grid values, origin and spacing must be finite")
         if h <= 0:
             raise ValueError("grid spacing must be positive")
         self.values = values
-        self.x0, self.y0, self.h = float(x0), float(y0), float(h)
+        self.x0, self.y0, self.h = x0, y0, h
 
 
 @dataclass(eq=False)
@@ -115,16 +120,6 @@ class MeasureEstimate:
                 f"integrated components {comp:.9g}"
             )
         return self
-
-    def to_json(self):
-        return {
-            "total_mass": float(self.total_mass),
-            "point_masses": [
-                [float(a.real), float(a.imag), float(m)]
-                for a, m in self.point_masses
-            ],
-            "flagged_nodes": [int(k) for k in self.flagged_nodes],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +517,8 @@ def read_potential_csv(path):
         raise SchemaError(f"potential CSV is not a table of numbers: {exc}") from None
     if data.shape[1] != 3:
         raise SchemaError("potential CSV needs exactly the columns x,y,u")
+    if not np.isfinite(data).all():
+        raise SchemaError("potential CSV holds a value that is not finite")
     xs, ys = _axis(data[:, 0]), _axis(data[:, 1])
     nx, ny = xs.size, ys.size
     if nx < 2 or ny < 2:
@@ -577,13 +574,16 @@ def read_potential_binary(data_path, header_path):
         raise SchemaError(f"potential header missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"potential header fields must be numbers: {exc}") from None
-    if nx < 1 or ny < 1 or not h > 0:
-        raise SchemaError("potential header needs nx, ny >= 1 and h > 0")
+    if nx < 1 or ny < 1 or not (h > 0 and np.isfinite([x0, y0, h]).all()):
+        raise SchemaError("potential header needs nx, ny >= 1, finite x0 and y0, "
+                          "and a finite h > 0")
     raw = np.fromfile(data_path, dtype="<f8")
     if raw.size != nx * ny:
         raise SchemaError(
             f"binary lattice holds {raw.size} values, header says {nx * ny}"
         )
+    if not np.isfinite(raw).all():
+        raise SchemaError("binary lattice holds a value that is not finite")
     return PotentialField(values=raw.reshape(ny, nx), x0=x0, y0=y0, h=h)
 
 

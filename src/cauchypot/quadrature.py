@@ -17,13 +17,14 @@ first-kind Gauss-Chebyshev rule, exact for polynomial numerators.  This is
 what makes densities with inverse-square-root endpoint growth integrable to
 machine precision on the graded grid.
 
-``singular_values`` is the one S (``pv_integrate`` is pi*i times S at one
-node).  Both hosts split S into a part diagonal in a spectral basis and a
-smooth remainder summed at a few proxy nodes and interpolated.  On a closed
-contour the first part is the periodic Hilbert transform, one FFT sign
-multiplier; the remainder at a proxy is the pole-subtracted row there
-(subtracted kernel integral pi*i, the Fourier derivative of the density on
-the diagonal) minus that transform.  Curves or data that leave the
+S is ``_S_closed`` on a closed contour and ``_S_arcs`` on an arc system,
+reached only through ``cauchy.singular_S``, which checks the density
+class, the host and the node indices.  Both split S into a part diagonal in
+a spectral basis and a smooth remainder summed at a few proxy nodes and
+interpolated.  On a closed contour the first part is the periodic Hilbert
+transform, one FFT sign multiplier; the remainder at a proxy is the
+pole-subtracted row there (subtracted kernel integral pi*i, the Fourier
+derivative of the density on the diagonal) minus that transform.  Curves or data that leave the
 remainder unresolved (rounded polygons, rough data) get the
 pole-subtracted rows at every requested node: summed directly below
 ``_FMM_MIN_NODES`` nodes, and from there on with their far field taken
@@ -36,10 +37,11 @@ over nodes goes through one blocked kernel, ``_cauchy_sum``: the direct
 closed-contour rows, the arc remainders, and the Cauchy transform and its
 one-sided limits.  ``neville`` is the one extrapolation tableau, fed by
 ``normal_ladder`` for boundary limits and curve recovery.
-No code in the package calls ``host_rule``, which only checks that its
-argument is a host and returns it.  ``host_rule``, ``fd4_arc_derivative`` and
-``analytic_pole_kernel`` stay because the benchmark's span tracer
-(``perfbench/spans.py``) names them; S no longer uses the last two.
+
+``host_rule`` (which only checks that its argument is a host and returns
+it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
+the benchmark's span tracer, ``perfbench/spans.py``, names them: no code in
+the package calls them.
 """
 
 from __future__ import annotations
@@ -48,22 +50,14 @@ import math
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    BoundaryLimitError,
-    EndpointSingularityError,
-    GeometryError,
-    InterpolationRequiredError,
-)
+from .errors import AlignmentError, BoundaryLimitError, GeometryError
 from .geometry import ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _ranges
 
 __all__ = [
     "host_rule",
     "integrate",
     "integrate_arclength",
-    "pv_integrate",
     "analytic_pole_kernel",
-    "singular_values",
     "neville",
     "normal_ladder",
 ]
@@ -76,12 +70,12 @@ def host_rule(host):
     raise GeometryError(f"no quadrature rule for host {type(host).__name__}")
 
 
-def _values_of(samples, n=None):
-    vals = getattr(samples, "values", samples)
-    vals = np.asarray(vals, dtype=complex)
-    if n is not None and vals.size != n:
-        raise AlignmentError(f"expected {n} samples, got {vals.size}")
-    return vals
+def _weighted_sum(weights, samples):
+    vals = np.asarray(getattr(samples, "values", samples), dtype=complex)
+    if vals.size != weights.size:
+        raise AlignmentError(f"expected {weights.size} samples, got {vals.size}")
+    prod = weights * vals
+    return complex(math.fsum(prod.real), math.fsum(prod.imag))
 
 
 def integrate(samples, host):
@@ -91,16 +85,12 @@ def integrate(samples, host):
     Accumulation is compensated (exact summation of the products), which is
     deterministic and at least as accurate as the plain ascending-order sum.
     """
-    vals = _values_of(samples, host.n_nodes)
-    prod = host.dt_weights * vals
-    return complex(math.fsum(prod.real), math.fsum(prod.imag))
+    return _weighted_sum(host.dt_weights, samples)
 
 
 def integrate_arclength(samples, host):
     """int f(t) |dt|: the samples summed against the host's ``weights``."""
-    vals = _values_of(samples, host.n_nodes)
-    prod = host.weights * vals
-    return complex(math.fsum(prod.real), math.fsum(prod.imag))
+    return _weighted_sum(host.weights, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -210,71 +200,6 @@ def analytic_pole_kernel(host, pole_index):
     else:
         raise GeometryError("analytic pole kernel needs a segment or circular arc")
     return complex(val) if k.ndim == 0 else val
-
-
-def resolve_pole(host, pole):
-    """Node index of a pole given as an index or a point on the curve.
-
-    Points must land on a node: the singularity subtraction needs the
-    sample there.  A point at an arc endpoint is rejected separately, since
-    no principal value exists where the density may blow up.  An index is
-    returned as it is; ``singular_values`` checks it.
-    """
-    if isinstance(pole, (int, np.integer)):
-        return int(pole)
-    x = complex(pole)
-    tol = 1e-9 * max(host.diameter(), 1.0)
-    if isinstance(host, ArcSystem):
-        for e in host.endpoints:
-            if abs(x - e) <= tol:
-                raise EndpointSingularityError(
-                    f"pole {x} lies at an arc endpoint"
-                )
-    d = np.abs(host.nodes - x)
-    k = int(np.argmin(d))
-    if d[k] > tol:
-        raise InterpolationRequiredError(
-            f"pole {x} is {d[k]:.3g} from the nearest node; "
-            "principal values are only computed at nodes"
-        )
-    return k
-
-
-def pv_integrate(samples, host, pole, endpoint_singular=False):
-    """PV integral of f(t)/(t - x) dt with the pole x at a host node.
-
-    ``pole`` is a node index or a point coinciding with a node.
-    ``endpoint_singular=True`` declares that f carries the inverse of the
-    arc's own square-root factor (f = smooth / s_plus); the smooth cofactor
-    is recovered by folding, which turns the rule into the exact weighted
-    one.  On closed contours the flag is ignored (there are no endpoints).
-    The value is pi*i times the singular operator S f at that node.
-    """
-    values = _values_of(samples, host.n_nodes)
-    k = resolve_pole(host, pole)
-    density_class = "inverse_sqrt" if endpoint_singular else "smooth"
-    return 1j * np.pi * complex(singular_values(host, values, [k], density_class)[0])
-
-
-def singular_values(host, values, idx, density_class="smooth"):
-    """S f = (1/pi i) PV int f(t)/(t - x) dt at the host nodes ``idx``.
-
-    ``values`` are the samples of f at every host node; ``density_class``
-    (``smooth``, ``inverse_sqrt`` or ``sqrt``) picks the fold on arcs.
-    ``idx`` is an integer or a 1-d array of integers in [0, n) (possibly
-    empty); anything else raises IndexError.
-    """
-    if not isinstance(host, (ClosedContour, ArcSystem)):
-        raise GeometryError(f"no singular operator for host {type(host).__name__}")
-    n = host.n_nodes
-    idx = np.atleast_1d(np.asarray(idx))
-    if idx.size == 0:
-        idx = idx.astype(int)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
-        raise IndexError(f"node indices must be a 1-d integer array in [0, {n})")
-    if isinstance(host, ClosedContour):
-        return _S_closed(host, values, idx)
-    return _S_arcs(host, values, idx, density_class)
 
 
 def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None):

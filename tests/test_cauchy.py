@@ -486,3 +486,29 @@ def test_density_arithmetic():
     h = 2.0 * f - g
     assert np.allclose(h.values, 2.0 * c.nodes - c.nodes ** 2)
     assert np.allclose((f + g).values, c.nodes + c.nodes ** 2)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+def _ones(host):
+    return SampledDensity(host, np.ones(host.n_nodes))
+
+
+# (error class, call)
+REFUSALS = {
+    "S of a bare array": (TypeError, lambda: singular_S(np.ones(64))),
+    "S in an unknown density class": (
+        ValueError, lambda: singular_S(_ones(circle(8)), density_class="log")),
+    "S on a lone arc": (GeometryError, lambda: singular_S(_ones(segment(64).arcs[0]))),
+    "limit from the left": (ValueError, lambda: boundary_value(_ones(circle(8)), side="left")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_class(case):
+    cls, call = REFUSALS[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls

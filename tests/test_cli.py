@@ -633,6 +633,82 @@ def test_malformed_input_table_exits_64(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _atom_grid(tmp_path, case):
+    """log|z - (0.31 + 0.02i)| on a 41 x 41 lattice of spacing 0.05, as a csv
+    or binary potential, with one cell, coordinate or header field made
+    NaN (or infinite, for h)."""
+    h = 0.05
+    xs = -1.0 + h * np.arange(41)
+    X, Y = np.meshgrid(xs, xs)
+    field = PotentialField(np.log(np.abs(X + 1j * Y - (0.31 + 0.02j))), x0=xs[0], y0=xs[0], h=h)
+    if case.startswith("csv"):
+        path = tmp_path / "u.csv"
+        write_potential_csv(path, field)
+        col = 2 if case == "csv-cell" else 0
+        _rewrite(path, lambda r: r[:100] + [",".join(
+            "nan" if i == col else v for i, v in enumerate(r[100].split(",")))] + r[101:])
+        return {"family": "csv", "path": str(path)}
+    data, header = tmp_path / "u.f64", tmp_path / "u.json"
+    write_potential_binary(data, header, field)
+    if case == "binary-cell":
+        values = np.fromfile(data, dtype="<f8")
+        values[100] = np.nan
+        values.tofile(data)
+    else:
+        doc = json.loads(header.read_text())
+        key = case.split("-")[1]
+        doc[key] = np.inf if key == "h" else np.nan
+        header.write_text(json.dumps(doc))
+    return {"family": "binary", "data": str(data), "header": str(header)}
+
+
+@pytest.mark.parametrize("command", ["recover-area", "point-masses"])
+@pytest.mark.parametrize("case", ["csv-cell", "csv-coordinate", "binary-cell", "header-x0",
+                                  "header-y0", "header-h"])
+def test_potential_grid_with_nan_or_inf_exits_64(tmp_path, capsys, command, case):
+    # a NaN cell drops out of the point-mass threshold, which lost the atom,
+    # and into the area sum, which wrote total_mass NaN: both exited 0
+    config = {"command": command, "potential": _atom_grid(tmp_path, case),
+              "cluster_radius": 0.3}
+    code, _ = run_cli(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert "finite" in err
+
+
+# (exit code, config, extra arguments, words of the message)
+REFUSALS = {
+    "negative-tol": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]}, "rhs": RHS},
+                     ("--tol", "-1"), "--tol must be positive"),
+    "config-array": (64, [{"command": "moments"}], (), "must be a JSON object"),
+    "solve-arcs-residual": (65, {"command": "solve-arcs", "geometry": {"arcs": [SEGMENT]},
+                                 "rhs": RHS, "defect_poly": [[0.0, 0.0]],
+                                 "tolerances": {"residual": 1e-300}}, (), "at node"),
+    "degree-2**23": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]},
+                          "rhs": {"family": "monomial", "degree": 2 ** 23}}, (),
+                     "exceeds the limit"),
+    "disk-wall-radius": (64, dict(ON_CIRCLE, potential={"family": "disk-wall", "radius": -1.0}),
+                         (), "positive radius"),
+    "segment-green-order": (64, dict(ON_SEGMENT, potential={"family": "segment-green",
+                                                            "a": 1.0, "b": -1.0}),
+                            (), "b > a"),
+    "curve-potential-family": (64, dict(ON_SEGMENT, potential={"family": "csv"}), (),
+                               "unknown potential family"),
+    "binary-without-paths": (64, {"command": "recover-area", "potential": {"family": "binary"}},
+                             (), "'data' and 'header'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_exit_with_their_code(tmp_path, capsys, case):
+    want, config, extra, words = REFUSALS[case]
+    code, _ = run_cli(tmp_path, config, *extra)
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert words in err
+    assert "Traceback" not in err
+
+
 def test_runs_leave_numpy_ma_unimported(tmp_path):
     # importing numpy.ma (which np.unique pulls in) costs about 15 ms of a run
     path, _ = grid_csv(tmp_path)

@@ -62,7 +62,7 @@ def test_circle_basic_fields():
     assert abs(np.sum(c.dt_weights)) < 1e-12
     assert np.max(np.abs(np.abs(c.tangents) - 1.0)) < 1e-13
     # plus normal points into the disc
-    inside = c.nodes + 1e-3 * c.normals_plus
+    inside = c.nodes + 1e-3j * c.tangents
     assert np.all(np.abs(inside - (1.0 + 0.5j)) < 2.0)
 
 
@@ -601,19 +601,15 @@ def test_sqrtR_plus_at_nodes_matches_node_values():
 
 @pytest.mark.parametrize("per", [16, 256])
 def test_sqrtR_boundary_plus_at_nodes_matches_node_values(per):
-    # by node index it is the cached node value; by point and arc it is
-    # computed afresh (on a segment from tau recovered from the point)
+    # by point and arc it is computed afresh (on a segment from tau
+    # recovered from the point), and agrees with the cached node values
     sysm = segment_circular_chain(per)
     plus = sysm.sqrtR_plus_nodes()
     off = sysm.arc_offsets
-    for i in (0, 7, off[1], off[2] - 1, sysm.n_nodes - 1):
-        assert sqrtR_boundary_plus(sysm, node_index=i) == plus[i]
     for k, arc in enumerate(sysm.arcs):
         ref = plus[off[k]:off[k + 1]]
         got = np.array([sqrtR_boundary_plus(sysm, point=t, arc_index=k) for t in arc.nodes])
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
-    with pytest.raises(ValueError):
-        sqrtR_boundary_plus(sysm, point=sysm.nodes[3])
 
 
 def test_near_boundary_guard():
@@ -700,3 +696,69 @@ def test_node_table_csv(tmp_path):
     assert len(lines) == c.n_nodes + 1
     s_vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(b > a for a, b in zip(s_vals, s_vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# refusals
+# ---------------------------------------------------------------------------
+
+def _stalled_circle():
+    """A 128-node circle whose parameter speed vanishes at one node."""
+    c = circle()
+    dz = c.dz_dtheta.copy()
+    dz[5] = 0.0
+    return ClosedContour(c.nodes, dz, c.n_panels)
+
+
+def _curve(kind, **spec):
+    return lambda: build_closed_contour({"type": kind, "panels": 8, "nodes_per_panel": 8, **spec})
+
+
+def _arc(kind, **spec):
+    return lambda: build_arc_system([{"type": kind, "panels": 8, "nodes_per_panel": 8, **spec}])
+
+
+_th = 2 * np.pi * np.arange(10) / 10
+_x = np.linspace(0.0, 1.0, 5)
+
+# (error class, call)
+REFUSALS = {
+    "vanishing speed": (GeometryError, _stalled_circle),
+    "ellipse axis 0": (GeometryError, _curve("ellipse", semi_axes=[2.0, 0.0])),
+    "ellipse axis -1": (GeometryError, _curve("ellipse", semi_axes=[-1.0, 1.0])),
+    "polygon of 2 vertices": (GeometryError, _curve("rounded-polygon", vertices=[[0, 0], [1, 0]],
+                                                    corner_radius=0.1)),
+    "corner radius 0": (GeometryError, _curve("rounded-polygon", vertices=[[0, 0], [1, 0], [0, 1]],
+                                              corner_radius=0.0)),
+    "corner radius -0.1": (GeometryError, _curve("rounded-polygon",
+                                                 vertices=[[0, 0], [1, 0], [0, 1]],
+                                                 corner_radius=-0.1)),
+    "closed chain of 10 points": (ResolutionError, _curve(
+        "node-chain", nodes=np.stack([np.cos(_th), np.sin(_th)], axis=1).tolist())),
+    "sweep 0": (GeometryError, _arc("circular", radius=1.0, theta_a=0.5, theta_b=0.5)),
+    "sweep 2 pi": (GeometryError, _arc("circular", radius=1.0, theta_a=0.0, theta_b=2 * np.pi)),
+    "chain of 5 points": (ResolutionError, _arc("chain", nodes=np.stack([_x, _x * _x],
+                                                                        axis=1).tolist())),
+    "arc of 1 node": (ResolutionError, _arc("segment", a=[-1, 0], b=[1, 0], panels=1,
+                                            nodes_per_panel=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_class(case):
+    cls, call = REFUSALS[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert info.type is cls
+
+
+def test_collinear_vertex_leaves_the_rounded_polygon_unchanged():
+    # a vertex in the middle of a straight edge turns by no angle, so it
+    # gets no corner: the edge is summed in two pieces, exact here, where
+    # the edge lies on the x axis and its midpoint is a float
+    spec = {"type": "rounded-polygon", "corner_radius": 0.2, "panels": 8,
+            "nodes_per_panel": 64, "vertices": [[0, 0], [2, 0], [2.5, 1], [0, 1.5]]}
+    plain = build_closed_contour(spec)
+    split = build_closed_contour(dict(spec, vertices=[[0, 0], [1, 0], [2, 0], [2.5, 1], [0, 1.5]]))
+    assert split.nodes.tobytes() == plain.nodes.tobytes()
+    assert split.dz_dtheta.tobytes() == plain.dz_dtheta.tobytes()

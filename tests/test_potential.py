@@ -761,13 +761,8 @@ def test_validate_catches_mass_mismatch():
         est.validate()
 
 
-def test_estimate_json_and_curve_csv(tmp_path):
+def test_estimate_curve_csv_roundtrip(tmp_path):
     est = equilibrium_density({"type": "disk", "radius": 1.0})
-    est.point_masses = [(1.0 + 2.0j, 0.5)]
-    est.total_mass += 0.5
-    doc = est.to_json()
-    assert doc["point_masses"] == [[1.0, 2.0, 0.5]]
-    assert abs(doc["total_mass"] - 1.5) <= 1e-12
     path = tmp_path / "curve.csv"
     write_density_csv(path, est.curve_density.values)
     back = read_density_csv(path, expect=est.curve_density.host.n_nodes)
@@ -779,6 +774,40 @@ def test_potential_field_validation():
         PotentialField(values=np.zeros(16), h=0.1)
     with pytest.raises(ValueError):
         PotentialField(values=np.zeros((4, 4)), h=0.0)
+
+
+def _field(cell=0.0, **spec):
+    values = np.zeros((6, 6))
+    values[2, 3] = cell
+    return lambda tmp_path: PotentialField(values=values, **{"h": 0.1, **spec})
+
+
+def _one_column_csv(tmp_path):
+    path = tmp_path / "u.csv"
+    path.write_text("x,y,u\n" + "".join(f"0.5,{0.1 * k!r},0\n" for k in range(6)))
+    return read_potential_csv(path)
+
+
+# (error class, call with a scratch directory)
+REFUSALS = {
+    "NaN cell": (ValueError, _field(cell=np.nan)),
+    "infinite cell": (ValueError, _field(cell=-np.inf)),
+    "NaN x0": (ValueError, _field(x0=np.nan)),
+    "infinite y0": (ValueError, _field(y0=np.inf)),
+    "NaN h": (ValueError, _field(h=np.nan)),
+    "infinite h": (ValueError, _field(h=np.inf)),
+    "point masses of a callable": (TypeError, lambda tmp_path: detect_point_masses(
+        lambda z: 0.0, cluster_radius=1.0)),
+    "csv lattice with one x": (SchemaError, _one_column_csv),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_raise_their_class(tmp_path, case):
+    cls, call = REFUSALS[case]
+    with pytest.raises(cls) as info:
+        call(tmp_path)
+    assert info.type is cls
 
 
 def test_potential_csv_roundtrip(tmp_path):

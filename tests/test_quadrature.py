@@ -13,12 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from cauchypot import quadrature
-from cauchypot.errors import (
-    AlignmentError,
-    EndpointSingularityError,
-    GeometryError,
-    InterpolationRequiredError,
-)
+from cauchypot.errors import AlignmentError, GeometryError
 from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import plemelj_residuals, singular_S
 from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
@@ -28,7 +23,6 @@ from cauchypot.quadrature import (
     host_rule,
     integrate,
     neville,
-    pv_integrate,
 )
 from cauchypot.sampling import SampledDensity
 
@@ -91,7 +85,7 @@ def test_integrate_checks_alignment():
 
 
 # ---------------------------------------------------------------------------
-# principal values
+# principal values: PV int f(t)/(t - x) dt = pi*i S f(x) at a node x
 # ---------------------------------------------------------------------------
 
 def test_pv_constant_density_log_kernel_at_every_node():
@@ -99,7 +93,7 @@ def test_pv_constant_density_log_kernel_at_every_node():
     ones = SampledDensity(seg, np.ones(seg.n_nodes))
     x = seg.nodes.real
     for k in range(seg.n_nodes):
-        val = pv_integrate(ones, seg, k)
+        val = 1j * np.pi * singular_S(ones, at_indices=k)
         exact = np.log((1.0 - x[k]) / (1.0 + x[k]))
         assert abs(val - exact) <= 1e-10
 
@@ -109,7 +103,7 @@ def test_pv_log_kernel_near_x_point_three():
     ones = SampledDensity(seg, np.ones(seg.n_nodes))
     k = int(np.argmin(np.abs(seg.nodes - 0.3)))
     x = seg.nodes[k].real
-    val = pv_integrate(ones, seg, seg.nodes[k])
+    val = 1j * np.pi * singular_S(ones, at_indices=k)
     assert abs(val - np.log((1.0 - x) / (1.0 + x))) <= 1e-12
     # the analytic value near x = 0.3 for orientation
     assert abs(np.log(0.7 / 1.3) - val) <= 0.02
@@ -118,17 +112,16 @@ def test_pv_log_kernel_near_x_point_three():
 def test_pv_closed_loop_half_residue():
     c = circle(16, 8)
     ones = SampledDensity(c, np.ones(c.n_nodes))
-    for k in (0, 17, 100):
-        assert abs(pv_integrate(ones, c, k) - 1j * np.pi) <= 1e-10
-    # pole given as a point on the curve
-    assert abs(pv_integrate(ones, c, c.nodes[5]) - 1j * np.pi) <= 1e-10
+    for k in (0, 5, 17, 100):
+        assert abs(1j * np.pi * singular_S(ones, at_indices=k) - 1j * np.pi) <= 1e-10
 
 
 def test_pv_inverse_sqrt_chebyshev_identity_at_x_point_four():
     seg = segment(128)
-    x_node = seg.nodes[int(np.argmin(np.abs(seg.nodes - 0.4)))]
+    k = int(np.argmin(np.abs(seg.nodes - 0.4)))
+    x_node = seg.nodes[k]
     f = SampledDensity(seg, 1.0 / np.sqrt(1.0 - seg.nodes.real ** 2))
-    val = pv_integrate(f, seg, x_node, endpoint_singular=True)
+    val = 1j * np.pi * singular_S(f, at_indices=k, density_class="inverse_sqrt")
     assert abs(val) <= 1e-10
     # independent oracle: t = cos(theta) turns the integrand into
     # 1/(cos(theta) - x) on (0, pi); regularize the theta pole
@@ -149,7 +142,7 @@ def test_pv_smooth_density_against_dense_reference():
     seg = segment(256)
     f = SampledDensity(seg, np.exp(seg.nodes.real))
     k = int(np.argmin(np.abs(seg.nodes - 0.25)))
-    val = pv_integrate(f, seg, k)
+    val = 1j * np.pi * singular_S(f, at_indices=k)
     ref = pv_segment_dense(np.exp, -1.0, 1.0, seg.nodes[k])
     assert abs(val - ref) <= 1e-4
 
@@ -162,9 +155,9 @@ def test_pv_linearity():
     fu, fv = SampledDensity(seg, u), SampledDensity(seg, v)
     fw = SampledDensity(seg, 2.0 * u - 1.5j * v)
     k = 20
-    a = pv_integrate(fu, seg, k)
-    b = pv_integrate(fv, seg, k)
-    w = pv_integrate(fw, seg, k)
+    a = 1j * np.pi * singular_S(fu, at_indices=k)
+    b = 1j * np.pi * singular_S(fv, at_indices=k)
+    w = 1j * np.pi * singular_S(fw, at_indices=k)
     assert abs(w - (2.0 * a - 1.5j * b)) <= 1e-12 * max(1.0, abs(w))
 
 
@@ -176,7 +169,7 @@ def test_pv_convergence_at_least_second_order():
         f = SampledDensity(seg, 1.0 / (seg.nodes - 2.0))
         k = int(np.argmin(np.abs(seg.nodes - 0.25)))
         ref = pv_segment_dense(lambda t: 1.0 / (t - 2.0), -1.0, 1.0, seg.nodes[k])
-        return abs(pv_integrate(f, seg, k) - ref)
+        return abs(1j * np.pi * singular_S(f, at_indices=k) - ref)
 
     # two halvings: 2nd order predicts 16x, allow preasymptotic wobble
     e16, e64 = err(16), err(64)
@@ -191,7 +184,7 @@ def test_pv_on_circular_arc_against_theta_reference():
     arc = sys.arcs[0]
     f = SampledDensity(sys, np.exp(-sys.nodes))
     k = 60
-    val = pv_integrate(f, sys, k)
+    val = 1j * np.pi * singular_S(f, at_indices=k)
     # dense reference in the arc's own angle variable
     th_a, th_b = arc.theta_a, arc.theta_b
     x = sys.nodes[k]
@@ -220,45 +213,6 @@ def test_pv_on_circular_arc_against_theta_reference():
     assert abs(val - ref) <= 1e-4
 
 
-PV_HOSTS = {
-    "circle": circle(8, 8),
-    "ellipse": build_closed_contour(
-        {"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 8}),
-    "segment": segment(64),
-    "two segments": build_arc_system([
-        {"type": "segment", "a": [-2, 0], "b": [-0.5, 0], "panels": 4, "nodes_per_panel": 8},
-        {"type": "segment", "a": [0.5, 0.5], "b": [2, 0.2], "panels": 4, "nodes_per_panel": 8},
-    ]),
-    "circular arc": build_arc_system(
-        [{"type": "circular", "radius": 1.0, "theta_a": 0.4, "theta_b": 2.5,
-          "panels": 4, "nodes_per_panel": 16}]),
-}
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    name=st.sampled_from(sorted(PV_HOSTS)),
-    trig=st.booleans(),
-    coeffs=st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
-                                       allow_infinity=False),
-                    min_size=1, max_size=6),
-    pole=st.floats(0.0, 1.0, exclude_max=True),
-    endpoint_singular=st.booleans(),
-)
-def test_pv_is_pi_i_times_singular_operator(name, trig, coeffs, pole,
-                                            endpoint_singular):
-    host = PV_HOSTS[name]
-    # a trigonometric polynomial in the node parameter, or a polynomial in t
-    x = np.exp(1j * host.params) if trig else host.nodes
-    values = np.polynomial.polynomial.polyval(x, coeffs)
-    f = SampledDensity(host, values)
-    k = int(pole * host.n_nodes)
-    density_class = "inverse_sqrt" if endpoint_singular else "smooth"
-    got = pv_integrate(f, host, k, endpoint_singular=endpoint_singular)
-    want = 1j * np.pi * singular_S(f, at_indices=k, density_class=density_class)
-    assert abs(got - want) <= 1e-12 * max(abs(want), np.max(np.abs(values)))
-
-
 def test_pv_on_segment_beside_a_chain_arc():
     # chain arcs carry no graded rule; a pole on a segment still gets its
     # principal value, with the chain entering as a plain quadrature sum
@@ -275,13 +229,13 @@ def test_pv_on_segment_beside_a_chain_arc():
     for k in seg_nodes:
         x = sysm.nodes[k].real
         exact = np.log((1.0 - x) / (1.0 + x)) + np.sum(w_chain / (t_chain - x))
-        assert abs(pv_integrate(ones, sysm, int(k)) - exact) <= 1e-10
+        assert abs(1j * np.pi * singular_S(ones, at_indices=int(k)) - exact) <= 1e-10
     s_seg = singular_S(ones, at_indices=seg_nodes)
-    want = [pv_integrate(ones, sysm, int(k)) / (1j * np.pi) for k in seg_nodes]
+    want = [singular_S(ones, at_indices=int(k)) for k in seg_nodes]
     assert np.max(np.abs(s_seg - want)) <= 1e-14
     # a pole on the chain itself has no principal-value rule
     with pytest.raises(GeometryError):
-        pv_integrate(ones, sysm, n_seg + 3)
+        singular_S(ones, at_indices=n_seg + 3)
     with pytest.raises(GeometryError):
         singular_S(ones, at_indices=[0, n_seg + 3])
 
@@ -699,12 +653,8 @@ def test_neville_exact_on_quadratic_ladder():
 def test_pole_lookup_errors():
     seg = segment(64)
     ones = SampledDensity(seg, np.ones(seg.n_nodes))
-    with pytest.raises(EndpointSingularityError):
-        pv_integrate(ones, seg, 1.0 + 0.0j)
-    with pytest.raises(InterpolationRequiredError):
-        pv_integrate(ones, seg, 0.3123456 + 0.0j)
     with pytest.raises(IndexError):
-        pv_integrate(ones, seg, 10_000)
+        singular_S(ones, at_indices=10_000)
 
 
 def test_host_rule_weights_recover_total_length():

@@ -196,23 +196,34 @@ def imported_from(src):
                           env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
+def source_trees(rev, tmp):
+    """The ``src/`` trees to compare, by name: REV's, exported with ``git
+    archive`` into the directory ``tmp``, and the working tree's.  None,
+    after a message, if either does not provide the ``cauchypot`` it is
+    run with."""
+    root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
+                               text=True, check=True).stdout.strip())
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tmp / "rev", filter="data")
+    trees = {"rev": tmp / "rev" / "src", "work": root / "src"}
+    for name, src in trees.items():
+        if not imported_from(src).startswith(str(src)):
+            print(f"{name}: cauchypot is not imported from {src}", file=sys.stderr)
+            return None
+    return trees
+
+
 def main():
     parser = argparse.ArgumentParser(description="CLI outputs at REV against the working tree.")
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~")
     rev = parser.parse_args().rev
-    root = Path(subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True,
-                               text=True, check=True).stdout.strip())
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(root), "archive", rev],
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "rev", filter="data")
-        trees = {"rev": tmp / "rev" / "src", "work": root / "src"}
-        for name, src in trees.items():
-            if not imported_from(src).startswith(str(src)):
-                print(f"{name}: cauchypot is not imported from {src}", file=sys.stderr)
-                return 2
+        trees = source_trees(rev, tmp)
+        if trees is None:
+            return 2
         inputs = tmp / "inputs"
         inputs.mkdir()
         differing = 0
