@@ -145,7 +145,8 @@ class ClosedContour(_Host):
     Derived once: ``params`` (the theta_k), the periodic trapezoid rule
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
-    0), ``total_length``, ``diameter()`` and ``near_cutoff``.
+    0), ``total_length``, ``diameter()`` and ``near_cutoff``; and, on the
+    first S that takes the multipole route, the plan of its rows.
     """
 
     nodes: np.ndarray
@@ -196,6 +197,13 @@ class ClosedContour(_Host):
     def weights(self):
         """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
         return (2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta)
+
+    @cached_property
+    def _multipole_plan(self):
+        """The node-only arrays of the multipole rows of S, built on first use."""
+        from .quadrature import _MultipolePlan
+
+        return _MultipolePlan(self.nodes, self.dt_weights)
 
     def signed_area(self):
         z = self.nodes

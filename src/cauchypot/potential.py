@@ -535,6 +535,10 @@ def read_potential_csv(path):
     ix = np.searchsorted(xs, data[:, 0])
     iy = np.searchsorted(ys, data[:, 1])
     vals[iy, ix] = data[:, 2]
+    seen = np.zeros((ny, nx), dtype=bool)
+    seen[iy, ix] = True
+    if not seen.all():
+        raise SchemaError("potential CSV gives a lattice point twice and leaves another out")
     return PotentialField(values=vals, x0=float(xs[0]), y0=float(ys[0]), h=h)
 
 

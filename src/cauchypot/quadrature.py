@@ -27,9 +27,10 @@ pole-subtracted row there (subtracted kernel integral pi*i, the Fourier
 derivative of the density on the diagonal) minus that transform.  Curves or data that leave the
 remainder unresolved (rounded polygons, rough data) get the
 pole-subtracted rows at every requested node: summed directly below
-``_FMM_MIN_NODES`` nodes, and from there on with their far field taken
-from the multipole expansions of ``_fmm_rows``, O(N log N) whether one row
-is asked for or all.  On a graded arc, in the parameter tau = cos(u), the
+``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole method:
+a ``_MultipolePlan`` of what the nodes alone fix, which the contour builds
+on its first multipole S and keeps, and a pass per density, O(N) whether
+one row is asked for or all.  On a graded arc, in the parameter tau = cos(u), the
 arc's own part is diagonal in Chebyshev coefficients (length-2m FFTs), and
 the remainder is the other arcs' sums and, on a circular arc, the
 difference between its kernel and 1/(tau - tau_x).  Every other Cauchy sum
@@ -242,7 +243,7 @@ def _S_closed(host, values, idx):
     is resolved too, and trigonometrically interpolated.  Otherwise, and
     past p = n/4 or when p does not divide n, the requested rows are the
     pole-subtracted ones: summed directly below ``_FMM_MIN_NODES`` nodes, the
-    probed ones reused, and from there on by ``_fmm_rows``.  The choice
+    probed ones reused, and from there on by the host's multipole plan.  The choice
     depends on the host and f only, so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
@@ -279,7 +280,7 @@ def _S_closed(host, values, idx):
             return (hf + np.fft.ifft(pad) * (n / p))[idx]
         p *= 2
     if n >= _FMM_MIN_NODES:
-        return s_of(_fmm_rows(t, w, values, df, idx), idx)
+        return s_of(host._multipole_plan.rows(values, df, idx), idx)
     new = idx[~done[idx]]
     row[new] = rows(new)
     return row[idx]
@@ -297,98 +298,185 @@ _FMM_MIN_NODES = 1024
 # C(k + l, k): row k, column l
 _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
                       for k in range(_FMM_TERMS)], dtype=float)
+# columns per product with _BINOMIAL: 24 x 24 x 256 stays under OpenBLAS's
+# threshold for threads (one unblocked product made S at 4096 nodes up to
+# 2.5x slower at default threads on 2 cores)
+_M2L_BLOCK = 256
 
 
 def _powers(x, first=1.0):
     """first * x**k for k < ``_FMM_TERMS``, stacked along a new first axis."""
-    out = np.empty((_FMM_TERMS,) + np.broadcast(x, first).shape, dtype=complex)
+    out = np.empty((_FMM_TERMS,) + np.broadcast(x, first).shape, dtype=np.result_type(x, first))
     out[0] = first
     for k in range(1, _FMM_TERMS):
         np.multiply(out[k - 1], x, out=out[k])
     return out
 
 
-def _fmm_rows(t, w, f, df, idx):
-    """sum_j w_j (f_j - f_i)/(t_j - t_i), w_i df_i for j = i, at the nodes i in ``idx``.
+class _MultipolePlan:
+    """The multipole rows of one closed contour: a plan over its nodes, a pass per density.
 
     The fast multipole method in complex form (Greengard & Rokhlin, J. Comput.
-    Phys. 73, 1987) on a binary tree of contiguous node ranges, halved down
-    to leaves of about ``_FMM_LEAF`` nodes.  A box has the midpoint c of its
-    bounding box as centre and the largest |t - c| as radius r.  The
-    children of two boxes that were not separated are paired again; boxes
-    A and B with |c_A - c_B| > alpha (r_A + r_B) exchange their far field:
-    the multipoles about c_B of w f and of w, summed straight from the
-    nodes, go into local expansions about c_A through one product with the
-    table C(k + l, k).  The far field at a target t_i is summed level by
-    level from the expansions of its boxes, as sum w f/(t - t_i) minus f_i
-    times sum w/(t - t_i).  Leaf pairs still not separated keep the pole
-    subtraction (f_j - f_i), in blocks of about ``geometry._ROW_BLOCK``
-    elements.  The expansions depend on t, w and f only, and each target is
-    summed on its own, so a row does not depend on the others asked for.
+    Phys. 73, 1987; Carrier, Greengard & Rokhlin, SIAM J. Sci. Stat. Comput.
+    9, 1988) on a binary tree of contiguous node ranges, halved down to
+    leaves of about ``_FMM_LEAF`` nodes.  Box q of level l (2**l <= q <
+    2**(l + 1), children 2q and 2q + 1) has the midpoint c of its bounding
+    box as centre and the largest |t - c| as radius r.  The children of two
+    boxes that were not separated are paired again; boxes A and B with
+    |c_A - c_B| > alpha (r_A + r_B) exchange their far field.
+
+    The plan is what depends on the nodes t and weights w alone, built once:
+
+    * per box, its shift to its parent: the powers of rho = r_child/r_parent
+      and delta = (c_child - c_parent)/r_parent;
+    * the separated pairs (A, B), sorted by A, with the M2L factor powers
+      (r_B/d)**k and -(1/d) (-r_A/d)**l, d = c_A - c_B;
+    * each node's leaf and leaf coordinate (t - c)/r;
+    * per leaf, the columns of the leaves it is not separated from, with
+      their weights and nodes, padded at weight 0, and each node's position
+      in its own leaf's columns;
+    * the far field of w at every node, which the rows subtract f_i times.
+
+    ``ClosedContour._multipole_plan`` builds it on the first S that takes
+    the multipole route, not before, and keeps it for the host's lifetime.
+    ``rows`` is the pass over one density.
     """
-    n, p = t.size, _FMM_TERMS
-    depth = max(1, math.ceil(math.log2(n / _FMM_LEAF)))
-    src = np.stack((w * f, w))
-    far = np.zeros((2, idx.size), dtype=complex)
-    near = np.zeros((1, 2), dtype=np.int64)  # (target, source) boxes not separated
-    for lev in range(1, depth + 1):
-        lo = (np.arange((1 << lev) + 1) * n) >> lev
-        first, box = lo[:-1], np.repeat(np.arange(1 << lev), np.diff(lo))
-        c = 0.5 * (np.minimum.reduceat(t.real, first) + np.maximum.reduceat(t.real, first)
-                   + 1j * (np.minimum.reduceat(t.imag, first)
-                           + np.maximum.reduceat(t.imag, first)))
-        r = np.maximum.reduceat(np.abs(t - c[box]), first)
-        a = (2 * near[:, :1] + [0, 0, 1, 1]).ravel()
-        b = (2 * near[:, 1:] + [0, 1, 0, 1]).ravel()
-        d = c[a] - c[b]
-        sep = np.abs(d) > _FMM_SEPARATION * (r[a] + r[b])
-        near = np.stack((a[~sep], b[~sep]), axis=1)
-        if not sep.any():
-            continue
-        a, b, d = a[sep], b[sep], d[sep]
+
+    def __init__(self, t, w):
+        n = t.size
+        self.depth = depth = max(1, math.ceil(math.log2(n / _FMM_LEAF)))
+        # by box number; boxes 0 and 1 (the root) are in no pass
+        center = np.zeros(2 << depth, dtype=complex)
+        radius = np.ones(2 << depth)
+        near = np.zeros((1, 2), dtype=np.int64)  # (target, source) boxes not separated
+        pairs = []
+        for lev in range(1, depth + 1):
+            lo = (np.arange((1 << lev) + 1) * n) >> lev
+            first, box = lo[:-1], np.repeat(np.arange(1 << lev), np.diff(lo))
+            c = 0.5 * (np.minimum.reduceat(t.real, first) + np.maximum.reduceat(t.real, first)
+                       + 1j * (np.minimum.reduceat(t.imag, first)
+                               + np.maximum.reduceat(t.imag, first)))
+            r = np.maximum.reduceat(np.abs(t - c[box]), first)
+            center[1 << lev:2 << lev], radius[1 << lev:2 << lev] = c, r
+            a = (2 * near[:, :1] + [0, 0, 1, 1]).ravel()
+            b = (2 * near[:, 1:] + [0, 1, 0, 1]).ravel()
+            sep = np.abs(c[a] - c[b]) > _FMM_SEPARATION * (r[a] + r[b])
+            near = np.stack((a[~sep], b[~sep]), axis=1)
+            pairs.append(np.stack((a[sep], b[sep]), axis=1) + (1 << lev))
+        parent = np.arange(2 << depth) >> 1
+        self.rho = _powers(radius / radius[parent])
+        self.delta = (center - center[parent]) / radius[parent]
+
         # sum_j s_j/(t_j - z) = -sum_k M_k r_B^k / (z - c_B)^(k+1), and with
         # z - c_B = d + r_A v, d = c_A - c_B, the coefficient of v^l is
         # -(1/d) (-r_A/d)^l sum_k C(k + l, k) (r_B/d)^k M_k
-        multipole = np.add.reduceat(_powers((t - c[box]) / r[box], src), first, axis=2)
-        m2l = np.einsum("kl,ksn->lsn", _BINOMIAL, multipole[:, :, b] * _powers(r[b] / d)[:, None])
-        m2l *= _powers(-r[a] / d, -1.0 / d)[:, None]
+        pairs = np.concatenate(pairs)
+        a, b = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
+        d = center[a] - center[b]
+        self.source, self.from_source = b, _powers(radius[b] / d)
+        self.to_target = _powers(-radius[a] / d, -1.0 / d)
+        self.first_pair = np.flatnonzero(np.diff(a, prepend=-1))
+        self.target = a[self.first_pair]
+
+        # lo, first and box are the leaves' now
+        self.first, self.leaf = first, box
+        self.coords = (t - c[box]) / r[box]
+        a, b = near[np.lexsort((near[:, 1], near[:, 0]))].T
+        size = lo[b + 1] - lo[b]
+        count = np.bincount(a, size, minlength=1 << depth).astype(np.int64)
+        # leaf row a of the columns: the nodes of its near leaves, then padding
+        # at weight 0 whose node lies off the curve, so no row divides by 0
+        owner, node = np.repeat(a, size), _ranges(lo[b], size)
+        col = _ranges(np.zeros_like(count), count)
+        self.cols = np.zeros((1 << depth, int(count.max())), dtype=np.int64)
+        self.cols[owner, col] = node
+        self.near_nodes = np.full(self.cols.shape, 2.0 * np.max(np.abs(t)) + 1.0, dtype=complex)
+        self.near_nodes[owner, col] = t[node]
+        self.near_weights = np.zeros(self.cols.shape, dtype=complex)
+        self.near_weights[owner, col] = w[node]
+        own = box[node] == owner
+        self.diagonal = np.empty(n, dtype=np.int64)
+        self.diagonal[node[own]] = col[own]
+        self.nodes, self.weights = t, w
+        self.far_of_weights = self._far(w, np.arange(n))
+
+    def _far(self, s, idx):
+        """sum_j s_j/(t_j - t_i) over the boxes separated from node i's, i in ``idx``.
+
+        P2M at the leaves, M2M up the tree, M2L between the separated
+        pairs (blocked products with the real table C(k + l, k), summed per
+        target box), L2L down the tree, and each target's local expansion
+        summed at its leaf by Horner's rule.  Every expansion is formed
+        whatever ``idx``, and each target is summed on its own, so a row
+        does not depend on the others asked for.
+        """
+        p, depth = _FMM_TERMS, self.depth
+        multipole = np.zeros((p, 2 << depth), dtype=complex)
+        multipole[:, 1 << depth:] = np.add.reduceat(_powers(self.coords, s), self.first, axis=1)
+        for lev in range(depth, 1, -1):
+            # M_k(parent) = sum_j C(k, j) rho^j delta^(k - j) M_j(child): the
+            # Pascal triangle, one diagonal per step
+            box = slice(1 << lev, 2 << lev)
+            y, delta = self.rho[:, box] * multipole[:, box], self.delta[box]
+            for k in range(1, p):
+                y[k:] += delta * y[k - 1:-1]
+            multipole[:, 1 << (lev - 1):1 << lev] = y[:, 0::2] + y[:, 1::2]
+
+        # the real table times the real and imaginary parts, in blocks
+        x = (multipole[:, self.source] * self.from_source).view(float)
+        m2l = np.empty_like(x)
+        for lo in range(0, x.shape[1], _M2L_BLOCK):
+            m2l[:, lo:lo + _M2L_BLOCK] = _BINOMIAL.T @ x[:, lo:lo + _M2L_BLOCK]
+        m2l = m2l.view(complex)
+        m2l *= self.to_target
         local = np.zeros_like(multipole)
-        np.add.at(local, (slice(None), slice(None), a), m2l)
-        k = box[idx]
-        v = (t[idx] - c[k]) / r[k]
-        acc = local[p - 1][:, k]
+        local[:, self.target] = np.add.reduceat(m2l, self.first_pair, axis=1)
+        for lev in range(1, depth):
+            # L_j(child) = rho^j sum_l C(l, j) delta^(l - j) L_l(parent): the
+            # transposed triangle
+            box = slice(2 << lev, 4 << lev)
+            y, delta = local[:, 1 << lev:2 << lev].repeat(2, axis=1), self.delta[box]
+            for k in range(p - 1, 0, -1):
+                y[k - 1:-1] += delta * y[k:]
+            local[:, box] += self.rho[:, box] * y
+
+        k = self.leaf[idx] + (1 << depth)
+        v = self.coords[idx]
+        acc = local[p - 1, k]
         for j in range(p - 2, -1, -1):
             acc *= v
-            acc += local[j][:, k]
-        far += acc
+            acc += local[j, k]
+        return acc
 
-    # lo and box are the leaves' now
-    a, b = near[np.lexsort((near[:, 1], near[:, 0]))].T
-    size = lo[b + 1] - lo[b]
-    count = np.bincount(a, size, minlength=1 << depth).astype(np.int64)
-    # leaf row a of ``cols``: the nodes of its near leaves, padded with node 0
-    # at weight 0
-    owner, node = np.repeat(a, size), _ranges(lo[b], size)
-    col = _ranges(np.zeros_like(count), count)
-    cols = np.zeros((1 << depth, int(count.max())), dtype=np.int64)
-    wts = np.zeros(cols.shape, dtype=complex)
-    cols[owner, col] = node
-    wts[owner, col] = w[node]
-    leaf = box[idx]
+    def rows(self, f, df, idx):
+        """sum_j w_j (f_j - f_i)/(t_j - t_i), w_i df_i for j = i, at the nodes i in ``idx``.
 
-    def block(rows):
-        i, k = idx[rows], leaf[rows]
-        j = cols[k]
-        on = j == i[:, None]
-        den = t[j] - t[i, None]
-        den[on] = 1.0
-        reg = f[j] - f[i, None]
-        reg /= den
-        reg[on] = np.broadcast_to(df[i, None], on.shape)[on]
-        reg *= wts[k]
-        return np.sum(reg, axis=1)
+        The pass over one density f, on top of the plan: the far field of
+        w f from the expansions (``_far``), minus f_i times the plan's far
+        field of w, plus the near leaves summed with the pole subtraction
+        (f_j - f_i) as the direct rows are, in blocks of about
+        ``geometry._ROW_BLOCK`` elements.  Each row gathers its leaf's
+        columns; its diagonal is the node's position among them.
+        """
+        t, w_near = self.nodes, self.near_weights
+        f_near = f[self.cols]
 
-    return _by_rows(block, idx.size, cols.shape[1], complex) + (far[0] - f[idx] * far[1])
+        def block(rows):
+            i = idx[rows]
+            k = self.leaf[i]
+            on = (np.arange(i.size), self.diagonal[i])
+            den = self.near_nodes[k]
+            den -= t[i, None]
+            den[on] = 1.0
+            reg = f_near[k]
+            reg -= f[i, None]
+            reg /= den
+            reg[on] = df[i]
+            reg *= w_near[k]
+            return np.sum(reg, axis=1)
+
+        near = _by_rows(block, idx.size, self.cols.shape[1], complex)
+        return near + (self._far(self.weights * f, idx) - f[idx] * self.far_of_weights[idx])
 
 
 def _resolved(c, scale):

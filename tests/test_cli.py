@@ -676,6 +676,26 @@ def test_potential_grid_with_nan_or_inf_exits_64(tmp_path, capsys, command, case
     assert "finite" in err
 
 
+@pytest.mark.parametrize("command", ["recover-area", "point-masses"])
+def test_potential_csv_with_a_duplicated_point_exits_64(tmp_path, capsys, command):
+    # one row replaced by a copy of the first leaves a cell unset: point-masses
+    # reported a spurious second atom, and recover-area wrote a total mass
+    h = 0.05
+    xs = -1.0 + h * np.arange(41)
+    X, Y = np.meshgrid(xs, xs)
+    path = tmp_path / "u.csv"
+    write_potential_csv(path, PotentialField(np.log(np.abs(X + 1j * Y - (0.31 + 0.17j))),
+                                             x0=xs[0], y0=xs[0], h=h))
+    _rewrite(path, lambda r: r[:100] + [r[1]] + r[101:])
+    config = {"command": command, "potential": {"family": "csv", "path": str(path)},
+              "cluster_radius": 0.3}
+    code, _ = run_cli(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert "twice" in err
+    assert "Traceback" not in err
+
+
 # (exit code, config, extra arguments, words of the message)
 REFUSALS = {
     "negative-tol": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]}, "rhs": RHS},

@@ -788,6 +788,19 @@ def _one_column_csv(tmp_path):
     return read_potential_csv(path)
 
 
+def _duplicated_point_csv(tmp_path):
+    # x^2 + y^2 on a 6 x 6 lattice, the row of (0.2, 0.2) replaced by a second
+    # (0, 0): the row count still matches, and the cell read 0.2, not 0.08
+    xs = 0.1 * np.arange(6)
+    X, Y = np.meshgrid(xs, xs)
+    path = tmp_path / "u.csv"
+    write_potential_csv(path, PotentialField(values=X ** 2 + Y ** 2, h=0.1))
+    rows = path.read_text().splitlines()
+    rows[1 + 2 * 6 + 2] = rows[1]
+    path.write_text("\n".join(rows) + "\n")
+    return read_potential_csv(path)
+
+
 # (error class, call with a scratch directory)
 REFUSALS = {
     "NaN cell": (ValueError, _field(cell=np.nan)),
@@ -799,6 +812,7 @@ REFUSALS = {
     "point masses of a callable": (TypeError, lambda tmp_path: detect_point_masses(
         lambda z: 0.0, cluster_radius=1.0)),
     "csv lattice with one x": (SchemaError, _one_column_csv),
+    "csv lattice point given twice": (SchemaError, _duplicated_point_csv),
 }
 
 

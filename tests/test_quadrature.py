@@ -1,10 +1,12 @@
 """Quadrature rules and principal values against independent references."""
 
 import cmath
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from cauchypot import quadrature
 from cauchypot.errors import AlignmentError, GeometryError
 from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import plemelj_residuals, singular_S
+from cauchypot.closed import solve_closed
 from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
     _own_sigma,
@@ -547,6 +550,64 @@ def test_multipole_rows_match_the_pole_subtracted_rows(vertices, per):
     g = rng.standard_normal(host.n_nodes) + 1j * rng.standard_normal(host.n_nodes)
     got = closed_S(host, g)
     assert np.max(np.abs(got - pole_subtracted_rows(host, g))) <= 1e-14 * np.max(np.abs(g))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(host=closed_contours(per=(128, 150, 256, 512)), seed=st.integers(0, 2 ** 16),
+       picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12))
+def test_multipole_rows_match_the_direct_rows_on_random_closed_contours(host, seed, picks):
+    # 1024-4096 nodes, 1200 where the tree's boxes at one level differ in
+    # size by a node; rough data leave every remainder unresolved, so every
+    # host takes the rows, and their far field comes from the expansions
+    _, host = host
+    assert host.n_nodes >= quadrature._FMM_MIN_NODES
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(host.n_nodes) + 1j * rng.standard_normal(host.n_nodes)
+    f = SampledDensity(host, g)
+    full = singular_S(f).values
+    assert np.max(np.abs(full - pole_subtracted_rows(host, g))) <= 1e-14 * np.max(np.abs(g))
+    idx = (np.array(picks) * host.n_nodes).astype(int)  # unsorted, may repeat
+    assert singular_S(f, at_indices=idx).tobytes() == full[idx].tobytes()
+
+
+def _plan_bytes(host):
+    """The bytes of the arrays a host's multipole plan holds beyond the host's own."""
+    own = (host.nodes, host.dt_weights)
+    return sum(v.nbytes for v in vars(host._multipole_plan).values()
+               if isinstance(v, np.ndarray) and not any(np.shares_memory(v, o) for o in own))
+
+
+def test_the_multipole_plan_is_built_on_first_use_and_kept_with_its_host(monkeypatch):
+    builds = []
+    plan = quadrature._MultipolePlan
+
+    def counting(*args):
+        builds.append(args[0].size)
+        return plan(*args)
+
+    monkeypatch.setattr(quadrature, "_MultipolePlan", counting)
+    host, g = fallback_input("polygon")
+    circle_1024 = circle(128, 8)
+    small, _ = fallback_input("polygon below the crossover")
+    assert builds == []
+    # resolved data, or a host below the crossover: no plan
+    closed_S(circle_1024, np.exp(3j * circle_1024.params))
+    closed_S(small, np.random.default_rng(1).standard_normal(small.n_nodes))
+    assert builds == []
+    first = closed_S(host, g)
+    assert builds == [host.n_nodes]
+    # a second S, a second density, S at nodes and a solve reuse it
+    assert closed_S(host, g).tobytes() == first.tobytes()
+    closed_S(host, np.conj(g))
+    singular_S(SampledDensity(host, g), at_indices=[3, 1, 3])
+    solve_closed(SampledDensity(host, g), tolerance=None)
+    assert builds == [host.n_nodes]
+    assert _plan_bytes(host) <= 4e6
+    # the plan lives on the host and holds no reference to it
+    ref = weakref.ref(host)
+    del host
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.fixture

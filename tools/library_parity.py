@@ -13,13 +13,13 @@ that differs, and exits 1 if any does.
 
 The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
-field from 1024 nodes on), S on each arc kind (segment, circular, a segment
-beside a chain) in each density class, ``solve_closed``, the arc-system
-solvers on five systems, Plemelj residuals, boundary values, Cauchy
-transforms, on-node and off-curve potentials, the integrals, the
-equilibrium references, and curve, area and point-mass recovery.  Atoms
-sit off the lattice points of their grid.  It needs the standard library
-and numpy only.
+field from 1024 nodes on, at 1200, 4096 and 16384 nodes), S on each arc
+kind (segment, circular, a segment beside a chain) in each density class,
+``solve_closed``, the arc-system solvers on five systems, Plemelj
+residuals, boundary values, Cauchy transforms, on-node and off-curve
+potentials, the integrals, the equilibrium references, and curve, area and
+point-mass recovery.  Atoms sit off the lattice points of their grid.  It
+needs the standard library and numpy only.
 """
 
 import argparse
@@ -94,6 +94,15 @@ def calls():
         yield f"{name} involution residual", lambda g=g: cp.involution_residual(g)
         yield f"{name} integrals", lambda g=g, h=host: [cp.integrate(g, h),
                                                        cp.integrate_arclength(g, h)]
+
+    # the tree's edge shapes: at 1200 nodes its boxes at one level differ in
+    # size by a node; 16384 nodes make it 9 levels deep
+    for per in (150, 2048):
+        host = cp.build_closed_contour(dict(POLYGON, nodes_per_panel=per))
+        g = sd(host, host.nodes ** 2 + 1.0 / (host.nodes - 1.0 - 0.7j))
+        yield f"polygon-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values
+        yield f"polygon-{host.n_nodes} S at a node", lambda g=g, k=host.n_nodes - 1: (
+            cp.singular_S(g, at_indices=k))
 
     circle = closed["circle"][0]
     g = sd(circle, circle.nodes ** 3)
