@@ -37,7 +37,13 @@ added back is f_k * chi, chi the one-sided limit of C[1]: 1 from the plus
 side, 0 from the minus side, so each rung takes it from the side its ladder
 walks on.  ``quadrature.normal_ladder`` lays out the ladders and extrapolates
 them; all points of a call (node x side x level) go through the quadrature
-layer's Cauchy-sum kernel as one batch.
+layer as one batch.  On a closed contour that is ``_closed_cauchy_sum``:
+the direct sums of ``_cauchy_sum`` for small hosts and small batches, and
+from 1024 nodes and a few dozen points on (``plemelj_residuals`` at its 64
+default nodes, a grid of ``cauchy_transform`` points) a walk of each point
+down the contour's multipole tree, the far field from the expansions of the
+weights and of the weighted data and the near leaves summed directly.  Arc
+systems keep the direct sums.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 
 from .errors import BoundaryLimitError, GeometryError, NearBoundaryError
 from .geometry import ArcSystem, ClosedContour
-from .quadrature import _S_arcs, _S_closed, _cauchy_sum, normal_ladder
+from .quadrature import _S_arcs, _S_closed, _cauchy_sum, _closed_cauchy_sum, normal_ladder
 from .sampling import SampledDensity
 
 __all__ = [
@@ -108,7 +114,12 @@ def cauchy_transform(f, z):
 
     Accuracy degrades within a few node spacings of the curve; inside the
     host's ``near_cutoff`` the call is refused.  Use ``boundary_value`` for
-    one-sided limits on the curve itself.
+    one-sided limits on the curve itself.  On a closed contour of 1024 nodes
+    or more, a batch of points above the crossover of
+    ``quadrature._closed_cauchy_sum`` takes the far field from the
+    contour's multipole tree, at O(log N) per point, and agrees with the
+    direct sums to rounding; a point's value does not depend on the other
+    points of its batch.
     """
     host, values = _host_values(f)
     z = np.asarray(z, dtype=complex)
@@ -117,7 +128,8 @@ def cauchy_transform(f, z):
         raise NearBoundaryError(
             "point is on top of the curve; use boundary_value for limits"
         )
-    out = _cauchy_sum(host.nodes, zs, host.dt_weights * values) / (2j * np.pi)
+    out = (_closed_cauchy_sum(host, zs, values) if isinstance(host, ClosedContour)
+           else _cauchy_sum(host.nodes, zs, host.dt_weights * values)) / (2j * np.pi)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
@@ -185,7 +197,7 @@ def _compensated_cauchy(host, values, z, k, chi):
     C[1/sqrtR](z) = 1/(2 sqrtR(z)), exact for the system branch.
     """
     if isinstance(host, ClosedContour):
-        total = _cauchy_sum(host.nodes, z, values, values[k], host.dt_weights)
+        total = _closed_cauchy_sum(host, z, values, values[k])
         return total / (2j * np.pi) + values[k] * chi
     sqrtR_plus = host.sqrtR_plus_nodes()
     phi = values * sqrtR_plus

@@ -21,7 +21,6 @@ node and ``log_potential_nodes`` share that code and agree bitwise.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import json
 import math
 import warnings
@@ -346,8 +345,10 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     def at(z):  # float(u) at every point, NaN where u fails there
         out = np.full(z.shape, math.nan)
         for i, zi in enumerate(z.flat):
-            with contextlib.suppress(ValueError, OverflowError, FloatingPointError):
+            try:
                 out.flat[i] = float(u(zi))
+            except (ValueError, OverflowError, FloatingPointError):
+                pass
         return out
 
     u0 = at(host.nodes)[:, None, None]

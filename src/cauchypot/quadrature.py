@@ -24,20 +24,26 @@ a spectral basis and a smooth remainder summed at a few proxy nodes and
 interpolated.  On a closed contour the first part is the periodic Hilbert
 transform, one FFT sign multiplier; the remainder at a proxy is the
 pole-subtracted row there (subtracted kernel integral pi*i, the Fourier
-derivative of the density on the diagonal) minus that transform.  Curves or data that leave the
-remainder unresolved (rounded polygons, rough data) get the
-pole-subtracted rows at every requested node: summed directly below
-``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole method:
-a ``_MultipolePlan`` of what the nodes alone fix, which the contour builds
-on its first multipole S and keeps, and a pass per density, O(N) whether
-one row is asked for or all.  On a graded arc, in the parameter tau = cos(u), the
-arc's own part is diagonal in Chebyshev coefficients (length-2m FFTs), and
-the remainder is the other arcs' sums and, on a circular arc, the
-difference between its kernel and 1/(tau - tau_x).  Every other Cauchy sum
-over nodes goes through one blocked kernel, ``_cauchy_sum``: the direct
-closed-contour rows, the arc remainders, and the Cauchy transform and its
-one-sided limits.  ``neville`` is the one extrapolation tableau, fed by
-``normal_ladder`` for boundary limits and curve recovery.
+derivative of the density on the diagonal) minus that transform.  Curves
+or data that leave the remainder unresolved (rounded polygons, rough data)
+get the pole-subtracted rows at every requested node: summed directly
+below ``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole
+method: a ``_MultipolePlan`` of what the nodes alone fix, which the contour
+builds on its first multipole sum and keeps, and a pass per density, O(N)
+whether one row is asked for or all.  On a graded arc, in the parameter
+tau = cos(u), the arc's own part is diagonal in Chebyshev coefficients
+(length-2m FFTs), and the remainder is the other arcs' sums and, on a
+circular arc, the difference between its kernel and 1/(tau - tau_x).
+
+Every off-curve Cauchy sum on a closed contour (the ladders of the
+one-sided limits and the Cauchy transform) goes through
+``_closed_cauchy_sum``: summed directly for small hosts and small batches,
+and from there on by a walk of each point down the tree of the contour's
+``_MultipolePlan``, O(log N) per point.  Every other Cauchy sum over nodes
+goes through one blocked kernel, ``_cauchy_sum``: the direct closed-contour
+rows and off-curve sums, the arc remainders, and the Cauchy transform and
+its one-sided limits on arcs.  ``neville`` is the one extrapolation
+tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
 
 ``host_rule`` (which only checks that its argument is a host and returns
 it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
@@ -48,6 +54,7 @@ the package calls them.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -298,6 +305,17 @@ _FMM_MIN_NODES = 1024
 # C(k + l, k): row k, column l
 _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
                       for k in range(_FMM_TERMS)], dtype=float)
+# Off-curve targets.  A point is separated from box B where |z - c_B| >
+# _TARGET_SEPARATION r_B: a box pair's alpha plus one, fixed by the largest
+# difference from the direct sums, 2e-15 max|f| on 1024-16384 nodes (at 3,
+# 6e-13).  The walk takes _TARGET_BLOCK targets at a time.  The tree costs
+# about the direct sums of _TREE_TARGETS targets plus _TREE_PAIRS target-node
+# pairs: it broke even at about 28, 56 and 150 targets on 16384, 4096 and
+# 1024 nodes (2 cores, one BLAS thread).
+_TARGET_SEPARATION = _FMM_SEPARATION + 1.0
+_TARGET_BLOCK = 1024
+_TREE_TARGETS = 16
+_TREE_PAIRS = 1 << 17
 # columns per product with _BINOMIAL: 24 x 24 x 256 stays under OpenBLAS's
 # threshold for threads (one unblocked product made S at 4096 nodes up to
 # 2.5x slower at default threads on 2 cores)
@@ -314,7 +332,7 @@ def _powers(x, first=1.0):
 
 
 class _MultipolePlan:
-    """The multipole rows of one closed contour: a plan over its nodes, a pass per density.
+    """The multipole sums of one closed contour: a plan over its nodes, a pass per density.
 
     The fast multipole method in complex form (Greengard & Rokhlin, J. Comput.
     Phys. 73, 1987; Carrier, Greengard & Rokhlin, SIAM J. Sci. Stat. Comput.
@@ -325,31 +343,34 @@ class _MultipolePlan:
     boxes that were not separated are paired again; boxes A and B with
     |c_A - c_B| > alpha (r_A + r_B) exchange their far field.
 
-    The plan is what depends on the nodes t and weights w alone, built once:
+    The plan is what depends on the nodes t and weights w alone.  Built at
+    once: the tree, each box's shift to its parent (the powers of rho =
+    r_child/r_parent and delta = (c_child - c_parent)/r_parent), each node's
+    leaf and leaf coordinate (t - c)/r, and each leaf's nodes, padded at
+    weight 0 with its last node.  Built on first use and kept:
 
-    * per box, its shift to its parent: the powers of rho = r_child/r_parent
-      and delta = (c_child - c_parent)/r_parent;
-    * the separated pairs (A, B), sorted by A, with the M2L factor powers
-      (r_B/d)**k and -(1/d) (-r_A/d)**l, d = c_A - c_B;
-    * each node's leaf and leaf coordinate (t - c)/r;
-    * per leaf, the columns of the leaves it is not separated from, with
-      their weights and nodes, padded at weight 0, and each node's position
-      in its own leaf's columns;
-    * the far field of w at every node, which the rows subtract f_i times.
+    * ``_pairs``: the separated box pairs and the leaf pairs that are not;
+    * ``_m2l``: the separated pairs (A, B), sorted by A, with the M2L factor
+      powers (r_B/d)**k and -(1/d) (-r_A/d)**l, d = c_A - c_B;
+    * ``_near``: per leaf, the columns of the leaves it is not separated
+      from, with their weights and nodes, padded at weight 0, and each
+      node's position in its own leaf's columns;
+    * ``far_of_weights``: the far field of w at every node;
+    * ``multipole_of_weights``: the expansions of w in every box.
 
-    ``ClosedContour._multipole_plan`` builds it on the first S that takes
-    the multipole route, not before, and keeps it for the host's lifetime.
-    ``rows`` is the pass over one density.
+    ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
+    curve) walks the tree and needs only the expansions of w.
+    ``ClosedContour._multipole_plan`` builds the plan on the first sum that
+    takes a multipole route, not before, and keeps it for the host's
+    lifetime.
     """
 
     def __init__(self, t, w):
         n = t.size
         self.depth = depth = max(1, math.ceil(math.log2(n / _FMM_LEAF)))
         # by box number; boxes 0 and 1 (the root) are in no pass
-        center = np.zeros(2 << depth, dtype=complex)
-        radius = np.ones(2 << depth)
-        near = np.zeros((1, 2), dtype=np.int64)  # (target, source) boxes not separated
-        pairs = []
+        self.center = center = np.zeros(2 << depth, dtype=complex)
+        self.radius = radius = np.ones(2 << depth)
         for lev in range(1, depth + 1):
             lo = (np.arange((1 << lev) + 1) * n) >> lev
             first, box = lo[:-1], np.repeat(np.arange(1 << lev), np.diff(lo))
@@ -358,57 +379,83 @@ class _MultipolePlan:
                                + np.maximum.reduceat(t.imag, first)))
             r = np.maximum.reduceat(np.abs(t - c[box]), first)
             center[1 << lev:2 << lev], radius[1 << lev:2 << lev] = c, r
+        parent = np.arange(2 << depth) >> 1
+        self.rho = _powers(radius / radius[parent])
+        self.delta = (center - center[parent]) / radius[parent]
+        # lo, first and box are the leaves' now
+        self.lo, self.first, self.leaf = lo, first, box
+        self.coords = (t - c[box]) / r[box]
+        size = np.diff(lo)
+        col = np.arange(size.max())
+        self.leaf_cols = first[:, None] + np.minimum(col, size[:, None] - 1)
+        self.leaf_nodes = t[self.leaf_cols]
+        self.leaf_weights = np.where(col < size[:, None], w[self.leaf_cols], 0.0)
+        self.nodes, self.weights = t, w
+
+    @cached_property
+    def _pairs(self):
+        """The separated box pairs (A, B) of every level, and the leaf pairs
+        that are not separated, each sorted by A and then B."""
+        near = np.zeros((1, 2), dtype=np.int64)  # (target, source) boxes not separated
+        pairs = []
+        for lev in range(1, self.depth + 1):
+            c, r = self.center[1 << lev:2 << lev], self.radius[1 << lev:2 << lev]
             a = (2 * near[:, :1] + [0, 0, 1, 1]).ravel()
             b = (2 * near[:, 1:] + [0, 1, 0, 1]).ravel()
             sep = np.abs(c[a] - c[b]) > _FMM_SEPARATION * (r[a] + r[b])
             near = np.stack((a[~sep], b[~sep]), axis=1)
             pairs.append(np.stack((a[sep], b[sep]), axis=1) + (1 << lev))
-        parent = np.arange(2 << depth) >> 1
-        self.rho = _powers(radius / radius[parent])
-        self.delta = (center - center[parent]) / radius[parent]
+        pairs = np.concatenate(pairs)
+        return (pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))],
+                near[np.lexsort((near[:, 1], near[:, 0]))])
 
+    @cached_property
+    def _m2l(self):
+        """(source box, (r_B/d)**k, -(1/d) (-r_A/d)**l, first pair per target, target box)."""
         # sum_j s_j/(t_j - z) = -sum_k M_k r_B^k / (z - c_B)^(k+1), and with
         # z - c_B = d + r_A v, d = c_A - c_B, the coefficient of v^l is
         # -(1/d) (-r_A/d)^l sum_k C(k + l, k) (r_B/d)^k M_k
-        pairs = np.concatenate(pairs)
-        a, b = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].T
-        d = center[a] - center[b]
-        self.source, self.from_source = b, _powers(radius[b] / d)
-        self.to_target = _powers(-radius[a] / d, -1.0 / d)
-        self.first_pair = np.flatnonzero(np.diff(a, prepend=-1))
-        self.target = a[self.first_pair]
+        a, b = self._pairs[0].T
+        d = self.center[a] - self.center[b]
+        first_pair = np.flatnonzero(np.diff(a, prepend=-1))
+        return (b, _powers(self.radius[b] / d), _powers(-self.radius[a] / d, -1.0 / d),
+                first_pair, a[first_pair])
 
-        # lo, first and box are the leaves' now
-        self.first, self.leaf = first, box
-        self.coords = (t - c[box]) / r[box]
-        a, b = near[np.lexsort((near[:, 1], near[:, 0]))].T
+    @cached_property
+    def _near(self):
+        """(columns, their nodes, their weights, each node's own column) per leaf."""
+        lo, t, w = self.lo, self.nodes, self.weights
+        a, b = self._pairs[1].T
         size = lo[b + 1] - lo[b]
-        count = np.bincount(a, size, minlength=1 << depth).astype(np.int64)
+        count = np.bincount(a, size, minlength=1 << self.depth).astype(np.int64)
         # leaf row a of the columns: the nodes of its near leaves, then padding
         # at weight 0 whose node lies off the curve, so no row divides by 0
         owner, node = np.repeat(a, size), _ranges(lo[b], size)
         col = _ranges(np.zeros_like(count), count)
-        self.cols = np.zeros((1 << depth, int(count.max())), dtype=np.int64)
-        self.cols[owner, col] = node
-        self.near_nodes = np.full(self.cols.shape, 2.0 * np.max(np.abs(t)) + 1.0, dtype=complex)
-        self.near_nodes[owner, col] = t[node]
-        self.near_weights = np.zeros(self.cols.shape, dtype=complex)
-        self.near_weights[owner, col] = w[node]
-        own = box[node] == owner
-        self.diagonal = np.empty(n, dtype=np.int64)
-        self.diagonal[node[own]] = col[own]
-        self.nodes, self.weights = t, w
-        self.far_of_weights = self._far(w, np.arange(n))
+        cols = np.zeros((1 << self.depth, int(count.max())), dtype=np.int64)
+        cols[owner, col] = node
+        near_nodes = np.full(cols.shape, 2.0 * np.max(np.abs(t)) + 1.0, dtype=complex)
+        near_nodes[owner, col] = t[node]
+        near_weights = np.zeros(cols.shape, dtype=complex)
+        near_weights[owner, col] = w[node]
+        own = self.leaf[node] == owner
+        diagonal = np.empty(t.size, dtype=np.int64)
+        diagonal[node[own]] = col[own]
+        return cols, near_nodes, near_weights, diagonal
 
-    def _far(self, s, idx):
-        """sum_j s_j/(t_j - t_i) over the boxes separated from node i's, i in ``idx``.
+    @cached_property
+    def multipole_of_weights(self):
+        return self._upward(self.weights)
 
-        P2M at the leaves, M2M up the tree, M2L between the separated
-        pairs (blocked products with the real table C(k + l, k), summed per
-        target box), L2L down the tree, and each target's local expansion
-        summed at its leaf by Horner's rule.  Every expansion is formed
-        whatever ``idx``, and each target is summed on its own, so a row
-        does not depend on the others asked for.
+    @cached_property
+    def far_of_weights(self):
+        return self._far(self.multipole_of_weights, np.arange(self.nodes.size))
+
+    def _upward(self, s):
+        """The multipole expansions of the sources s in every box of levels 1 to depth.
+
+        M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at the
+        leaves and M2M up the tree.
         """
         p, depth = _FMM_TERMS, self.depth
         multipole = np.zeros((p, 2 << depth), dtype=complex)
@@ -421,16 +468,29 @@ class _MultipolePlan:
             for k in range(1, p):
                 y[k:] += delta * y[k - 1:-1]
             multipole[:, 1 << (lev - 1):1 << lev] = y[:, 0::2] + y[:, 1::2]
+        return multipole
 
+    def _far(self, multipole, idx):
+        """sum_j s_j/(t_j - t_i) over the boxes separated from node i's, i in ``idx``.
+
+        From the expansions of s (``_upward``): M2L between the separated
+        pairs (blocked products with the real table C(k + l, k), summed per
+        target box), L2L down the tree, and each target's local expansion
+        summed at its leaf by Horner's rule.  Every expansion is formed
+        whatever ``idx``, and each target is summed on its own, so a row
+        does not depend on the others asked for.
+        """
+        p, depth = _FMM_TERMS, self.depth
+        source, from_source, to_target, first_pair, target = self._m2l
         # the real table times the real and imaginary parts, in blocks
-        x = (multipole[:, self.source] * self.from_source).view(float)
+        x = (multipole[:, source] * from_source).view(float)
         m2l = np.empty_like(x)
         for lo in range(0, x.shape[1], _M2L_BLOCK):
             m2l[:, lo:lo + _M2L_BLOCK] = _BINOMIAL.T @ x[:, lo:lo + _M2L_BLOCK]
         m2l = m2l.view(complex)
-        m2l *= self.to_target
+        m2l *= to_target
         local = np.zeros_like(multipole)
-        local[:, self.target] = np.add.reduceat(m2l, self.first_pair, axis=1)
+        local[:, target] = np.add.reduceat(m2l, first_pair, axis=1)
         for lev in range(1, depth):
             # L_j(child) = rho^j sum_l C(l, j) delta^(l - j) L_l(parent): the
             # transposed triangle
@@ -458,14 +518,15 @@ class _MultipolePlan:
         ``geometry._ROW_BLOCK`` elements.  Each row gathers its leaf's
         columns; its diagonal is the node's position among them.
         """
-        t, w_near = self.nodes, self.near_weights
-        f_near = f[self.cols]
+        t = self.nodes
+        cols, near_nodes, w_near, diagonal = self._near
+        f_near = f[cols]
 
         def block(rows):
             i = idx[rows]
             k = self.leaf[i]
-            on = (np.arange(i.size), self.diagonal[i])
-            den = self.near_nodes[k]
+            on = (np.arange(i.size), diagonal[i])
+            den = near_nodes[k]
             den -= t[i, None]
             den[on] = 1.0
             reg = f_near[k]
@@ -475,8 +536,95 @@ class _MultipolePlan:
             reg *= w_near[k]
             return np.sum(reg, axis=1)
 
-        near = _by_rows(block, idx.size, self.cols.shape[1], complex)
-        return near + (self._far(self.weights * f, idx) - f[idx] * self.far_of_weights[idx])
+        near = _by_rows(block, idx.size, cols.shape[1], complex)
+        far = self._far(self._upward(self.weights * f), idx)
+        return near + (far - f[idx] * self.far_of_weights[idx])
+
+    def off_curve(self, z, f, s=None):
+        """sum_j w_j (f_j - s_i)/(t_j - z_i) at points z_i off the nodes (s_i = 0 without s).
+
+        A treecode (Barnes & Hut, Nature 324, 1986) on the plan's
+        expansions: the expansions of w f by one upward pass, those of w
+        kept by the plan.  Each target walks down the tree from the root's
+        children, one level at a time for all (target, box) pairs at once.
+        A box with |z - c_B| > ``_TARGET_SEPARATION`` r_B gives its far
+        field sum_j s_j/(t_j - z) = -(1/D) sum_k M_k (r_B/D)**k, D = z - c_B,
+        by Horner's rule in r_B/D (M2P), for the sources w f minus s_i
+        times w; the others pass their children on.  The leaves still not
+        separated at the bottom are summed directly with the pole
+        subtraction (f_j - s_i), as the direct sums are.  Targets go in
+        blocks of ``_TARGET_BLOCK``, and each target's pairs, and their
+        sums, follow its own walk, so its value does not depend on the
+        other targets.
+        """
+        mf = self._upward(self.weights * f)
+        mw = None if s is None else self.multipole_of_weights
+        f_leaf = f[self.leaf_cols]
+        out = np.empty(z.size, dtype=complex)
+        for lo in range(0, z.size, _TARGET_BLOCK):
+            rows = slice(lo, lo + _TARGET_BLOCK)
+            out[rows] = self._walk(z[rows], f_leaf, mf, mw, None if s is None else s[rows])
+        return out
+
+    def _walk(self, z, f_leaf, mf, mw, s):
+        """``off_curve`` for one block of targets."""
+        depth = self.depth
+        i, box = np.repeat(np.arange(z.size), 2), np.tile([2, 3], z.size)
+        far = []  # (target, box, z - c_B) of the separated pairs, level by level
+        for lev in range(1, depth + 1):
+            d = z[i] - self.center[box]
+            sep = np.abs(d) > _TARGET_SEPARATION * self.radius[box]
+            far.append((i[sep], box[sep], d[sep]))
+            i, box = i[~sep], box[~sep]
+            if lev < depth:
+                i, box = np.repeat(i, 2), (2 * box[:, None] + [0, 1]).ravel()
+        fi, fb, d = (np.concatenate(x) for x in zip(*far))
+        u = self.radius[fb] / d
+        sf = None if s is None else s[fi]
+        acc = np.zeros(fi.size, dtype=complex)
+        for k in range(_FMM_TERMS - 1, -1, -1):
+            acc *= u
+            acc += mf[k, fb] if s is None else mf[k, fb] - sf * mw[k, fb]
+        acc /= -d
+
+        q = box - (1 << depth)
+
+        def block(rows):
+            den = self.leaf_nodes[q[rows]]
+            den -= z[i[rows], None]
+            reg = f_leaf[q[rows]]
+            if s is not None:
+                reg -= s[i[rows], None]
+            reg /= den
+            reg *= self.leaf_weights[q[rows]]
+            return np.sum(reg, axis=1)
+
+        near = _by_rows(block, q.size, self.leaf_cols.shape[1], complex)
+        return _sum_by(i, near, z.size) + _sum_by(fi, acc, z.size)
+
+
+def _sum_by(index, values, n):
+    """The complex ``values`` summed per ``index`` in [0, n), each in the order given."""
+    out = np.empty(n, dtype=complex)
+    out.real = np.bincount(index, values.real, minlength=n)
+    out.imag = np.bincount(index, values.imag, minlength=n)
+    return out
+
+
+def _closed_cauchy_sum(host, z, f, s=None):
+    """sum_j w_j (f_j - s_i)/(t_j - z_i) over a closed contour's nodes, at points z_i off it.
+
+    w is the host's ``dt_weights``, s_i = 0 without s.  Below
+    ``_FMM_MIN_NODES`` nodes, or while (targets - ``_TREE_TARGETS``) x nodes
+    is below ``_TREE_PAIRS``, the sum is ``_cauchy_sum``'s; from there on
+    the host's multipole plan walks the targets down its tree
+    (``_MultipolePlan.off_curve``).  The route depends on the number of
+    nodes and of targets only.
+    """
+    t, w = host.nodes, host.dt_weights
+    if t.size < _FMM_MIN_NODES or (z.size - _TREE_TARGETS) * t.size < _TREE_PAIRS:
+        return _cauchy_sum(t, z, w * f) if s is None else _cauchy_sum(t, z, f, s, w)
+    return host._multipole_plan.off_curve(z, f, s)
 
 
 def _resolved(c, scale):

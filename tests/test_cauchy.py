@@ -352,7 +352,8 @@ def test_plemelj_residuals_measure_the_diameter_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("host", [circle(32), segment(256)], ids=["circle", "segment"])
+@pytest.mark.parametrize("host", [circle(32), circle(512), segment(256)],
+                         ids=["circle", "circle-4096", "segment"])
 def test_plemelj_residuals_at_one_node_match_boundary_values(host):
     f = SampledDensity(host, np.exp(host.nodes) + 0.5j * host.nodes)
     for k in (0, 17, host.n_nodes // 2, host.n_nodes - 1):

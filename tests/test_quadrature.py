@@ -17,7 +17,7 @@ from scipy import special
 from cauchypot import quadrature
 from cauchypot.errors import AlignmentError, GeometryError
 from cauchypot.arcs import bounded_solution
-from cauchypot.cauchy import plemelj_residuals, singular_S
+from cauchypot.cauchy import boundary_value, plemelj_residuals, singular_S
 from cauchypot.closed import solve_closed
 from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
@@ -573,8 +573,10 @@ def test_multipole_rows_match_the_direct_rows_on_random_closed_contours(host, se
 def _plan_bytes(host):
     """The bytes of the arrays a host's multipole plan holds beyond the host's own."""
     own = (host.nodes, host.dt_weights)
-    return sum(v.nbytes for v in vars(host._multipole_plan).values()
-               if isinstance(v, np.ndarray) and not any(np.shares_memory(v, o) for o in own))
+    held = [a for v in vars(host._multipole_plan).values()
+            for a in (v if isinstance(v, tuple) else (v,))]
+    return sum(a.nbytes for a in held
+               if isinstance(a, np.ndarray) and not any(np.shares_memory(a, o) for o in own))
 
 
 def test_the_multipole_plan_is_built_on_first_use_and_kept_with_its_host(monkeypatch):
@@ -698,6 +700,106 @@ def test_S_above_the_crossover_imports_nothing_beyond_numpy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def off_curve_targets(host, rng, count):
+    """``count`` points at 0.5-50 node spacings off random nodes, on either
+    side, a tenth of them 2-10 diameters out; and each point's node."""
+    t, n = host.nodes, host.n_nodes
+    k = rng.integers(0, n, count)
+    spacing = np.abs(t[(k + 1) % n] - t[k])
+    h = spacing * 10.0 ** rng.uniform(math.log10(0.5), math.log10(50.0), count)
+    z = t[k] + rng.choice([-1.0, 1.0], count) * h * 1j * host.tangents[k]
+    far = rng.random(count) < 0.1
+    z[far] = np.mean(t) + host.diameter() * rng.uniform(2.0, 10.0, far.sum()) * np.exp(
+        2j * np.pi * rng.random(far.sum()))
+    # a rung across a corner may come near another node: keep a quarter spacing
+    keep = host.distance_to(z) >= 0.25 * spacing
+    return z[keep], k[keep]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(host=closed_contours(per=(128, 150, 256, 512)), seed=st.integers(0, 2 ** 16),
+       subtract=st.booleans())
+def test_off_curve_tree_matches_the_direct_sums_on_random_closed_contours(host, seed,
+                                                                          subtract):
+    # targets on both sides and far out, with the pole subtraction of the
+    # ladders (s_i the sample at the target's node) or without it (the
+    # Cauchy transform); rough data weigh every box alike
+    _, host = host
+    n, t, w = host.n_nodes, host.nodes, host.dt_weights
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z, k = off_curve_targets(host, rng, 400)
+    s = f[k] if subtract else None
+    fewest = quadrature._TREE_TARGETS + -(-quadrature._TREE_PAIRS // n)
+    assert n >= quadrature._FMM_MIN_NODES and z.size >= fewest
+    full = quadrature._closed_cauchy_sum(host, z, f, s)
+    assert "_multipole_plan" in vars(host)
+    direct = quadrature._cauchy_sum(t, z, f, s, w) if subtract else quadrature._cauchy_sum(
+        t, z, w * f)
+    assert np.max(np.abs(full - direct)) <= 1e-14 * np.max(np.abs(f))
+    # any batch on the tree gives its targets' entries bitwise; a batch
+    # below the crossover is the direct sums, bitwise
+    pick = rng.permutation(z.size)[:rng.integers(fewest, z.size + 1)]
+    part = quadrature._closed_cauchy_sum(host, z[pick], f, None if s is None else s[pick])
+    assert part.tobytes() == full[pick].tobytes()
+    few = pick[:fewest - 1]
+    part = quadrature._closed_cauchy_sum(host, z[few], f, None if s is None else s[few])
+    assert part.tobytes() == direct[few].tobytes()
+
+
+def test_plemelj_ladders_above_the_crossover_share_one_tree(monkeypatch, counted_rows):
+    # plemelj_residuals at the 64 default nodes of a 4096-node polygon: 384
+    # ladder rungs walk the tree, which needs the expansions only; S at the
+    # nodes (the corners leave its remainder rough) adds the rest of the
+    # plan to the same tree.  No N-node row is formed.
+    import cauchypot.cauchy as cauchy
+
+    builds = []
+    plan = quadrature._MultipolePlan
+
+    def counting(*args):
+        builds.append(args[0].size)
+        return plan(*args)
+
+    monkeypatch.setattr(quadrature, "_MultipolePlan", counting)
+    host, g = fallback_input("polygon")
+    f = SampledDensity(host, g)
+    idx = np.arange(0, host.n_nodes, host.n_nodes // 64)
+    ladders = cauchy._boundary_values(host, g, idx, ("plus", "minus"), None, 3, None)
+    assert builds == [host.n_nodes] and counted_rows == []
+    built = set(vars(host._multipole_plan))
+    assert "multipole_of_weights" in built
+    assert not built & {"_pairs", "_m2l", "_near", "far_of_weights"}
+    first = plemelj_residuals(f)
+    kept = dict(vars(host._multipole_plan))
+    assert plemelj_residuals(f) == first
+    assert builds == [host.n_nodes] and counted_rows == []
+    assert all(v is kept[name] for name, v in vars(host._multipole_plan).items())
+    again = cauchy._boundary_values(host, g, idx, ("plus", "minus"), None, 3, None)
+    assert again.tobytes() == ladders.tobytes()
+    ref = weakref.ref(host)
+    del host, f
+    gc.collect()
+    assert ref() is None
+
+
+def test_boundary_value_at_one_node_above_the_crossover_sums_its_rungs_directly(
+        counted_rows):
+    # three rungs are below the tree's crossover: one direct sum of three
+    # targets, bitwise the compensated rungs extrapolated by hand
+    host, g = fallback_input("polygon")
+    assert host.n_nodes >= quadrature._FMM_MIN_NODES
+    k = 5
+    got = boundary_value(SampledDensity(host, g), "plus", k)
+    assert counted_rows == [3]
+    hs = 1e-2 * host.local_panel_length / 2.0 ** np.arange(3)
+    z = host.nodes[k] + hs * (host.tangents[k] * 1j)
+    rungs = quadrature._cauchy_sum(host.nodes, z, g, np.full(3, g[k]), host.dt_weights)
+    want, _ = neville(rungs / (2j * np.pi) + g[k] * 1.0)
+    assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    assert "_multipole_plan" not in vars(host)
 
 
 def test_neville_exact_on_quadratic_ladder():

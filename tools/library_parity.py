@@ -9,17 +9,21 @@ twice, each in a fresh interpreter: once on REV's ``src/`` and once on the
 working tree's.  Every result is hashed (sha256 of its dtype, shape and
 bytes; a call that raises is hashed as the name of its error class).  The
 script prints the hash over all results for each tree, names each result
-that differs, and exits 1 if any does.
+that differs with its largest absolute difference and that difference over
+the result's largest entry, and exits 1 if any differs.
 
 The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
 field from 1024 nodes on, at 1200, 4096 and 16384 nodes), S on each arc
 kind (segment, circular, a segment beside a chain) in each density class,
 ``solve_closed``, the arc-system solvers on five systems, Plemelj
-residuals, boundary values, Cauchy transforms, on-node and off-curve
-potentials, the integrals, the equilibrium references, and curve, area and
-point-mass recovery.  Atoms sit off the lattice points of their grid.  It
-needs the standard library and numpy only.
+residuals, boundary values and Cauchy transforms (on a 256-node circle,
+summed directly, and on a 4096-node polygon and a 16384-node circle, where
+``plemelj_residuals`` and a 64-point grid of the transform take the
+multipole tree and boundary values at two nodes the direct sums), on-node
+and off-curve potentials, the integrals, the equilibrium references, and
+curve, area and point-mass recovery.  Atoms sit off the lattice points of
+their grid.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -27,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -111,6 +116,22 @@ def calls():
                                              for side in ("plus", "minus") for k in (0, 100)]
     yield "circle cauchy transform", lambda: cp.cauchy_transform(g, [0.1, 0.5j, 3.0, -2 + 1j])
 
+    # off-curve sums through the multipole tree: 384 ladder rungs and 64
+    # grid points over the curve's bounding box and beyond it
+    big_circle = cp.build_closed_contour({"type": "circle", "radius": 1.3, "center": [0.1, -0.2],
+                                          "panels": 8, "nodes_per_panel": 2048})
+    for name, host, data in (("polygon-4096", *closed["polygon-4096"]),
+                             ("circle-16384", big_circle, closed["circle"][1])):
+        g = sd(host, data(host))
+        t = host.nodes
+        x = np.linspace(t.real.min() - 0.3, t.real.max() + 0.3, 8)
+        y = np.linspace(t.imag.min() - 0.3, t.imag.max() + 0.3, 8)
+        grid = x + 1j * y[:, None]
+        yield f"{name} plemelj", lambda g=g: cp.plemelj_residuals(g)
+        yield f"{name} boundary values", lambda g=g: [
+            cp.boundary_value(g, side, node=k) for side in ("plus", "minus") for k in (0, 100)]
+        yield f"{name} cauchy transform", lambda g=g, z=grid: cp.cauchy_transform(g, z)
+
     systems = {
         "segment": [SEGMENT],
         "circular": [CIRCULAR],
@@ -184,42 +205,59 @@ def calls():
     yield "point masses", lambda: flat(cp.detect_point_masses(atoms, 0.3))
 
 
-def digests():
-    """sha256 of each result, by name."""
+def results():
+    """Each result as an array, or as the error class it raised, by name."""
     out = {}
     for name, call in calls():
         try:
-            value = np.ascontiguousarray(np.asarray(call()))
-            blob = f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+            out[name] = np.ascontiguousarray(np.asarray(call()))
         except Exception as exc:  # a refusal is a result too
-            blob = f"raises {type(exc).__name__}".encode()
-        out[name] = hashlib.sha256(blob).hexdigest()
+            out[name] = f"raises {type(exc).__name__}"
     return out
 
 
+def digest(result):
+    """sha256 of a result's dtype, shape and bytes, or of its error class."""
+    blob = (result.encode() if isinstance(result, str)
+            else f"{result.dtype.str}{result.shape}".encode() + result.tobytes())
+    return hashlib.sha256(blob).hexdigest()
+
+
+def difference(a, b):
+    """max |a - b| and that over max |b|, for two numeric results of one shape."""
+    if isinstance(a, str) or isinstance(b, str) or a.shape != b.shape or a.size == 0:
+        return None
+    a, b = a.astype(complex), b.astype(complex)
+    gap = float(np.max(np.abs(a - b)))
+    return gap, gap / float(np.max(np.abs(b))) if np.any(b) else math.inf
+
+
 def run(src):
-    """The digests, computed by a fresh interpreter on the ``src/`` tree ``src``."""
+    """The results, computed by a fresh interpreter on the ``src/`` tree ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, __file__, "--emit"], env=env, capture_output=True,
-                          text=True, timeout=600)
-    if proc.returncode:
-        print(f"{src}: the library calls failed\n{proc.stderr}", file=sys.stderr)
-        sys.exit(2)
-    return json.loads(proc.stdout)
+    with tempfile.NamedTemporaryFile(suffix=".pickle") as out:
+        proc = subprocess.run([sys.executable, __file__, "--emit", out.name], env=env,
+                              capture_output=True, text=True, timeout=600)
+        if proc.returncode:
+            print(f"{src}: the library calls failed\n{proc.stderr}", file=sys.stderr)
+            sys.exit(2)
+        with open(out.name, "rb") as fh:
+            return pickle.load(fh)
 
 
-def total(digest):
-    return hashlib.sha256("".join(f"{k}={v}\n" for k, v in digest.items()).encode()).hexdigest()
+def total(by_name):
+    return hashlib.sha256("".join(f"{k}={v}\n" for k, v in by_name.items()).encode()).hexdigest()
 
 
 def main():
     parser = argparse.ArgumentParser(description="Library results at REV against the working tree.")
     parser.add_argument("rev", nargs="?", help="git revision to compare against, e.g. HEAD~")
-    parser.add_argument("--emit", action="store_true",
-                        help="print the digests of the cauchypot on the path as JSON")
+    parser.add_argument("--emit", metavar="PATH",
+                        help="pickle the results of the cauchypot on the path to PATH")
     args = parser.parse_args()
     if args.emit:
-        print(json.dumps(digests()))
+        with open(args.emit, "wb") as fh:
+            pickle.dump(results(), fh)
         return 0
     if args.rev is None:
         parser.error("REV is required")
@@ -228,12 +266,14 @@ def main():
         if trees is None:
             return 2
         got = {name: run(src) for name, src in trees.items()}
+    digests = {tree: {n: digest(r) for n, r in res.items()} for tree, res in got.items()}
     names = sorted(set(got["rev"]) | set(got["work"]))
-    differing = [n for n in names if got["rev"].get(n) != got["work"].get(n)]
+    differing = [n for n in names if digests["rev"].get(n) != digests["work"].get(n)]
     for n in differing:
-        print(f"{n}: DIFFERS")
-    for tree, digest in got.items():
-        print(f"{tree}: {total(digest)} over {len(digest)} results")
+        gap = difference(got["work"][n], got["rev"][n]) if n in got["rev"] and n in got["work"] else None
+        print(f"{n}: DIFFERS" + ("" if gap is None else f" by {gap[0]:.3g} ({gap[1]:.3g} of max)"))
+    for tree, d in digests.items():
+        print(f"{tree}: {total(d)} over {len(d)} results")
     print(f"{len(differing)} of {len(names)} results differ")
     return 1 if differing else 0
 
