@@ -146,6 +146,7 @@ class ClosedContour(_Host):
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
     0), ``total_length``, ``diameter()`` and ``near_cutoff``; and, on the
+    first S of resolved data, whether dz_dtheta is resolved too, and on the
     first S that takes the multipole route, the plan of its rows.
     """
 
@@ -197,6 +198,14 @@ class ClosedContour(_Host):
     def weights(self):
         """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
         return (2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta)
+
+    @cached_property
+    def _dz_resolved(self):
+        """Whether dz/dtheta is resolved on the nodes, as S's proxies need."""
+        from .quadrature import _resolved
+
+        dz = self.dz_dtheta
+        return _resolved(np.fft.fft(dz), np.max(np.abs(dz)))
 
     @cached_property
     def _multipole_plan(self):

@@ -126,7 +126,7 @@ class MeasureEstimate:
 # ---------------------------------------------------------------------------
 
 def _log_memo(density):
-    """(host, values, q, own, ring) for a curve density, built once per density.
+    """(host, key, q, own, ring) for a curve density, built once per density.
 
     q = w * rho, the density times the host's arclength weights, weights
     every sum over nodes, off the curve too.  own[k] is the spectral part
@@ -134,19 +134,23 @@ def _log_memo(density):
     (``_own_part``).  On a closed contour of n nodes, ring[n - k, j] =
     2|sin((th_j - th_k)/2)|, a window of 2|sin(pi m/n)|, m = j - k mod n
     (None on arcs).  The tuple is kept on the density (not a field: ``==``
-    and ``repr`` ignore it) with a copy of the values it came from, and
-    rebuilt when the host or the values differ from that copy.
+    and ``repr`` ignore it) under the key (bytes, dtype, shape) of the
+    values it came from, and rebuilt when the host or that key changes:
+    values reassigned with the same bytes reuse it, an edit in place does
+    not.
     """
+    values = density.values
+    key = (values.tobytes(), values.dtype, values.shape)
     memo = getattr(density, "_log_memo", None)
-    if memo is None or memo[0] is not density.host or not np.array_equal(memo[1], density.values):
+    if memo is None or memo[0] is not density.host or memo[1] != key:
         host = density.host
-        q = host.weights * density.values.real
+        q = host.weights * values.real
         ring = None
         if isinstance(host, ClosedContour):
             n = host.n_nodes
             chord = np.abs(2.0 * np.sin(np.pi * np.arange(n) / n))
             ring = sliding_window_view(np.tile(chord, 2), n)
-        memo = (host, density.values.copy(), q, _own_part(host, q), ring)
+        memo = (host, key, q, _own_part(host, q), ring)
         density._log_memo = memo
     return memo
 
@@ -324,8 +328,12 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     The scalar callable ``u`` is differenced along both unit normals of each
     node at offsets h0 / 2**i (1 + 2 * levels calls per node) and extrapolated
     by ``quadrature.normal_ladder``; the density is the sum of the two one-sided
-    derivatives over 2*pi.  Nodes failing the gap check (above 10x tol) or whose
-    evaluations blow up are flagged in the estimate, never fatal.
+    derivatives over 2*pi.  ``u`` is called once per point, in one pass over
+    each batch of points, and is handed numpy complex scalars, so a division
+    by zero in it gives inf or NaN where a Python complex would raise.  Nodes
+    failing the gap check (above 10x tol), or where ``u`` raises ValueError,
+    OverflowError or FloatingPointError or returns a non-finite value, are
+    flagged in the estimate, never fatal.
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError("curve recovery needs a contour or arc system host")
@@ -342,14 +350,14 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     if isinstance(host, ArcSystem):
         scale = np.minimum(scale, np.min(np.abs(host.nodes[:, None] - host.endpoints), axis=1))
 
-    def at(z):  # float(u) at every point, NaN where u fails there
-        out = np.full(z.shape, math.nan)
-        for i, zi in enumerate(z.flat):
-            try:
-                out.flat[i] = float(u(zi))
-            except (ValueError, OverflowError, FloatingPointError):
-                pass
-        return out
+    def u_or_nan(zi):  # float(u) at one point, NaN where u fails there
+        try:
+            return float(u(zi))
+        except (ValueError, OverflowError, FloatingPointError):
+            return math.nan
+
+    def at(z):  # numpy scalars go to u: a zero division in it flags the node
+        return np.fromiter(map(u_or_nan, z.flat), float, z.size).reshape(z.shape)
 
     u0 = at(host.nodes)[:, None, None]
     value, _, bad = normal_ladder(host, np.arange(host.n_nodes), ("plus", "minus"),
@@ -377,20 +385,23 @@ def recover_area_density(u, h_max=None):
     consumes one ghost ring; supply at least two rings beyond the support
     of the measure so boundary cells stay meaningful).  Second differences
     amplify rounding by 1/h^2, so cells below the noise floor
-    10/h^2 * eps * max|u| are zeroed.
+    10/h^2 * eps * max|u| are zeroed.  A NaN ``h_max`` is refused: it would
+    pass every spacing.
     """
     if not isinstance(u, PotentialField):
         raise TypeError("area recovery needs a grid PotentialField")
+    if h_max is not None and math.isnan(h_max):
+        raise ValueError("h_max must be a number, not NaN")
     if u.values.shape[0] < 5 or u.values.shape[1] < 5:
         raise ResolutionError("grid needs at least 5 points per axis")
     if h_max is not None and u.h > h_max:
         raise ResolutionError(
             f"grid spacing {u.h:.3g} exceeds the configured maximum {h_max:.3g}"
         )
-    lap = _laplacian(u.values, u.h)
+    dens = _laplacian(u.values, u.h)
     floor = 10.0 / (u.h * u.h) * np.finfo(float).eps * np.max(np.abs(u.values))
-    lap = np.where(np.abs(lap) <= floor, 0.0, lap)
-    dens = lap / (2.0 * math.pi)
+    dens[np.abs(dens) <= floor] = 0.0
+    dens /= 2.0 * math.pi
     mass = float(np.sum(dens)) * u.h ** 2
     return MeasureEstimate(
         area_density=dens,
@@ -401,26 +412,31 @@ def recover_area_density(u, h_max=None):
 
 
 def _clusters_8(mask):
-    """Connected components of a boolean grid under 8-connectivity."""
+    """Connected components of a boolean grid under 8-connectivity.
+
+    Each component is the ascending array of its cells' row-major flat
+    indices, and the components come in the reading order of their first
+    cells.  The search visits the set cells only.
+    """
     ny, nx = mask.shape
-    labels = np.zeros((ny, nx), dtype=int)
-    current = 0
-    for iy, ix in zip(*np.nonzero(mask)):  # row-major: clusters numbered in reading order
-        if labels[iy, ix]:
+    cells = np.flatnonzero(mask).tolist()
+    left = set(cells)
+    clusters = []
+    for seed in cells:
+        if seed not in left:
             continue
-        current += 1
-        stack = [(iy, ix)]
-        labels[iy, ix] = current
+        left.remove(seed)
+        stack, found = [seed], [seed]
         while stack:
-            cy, cx = stack.pop()
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    yy, xx = cy + dy, cx + dx
-                    if (0 <= yy < ny and 0 <= xx < nx
-                            and mask[yy, xx] and not labels[yy, xx]):
-                        labels[yy, xx] = current
-                        stack.append((yy, xx))
-    return labels, current
+            iy, ix = divmod(stack.pop(), nx)
+            for yy in range(max(iy - 1, 0), min(iy + 2, ny)):
+                for k in range(yy * nx + max(ix - 1, 0), yy * nx + min(ix + 2, nx)):
+                    if k in left:
+                        left.remove(k)
+                        stack.append(k)
+                        found.append(k)
+        clusters.append(np.sort(found))
+    return clusters
 
 
 def detect_point_masses(u, cluster_radius):
@@ -431,10 +447,14 @@ def detect_point_masses(u, cluster_radius):
     Laplacian-weighted centroid.  The mass integrates the Laplacian over a
     box of half-width cluster_radius around the centroid: the box picks up
     the slow tails the threshold cuts off, and by the discrete divergence
-    theorem the sum equals the flux of u through the box boundary.
+    theorem the sum equals the flux of u through the box boundary.  The
+    cost is one Laplacian over the lattice plus, per cluster, its cells and
+    its box.  A non-finite ``cluster_radius`` is refused.
     """
     if not isinstance(u, PotentialField):
         raise TypeError("point-mass detection needs a grid PotentialField")
+    if not math.isfinite(cluster_radius):  # a NaN would pass the next test and box nothing
+        raise ValueError("cluster radius must be finite")
     h = u.h
     if cluster_radius / h < 4.0:
         raise ResolutionError("cluster radius must span at least 4 grid cells")
@@ -442,21 +462,21 @@ def detect_point_masses(u, cluster_radius):
     ny, nx = lap.shape
     xs = u.x0 + h * (1 + np.arange(nx))
     ys = u.y0 + h * (1 + np.arange(ny))
-    peak = float(np.max(np.abs(lap)))
+    size = np.abs(lap)
+    peak = float(np.max(size))
     if peak == 0.0:
         return MeasureEstimate(point_masses=[], total_mass=0.0)
-    mask = np.abs(lap) >= 1e-3 * peak
-    labels, count = _clusters_8(mask)
-    X, Y = np.meshgrid(xs, ys)
     atoms = []
-    for c in range(1, count + 1):
-        sel = labels == c
-        wgt = np.abs(lap[sel])
-        cx = float(np.sum(X[sel] * wgt) / np.sum(wgt))
-        cy = float(np.sum(Y[sel] * wgt) / np.sum(wgt))
-        box = ((np.abs(X - cx) <= cluster_radius)
-               & (np.abs(Y - cy) <= cluster_radius))
-        mass = float(np.sum(lap[box])) * h * h / (2.0 * math.pi)
+    for cells in _clusters_8(size >= 1e-3 * peak):
+        # the cells in row-major order, and the box as row and column
+        # ranges: each sum runs in the order of the full-lattice masks
+        iy, ix = np.divmod(cells, nx)
+        wgt = size.ravel()[cells]
+        cx = float(np.sum(xs[ix] * wgt) / np.sum(wgt))
+        cy = float(np.sum(ys[iy] * wgt) / np.sum(wgt))
+        box = np.ix_(np.flatnonzero(np.abs(ys - cy) <= cluster_radius),
+                     np.flatnonzero(np.abs(xs - cx) <= cluster_radius))
+        mass = float(np.sum(lap[box].ravel())) * h * h / (2.0 * math.pi)
         atoms.append((complex(cx, cy), mass))
     for i in range(len(atoms)):
         for j in range(i + 1, len(atoms)):

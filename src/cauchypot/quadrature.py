@@ -114,11 +114,16 @@ def closed_node_derivative(host, values):
     polynomials, which rules out fixed-order difference stencils at moderate
     node counts.
     """
-    n = values.size
+    return _derivative_of_dft(host, np.fft.fft(values))
+
+
+def _derivative_of_dft(host, fk):
+    """``closed_node_derivative`` from the DFT ``fk`` of the values."""
+    n = fk.size
     k = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0  # zero the Nyquist mode for a real-symmetric derivative
-    return np.fft.ifft(1j * k * np.fft.fft(values)) / host.dz_dtheta
+    return np.fft.ifft(1j * k * fk) / host.dz_dtheta
 
 
 def fd4_arc_derivative(arc, values):
@@ -255,7 +260,8 @@ def _S_closed(host, values, idx):
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
-    df = closed_node_derivative(host, values)
+    fk = np.fft.fft(values)
+    df = _derivative_of_dft(host, fk)
 
     def s_of(total, r):
         return (total + values[r] * 1j * np.pi) / (1j * np.pi)
@@ -263,7 +269,6 @@ def _S_closed(host, values, idx):
     def rows(r):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
-    fk = np.fft.fft(values)
     sgn = np.sign(np.fft.fftfreq(n))
     if n % 2 == 0:
         sgn[n // 2] = 0.0
@@ -271,9 +276,8 @@ def _S_closed(host, values, idx):
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
     scale = np.max(np.abs(values))
-    dz = host.dz_dtheta
     # rough data, or a curve with corners, leave R rough: no probes
-    p = 32 if _resolved(fk, scale) and _resolved(np.fft.fft(dz), np.max(np.abs(dz))) else n
+    p = 32 if _resolved(fk, scale) and host._dz_resolved else n
     while 4 * p <= n and n % p == 0:
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]

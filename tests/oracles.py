@@ -6,6 +6,7 @@ functions.  None of it shares code with the package under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -233,3 +234,83 @@ def ellipse_equilibrium(dz_dtheta):
     d(mu) = d(th)/(2 pi), per unit length; its potential on the ellipse is
     log((a + b)/2)."""
     return 1.0 / (2.0 * np.pi * np.abs(dz_dtheta))
+
+
+# ---------------------------------------------------------------------------
+# grid recoveries over the whole lattice: the reference for the package's
+# box-confined forms, which must give bitwise the same numbers
+# ---------------------------------------------------------------------------
+
+def _lattice_laplacian(values, h):
+    return (values[1:-1, :-2] + values[1:-1, 2:] +
+            values[:-2, 1:-1] + values[2:, 1:-1] -
+            4.0 * values[1:-1, 1:-1]) / (h * h)
+
+
+def cluster_labels_8(mask):
+    """Labels 1, 2, ... of the 8-connected components of a boolean grid,
+    numbered in the reading order of their first cells, and their count."""
+    ny, nx = mask.shape
+    labels = np.zeros((ny, nx), dtype=int)
+    current = 0
+    for iy, ix in zip(*np.nonzero(mask)):
+        if labels[iy, ix]:
+            continue
+        current += 1
+        stack = [(iy, ix)]
+        labels[iy, ix] = current
+        while stack:
+            cy, cx = stack.pop()
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    yy, xx = cy + dy, cx + dx
+                    if (0 <= yy < ny and 0 <= xx < nx
+                            and mask[yy, xx] and not labels[yy, xx]):
+                        labels[yy, xx] = current
+                        stack.append((yy, xx))
+    return labels, current
+
+
+def point_masses_full_lattice(values, x0, y0, h, cluster_radius):
+    """(atoms, total mass) of a gridded potential, each cluster's centroid
+    and mass box taken as masks over the whole lattice; the overlap warning
+    as the package words it."""
+    lap = _lattice_laplacian(values, h)
+    ny, nx = lap.shape
+    xs = x0 + h * (1 + np.arange(nx))
+    ys = y0 + h * (1 + np.arange(ny))
+    peak = float(np.max(np.abs(lap)))
+    if peak == 0.0:
+        return [], 0.0
+    mask = np.abs(lap) >= 1e-3 * peak
+    labels, count = cluster_labels_8(mask)
+    X, Y = np.meshgrid(xs, ys)
+    atoms = []
+    for c in range(1, count + 1):
+        sel = labels == c
+        wgt = np.abs(lap[sel])
+        cx = float(np.sum(X[sel] * wgt) / np.sum(wgt))
+        cy = float(np.sum(Y[sel] * wgt) / np.sum(wgt))
+        box = ((np.abs(X - cx) <= cluster_radius)
+               & (np.abs(Y - cy) <= cluster_radius))
+        mass = float(np.sum(lap[box])) * h * h / (2.0 * math.pi)
+        atoms.append((complex(cx, cy), mass))
+    for i in range(len(atoms)):
+        for j in range(i + 1, len(atoms)):
+            if abs(atoms[i][0] - atoms[j][0]) < cluster_radius:
+                warnings.warn(
+                    f"clusters at {atoms[i][0]:.4g} and {atoms[j][0]:.4g} "
+                    "overlap within the cluster radius; masses are ambiguous",
+                    stacklevel=2,
+                )
+    return atoms, math.fsum(m for _, m in atoms)
+
+
+def area_density_full_lattice(values, h):
+    """(density, mass) of a gridded potential: the Laplacian over 2 pi with
+    the cells under the noise floor replaced by a full-lattice ``where``."""
+    lap = _lattice_laplacian(values, h)
+    floor = 10.0 / (h * h) * np.finfo(float).eps * np.max(np.abs(values))
+    lap = np.where(np.abs(lap) <= floor, 0.0, lap)
+    dens = lap / (2.0 * math.pi)
+    return dens, float(np.sum(dens)) * h ** 2

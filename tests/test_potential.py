@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cauchypot.errors import (
     BoundaryLimitError,
@@ -24,6 +24,7 @@ from cauchypot.errors import (
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.potential import (
     MeasureEstimate,
+    _clusters_8,
     PotentialField,
     detect_point_masses,
     equilibrium_density,
@@ -39,8 +40,11 @@ from cauchypot.potential import (
 from cauchypot.sampling import SampledDensity, read_density_csv, write_density_csv
 
 from oracles import (
+    area_density_full_lattice,
     circular_arc_equilibrium,
+    cluster_labels_8,
     ellipse_equilibrium,
+    point_masses_full_lattice,
     recover_curve_density_loop,
     segment_potentials,
 )
@@ -206,7 +210,7 @@ def test_on_node_potential_refuses_chain_arcs():
         log_potential_nodes(MeasureEstimate(curve_density=sd))
 
 
-@pytest.mark.parametrize("edit", ["in place", "reassigned"])
+@pytest.mark.parametrize("edit", ["in place", "one entry in place", "reassigned"])
 def test_on_node_memo_follows_the_values(edit):
     host = segment_host(per=16)
     rng = np.random.default_rng(3)
@@ -214,13 +218,22 @@ def test_on_node_memo_follows_the_values(edit):
     text = repr(sd)
     log_potential(sd, host.nodes[5])
     assert repr(sd) == text  # the memo is no field
+    memo = sd._log_memo
+    sd.values = sd.values.copy()  # the same bytes: the memo stands
+    log_potential(sd, host.nodes[5])
+    assert sd._log_memo is memo
     new = sd.values + rng.standard_normal(host.n_nodes)
     if edit == "in place":
         sd.values[:] = new
+    elif edit == "one entry in place":
+        new = sd.values.copy()
+        new[3] += 0.5
+        sd.values[3] += 0.5
     else:
         sd.values = new
     fresh = SampledDensity(host, new)
     assert log_potential(sd, host.nodes[5]) == log_potential(fresh, host.nodes[5])
+    assert sd._log_memo is not memo
     assert np.array_equal(log_potential_nodes(sd), log_potential_nodes(fresh))
 
 
@@ -428,6 +441,23 @@ def test_recovery_flags_bad_nodes_without_raising():
     assert est.curve_density.values[7] == 0.0
     others = np.delete(est.curve_density.values.real, 7)
     assert np.max(np.abs(others - 1.0 / (2.0 * np.pi))) <= 1e-6
+
+
+def test_recovery_hands_u_numpy_points():
+    # u sees np.complex128 points: a division by zero in it gives inf and
+    # flags the node, where a Python complex would raise ZeroDivisionError
+    host = circle_host(per=8)
+    bad = host.nodes[5]
+    seen = set()
+
+    def u(z):
+        seen.add(type(z))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return max(math.log(abs(z)), 0.0) + 0.0 * (1.0 / (z - bad)).real  # NaN at node 5
+
+    est = recover_curve_density(u, host)
+    assert seen == {np.complex128}
+    assert est.flagged_nodes == [5]
 
 
 @pytest.mark.parametrize("h0", [-1e-4, 0.0, math.nan], ids=["negative", "zero", "nan"])
@@ -686,11 +716,116 @@ def test_overlapping_clusters_warn():
     assert len(est.point_masses) == 2
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_point_masses_refuse_a_non_finite_cluster_radius(radius):
+    # a NaN radius passed the resolution guard and boxed no cell: every mass 0
+    grid, _ = area_grid(
+        lambda X, Y: np.log(np.maximum(np.hypot(X - 0.013, Y + 0.007), 1e-300)), -1.0, 1.0, 0.02)
+    with pytest.raises(ValueError, match="finite"):
+        detect_point_masses(grid, cluster_radius=radius)
+
+
+def test_area_recovery_refuses_a_nan_h_max():
+    # a NaN maximum passed every spacing
+    grid, _ = area_grid(lambda X, Y: X * Y, 0.0, 1.0, 0.25)
+    with pytest.raises(ValueError, match="NaN"):
+        recover_area_density(grid, h_max=math.nan)
+    assert recover_area_density(grid, h_max=math.inf).total_mass == 0.0
+
+
 def test_flat_grid_yields_no_atoms():
     grid = PotentialField(values=np.zeros((32, 32)), h=0.05)
     est = detect_point_masses(grid, cluster_radius=1.0)
     assert est.point_masses == []
     assert est.total_mass == 0.0
+
+
+def test_clusters_are_the_labelled_components():
+    # a ring whose bounding box holds a second cluster, inside the box of
+    # an L round both; then random masks of several densities
+    ring = np.zeros((11, 12), dtype=bool)
+    ring[1:8, 1:9] = True
+    ring[2:7, 2:8] = False
+    ring[4, 4:6] = True
+    ring[:10, 10] = ring[9, :11] = True
+    masks = [ring] + [np.random.default_rng(seed).random((13, 17)) < p
+                      for seed, p in enumerate((0.05, 0.3, 0.6, 0.95))]
+    for mask in masks:
+        labels, count = cluster_labels_8(mask)
+        clusters = _clusters_8(mask)
+        assert len(clusters) == count
+        for c, cells in enumerate(clusters, 1):
+            assert np.array_equal(cells, np.flatnonzero(labels == c))
+    assert len(_clusters_8(ring)) == 3
+
+
+def test_mass_box_takes_the_cells_at_exactly_one_radius():
+    # a spike on a lattice point over a faint quadratic: the centroid is the
+    # point itself, and the rows and columns one radius off lie on the box
+    h = 0.25
+    xs = h * np.arange(33)
+    X, Y = np.meshgrid(xs, xs)
+    values = 2.0 ** -10 * (X ** 2 + Y ** 2)
+    values[16, 16] += 1.0
+    est = detect_point_masses(PotentialField(values, 0.0, 0.0, h), 1.0)
+    atoms, _ = point_masses_full_lattice(values, 0.0, 0.0, h, 1.0)
+    inside, _ = point_masses_full_lattice(values, 0.0, 0.0, h, 1.0 - 1e-12)
+    assert est.point_masses == atoms == [(4 + 4j, atoms[0][1])]
+    assert atoms[0][1] != inside[0][1]
+
+
+@st.composite
+def atom_lattices(draw):
+    """A gridded potential and a cluster radius: atoms of either sign, near
+    or beyond the lattice edges, optionally with a second atom within one
+    cluster radius of the first; sparse spikes of heavy-tailed sizes, whose
+    clusters take many shapes; or a flat lattice."""
+    ny, nx = draw(st.integers(7, 40)), draw(st.integers(7, 40))
+    h = draw(st.sampled_from([0.01, 0.05, 0.25]))
+    x0, y0 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    radius = h * draw(st.floats(4.5, 2.0 * max(nx, ny)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["atoms", "spikes", "flat"]))
+    if kind == "flat":
+        values = np.full((ny, nx), float(draw(st.integers(-8, 8))))
+    elif kind == "spikes":
+        spikes = rng.random((ny, nx)) < draw(st.floats(0.01, 0.3))
+        values = spikes * rng.standard_normal((ny, nx)) * 10.0 ** rng.uniform(-4.0, 0.0, (ny, nx))
+    else:
+        count = draw(st.integers(1, 4))
+        a = (x0 + h * rng.uniform(-1.0, nx, count)) + 1j * (y0 + h * rng.uniform(-1.0, ny, count))
+        if draw(st.booleans()):
+            a = np.append(a, a[0] + radius * rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.random()))
+        m = rng.choice([-1.0, 1.0], a.size) * rng.uniform(0.2, 2.0, a.size)
+        Z = (x0 + h * np.arange(nx)) + 1j * (y0 + h * np.arange(ny))[:, None]
+        with np.errstate(divide="ignore"):
+            values = sum(mk * np.log(np.abs(Z - ak)) for ak, mk in zip(a, m))
+        values = values + draw(st.floats(-1.0, 1.0)) * Z.real
+        assume(np.isfinite(values).all())
+    return PotentialField(values, x0, y0, h), radius
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lattice=atom_lattices())
+def test_grid_recoveries_are_bitwise_the_full_lattice_formulas(lattice):
+    grid, radius = lattice
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        est = detect_point_masses(grid, radius)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        atoms, total = point_masses_full_lattice(grid.values, grid.x0, grid.y0, grid.h, radius)
+    assert [str(w.message) for w in got] == [str(w.message) for w in want]
+    assert _bits(est.point_masses) == _bits(atoms)
+    assert _bits(est.total_mass) == _bits(total)
+    dens, mass = area_density_full_lattice(grid.values, grid.h)
+    area = recover_area_density(grid)
+    assert area.area_density.tobytes() == dens.tobytes()
+    assert _bits(area.total_mass) == _bits(mass)
 
 
 # ---------------------------------------------------------------------------

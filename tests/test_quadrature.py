@@ -639,6 +639,28 @@ def test_S_on_a_circle_sums_few_rows(counted_rows):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
 
+def test_S_takes_one_dft_of_the_values_and_one_of_dz_per_host(monkeypatch):
+    # the diagonal derivative reuses S's DFT of the values, and the host
+    # keeps whether its dz/dtheta is resolved
+    host = circle(64, 8)
+    g = host.nodes ** 3 + 0.5 / (host.nodes - 0.1 + 0.2j)
+    fft = np.fft.fft
+    seen = []
+
+    def counted(a, *args, **kwargs):
+        seen.append(a)
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    first = closed_S(host, g)
+    second = closed_S(host, g)
+    whole = [a for a in seen if a.size == host.n_nodes]
+    assert sum(a is host.dz_dtheta for a in whole) == 1
+    assert sum(np.array_equal(a, g) for a in whole) == 2
+    assert len(whole) == 3
+    assert first.tobytes() == second.tobytes()
+
+
 def test_S_at_one_polygon_node_sums_one_row(counted_rows):
     # the corners leave the remainder rough whatever the data, so even
     # smooth data in the node parameter are not probed

@@ -22,8 +22,11 @@ summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
 multipole tree and boundary values at two nodes the direct sums), on-node
 and off-curve potentials, the integrals, the equilibrium references, and
-curve, area and point-mass recovery.  Atoms sit off the lattice points of
-their grid.  It needs the standard library and numpy only.
+curve, area and point-mass recovery: on a small lattice, on the 801^2
+lattice of the benchmark's ``recovery.grid-atoms`` op, and on a lattice
+with an atom whose mass box crosses its edge and two atoms within one
+cluster radius.  Atoms sit off the lattice points of their grid.  That
+makes 109 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -203,6 +206,31 @@ def calls():
     atoms = cp.PotentialField(np.log(np.abs(Z - (-0.41 + 0.13j)))
                               + 0.8 * np.log(np.abs(Z - (0.52 - 0.27j))), x0=xs[0], y0=xs[0], h=h)
     yield "point masses", lambda: flat(cp.detect_point_masses(atoms, 0.3))
+
+    # the lattice of the benchmark's grid-atoms op: 801^2 points, h = 0.005,
+    # each atom at offsets 0.37 and 0.61 inside its cell
+    h = 0.005
+    xs = -2.0 + h * np.arange(801)
+    X, Y = np.meshgrid(xs, xs)
+    Z = X + 1j * Y
+    grid = cp.PotentialField(0.83 * np.log(np.abs(Z - complex(-1.0 + 3.37 * h, -3.39 * h)))
+                             + 1.21 * np.log(np.abs(Z - complex(1.0 - 6.63 * h, 2.61 * h))),
+                             x0=xs[0], y0=xs[0], h=h)
+    yield "grid-atoms point masses", lambda: flat(cp.detect_point_masses(grid, 0.1))
+    yield "grid-atoms area recovery", lambda: flat(cp.recover_area_density(grid))
+
+    # an atom whose mass box crosses the lattice edge, and a negative atom
+    # within one cluster radius of another (which warns)
+    h = 0.01
+    xs = -1.0 + h * np.arange(201)
+    X, Y = np.meshgrid(xs, xs)
+    Z = X + 1j * Y
+    grid_edge = cp.PotentialField(np.log(np.abs(Z - complex(0.96 + 0.37 * h, 0.2 + 0.61 * h)))
+                                  + 0.7 * np.log(np.abs(Z - complex(-0.4 + 0.37 * h, -0.3 + 0.61 * h)))
+                                  - 0.5 * np.log(np.abs(Z - complex(-0.32 + 0.37 * h, -0.3 + 0.61 * h))),
+                                  x0=xs[0], y0=xs[0], h=h)
+    yield "edge and pair point masses", lambda: flat(cp.detect_point_masses(grid_edge, 0.1))
+    yield "edge and pair area recovery", lambda: flat(cp.recover_area_density(grid_edge))
 
 
 def results():
