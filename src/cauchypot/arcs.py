@@ -274,11 +274,14 @@ def holder_diagnostic(f, compact_margin, exponent=1.0):
     the same arc whose distance to every system endpoint is at least
     ``compact_margin``.  Shrinking the margin toward 0 makes the quotient
     blow up exactly for densities in the 1/sqrt(R) class, which is the
-    intended diagnostic.
+    intended diagnostic.  A margin or exponent that is not finite and
+    positive raises ValueError.
     """
     system = _require_system(f.host)
-    if compact_margin <= 0:
-        raise ValueError("compact_margin must be positive")
+    if not (np.isfinite(compact_margin) and compact_margin > 0):
+        raise ValueError("compact_margin must be finite and positive")
+    if not (np.isfinite(exponent) and exponent > 0):
+        raise ValueError("exponent must be finite and positive")
     ends = system.endpoints
     best = 0.0
     total_kept = 0

@@ -33,7 +33,10 @@ builds on its first multipole sum and keeps, and a pass per density, O(N)
 whether one row is asked for or all.  On a graded arc, in the parameter
 tau = cos(u), the arc's own part is diagonal in Chebyshev coefficients
 (length-2m FFTs), and the remainder is the other arcs' sums and, on a
-circular arc, the difference between its kernel and 1/(tau - tau_x).
+circular arc, the difference between its kernel and 1/(tau - tau_x).  From
+``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of its remainders
+at the first proxies (``_proxy_kernels``), built on its first S, and there
+the remainders are products with the data.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
@@ -41,9 +44,10 @@ one-sided limits and the Cauchy transform) goes through
 and from there on by a walk of each point down the tree of the contour's
 ``_MultipolePlan``, O(log N) per point.  Every other Cauchy sum over nodes
 goes through one blocked kernel, ``_cauchy_sum``: the direct closed-contour
-rows and off-curve sums, the arc remainders, and the Cauchy transform and
-its one-sided limits on arcs.  ``neville`` is the one extrapolation
-tableau, fed by ``normal_ladder`` for boundary limits and curve recovery.
+rows and off-curve sums, the arc remainders the proxy plan does not hold,
+and the Cauchy transform and its one-sided limits on arcs.  ``neville`` is
+the one extrapolation tableau, fed by ``normal_ladder`` for boundary limits
+and curve recovery.
 
 ``host_rule`` (which only checks that its argument is a host and returns
 it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
@@ -639,6 +643,12 @@ def _resolved(c, scale):
 
 
 def _S_arcs(host, values, idx, density_class):
+    """S on an arc system: per graded arc, ``_own_pv`` of its class fold plus
+    the ``_remainder`` interpolated from proxies.  From ``_FMM_MIN_NODES``
+    nodes on, the remainders at the first proxies of the arcs the system's
+    proxy plan holds are products with its kernels.  The route depends on
+    the host alone, so S at any ``idx`` is bitwise the full S.
+    """
     off = host.arc_offsets
     arc_of = np.searchsorted(off, idx, side="right") - 1
     if not np.array([arc.graded for arc in host.arcs])[arc_of].all():
@@ -651,6 +661,8 @@ def _S_arcs(host, values, idx, density_class):
     wf = np.concatenate([(np.pi / arc.n_nodes) * fold[1] * arc.dt_dtau if arc.graded
                          else arc.dt_weights * values[off[a]:off[a + 1]]
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
+    large = host.n_nodes >= _FMM_MIN_NODES
+    plan = host._proxy_plan if large else (None,) * host.n_arcs
     out = np.empty(idx.size, dtype=complex)
     for a in np.flatnonzero(np.bincount(arc_of)):
         arc, (g, q) = host.arcs[a], folds[a]
@@ -660,7 +672,9 @@ def _S_arcs(host, values, idx, density_class):
         other[off[a]:off[a + 1]] = False
         t, w = host.nodes[other], wf[other]
         if t.size or arc.kind == "circular":
-            pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau), arc.params)
+            first = None if plan[a] is None else _remainder(arc, q, t, w, _FIRST_PROXIES, plan[a])
+            pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau, large=large),
+                                    arc.params, first)
         out[rows] = pv[idx[rows] - off[a]] / (1j * np.pi)
     return out
 
@@ -762,7 +776,47 @@ def _own_pv(g, tau, density_class):
     return out if density_class == "inverse_sqrt" else out + g * np.log((1.0 - tau) / (1.0 + tau))
 
 
-def _remainder(arc, q, t, wf, tau):
+# the first proxies of every arc remainder, and the only ones a proxy plan keeps
+_FIRST_PROXIES = np.cos(_angles(32))
+
+
+def _circular_kernel(d4, params, tau):
+    """K(tau_j - tau_i) / (D/4) - i, K of ``_remainder``, for rows tau_i and columns params_j."""
+    y = d4 * (params - tau[:, None])
+    small = np.abs(y) < 0.05
+    y_far = np.where(small, 1.0, y)
+    y2 = y * y
+    return np.where(small, -y * (1 / 3 + y2 * (1 / 45 + y2 * (2 / 945 + y2 / 4725))),
+                    1.0 / np.tan(y_far) - 1.0 / y_far)
+
+
+def _proxy_kernels(host):
+    """The proxy plan of an arc system: per arc, (R, K) or None.
+
+    What the geometry alone fixes of ``_remainder`` at the first 32 proxies
+    z_i of each graded arc holding at least a quarter of the system's nodes:
+    R_ij = 1/(t_j - z_i) over the other arcs' nodes t_j and, on a circular
+    arc of m nodes and sweep D, the real (pi/m)(D/4) K(tau_j - tau_i) over
+    its own parameters.  At most four arcs are planned (none of five equal
+    ones), so the plan holds at most 2 KB per node.
+    """
+    off, n = host.arc_offsets, host.n_nodes
+    plan = []
+    for a, arc in enumerate(host.arcs):
+        if not arc.graded or 4 * arc.n_nodes < n:
+            plan.append(None)
+            continue
+        t = np.delete(host.nodes, np.s_[off[a]:off[a + 1]])
+        r = 1.0 / (t - arc.point_at(_FIRST_PROXIES)[:, None])
+        k = None
+        if arc.kind == "circular":
+            d4 = 0.25 * (arc.theta_b - arc.theta_a)
+            k = (np.pi / arc.n_nodes) * d4 * _circular_kernel(d4, arc.params, _FIRST_PROXIES)
+        plan.append((r, k))
+    return tuple(plan)
+
+
+def _remainder(arc, q, t, wf, tau, kernels=None, large=False):
     """The smooth part of pi*i*S on one arc, at its parameters ``tau``.
 
     Every other arc's plain sum over its nodes t with weighted samples wf
@@ -770,36 +824,45 @@ def _remainder(arc, q, t, wf, tau):
     (pi/m) sum_j q_j K(tau_j - tau), where t'(tau)/(t(tau) - t(tau_x)) =
     1/(tau - tau_x) + K(tau - tau_x) and K(s) = (D/4)(cot(Ds/4) - 4/(Ds))
     + iD/4 is smooth for |s| < 2 (a series where |Ds/4| < 0.05).
+
+    With ``kernels``, the arc's (R, K) from the proxy plan, tau are the
+    first proxies and the sums are the products sum_j R_ij wf_j and
+    sum_j K_ij q_j.  Otherwise they are summed directly.  Only the K rows
+    of a system that is not ``large`` go through BLAS (``@``), whose threads
+    cost more than these products.
     """
-    out = _cauchy_sum(t, arc.point_at(tau), wf) if t.size else np.zeros(tau.size, complex)
+    if kernels is not None:
+        r, k = kernels
+        out = np.sum(r * wf, axis=1)
+    else:
+        out = _cauchy_sum(t, arc.point_at(tau), wf) if t.size else np.zeros(tau.size, complex)
     if arc.kind != "circular":
         return out
     d4 = 0.25 * (arc.theta_b - arc.theta_a)
+    scale = (np.pi / q.size) * d4
+    if kernels is not None:
+        return out + (np.sum(k * q, axis=1) + 1j * scale * np.sum(q))
 
     def block(rows):
-        y = d4 * (arc.params - tau[rows, None])
-        small = np.abs(y) < 0.05
-        y_far = np.where(small, 1.0, y)
-        y2 = y * y
-        k = np.where(small, -y * (1 / 3 + y2 * (1 / 45 + y2 * (2 / 945 + y2 / 4725))),
-                     1.0 / np.tan(y_far) - 1.0 / y_far)
-        return k @ q
+        k = _circular_kernel(d4, arc.params, tau[rows])
+        return np.sum(k * q, axis=1) if large else k @ q
 
     kq = _by_rows(block, tau.size, q.size, complex) + 1j * np.sum(q)
-    return out + (np.pi / q.size) * d4 * kq
+    return out + scale * kq
 
 
-def _interpolated(fn, tau):
+def _interpolated(fn, tau, first=None):
     """fn at the nodes ``tau`` (first-kind points) of a smooth fn of tau.
 
     fn is sampled at p first-kind proxies, p = 32, 64, ..., until the last
     p/8 Chebyshev coefficients are below 1e-14 of the largest, and its
     interpolant is summed at the nodes; from p >= m on fn takes the nodes.
+    ``first``, when given, stands for fn at the first 32 proxies.
     """
     m = tau.size
     p = 32
     while p < m:
-        c = _trig_coeffs(fn(np.cos(_angles(p))))
+        c = _trig_coeffs(first if p == 32 and first is not None else fn(np.cos(_angles(p))))
         if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
             return _trig_sum(c, m)
         p *= 2

@@ -1,5 +1,6 @@
 """Arc-system solution theory: kernel, moments, bounded solutions, defects."""
 
+import math
 import os
 import subprocess
 import sys
@@ -543,6 +544,12 @@ def test_holder_quotient_error_paths():
         holder_diagnostic(g, 1.5)  # margin swallows every node
     with pytest.raises(ValueError):
         holder_diagnostic(g, -0.1)
+    # a bad exponent used to return 0.0 (nan) or inf with a warning, and a
+    # non-finite margin to blame the mesh
+    for margin, exponent in ((0.1, math.nan), (0.1, math.inf), (0.1, 0.0), (0.1, -1.0),
+                             (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError):
+            holder_diagnostic(g, margin, exponent=exponent)
     circle = build_closed_contour(
         {"type": "circle", "radius": 1.0, "panels": 4, "nodes_per_panel": 8})
     gc = SampledDensity(circle, np.ones(circle.n_nodes, complex))

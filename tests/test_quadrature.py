@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy import special
 
 from cauchypot import quadrature
 from cauchypot.errors import AlignmentError, GeometryError
-from cauchypot.arcs import bounded_solution
+from cauchypot.arcs import bounded_solution, general_solution
 from cauchypot.cauchy import boundary_value, plemelj_residuals, singular_S
 from cauchypot.closed import solve_closed
 from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
@@ -292,16 +293,18 @@ def test_S_of_T3_plus_iT4_on_a_segment_in_closed_form(density_class):
 
 
 @st.composite
-def arc_systems(draw):
-    """1-3 segments or circular arcs (sweeps of either sign), arc k in the
-    disk of radius 0.6 about 3k, each with 48-160 nodes."""
+def arc_systems(draw, arcs=(1, 3), per=lambda count: (48, 160), segments=st.booleans()):
+    """``arcs`` segments or circular arcs (sweeps of either sign), arc k in
+    the disk of radius 0.6 about 3k, each with ``per(number of arcs)``
+    nodes; an arc is a segment where ``segments`` draws True."""
     specs = []
-    for k in range(draw(st.integers(1, 3))):
+    count = draw(st.integers(*arcs))
+    for k in range(count):
         c = 3.0 * k + draw(st.complex_numbers(max_magnitude=0.1, allow_nan=False,
                                               allow_infinity=False))
         angle = draw(st.floats(0.0, 2.0 * np.pi))
-        nodes = {"panels": 1, "nodes_per_panel": draw(st.integers(48, 160))}
-        if draw(st.booleans()):
+        nodes = {"panels": 1, "nodes_per_panel": draw(st.integers(*per(count)))}
+        if draw(segments):
             a = c + 0.5 * cmath.exp(1j * angle)
             specs.append({"type": "segment", "a": [a.real, a.imag],
                           "b": [2 * c.real - a.real, 2 * c.imag - a.imag], **nodes})
@@ -359,6 +362,105 @@ def test_S_is_linear_on_random_arc_systems(host, coeffs, seed, density_class):
 
     want = alpha * S(f) + beta * S(h)
     assert np.max(np.abs(S(alpha * f + beta * h) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# 1-4 arcs of 1024-4096 nodes in all: segments, circular arcs, or both
+large_arc_systems = st.one_of(
+    *(arc_systems(arcs=(1, 4), per=lambda count: (-(-1024 // count), 4096 // count),
+                  segments=kind) for kind in (st.just(True), st.just(False), st.booleans())))
+
+
+def direct_S(f, density_class):
+    """S with every arc remainder summed directly, as below the crossover."""
+    with mock.patch.object(quadrature, "_FMM_MIN_NODES", 1 << 30):
+        return singular_S(f, density_class=density_class).values
+
+
+def class_density(host, v, density_class):
+    """v times the class's power of sqrt(R)+ at the nodes."""
+    s_plus = host.sqrtR_plus_nodes()
+    return SampledDensity(host, {"smooth": v, "inverse_sqrt": v / s_plus,
+                                 "sqrt": v * s_plus}[density_class])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(host=large_arc_systems, seed=st.integers(0, 2 ** 16),
+       density_class=st.sampled_from(["smooth", "inverse_sqrt", "sqrt"]),
+       picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12))
+def test_planned_S_matches_the_direct_remainders_on_random_arc_systems(host, seed,
+                                                                        density_class, picks):
+    # the first proxies' remainders are products with the proxy plan's
+    # kernels; rough data weigh every node alike
+    assert quadrature._FMM_MIN_NODES <= host.n_nodes <= 4096
+    rng = np.random.default_rng(seed)
+    f = class_density(host, rng.standard_normal(host.n_nodes)
+                      + 1j * rng.standard_normal(host.n_nodes), density_class)
+    full = singular_S(f, density_class=density_class).values
+    assert "_proxy_plan" in vars(host)
+    gap = np.max(np.abs(full - direct_S(f, density_class)))
+    assert gap <= 1e-14 * np.max(np.abs(f.values))
+    idx = (np.array(picks) * host.n_nodes).astype(int)  # unsorted, may repeat
+    got = singular_S(f, at_indices=idx, density_class=density_class)
+    assert got.tobytes() == full[idx].tobytes()
+
+
+def two_circular_arcs(per):
+    return build_arc_system([
+        {"type": "circular", "center": [0.0, 0.0], "radius": 1.0, "theta_a": lo,
+         "theta_b": hi, "panels": 8, "nodes_per_panel": per} for lo, hi in ((0.3, 1.4), (2.2, 4.0))])
+
+
+def test_the_proxy_plan_is_built_on_first_use_and_kept_with_its_host(monkeypatch):
+    builds = []
+    kernels = quadrature._proxy_kernels
+
+    def counting(host):
+        builds.append(host.n_nodes)
+        return kernels(host)
+
+    monkeypatch.setattr(quadrature, "_proxy_kernels", counting)
+    host, small = two_circular_arcs(128), two_circular_arcs(32)
+    assert host.n_nodes == 2048 and small.n_nodes < quadrature._FMM_MIN_NODES
+    assert "_proxy_plan" not in vars(host) and "_proxy_plan" not in vars(small)
+    g = poly_values(small, [1.0, 0.5j, -0.3])
+    singular_S(SampledDensity(small, g))
+    bounded_solution(SampledDensity(small, g))
+    assert builds == [] and "_proxy_plan" not in vars(small)
+    # one build serves every class, density, index set and solver
+    g = SampledDensity(host, poly_values(host, [1.0, 0.5j, -0.3]))
+    first = {c: singular_S(class_density(host, g.values, c), density_class=c).values
+             for c in ("smooth", "inverse_sqrt", "sqrt")}
+    assert builds == [host.n_nodes]
+    plan = host._proxy_plan
+    singular_S(SampledDensity(host, np.conj(g.values)))
+    singular_S(g, at_indices=[7, 1030, 7])
+    bounded_solution(g)
+    general_solution(g)
+    assert builds == [host.n_nodes] and host._proxy_plan is plan
+    held = [a for kernels in plan if kernels for a in kernels if a is not None]
+    assert len(held) == 4
+    assert sum(a.nbytes for a in held) <= 2048 * host.n_nodes
+    # two fresh hosts give the same bits whatever came first
+    fresh = two_circular_arcs(128)
+    singular_S(SampledDensity(fresh, np.ones(fresh.n_nodes)), at_indices=[5])
+    general_solution(SampledDensity(fresh, g.values))
+    for c, want in first.items():
+        f = class_density(fresh, g.values, c)
+        assert singular_S(f, density_class=c).values.tobytes() == want.tobytes()
+    # the plan lives on the host and holds no reference to it
+    ref = weakref.ref(host)
+    del host, g, plan
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_arc_is_planned_among_five_equal_arcs():
+    host = build_arc_system([{"type": "segment", "a": [3.0 * k, 0.0], "b": [3.0 * k + 1.0, 0.5],
+                              "panels": 8, "nodes_per_panel": 32} for k in range(5)])
+    assert host.n_nodes >= quadrature._FMM_MIN_NODES
+    f = SampledDensity(host, poly_values(host, [1.0, 0.5j]))
+    assert singular_S(f).values.tobytes() == direct_S(f, "smooth").tobytes()
+    assert host._proxy_plan == (None,) * 5
 
 
 # ---------------------------------------------------------------------------

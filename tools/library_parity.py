@@ -16,7 +16,10 @@ The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
 field from 1024 nodes on, at 1200, 4096 and 16384 nodes), S on each arc
 kind (segment, circular, a segment beside a chain) in each density class,
-``solve_closed``, the arc-system solvers on five systems, Plemelj
+``solve_closed``, the arc-system solvers on five systems, S in each class
+and the general and bounded solutions on five arc systems of 2048 nodes
+(the benchmark's four and a segment beside a circular arc), whose
+remainders take the proxy plan, Plemelj
 residuals, boundary values and Cauchy transforms (on a 256-node circle,
 summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
@@ -26,7 +29,7 @@ curve, area and point-mass recovery: on a small lattice, on the 801^2
 lattice of the benchmark's ``recovery.grid-atoms`` op, and on a lattice
 with an atom whose mass box crosses its edge and two atoms within one
 cluster radius.  Atoms sit off the lattice points of their grid.  That
-makes 109 results.  It needs the standard library and numpy only.
+makes 134 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -159,6 +162,34 @@ def calls():
         yield f"{name} plemelj", lambda f=built["sqrt"]: cp.plemelj_residuals(
             f, density_class="sqrt")
         yield f"{name} cauchy transform", lambda g=g: cp.cauchy_transform(g, [0.3j, -2.0, 4 + 1j])
+
+    # from 1024 nodes on, S takes the first proxies' remainders from the
+    # system's proxy plan: the benchmark's arc systems at 2048 nodes, and a
+    # segment beside a circular arc
+    planned = {
+        "segment": [dict(SEGMENT, nodes_per_panel=256)],
+        "union": [dict(SEGMENT, b=[-0.3, 0.0], nodes_per_panel=128),
+                  dict(SEGMENT, a=[0.2, 0.0], nodes_per_panel=128)],
+        "two circular": [dict(CIRCULAR, center=[0.0, 0.0], theta_a=0.3, theta_b=1.4,
+                              nodes_per_panel=128),
+                         dict(CIRCULAR, center=[0.0, 0.0], theta_a=2.2, theta_b=4.0,
+                              nodes_per_panel=128)],
+        "three segments": [dict(SEGMENT, b=[-0.4, 0.0], nodes_per_panel=86),
+                           dict(SEGMENT, a=[0.1, 0.0], nodes_per_panel=86),
+                           dict(SEGMENT, a=[-0.5, 0.5], b=[0.5, 0.8], nodes_per_panel=84)],
+        "segment and circular": [dict(SEGMENT, nodes_per_panel=128),
+                                 dict(CIRCULAR, nodes_per_panel=128)],
+    }
+    for name, specs in planned.items():
+        host = cp.build_arc_system(specs)
+        name = f"{name}-{host.n_nodes}"
+        s_plus = host.sqrtR_plus_nodes()
+        g = sd(host, rhs(host.nodes))
+        for cls, f in {"smooth": g, "inverse_sqrt": sd(host, g.values / s_plus),
+                       "sqrt": sd(host, g.values * s_plus)}.items():
+            yield f"{name} S {cls}", lambda f=f, c=cls: cp.singular_S(f, density_class=c).values
+        yield f"{name} general", lambda g=g: cp.general_solution(g, P=[0.5]).values
+        yield f"{name} bounded", lambda g=g: flat(cp.bounded_solution(g))
 
     chain = cp.build_arc_system([SEGMENT, CHAIN])
     n_seg = chain.arcs[0].n_nodes
