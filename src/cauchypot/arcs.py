@@ -30,7 +30,7 @@ import numpy as np
 
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
-from .geometry import ArcSystem
+from .geometry import ArcSystem, _by_rows
 from .quadrature import integrate, integrate_arclength
 from .sampling import SampledDensity
 
@@ -296,12 +296,17 @@ def holder_diagnostic(f, compact_margin, exponent=1.0):
         vk = vals[keep]
         if tk.size < 2:
             continue
-        dv = np.abs(vk[:, None] - vk[None, :])
-        dx = np.abs(tk[:, None] - tk[None, :])
-        iu = np.triu_indices(tk.size, k=1)
-        q = dv[iu] / dx[iu] ** exponent
-        if q.size:
-            best = max(best, float(np.max(q)))
+        col = np.arange(tk.size)
+
+        def row_max(rows):
+            # the pairs j > i of rows i; the others give 0 / 1, below any quotient
+            later = col > col[rows, None]
+            dv = np.where(later, np.abs(vk[rows, None] - vk), 0.0)
+            dx = np.where(later, np.abs(tk[rows, None] - tk), 1.0)
+            return np.max(dv / dx ** exponent, axis=1)
+
+        # a NaN quotient makes the arc's maximum NaN, which max() then drops
+        best = max(best, float(np.max(_by_rows(row_max, tk.size, tk.size))))
     if total_kept < 2:
         raise ResolutionError(
             "fewer than 2 nodes survive the compact margin; refine the mesh "

@@ -85,6 +85,12 @@ def _ranges(start, count):
     return np.arange(np.sum(count)) + np.repeat(start - (np.cumsum(count) - count), count)
 
 
+def _read_only(a):
+    """The array ``a``, made read-only: what is cached from it cannot go stale."""
+    a.flags.writeable = False
+    return a
+
+
 def _by_rows(fn, n, width, dtype=float):
     """fn(rows) over slices of range(n) of about ``_ROW_BLOCK`` / ``width`` rows each."""
     out = np.empty(n, dtype=dtype)
@@ -147,7 +153,10 @@ class ClosedContour(_Host):
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
     0), ``total_length``, ``diameter()`` and ``near_cutoff``; and, on the
     first S of resolved data, whether dz_dtheta is resolved too, and on the
-    first S that takes the multipole route, the plan of its rows.
+    first sum that takes a multipole route, the plan of its sums.  The
+    contour keeps read-only copies of ``nodes`` and ``dz_dtheta``, and
+    every array it derives and caches is read-only too, so an edit in
+    place raises ValueError instead of leaving them stale.
     """
 
     nodes: np.ndarray
@@ -155,6 +164,8 @@ class ClosedContour(_Host):
     n_panels: int
 
     def __post_init__(self):
+        for name in ("nodes", "dz_dtheta"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
         n = self.nodes.size
         if n < _MIN_NODES:
             raise ResolutionError(f"closed contour needs >= {_MIN_NODES} nodes, got {n}")
@@ -175,15 +186,15 @@ class ClosedContour(_Host):
 
     @cached_property
     def params(self):
-        return 2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes
+        return _read_only(2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes)
 
     @cached_property
     def tangents(self):
-        return self.dz_dtheta / np.abs(self.dz_dtheta)
+        return _read_only(self.dz_dtheta / np.abs(self.dz_dtheta))
 
     @cached_property
     def arclength(self):
-        return np.concatenate(([0.0], np.cumsum(self.weights)))[:-1]
+        return _read_only(np.concatenate(([0.0], np.cumsum(self.weights)))[:-1])
 
     @cached_property
     def total_length(self):
@@ -192,12 +203,12 @@ class ClosedContour(_Host):
     @cached_property
     def dt_weights(self):
         """Trapezoid weights w_k with  integral f(t) dt  ~=  sum w_k f(t_k)."""
-        return (2.0 * np.pi / self.n_nodes) * self.dz_dtheta
+        return _read_only((2.0 * np.pi / self.n_nodes) * self.dz_dtheta)
 
     @cached_property
     def weights(self):
         """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
-        return (2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta)
+        return _read_only((2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta))
 
     @cached_property
     def _dz_resolved(self):

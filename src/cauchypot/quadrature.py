@@ -29,21 +29,26 @@ or data that leave the remainder unresolved (rounded polygons, rough data)
 get the pole-subtracted rows at every requested node: summed directly
 below ``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole
 method: a ``_MultipolePlan`` of what the nodes alone fix, which the contour
-builds on its first multipole sum and keeps, and a pass per density, O(N)
-whether one row is asked for or all.  On a graded arc, in the parameter
-tau = cos(u), the arc's own part is diagonal in Chebyshev coefficients
-(length-2m FFTs), and the remainder is the other arcs' sums and, on a
-circular arc, the difference between its kernel and 1/(tau - tau_x).  From
-``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of its remainders
-at the first proxies (``_proxy_kernels``), built on its first S, and there
-the remainders are products with the data.
+builds on its first multipole sum and keeps, and a pass per density.  The
+plan's leaves for S hold about 16 nodes.  Their near field is a product
+with a kernel 1/(t_j - t_i) that the plan holds once per unordered pair of
+near leaves, summed only over the pairs that touch the requested rows; the
+far field is a multipole pass whose M2L factor powers each pass forms.  On
+a graded arc, in the parameter tau = cos(u), the arc's own part is
+diagonal in Chebyshev coefficients (length-2m FFTs), and the remainder is
+the other arcs' sums and, on a circular arc, the difference between its
+kernel and 1/(tau - tau_x).  From ``_FMM_MIN_NODES`` nodes on, a system
+keeps the kernels of its remainders at the first proxies
+(``_proxy_kernels``), built on its first S, and there the remainders are
+products with the data.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
 ``_closed_cauchy_sum``: summed directly for small hosts and small batches,
 and from there on by a walk of each point down the tree of the contour's
-``_MultipolePlan``, O(log N) per point.  Every other Cauchy sum over nodes
-goes through one blocked kernel, ``_cauchy_sum``: the direct closed-contour
+``_MultipolePlan`` to its buckets of about 32 nodes, a level above S's
+leaves, O(log N) per point.  Every other Cauchy sum over nodes goes
+through one blocked kernel, ``_cauchy_sum``: the direct closed-contour
 rows and off-curve sums, the arc remainders the proxy plan does not hold,
 and the Cauchy transform and its one-sided limits on arcs.  ``neville`` is
 the one extrapolation tableau, fed by ``normal_ladder`` for boundary limits
@@ -63,7 +68,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
-from .geometry import ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _ranges
+from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4,
+                       _ranges, _read_only)
 
 __all__ = [
     "host_rule",
@@ -301,14 +307,18 @@ def _S_closed(host, values, idx):
     return row[idx]
 
 
-# The far field of the closed-contour rows.  Terms, separation and leaf size
-# were fixed together by timing and by the largest difference from the
-# direct rows, 1e-15 max|f| on rounded polygons of 1024-16384 nodes (at
-# separation 2, 24 terms missed by 2e-13); below _FMM_MIN_NODES nodes the
-# direct rows are as fast.
+# The far field of the closed-contour rows.  Terms and separation were fixed
+# together by timing and by the largest difference from the direct rows,
+# 1e-15 max|f| on rounded polygons of 1024-16384 nodes (at separation 2, 24
+# terms missed by 2e-13); below _FMM_MIN_NODES nodes the direct rows are as
+# fast.  S's leaves hold about _FMM_LEAF nodes: once the upward and downward
+# passes made the far field cheap, leaves of 16 took S on the 4096-node
+# polygon from 14.5 to 10.8 ms against leaves of 32, and with the near field
+# a kernel held per leaf pair (_kernel) S takes 7.4 ms against 13.5 ms for
+# leaves of 32 without it (2 cores, one BLAS thread, alternating runs).
 _FMM_TERMS = 24
 _FMM_SEPARATION = 3.0
-_FMM_LEAF = 32
+_FMM_LEAF = 16
 _FMM_MIN_NODES = 1024
 # C(k + l, k): row k, column l
 _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
@@ -316,18 +326,23 @@ _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
 # Off-curve targets.  A point is separated from box B where |z - c_B| >
 # _TARGET_SEPARATION r_B: a box pair's alpha plus one, fixed by the largest
 # difference from the direct sums, 2e-15 max|f| on 1024-16384 nodes (at 3,
-# 6e-13).  The walk takes _TARGET_BLOCK targets at a time.  The tree costs
+# 6e-13).  The walk stops at boxes of about _TARGET_LEAF nodes, a level
+# above S's leaves (on leaves of 16 the plemelj ladders of the benchmark ran
+# 2-12 % slower), and takes _TARGET_BLOCK targets at a time.  The tree costs
 # about the direct sums of _TREE_TARGETS targets plus _TREE_PAIRS target-node
 # pairs: it broke even at about 28, 56 and 150 targets on 16384, 4096 and
 # 1024 nodes (2 cores, one BLAS thread).
 _TARGET_SEPARATION = _FMM_SEPARATION + 1.0
+_TARGET_LEAF = 32
 _TARGET_BLOCK = 1024
 _TREE_TARGETS = 16
 _TREE_PAIRS = 1 << 17
-# columns per product with _BINOMIAL: 24 x 24 x 256 stays under OpenBLAS's
-# threshold for threads (one unblocked product made S at 4096 nodes up to
-# 2.5x slower at default threads on 2 cores)
-_M2L_BLOCK = 256
+# pairs per product with _BINOMIAL: 24 x 24 x 256 (the real and imaginary
+# parts of 128 pairs) stays under OpenBLAS's threshold for threads (one
+# unblocked product made S at 4096 nodes up to 2.5x slower at default
+# threads on 2 cores); the gathered source expansions are formed one block
+# at a time
+_M2L_BLOCK = 128
 
 
 def _powers(x, first=1.0):
@@ -349,25 +364,32 @@ class _MultipolePlan:
     2**(l + 1), children 2q and 2q + 1) has the midpoint c of its bounding
     box as centre and the largest |t - c| as radius r.  The children of two
     boxes that were not separated are paired again; boxes A and B with
-    |c_A - c_B| > alpha (r_A + r_B) exchange their far field.
+    |c_A - c_B| > alpha (r_A + r_B) exchange their far field.  S sums at
+    the leaves (level ``depth``); the off-curve walk stops a level above
+    them, at boxes of about ``_TARGET_LEAF`` nodes (level ``walk_depth``),
+    its buckets.
 
-    The plan is what depends on the nodes t and weights w alone.  Built at
-    once: the tree, each box's shift to its parent (the powers of rho =
-    r_child/r_parent and delta = (c_child - c_parent)/r_parent), each node's
-    leaf and leaf coordinate (t - c)/r, and each leaf's nodes, padded at
-    weight 0 with its last node.  Built on first use and kept:
+    The plan is what depends on the nodes t and weights w alone, every
+    array of it read-only.  Built at once: the tree, each box's shift to
+    its parent (the powers of rho = r_child/r_parent and delta = (c_child -
+    c_parent)/r_parent), and for the buckets each node's bucket and
+    coordinate (t - c)/r and each bucket's nodes, padded at weight 0 with
+    its last node.  Built on first use and kept:
 
+    * ``multipole_of_weights``: the expansions of w in every box down to
+      the buckets (the walk's);
+    * ``_leaves``: S's leaves, as the buckets are the walk's;
     * ``_pairs``: the separated box pairs and the leaf pairs that are not;
-    * ``_m2l``: the separated pairs (A, B), sorted by A, with the M2L factor
-      powers (r_B/d)**k and -(1/d) (-r_A/d)**l, d = c_A - c_B;
-    * ``_near``: per leaf, the columns of the leaves it is not separated
-      from, with their weights and nodes, padded at weight 0, and each
-      node's position in its own leaf's columns;
-    * ``far_of_weights``: the far field of w at every node;
-    * ``multipole_of_weights``: the expansions of w in every box.
+    * ``_m2l``: the separated pairs (A, B), sorted by A, with r_B/d, -r_A/d
+      and -1/d, d = c_A - c_B, whose powers each pass forms;
+    * ``_kernel``: the near field, D_ij = 1/(t_j - t_i) for i in leaf A
+      and j in leaf B over the leaf pairs with A <= B that are not
+      separated, 0 for i = j and on padding, with the order in which each
+      leaf takes its pairs' partial sums;
+    * ``rows_of_weights``: sum_j w_j/(t_j - t_i) over j != i at every node.
 
-    ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
-    curve) walks the tree and needs only the expansions of w.
+    ``rows`` (S at nodes) uses all but the first; ``off_curve`` (targets
+    off the curve) walks the tree and needs only the first.
     ``ClosedContour._multipole_plan`` builds the plan on the first sum that
     takes a multipole route, not before, and keeps it for the host's
     lifetime.
@@ -376,29 +398,55 @@ class _MultipolePlan:
     def __init__(self, t, w):
         n = t.size
         self.depth = depth = max(1, math.ceil(math.log2(n / _FMM_LEAF)))
+        self.walk_depth = max(1, math.ceil(math.log2(n / _TARGET_LEAF)))
         # by box number; boxes 0 and 1 (the root) are in no pass
-        self.center = center = np.zeros(2 << depth, dtype=complex)
-        self.radius = radius = np.ones(2 << depth)
+        center = np.zeros(2 << depth, dtype=complex)
+        radius = np.ones(2 << depth)
         for lev in range(1, depth + 1):
-            lo = (np.arange((1 << lev) + 1) * n) >> lev
-            first, box = lo[:-1], np.repeat(np.arange(1 << lev), np.diff(lo))
+            lo, box = self._level(n, lev)
+            first = lo[:-1]
             c = 0.5 * (np.minimum.reduceat(t.real, first) + np.maximum.reduceat(t.real, first)
                        + 1j * (np.minimum.reduceat(t.imag, first)
                                + np.maximum.reduceat(t.imag, first)))
             r = np.maximum.reduceat(np.abs(t - c[box]), first)
             center[1 << lev:2 << lev], radius[1 << lev:2 << lev] = c, r
         parent = np.arange(2 << depth) >> 1
+        self.center, self.radius = center, radius
         self.rho = _powers(radius / radius[parent])
         self.delta = (center - center[parent]) / radius[parent]
-        # lo, first and box are the leaves' now
-        self.lo, self.first, self.leaf = lo, first, box
-        self.coords = (t - c[box]) / r[box]
+        self.nodes, self.weights = t, w
+        lo, self.leaf, self.coords = self._nodes_of(self.walk_depth)
+        self.first = lo[:-1]
+        self.leaf_cols, real = self._columns(lo)
+        self.leaf_nodes = t[self.leaf_cols]
+        self.leaf_weights = np.where(real, w[self.leaf_cols], 0.0)
+        for a in (center, radius, self.rho, self.delta, self.first, self.leaf, self.coords,
+                  self.leaf_cols, self.leaf_nodes, self.leaf_weights):
+            _read_only(a)
+
+    @staticmethod
+    def _level(n, lev):
+        """The first node of each box of level ``lev`` and n, and each node's box there."""
+        lo = (np.arange((1 << lev) + 1) * n) >> lev
+        return lo, np.repeat(np.arange(1 << lev), np.diff(lo))
+
+    @staticmethod
+    def _columns(lo):
+        """Each box's nodes, padded with its last, and where they are its own."""
         size = np.diff(lo)
         col = np.arange(size.max())
-        self.leaf_cols = first[:, None] + np.minimum(col, size[:, None] - 1)
-        self.leaf_nodes = t[self.leaf_cols]
-        self.leaf_weights = np.where(col < size[:, None], w[self.leaf_cols], 0.0)
-        self.nodes, self.weights = t, w
+        return lo[:-1, None] + np.minimum(col, size[:, None] - 1), col < size[:, None]
+
+    def _nodes_of(self, lev):
+        """(first nodes and n, each node's box, each node's coordinate (t - c)/r) at ``lev``."""
+        lo, box = self._level(self.nodes.size, lev)
+        k = box + (1 << lev)
+        return lo, box, (self.nodes - self.center[k]) / self.radius[k]
+
+    @cached_property
+    def _leaves(self):
+        """(first node of each leaf and n, each node's leaf, its leaf coordinate)."""
+        return tuple(map(_read_only, self._nodes_of(self.depth)))
 
     @cached_property
     def _pairs(self):
@@ -414,61 +462,120 @@ class _MultipolePlan:
             near = np.stack((a[~sep], b[~sep]), axis=1)
             pairs.append(np.stack((a[sep], b[sep]), axis=1) + (1 << lev))
         pairs = np.concatenate(pairs)
-        return (pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))],
-                near[np.lexsort((near[:, 1], near[:, 0]))])
+        return (_read_only(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]),
+                _read_only(near[np.lexsort((near[:, 1], near[:, 0]))]))
 
     @cached_property
     def _m2l(self):
-        """(source box, (r_B/d)**k, -(1/d) (-r_A/d)**l, first pair per target, target box)."""
+        """(source box, r_B/d, -r_A/d, -1/d, first pair per target, target box),
+        and the top level, the first with a separated pair."""
         # sum_j s_j/(t_j - z) = -sum_k M_k r_B^k / (z - c_B)^(k+1), and with
         # z - c_B = d + r_A v, d = c_A - c_B, the coefficient of v^l is
         # -(1/d) (-r_A/d)^l sum_k C(k + l, k) (r_B/d)^k M_k
         a, b = self._pairs[0].T
         d = self.center[a] - self.center[b]
         first_pair = np.flatnonzero(np.diff(a, prepend=-1))
-        return (b, _powers(self.radius[b] / d), _powers(-self.radius[a] / d, -1.0 / d),
-                first_pair, a[first_pair])
+        top = int(a[0]).bit_length() - 1 if a.size else self.depth
+        return tuple(map(_read_only, (b, self.radius[b] / d, -self.radius[a] / d, -1.0 / d,
+                                      first_pair, a[first_pair]))) + (top,)
 
     @cached_property
-    def _near(self):
-        """(columns, their nodes, their weights, each node's own column) per leaf."""
-        lo, t, w = self.lo, self.nodes, self.weights
+    def _kernel(self):
+        """(D, A, B, columns, partials) over the leaf pairs (A, B) that are not
+        separated, A < B first and then A = B, each sorted by A.
+
+        D[p, i, j] = 1/(t_j - t_i) for the i-th node of leaf A and the j-th
+        of leaf B, 0 for i = j and on the padding of leaves shorter than the
+        longest.  ``columns[L]`` lists leaf L's nodes, padded with its last.
+        Pair p gives leaf A the row sums of D[p] (partial p) and, if A < B,
+        leaf B the negated column sums (partial P + p, P pairs in all).
+        ``partials[L]`` lists leaf L's partials by the other leaf of the
+        pair, padded with 2P, a partial of zeros.
+        """
+        lo, _, _ = self._leaves
         a, b = self._pairs[1].T
-        size = lo[b + 1] - lo[b]
-        count = np.bincount(a, size, minlength=1 << self.depth).astype(np.int64)
-        # leaf row a of the columns: the nodes of its near leaves, then padding
-        # at weight 0 whose node lies off the curve, so no row divides by 0
-        owner, node = np.repeat(a, size), _ranges(lo[b], size)
-        col = _ranges(np.zeros_like(count), count)
-        cols = np.zeros((1 << self.depth, int(count.max())), dtype=np.int64)
-        cols[owner, col] = node
-        near_nodes = np.full(cols.shape, 2.0 * np.max(np.abs(t)) + 1.0, dtype=complex)
-        near_nodes[owner, col] = t[node]
-        near_weights = np.zeros(cols.shape, dtype=complex)
-        near_weights[owner, col] = w[node]
-        own = self.leaf[node] == owner
-        diagonal = np.empty(t.size, dtype=np.int64)
-        diagonal[node[own]] = col[own]
-        return cols, near_nodes, near_weights, diagonal
+        order = np.concatenate((np.flatnonzero(a < b), np.flatnonzero(a == b)))
+        a, b = a[order], b[order]
+        columns, real = self._columns(lo)
+        t = self.nodes[columns]
+        den = t[b][:, None, :] - t[a][:, :, None]
+        off = real[a][:, :, None] & real[b][:, None, :]
+        off[a == b] &= ~np.eye(columns.shape[1], dtype=bool)
+        den[~off] = 1.0
+        kernel = np.divide(1.0, den, out=den)
+        kernel[~off] = 0.0
+        # each leaf's partials, by the other leaf of the pair
+        cross = np.flatnonzero(a < b)
+        owner = np.concatenate((a, b[cross]))
+        other = np.concatenate((b, a[cross]))
+        slot = np.concatenate((np.arange(a.size), a.size + cross))
+        by = np.lexsort((other, owner))
+        count = np.bincount(owner, minlength=columns.shape[0])
+        partials = np.full((count.size, count.max()), 2 * a.size, dtype=np.int64)
+        partials[owner[by], _ranges(np.zeros_like(count), count)] = slot[by]
+        return tuple(map(_read_only, (kernel, a, b, columns, partials)))
+
+    def _near(self, x, need):
+        """sum_j D_ij x_j over the near leaves at the nodes of the leaves with
+        ``need``, by leaf and position in the leaf (other leaves' rows undefined).
+
+        Only the pairs that touch those leaves are summed, elementwise by
+        ``np.sum`` in blocks of about ``geometry._ROW_BLOCK`` kernel
+        entries.  Each pair's partial sums depend on that pair alone, and
+        each leaf adds its partials one by one in the order of ``_kernel``,
+        so a node's sum does not depend on the other leaves asked for.
+        """
+        kernel, a, b, columns, partials = self._kernel
+        n_pairs, width = a.size, kernel.shape[1]
+        xs = x[columns]
+        part = np.empty((2 * n_pairs + 1, width), dtype=complex)
+        part[-1] = 0.0
+        step = max(1, _ROW_BLOCK // width ** 2)
+
+        def blocks(pairs):
+            for lo in range(0, pairs.size, step):
+                p = pairs[lo:lo + step]
+                yield p, kernel[p[0]:p[-1] + 1] if p[-1] - p[0] == p.size - 1 else kernel[p]
+
+        for p, d in blocks(np.flatnonzero(need[a])):
+            part[p] = np.sum(d * xs[b[p], None, :], axis=2)
+        for p, d in blocks(np.flatnonzero(need[b] & (a < b))):
+            part[n_pairs + p] = -np.sum(d * xs[a[p], :, None], axis=1)
+        leaves = np.flatnonzero(need)
+        slots = partials[leaves]
+        total = part[slots[:, 0]]
+        for k in range(1, slots.shape[1]):
+            total += part[slots[:, k]]
+        out = np.empty((need.size, width), dtype=complex)
+        out[leaves] = total
+        return out
 
     @cached_property
     def multipole_of_weights(self):
-        return self._upward(self.weights)
+        return _read_only(self._upward(self.weights, self.first, self.coords))
 
     @cached_property
-    def far_of_weights(self):
-        return self._far(self.multipole_of_weights, np.arange(self.nodes.size))
+    def rows_of_weights(self):
+        """sum_j w_j/(t_j - t_i) over j != i at every node i: near plus far."""
+        lo, leaf, coords = self._leaves
+        nodes = np.arange(self.nodes.size)
+        need = np.ones(lo.size - 1, dtype=bool)
+        near = self._near(self.weights, need)[leaf, nodes - lo[leaf]]
+        far = self._far(self._upward(self.weights, lo[:-1], coords, self._m2l[-1]), nodes)
+        return _read_only(near + far)
 
-    def _upward(self, s):
-        """The multipole expansions of the sources s in every box of levels 1 to depth.
+    def _upward(self, s, first, coords, top=1):
+        """The multipole expansions of the sources s in every box of the
+        levels ``top`` to the one whose boxes start at the nodes ``first``,
+        and whose nodes have the box coordinates ``coords``.
 
-        M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at the
-        leaves and M2M up the tree.
+        M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at that
+        level and M2M up the tree.
         """
-        p, depth = _FMM_TERMS, self.depth
+        p, depth = _FMM_TERMS, first.size.bit_length() - 1
         multipole = np.zeros((p, 2 << depth), dtype=complex)
-        multipole[:, 1 << depth:] = np.add.reduceat(_powers(self.coords, s), self.first, axis=1)
-        for lev in range(depth, 1, -1):
+        multipole[:, 1 << depth:] = np.add.reduceat(_powers(coords, s), first, axis=1)
+        for lev in range(depth, top, -1):
             # M_k(parent) = sum_j C(k, j) rho^j delta^(k - j) M_j(child): the
             # Pascal triangle, one diagonal per step
             box = slice(1 << lev, 2 << lev)
@@ -481,25 +588,28 @@ class _MultipolePlan:
     def _far(self, multipole, idx):
         """sum_j s_j/(t_j - t_i) over the boxes separated from node i's, i in ``idx``.
 
-        From the expansions of s (``_upward``): M2L between the separated
-        pairs (blocked products with the real table C(k + l, k), summed per
-        target box), L2L down the tree, and each target's local expansion
-        summed at its leaf by Horner's rule.  Every expansion is formed
+        From the expansions of s down to the leaves (``_upward``): M2L
+        between the separated pairs (products with the real table
+        C(k + l, k) in blocks of ``_M2L_BLOCK`` pairs, summed per target
+        box), L2L down the tree, and each target's local expansion summed
+        at its leaf by Horner's rule.  The M2L factor powers are formed per
+        pass.  The expansions are needed
+        from the top level (``_m2l``) down only.  Every expansion is formed
         whatever ``idx``, and each target is summed on its own, so a row
         does not depend on the others asked for.
         """
         p, depth = _FMM_TERMS, self.depth
-        source, from_source, to_target, first_pair, target = self._m2l
-        # the real table times the real and imaginary parts, in blocks
-        x = (multipole[:, source] * from_source).view(float)
-        m2l = np.empty_like(x)
-        for lo in range(0, x.shape[1], _M2L_BLOCK):
-            m2l[:, lo:lo + _M2L_BLOCK] = _BINOMIAL.T @ x[:, lo:lo + _M2L_BLOCK]
-        m2l = m2l.view(complex)
-        m2l *= to_target
+        source, rb, ra, inv, first_pair, target, top = self._m2l
+        from_source, to_target = _powers(rb), _powers(ra, inv)
+        m2l = np.empty_like(to_target)
+        for lo in range(0, source.size, _M2L_BLOCK):
+            pairs = slice(lo, lo + _M2L_BLOCK)
+            # the real table times the real and imaginary parts
+            x = (multipole[:, source[pairs]] * from_source[:, pairs]).view(float)
+            m2l[:, pairs] = (_BINOMIAL.T @ x).view(complex) * to_target[:, pairs]
         local = np.zeros_like(multipole)
         local[:, target] = np.add.reduceat(m2l, first_pair, axis=1)
-        for lev in range(1, depth):
+        for lev in range(top, depth):
             # L_j(child) = rho^j sum_l C(l, j) delta^(l - j) L_l(parent): the
             # transposed triangle
             box = slice(2 << lev, 4 << lev)
@@ -508,8 +618,9 @@ class _MultipolePlan:
                 y[k - 1:-1] += delta * y[k:]
             local[:, box] += self.rho[:, box] * y
 
-        k = self.leaf[idx] + (1 << depth)
-        v = self.coords[idx]
+        _, leaf, coords = self._leaves
+        k = leaf[idx] + (1 << depth)
+        v = coords[idx]
         acc = local[p - 1, k]
         for j in range(p - 2, -1, -1):
             acc *= v
@@ -519,53 +630,40 @@ class _MultipolePlan:
     def rows(self, f, df, idx):
         """sum_j w_j (f_j - f_i)/(t_j - t_i), w_i df_i for j = i, at the nodes i in ``idx``.
 
-        The pass over one density f, on top of the plan: the far field of
-        w f from the expansions (``_far``), minus f_i times the plan's far
-        field of w, plus the near leaves summed with the pole subtraction
-        (f_j - f_i) as the direct rows are, in blocks of about
-        ``geometry._ROW_BLOCK`` elements.  Each row gathers its leaf's
-        columns; its diagonal is the node's position among them.
+        The pass over one density f, on top of the plan: with K_ij =
+        w_j/(t_j - t_i) for j != i, the row is sum_j K_ij f_j - f_i sum_j
+        K_ij + w_i df_i.  The first sum is the near leaves' kernel times
+        w f, over the pairs that touch the leaves of ``idx`` (``_near``),
+        plus the far field of w f from the expansions (``_far``); the second
+        is the plan's ``rows_of_weights``.
         """
-        t = self.nodes
-        cols, near_nodes, w_near, diagonal = self._near
-        f_near = f[cols]
-
-        def block(rows):
-            i = idx[rows]
-            k = self.leaf[i]
-            on = (np.arange(i.size), diagonal[i])
-            den = near_nodes[k]
-            den -= t[i, None]
-            den[on] = 1.0
-            reg = f_near[k]
-            reg -= f[i, None]
-            reg /= den
-            reg[on] = df[i]
-            reg *= w_near[k]
-            return np.sum(reg, axis=1)
-
-        near = _by_rows(block, idx.size, cols.shape[1], complex)
-        far = self._far(self._upward(self.weights * f), idx)
-        return near + (far - f[idx] * self.far_of_weights[idx])
+        lo, leaf, coords = self._leaves
+        k = leaf[idx]
+        need = np.zeros(lo.size - 1, dtype=bool)
+        need[k] = True
+        wf = self.weights * f
+        near = self._near(wf, need)[k, idx - lo[k]]
+        far = self._far(self._upward(wf, lo[:-1], coords, self._m2l[-1]), idx)
+        return (near + far) - f[idx] * self.rows_of_weights[idx] + self.weights[idx] * df[idx]
 
     def off_curve(self, z, f, s=None):
         """sum_j w_j (f_j - s_i)/(t_j - z_i) at points z_i off the nodes (s_i = 0 without s).
 
         A treecode (Barnes & Hut, Nature 324, 1986) on the plan's
-        expansions: the expansions of w f by one upward pass, those of w
-        kept by the plan.  Each target walks down the tree from the root's
-        children, one level at a time for all (target, box) pairs at once.
-        A box with |z - c_B| > ``_TARGET_SEPARATION`` r_B gives its far
-        field sum_j s_j/(t_j - z) = -(1/D) sum_k M_k (r_B/D)**k, D = z - c_B,
-        by Horner's rule in r_B/D (M2P), for the sources w f minus s_i
-        times w; the others pass their children on.  The leaves still not
-        separated at the bottom are summed directly with the pole
-        subtraction (f_j - s_i), as the direct sums are.  Targets go in
-        blocks of ``_TARGET_BLOCK``, and each target's pairs, and their
-        sums, follow its own walk, so its value does not depend on the
-        other targets.
+        expansions down to its buckets: the expansions of w f by one upward
+        pass, those of w kept by the plan.  Each target walks down the tree
+        from the root's children, one level at a time for all (target, box)
+        pairs at once.  A box with |z - c_B| > ``_TARGET_SEPARATION`` r_B
+        gives its far field sum_j s_j/(t_j - z) = -(1/D) sum_k M_k
+        (r_B/D)**k, D = z - c_B, by Horner's rule in r_B/D (M2P), for the
+        sources w f minus s_i times w; the others pass their children on.
+        The buckets still not separated at the bottom are summed directly
+        with the pole subtraction (f_j - s_i), as the direct sums are.
+        Targets go in blocks of ``_TARGET_BLOCK``, and each target's pairs,
+        and their sums, follow its own walk, so its value does not depend on
+        the other targets.
         """
-        mf = self._upward(self.weights * f)
+        mf = self._upward(self.weights * f, self.first, self.coords)
         mw = None if s is None else self.multipole_of_weights
         f_leaf = f[self.leaf_cols]
         out = np.empty(z.size, dtype=complex)
@@ -576,7 +674,7 @@ class _MultipolePlan:
 
     def _walk(self, z, f_leaf, mf, mw, s):
         """``off_curve`` for one block of targets."""
-        depth = self.depth
+        depth = self.walk_depth
         i, box = np.repeat(np.arange(z.size), 2), np.tile([2, 3], z.size)
         far = []  # (target, box, z - c_B) of the separated pairs, level by level
         for lev in range(1, depth + 1):

@@ -537,6 +537,58 @@ def test_holder_quotient_blows_up_toward_endpoints():
     assert q_near >= 10.0 * q_far
 
 
+def dense_holder_quotient(system, values, margin, exponent):
+    """The quotient from the whole m x m difference arrays of each arc."""
+    best = 0.0
+    for k, arc in enumerate(system.arcs):
+        keep = np.min(np.abs(arc.nodes[:, None] - system.endpoints), axis=1) >= margin
+        t, v = arc.nodes[keep], values[system.arc_offsets[k]:][:arc.n_nodes][keep]
+        if t.size >= 2:
+            iu = np.triu_indices(t.size, k=1)
+            q = (np.abs(v[:, None] - v)[iu] / np.abs(t[:, None] - t)[iu] ** exponent)
+            best = max(best, float(np.max(q)))
+    return best
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 100.0])
+def test_holder_quotient_is_the_maximum_over_all_pairs(exponent):
+    # the circular arc repeats values at close nodes, so at exponent 100,
+    # where its dx**100 underflows to 0, some of its quotients are 0/0 (and
+    # others inf): its maximum is NaN, which the maximum over arcs drops,
+    # leaving the segment's 1.4e188
+    sysm = build_arc_system([
+        {"type": "segment", "a": [-1.0, 0.0], "b": [-0.3, 0.0], "panels": 4, "nodes_per_panel": 8},
+        {"type": "circular", "center": [0.0, 2.0], "radius": 0.2, "theta_a": 0.3,
+         "theta_b": 2.4, "panels": 8, "nodes_per_panel": 64}])
+    rng = np.random.default_rng(3)
+    v = np.round(2.0 * rng.standard_normal(sysm.n_nodes)) + 1j * rng.standard_normal(sysm.n_nodes)
+    v[sysm.arc_offsets[1]:] = np.round(v[sysm.arc_offsets[1]:].real)
+    g = SampledDensity(sysm, v)
+    with np.errstate(all="ignore"):
+        got = holder_diagnostic(g, 0.02, exponent=exponent)
+        want = dense_holder_quotient(sysm, v, 0.02, exponent)
+    assert np.isfinite(got)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_holder_quotient_memory_grows_linearly():
+    # the maximum is taken over blocks of rows, not over m x m arrays: a
+    # 2048-node segment peaked at 0.71 MB traced (345 B per node; the m x m
+    # arrays took 125 MB)
+    import tracemalloc
+
+    sysm = segment(256)
+    assert sysm.n_nodes == 2048
+    g = SampledDensity(sysm, np.sin(3.0 * sysm.nodes.real))
+    tracemalloc.start()
+    try:
+        holder_diagnostic(g, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * sysm.n_nodes
+
+
 def test_holder_quotient_error_paths():
     sysm = segment(16)
     g = SampledDensity(sysm, sysm.nodes)

@@ -698,6 +698,23 @@ def test_node_table_csv(tmp_path):
     assert all(b > a for a, b in zip(s_vals, s_vals[1:]))
 
 
+def test_a_closed_contour_cannot_be_edited_under_what_it_caches():
+    # the contour copies its nodes and dz/dtheta once and makes them and
+    # every array it derives read-only, so an edit in place raises instead
+    # of leaving the cached weights and plan stale
+    c = circle()
+    nodes, dz = c.nodes.copy(), c.dz_dtheta.copy()
+    host = ClosedContour(nodes, dz, c.n_panels)
+    assert host.nodes is not nodes and host.dz_dtheta is not dz
+    nodes *= 2.0
+    assert np.array_equal(host.nodes, c.nodes)
+    for name in ("nodes", "dz_dtheta", "params", "tangents", "arclength", "dt_weights",
+                 "weights"):
+        with pytest.raises(ValueError):
+            getattr(host, name)[:] *= 2.0
+    assert np.array_equal(host.nodes, c.nodes) and np.array_equal(host.dt_weights, c.dt_weights)
+
+
 # ---------------------------------------------------------------------------
 # refusals
 # ---------------------------------------------------------------------------

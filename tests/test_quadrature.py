@@ -1,7 +1,9 @@
 """Quadrature rules and principal values against independent references."""
 
 import cmath
+import functools
 import gc
+import hashlib
 import math
 import os
 import subprocess
@@ -670,6 +672,30 @@ def test_multipole_rows_match_the_direct_rows_on_random_closed_contours(host, se
     assert np.max(np.abs(full - pole_subtracted_rows(host, g))) <= 1e-14 * np.max(np.abs(g))
     idx = (np.array(picks) * host.n_nodes).astype(int)  # unsorted, may repeat
     assert singular_S(f, at_indices=idx).tobytes() == full[idx].tobytes()
+    # the near field alone: the kernel's rows against the pole-subtracted
+    # sums over the same near leaves
+    got, want = near_rows(host, g)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
+
+
+def near_rows(host, g):
+    """The near field of S's rows at every node, from the plan's kernel and
+    summed directly with the pole subtraction over the same leaves."""
+    plan = host._multipole_plan
+    t, w, n = host.nodes, host.dt_weights, host.n_nodes
+    df = quadrature.closed_node_derivative(host, g)
+    lo, leaf, _ = plan._leaves
+    pos = np.arange(n) - lo[leaf]
+    every = np.ones(lo.size - 1, dtype=bool)
+    got = (plan._near(w * g, every)[leaf, pos] - g * plan._near(w, every)[leaf, pos]
+           + w * df)
+    a, b = plan._pairs[1].T
+    want = np.empty(n, dtype=complex)
+    for i in range(n):
+        j = np.concatenate([np.arange(lo[q], lo[q + 1]) for q in b[a == leaf[i]]])
+        j = j[j != i]
+        want[i] = np.sum(w[j] * (g[j] - g[i]) / (t[j] - t[i])) + w[i] * df[i]
+    return got, want
 
 
 def _plan_bytes(host):
@@ -706,12 +732,70 @@ def test_the_multipole_plan_is_built_on_first_use_and_kept_with_its_host(monkeyp
     singular_S(SampledDensity(host, g), at_indices=[3, 1, 3])
     solve_closed(SampledDensity(host, g), tolerance=None)
     assert builds == [host.n_nodes]
-    assert _plan_bytes(host) <= 4e6
+    # the 4096-node plan held 973 bytes per node: 768 of them the near
+    # kernel's, and the M2L factors as r_B/d, -r_A/d and -1/d, not their powers
+    assert _plan_bytes(host) <= 1024 * host.n_nodes
     # the plan lives on the host and holds no reference to it
     ref = weakref.ref(host)
     del host
     gc.collect()
     assert ref() is None
+
+
+def test_the_near_kernel_is_built_once_and_dies_with_its_host(monkeypatch):
+    # S's leaves, pairs and near kernel come with the first S on the
+    # multipole route; every later S, density, index set and solve reuses
+    # them, and every array of the plan is read-only
+    builds = []
+    kernel = quadrature._MultipolePlan._kernel
+
+    def counting(plan):
+        builds.append(plan.nodes.size)
+        return kernel.func(plan)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(quadrature._MultipolePlan, "_kernel")
+    monkeypatch.setattr(quadrature._MultipolePlan, "_kernel", counted)
+    host, g = fallback_input("polygon")
+    first = closed_S(host, g)
+    assert builds == [host.n_nodes]
+    held = host._multipole_plan._kernel
+    closed_S(host, np.conj(g))
+    singular_S(SampledDensity(host, g), at_indices=[9, 2, 9])
+    solve_closed(SampledDensity(host, g), tolerance=None)
+    assert closed_S(host, g).tobytes() == first.tobytes()
+    assert builds == [host.n_nodes] and host._multipole_plan._kernel is held
+    for v in vars(host._multipole_plan).values():
+        for a in v if isinstance(v, tuple) else (v,):
+            assert not isinstance(a, np.ndarray) or not a.flags.writeable
+    ref = weakref.ref(held[0])
+    del host, held
+    gc.collect()
+    assert ref() is None
+
+
+def test_off_curve_sums_do_not_depend_on_the_leaves_of_S(monkeypatch):
+    # the walk stops at buckets of about _TARGET_LEAF nodes whatever S's
+    # leaves.  Its sums on a 4096-node polygon are bitwise the same before
+    # and after S builds its own leaves, and on a plan whose S leaves are
+    # the buckets, as when both held 32 nodes; the hash is theirs from when
+    # both did (numpy 2.4.6 on x86-64: re-pin it if numpy changes its sums)
+    host, g = fallback_input("polygon")
+    z, k = off_curve_targets(host, np.random.default_rng(5), 400)
+
+    def sums(h):
+        return np.concatenate([quadrature._closed_cauchy_sum(h, z, g, g[k]),
+                               quadrature._closed_cauchy_sum(h, z, g)])
+
+    first = sums(host)
+    closed_S(host, g)
+    assert sums(host).tobytes() == first.tobytes()
+    monkeypatch.setattr(quadrature, "_FMM_LEAF", quadrature._TARGET_LEAF)
+    fresh, _ = fallback_input("polygon")
+    assert sums(fresh).tobytes() == first.tobytes()
+    assert fresh._multipole_plan.depth == fresh._multipole_plan.walk_depth
+    assert hashlib.sha256(first.tobytes()).hexdigest() == (
+        "9ff7e11e1d8c90f874aca638824fabd55a8c03cae186c5c3aa527317883225f7")
 
 
 @pytest.fixture
@@ -895,7 +979,7 @@ def test_plemelj_ladders_above_the_crossover_share_one_tree(monkeypatch, counted
     assert builds == [host.n_nodes] and counted_rows == []
     built = set(vars(host._multipole_plan))
     assert "multipole_of_weights" in built
-    assert not built & {"_pairs", "_m2l", "_near", "far_of_weights"}
+    assert not built & {"_leaves", "_pairs", "_m2l", "_kernel", "rows_of_weights"}
     first = plemelj_residuals(f)
     kept = dict(vars(host._multipole_plan))
     assert plemelj_residuals(f) == first
