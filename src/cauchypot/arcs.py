@@ -31,7 +31,7 @@ import numpy as np
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
 from .geometry import ArcSystem, _by_rows
-from .quadrature import integrate, integrate_arclength
+from .quadrature import _exact_sums, _weighted_sums
 from .sampling import SampledDensity
 
 __all__ = [
@@ -149,12 +149,12 @@ def solvability_moments(g):
     """Moments m_k = int t^k g(t) / sqrt(R)+(t) dt, k = 0..N-1.
 
     The inverse square root is folded into the graded rule, so polynomial g
-    is integrated exactly.
+    is integrated exactly.  All N sums go through one exact summation, each
+    as ``integrate`` takes it.
     """
     system = _require_system(g.host)
-    t = system.nodes
-    base = g.values / system.sqrtR_plus_nodes()
-    return np.array([integrate(t ** k * base, system) for k in range(system.n_arcs)])
+    t_powers = system._moment_powers[0]
+    return _weighted_sums(system.dt_weights, t_powers * (g.values / system.sqrtR_plus_nodes()))
 
 
 def general_solution(g, P=None):
@@ -234,15 +234,13 @@ def _moments_vanish(g, system):
     they do in t^k.  Each is compared with the same sum over absolute
     values, sum |w| |tau|^k |g| / |sqrtR+|, at 1e-8.  Under z -> az + b both
     change by the same factor, so the verdict does not depend on where the
-    system lies or on its size.
+    system lies or on its size.  Each set of N sums is one exact summation.
     """
-    ends = system.endpoints
-    c = np.mean(ends)
-    tau = (system.nodes - c) / np.max(np.abs(ends - c))
+    _, tau_powers, abs_powers = system._moment_powers
     base = g.values / system.sqrtR_plus_nodes()
-    return all(abs(integrate(tau ** k * base, system))
-               <= 1e-8 * integrate_arclength(np.abs(tau) ** k * np.abs(base), system).real
-               for k in range(system.n_arcs))
+    moments = _weighted_sums(system.dt_weights, tau_powers * base)
+    sizes = _exact_sums(system.weights * (abs_powers * np.abs(base)))
+    return all(abs(m) <= 1e-8 * size for m, size in zip(moments.tolist(), sizes.tolist()))
 
 
 def bounded_solution(g):

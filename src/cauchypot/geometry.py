@@ -546,7 +546,17 @@ class Arc:
     ray angle and, on circular arcs, the circle.  Derived once: the rule's
     ``dt_weights``, and ``sqrt_own_plus``, the plus boundary values at the
     nodes of this arc's own factor s_j(z) = sqrt((z - a)(z - b)), normalized
-    s_j(z)/z -> 1 at infinity with its cut along the arc.
+    s_j(z)/z -> 1 at infinity with its cut along the arc.  On a graded arc
+    of m nodes, also derived once, what the own-arc part of S needs of the
+    nodes alone (``quadrature._own_pv`` and ``_fold``): the angles ``_u``
+    of the nodes (tau = cos u), ``_sin_of_u`` = sin u, ``_sigma`` (the own
+    factor over sin u in closed form, ``_own_sigma``), ``_twiddles`` (of
+    the length-2m FFTs of Chebyshev coefficients and sums) and, for smooth
+    densities, ``_smooth`` (the spectrum of the U_j integrals and the
+    log((1 - tau)/(1 + tau)) of the endpoint singularity).  The arc keeps
+    read-only copies of its array fields, and every array it derives is
+    read-only too, so an edit in place raises ValueError instead of leaving
+    them stale.
     """
 
     kind: str
@@ -566,6 +576,10 @@ class Arc:
     radius: float = 0.0
     theta_a: float = 0.0
     theta_b: float = 0.0
+
+    def __post_init__(self):
+        for name in ("nodes", "params", "dt_dtau", "tangents", "arclength"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
 
     @property
     def n_nodes(self):
@@ -590,16 +604,43 @@ class Arc:
 
     @cached_property
     def sqrt_own_plus(self):
-        return self.factor_plus(self.nodes, tau=self.params)
+        return _read_only(self.factor_plus(self.nodes, tau=self.params))
 
     @cached_property
     def dt_weights(self):
         """w_j with int f dt ~= sum w_j f(t_j): (pi/m) sin(u_j) (dt/dtau)_j on a graded
         arc; on a chain half the chords to both neighbours (composite trapezoid)."""
         if self.graded:
-            return (np.pi / self.n_nodes) * self.sin_u * self.dt_dtau
+            return _read_only((np.pi / self.n_nodes) * self.sin_u * self.dt_dtau)
         d = np.diff(np.concatenate(([self.a], self.nodes, [self.b])))
-        return 0.5 * (d[:-1] + d[1:])
+        return _read_only(0.5 * (d[:-1] + d[1:]))
+
+    @cached_property
+    def _u(self):
+        return _read_only(_angles(self.n_nodes))
+
+    @cached_property
+    def _sin_of_u(self):
+        return _read_only(np.sin(self._u))
+
+    @cached_property
+    def _sigma(self):
+        return _read_only(_own_sigma(self, self._u))
+
+    @cached_property
+    def _twiddles(self):
+        m = self.n_nodes
+        return _read_only(_coeff_twiddle(m)), _read_only(_sum_twiddle(m))
+
+    @cached_property
+    def _smooth(self):
+        """(the conjugate length-2m DFT of mu_j = int U_j over (-1, 1), j < m - 1:
+        2/(j + 1) for even j and 0 for odd; log((1 - tau)/(1 + tau)) at the nodes)."""
+        m = self.n_nodes
+        j = np.arange(m - 1)
+        mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
+        return (_read_only(np.fft.fft(mu, 2 * m).conj()),
+                _read_only(np.log((1.0 - self.params) / (1.0 + self.params))))
 
     @property
     def sin_u(self):
@@ -649,6 +690,35 @@ def _angles(m):
     """The angles u of the m first-kind points tau = cos(u), in node order."""
     k = np.arange(m, 0, -1)
     return (2.0 * k - 1.0) * np.pi / (2.0 * m)
+
+
+def _coeff_twiddle(m):
+    """exp(-i pi n/2m)/m, n < m: Chebyshev coefficients at ``_angles(m)`` from a length-2m FFT."""
+    return np.exp(-0.5j * np.pi * np.arange(m) / m) / m
+
+
+def _sum_twiddle(m):
+    """exp(i pi n/2m), 0 < n < m: Chebyshev sums at ``_angles(m)`` by a length-2m FFT."""
+    return np.exp(0.5j * np.pi * np.arange(1, m) / m)
+
+
+def _own_sigma(arc, u):
+    """The arc's own factor over sin(u), s_own / sqrt(1 - tau^2), in closed form.
+
+    On a segment it is i(b - a)/2.  On a circular arc of radius r, sweep D
+    and mid angle th_m, (t - a)(t - b) = 4 r^2 e^{i(th + th_m)}
+    sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs,
+    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes,
+    -``arc._sign`` times this one.
+    """
+    if arc.kind == "segment":
+        return np.full(u.size, 0.5j * (arc.b - arc.a))
+    half = 0.5 * (arc.theta_b - arc.theta_a)
+    c2, s2 = np.cos(0.5 * u) ** 2, np.sin(0.5 * u) ** 2
+    mid = 0.5 * (arc.theta_a + arc.theta_b)
+    sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * arc.params)) * np.sqrt(
+        np.sin(half * c2) / c2 * (np.sin(half * s2) / s2))
+    return sigma if arc._sign < 0 else -sigma
 
 
 def _cheb_grading(m):
@@ -771,7 +841,9 @@ class ArcSystem(_Host):
     (the arcs' ``params`` and ``dt_weights`` in node order, and ``weights``,
     the magnitudes), ``R_coeffs``, ``diameter()``, ``near_cutoff`` and the
     plus values of sqrt(R) at the nodes are derived once, on first use, and
-    so is the proxy plan of S on systems of at least 1024 nodes.
+    so are the proxy plan of S on systems of at least 1024 nodes, each
+    arc's ``_other_nodes`` and the ``_moment_powers`` of the solvability
+    moments.  Every array the system derives is read-only, as are its arcs'.
     """
 
     arcs: tuple
@@ -792,23 +864,23 @@ class ArcSystem(_Host):
 
     @cached_property
     def endpoints(self):
-        return np.array([end for arc in self.arcs for end in (arc.a, arc.b)])
+        return _read_only(np.array([end for arc in self.arcs for end in (arc.a, arc.b)]))
 
     @cached_property
     def nodes(self):
-        return np.concatenate([arc.nodes for arc in self.arcs])
+        return _read_only(np.concatenate([arc.nodes for arc in self.arcs]))
 
     @cached_property
     def params(self):
-        return np.concatenate([arc.params for arc in self.arcs])
+        return _read_only(np.concatenate([arc.params for arc in self.arcs]))
 
     @cached_property
     def dt_weights(self):
-        return np.concatenate([arc.dt_weights for arc in self.arcs])
+        return _read_only(np.concatenate([arc.dt_weights for arc in self.arcs]))
 
     @cached_property
     def weights(self):
-        return np.abs(self.dt_weights)
+        return _read_only(np.abs(self.dt_weights))
 
     @cached_property
     def arc_offsets(self):
@@ -816,13 +888,13 @@ class ArcSystem(_Host):
 
     @cached_property
     def tangents(self):
-        return np.concatenate([arc.tangents for arc in self.arcs])
+        return _read_only(np.concatenate([arc.tangents for arc in self.arcs]))
 
     @cached_property
     def arclength(self):
         # global arclength, accumulated across arcs in order
         base = np.cumsum([0.0] + [arc.total_length for arc in self.arcs[:-1]])
-        return np.concatenate([b + arc.arclength for b, arc in zip(base, self.arcs)])
+        return _read_only(np.concatenate([b + arc.arclength for b, arc in zip(base, self.arcs)]))
 
     @property
     def total_length(self):
@@ -834,7 +906,26 @@ class ArcSystem(_Host):
 
     @cached_property
     def _points(self):
-        return np.concatenate([self.endpoints, self.nodes])
+        return _read_only(np.concatenate([self.endpoints, self.nodes]))
+
+    @cached_property
+    def _other_nodes(self):
+        """Per arc, the nodes of all the other arcs, in node order."""
+        off = self.arc_offsets
+        return tuple(_read_only(np.delete(self.nodes, np.s_[off[a]:off[a + 1]]))
+                     for a in range(self.n_arcs))
+
+    @cached_property
+    def _moment_powers(self):
+        """(t^k, tau^k, |tau|^k) at the nodes, k < N, stacked by k: the
+        solvability moments' powers in t and in tau = (t - c)/rho, c the mean of
+        the endpoints and rho their largest distance from c."""
+        ends, t = self.endpoints, self.nodes
+        c = np.mean(ends)
+        tau = (t - c) / np.max(np.abs(ends - c))
+        k = range(self.n_arcs)
+        return tuple(_read_only(np.array([x ** j for j in k]))
+                     for x in (t, tau, np.abs(tau)))
 
     @cached_property
     def _proxy_plan(self):
@@ -860,7 +951,7 @@ class ArcSystem(_Host):
 
     @cached_property
     def R_coeffs(self):
-        return np.polynomial.polynomial.polyfromroots(self.endpoints)
+        return _read_only(np.polynomial.polynomial.polyfromroots(self.endpoints))
 
     def eval_R(self, z):
         return np.polynomial.polynomial.polyval(z, self.R_coeffs)
@@ -882,8 +973,8 @@ class ArcSystem(_Host):
 
     @cached_property
     def _plus_nodes(self):
-        return np.concatenate([self.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
-                               for k, arc in enumerate(self.arcs)])
+        return _read_only(np.concatenate([self.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
+                                          for k, arc in enumerate(self.arcs)]))
 
     def sqrtR_plus_nodes(self):
         """Plus boundary values of sqrt(R) at every host node (cached)."""

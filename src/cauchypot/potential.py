@@ -181,11 +181,12 @@ def _own_part(host, q):
         if not arc.graded:
             continue
         m = arc.n_nodes
-        c = _trig_coeffs(m * q[off[j]:off[j + 1]])
+        coeff, total = arc._twiddles
+        c = _trig_coeffs(m * q[off[j]:off[j + 1]], coeff)
         c[1:] /= -np.arange(1, m)
         log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
         c[0] *= log_half - math.log(2.0)
-        own[off[j]:off[j + 1]] = _trig_sum(c, m).real
+        own[off[j]:off[j + 1]] = _trig_sum(c, total).real
     return own
 
 

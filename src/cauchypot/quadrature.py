@@ -3,6 +3,10 @@
 A host is its own quadrature rule: its ``params``, ``nodes``, ``weights``
 (arclength) and ``dt_weights`` (complex line element), derived once by the
 geometry layer.  ``integrate`` and ``integrate_arclength`` take the host.
+They sum the weighted samples exactly and round once, by ``_exact_sums``,
+which gives ``math.fsum`` of each row of an array bit for bit, all rows in
+one vectorized pass; the solvability moments of ``arcs`` sum all of theirs
+in one call.
 Closed contours carry the periodic trapezoid rule, which is spectrally
 accurate for smooth integrands.  Chain arcs carry the composite trapezoid
 rule over their points.  Graded arcs carry the rule induced by the cosine
@@ -35,12 +39,13 @@ with a kernel 1/(t_j - t_i) that the plan holds once per unordered pair of
 near leaves, summed only over the pairs that touch the requested rows; the
 far field is a multipole pass whose M2L factor powers each pass forms.  On
 a graded arc, in the parameter tau = cos(u), the arc's own part is
-diagonal in Chebyshev coefficients (length-2m FFTs), and the remainder is
-the other arcs' sums and, on a circular arc, the difference between its
-kernel and 1/(tau - tau_x).  From ``_FMM_MIN_NODES`` nodes on, a system
-keeps the kernels of its remainders at the first proxies
-(``_proxy_kernels``), built on its first S, and there the remainders are
-products with the data.
+diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
+node factors the arc holds), and the remainder is the other arcs' sums
+(over the nodes the system holds per arc) and, on a circular arc, the
+difference between its kernel and 1/(tau - tau_x).  From
+``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of its remainders
+at the first proxies (``_proxy_kernels``), built on its first S, and there
+the remainders are products with the data.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
@@ -68,8 +73,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
-from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4,
-                       _ranges, _read_only)
+from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _coeff_twiddle,
+                       _open_fd4, _ranges, _read_only)
 
 __all__ = [
     "host_rule",
@@ -88,20 +93,70 @@ def host_rule(host):
     raise GeometryError(f"no quadrature rule for host {type(host).__name__}")
 
 
+def _exact_sums(rows):
+    """``math.fsum`` of each row of the 2-d float array ``rows``, bit for bit.
+
+    Error-free extraction onto one power-of-two grid per row (Rump, Ogita
+    & Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
+    Comput. 31, 2008): with sigma = 2**k > 2 n max|x| for n columns,
+    q = (x + sigma) - sigma is exact, and so are x - q and the sum of the
+    q's, whose terms are all multiples of 2**-53 sigma and whose total is
+    below sigma.  Each pass extracts the leading bits of every row, and
+    the next takes what is left, until nothing is; fsum of a row's few
+    exact pass sums is then its correctly rounded total, as fsum of the
+    row is.  Rows with a value that is not finite, within a factor 4n of
+    overflow, or whose exact sum is zero go to ``math.fsum`` itself, so
+    its inf, NaN, errors and signed zeros are kept.
+    """
+    n_rows, n = rows.shape
+    bits = n.bit_length() + 1
+    peak = np.max(np.abs(rows), axis=1, initial=0.0)
+    top = np.frexp(peak)[1] + bits
+    # below 2**1022 in all, no partial sum of fsum's can overflow
+    exact = np.isfinite(peak) & (top < 1023)
+    rest, top = np.where(exact[:, None], rows, 0.0), np.where(exact, top, 0)
+    passes = []
+    while True:
+        sigma = np.ldexp(1.0, top)[:, None]
+        q = (rest + sigma) - sigma
+        passes.append(np.sum(q, axis=1).tolist())
+        rest = rest - q
+        peak = np.max(np.abs(rest), axis=1, initial=0.0)
+        if not peak.any():
+            break
+        top = np.frexp(peak)[1] + bits
+    out = np.empty(n_rows)
+    for i, parts in enumerate(zip(*passes)):
+        total = math.fsum(parts)
+        out[i] = total if exact[i] and total else math.fsum(rows[i])
+    return out
+
+
+def _weighted_sums(weights, rows):
+    """sum_j weights_j rows_ij for each row i, summed exactly (``_exact_sums``).
+
+    Each row's real part goes before its imaginary part, as ``integrate``
+    takes them, so a sum that ``math.fsum`` refuses raises the same error.
+    """
+    prod = weights * rows
+    return _exact_sums(np.stack((prod.real, prod.imag), axis=1).reshape(-1, weights.size)).view(
+        complex)
+
+
 def _weighted_sum(weights, samples):
     vals = np.asarray(getattr(samples, "values", samples), dtype=complex)
     if vals.size != weights.size:
         raise AlignmentError(f"expected {weights.size} samples, got {vals.size}")
-    prod = weights * vals
-    return complex(math.fsum(prod.real), math.fsum(prod.imag))
+    return complex(_weighted_sums(weights, vals.reshape(1, -1))[0])
 
 
 def integrate(samples, host):
     """int f(t) dt: the samples summed against the host's ``dt_weights``.
 
     ``samples`` is a SampledDensity or an array of one value per node.
-    Accumulation is compensated (exact summation of the products), which is
-    deterministic and at least as accurate as the plain ascending-order sum.
+    The products are summed exactly and rounded once (``_exact_sums``), so
+    the result is deterministic, the correctly rounded sum, and bitwise
+    ``math.fsum`` of the real and of the imaginary parts.
     """
     return _weighted_sum(host.dt_weights, samples)
 
@@ -765,14 +820,12 @@ def _S_arcs(host, values, idx, density_class):
     for a in np.flatnonzero(np.bincount(arc_of)):
         arc, (g, q) = host.arcs[a], folds[a]
         rows = arc_of == a
-        pv = _own_pv(g, arc.params, density_class)
-        other = np.ones(host.n_nodes, dtype=bool)
-        other[off[a]:off[a + 1]] = False
-        t, w = host.nodes[other], wf[other]
+        pv = _own_pv(g, arc, density_class)
+        t, w = host._other_nodes[a], np.concatenate((wf[:off[a]], wf[off[a + 1]:]))
         if t.size or arc.kind == "circular":
             first = None if plan[a] is None else _remainder(arc, q, t, w, _FIRST_PROXIES, plan[a])
             pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau, large=large),
-                                    arc.params, first)
+                                    arc, first)
         out[rows] = pv[idx[rows] - off[a]] / (1j * np.pi)
     return out
 
@@ -781,50 +834,34 @@ def _S_arcs(host, values, idx, density_class):
 # the spectral operator on graded arcs
 # ---------------------------------------------------------------------------
 
-def _trig_coeffs(v, odd=False):
+def _trig_coeffs(v, twiddle, odd=False):
     """c_n, n < m, with v = sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``.
 
-    One length-2m FFT of the even (odd) extension; the cosine coefficients
-    are the Chebyshev coefficients of the interpolant of v in tau.
+    One length-2m FFT of the even (odd) extension, times ``twiddle``, which
+    is ``geometry._coeff_twiddle(m)``; the cosine coefficients are the
+    Chebyshev coefficients of the interpolant of v in tau.
     """
     m = v.size
     c = np.fft.fft(np.concatenate((v[::-1], -v if odd else v)))[:m]
-    c *= np.exp(-0.5j * np.pi * np.arange(m) / m) / m
+    c *= twiddle
     if odd:
         return 1j * c
     c[0] *= 0.5
     return c
 
 
-def _trig_sum(c, m, odd=False):
-    """sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``, for c.size <= m."""
+def _trig_sum(c, twiddle, odd=False):
+    """sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``, for c.size <= m,
+    with ``twiddle`` the m - 1 values of ``geometry._sum_twiddle(m)``."""
+    m = twiddle.size + 1
     n = np.arange(1, c.size)
-    ph = np.exp(0.5j * np.pi * n / m)
+    ph = twiddle[:c.size - 1]
     b = np.zeros(2 * m, dtype=complex)
     b[0] = 0.0 if odd else 2.0 * c[0]
     b[n] = c[1:] * ph
     b[2 * m - n] = (-1.0 if odd else 1.0) * c[1:] * ph.conj()
     out = m * np.fft.ifft(b)[m - 1::-1]
     return -1j * out if odd else out
-
-
-def _own_sigma(arc, u):
-    """The arc's own factor over sin(u), s_own / sqrt(1 - tau^2), in closed form.
-
-    On a segment it is i(b - a)/2.  On a circular arc of radius r, sweep D
-    and mid angle th_m, (t - a)(t - b) = 4 r^2 e^{i(th + th_m)}
-    sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs,
-    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes,
-    -``arc._sign`` times this one.
-    """
-    if arc.kind == "segment":
-        return np.full(u.size, 0.5j * (arc.b - arc.a))
-    half = 0.5 * (arc.theta_b - arc.theta_a)
-    c2, s2 = np.cos(0.5 * u) ** 2, np.sin(0.5 * u) ** 2
-    mid = 0.5 * (arc.theta_a + arc.theta_b)
-    sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * arc.params)) * np.sqrt(
-        np.sin(half * c2) / c2 * (np.sin(half * s2) / s2))
-    return sigma if arc._sign < 0 else -sigma
 
 
 def _fold(arc, f, density_class):
@@ -834,20 +871,19 @@ def _fold(arc, f, density_class):
     ``inverse_sqrt``, f = g otherwise (for ``sqrt``, g is a sine series).
     The arc's own factor is undone with the ``sqrt_own_plus`` samples the
     density was built with, so their rounding cancels, and sin(u) comes
-    from u in closed form.
+    from u in closed form (the arc's ``_sigma`` and ``_sin_of_u``).
     q = f sin(u) gives int f h dtau = (pi/m) sum_j q_j h(tau_j) for smooth h.
     """
-    u = _angles(arc.n_nodes)
     if density_class == "inverse_sqrt":
-        g = f * arc.sqrt_own_plus / _own_sigma(arc, u)
+        g = f * arc.sqrt_own_plus / arc._sigma
         return g, g
     if density_class == "sqrt":
-        f = f / arc.sqrt_own_plus * _own_sigma(arc, u) * np.sin(u)
-    return f, f * np.sin(u)
+        f = f / arc.sqrt_own_plus * arc._sigma * arc._sin_of_u
+    return f, f * arc._sin_of_u
 
 
-def _own_pv(g, tau, density_class):
-    """PV int f(tau)/(tau - tau_x) dtau over (-1, 1) at every node, f from g.
+def _own_pv(g, arc, density_class):
+    """PV int f(tau)/(tau - tau_x) dtau over (-1, 1) at the nodes of ``arc``, f from g.
 
     Diagonal in Chebyshev coefficients (S. Olver, Math. Comp. 80, 2011):
     sqrt(1 - tau^2) U_{n-1} -> -pi T_n, and T_n / sqrt(1 - tau^2) -> pi U_{n-1},
@@ -855,23 +891,24 @@ def _own_pv(g, tau, density_class):
     nothing is divided by sin(u).  A smooth f gives f(x) log((1 - x)/(1 + x))
     plus the integral of its divided difference, the T series
     (2 - delta_k0) sum_{n>k} c_n mu_{n-1-k} with mu_j = int U_j = 2/(j+1) for
-    even j and 0 for odd j: one FFT correlation.
+    even j and 0 for odd j: one FFT correlation with the arc's ``_smooth``
+    spectrum of mu.
     """
     m = g.size
+    coeff, total = arc._twiddles
     if density_class == "sqrt":
-        return -np.pi * _trig_sum(_trig_coeffs(g, odd=True), m)
-    c = _trig_coeffs(g)
+        return -np.pi * _trig_sum(_trig_coeffs(g, coeff, odd=True), total)
+    c = _trig_coeffs(g, coeff)
     if density_class == "inverse_sqrt":
         e = np.empty(m - 1, dtype=complex)
         for r in (0, 1):
             e[r::2] = np.pi * np.cumsum(c[1 + r::2][::-1])[::-1]
     else:
-        j = np.arange(m - 1)
-        mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
-        e = np.fft.ifft(np.fft.fft(c[1:], 2 * m) * np.fft.fft(mu, 2 * m).conj())[:m - 1]
+        mu, log_ratio = arc._smooth
+        e = np.fft.ifft(np.fft.fft(c[1:], 2 * m) * mu)[:m - 1]
     e[1:] *= 2.0
-    out = _trig_sum(e, m)
-    return out if density_class == "inverse_sqrt" else out + g * np.log((1.0 - tau) / (1.0 + tau))
+    out = _trig_sum(e, total)
+    return out if density_class == "inverse_sqrt" else out + g * log_ratio
 
 
 # the first proxies of every arc remainder, and the only ones a proxy plan keeps
@@ -898,18 +935,18 @@ def _proxy_kernels(host):
     its own parameters.  At most four arcs are planned (none of five equal
     ones), so the plan holds at most 2 KB per node.
     """
-    off, n = host.arc_offsets, host.n_nodes
     plan = []
     for a, arc in enumerate(host.arcs):
-        if not arc.graded or 4 * arc.n_nodes < n:
+        if not arc.graded or 4 * arc.n_nodes < host.n_nodes:
             plan.append(None)
             continue
-        t = np.delete(host.nodes, np.s_[off[a]:off[a + 1]])
-        r = 1.0 / (t - arc.point_at(_FIRST_PROXIES)[:, None])
+        t = host._other_nodes[a]
+        r = _read_only(1.0 / (t - arc.point_at(_FIRST_PROXIES)[:, None]))
         k = None
         if arc.kind == "circular":
             d4 = 0.25 * (arc.theta_b - arc.theta_a)
-            k = (np.pi / arc.n_nodes) * d4 * _circular_kernel(d4, arc.params, _FIRST_PROXIES)
+            k = _read_only((np.pi / arc.n_nodes) * d4
+                           * _circular_kernel(d4, arc.params, _FIRST_PROXIES))
         plan.append((r, k))
     return tuple(plan)
 
@@ -949,19 +986,20 @@ def _remainder(arc, q, t, wf, tau, kernels=None, large=False):
     return out + scale * kq
 
 
-def _interpolated(fn, tau, first=None):
-    """fn at the nodes ``tau`` (first-kind points) of a smooth fn of tau.
+def _interpolated(fn, arc, first=None):
+    """fn at the nodes of ``arc`` (first-kind points) of a smooth fn of tau.
 
     fn is sampled at p first-kind proxies, p = 32, 64, ..., until the last
     p/8 Chebyshev coefficients are below 1e-14 of the largest, and its
     interpolant is summed at the nodes; from p >= m on fn takes the nodes.
     ``first``, when given, stands for fn at the first 32 proxies.
     """
-    m = tau.size
+    m = arc.n_nodes
     p = 32
     while p < m:
-        c = _trig_coeffs(first if p == 32 and first is not None else fn(np.cos(_angles(p))))
+        c = _trig_coeffs(first if p == 32 and first is not None else fn(np.cos(_angles(p))),
+                         _coeff_twiddle(p))
         if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
-            return _trig_sum(c, m)
+            return _trig_sum(c, arc._twiddles[1])
         p *= 2
-    return fn(tau)
+    return fn(arc.params)

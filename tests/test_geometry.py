@@ -1,5 +1,6 @@
 """Geometry layer: contour builders, arc systems, and the sqrt(R) branch."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,6 +24,10 @@ from cauchypot.geometry import (
     parse_geometry,
     sqrtR_boundary_plus,
 )
+
+from cauchypot.arcs import bounded_solution
+from cauchypot.cauchy import singular_S
+from cauchypot.sampling import SampledDensity
 
 from oracles import ellipse_perimeter, ELLIPSE_2_1_PERIMETER
 
@@ -713,6 +718,48 @@ def test_a_closed_contour_cannot_be_edited_under_what_it_caches():
         with pytest.raises(ValueError):
             getattr(host, name)[:] *= 2.0
     assert np.array_equal(host.nodes, c.nodes) and np.array_equal(host.dt_weights, c.dt_weights)
+
+
+def test_an_arc_system_cannot_be_edited_under_what_it_caches():
+    # arcs copy their array fields once, and they, the system and every
+    # array either derives and caches are read-only, so an edit in place
+    # raises instead of leaving the caches stale
+    circular = {"type": "circular", "center": [0.0, 2.0], "radius": 1.0, "theta_a": 0.3,
+                "theta_b": 2.4, "panels": 8, "nodes_per_panel": 64}
+    system = build_arc_system([{"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 8,
+                                "nodes_per_panel": 64}, circular])
+    assert system.n_nodes >= 1024  # holds a proxy plan
+    fields = {name: getattr(system.arcs[1], name).copy()
+              for name in ("nodes", "params", "dt_dtau", "tangents", "arclength")}
+    arc = dataclasses.replace(system.arcs[1], **fields)
+    for name, a in fields.items():
+        assert getattr(arc, name) is not a
+        a *= 2.0
+        assert np.array_equal(getattr(arc, name), getattr(system.arcs[1], name))
+    g = system.nodes ** 2
+    bounded = bounded_solution(SampledDensity(system, g))
+    for c in ("smooth", "inverse_sqrt", "sqrt"):
+        singular_S(SampledDensity(system, g), density_class=c)
+    held = [getattr(system, name) for name in (
+        "endpoints", "nodes", "params", "dt_weights", "weights", "tangents", "arclength",
+        "R_coeffs", "_points", "_plus_nodes")]
+    held += [*system._other_nodes, *system._moment_powers]
+    held += [k for kernels in system._proxy_plan if kernels for k in kernels if k is not None]
+    for arc in system.arcs:
+        held += [getattr(arc, name) for name in (
+            "nodes", "params", "dt_dtau", "tangents", "arclength", "sqrt_own_plus",
+            "dt_weights", "_u", "_sin_of_u", "_sigma")]
+        held += [*arc._twiddles, *arc._smooth]
+    assert len(held) == 10 + 2 + 3 + 3 + 2 * 14
+    for a in held:
+        with pytest.raises(ValueError):
+            a[...] *= 2.0
+    with pytest.raises(ValueError):
+        system.nodes[:] *= 2
+    with pytest.raises(ValueError):
+        system.arcs[0].params[0] = 0
+    again = bounded_solution(SampledDensity(system, g))
+    assert again.solution.values.tobytes() == bounded.solution.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
 from cauchypot import quadrature
 from cauchypot.errors import AlignmentError, GeometryError
-from cauchypot.arcs import bounded_solution, general_solution
+from cauchypot.arcs import bounded_solution, general_solution, solvability_moments
 from cauchypot.cauchy import boundary_value, plemelj_residuals, singular_S
 from cauchypot.closed import solve_closed
-from cauchypot.geometry import _angles, build_arc_system, build_closed_contour
+from cauchypot.geometry import _angles, _own_sigma, build_arc_system, build_closed_contour
 from cauchypot.quadrature import (
-    _own_sigma,
+    _exact_sums,
     closed_node_derivative,
     host_rule,
     integrate,
+    integrate_arclength,
     neville,
 )
 from cauchypot.sampling import SampledDensity
@@ -88,6 +89,77 @@ def test_integrate_checks_alignment():
     rule = circle(8, 8)
     with pytest.raises(AlignmentError):
         integrate(np.ones(65), rule)
+
+
+@st.composite
+def float_rows(draw):
+    """1-8 rows of 0-4096 floats, of either sign or all positive, of
+    magnitudes 10**e, e uniform in a drawn part of [-300, 308], with a
+    drawn share made subnormal or signed zeros, a drawn share cancelled
+    exactly by negated copies of others, and up to three infinities or
+    NaNs."""
+    n_rows = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, 4096)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-300, 308))
+    hi = draw(st.integers(lo, 308))
+    sign = rng.choice([-1.0, 1.0], (n_rows, n)) if draw(st.booleans()) else 1.0
+    rows = sign * 10.0 ** rng.uniform(lo, hi, (n_rows, n))
+    tiny = rng.random((n_rows, n)) < draw(st.floats(0.0, 1.0))
+    rows[tiny] = rng.integers(-(1 << 52), 1 << 52, np.count_nonzero(tiny)) * 5e-324
+    zero = rng.random((n_rows, n)) < draw(st.floats(0.0, 1.0))
+    rows[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    pairs = int(draw(st.floats(0.0, 1.0)) * n) // 2
+    cols = rng.permutation(n)
+    rows[:, cols[pairs:2 * pairs]] = -rows[:, cols[:pairs]]
+    if n:
+        for value in draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]),
+                                   max_size=3)):
+            rows[rng.integers(n_rows), rng.integers(n)] = value
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=float_rows())
+@example(rows=np.array([[1e308, 1e308, -1e308]]))  # a finite sum that overflows fsum
+@example(rows=np.array([[-0.0, -0.0], [5e-324, -5e-324]]))
+@example(rows=np.empty((0, 3)))
+def test_exact_sums_are_fsum_bit_for_bit(rows):
+    want = []
+    for row in rows:
+        try:
+            want.append(math.fsum(row))
+        except (ValueError, OverflowError) as exc:
+            want.append(type(exc))
+    error = next((w for w in want if isinstance(w, type)), None)
+    if error is not None:
+        with pytest.raises(error):
+            _exact_sums(rows)
+        return
+    for got, w in zip(_exact_sums(rows).tolist(), want):
+        assert got == w or (math.isnan(got) and math.isnan(w))
+        assert math.copysign(1.0, got) == math.copysign(1.0, w)
+
+
+def test_integrals_and_moments_are_the_fsum_of_their_products():
+    # the sums before they were exact: math.fsum of the real and of the
+    # imaginary parts of the weighted samples, one row at a time
+    host = build_arc_system([
+        {"type": "segment", "a": [-1.0, 0.0], "b": [-0.3, 0.0], "panels": 8, "nodes_per_panel": 64},
+        {"type": "circular", "center": [0.0, 0.5], "radius": 0.6, "theta_a": -0.3,
+         "theta_b": 2.0, "panels": 8, "nodes_per_panel": 64}])
+    g = np.cos(3 * host.nodes) + 0.5j * host.nodes ** 2
+
+    def fsum_integral(w, v):
+        p = w * v
+        return complex(math.fsum(p.real), math.fsum(p.imag))
+
+    assert integrate(g, host) == fsum_integral(host.dt_weights, g)
+    assert integrate_arclength(g, host) == fsum_integral(host.weights, g)
+    base = g / host.sqrtR_plus_nodes()
+    want = np.array([fsum_integral(host.dt_weights, host.nodes ** k * base)
+                     for k in range(host.n_arcs)])
+    assert solvability_moments(SampledDensity(host, g)).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +344,62 @@ def test_own_sigma_takes_the_root_of_sqrt_own_plus(m, radius, centre, theta_a, s
     want = arc.sqrt_own_plus
     got = _own_sigma(arc, u) * np.sin(u)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [16, 688, 4096])
+@pytest.mark.parametrize("spec", [
+    {"type": "segment", "a": [-1.0, 0.2], "b": [0.7, 1.1]},
+    {"type": "circular", "center": [0.3, -0.2], "radius": 1.7, "theta_a": 0.4, "theta_b": -2.1},
+], ids=["segment", "circular"])
+def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
+    # the expressions S evaluated on every call before the arc held them
+    arc = build_arc_system([{**spec, "panels": 1, "nodes_per_panel": m}]).arcs[0]
+    u = _angles(m)
+    j = np.arange(m - 1)
+    fresh = {
+        "_u": (u,),
+        "_sin_of_u": (np.sin(u),),
+        "_sigma": (_own_sigma(arc, u),),
+        "_twiddles": (np.exp(-0.5j * np.pi * np.arange(m) / m) / m,
+                      np.exp(0.5j * np.pi * np.arange(1, m) / m)),
+        "_smooth": (np.fft.fft(np.where(j % 2 == 0, 2.0 / (j + 1), 0.0), 2 * m).conj(),
+                    np.log((1.0 - arc.params) / (1.0 + arc.params))),
+    }
+    for name, want in fresh.items():
+        held = getattr(arc, name)
+        assert getattr(arc, name) is held
+        for h, w in zip(held if isinstance(held, tuple) else (held,), want, strict=True):
+            assert h.dtype == w.dtype and h.tobytes() == w.tobytes()
+            assert not h.flags.writeable
+
+
+@pytest.mark.parametrize("per", [32, 128])
+def test_S_and_the_bounded_solution_give_the_same_bytes_on_a_second_call(per):
+    # below (512 nodes) and above (2048) the crossover; the system's held
+    # gathers and moment powers are bitwise the expressions they replace
+    host = build_arc_system([
+        {"type": "segment", "a": [-1.0, 0.0], "b": [-0.3, 0.0], "panels": 8, "nodes_per_panel": per},
+        {"type": "circular", "center": [0.0, 0.5], "radius": 0.6, "theta_a": -0.3,
+         "theta_b": 2.0, "panels": 8, "nodes_per_panel": per}])
+    g = poly_values(host, [1.0, 0.5j, -0.3, 0.2])
+    for c in ("smooth", "inverse_sqrt", "sqrt"):
+        f = class_density(host, g, c)
+        first = singular_S(f, density_class=c).values.tobytes()
+        assert singular_S(f, density_class=c).values.tobytes() == first
+    one, two = (bounded_solution(SampledDensity(host, g)) for _ in range(2))
+    assert one.solution.values.tobytes() == two.solution.values.tobytes()
+    assert one.moments.tobytes() == two.moments.tobytes()
+    assert (one.residual, one.bounded) == (two.residual, two.bounded)
+    off = host.arc_offsets
+    for a in range(host.n_arcs):
+        other = np.ones(host.n_nodes, dtype=bool)
+        other[off[a]:off[a + 1]] = False
+        assert host._other_nodes[a].tobytes() == host.nodes[other].tobytes()
+    ends = host.endpoints
+    tau = (host.nodes - np.mean(ends)) / np.max(np.abs(ends - np.mean(ends)))
+    for held, x in zip(host._moment_powers, (host.nodes, tau, np.abs(tau)), strict=True):
+        assert [row.tobytes() for row in held] == [(x ** k).tobytes()
+                                                   for k in range(host.n_arcs)]
 
 
 @pytest.mark.parametrize("density_class", ["inverse_sqrt", "sqrt", "smooth"])

@@ -24,12 +24,14 @@ residuals, boundary values and Cauchy transforms (on a 256-node circle,
 summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
 multipole tree and boundary values at two nodes the direct sums), on-node
-and off-curve potentials, the integrals, the equilibrium references, and
+and off-curve potentials, the integrals (and, summed exactly at scale,
+integrals of data whose exact integral is 0 on the 16384-node circle and on
+two mirrored segments of 2048 nodes), the equilibrium references, and
 curve, area and point-mass recovery: on a small lattice, on the 801^2
 lattice of the benchmark's ``recovery.grid-atoms`` op, and on a lattice
 with an atom whose mass box crosses its edge and two atoms within one
 cluster radius.  Atoms sit off the lattice points of their grid.  That
-makes 134 results.  It needs the standard library and numpy only.
+makes 136 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -137,6 +139,17 @@ def calls():
         yield f"{name} boundary values", lambda g=g: [
             cp.boundary_value(g, side, node=k) for side in ("plus", "minus") for k in (0, 100)]
         yield f"{name} cauchy transform", lambda g=g, z=grid: cp.cauchy_transform(g, z)
+
+    # the exact summation at scale: integrals of data whose exact integral is
+    # 0, (t - c)^3 and Re(t - c) on the big circle about c, and t on two
+    # segments mirrored about 0
+    mirrored = cp.build_arc_system([dict(SEGMENT, b=[-0.3, 0.0], nodes_per_panel=128),
+                                    dict(SEGMENT, a=[0.3, 0.0], nodes_per_panel=128)])
+    z = big_circle.nodes - (0.1 - 0.2j)
+    yield "circle-16384 cancelling integrals", lambda: [
+        cp.integrate(z ** 3, big_circle), cp.integrate_arclength(z.real, big_circle)]
+    yield f"mirrored segments-{mirrored.n_nodes} cancelling integrals", lambda: [
+        cp.integrate(mirrored.nodes, mirrored), cp.integrate_arclength(mirrored.nodes.real, mirrored)]
 
     systems = {
         "segment": [SEGMENT],
