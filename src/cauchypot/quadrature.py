@@ -118,9 +118,10 @@ def _exact_sums(rows):
     passes = []
     while True:
         sigma = np.ldexp(1.0, top)[:, None]
-        q = (rest + sigma) - sigma
+        q = rest + sigma
+        q -= sigma
         passes.append(np.sum(q, axis=1).tolist())
-        rest = rest - q
+        rest -= q
         peak = np.max(np.abs(rest), axis=1, initial=0.0)
         if not peak.any():
             break
@@ -799,12 +800,13 @@ def _S_arcs(host, values, idx, density_class):
     """S on an arc system: per graded arc, ``_own_pv`` of its class fold plus
     the ``_remainder`` interpolated from proxies.  From ``_FMM_MIN_NODES``
     nodes on, the remainders at the first proxies of the arcs the system's
-    proxy plan holds are products with its kernels.  The route depends on
+    proxy plan holds are products with its kernels.  S is formed at every
+    node of each arc that holds one of ``idx``, and the route depends on
     the host alone, so S at any ``idx`` is bitwise the full S.
     """
     off = host.arc_offsets
-    arc_of = np.searchsorted(off, idx, side="right") - 1
-    if not np.array([arc.graded for arc in host.arcs])[arc_of].all():
+    needed = np.flatnonzero(np.bincount(np.searchsorted(off, idx, side="right") - 1))
+    if not all(host.arcs[a].graded for a in needed):
         raise GeometryError("the singular operator needs cosine-graded arcs")
 
     # every arc is a source: its samples times its rule's dt weights, the
@@ -816,18 +818,17 @@ def _S_arcs(host, values, idx, density_class):
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     large = host.n_nodes >= _FMM_MIN_NODES
     plan = host._proxy_plan if large else (None,) * host.n_arcs
-    out = np.empty(idx.size, dtype=complex)
-    for a in np.flatnonzero(np.bincount(arc_of)):
+    out = np.empty(host.n_nodes, dtype=complex)
+    for a in needed:
         arc, (g, q) = host.arcs[a], folds[a]
-        rows = arc_of == a
         pv = _own_pv(g, arc, density_class)
         t, w = host._other_nodes[a], np.concatenate((wf[:off[a]], wf[off[a + 1]:]))
         if t.size or arc.kind == "circular":
             first = None if plan[a] is None else _remainder(arc, q, t, w, _FIRST_PROXIES, plan[a])
             pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau, large=large),
                                     arc, first)
-        out[rows] = pv[idx[rows] - off[a]] / (1j * np.pi)
-    return out
+        out[off[a]:off[a + 1]] = pv / (1j * np.pi)
+    return out[idx]
 
 
 # ---------------------------------------------------------------------------
