@@ -186,7 +186,7 @@ class ClosedContour(_Host):
 
     @cached_property
     def params(self):
-        return _read_only(2.0 * np.pi * np.arange(self.n_nodes) / self.n_nodes)
+        return _read_only(_uniform_angles(self.n_nodes))
 
     @cached_property
     def tangents(self):
@@ -263,20 +263,28 @@ def _polyline_contacts(polylines, closed=False, circles=None):
     points): its segments are then the arcs of that circle between the points,
     and their boxes grow by the sagitta r(1 - cos(dtheta/2)).  Midpoints are
     hashed into a grid whose cell is the longest segment plus two sagittas,
-    so segments can meet only in equal or neighbouring cells; candidates pass
-    a bounding-box filter, then four orientation signs decide, counting
-    touching and collinear overlap as contact (Shamos & Hoey, FOCS 1976), or
-    ``_pieces_meet`` where one of the two is curved.  Returns the polyline
-    index of every segment and the segment indices i < j of contacts.
+    so segments can meet only in equal or neighbouring cells.  Cells are
+    keyed column by column, so a segment's candidates are two runs of the
+    sorted keys: the later entries of its own cell with the cell above it,
+    and the three cells of the next column; the other four neighbours see it
+    from their side.  Candidates pass a bounding-box filter, then four
+    orientation signs decide, counting touching and collinear overlap as
+    contact (Shamos & Hoey, FOCS 1976), or ``_pieces_meet`` where one of the
+    two is curved.  Returns the polyline index of every segment and the
+    segment indices i < j of contacts, sorted by (i, j).
     """
     if closed:
         polylines = [np.append(polylines[0], polylines[0][0])]
-    p = np.concatenate([pts[:-1] for pts in polylines])
-    q = np.concatenate([pts[1:] for pts in polylines])
+    if len(polylines) == 1:
+        p, q = polylines[0][:-1], polylines[0][1:]
+    else:
+        p = np.concatenate([pts[:-1] for pts in polylines])
+        q = np.concatenate([pts[1:] for pts in polylines])
+    px, py, qx, qy = (np.ascontiguousarray(v) for v in (p.real, p.imag, q.real, q.imag))
     owner = np.repeat(np.arange(len(polylines)), [pts.size - 1 for pts in polylines])
     n = p.size
-    xmin, xmax = np.minimum(p.real, q.real), np.maximum(p.real, q.real)
-    ymin, ymax = np.minimum(p.imag, q.imag), np.maximum(p.imag, q.imag)
+    xmin, xmax = np.minimum(px, qx), np.maximum(px, qx)
+    ymin, ymax = np.minimum(py, qy), np.maximum(py, qy)
     span = np.abs(q - p)
     pieces = None
     if any(c is not None for c in circles or ()):
@@ -292,24 +300,21 @@ def _polyline_contacts(polylines, closed=False, circles=None):
         xmin, xmax, ymin, ymax = xmin - sag, xmax + sag, ymin - sag, ymax + sag
         span += 2.0 * sag
 
-    mid = 0.5 * (p + q)
+    mx, my = 0.5 * (px + qx), 0.5 * (py + qy)
     cell = (1.0 + 1e-7) * float(np.max(span)) or 1.0  # margin for rounding
-    cx = np.floor((mid.real - mid.real.min()) / cell).astype(np.int64)
-    cy = np.floor((mid.imag - mid.imag.min()) / cell).astype(np.int64)
+    cx = np.floor((mx - mx.min()) / cell).astype(np.int64)
+    cy = np.floor((my - my.min()) / cell).astype(np.int64)
     width = int(cy.max()) + 3
     key = (cx + 1) * width + cy + 1
     order = np.argsort(key, kind="stable")
     skey = key[order]
-    # each segment against the later ones of its own cell and all of four
-    # neighbour cells; the other four neighbours see it from their side
+    # the later entries of a segment's own cell and those of the cell above it
+    # (key + 1), then the next column's three cells (key + width - 1 to + 1)
     rows = np.arange(n)
-    lo, hi = [rows + 1], [np.searchsorted(skey, skey, "right")]
-    for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1)):
-        target = skey + dx * width + dy
-        lo.append(np.searchsorted(skey, target, "left"))
-        hi.append(np.searchsorted(skey, target, "right"))
-    rows, lo = np.tile(rows, 5), np.concatenate(lo)
-    count = np.concatenate(hi) - lo
+    lo = np.concatenate((rows + 1, np.searchsorted(skey, skey + (width - 1), "left")))
+    count = np.concatenate((np.searchsorted(skey, skey + 1, "right"),
+                            np.searchsorted(skey, skey + (width + 1), "right"))) - lo
+    rows = np.tile(rows, 2)
 
     cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
     hits_i, hits_j = [], []
@@ -329,7 +334,9 @@ def _polyline_contacts(polylines, closed=False, circles=None):
                 meet[curved] = _pieces_meet(pieces, i[curved], j[curved])
         hits_i.append(np.minimum(i, j)[meet])
         hits_j.append(np.maximum(i, j)[meet])
-    return owner, np.concatenate(hits_i), np.concatenate(hits_j)
+    i, j = np.concatenate(hits_i), np.concatenate(hits_j)
+    first = np.lexsort((j, i))
+    return owner, i[first], j[first]
 
 
 def _pieces_meet(pieces, i, j):
@@ -382,9 +389,9 @@ def _point_set_diameter(pts):
     return float(np.max(d))
 
 
-def _closed_from_parametrization(pos, dpos, n_nodes, n_panels):
-    theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    return ClosedContour(pos(theta), dpos(theta), n_panels)
+def _uniform_angles(n_nodes):
+    """The n_nodes parameters 2 pi k / n_nodes of a parametrized contour."""
+    return 2.0 * np.pi * np.arange(n_nodes) / n_nodes
 
 
 def build_closed_contour(spec):
@@ -403,11 +410,8 @@ def build_closed_contour(spec):
         r = _real(spec, "radius")
         if r <= 0:
             raise GeometryError("circle radius must be positive")
-        return _closed_from_parametrization(
-            lambda th: c + r * np.exp(1j * th),
-            lambda th: 1j * r * np.exp(1j * th),
-            n, n_panels,
-        )
+        e = np.exp(1j * _uniform_angles(n))
+        return ClosedContour(c + r * e, 1j * r * e, n_panels)
 
     if kind == "ellipse":
         c = _as_complex(spec.get("center", 0.0), "center")
@@ -418,11 +422,9 @@ def build_closed_contour(spec):
                                 key="semi_axes") from None
         if not (0.0 < sa < math.inf and 0.0 < sb < math.inf):
             raise GeometryError("ellipse semi-axes must be positive and finite")
-        return _closed_from_parametrization(
-            lambda th: c + sa * np.cos(th) + 1j * sb * np.sin(th),
-            lambda th: -sa * np.sin(th) + 1j * sb * np.cos(th),
-            n, n_panels,
-        )
+        th = _uniform_angles(n)
+        cos, sin = np.cos(th), np.sin(th)
+        return ClosedContour(c + sa * cos + 1j * sb * sin, -sa * sin + 1j * sb * cos, n_panels)
 
     if kind == "rounded-polygon":
         verts = np.array([_as_complex(v, "vertices") for v in spec["vertices"]])

@@ -912,8 +912,10 @@ def _own_pv(g, arc, density_class):
     return out if density_class == "inverse_sqrt" else out + g * log_ratio
 
 
-# the first proxies of every arc remainder, and the only ones a proxy plan keeps
-_FIRST_PROXIES = np.cos(_angles(32))
+# the first proxies of every arc remainder, and the only ones a proxy plan
+# keeps, with the twiddle of their Chebyshev coefficients
+_FIRST_PROXIES = _read_only(np.cos(_angles(32)))
+_FIRST_TWIDDLE = _read_only(_coeff_twiddle(32))
 
 
 def _circular_kernel(d4, params, tau):
@@ -998,8 +1000,10 @@ def _interpolated(fn, arc, first=None):
     m = arc.n_nodes
     p = 32
     while p < m:
-        c = _trig_coeffs(first if p == 32 and first is not None else fn(np.cos(_angles(p))),
-                         _coeff_twiddle(p))
+        if p == 32:
+            c = _trig_coeffs(fn(_FIRST_PROXIES) if first is None else first, _FIRST_TWIDDLE)
+        else:
+            c = _trig_coeffs(fn(np.cos(_angles(p))), _coeff_twiddle(p))
         if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
             return _trig_sum(c, arc._twiddles[1])
         p *= 2

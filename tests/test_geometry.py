@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,13 @@ from cauchypot.errors import (
     NearBoundaryError,
     ResolutionError,
 )
+from cauchypot import geometry
 from cauchypot.geometry import (
     ArcSystem,
     ClosedContour,
+    _orientation,
+    _pieces_meet,
+    _polyline_contacts,
     build_arc_system,
     build_closed_contour,
     node_table_csv,
@@ -363,6 +368,124 @@ def test_degenerate_endpoints_rejected():
         build_arc_system([
             {"type": "segment", "a": [0.5, 0], "b": [0.5, 0], "panels": 2, "nodes_per_panel": 8},
         ])
+
+
+# ---------------------------------------------------------------------------
+# the contact test against every pair
+# ---------------------------------------------------------------------------
+
+def all_pairs_contacts(polylines, closed=False, circles=None):
+    """The contacts of ``_polyline_contacts`` found by trying every pair, O(n^2).
+
+    Each non-adjacent pair of pieces passes the same box filter, then the
+    orientation test or, with a curved piece, ``_pieces_meet``.  That one
+    starts from its first piece where both are curved, so it runs in both
+    orders: returns the segment owners, the pairs found in both orders and
+    those found in either.
+    """
+    if closed:
+        polylines = [np.append(polylines[0], polylines[0][0])]
+    circles = circles or [None] * len(polylines)
+    p = np.concatenate([pts[:-1] for pts in polylines])
+    q = np.concatenate([pts[1:] for pts in polylines])
+    owner = np.repeat(np.arange(len(polylines)), [pts.size - 1 for pts in polylines])
+    columns = []
+    for pts, c in zip(polylines, circles):
+        k = pts.size - 1
+        columns.append((np.zeros(k, complex), np.zeros(k), np.zeros(k), np.zeros(k)) if c is None
+                       else (np.full(k, complex(c[0])), np.full(k, float(c[1])), c[2][:-1],
+                             np.diff(c[2])))
+    cen, rad, th0, dth = (np.concatenate(col) for col in zip(*columns))
+    sag = (1.0 + 1e-7) * 2.0 * rad * np.sin(0.25 * dth) ** 2
+    xmin, xmax = np.minimum(p.real, q.real) - sag, np.maximum(p.real, q.real) + sag
+    ymin, ymax = np.minimum(p.imag, q.imag) - sag, np.maximum(p.imag, q.imag) + sag
+    n = p.size
+    i, j = np.triu_indices(n, 1)
+    keep = (~((owner[i] == owner[j]) & ((j - i == 1) | (closed & (j - i == n - 1))))
+            & (xmin[i] <= xmax[j]) & (xmin[j] <= xmax[i])
+            & (ymin[i] <= ymax[j]) & (ymin[j] <= ymax[i]))
+    i, j = i[keep], j[keep]
+    meet = ((_orientation(p[j], q[j], p[i]) * _orientation(p[j], q[j], q[i]) <= 0)
+            & (_orientation(p[i], q[i], p[j]) * _orientation(p[i], q[i], q[j]) <= 0))
+    forward, backward = meet.copy(), meet.copy()
+    curved = (rad[i] > 0) | (rad[j] > 0)
+    if curved.any():
+        pieces = (p, q, cen, rad, th0, dth)
+        forward[curved] = _pieces_meet(pieces, i[curved], j[curved])
+        backward[curved] = _pieces_meet(pieces, j[curved], i[curved])
+
+    def pairs(found):
+        return set(zip(i[found].tolist(), j[found].tolist()))
+
+    return owner, pairs(forward & backward), pairs(forward | backward)
+
+
+LATTICE = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda v: complex(*v))
+
+
+@st.composite
+def polyline_sets(draw):
+    """(polylines, closed, circles) for ``_polyline_contacts``.
+
+    Polylines through integer lattice points, whose midpoints lie on or
+    within 1e-7 of the grid's cell edges, and lattice walks of unit
+    horizontal and vertical steps and repeated points, which double back
+    into collinear overlaps; open ones may add arcs of circles and one long
+    segment among the short ones.
+    """
+    closed = draw(st.booleans())
+    polylines, circles = [], []
+    for _ in range(1 if closed else draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["points", "walk"] if closed else ["points", "walk", "arc"]))
+        if kind == "arc":
+            c = draw(LATTICE)
+            r = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+            steps = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=10)))
+            steps *= min(1.0, 6.0 / steps.sum()) * draw(st.sampled_from([1.0, -1.0]))
+            ang = draw(st.integers(-8, 8)) * np.pi / 8 + np.concatenate(([0.0], np.cumsum(steps)))
+            polylines.append(c + r * np.exp(1j * ang))
+            circles.append((c, r, ang))
+            continue
+        if kind == "points":
+            pts = draw(st.lists(LATTICE, min_size=2, max_size=12))
+        else:
+            moves = draw(st.lists(st.sampled_from([1, -1, 1j, -1j, 0]), min_size=1, max_size=16))
+            pts = draw(LATTICE) + np.concatenate(([0], np.cumsum(moves)))
+        polylines.append(np.array(pts, dtype=complex))
+        circles.append(None)
+    if not closed and draw(st.booleans()):
+        far = st.tuples(st.integers(-20, 20), st.integers(-20, 20)).map(lambda v: complex(*v))
+        polylines.append(np.array([draw(far), draw(far)]))
+        circles.append(None)
+    return polylines, closed, None if closed else circles
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=polyline_sets(), block=st.sampled_from([geometry._BLOCK, 1, 7]))
+def test_polyline_contacts_are_those_of_every_pair(case, block):
+    # small blocks split the candidates of one call over many passes; a
+    # repeated point beside an arc is a zero-length piece, whose direction in
+    # _pieces_meet is 0/0 (such a polyline touches itself, so it is refused)
+    polylines, closed, circles = case
+    with mock.patch.object(geometry, "_BLOCK", block), np.errstate(invalid="ignore"):
+        owner, i, j = _polyline_contacts(polylines, closed=closed, circles=circles)
+        want_owner, sure, either = all_pairs_contacts(polylines, closed, circles)
+    assert owner.tolist() == want_owner.tolist()
+    got = list(zip(i.tolist(), j.tolist()))
+    assert got == sorted(set(got)) and all(a < b for a, b in got)
+    assert sure <= set(got) <= either
+
+
+def test_self_contact_error_names_the_first_pair_in_segment_order():
+    # z = e^{it} + e^{3it}/2 curls twice: segments 10 and 20 cross, and so do
+    # 42 and 52, left of the first crossing, where the grid's columns start
+    th = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+    z = np.exp(1j * th) + 0.5 * np.exp(3j * th)
+    _, i, j = _polyline_contacts([z], closed=True)
+    assert list(zip(i.tolist(), j.tolist())) == [(10, 20), (42, 52)]
+    with pytest.raises(GeometryError, match="at segments 10 and 20$"):
+        build_closed_contour({"type": "node-chain", "panels": 8,
+                              "nodes": np.stack([z.real, z.imag], axis=1).tolist()})
 
 
 # ---------------------------------------------------------------------------

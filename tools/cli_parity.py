@@ -13,8 +13,9 @@ arc systems (curve recovery included on several arcs, where the ladder
 shrinks toward each arc's endpoints; moments and the recovered mass on
 every arc kind, so each kind's quadrature weights are covered; one chain is
 C-shaped, a 3/4 circle that rays from inside it cross again); csv and binary potential grids; runs
-that exit 65, one of them on an ellipse rhs that is not resolved; and four
-schema errors.
+that exit 65, one of them on an ellipse rhs that is not resolved; a
+node-chain figure eight that crosses itself once and exits 64; and four
+schema errors, 35 configs in all.
 For every config the script compares each output file, stdout, stderr and
 the exit code, prints one line, and exits 1 if anything differs.  It needs
 the standard library and numpy only.
@@ -43,6 +44,11 @@ _th = 2 * np.pi * np.arange(96) / 96
 STAR = {"type": "node-chain", "panels": 4, "nodes": np.stack(
     [(1 + 0.2 * np.cos(3 * _th)) * np.cos(_th), (1 + 0.2 * np.cos(3 * _th)) * np.sin(_th)],
     axis=1).tolist()}
+# a figure eight whose upper lobe is the wider, so that it is positively
+# oriented; it crosses itself once, between nodes, at segments 31 and 63
+_et = 2 * np.pi * (np.arange(64) + 0.5) / 64
+EIGHT = {"type": "node-chain", "panels": 4, "nodes": np.stack(
+    [np.sin(2 * _et) * (1 + 0.5 * np.sin(_et)), np.sin(_et)], axis=1).tolist()}
 _x = np.linspace(2.0, 3.0, 40)
 CHAIN = {"type": "chain", "panels": 1, "nodes": np.stack([_x, 0.2 * _x * _x - 2.0], axis=1).tolist()}
 _ct = np.linspace(0.25 * np.pi, 1.75 * np.pi, 60)
@@ -109,6 +115,9 @@ def configs(inputs):
                                         "rhs": inputs["rhs-512-csv"]},
         "solve-closed-exit-65": {"command": "solve-closed", "geometry": {"curve": CIRCLE},
                                  "rhs": mono(40), "tolerances": {"residual": 1e-15}},
+        # exit 64, stderr naming the one pair of crossing segments
+        "solve-closed-figure-eight": {"command": "solve-closed", "geometry": {"curve": EIGHT},
+                                      "rhs": mono(1)},
         "solve-arcs-segment": {"command": "solve-arcs", "geometry": {"arcs": [SEGMENT]},
                                "rhs": cheb(3), "defect_poly": [[0.5, -0.25]],
                                "tolerances": {"residual": 1e-4}},

@@ -30,8 +30,11 @@ two mirrored segments of 2048 nodes), the equilibrium references, and
 curve, area and point-mass recovery: on a small lattice, on the 801^2
 lattice of the benchmark's ``recovery.grid-atoms`` op, and on a lattice
 with an atom whose mass box crosses its edge and two atoms within one
-cluster radius.  Atoms sit off the lattice points of their grid.  That
-makes 136 results.  It needs the standard library and numpy only.
+cluster radius.  Atoms sit off the lattice points of their grid.  The
+contact pairs of the geometry check, sorted, close the set: on a 4096-node
+circle with one spiked node, a 2000-step random walk and two circular arcs
+that touch between their nodes.  That makes 139 results.  It needs the
+standard library and numpy only.
 """
 
 import argparse
@@ -212,6 +215,25 @@ def calls():
         yield f"segment and chain S {cls}", lambda f=f, c=cls: cp.singular_S(
             f, at_indices=np.arange(n_seg), density_class=c)
     yield "segment and chain moments", lambda: cp.solvability_moments(g)
+
+    # the geometry check's contacts, each as (i, j, owner of i, owner of j) in
+    # (i, j) order: a 4096-node circle with one spiked node, a 2000-step
+    # random walk, and two circular arcs that touch between their nodes
+    from cauchypot.geometry import _polyline_contacts
+
+    def contacts(*args, **kwargs):
+        owner, i, j = _polyline_contacts(*args, **kwargs)
+        return np.stack([i, j, owner[i], owner[j]])[:, np.lexsort((j, i))]
+
+    spiked = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    spiked[1029] *= -1.5
+    walk = np.cumsum(np.exp(2j * np.pi * np.random.default_rng(7).random(2001)))
+    ang = np.linspace(-0.5, 0.5, 18)
+    touching = [(-1.0, 1.0, ang), (1.0, 1.0, np.pi + ang)]
+    yield "spiked circle-4096 contacts", lambda: contacts([spiked], closed=True)
+    yield "random walk-2000 contacts", lambda: contacts([walk])
+    yield "touching circular arcs contacts", lambda: contacts(
+        [c + r * np.exp(1j * a) for c, r, a in touching], circles=touching)
 
     disk = cp.equilibrium_density({"type": "disk", "radius": 1.3, "center": [0.1, -0.2]})
     arcsine = cp.equilibrium_density({"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]})
