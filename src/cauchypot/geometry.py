@@ -261,17 +261,44 @@ def _polyline_contacts(polylines, closed=False, circles=None):
     With ``closed`` the one polyline also joins its last point to its first.
     ``circles`` may give, per polyline, None or (center, radius, angles of its
     points): its segments are then the arcs of that circle between the points,
-    and their boxes grow by the sagitta r(1 - cos(dtheta/2)).  Midpoints are
-    hashed into a grid whose cell is the longest segment plus two sagittas,
-    so segments can meet only in equal or neighbouring cells.  Cells are
-    keyed column by column, so a segment's candidates are two runs of the
-    sorted keys: the later entries of its own cell with the cell above it,
-    and the three cells of the next column; the other four neighbours see it
-    from their side.  Candidates pass a bounding-box filter, then four
-    orientation signs decide, counting touching and collinear overlap as
-    contact (Shamos & Hoey, FOCS 1976), or ``_pieces_meet`` where one of the
-    two is curved.  Returns the polyline index of every segment and the
-    segment indices i < j of contacts, sorted by (i, j).
+    and their boxes grow by the sagitta r(1 - cos(dtheta/2)).  Returns the
+    polyline index of every segment and the segment indices i < j of
+    contacts, sorted by (i, j).
+
+    Two O(n) certificates (Preparata & Shamos, Computational Geometry, 1985,
+    section 3.3) prove that no pair meets, and then no grid is built:
+
+    * A closed polyline whose every turn is left by a margin,
+      cross(e_k, e_k+1) > 1e-12 max(|e_k|, |e_k+1|) (|e_k| + |e_k+1|) for
+      its edges e_k, and whose turns sum to 2 pi (turning number one,
+      counted exactly: with each turn in (0, pi), Im e_k changes sign twice
+      per round) is strictly convex, so no two non-adjacent segments meet.
+      The margin also keeps at +1 every orientation sign the grid would
+      compute.  Seen from p_j, the other vertices lie in angular order from
+      q_j to the vertex before p_j, so of those off segment j the smallest
+      sine from e_j lies at a neighbour: at the vertex after q_j, where it
+      is cross(e_j, e_j+1) / (|e_j| |e_j + e_j+1|) > 1e-12, or at the vertex
+      before p_j, where it is the sine of the turn at p_j, above 2e-12.
+      Each orientation the grid tests on segment j is then at least
+      1e-12 |e_j| |x - p_j|, thousands of times the few units of 2**-53 by
+      which rounding can move it relative to that product; the turns the
+      certificate tests have the same headroom.
+    * Open polylines each of whose pieces are strictly ordered along x or
+      along y, in either direction (the running max of the upper bounds of
+      the boxes of pieces <= k lies below the running min of the lower
+      bounds of pieces >= k + 2), and whose own boxes are pairwise apart:
+      the box filter below then refuses every non-adjacent pair, since the
+      certificate mirrors its ``<=`` exactly.
+
+    Anything else goes to the grid.  Midpoints are hashed into a grid whose
+    cell is the longest segment plus two sagittas, so segments can meet only
+    in equal or neighbouring cells.  Cells are keyed column by column, so a
+    segment's candidates are two runs of the sorted keys: the later entries
+    of its own cell with the cell above it, and the three cells of the next
+    column; the other four neighbours see it from their side.  Candidates
+    pass a bounding-box filter, then four orientation signs decide, counting
+    touching and collinear overlap as contact (Shamos & Hoey, FOCS 1976), or
+    ``_pieces_meet`` where one of the two is curved.
     """
     if closed:
         polylines = [np.append(polylines[0], polylines[0][0])]
@@ -280,8 +307,12 @@ def _polyline_contacts(polylines, closed=False, circles=None):
     else:
         p = np.concatenate([pts[:-1] for pts in polylines])
         q = np.concatenate([pts[1:] for pts in polylines])
+    sizes = [pts.size - 1 for pts in polylines]
+    owner = np.repeat(np.arange(len(polylines)), sizes)
+    none = np.zeros(0, dtype=np.intp)
+    if closed and _strictly_convex(q - p):
+        return owner, none, none
     px, py, qx, qy = (np.ascontiguousarray(v) for v in (p.real, p.imag, q.real, q.imag))
-    owner = np.repeat(np.arange(len(polylines)), [pts.size - 1 for pts in polylines])
     n = p.size
     xmin, xmax = np.minimum(px, qx), np.maximum(px, qx)
     ymin, ymax = np.minimum(py, qy), np.maximum(py, qy)
@@ -299,6 +330,8 @@ def _polyline_contacts(polylines, closed=False, circles=None):
         sag = (1.0 + 1e-7) * 2.0 * rad * np.sin(0.25 * dth) ** 2
         xmin, xmax, ymin, ymax = xmin - sag, xmax + sag, ymin - sag, ymax + sag
         span += 2.0 * sag
+    if not closed and _ordered_apart(np.cumsum([0, *sizes]), np.stack((xmin, ymin, -xmax, -ymax))):
+        return owner, none, none
 
     mx, my = 0.5 * (px + qx), 0.5 * (py + qy)
     cell = (1.0 + 1e-7) * float(np.max(span)) or 1.0  # margin for rounding
@@ -339,6 +372,36 @@ def _polyline_contacts(polylines, closed=False, circles=None):
     return owner, i[first], j[first]
 
 
+def _strictly_convex(e):
+    """Whether the closed polyline of the edges ``e`` passes the convexity
+    certificate of ``_polyline_contacts``."""
+    e = np.append(e, e[0])
+    size = np.abs(e)
+    turn = np.imag(e[1:] * np.conj(e[:-1]))
+    return bool(np.all(turn > 1e-12 * np.maximum(size[1:], size[:-1]) * (size[1:] + size[:-1]))
+                and np.count_nonzero(np.diff(e.imag >= 0)) == 2)
+
+
+def _ordered_apart(starts, lo):
+    """Whether open polylines are each strictly ordered along an axis and
+    their boxes pairwise apart, as ``_polyline_contacts`` certifies.
+
+    ``lo`` holds the lower bounds of the piece boxes along x, y, -x and -y,
+    one row each; the pieces of polyline k are ``starts[k]:starts[k + 1]``.
+    """
+    hi = -lo[[2, 3, 0, 1]]
+    for s, e in zip(starts[:-1], starts[1:]):
+        if e - s > 2:
+            below = np.maximum.accumulate(hi[:, s:e - 2], axis=1)
+            above = np.minimum.accumulate(lo[:, e - 1:s + 1:-1], axis=1)[:, ::-1]
+            if not np.any(np.all(below < above, axis=1)):
+                return False
+    lower = np.minimum.reduceat(lo, starts[:-1], axis=1)
+    upper = -lower[[2, 3, 0, 1]]
+    apart = np.any(upper[:, :, None] < lower[:, None, :], axis=0)
+    return bool(np.all(apart | np.eye(apart.shape[0], dtype=bool)))
+
+
 def _pieces_meet(pieces, i, j):
     """Whether pieces i and j, at least one an arc of a circle, share a point.
 
@@ -354,7 +417,9 @@ def _pieces_meet(pieces, i, j):
     e = cen[b] - ca
     d = np.abs(e)
     d = np.where(d > 0, d, 1.0)
-    v = (q[b] - p[b]) / np.abs(q[b] - p[b])
+    chord = q[b] - p[b]
+    size = np.abs(chord)
+    v = chord / np.where(size > 0, size, 1.0)  # a repeated point has no direction: 0
     foot = np.where(line, p[b] + v * np.real(np.conj(v) * (ca - p[b])),
                     ca + e / d * (d * d + ra * ra - rad[b] ** 2) / (2.0 * d))
     w = np.where(line, v, 1j * e / d) * np.sqrt(np.maximum(ra * ra - np.abs(foot - ca) ** 2, 0.0))
@@ -368,7 +433,8 @@ def _piece_distance(x, pieces, k):
     """Distance from the points x (rows) to the pieces k (columns)."""
     p, q, cen, rad, th0, dth = (arr[k] for arr in pieces)
     v = q - p
-    s = np.clip(np.real(np.conj(v) * (x - p)) / np.abs(v) ** 2, 0.0, 1.0)
+    sq = np.abs(v) ** 2
+    s = np.clip(np.real(np.conj(v) * (x - p)) / np.where(sq > 0, sq, 1.0), 0.0, 1.0)
     ang = np.mod(np.sign(dth) * np.angle((x - cen) * np.exp(-1j * th0)), 2.0 * np.pi)
     on_arc = np.where(ang <= np.abs(dth), np.abs(np.abs(x - cen) - rad),
                       np.minimum(np.abs(x - p), np.abs(x - q)))

@@ -463,17 +463,142 @@ def polyline_sets(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=polyline_sets(), block=st.sampled_from([geometry._BLOCK, 1, 7]))
 def test_polyline_contacts_are_those_of_every_pair(case, block):
-    # small blocks split the candidates of one call over many passes; a
-    # repeated point beside an arc is a zero-length piece, whose direction in
-    # _pieces_meet is 0/0 (such a polyline touches itself, so it is refused)
+    # small blocks split the candidates of one call over many passes
     polylines, closed, circles = case
-    with mock.patch.object(geometry, "_BLOCK", block), np.errstate(invalid="ignore"):
-        owner, i, j = _polyline_contacts(polylines, closed=closed, circles=circles)
-        want_owner, sure, either = all_pairs_contacts(polylines, closed, circles)
+    with mock.patch.object(geometry, "_BLOCK", block):
+        assert_contacts_of_every_pair(polylines, closed, circles)
+
+
+def assert_contacts_of_every_pair(polylines, closed=False, circles=None):
+    owner, i, j = _polyline_contacts(polylines, closed=closed, circles=circles)
+    want_owner, sure, either = all_pairs_contacts(polylines, closed, circles)
     assert owner.tolist() == want_owner.tolist()
     got = list(zip(i.tolist(), j.tolist()))
     assert got == sorted(set(got)) and all(a < b for a, b in got)
     assert sure <= set(got) <= either
+
+
+def test_repeated_point_beside_an_arc_piece_is_a_contact_without_warnings():
+    # a zero-length piece 5e-4 inside the box of the arc piece from angle 0 to
+    # 0.1, widened by its sagitta, and 4.5e-3 inside the circle: it has no
+    # direction, and its polyline touches itself across the repeated point
+    ang = np.linspace(-0.5, 0.5, 11)
+    arc = np.exp(1j * ang)
+    point = np.cos(0.1) - 2.0 * np.sin(0.025) ** 2 + 5e-4 + 0.05j
+    walk = np.array([0.5 - 0.2j, point, point, 0.5 + 0.2j])
+    owner, i, j = _polyline_contacts([arc, walk], circles=[(0.0, 1.0, ang), None])
+    assert list(zip(i.tolist(), j.tolist())) == [(10, 12)]
+    assert owner[10] == owner[12] == 1
+    assert_contacts_of_every_pair([arc, walk], circles=[(0.0, 1.0, ang), None])
+
+
+@st.composite
+def convex_polygons(draw):
+    """A closed polyline: points at sorted random angles of an ellipse of
+    aspect ratio 1e-9 to 1, scaled by 1e-3 to 1e3, turned and moved by up to
+    1e4; perhaps with one point pushed in (towards the centre, or onto the
+    chord of its neighbours and past it) by 1e-16 to 1e-1 relative, or
+    wound twice."""
+    n = draw(st.integers(3, 40))
+    ang = 2.0 * np.pi * np.concatenate([
+        lap + np.sort(draw(st.lists(st.integers(0, 2 ** 20 - 1), min_size=n, max_size=n,
+                                    unique=True))) / 2.0 ** 20
+        for lap in range(draw(st.sampled_from([1, 1, 1, 2])))])
+    aspect = 10.0 ** draw(st.floats(-9.0, 0.0))
+    z = np.cos(ang) + 1j * aspect * np.sin(ang)
+    push = draw(st.sampled_from(["none", "centre", "chord"]))
+    if push != "none":
+        k = draw(st.integers(0, z.size - 1))
+        by = 10.0 ** draw(st.floats(-16.0, -1.0))
+        if push == "centre":
+            z[k] *= 1.0 - by
+        else:
+            chord = z[(k + 1) % z.size] - z[k - 1]
+            z[k] = 0.5 * (z[k - 1] + z[(k + 1) % z.size]) + 1j * by * chord
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    turn = np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    offset = complex(draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)))
+    return offset + scale * turn * z
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(z=convex_polygons())
+def test_convex_certificate_agrees_with_every_pair(z):
+    assert_contacts_of_every_pair([z], closed=True)
+
+
+@st.composite
+def monotone_polylines(draw):
+    """(polylines, circles): open polylines, each monotone along x or y in
+    either direction (with ties), or an arc of a circle within a quadrant,
+    laid side by side along x or y with boxes that are apart, share exactly
+    one bound, or overlap by one unit or by one ulp.  Integer points keep
+    the shared bounds exact."""
+    lay = draw(st.sampled_from([1, 1j]))
+    polylines, circles, start = [], [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            r = draw(st.sampled_from([1.0, 2.0]))
+            quadrant = draw(st.integers(0, 3)) * np.pi / 2
+            ang = quadrant + np.sort(np.array(draw(st.lists(
+                st.floats(0.0, np.pi / 2), min_size=2, max_size=10, unique=True))))
+            ang = ang[::draw(st.sampled_from([1, -1]))]
+            pts, c = r * np.exp(1j * ang), [0.0, r, ang]
+        else:
+            along = draw(st.sampled_from([1, -1, 1j, -1j]))
+            steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+            across = draw(st.lists(st.integers(-3, 3), min_size=len(steps) + 1,
+                                   max_size=len(steps) + 1))
+            pts = along * (np.concatenate(([0], np.cumsum(steps))) + 1j * np.array(across))
+            c = None
+        coord = (pts / lay).real
+        shift = (start - coord.min()) * lay
+        pts = pts + shift
+        if c is not None:
+            c[0] = shift
+        coord = (pts / lay).real
+        nudge = draw(st.sampled_from([0, 0, -1, 1]))
+        if nudge and len(polylines):
+            low = coord == coord.min()
+            moved = np.nextafter(coord[low], coord[low] + nudge)
+            pts[low] += (moved - coord[low]) * lay
+        polylines.append(pts.astype(complex))
+        circles.append(None if c is None else tuple(c))
+        start = float(coord.max()) + draw(st.sampled_from([0.0, 1.0, -1.0]))
+    return polylines, circles
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=monotone_polylines())
+def test_ordered_arcs_certificate_agrees_with_every_pair(case):
+    polylines, circles = case
+    assert_contacts_of_every_pair(polylines, circles=circles)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    ({"type": "circle", "radius": 1.0, "panels": 8, "nodes_per_panel": 2048}, False),
+    ({"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8, "nodes_per_panel": 512}, False),
+    ({"type": "rounded-polygon", "corner_radius": 0.25, "panels": 8, "nodes_per_panel": 512,
+      "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]]}, True),
+    ([{"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 8, "nodes_per_panel": 256}],
+     False),
+    ([{"type": "segment", "a": [a, 0], "b": [b, 0], "panels": 8, "nodes_per_panel": 128}
+      for a, b in [(-1.0, -0.3), (0.2, 1.0)]], False),
+    ([{"type": "circular", "center": [0, 0], "radius": 1.0, "theta_a": ta, "theta_b": tb,
+       "panels": 8, "nodes_per_panel": 128} for ta, tb in [(0.3, 1.4), (2.2, 4.0)]], False),
+    ([{"type": "segment", "a": a, "b": b, "panels": 8, "nodes_per_panel": per}
+      for a, b, per in [([-1, 0], [-0.4, 0], 86), ([0.1, 0], [1, 0], 86),
+                        ([-0.5, 0.5], [0.5, 0.8], 84)]], False),
+])
+def test_route_that_decides_each_benchmark_host(spec, grid):
+    # the benchmark's large closed contours and its arc systems: a certificate
+    # settles all but the rounded polygon, whose straight runs turn by 4e-19
+    with mock.patch.object(geometry, "_orientation", wraps=_orientation) as spy:
+        if isinstance(spec, dict):
+            build_closed_contour(spec)
+        else:
+            build_arc_system(spec)
+    assert spy.called == grid
 
 
 def test_self_contact_error_names_the_first_pair_in_segment_order():

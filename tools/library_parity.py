@@ -32,9 +32,12 @@ lattice of the benchmark's ``recovery.grid-atoms`` op, and on a lattice
 with an atom whose mass box crosses its edge and two atoms within one
 cluster radius.  Atoms sit off the lattice points of their grid.  The
 contact pairs of the geometry check, sorted, close the set: on a 4096-node
-circle with one spiked node, a 2000-step random walk and two circular arcs
-that touch between their nodes.  That makes 139 results.  It needs the
-standard library and numpy only.
+circle with one spiked node, a 2000-step random walk, two circular arcs
+that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
+segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
+radius inside the chord of its neighbours, and two segments that meet end
+to end.  That makes 143 results.  It needs the standard library and numpy
+only.
 """
 
 import argparse
@@ -218,7 +221,9 @@ def calls():
 
     # the geometry check's contacts, each as (i, j, owner of i, owner of j) in
     # (i, j) order: a 4096-node circle with one spiked node, a 2000-step
-    # random walk, and two circular arcs that touch between their nodes
+    # random walk, two circular arcs that touch between their nodes; a convex
+    # curve and a row of segments, and a dented polygon and two segments that
+    # share a box bound, which fall just short of the proofs of no contact
     from cauchypot.geometry import _polyline_contacts
 
     def contacts(*args, **kwargs):
@@ -234,6 +239,16 @@ def calls():
     yield "random walk-2000 contacts", lambda: contacts([walk])
     yield "touching circular arcs contacts", lambda: contacts(
         [c + r * np.exp(1j * a) for c, r, a in touching], circles=touching)
+    th = 2.0 * np.pi * np.arange(16384) / 16384
+    ellipse_16384 = 2.0 * np.cos(th) + 1j * np.sin(th)
+    row = [np.linspace(k, k + 0.5, 33) + 0j for k in range(16)]
+    gon = np.exp(2j * np.pi * np.arange(64) / 64)
+    gon[5] = 0.5 * (gon[4] + gon[6]) * (1.0 - 1e-13 / abs(0.5 * (gon[4] + gon[6])))
+    ends = [np.linspace(0.0, 1.0, 9) + 0j, np.linspace(1.0, 2.0, 9) + 0j]
+    yield "ellipse-16384 contacts", lambda: contacts([ellipse_16384], closed=True)
+    yield "16 segments contacts", lambda: contacts(row)
+    yield "dented 64-gon contacts", lambda: contacts([gon], closed=True)
+    yield "end to end segments contacts", lambda: contacts(ends)
 
     disk = cp.equilibrium_density({"type": "disk", "radius": 1.3, "center": [0.1, -0.2]})
     arcsine = cp.equilibrium_density({"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]})
