@@ -41,9 +41,10 @@ layer as one batch.  On a closed contour that is ``_closed_cauchy_sum``:
 the direct sums of ``_cauchy_sum`` for small hosts and small batches, and
 from 1024 nodes and a few dozen points on (``plemelj_residuals`` at its 64
 default nodes, a grid of ``cauchy_transform`` points) a walk of each point
-down the contour's multipole tree, the far field from the expansions of the
-weights and of the weighted data and the near leaves summed directly.  Arc
-systems keep the direct sums.
+down the contour's multipole tree, whose one level of leaves S shares: the
+far field from the expansions of the weights and of the weighted data, and
+each box still near a point a level above the leaves summed directly over
+its two leaves.  Arc systems keep the direct sums.
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def _host_values(f):
     raise TypeError("expected a SampledDensity")
 
 
+def _node_indices(host, at_indices):
+    """``at_indices`` (every node for None) as a 1-d integer array in [0, n), else IndexError."""
+    n = host.n_nodes
+    idx = np.arange(n) if at_indices is None else np.atleast_1d(np.asarray(at_indices))
+    if idx.size == 0:
+        idx = idx.astype(int)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+        raise IndexError(f"node indices must be a 1-d integer array in [0, {n})")
+    return idx
+
+
 # ---------------------------------------------------------------------------
 # the singular operator at nodes
 # ---------------------------------------------------------------------------
@@ -92,12 +104,7 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     host, values = _host_values(f)
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError(f"no singular operator for host {type(host).__name__}")
-    n = host.n_nodes
-    idx = np.arange(n) if at_indices is None else np.atleast_1d(np.asarray(at_indices))
-    if idx.size == 0:
-        idx = idx.astype(int)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
-        raise IndexError(f"node indices must be a 1-d integer array in [0, {n})")
+    idx = _node_indices(host, at_indices)
     out = (_S_closed(host, values, idx) if isinstance(host, ClosedContour)
            else _S_arcs(host, values, idx, density_class))
     if np.isscalar(at_indices):
@@ -113,7 +120,8 @@ def cauchy_transform(f, z):
     """C f at points strictly off the curve.
 
     Accuracy degrades within a few node spacings of the curve; inside the
-    host's ``near_cutoff`` the call is refused.  Use ``boundary_value`` for
+    host's ``near_cutoff`` the call is refused, and a point that is NaN or
+    infinite raises ValueError.  Use ``boundary_value`` for
     one-sided limits on the curve itself.  On a closed contour of 1024 nodes
     or more, a batch of points above the crossover of
     ``quadrature._closed_cauchy_sum`` takes the far field from the
@@ -124,6 +132,8 @@ def cauchy_transform(f, z):
     host, values = _host_values(f)
     z = np.asarray(z, dtype=complex)
     zs = z.ravel()
+    if not np.isfinite(zs).all():
+        raise ValueError("evaluation points must be finite")
     if np.any(host.distance_to(zs) < host.near_cutoff):
         raise NearBoundaryError(
             "point is on top of the curve; use boundary_value for limits"
@@ -147,13 +157,15 @@ def boundary_value(f, side="plus", node=0, h0=None, levels=3, tol=None):
     the quadrature under the ladder is meaningless.
 
     With ``tol`` set, the two finest extrapolants must agree to within
-    10 * tol, else the limit is declared non-convergent.
+    10 * tol, else the limit is declared non-convergent.  ``node`` must be
+    an integer in [0, n), as ``singular_S`` requires of its indices, else
+    IndexError.
     """
     host, values = _host_values(f)
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    return complex(_boundary_values(host, values, [int(node)], (side,), h0,
-                                    levels, tol)[0, 0])
+    idx = _node_indices(host, [node])
+    return complex(_boundary_values(host, values, idx, (side,), h0, levels, tol)[0, 0])
 
 
 def _boundary_values(host, values, idx, sides, h0, levels, tol):

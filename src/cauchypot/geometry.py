@@ -1025,10 +1025,12 @@ class ArcSystem(_Host):
         return np.polynomial.polynomial.polyval(z, self.R_coeffs)
 
     def eval_sqrtR(self, z, check_distance=True):
-        """sqrt(R) on the single-valued branch, for z off the arcs."""
+        """sqrt(R) on the single-valued branch, for finite z off the arcs."""
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zs = np.atleast_1d(z)
+        if not np.isfinite(zs).all():
+            raise ValueError("evaluation points must be finite")
         if check_distance and np.any(self.distance_to(zs) < self.near_cutoff):
             raise NearBoundaryError(
                 "evaluation point is within the near-boundary cutoff; "

@@ -288,9 +288,12 @@ def log_potential(measure, z):
     On-curve requests must land on a node, where the curve part is spectral
     (see ``log_potential_nodes``; chain arcs raise GeometryError); points
     between nodes inside the near cutoff are refused.  Evaluation exactly
-    at a point mass raises the log domain error.
+    at a point mass raises the log domain error, and at a point that is
+    NaN or infinite ValueError.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError("evaluation point must be finite")
     if isinstance(measure, SampledDensity):
         return _curve_potential(measure, z)
     if not isinstance(measure, MeasureEstimate):

@@ -34,15 +34,15 @@ get the pole-subtracted rows at every requested node: summed directly
 below ``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole
 method: a ``_MultipolePlan`` of what the nodes alone fix, which the contour
 builds on its first multipole sum and keeps, and a pass per density.  The
-plan's leaves for S hold about 16 nodes.  Their near field is a product
-with a kernel 1/(t_j - t_i) that the plan holds once per unordered pair of
-near leaves, summed only over the pairs that touch the requested rows; the
-far field is a multipole pass whose M2L factor powers each pass forms.  On
-a graded arc, in the parameter tau = cos(u), the arc's own part is
-diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
-node factors the arc holds), and the remainder is the other arcs' sums
-(over the nodes the system holds per arc) and, on a circular arc, the
-difference between its kernel and 1/(tau - tau_x).  From
+plan has one level of leaves, of about 16 nodes, where S sums.  Their near
+field is a product with a kernel 1/(t_j - t_i) that the plan holds once per
+unordered pair of near leaves, summed only over the pairs that touch the
+requested rows; the far field is a multipole pass whose M2L factor powers
+each pass forms.  On a graded arc, in the parameter tau = cos(u), the arc's
+own part is diagonal in Chebyshev coefficients (length-2m FFTs, whose
+twiddles and node factors the arc holds), and the remainder is the other
+arcs' sums (over the nodes the system holds per arc) and, on a circular
+arc, the difference between its kernel and 1/(tau - tau_x).  From
 ``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of its remainders
 at the first proxies (``_proxy_kernels``), built on its first S, and there
 the remainders are products with the data.
@@ -51,13 +51,13 @@ Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
 ``_closed_cauchy_sum``: summed directly for small hosts and small batches,
 and from there on by a walk of each point down the tree of the contour's
-``_MultipolePlan`` to its buckets of about 32 nodes, a level above S's
-leaves, O(log N) per point.  Every other Cauchy sum over nodes goes
-through one blocked kernel, ``_cauchy_sum``: the direct closed-contour
-rows and off-curve sums, the arc remainders the proxy plan does not hold,
-and the Cauchy transform and its one-sided limits on arcs.  ``neville`` is
-the one extrapolation tableau, fed by ``normal_ladder`` for boundary limits
-and curve recovery.
+``_MultipolePlan`` to the level above its leaves, O(log N) per point, a
+box still near a point there summed over its two leaves.  Every other
+Cauchy sum over nodes goes through one blocked kernel, ``_cauchy_sum``:
+the direct closed-contour rows and off-curve sums, the arc remainders the
+proxy plan does not hold, and the Cauchy transform and its one-sided limits
+on arcs.  ``neville`` is the one extrapolation tableau, fed by
+``normal_ladder`` for boundary limits and curve recovery.
 
 ``host_rule`` (which only checks that its argument is a host and returns
 it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
@@ -382,14 +382,14 @@ _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
 # Off-curve targets.  A point is separated from box B where |z - c_B| >
 # _TARGET_SEPARATION r_B: a box pair's alpha plus one, fixed by the largest
 # difference from the direct sums, 2e-15 max|f| on 1024-16384 nodes (at 3,
-# 6e-13).  The walk stops at boxes of about _TARGET_LEAF nodes, a level
-# above S's leaves (on leaves of 16 the plemelj ladders of the benchmark ran
-# 2-12 % slower), and takes _TARGET_BLOCK targets at a time.  The tree costs
-# about the direct sums of _TREE_TARGETS targets plus _TREE_PAIRS target-node
-# pairs: it broke even at about 28, 56 and 150 targets on 16384, 4096 and
-# 1024 nodes (2 cores, one BLAS thread).
+# 6e-13).  The walk stops a level above the leaves and sums a box still not
+# separated there over its two leaves (walking down to the leaves made
+# plemelj_residuals on the 16384-node circle about 10 % slower), and takes
+# _TARGET_BLOCK targets at a time.  The tree costs about the direct sums of
+# _TREE_TARGETS targets plus _TREE_PAIRS target-node pairs: it broke even at
+# about 28, 56 and 150 targets on 16384, 4096 and 1024 nodes (2 cores, one
+# BLAS thread).
 _TARGET_SEPARATION = _FMM_SEPARATION + 1.0
-_TARGET_LEAF = 32
 _TARGET_BLOCK = 1024
 _TREE_TARGETS = 16
 _TREE_PAIRS = 1 << 17
@@ -422,19 +422,18 @@ class _MultipolePlan:
     boxes that were not separated are paired again; boxes A and B with
     |c_A - c_B| > alpha (r_A + r_B) exchange their far field.  S sums at
     the leaves (level ``depth``); the off-curve walk stops a level above
-    them, at boxes of about ``_TARGET_LEAF`` nodes (level ``walk_depth``),
-    its buckets.
+    them and sums each box it reaches there over its two leaves.
 
     The plan is what depends on the nodes t and weights w alone, every
     array of it read-only.  Built at once: the tree, each box's shift to
     its parent (the powers of rho = r_child/r_parent and delta = (c_child -
-    c_parent)/r_parent), and for the buckets each node's bucket and
-    coordinate (t - c)/r and each bucket's nodes, padded at weight 0 with
-    its last node.  Built on first use and kept:
+    c_parent)/r_parent), each node's leaf and leaf coordinate (t - c)/r,
+    and each leaf's first node and its columns: its nodes padded with its
+    last, their t and w (0 on the padding) and where they are its own.
+    Built on first use and kept:
 
     * ``multipole_of_weights``: the expansions of w in every box down to
-      the buckets (the walk's);
-    * ``_leaves``: S's leaves, as the buckets are the walk's;
+      the leaves;
     * ``_pairs``: the separated box pairs and the leaf pairs that are not;
     * ``_m2l``: the separated pairs (A, B), sorted by A, with r_B/d, -r_A/d
       and -1/d, d = c_A - c_B, whose powers each pass forms;
@@ -444,8 +443,8 @@ class _MultipolePlan:
       leaf takes its pairs' partial sums;
     * ``rows_of_weights``: sum_j w_j/(t_j - t_i) over j != i at every node.
 
-    ``rows`` (S at nodes) uses all but the first; ``off_curve`` (targets
-    off the curve) walks the tree and needs only the first.
+    ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
+    curve) walks the tree and needs only the first.
     ``ClosedContour._multipole_plan`` builds the plan on the first sum that
     takes a multipole route, not before, and keeps it for the host's
     lifetime.
@@ -454,13 +453,12 @@ class _MultipolePlan:
     def __init__(self, t, w):
         n = t.size
         self.depth = depth = max(1, math.ceil(math.log2(n / _FMM_LEAF)))
-        self.walk_depth = max(1, math.ceil(math.log2(n / _TARGET_LEAF)))
         # by box number; boxes 0 and 1 (the root) are in no pass
         center = np.zeros(2 << depth, dtype=complex)
         radius = np.ones(2 << depth)
         for lev in range(1, depth + 1):
-            lo, box = self._level(n, lev)
-            first = lo[:-1]
+            lo = (np.arange((1 << lev) + 1) * n) >> lev
+            first, box = lo[:-1], np.repeat(np.arange(1 << lev), np.diff(lo))
             c = 0.5 * (np.minimum.reduceat(t.real, first) + np.maximum.reduceat(t.real, first)
                        + 1j * (np.minimum.reduceat(t.imag, first)
                                + np.maximum.reduceat(t.imag, first)))
@@ -471,38 +469,18 @@ class _MultipolePlan:
         self.rho = _powers(radius / radius[parent])
         self.delta = (center - center[parent]) / radius[parent]
         self.nodes, self.weights = t, w
-        lo, self.leaf, self.coords = self._nodes_of(self.walk_depth)
-        self.first = lo[:-1]
-        self.leaf_cols, real = self._columns(lo)
-        self.leaf_nodes = t[self.leaf_cols]
-        self.leaf_weights = np.where(real, w[self.leaf_cols], 0.0)
-        for a in (center, radius, self.rho, self.delta, self.first, self.leaf, self.coords,
-                  self.leaf_cols, self.leaf_nodes, self.leaf_weights):
-            _read_only(a)
-
-    @staticmethod
-    def _level(n, lev):
-        """The first node of each box of level ``lev`` and n, and each node's box there."""
-        lo = (np.arange((1 << lev) + 1) * n) >> lev
-        return lo, np.repeat(np.arange(1 << lev), np.diff(lo))
-
-    @staticmethod
-    def _columns(lo):
-        """Each box's nodes, padded with its last, and where they are its own."""
+        # the loop ends at the leaves: first and box are theirs
+        self.first, self.leaf = first, box
+        self.coords = (t - center[box + (1 << depth)]) / radius[box + (1 << depth)]
         size = np.diff(lo)
         col = np.arange(size.max())
-        return lo[:-1, None] + np.minimum(col, size[:, None] - 1), col < size[:, None]
-
-    def _nodes_of(self, lev):
-        """(first nodes and n, each node's box, each node's coordinate (t - c)/r) at ``lev``."""
-        lo, box = self._level(self.nodes.size, lev)
-        k = box + (1 << lev)
-        return lo, box, (self.nodes - self.center[k]) / self.radius[k]
-
-    @cached_property
-    def _leaves(self):
-        """(first node of each leaf and n, each node's leaf, its leaf coordinate)."""
-        return tuple(map(_read_only, self._nodes_of(self.depth)))
+        self.leaf_cols = first[:, None] + np.minimum(col, size[:, None] - 1)
+        self.leaf_own = col < size[:, None]
+        self.leaf_nodes = t[self.leaf_cols]
+        self.leaf_weights = np.where(self.leaf_own, w[self.leaf_cols], 0.0)
+        for a in (center, radius, self.rho, self.delta, self.first, self.leaf, self.coords,
+                  self.leaf_cols, self.leaf_own, self.leaf_nodes, self.leaf_weights):
+            _read_only(a)
 
     @cached_property
     def _pairs(self):
@@ -537,26 +515,23 @@ class _MultipolePlan:
 
     @cached_property
     def _kernel(self):
-        """(D, A, B, columns, partials) over the leaf pairs (A, B) that are not
+        """(D, A, B, partials) over the leaf pairs (A, B) that are not
         separated, A < B first and then A = B, each sorted by A.
 
-        D[p, i, j] = 1/(t_j - t_i) for the i-th node of leaf A and the j-th
-        of leaf B, 0 for i = j and on the padding of leaves shorter than the
-        longest.  ``columns[L]`` lists leaf L's nodes, padded with its last.
-        Pair p gives leaf A the row sums of D[p] (partial p) and, if A < B,
-        leaf B the negated column sums (partial P + p, P pairs in all).
-        ``partials[L]`` lists leaf L's partials by the other leaf of the
-        pair, padded with 2P, a partial of zeros.
+        D[p, i, j] = 1/(t_j - t_i) for the i-th column of leaf A and the
+        j-th of leaf B, 0 for i = j and on the padding of leaves shorter
+        than the longest.  Pair p gives leaf A the row sums of D[p] (partial
+        p) and, if A < B, leaf B the negated column sums (partial P + p, P
+        pairs in all).  ``partials[L]`` lists leaf L's partials by the other
+        leaf of the pair, padded with 2P, a partial of zeros.
         """
-        lo, _, _ = self._leaves
         a, b = self._pairs[1].T
         order = np.concatenate((np.flatnonzero(a < b), np.flatnonzero(a == b)))
         a, b = a[order], b[order]
-        columns, real = self._columns(lo)
-        t = self.nodes[columns]
+        t, own = self.leaf_nodes, self.leaf_own
         den = t[b][:, None, :] - t[a][:, :, None]
-        off = real[a][:, :, None] & real[b][:, None, :]
-        off[a == b] &= ~np.eye(columns.shape[1], dtype=bool)
+        off = own[a][:, :, None] & own[b][:, None, :]
+        off[a == b] &= ~np.eye(t.shape[1], dtype=bool)
         den[~off] = 1.0
         kernel = np.divide(1.0, den, out=den)
         kernel[~off] = 0.0
@@ -566,10 +541,10 @@ class _MultipolePlan:
         other = np.concatenate((b, a[cross]))
         slot = np.concatenate((np.arange(a.size), a.size + cross))
         by = np.lexsort((other, owner))
-        count = np.bincount(owner, minlength=columns.shape[0])
+        count = np.bincount(owner, minlength=t.shape[0])
         partials = np.full((count.size, count.max()), 2 * a.size, dtype=np.int64)
         partials[owner[by], _ranges(np.zeros_like(count), count)] = slot[by]
-        return tuple(map(_read_only, (kernel, a, b, columns, partials)))
+        return tuple(map(_read_only, (kernel, a, b, partials)))
 
     def _near(self, x, need):
         """sum_j D_ij x_j over the near leaves at the nodes of the leaves with
@@ -581,9 +556,9 @@ class _MultipolePlan:
         each leaf adds its partials one by one in the order of ``_kernel``,
         so a node's sum does not depend on the other leaves asked for.
         """
-        kernel, a, b, columns, partials = self._kernel
+        kernel, a, b, partials = self._kernel
         n_pairs, width = a.size, kernel.shape[1]
-        xs = x[columns]
+        xs = x[self.leaf_cols]
         part = np.empty((2 * n_pairs + 1, width), dtype=complex)
         part[-1] = 0.0
         step = max(1, _ROW_BLOCK // width ** 2)
@@ -608,29 +583,28 @@ class _MultipolePlan:
 
     @cached_property
     def multipole_of_weights(self):
-        return _read_only(self._upward(self.weights, self.first, self.coords))
+        """The expansions of w in every box down to the leaves (``_upward``)."""
+        return _read_only(self._upward(self.weights))
 
     @cached_property
     def rows_of_weights(self):
         """sum_j w_j/(t_j - t_i) over j != i at every node i: near plus far."""
-        lo, leaf, coords = self._leaves
         nodes = np.arange(self.nodes.size)
-        need = np.ones(lo.size - 1, dtype=bool)
-        near = self._near(self.weights, need)[leaf, nodes - lo[leaf]]
-        far = self._far(self._upward(self.weights, lo[:-1], coords, self._m2l[-1]), nodes)
-        return _read_only(near + far)
+        need = np.ones(self.first.size, dtype=bool)
+        near = self._near(self.weights, need)[self.leaf, nodes - self.first[self.leaf]]
+        return _read_only(near + self._far(self.multipole_of_weights, nodes))
 
-    def _upward(self, s, first, coords, top=1):
+    def _upward(self, s, top=1):
         """The multipole expansions of the sources s in every box of the
-        levels ``top`` to the one whose boxes start at the nodes ``first``,
-        and whose nodes have the box coordinates ``coords``.
+        levels ``top`` to ``depth``, the leaves.
 
-        M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at that
-        level and M2M up the tree.
+        M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at the
+        leaves and M2M up the tree.  A box's expansion does not depend on
+        ``top``.
         """
-        p, depth = _FMM_TERMS, first.size.bit_length() - 1
+        p, depth = _FMM_TERMS, self.depth
         multipole = np.zeros((p, 2 << depth), dtype=complex)
-        multipole[:, 1 << depth:] = np.add.reduceat(_powers(coords, s), first, axis=1)
+        multipole[:, 1 << depth:] = np.add.reduceat(_powers(self.coords, s), self.first, axis=1)
         for lev in range(depth, top, -1):
             # M_k(parent) = sum_j C(k, j) rho^j delta^(k - j) M_j(child): the
             # Pascal triangle, one diagonal per step
@@ -674,9 +648,8 @@ class _MultipolePlan:
                 y[k - 1:-1] += delta * y[k:]
             local[:, box] += self.rho[:, box] * y
 
-        _, leaf, coords = self._leaves
-        k = leaf[idx] + (1 << depth)
-        v = coords[idx]
+        k = self.leaf[idx] + (1 << depth)
+        v = self.coords[idx]
         acc = local[p - 1, k]
         for j in range(p - 2, -1, -1):
             acc *= v
@@ -693,53 +666,53 @@ class _MultipolePlan:
         plus the far field of w f from the expansions (``_far``); the second
         is the plan's ``rows_of_weights``.
         """
-        lo, leaf, coords = self._leaves
-        k = leaf[idx]
-        need = np.zeros(lo.size - 1, dtype=bool)
+        k = self.leaf[idx]
+        need = np.zeros(self.first.size, dtype=bool)
         need[k] = True
         wf = self.weights * f
-        near = self._near(wf, need)[k, idx - lo[k]]
-        far = self._far(self._upward(wf, lo[:-1], coords, self._m2l[-1]), idx)
+        near = self._near(wf, need)[k, idx - self.first[k]]
+        far = self._far(self._upward(wf, self._m2l[-1]), idx)
         return (near + far) - f[idx] * self.rows_of_weights[idx] + self.weights[idx] * df[idx]
 
     def off_curve(self, z, f, s=None):
         """sum_j w_j (f_j - s_i)/(t_j - z_i) at points z_i off the nodes (s_i = 0 without s).
 
         A treecode (Barnes & Hut, Nature 324, 1986) on the plan's
-        expansions down to its buckets: the expansions of w f by one upward
-        pass, those of w kept by the plan.  Each target walks down the tree
-        from the root's children, one level at a time for all (target, box)
-        pairs at once.  A box with |z - c_B| > ``_TARGET_SEPARATION`` r_B
-        gives its far field sum_j s_j/(t_j - z) = -(1/D) sum_k M_k
+        expansions: those of w f by one upward pass, those of w kept by the
+        plan.  Each target walks down the tree from the root's children to
+        the level above the leaves, one level at a time for all (target,
+        box) pairs at once.  A box with |z - c_B| > ``_TARGET_SEPARATION``
+        r_B gives its far field sum_j s_j/(t_j - z) = -(1/D) sum_k M_k
         (r_B/D)**k, D = z - c_B, by Horner's rule in r_B/D (M2P), for the
         sources w f minus s_i times w; the others pass their children on.
-        The buckets still not separated at the bottom are summed directly
-        with the pole subtraction (f_j - s_i), as the direct sums are.
-        Targets go in blocks of ``_TARGET_BLOCK``, and each target's pairs,
-        and their sums, follow its own walk, so its value does not depend on
-        the other targets.
+        A box still not separated at the bottom is summed directly over the
+        columns of its two leaves, with the pole subtraction (f_j - s_i), as
+        the direct sums are.  Targets go in blocks of ``_TARGET_BLOCK``, and
+        each target's pairs, and their sums, follow its own walk, so its
+        value does not depend on the other targets.
         """
-        mf = self._upward(self.weights * f, self.first, self.coords)
+        mf = self._upward(self.weights * f)
         mw = None if s is None else self.multipole_of_weights
-        f_leaf = f[self.leaf_cols]
+        # row q: the columns of leaves 2q and 2q + 1, the children of box q
+        # of the level above
+        f_box = f[self.leaf_cols].reshape(self.first.size // 2, -1)
         out = np.empty(z.size, dtype=complex)
         for lo in range(0, z.size, _TARGET_BLOCK):
             rows = slice(lo, lo + _TARGET_BLOCK)
-            out[rows] = self._walk(z[rows], f_leaf, mf, mw, None if s is None else s[rows])
+            out[rows] = self._walk(z[rows], f_box, mf, mw, None if s is None else s[rows])
         return out
 
-    def _walk(self, z, f_leaf, mf, mw, s):
+    def _walk(self, z, f_box, mf, mw, s):
         """``off_curve`` for one block of targets."""
-        depth = self.walk_depth
-        i, box = np.repeat(np.arange(z.size), 2), np.tile([2, 3], z.size)
-        far = []  # (target, box, z - c_B) of the separated pairs, level by level
-        for lev in range(1, depth + 1):
+        i, box = np.arange(z.size), np.ones(z.size, dtype=np.int64)
+        # (target, box, z - c_B) of the separated pairs, level by level
+        far = [(i[:0], box[:0], z[:0])]
+        for _ in range(1, self.depth):
+            i, box = np.repeat(i, 2), (2 * box[:, None] + [0, 1]).ravel()
             d = z[i] - self.center[box]
             sep = np.abs(d) > _TARGET_SEPARATION * self.radius[box]
             far.append((i[sep], box[sep], d[sep]))
             i, box = i[~sep], box[~sep]
-            if lev < depth:
-                i, box = np.repeat(i, 2), (2 * box[:, None] + [0, 1]).ravel()
         fi, fb, d = (np.concatenate(x) for x in zip(*far))
         u = self.radius[fb] / d
         sf = None if s is None else s[fi]
@@ -749,19 +722,20 @@ class _MultipolePlan:
             acc += mf[k, fb] if s is None else mf[k, fb] - sf * mw[k, fb]
         acc /= -d
 
-        q = box - (1 << depth)
+        q = box - (1 << (self.depth - 1))
+        t, w = (a.reshape(f_box.shape) for a in (self.leaf_nodes, self.leaf_weights))
 
         def block(rows):
-            den = self.leaf_nodes[q[rows]]
+            den = t[q[rows]]
             den -= z[i[rows], None]
-            reg = f_leaf[q[rows]]
+            reg = f_box[q[rows]]
             if s is not None:
                 reg -= s[i[rows], None]
             reg /= den
-            reg *= self.leaf_weights[q[rows]]
+            reg *= w[q[rows]]
             return np.sum(reg, axis=1)
 
-        near = _by_rows(block, q.size, self.leaf_cols.shape[1], complex)
+        near = _by_rows(block, q.size, f_box.shape[1], complex)
         return _sum_by(i, near, z.size) + _sum_by(fi, acc, z.size)
 
 
@@ -779,9 +753,10 @@ def _closed_cauchy_sum(host, z, f, s=None):
     w is the host's ``dt_weights``, s_i = 0 without s.  Below
     ``_FMM_MIN_NODES`` nodes, or while (targets - ``_TREE_TARGETS``) x nodes
     is below ``_TREE_PAIRS``, the sum is ``_cauchy_sum``'s; from there on
-    the host's multipole plan walks the targets down its tree
-    (``_MultipolePlan.off_curve``).  The route depends on the number of
-    nodes and of targets only.
+    the host's multipole plan walks the targets down its tree to the level
+    above its leaves, the leaves S sums at, and sums the boxes left there
+    over their two leaves (``_MultipolePlan.off_curve``).  The route depends
+    on the number of nodes and of targets only.
     """
     t, w = host.nodes, host.dt_weights
     if t.size < _FMM_MIN_NODES or (z.size - _TREE_TARGETS) * t.size < _TREE_PAIRS:

@@ -17,6 +17,7 @@ from cauchypot.errors import (
     NearBoundaryError,
 )
 from cauchypot.geometry import build_arc_system, build_closed_contour
+from cauchypot.potential import equilibrium_density, log_potential
 from cauchypot.quadrature import integrate_arclength
 from cauchypot.sampling import (
     SampledDensity,
@@ -505,6 +506,35 @@ REFUSALS = {
     "S on a lone arc": (GeometryError, lambda: singular_S(_ones(segment(64).arcs[0]))),
     "limit from the left": (ValueError, lambda: boundary_value(_ones(circle(8)), side="left")),
 }
+
+
+@pytest.mark.parametrize("node", [-1, 64, 2.7])
+def test_boundary_value_refuses_a_node_as_S_refuses_its_indices(node):
+    # checked as S's indices are: no wrap-around from the end, no truncation
+    f = _ones(circle(8))
+    assert f.host.n_nodes == 64
+    for call in (lambda: boundary_value(f, node=node),
+                 lambda: singular_S(f, at_indices=node)):
+        with pytest.raises(IndexError, match=r"1-d integer array in \[0, 64\)"):
+            call()
+
+
+# calls at a point z, which must raise for a NaN or infinite z, not give NaN
+AT_A_POINT = {
+    "cauchy transform on a contour": lambda z: cauchy_transform(_ones(circle(8)), [2.0, z]),
+    "cauchy transform on an arc": lambda z: cauchy_transform(_ones(segment(64)), z),
+    "sqrt(R) of an arc system": lambda z: segment(64).eval_sqrtR(z),
+    "potential of a density": lambda z: log_potential(_ones(circle(8)), z),
+    "potential of an estimate": lambda z: log_potential(
+        equilibrium_density({"type": "disk", "radius": 1.0}), z),
+}
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(0.5, np.nan), complex(-np.inf, 1.0)])
+@pytest.mark.parametrize("case", sorted(AT_A_POINT))
+def test_evaluation_points_must_be_finite(case, z):
+    with pytest.raises(ValueError, match="finite"):
+        AT_A_POINT[case](z)
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))

@@ -812,15 +812,15 @@ def near_rows(host, g):
     plan = host._multipole_plan
     t, w, n = host.nodes, host.dt_weights, host.n_nodes
     df = quadrature.closed_node_derivative(host, g)
-    lo, leaf, _ = plan._leaves
-    pos = np.arange(n) - lo[leaf]
-    every = np.ones(lo.size - 1, dtype=bool)
+    leaf = plan.leaf
+    pos = np.arange(n) - plan.first[leaf]
+    every = np.ones(plan.first.size, dtype=bool)
     got = (plan._near(w * g, every)[leaf, pos] - g * plan._near(w, every)[leaf, pos]
            + w * df)
     a, b = plan._pairs[1].T
     want = np.empty(n, dtype=complex)
     for i in range(n):
-        j = np.concatenate([np.arange(lo[q], lo[q + 1]) for q in b[a == leaf[i]]])
+        j = np.concatenate([plan.leaf_cols[q][plan.leaf_own[q]] for q in b[a == leaf[i]]])
         j = j[j != i]
         want[i] = np.sum(w[j] * (g[j] - g[i]) / (t[j] - t[i])) + w[i] * df[i]
     return got, want
@@ -860,8 +860,12 @@ def test_the_multipole_plan_is_built_on_first_use_and_kept_with_its_host(monkeyp
     singular_S(SampledDensity(host, g), at_indices=[3, 1, 3])
     solve_closed(SampledDensity(host, g), tolerance=None)
     assert builds == [host.n_nodes]
-    # the 4096-node plan held 973 bytes per node: 768 of them the near
-    # kernel's, and the M2L factors as r_B/d, -r_A/d and -1/d, not their powers
+    # the 4096-node plan held 989 bytes per node: 768 of them the near
+    # kernel's, and the M2L factors as r_B/d, -r_A/d and -1/d, not their powers;
+    # the off-curve walk of plemelj_residuals adds nothing to it
+    assert _plan_bytes(host) <= 1024 * host.n_nodes
+    plemelj_residuals(SampledDensity(host, g))
+    assert builds == [host.n_nodes]
     assert _plan_bytes(host) <= 1024 * host.n_nodes
     # the plan lives on the host and holds no reference to it
     ref = weakref.ref(host)
@@ -902,12 +906,12 @@ def test_the_near_kernel_is_built_once_and_dies_with_its_host(monkeypatch):
     assert ref() is None
 
 
-def test_off_curve_sums_do_not_depend_on_the_leaves_of_S(monkeypatch):
-    # the walk stops at buckets of about _TARGET_LEAF nodes whatever S's
-    # leaves.  Its sums on a 4096-node polygon are bitwise the same before
-    # and after S builds its own leaves, and on a plan whose S leaves are
-    # the buckets, as when both held 32 nodes; the hash is theirs from when
-    # both did (numpy 2.4.6 on x86-64: re-pin it if numpy changes its sums)
+def test_off_curve_sums_do_not_depend_on_the_leaves_of_S():
+    # the walk shares S's leaves, and needs none of S's pairs or kernel.
+    # Its sums on a 4096-node polygon are bitwise the same before and after
+    # S builds its pairs and near kernel over those leaves; the hash is
+    # theirs (numpy 2.4.6 on x86-64 Linux: re-pin it if numpy changes its
+    # sums)
     host, g = fallback_input("polygon")
     z, k = off_curve_targets(host, np.random.default_rng(5), 400)
 
@@ -918,12 +922,8 @@ def test_off_curve_sums_do_not_depend_on_the_leaves_of_S(monkeypatch):
     first = sums(host)
     closed_S(host, g)
     assert sums(host).tobytes() == first.tobytes()
-    monkeypatch.setattr(quadrature, "_FMM_LEAF", quadrature._TARGET_LEAF)
-    fresh, _ = fallback_input("polygon")
-    assert sums(fresh).tobytes() == first.tobytes()
-    assert fresh._multipole_plan.depth == fresh._multipole_plan.walk_depth
     assert hashlib.sha256(first.tobytes()).hexdigest() == (
-        "9ff7e11e1d8c90f874aca638824fabd55a8c03cae186c5c3aa527317883225f7")
+        "73bab810da1062daeb6955ac011c89303a84d9fed1f6088f57b9b967866a7800")
 
 
 @pytest.fixture
@@ -1107,7 +1107,7 @@ def test_plemelj_ladders_above_the_crossover_share_one_tree(monkeypatch, counted
     assert builds == [host.n_nodes] and counted_rows == []
     built = set(vars(host._multipole_plan))
     assert "multipole_of_weights" in built
-    assert not built & {"_leaves", "_pairs", "_m2l", "_kernel", "rows_of_weights"}
+    assert not built & {"_pairs", "_m2l", "_kernel", "rows_of_weights"}
     first = plemelj_residuals(f)
     kept = dict(vars(host._multipole_plan))
     assert plemelj_residuals(f) == first

@@ -23,7 +23,10 @@ remainders take the proxy plan, Plemelj
 residuals, boundary values and Cauchy transforms (on a 256-node circle,
 summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
-multipole tree and boundary values at two nodes the direct sums), on-node
+multipole tree and boundary values at two nodes the direct sums, and
+``plemelj_residuals`` and the grid on the 1200-node polygon, whose leaves
+differ in size by a node: its ladders take the tree, its grid is below the
+crossover and takes the direct sums), on-node
 and off-curve potentials, the integrals (and, summed exactly at scale,
 integrals of data whose exact integral is 0 on the 16384-node circle and on
 two mirrored segments of 2048 nodes), the equilibrium references, and
@@ -36,7 +39,7 @@ circle with one spiked node, a 2000-step random walk, two circular arcs
 that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
-to end.  That makes 143 results.  It needs the standard library and numpy
+to end.  That makes 145 results.  It needs the standard library and numpy
 only.
 """
 
@@ -122,6 +125,8 @@ def calls():
         yield f"polygon-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values
         yield f"polygon-{host.n_nodes} S at a node", lambda g=g, k=host.n_nodes - 1: (
             cp.singular_S(g, at_indices=k))
+        if per == 150:
+            polygon_1200 = g
 
     circle = closed["circle"][0]
     g = sd(circle, circle.nodes ** 3)
@@ -131,20 +136,27 @@ def calls():
     yield "circle cauchy transform", lambda: cp.cauchy_transform(g, [0.1, 0.5j, 3.0, -2 + 1j])
 
     # off-curve sums through the multipole tree: 384 ladder rungs and 64
-    # grid points over the curve's bounding box and beyond it
+    # grid points over the curve's bounding box and beyond it; on the
+    # 1200-node polygon the walk sums boxes over leaves that differ in size
+    # by a node (402 rungs; its 64 grid points are below the crossover)
+    def grid(host):
+        t = host.nodes
+        x = np.linspace(t.real.min() - 0.3, t.real.max() + 0.3, 8)
+        y = np.linspace(t.imag.min() - 0.3, t.imag.max() + 0.3, 8)
+        return x + 1j * y[:, None]
+
+    yield "polygon-1200 plemelj", lambda: cp.plemelj_residuals(polygon_1200)
+    yield "polygon-1200 cauchy transform", lambda: cp.cauchy_transform(
+        polygon_1200, grid(polygon_1200.host))
     big_circle = cp.build_closed_contour({"type": "circle", "radius": 1.3, "center": [0.1, -0.2],
                                           "panels": 8, "nodes_per_panel": 2048})
     for name, host, data in (("polygon-4096", *closed["polygon-4096"]),
                              ("circle-16384", big_circle, closed["circle"][1])):
         g = sd(host, data(host))
-        t = host.nodes
-        x = np.linspace(t.real.min() - 0.3, t.real.max() + 0.3, 8)
-        y = np.linspace(t.imag.min() - 0.3, t.imag.max() + 0.3, 8)
-        grid = x + 1j * y[:, None]
         yield f"{name} plemelj", lambda g=g: cp.plemelj_residuals(g)
         yield f"{name} boundary values", lambda g=g: [
             cp.boundary_value(g, side, node=k) for side in ("plus", "minus") for k in (0, 100)]
-        yield f"{name} cauchy transform", lambda g=g, z=grid: cp.cauchy_transform(g, z)
+        yield f"{name} cauchy transform", lambda g=g, z=grid(host): cp.cauchy_transform(g, z)
 
     # the exact summation at scale: integrals of data whose exact integral is
     # 0, (t - c)^3 and Re(t - c) on the big circle about c, and t on two
