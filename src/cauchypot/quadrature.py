@@ -705,7 +705,8 @@ class _MultipolePlan:
     def _walk(self, z, f_box, mf, mw, s):
         """``off_curve`` for one block of targets."""
         i, box = np.arange(z.size), np.ones(z.size, dtype=np.int64)
-        # (target, box, z - c_B) of the separated pairs, level by level
+        # (target, box, z - c_B) of the separated pairs, level by level; the
+        # empty first entry is all there is at depth 1, where no level is tested
         far = [(i[:0], box[:0], z[:0])]
         for _ in range(1, self.depth):
             i, box = np.repeat(i, 2), (2 * box[:, None] + [0, 1]).ravel()
