@@ -222,13 +222,18 @@ def plemelj_residuals(f, at_indices=None, h0=None, levels=3, tol=None,
     """Worst-case residuals of the two Plemelj identities.
 
     Returns (jump_residual, sum_residual): the max over the sampled nodes of
-    |C+ - C- - f| and of |C+ + C- - Sf|.  By default at most 64 evenly
-    spaced nodes are sampled; pass ``at_indices`` for a different set.
+    |C+ - C- - f| and of |C+ + C- - Sf|.  By default every (n // 64)-th of
+    the n nodes is sampled (every node below 128 nodes), 64 to 127 nodes
+    from 64 on; pass ``at_indices`` for a different set, checked as
+    ``singular_S`` checks its indices (IndexError), and not empty
+    (ValueError).
     """
     host, values = _host_values(f)
     if at_indices is None:
         at_indices = np.arange(0, host.n_nodes, max(1, host.n_nodes // 64))
-    idx = np.atleast_1d(np.asarray(at_indices))
+    idx = _node_indices(host, at_indices)
+    if idx.size == 0:
+        raise ValueError("plemelj_residuals needs at least one node")
     sf = singular_S(f, at_indices=idx, density_class=density_class)
     cp, cm = _boundary_values(host, values, idx, ("plus", "minus"), h0, levels, tol).T
     jump = np.abs(cp - cm - values[idx])

@@ -290,15 +290,17 @@ def _polyline_contacts(polylines, closed=False, circles=None):
       the box filter below then refuses every non-adjacent pair, since the
       certificate mirrors its ``<=`` exactly.
 
-    Anything else goes to the grid.  Midpoints are hashed into a grid whose
-    cell is the longest segment plus two sagittas, so segments can meet only
-    in equal or neighbouring cells.  Cells are keyed column by column, so a
-    segment's candidates are two runs of the sorted keys: the later entries
-    of its own cell with the cell above it, and the three cells of the next
-    column; the other four neighbours see it from their side.  Candidates
-    pass a bounding-box filter, then four orientation signs decide, counting
-    touching and collinear overlap as contact (Shamos & Hoey, FOCS 1976), or
-    ``_pieces_meet`` where one of the two is curved.
+    Anything else goes to the grid, whose cell is the 99th-percentile span
+    (a segment plus two sagittas): the longer segments come first in the
+    sorted order and take every later segment as candidates, and the
+    midpoints of the others are hashed into the grid, where two of them can
+    meet only in equal or neighbouring cells.  Cells are keyed column by
+    column, so a segment's candidates are two runs of the sorted keys: the
+    later entries of its own cell with the cell above it, and the three
+    cells of the next column; the other four neighbours see it from their
+    side.  Candidates pass a bounding-box filter, then four orientation
+    signs decide, counting touching and collinear overlap as contact (Shamos
+    & Hoey, FOCS 1976), or ``_pieces_meet`` where one of the two is curved.
     """
     if closed:
         polylines = [np.append(polylines[0], polylines[0][0])]
@@ -334,19 +336,25 @@ def _polyline_contacts(polylines, closed=False, circles=None):
         return owner, none, none
 
     mx, my = 0.5 * (px + qx), 0.5 * (py + qy)
-    cell = (1.0 + 1e-7) * float(np.max(span)) or 1.0  # margin for rounding
+    k = 99 * (n - 1) // 100
+    cell = (1.0 + 1e-7) * float(np.partition(span, k)[k]) or 1.0  # margin for rounding
+    long = span > cell
     cx = np.floor((mx - mx.min()) / cell).astype(np.int64)
     cy = np.floor((my - my.min()) / cell).astype(np.int64)
     width = int(cy.max()) + 3
-    key = (cx + 1) * width + cy + 1
+    key = np.where(long, 0, (cx + 1) * width + cy + 1)
     order = np.argsort(key, kind="stable")
     skey = key[order]
     # the later entries of a segment's own cell and those of the cell above it
-    # (key + 1), then the next column's three cells (key + width - 1 to + 1)
+    # (key + 1), then the next column's three cells (key + width - 1 to + 1);
+    # the longer segments (key 0) come first and take every later segment
     rows = np.arange(n)
+    n_long = np.count_nonzero(long)
+    end = np.searchsorted(skey, skey + 1, "right")
+    end[:n_long] = n
     lo = np.concatenate((rows + 1, np.searchsorted(skey, skey + (width - 1), "left")))
-    count = np.concatenate((np.searchsorted(skey, skey + 1, "right"),
-                            np.searchsorted(skey, skey + (width + 1), "right"))) - lo
+    count = np.concatenate((end, np.searchsorted(skey, skey + (width + 1), "right"))) - lo
+    count[n:n + n_long] = 0
     rows = np.tile(rows, 2)
 
     cuts = np.searchsorted(np.cumsum(count), np.arange(_BLOCK, count.sum(), _BLOCK))
@@ -449,8 +457,11 @@ def _orientation(a, b, c):
 def _point_set_diameter(pts):
     pts = np.asarray(pts)
     if pts.size > 512:
-        step = max(1, pts.size // 512)
-        pts = pts[::step]
+        # about 512 evenly spaced points, and those extreme along x, y,
+        # x + y and x - y, which an outlying point is among
+        ext = [f(v) for v in (pts.real, pts.imag, pts.real + pts.imag, pts.real - pts.imag)
+               for f in (np.argmin, np.argmax)]
+        pts = np.concatenate((pts[::pts.size // 512], pts[ext]))
     d = np.abs(pts[:, None] - pts[None, :])
     return float(np.max(d))
 

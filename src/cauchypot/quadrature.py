@@ -35,10 +35,10 @@ below ``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole
 method: a ``_MultipolePlan`` of what the nodes alone fix, which the contour
 builds on its first multipole sum and keeps, and a pass per density.  The
 plan has one level of leaves, of about 16 nodes, where S sums.  Their near
-field is a product with a kernel 1/(t_j - t_i) that the plan holds once per
-unordered pair of near leaves, summed only over the pairs that touch the
-requested rows; the far field is a multipole pass whose M2L factor powers
-each pass forms.  On a graded arc, in the parameter tau = cos(u), the arc's
+field contracts the data with a kernel 1/(t_j - t_i) that the plan holds
+once per unordered pair of near leaves, over the pairs that touch the
+requested rows only, and adds each leaf's partial sums by one reduction;
+the far field is a multipole pass whose M2L factor powers each pass forms.  On a graded arc, in the parameter tau = cos(u), the arc's
 own part is diagonal in Chebyshev coefficients (length-2m FFTs, whose
 twiddles and node factors the arc holds), and the remainder is the other
 arcs' sums (over the nodes the system holds per arc) and, on a circular
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
 from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _coeff_twiddle,
-                       _open_fd4, _ranges, _read_only)
+                       _open_fd4, _read_only)
 
 __all__ = [
     "host_rule",
@@ -318,11 +318,12 @@ def _S_closed(host, values, idx):
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
     smooth in ph.  When f and z' are resolved, R is taken at p = 32, 64, ...
     nested proxy nodes as the pole-subtracted row there minus H f until it
-    is resolved too, and trigonometrically interpolated.  Otherwise, and
-    past p = n/4 or when p does not divide n, the requested rows are the
-    pole-subtracted ones: summed directly below ``_FMM_MIN_NODES`` nodes, the
-    probed ones reused, and from there on by the host's multipole plan.  The choice
-    depends on the host and f only, so S at any ``idx`` is bitwise the full S.
+    is resolved too, and trigonometrically interpolated; only then is H f
+    formed.  Otherwise, and past p = n/4 or when p does not divide n, the
+    requested rows are the pole-subtracted ones: summed directly below
+    ``_FMM_MIN_NODES`` nodes, the probed ones reused, and from there on by
+    the host's multipole plan.  The choice depends on the host and f only,
+    so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
@@ -335,16 +336,17 @@ def _S_closed(host, values, idx):
     def rows(r):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
-    sgn = np.sign(np.fft.fftfreq(n))
-    if n % 2 == 0:
-        sgn[n // 2] = 0.0
-    hf = np.fft.ifft(sgn * fk)
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
     scale = np.max(np.abs(values))
     # rough data, or a curve with corners, leave R rough: no probes
     p = 32 if _resolved(fk, scale) and host._dz_resolved else n
     while 4 * p <= n and n % p == 0:
+        if p == 32:  # the first probe forms H f
+            sgn = np.sign(np.fft.fftfreq(n))
+            if n % 2 == 0:
+                sgn[n // 2] = 0.0
+            hf = np.fft.ifft(sgn * fk)
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]
         row[new], done[new] = rows(new), True
@@ -439,8 +441,8 @@ class _MultipolePlan:
       and -1/d, d = c_A - c_B, whose powers each pass forms;
     * ``_kernel``: the near field, D_ij = 1/(t_j - t_i) for i in leaf A
       and j in leaf B over the leaf pairs with A <= B that are not
-      separated, 0 for i = j and on padding, with the order in which each
-      leaf takes its pairs' partial sums;
+      separated, 0 for i = j and on padding, with the place of each pair's
+      partial sums in the order that one reduction adds them per leaf;
     * ``rows_of_weights``: sum_j w_j/(t_j - t_i) over j != i at every node.
 
     ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
@@ -515,15 +517,16 @@ class _MultipolePlan:
 
     @cached_property
     def _kernel(self):
-        """(D, A, B, partials) over the leaf pairs (A, B) that are not
+        """(D, A, B, at, starts) over the leaf pairs (A, B) that are not
         separated, A < B first and then A = B, each sorted by A.
 
         D[p, i, j] = 1/(t_j - t_i) for the i-th column of leaf A and the
         j-th of leaf B, 0 for i = j and on the padding of leaves shorter
         than the longest.  Pair p gives leaf A the row sums of D[p] (partial
         p) and, if A < B, leaf B the negated column sums (partial P + p, P
-        pairs in all).  ``partials[L]`` lists leaf L's partials by the other
-        leaf of the pair, padded with 2P, a partial of zeros.
+        pairs in all).  ``at`` puts each partial in the order of the leaf
+        that takes it and then of the other leaf of its pair; leaf L's
+        partials start at ``starts[L]``, since each leaf has its self pair.
         """
         a, b = self._pairs[1].T
         order = np.concatenate((np.flatnonzero(a < b), np.flatnonzero(a == b)))
@@ -535,32 +538,30 @@ class _MultipolePlan:
         den[~off] = 1.0
         kernel = np.divide(1.0, den, out=den)
         kernel[~off] = 0.0
-        # each leaf's partials, by the other leaf of the pair
-        cross = np.flatnonzero(a < b)
+        cross = a < b
         owner = np.concatenate((a, b[cross]))
-        other = np.concatenate((b, a[cross]))
-        slot = np.concatenate((np.arange(a.size), a.size + cross))
-        by = np.lexsort((other, owner))
-        count = np.bincount(owner, minlength=t.shape[0])
-        partials = np.full((count.size, count.max()), 2 * a.size, dtype=np.int64)
-        partials[owner[by], _ranges(np.zeros_like(count), count)] = slot[by]
-        return tuple(map(_read_only, (kernel, a, b, partials)))
+        by = np.lexsort((np.concatenate((b, a[cross])), owner))
+        at = np.empty_like(by)
+        at[by] = np.arange(by.size)
+        starts = np.searchsorted(owner[by], np.arange(t.shape[0]))
+        return tuple(map(_read_only, (kernel, a, b, at, starts)))
 
     def _near(self, x, need):
         """sum_j D_ij x_j over the near leaves at the nodes of the leaves with
         ``need``, by leaf and position in the leaf (other leaves' rows undefined).
 
-        Only the pairs that touch those leaves are summed, elementwise by
-        ``np.sum`` in blocks of about ``geometry._ROW_BLOCK`` kernel
-        entries.  Each pair's partial sums depend on that pair alone, and
-        each leaf adds its partials one by one in the order of ``_kernel``,
-        so a node's sum does not depend on the other leaves asked for.
+        Only the pairs that touch those leaves are summed, each a
+        contraction by ``np.einsum`` (no BLAS call, no product array), in
+        blocks of about ``geometry._ROW_BLOCK`` kernel entries.  Each pair's
+        partial sums depend on that pair alone, and one ``np.add.reduceat``
+        adds each leaf's partials one by one in the order of ``_kernel``, so
+        a node's sum does not depend on the other leaves asked for.
         """
-        kernel, a, b, partials = self._kernel
-        n_pairs, width = a.size, kernel.shape[1]
+        kernel, a, b, at, starts = self._kernel
+        width = kernel.shape[1]
+        h = width // 2
         xs = x[self.leaf_cols]
-        part = np.empty((2 * n_pairs + 1, width), dtype=complex)
-        part[-1] = 0.0
+        part = np.zeros((at.size, width), dtype=complex)
         step = max(1, _ROW_BLOCK // width ** 2)
 
         def blocks(pairs):
@@ -569,17 +570,13 @@ class _MultipolePlan:
                 yield p, kernel[p[0]:p[-1] + 1] if p[-1] - p[0] == p.size - 1 else kernel[p]
 
         for p, d in blocks(np.flatnonzero(need[a])):
-            part[p] = np.sum(d * xs[b[p], None, :], axis=2)
+            # a row summed in two halves, which halves the rounding of one run
+            y = xs[b[p]]
+            part[at[p]] = (np.einsum("pij,pj->pi", d[:, :, :h], y[:, :h])
+                           + np.einsum("pij,pj->pi", d[:, :, h:], y[:, h:]))
         for p, d in blocks(np.flatnonzero(need[b] & (a < b))):
-            part[n_pairs + p] = -np.sum(d * xs[a[p], :, None], axis=1)
-        leaves = np.flatnonzero(need)
-        slots = partials[leaves]
-        total = part[slots[:, 0]]
-        for k in range(1, slots.shape[1]):
-            total += part[slots[:, k]]
-        out = np.empty((need.size, width), dtype=complex)
-        out[leaves] = total
-        return out
+            part[at[a.size + p]] = -np.einsum("pij,pi->pj", d, xs[a[p]])
+        return np.add.reduceat(part, starts)
 
     @cached_property
     def multipole_of_weights(self):

@@ -353,6 +353,34 @@ def test_plemelj_residuals_measure_the_diameter_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("at_indices", [[], (), np.array([], dtype=int), np.array([])],
+                         ids=["list", "tuple", "int-array", "float-array"])
+@pytest.mark.parametrize("host", [circle(16), segment(256)], ids=["circle", "segment"])
+def test_plemelj_residuals_refuse_an_empty_node_set(host, at_indices):
+    f = SampledDensity(host, host.nodes ** 2 + 1.0)
+    with pytest.raises(ValueError, match="at least one node"):
+        plemelj_residuals(f, at_indices=at_indices)
+
+
+@pytest.mark.parametrize("n_per, sampled", [(12, 96), (16, 64), (150, 67)])
+def test_plemelj_residuals_sample_every_64th_part_by_default(monkeypatch, n_per, sampled):
+    # every (n // 64)-th node: all 96 of 96, 64 of 128, 67 of 1200
+    import cauchypot.cauchy as cauchy
+
+    seen = []
+    boundary_values = cauchy._boundary_values
+
+    def spy(host, values, idx, *args):
+        seen.append(np.asarray(idx).tolist())
+        return boundary_values(host, values, idx, *args)
+
+    monkeypatch.setattr(cauchy, "_boundary_values", spy)
+    host = circle(n_per)
+    plemelj_residuals(SampledDensity(host, host.nodes ** 3))
+    assert seen == [list(range(0, host.n_nodes, max(1, host.n_nodes // 64)))]
+    assert len(seen[0]) == sampled
+
+
 @pytest.mark.parametrize("host", [circle(32), circle(512), segment(256)],
                          ids=["circle", "circle-4096", "segment"])
 def test_plemelj_residuals_at_one_node_match_boundary_values(host):

@@ -119,6 +119,38 @@ def test_one_node_spike_on_fine_circle_rejected():
         })
 
 
+def outlying_node_circle(n, k=1001):
+    """An n-node unit circle with node k moved out to radius 3: a valid
+    curve whose two segments at node k are far longer than the rest."""
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    z[k] *= 3.0
+    return z
+
+
+def node_chain(z):
+    return build_closed_contour({"type": "node-chain", "panels": 8,
+                                 "nodes": np.stack([z.real, z.imag], axis=1).tolist()})
+
+
+def test_outlying_node_keeps_the_contact_test_near_linear():
+    # the grid's cell is the 99th-percentile segment, so the two long ones
+    # take every later segment as candidates and the others only the
+    # neighbouring cells' (with a cell of the longest segment, building
+    # this curve took over a minute)
+    with mock.patch.object(geometry, "_ranges", wraps=geometry._ranges) as spy:
+        host = node_chain(outlying_node_circle(65536))
+    candidates = sum(int(np.sum(call.args[1])) for call in spy.call_args_list)
+    assert host.n_nodes == 65536 and candidates <= 16 * host.n_nodes
+
+
+@pytest.mark.parametrize("k", [0, 1001, 4095])
+def test_diameter_sees_an_outlying_node(k):
+    # the diameter samples every 8th of 4096 nodes, and node 1001 is not one
+    # of them: the points extreme along x, y, x + y and x - y are
+    host = node_chain(outlying_node_circle(4096, k))
+    assert host.diameter() == pytest.approx(4.0, rel=1e-6)
+
+
 def test_jittered_rounded_polygons_accepted():
     # straight edges give runs of nearly collinear segments, none of which
     # may test as a contact; one of these 40 used to fail a sign-only test
@@ -476,6 +508,11 @@ def assert_contacts_of_every_pair(polylines, closed=False, circles=None):
     got = list(zip(i.tolist(), j.tolist()))
     assert got == sorted(set(got)) and all(a < b for a, b in got)
     assert sure <= set(got) <= either
+
+
+def test_outlying_node_circle_contacts_are_those_of_every_pair():
+    # two segments longer than the grid's cell among 4096
+    assert_contacts_of_every_pair([outlying_node_circle(4096)], closed=True)
 
 
 def test_repeated_point_beside_an_arc_piece_is_a_contact_without_warnings():

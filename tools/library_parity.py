@@ -10,7 +10,9 @@ working tree's.  Every result is hashed (sha256 of its dtype, shape and
 bytes; a call that raises is hashed as the name of its error class).  The
 script prints the hash over all results for each tree, names each result
 that differs with its largest absolute difference and that difference over
-the result's largest entry, and exits 1 if any differs.
+a scale, and exits 1 if any differs.  The scale is the largest entry of the
+data a result is formed from where the call names them (so that a residual
+near 0 is not its own scale), and else the result's own largest entry.
 
 The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
@@ -39,7 +41,8 @@ circle with one spiked node, a 2000-step random walk, two circular arcs
 that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
-to end.  That makes 145 results.  It needs the standard library and numpy
+to end, and a 4096-node circle with one node out at 3 times its radius
+(two segments far longer than the rest).  That makes 146 results.  It needs the standard library and numpy
 only.
 """
 
@@ -83,7 +86,8 @@ def flat(result):
 
 
 def calls():
-    """(name, call) pairs: each call returns one library result."""
+    """(name, call) or (name, call, data): each call returns one library
+    result, formed from the array ``data`` where that is given."""
     import cauchypot as cp
 
     def sd(host, values):
@@ -110,10 +114,10 @@ def calls():
     }
     for name, (host, data) in closed.items():
         g = sd(host, data(host))
-        yield f"{name} S", lambda g=g: cp.singular_S(g).values
-        yield f"{name} S at nodes", lambda g=g: cp.singular_S(g, at_indices=[5, 0, 77, 5])
-        yield f"{name} solve", lambda g=g: cp.solve_closed(g, tolerance=None).values
-        yield f"{name} involution residual", lambda g=g: cp.involution_residual(g)
+        yield f"{name} S", lambda g=g: cp.singular_S(g).values, g.values
+        yield f"{name} S at nodes", lambda g=g: cp.singular_S(g, at_indices=[5, 0, 77, 5]), g.values
+        yield f"{name} solve", lambda g=g: cp.solve_closed(g, tolerance=None).values, g.values
+        yield f"{name} involution residual", lambda g=g: cp.involution_residual(g), g.values
         yield f"{name} integrals", lambda g=g, h=host: [cp.integrate(g, h),
                                                        cp.integrate_arclength(g, h)]
 
@@ -122,15 +126,15 @@ def calls():
     for per in (150, 2048):
         host = cp.build_closed_contour(dict(POLYGON, nodes_per_panel=per))
         g = sd(host, host.nodes ** 2 + 1.0 / (host.nodes - 1.0 - 0.7j))
-        yield f"polygon-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values
+        yield f"polygon-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values, g.values
         yield f"polygon-{host.n_nodes} S at a node", lambda g=g, k=host.n_nodes - 1: (
-            cp.singular_S(g, at_indices=k))
+            cp.singular_S(g, at_indices=k)), g.values
         if per == 150:
             polygon_1200 = g
 
     circle = closed["circle"][0]
     g = sd(circle, circle.nodes ** 3)
-    yield "circle plemelj", lambda: cp.plemelj_residuals(g)
+    yield "circle plemelj", lambda: cp.plemelj_residuals(g), g.values
     yield "circle boundary values", lambda: [cp.boundary_value(g, side, node=k)
                                              for side in ("plus", "minus") for k in (0, 100)]
     yield "circle cauchy transform", lambda: cp.cauchy_transform(g, [0.1, 0.5j, 3.0, -2 + 1j])
@@ -145,7 +149,7 @@ def calls():
         y = np.linspace(t.imag.min() - 0.3, t.imag.max() + 0.3, 8)
         return x + 1j * y[:, None]
 
-    yield "polygon-1200 plemelj", lambda: cp.plemelj_residuals(polygon_1200)
+    yield "polygon-1200 plemelj", lambda: cp.plemelj_residuals(polygon_1200), polygon_1200.values
     yield "polygon-1200 cauchy transform", lambda: cp.cauchy_transform(
         polygon_1200, grid(polygon_1200.host))
     big_circle = cp.build_closed_contour({"type": "circle", "radius": 1.3, "center": [0.1, -0.2],
@@ -153,7 +157,7 @@ def calls():
     for name, host, data in (("polygon-4096", *closed["polygon-4096"]),
                              ("circle-16384", big_circle, closed["circle"][1])):
         g = sd(host, data(host))
-        yield f"{name} plemelj", lambda g=g: cp.plemelj_residuals(g)
+        yield f"{name} plemelj", lambda g=g: cp.plemelj_residuals(g), g.values
         yield f"{name} boundary values", lambda g=g: [
             cp.boundary_value(g, side, node=k) for side in ("plus", "minus") for k in (0, 100)]
         yield f"{name} cauchy transform", lambda g=g, z=grid(host): cp.cauchy_transform(g, z)
@@ -191,7 +195,7 @@ def calls():
         yield f"{name} modified residual", lambda g=g: cp.modified_residual(g)
         yield f"{name} bounded", lambda g=g: flat(cp.bounded_solution(g))
         yield f"{name} plemelj", lambda f=built["sqrt"]: cp.plemelj_residuals(
-            f, density_class="sqrt")
+            f, density_class="sqrt"), built["sqrt"].values
         yield f"{name} cauchy transform", lambda g=g: cp.cauchy_transform(g, [0.3j, -2.0, 4 + 1j])
 
     # from 1024 nodes on, S takes the first proxies' remainders from the
@@ -235,7 +239,8 @@ def calls():
     # (i, j) order: a 4096-node circle with one spiked node, a 2000-step
     # random walk, two circular arcs that touch between their nodes; a convex
     # curve and a row of segments, and a dented polygon and two segments that
-    # share a box bound, which fall just short of the proofs of no contact
+    # share a box bound, which fall just short of the proofs of no contact;
+    # a circle with two segments longer than the grid's cell
     from cauchypot.geometry import _polyline_contacts
 
     def contacts(*args, **kwargs):
@@ -261,6 +266,9 @@ def calls():
     yield "16 segments contacts", lambda: contacts(row)
     yield "dented 64-gon contacts", lambda: contacts([gon], closed=True)
     yield "end to end segments contacts", lambda: contacts(ends)
+    outlying = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    outlying[1001] *= 3.0
+    yield "outlying node circle-4096 contacts", lambda: contacts([outlying], closed=True)
 
     disk = cp.equilibrium_density({"type": "disk", "radius": 1.3, "center": [0.1, -0.2]})
     arcsine = cp.equilibrium_density({"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]})
@@ -327,13 +335,16 @@ def calls():
 
 
 def results():
-    """Each result as an array, or as the error class it raised, by name."""
+    """By name: each result as an array, or as the error class it raised,
+    and the largest magnitude of the data it is formed from (None if the
+    call names none)."""
     out = {}
-    for name, call in calls():
+    for name, call, *data in calls():
         try:
-            out[name] = np.ascontiguousarray(np.asarray(call()))
+            result = np.ascontiguousarray(np.asarray(call()))
         except Exception as exc:  # a refusal is a result too
-            out[name] = f"raises {type(exc).__name__}"
+            result = f"raises {type(exc).__name__}"
+        out[name] = result, float(np.max(np.abs(data[0]))) if data else None
     return out
 
 
@@ -344,13 +355,15 @@ def digest(result):
     return hashlib.sha256(blob).hexdigest()
 
 
-def difference(a, b):
-    """max |a - b| and that over max |b|, for two numeric results of one shape."""
+def difference(a, b, scale=None):
+    """max |a - b| and that over ``scale`` (max |b| if None), for two numeric
+    results of one shape."""
     if isinstance(a, str) or isinstance(b, str) or a.shape != b.shape or a.size == 0:
         return None
     a, b = a.astype(complex), b.astype(complex)
     gap = float(np.max(np.abs(a - b)))
-    return gap, gap / float(np.max(np.abs(b))) if np.any(b) else math.inf
+    scale = float(np.max(np.abs(b))) if scale is None else scale
+    return gap, gap / scale if scale else math.inf
 
 
 def run(src):
@@ -387,12 +400,18 @@ def main():
         if trees is None:
             return 2
         got = {name: run(src) for name, src in trees.items()}
-    digests = {tree: {n: digest(r) for n, r in res.items()} for tree, res in got.items()}
+    digests = {tree: {n: digest(r) for n, (r, _) in res.items()} for tree, res in got.items()}
     names = sorted(set(got["rev"]) | set(got["work"]))
     differing = [n for n in names if digests["rev"].get(n) != digests["work"].get(n)]
     for n in differing:
-        gap = difference(got["work"][n], got["rev"][n]) if n in got["rev"] and n in got["work"] else None
-        print(f"{n}: DIFFERS" + ("" if gap is None else f" by {gap[0]:.3g} ({gap[1]:.3g} of max)"))
+        line = f"{n}: DIFFERS"
+        if n in got["rev"] and n in got["work"]:
+            (new, scale), (old, _) = got["work"][n], got["rev"][n]
+            gap = difference(new, old, scale)
+            if gap is not None:
+                of = "max" if scale is None else "max|data|"
+                line += f" by {gap[0]:.3g} ({gap[1]:.3g} of {of})"
+        print(line)
     for tree, d in digests.items():
         print(f"{tree}: {total(d)} over {len(d)} results")
     print(f"{len(differing)} of {len(names)} results differ")
