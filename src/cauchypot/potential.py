@@ -3,9 +3,11 @@
 A finite measure is recovered from u(z) = int log|z - t| dmu(t) by reading
 off where u fails to be harmonic.  Curve densities come from the sum of the
 two one-sided normal derivatives over 2*pi, area densities from the
-Laplacian over 2*pi, and point masses from integrating the discrete
-Laplacian over isolated clusters.  Harmonic additions to u change none of
-these; locality is what the recovery tests pin down.
+Laplacian over 2*pi, and point masses from the contour moments of
+F = u_x - i u_y round a box about each isolated cluster of the discrete
+Laplacian: the flux of u through the box and its first moment.  Harmonic
+additions to u change none of these; locality is what the recovery tests
+pin down.
 
 Arcs are treated as two-sided curves: the normal derivative is taken from
 each side separately and the density is the sum over 2*pi, mirroring the
@@ -25,6 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,6 +42,7 @@ from .geometry import (
     ArcSystem,
     ClosedContour,
     _by_rows,
+    _read_only,
     _real,
     build_arc_system,
     build_closed_contour,
@@ -67,12 +71,15 @@ class PotentialField:
 
     Values are row-major: ``values[iy, ix]`` sits at (x0 + ix*h, y0 + iy*h).
     Values, origin and spacing must be finite: a NaN cell would drop out of
-    the recoveries' thresholds and turn their sums into NaN.  Curve recovery
-    takes the potential as a plain callable instead.
+    the recoveries' thresholds and turn their sums into NaN.  The field
+    holds a read-only copy of the values, and neither they nor ``h`` can be
+    reassigned, so the lattice Laplacian is computed once, on first use, and
+    shared by ``detect_point_masses`` and ``recover_area_density``.  Curve
+    recovery takes the potential as a plain callable instead.
     """
 
     def __init__(self, values, x0=0.0, y0=0.0, h=0.0):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("grid values must be 2-d")
         x0, y0, h = float(x0), float(y0), float(h)
@@ -80,8 +87,21 @@ class PotentialField:
             raise ValueError("grid values, origin and spacing must be finite")
         if h <= 0:
             raise ValueError("grid spacing must be positive")
-        self.values = values
-        self.x0, self.y0, self.h = x0, y0, h
+        self._values, self._h = _read_only(values), h
+        self.x0, self.y0 = x0, y0
+
+    @property
+    def values(self):
+        return self._values
+
+    @property
+    def h(self):
+        return self._h
+
+    @cached_property
+    def _lattice_laplacian(self):
+        """The 5-point Laplacian on the interior lattice (one ring in), read-only."""
+        return _read_only(_laplacian(self._values, self._h))
 
 
 @dataclass(eq=False)
@@ -402,10 +422,10 @@ def recover_area_density(u, h_max=None):
         raise ResolutionError(
             f"grid spacing {u.h:.3g} exceeds the configured maximum {h_max:.3g}"
         )
-    dens = _laplacian(u.values, u.h)
+    lap = u._lattice_laplacian
     floor = 10.0 / (u.h * u.h) * np.finfo(float).eps * np.max(np.abs(u.values))
-    dens[np.abs(dens) <= floor] = 0.0
-    dens /= 2.0 * math.pi
+    dens = lap / (2.0 * math.pi)
+    dens[np.abs(lap) <= floor] = 0.0
     mass = float(np.sum(dens)) * u.h ** 2
     return MeasureEstimate(
         area_density=dens,
@@ -443,17 +463,95 @@ def _clusters_8(mask):
     return clusters
 
 
+# _CENTRED[k, j - 1] weighs u(x + j h) - u(x - j h) in the centred first
+# difference of order 2k (B. Fornberg, Math. Comp. 51, 1988); row 0 is unused
+_CENTRED = _read_only(np.array([[0.0, 0.0, 0.0, 0.0],
+                               [1 / 2, 0.0, 0.0, 0.0],
+                               [2 / 3, -1 / 12, 0.0, 0.0],
+                               [3 / 4, -3 / 20, 1 / 60, 0.0],
+                               [4 / 5, -1 / 5, 4 / 105, -1 / 280]]))
+
+
+def _row_derivative(values, iy, ix, h):
+    """du/dx at the lattice points (iy, ix), differenced along their rows.
+
+    The centred difference of order 8 where its 9-point stencil fits in the
+    row, else of the highest even order that fits (at least 2: the points
+    are off the row's ends).  Stencil points beyond the order taken are read
+    clipped to the row and weighted 0.
+    """
+    n = values.shape[1]
+    step = np.arange(1, 5)
+    order = np.minimum(np.minimum(ix, n - 1 - ix), 4)
+    ahead = values[iy[:, None], np.minimum(ix[:, None] + step, n - 1)]
+    behind = values[iy[:, None], np.maximum(ix[:, None] - step, 0)]
+    terms = (ahead - behind) * _CENTRED[order]
+    return (((terms[:, 3] + terms[:, 2]) + terms[:, 1]) + terms[:, 0]) / h
+
+
+def _edge_weights(n):
+    """Trapezoid weights of n equally spaced points, in units of the spacing:
+    with the 4th-order end corrections 3/8, 7/6, 23/24 from 6 points on, plain
+    below (one point spans nothing and weighs 0)."""
+    w = np.ones(n)
+    if n >= 6:
+        w[:3] = w[:-4:-1] = (3 / 8, 7 / 6, 23 / 24)
+    else:
+        w[0] -= 0.5
+        w[-1] -= 0.5
+    return w
+
+
+def _contour_moments(u, boxes, centers):
+    """(M0, M1, S) per box: the contour moments of F = u_x - i u_y round it.
+
+    Box (r0, r1, c0, c1) has the lattice points (r0, c0) and (r1, c1) as
+    corners, and its boundary runs counterclockwise along the lattice lines.
+    With F = sum_k m_k/(z - a_k) + analytic inside, M0 = (1/2 pi i) oint F dz
+    = sum m_k and M1 = (1/2 pi i) oint (z - c) F dz = sum m_k (a_k - c), c
+    the box's entry of ``centers`` (L. M. Delves & J. N. Lyness, Math. Comp.
+    21, 1967); S = (1/2 pi) oint |F| |dz| is their scale.  u_x and u_y come
+    from ``_row_derivative``, and each edge is summed by the trapezoid rule
+    of ``_edge_weights`` (B. Fornberg, SIAM Rev. 63, 2021).  The boundaries
+    of all boxes are differenced together, and each box is summed on its
+    own: the cost is O(perimeter) per box.
+    """
+    h, values = u.h, u.values
+    iy, ix, wdz = [], [], []
+    for r0, r1, c0, c1 in boxes:
+        rows, cols = np.arange(r0, r1 + 1), np.arange(c0, c1 + 1)
+        wr, wc = _edge_weights(rows.size) * h, _edge_weights(cols.size) * h
+        iy.append(np.concatenate((np.full(cols.size, r0), rows, np.full(cols.size, r1), rows[::-1])))
+        ix.append(np.concatenate((cols, np.full(rows.size, c1), cols[::-1], np.full(rows.size, c0))))
+        wdz.append(np.concatenate((wc, 1j * wr, -wc, -1j * wr)))
+    first = np.cumsum([0] + [a.size for a in iy[:-1]])
+    c = np.repeat(np.asarray(centers, dtype=complex), [a.size for a in iy])
+    iy, ix, wdz = np.concatenate(iy), np.concatenate(ix), np.concatenate(wdz)
+    f = _row_derivative(values, iy, ix, h) - 1j * _row_derivative(values.T, ix, iy, h)
+    z = (u.x0 + h * ix - c.real) + 1j * (u.y0 + h * iy - c.imag)
+    f_dz = f * wdz
+    m0 = np.add.reduceat(f_dz, first) / (2j * math.pi)
+    m1 = np.add.reduceat(z * f_dz, first) / (2j * math.pi)
+    scale = np.add.reduceat(np.abs(f_dz), first) / (2.0 * math.pi)
+    return m0, m1, scale
+
+
 def detect_point_masses(u, cluster_radius):
     """Locate atoms of mu and their masses from a gridded potential.
 
     Cells whose discrete Laplacian exceeds 1e-3 of the peak are clustered
-    under 8-connectivity; each cluster yields one atom at its
-    Laplacian-weighted centroid.  The mass integrates the Laplacian over a
-    box of half-width cluster_radius around the centroid: the box picks up
-    the slow tails the threshold cuts off, and by the discrete divergence
-    theorem the sum equals the flux of u through the box boundary.  The
-    cost is one Laplacian over the lattice plus, per cluster, its cells and
-    its box.  A non-finite ``cluster_radius`` is refused.
+    under 8-connectivity, and each cluster yields one atom.  Its
+    Laplacian-weighted centroid c places a box: the rows and columns of the
+    Laplacian's interior lattice within cluster_radius of c.  Round the
+    boundary of that box the contour moments of F = u_x - i u_y, M0 = sum m_k
+    and M1 = sum m_k (a_k - c) over the singularities inside
+    (``_contour_moments``), give the mass Re M0 and the position c + M1 / Re
+    M0; the box picks up the slow tails the threshold cuts off.  Where M0
+    vanishes, |M0| < 1e-12 (1/2 pi) oint |F| |dz| or Re M0 = 0, the atom
+    stays at c.  The overlap warning names the centroids.  The cost is one
+    Laplacian over the lattice, shared with ``recover_area_density``, plus,
+    per cluster, its cells and its box's perimeter.  A non-finite
+    ``cluster_radius`` is refused.
     """
     if not isinstance(u, PotentialField):
         raise TypeError("point-mass detection needs a grid PotentialField")
@@ -462,7 +560,7 @@ def detect_point_masses(u, cluster_radius):
     h = u.h
     if cluster_radius / h < 4.0:
         raise ResolutionError("cluster radius must span at least 4 grid cells")
-    lap = _laplacian(u.values, h)
+    lap = u._lattice_laplacian
     ny, nx = lap.shape
     xs = u.x0 + h * (1 + np.arange(nx))
     ys = u.y0 + h * (1 + np.arange(ny))
@@ -470,23 +568,27 @@ def detect_point_masses(u, cluster_radius):
     peak = float(np.max(size))
     if peak == 0.0:
         return MeasureEstimate(point_masses=[], total_mass=0.0)
-    atoms = []
+    centers, boxes = [], []
     for cells in _clusters_8(size >= 1e-3 * peak):
-        # the cells in row-major order, and the box as row and column
-        # ranges: each sum runs in the order of the full-lattice masks
         iy, ix = np.divmod(cells, nx)
         wgt = size.ravel()[cells]
         cx = float(np.sum(xs[ix] * wgt) / np.sum(wgt))
         cy = float(np.sum(ys[iy] * wgt) / np.sum(wgt))
-        box = np.ix_(np.flatnonzero(np.abs(ys - cy) <= cluster_radius),
-                     np.flatnonzero(np.abs(xs - cx) <= cluster_radius))
-        mass = float(np.sum(lap[box].ravel())) * h * h / (2.0 * math.pi)
-        atoms.append((complex(cx, cy), mass))
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if abs(atoms[i][0] - atoms[j][0]) < cluster_radius:
+        # the box in lattice indices; the interior lattice starts one in
+        rows = np.flatnonzero(np.abs(ys - cy) <= cluster_radius) + 1
+        cols = np.flatnonzero(np.abs(xs - cx) <= cluster_radius) + 1
+        centers.append(complex(cx, cy))
+        boxes.append((rows[0], rows[-1], cols[0], cols[-1]))
+    atoms = []
+    for c, m0, m1, scale in zip(centers, *_contour_moments(u, boxes, centers)):
+        mass = float(m0.real)
+        vanishes = mass == 0.0 or abs(m0) < 1e-12 * scale
+        atoms.append((c if vanishes else c + complex(m1) / mass, mass))
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            if abs(centers[i] - centers[j]) < cluster_radius:
                 warnings.warn(
-                    f"clusters at {atoms[i][0]:.4g} and {atoms[j][0]:.4g} "
+                    f"clusters at {centers[i]:.4g} and {centers[j]:.4g} "
                     "overlap within the cluster radius; masses are ambiguous",
                     stacklevel=2,
                 )
@@ -580,13 +682,19 @@ def write_potential_csv(path, fieldobj):
 
 
 def _write_grid_csv(path, column, values, x0, y0, h):
-    """Rows x, y and the value at each lattice point, 17 significant digits."""
+    """Rows x, y and the value at each lattice point, 17 significant digits.
+
+    Each column's x and each row's y is formatted once, and a row of the
+    lattice is written in one call.
+    """
     ny, nx = values.shape
+    xs = [format(x0 + ix * h, ".17g") for ix in range(nx)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"x,y,{column}\n")
         for iy in range(ny):
-            for ix in range(nx):
-                fh.write(f"{x0 + ix * h:.17g},{y0 + iy * h:.17g},{values[iy, ix]:.17g}\n")
+            y = "," + format(y0 + iy * h, ".17g") + ","
+            fh.write("".join([x + y + format(v, ".17g") + "\n"
+                              for x, v in zip(xs, values[iy].tolist())]))
 
 
 def read_potential_binary(data_path, header_path):

@@ -548,20 +548,29 @@ class _MultipolePlan:
 
     def _near(self, x, need):
         """sum_j D_ij x_j over the near leaves at the nodes of the leaves with
-        ``need``, by leaf and position in the leaf (other leaves' rows undefined).
+        ``need``: row r for the r-th of those leaves, by position in the leaf.
 
         Only the pairs that touch those leaves are summed, each a
         contraction by ``np.einsum`` (no BLAS call, no product array), in
         blocks of about ``geometry._ROW_BLOCK`` kernel entries.  Each pair's
-        partial sums depend on that pair alone, and one ``np.add.reduceat``
-        adds each leaf's partials one by one in the order of ``_kernel``, so
-        a node's sum does not depend on the other leaves asked for.
+        partial sums depend on that pair alone.  Only the partials of the
+        leaves asked for are formed, packed run after run, and one
+        ``np.add.reduceat`` adds each leaf's partials one by one in the order
+        of ``_kernel``, so a node's sum does not depend on the other leaves
+        asked for.
         """
         kernel, a, b, at, starts = self._kernel
         width = kernel.shape[1]
         h = width // 2
         xs = x[self.leaf_cols]
-        part = np.zeros((at.size, width), dtype=complex)
+        # the runs of the leaves asked for, packed one after the other: the
+        # partial at ``at`` = g of leaf L goes to g + shift[L]
+        leaves = np.flatnonzero(need)
+        runs = np.diff(starts, append=at.size)[leaves]
+        packed = np.cumsum(runs) - runs
+        shift = np.zeros_like(starts)
+        shift[leaves] = packed - starts[leaves]
+        part = np.empty((int(np.sum(runs)), width), dtype=complex)
         step = max(1, _ROW_BLOCK // width ** 2)
 
         def blocks(pairs):
@@ -572,11 +581,11 @@ class _MultipolePlan:
         for p, d in blocks(np.flatnonzero(need[a])):
             # a row summed in two halves, which halves the rounding of one run
             y = xs[b[p]]
-            part[at[p]] = (np.einsum("pij,pj->pi", d[:, :, :h], y[:, :h])
-                           + np.einsum("pij,pj->pi", d[:, :, h:], y[:, h:]))
+            part[at[p] + shift[a[p]]] = (np.einsum("pij,pj->pi", d[:, :, :h], y[:, :h])
+                                         + np.einsum("pij,pj->pi", d[:, :, h:], y[:, h:]))
         for p, d in blocks(np.flatnonzero(need[b] & (a < b))):
-            part[at[a.size + p]] = -np.einsum("pij,pi->pj", d, xs[a[p]])
-        return np.add.reduceat(part, starts)
+            part[at[a.size + p] + shift[b[p]]] = -np.einsum("pij,pi->pj", d, xs[a[p]])
+        return np.add.reduceat(part, packed) if leaves.size else part
 
     @cached_property
     def multipole_of_weights(self):
@@ -667,7 +676,7 @@ class _MultipolePlan:
         need = np.zeros(self.first.size, dtype=bool)
         need[k] = True
         wf = self.weights * f
-        near = self._near(wf, need)[k, idx - self.first[k]]
+        near = self._near(wf, need)[np.cumsum(need)[k] - 1, idx - self.first[k]]
         far = self._far(self._upward(wf, self._m2l[-1]), idx)
         return (near + far) - f[idx] * self.rows_of_weights[idx] + self.weights[idx] * df[idx]
 

@@ -25,6 +25,7 @@ from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.potential import (
     MeasureEstimate,
     _clusters_8,
+    _write_grid_csv,
     PotentialField,
     detect_point_masses,
     equilibrium_density,
@@ -44,7 +45,8 @@ from oracles import (
     circular_arc_equilibrium,
     cluster_labels_8,
     ellipse_equilibrium,
-    point_masses_full_lattice,
+    grid_csv_per_cell,
+    point_mass_moments,
     recover_curve_density_loop,
     segment_potentials,
 )
@@ -759,6 +761,20 @@ def test_clusters_are_the_labelled_components():
     assert len(_clusters_8(ring)) == 3
 
 
+def _assert_contour_moments(est, ref, radius, tol=1e-12):
+    """The atoms of ``est`` are the reference's clusters, in order, each with
+    the mass Re M0 and the position c + M1 / Re M0 of the contour moments
+    round its box, or c where Re M0 is 0 or M0 vanishes (up to rounding)."""
+    assert len(est.point_masses) == len(ref)
+    for (a, m), (c, m0, m1, scale) in zip(est.point_masses, ref):
+        assert abs(m - m0.real) <= tol * scale
+        moment = tol * scale * 2.0 * radius  # |z - c| <= sqrt(2) radius on the box
+        if a == c:
+            assert m == 0.0 or abs(m0) <= 1e-11 * scale or abs(m1) <= moment
+        else:
+            assert abs((a - c) * m - m1) <= moment
+
+
 def test_mass_box_takes_the_cells_at_exactly_one_radius():
     # a spike on a lattice point over a faint quadratic: the centroid is the
     # point itself, and the rows and columns one radius off lie on the box
@@ -768,10 +784,74 @@ def test_mass_box_takes_the_cells_at_exactly_one_radius():
     values = 2.0 ** -10 * (X ** 2 + Y ** 2)
     values[16, 16] += 1.0
     est = detect_point_masses(PotentialField(values, 0.0, 0.0, h), 1.0)
-    atoms, _ = point_masses_full_lattice(values, 0.0, 0.0, h, 1.0)
-    inside, _ = point_masses_full_lattice(values, 0.0, 0.0, h, 1.0 - 1e-12)
-    assert est.point_masses == atoms == [(4 + 4j, atoms[0][1])]
-    assert atoms[0][1] != inside[0][1]
+    ref = point_mass_moments(values, 0.0, 0.0, h, 1.0)
+    inside = point_mass_moments(values, 0.0, 0.0, h, 1.0 - 1e-12)
+    assert [c for c, *_ in ref] == [c for c, *_ in inside] == [4 + 4j]
+    _assert_contour_moments(est, ref, 1.0)
+    assert abs(ref[0][1] - inside[0][1]) > 1e-3 * ref[0][2]
+
+
+def _two_atoms(seed, h, n):
+    """Two atoms of masses in [0.5, 1.5] near -1 and +1 on the n x n lattice
+    of spacing h from -2 - 2i, each at a seeded cell with a fixed offset
+    inside it: the layout of the benchmark's grid-atoms op."""
+    rng = np.random.default_rng(seed)
+    xs = -2.0 + h * np.arange(n)
+    cells = rng.integers(-10, 11, size=(2, 2))
+    atoms = np.array([complex(-1.0 + h * (cells[0, 0] + 0.37), h * (cells[0, 1] + 0.61)),
+                      complex(1.0 + h * (cells[1, 0] + 0.37), h * (cells[1, 1] + 0.61))])
+    masses = rng.uniform(0.5, 1.5, 2)
+    Z = xs + 1j * xs[:, None]
+    values = sum(m * np.log(np.abs(Z - a)) for a, m in zip(atoms, masses))
+    return PotentialField(values, xs[0], xs[0], h), atoms, masses
+
+
+# (spacing, points per axis, cluster radius, mass and position tolerances):
+# ten times the worst errors measured over seeds 1-10 rounded up to a power
+# of ten, the position's over the radius (4.7e-8 and 3.1e-14 on the 801^2
+# lattice, 1.9e-6 and 2.2e-10 on the 201^2)
+ATOM_LATTICES = [(0.005, 801, 0.1, 1e-6, 1e-12), (0.02, 201, 0.2, 1e-5, 1e-8)]
+
+
+@pytest.mark.parametrize("h, n, radius, mass_tol, position_tol", ATOM_LATTICES)
+def test_atoms_off_the_lattice_points_within_pinned_errors(h, n, radius, mass_tol, position_tol):
+    for seed in range(1, 11):
+        grid, atoms, masses = _two_atoms(seed, h, n)
+        est = detect_point_masses(grid, cluster_radius=radius)
+        found = sorted(est.point_masses, key=lambda am: am[0].real)
+        assert len(found) == 2
+        assert np.max(np.abs([m for _, m in found] - masses)) <= mass_tol
+        assert np.max(np.abs([a for a, _ in found] - atoms)) <= position_tol * radius
+        est.validate()
+
+
+def test_zero_net_mass_pair_gives_finite_atoms():
+    # +1 and -1 three cells apart make one cluster whose box holds both: M0
+    # is what the cancellation leaves, and the position is far off but finite
+    h = 0.02
+    xs = -1.0 + h * np.arange(101)
+    Z = xs + 1j * xs[:, None]
+    values = np.log(np.abs(Z - (0.013 + 0.007j))) - np.log(np.abs(Z - (0.073 + 0.007j)))
+    est = detect_point_masses(PotentialField(values, xs[0], xs[0], h), 0.2)
+    (a, m), = est.point_masses
+    assert math.isfinite(m) and math.isfinite(a.real) and math.isfinite(a.imag)
+    assert abs(m) <= 1e-6
+    _assert_contour_moments(est, point_mass_moments(values, xs[0], xs[0], h, 0.2), 0.2)
+
+
+def test_box_clipped_at_the_lattice_edge_gives_finite_atoms():
+    # an atom 1.37 cells inside the right edge: its box stops at the last
+    # interior column, 0.37 cells past the atom, where the differences across
+    # it are of order 2 and straddle the atom
+    h = 0.02
+    xs = -1.0 + h * np.arange(101)
+    Z = xs + 1j * xs[:, None]
+    atom = complex(xs[-1] - 1.37 * h, 0.21 + 0.61 * h)
+    values = 0.7 * np.log(np.abs(Z - atom))
+    est = detect_point_masses(PotentialField(values, xs[0], xs[0], h), 0.2)
+    (a, m), = est.point_masses
+    assert math.isfinite(m) and math.isfinite(a.real) and math.isfinite(a.imag)
+    _assert_contour_moments(est, point_mass_moments(values, xs[0], xs[0], h, 0.2), 0.2)
 
 
 @st.composite
@@ -811,21 +891,48 @@ def _bits(x):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(lattice=atom_lattices())
-def test_grid_recoveries_are_bitwise_the_full_lattice_formulas(lattice):
+def test_point_masses_are_the_contour_moments_of_their_boxes(lattice):
+    # clusters and warnings bitwise those of the labelled components; masses
+    # and positions the moments of the point-by-point reference
     grid, radius = lattice
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
         est = detect_point_masses(grid, radius)
     with warnings.catch_warnings(record=True) as want:
         warnings.simplefilter("always")
-        atoms, total = point_masses_full_lattice(grid.values, grid.x0, grid.y0, grid.h, radius)
+        ref = point_mass_moments(grid.values, grid.x0, grid.y0, grid.h, radius)
     assert [str(w.message) for w in got] == [str(w.message) for w in want]
-    assert _bits(est.point_masses) == _bits(atoms)
-    assert _bits(est.total_mass) == _bits(total)
+    _assert_contour_moments(est, ref, radius)
+    assert np.isfinite([v for am in est.point_masses for v in am]).all()
+    assert _bits(est.total_mass) == _bits(math.fsum(m for _, m in est.point_masses))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(lattice=atom_lattices())
+def test_area_recovery_is_bitwise_the_full_lattice_formula(lattice):
+    grid, _ = lattice
     dens, mass = area_density_full_lattice(grid.values, grid.h)
     area = recover_area_density(grid)
     assert area.area_density.tobytes() == dens.tobytes()
     assert _bits(area.total_mass) == _bits(mass)
+
+
+def test_grid_values_are_a_read_only_copy():
+    # the field copies its values once and keeps the Laplacian that both
+    # grid recoveries share; an edit in place would leave it stale
+    values = np.add.outer(np.arange(8.0), 2.0 * np.arange(9.0))
+    grid = PotentialField(values, h=0.5)
+    values[3, 3] = 1e6
+    assert grid.values[3, 3] == 9.0
+    with pytest.raises(ValueError):
+        grid.values[3, 3] = 0.0
+    with pytest.raises(AttributeError):
+        grid.values = values
+    area = recover_area_density(grid)
+    assert detect_point_masses(grid, 2.0).point_masses == []
+    assert grid._lattice_laplacian is grid._lattice_laplacian
+    assert not grid._lattice_laplacian.flags.writeable
+    assert area.area_density.tobytes() == area_density_full_lattice(grid.values, 0.5)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +1076,21 @@ def test_potential_csv_roundtrip(tmp_path):
     assert back.values.shape == (7, 5)
     assert np.array_equal(back.values, vals)
     assert (back.x0, back.y0, back.h) == (-0.5, 0.25, 0.125)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_csv_is_bytewise_the_per_cell_writer(tmp_path, seed):
+    # signed zeros, subnormals and values near the ends of the exponent range
+    rng = np.random.default_rng(seed)
+    ny, nx = rng.integers(1, 12, 2)
+    pool = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300, 1.7976931348623157e308,
+                     math.pi, -1.0 / 3.0])
+    values = np.where(rng.random((ny, nx)) < 0.5, rng.choice(pool, (ny, nx)),
+                      rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(-300, 300, (ny, nx)))
+    x0, y0, h = rng.choice([0.0, -0.0, -1.25, 1e-300]), rng.uniform(-3, 3), rng.choice([0.1, 1e-3, 0.3])
+    _write_grid_csv(tmp_path / "rows.csv", "density", values, x0, y0, h)
+    grid_csv_per_cell(tmp_path / "cells.csv", "density", values, x0, y0, h)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_potential_binary_roundtrip(tmp_path):

@@ -17,7 +17,9 @@ that exit 65, one of them on an ellipse rhs that is not resolved; a
 node-chain figure eight that crosses itself once and exits 64; and four
 schema errors, 35 configs in all.
 For every config the script compares each output file, stdout, stderr and
-the exit code, prints one line, and exits 1 if anything differs.  It needs
+the exit code, prints one line, and exits 1 if anything differs.  For the
+two point-masses configs it also prints, per tree, the largest position and
+mass error of the atoms found against those the grids were made from.  It needs
 the standard library and numpy only.
 """
 
@@ -62,6 +64,10 @@ SIXTEEN = [{"type": "segment", "a": [-4.0 + 2 * j * 8 / 31, 0.0],
            for j in range(16)]
 
 
+# the atoms of the point-masses grids: (position, mass)
+ATOMS = [(-0.41 + 0.13j, 1.0), (0.52 - 0.27j, 0.8)]
+
+
 def mono(n):
     return {"family": "monomial", "degree": n}
 
@@ -78,7 +84,7 @@ def write_inputs(work):
     X, Y = np.meshgrid(xs, xs)
     Z = X + 1j * Y
     grids = {"area": 0.7 * (X ** 2 + Y ** 2) + 0.3 * X * Y,
-             "atoms": np.log(np.abs(Z - (-0.41 + 0.13j))) + 0.8 * np.log(np.abs(Z - (0.52 - 0.27j)))}
+             "atoms": sum(m * np.log(np.abs(Z - a)) for a, m in ATOMS)}
     for name, U in grids.items():
         table = np.column_stack([X.ravel(), Y.ravel(), U.ravel()])
         np.savetxt(work / f"{name}.csv", table, fmt="%.17g", delimiter=",", header="x,y,u",
@@ -199,6 +205,15 @@ def run(src, config, out):
     return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, **files}
 
 
+def atom_errors(table):
+    """The largest position and mass errors of the bytes of a masses.csv
+    against ``ATOMS``, each found atom taken against the nearest true one."""
+    rows = np.loadtxt(io.BytesIO(table), delimiter=",", skiprows=1, ndmin=2)
+    errors = [min((abs(complex(re, im) - a), abs(m - mass)) for a, mass in ATOMS)
+              for _, re, im, m in rows]
+    return tuple(max(e) for e in zip(*errors)) if errors else (np.nan, np.nan)
+
+
 def imported_from(src):
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", "import cauchypot; print(cauchypot.__file__)"],
@@ -247,6 +262,11 @@ def main():
             status = f"DIFFERS in {', '.join(diff)}" if diff else "identical"
             print(f"{name}: exit {got['work']['exit code']}, {len(keys) - 3} files, {status}",
                   flush=True)
+            for tree, files in got.items():
+                if "masses.csv" in files:
+                    position, mass = atom_errors(files["masses.csv"])
+                    print(f"  {tree}: largest position error {position:.3g}, "
+                          f"largest mass error {mass:.3g}")
     print(f"{differing} of {len(texts)} configs differ")
     return 1 if differing else 0
 
