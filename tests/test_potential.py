@@ -807,9 +807,9 @@ def _two_atoms(seed, h, n):
 
 
 # (spacing, points per axis, cluster radius, mass and position tolerances):
-# ten times the worst errors measured over seeds 1-10 rounded up to a power
-# of ten, the position's over the radius (4.7e-8 and 3.1e-14 on the 801^2
-# lattice, 1.9e-6 and 2.2e-10 on the 201^2)
+# each the smallest power of ten above five times the worst error measured
+# over seeds 1-10, the position's over the radius (4.7e-8 and 3.1e-14 on the
+# 801^2 lattice, 1.9e-6 and 2.2e-10 on the 201^2)
 ATOM_LATTICES = [(0.005, 801, 0.1, 1e-6, 1e-12), (0.02, 201, 0.2, 1e-5, 1e-8)]
 
 
