@@ -551,7 +551,8 @@ def detect_point_masses(u, cluster_radius):
     stays at c.  The overlap warning names the centroids.  The cost is one
     Laplacian over the lattice, shared with ``recover_area_density``, plus,
     per cluster, its cells and its box's perimeter.  A non-finite
-    ``cluster_radius`` is refused.
+    ``cluster_radius`` is refused, and so are values so large that the
+    Laplacian or its weighted sums overflow.
     """
     if not isinstance(u, PotentialField):
         raise TypeError("point-mass detection needs a grid PotentialField")
@@ -574,6 +575,8 @@ def detect_point_masses(u, cluster_radius):
         wgt = size.ravel()[cells]
         cx = float(np.sum(xs[ix] * wgt) / np.sum(wgt))
         cy = float(np.sum(ys[iy] * wgt) / np.sum(wgt))
+        if not (math.isfinite(cx) and math.isfinite(cy)):  # a NaN centroid boxes nothing
+            raise ValueError("the lattice Laplacian overflows: grid values too large")
         # the box in lattice indices; the interior lattice starts one in
         rows = np.flatnonzero(np.abs(ys - cy) <= cluster_radius) + 1
         cols = np.flatnonzero(np.abs(xs - cx) <= cluster_radius) + 1

@@ -1043,6 +1043,13 @@ def _duplicated_point_csv(tmp_path):
     return read_potential_csv(path)
 
 
+def _overflowing_point_masses(tmp_path):
+    # the Laplacian's weighted sums overflow, with numpy's warnings: the
+    # cluster's centroid was NaN and its box held no cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        return detect_point_masses(_field(cell=1e307, h=0.5)(tmp_path), cluster_radius=2.0)
+
+
 # (error class, call with a scratch directory)
 REFUSALS = {
     "NaN cell": (ValueError, _field(cell=np.nan)),
@@ -1053,6 +1060,7 @@ REFUSALS = {
     "infinite h": (ValueError, _field(h=np.inf)),
     "point masses of a callable": (TypeError, lambda tmp_path: detect_point_masses(
         lambda z: 0.0, cluster_radius=1.0)),
+    "point masses of an overflowing grid": (ValueError, _overflowing_point_masses),
     "csv lattice with one x": (SchemaError, _one_column_csv),
     "csv lattice point given twice": (SchemaError, _duplicated_point_csv),
 }
