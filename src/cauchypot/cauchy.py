@@ -22,12 +22,8 @@ was built in: a wrong label gives a wrong result on arcs, without an error
 ``sqrt`` ones).  On closed contours the classes coincide.
 
 ``singular_S`` is the one S, through ``quadrature._S_closed`` and
-``_S_arcs``: on closed contours the periodic Hilbert transform (an FFT sign
-multiplier) plus an interpolated smooth remainder, with the pole-subtracted
-rows where the remainder is not resolved (their far field from multipole
-expansions from 1024 nodes on); on graded arcs a Chebyshev transform of
-each arc's own part plus an interpolated smooth remainder.  S at a node of
-a chain arc raises ``GeometryError``.
+``_S_arcs``, whose routes the ``quadrature`` module describes.  S at a node
+of a chain arc raises ``GeometryError``.
 
 Near-boundary values of C f are taken by one-sided limits: compensated
 evaluation (the nearest node sample is subtracted and added back through an
@@ -37,14 +33,10 @@ added back is f_k * chi, chi the one-sided limit of C[1]: 1 from the plus
 side, 0 from the minus side, so each rung takes it from the side its ladder
 walks on.  ``quadrature.normal_ladder`` lays out the ladders and extrapolates
 them; all points of a call (node x side x level) go through the quadrature
-layer as one batch.  On a closed contour that is ``_closed_cauchy_sum``:
-the direct sums of ``_cauchy_sum`` for small hosts and small batches, and
-from 1024 nodes and a few dozen points on (``plemelj_residuals`` at its 64
-default nodes, a grid of ``cauchy_transform`` points) a walk of each point
-down the contour's multipole tree, whose one level of leaves S shares: the
-far field from the expansions of the weights and of the weighted data, and
-each box still near a point a level above the leaves summed directly over
-its two leaves.  Arc systems keep the direct sums.
+layer as one batch.  On a closed contour that is ``_closed_cauchy_sum``,
+which from 1024 nodes and a few dozen points on (``plemelj_residuals`` at
+its 64 default nodes, a grid of ``cauchy_transform`` points) walks each
+point down the contour's multipole tree.  Arc systems keep the direct sums.
 """
 
 from __future__ import annotations
@@ -97,7 +89,8 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     empty array gives an empty one); anything else raises IndexError.  Arc
     endpoints are not nodes, so the endpoint singularities of Sf never
     appear in the output.  ``density_class`` must be the class f was built
-    in: a wrong one gives a wrong S f on arcs, and no error.
+    in: a wrong one gives a wrong S f on arcs, and no error.  An S f that
+    overflows from finite f raises OverflowError.
     """
     if density_class not in DENSITY_CLASSES:
         raise ValueError(f"density_class must be one of {DENSITY_CLASSES}")
@@ -107,6 +100,8 @@ def singular_S(f, at_indices=None, density_class="smooth"):
     idx = _node_indices(host, at_indices)
     out = (_S_closed(host, values, idx) if isinstance(host, ClosedContour)
            else _S_arcs(host, values, idx, density_class))
+    if not np.isfinite(out).all():
+        raise OverflowError("singular_S: S f overflows")
     if np.isscalar(at_indices):
         return complex(out[0])
     return SampledDensity(host, out) if at_indices is None else out
@@ -122,12 +117,10 @@ def cauchy_transform(f, z):
     Accuracy degrades within a few node spacings of the curve; inside the
     host's ``near_cutoff`` the call is refused, and a point that is NaN or
     infinite raises ValueError.  Use ``boundary_value`` for
-    one-sided limits on the curve itself.  On a closed contour of 1024 nodes
-    or more, a batch of points above the crossover of
-    ``quadrature._closed_cauchy_sum`` takes the far field from the
-    contour's multipole tree, at O(log N) per point, and agrees with the
-    direct sums to rounding; a point's value does not depend on the other
-    points of its batch.
+    one-sided limits on the curve itself.  A large batch on a closed contour
+    walks its multipole tree (``quadrature._closed_cauchy_sum``); a point's
+    value does not depend on the other points of its batch.  A transform
+    that overflows raises OverflowError.
     """
     host, values = _host_values(f)
     z = np.asarray(z, dtype=complex)
@@ -140,6 +133,8 @@ def cauchy_transform(f, z):
         )
     out = (_closed_cauchy_sum(host, zs, values) if isinstance(host, ClosedContour)
            else _cauchy_sum(host.nodes, zs, host.dt_weights * values)) / (2j * np.pi)
+    if not np.isfinite(out).all():
+        raise OverflowError("cauchy_transform: C f overflows")
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 

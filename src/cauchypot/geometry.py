@@ -151,9 +151,9 @@ class ClosedContour(_Host):
     Derived once: ``params`` (the theta_k), the periodic trapezoid rule
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
-    0), ``total_length``, ``diameter()`` and ``near_cutoff``; and, on the
-    first S of resolved data, whether dz_dtheta is resolved too, and on the
-    first sum that takes a multipole route, the plan of its sums.  The
+    0), ``total_length``, ``diameter()`` and ``near_cutoff``; on the first
+    proxy sum of resolved data (S, on-node log potential), whether dz_dtheta
+    is resolved too, and on the first multipole sum, the plan of its sums.  The
     contour keeps read-only copies of ``nodes`` and ``dz_dtheta``, and
     every array it derives and caches is read-only too, so an edit in
     place raises ValueError instead of leaving them stale.
@@ -212,7 +212,7 @@ class ClosedContour(_Host):
 
     @cached_property
     def _dz_resolved(self):
-        """Whether dz/dtheta is resolved on the nodes, as S's proxies need."""
+        """Whether dz/dtheta is resolved on the nodes, as the proxy sums need."""
         from .quadrature import _resolved
 
         dz = self.dz_dtheta

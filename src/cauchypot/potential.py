@@ -14,15 +14,14 @@ each side separately and the density is the sum over 2*pi, mirroring the
 two-sided jump structure of the Cauchy transform on arcs.
 
 The forward map at the nodes, where the log kernel is singular, splits like
-S: a part diagonal in a spectral basis, computed once per density for every
-node in O(N log N) (Fourier on closed contours, Chebyshev on graded arcs),
-plus a smooth remainder summed per requested node.  ``log_potential`` at a
-node and ``log_potential_nodes`` share that code and agree bitwise.
+S, once per density for every node: a part diagonal in a spectral basis
+(Fourier on closed contours, Chebyshev on graded arcs) plus a smooth
+remainder interpolated from proxies by S's own loops, or summed directly
+where it is not resolved.  ``log_potential`` at a node reads the same values.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import warnings
@@ -47,7 +46,8 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import _trig_coeffs, _trig_sum, normal_ladder
+from .quadrature import (_interpolated, _proxy_remainder, _resolved, _trig_coeffs, _trig_sum,
+                         normal_ladder)
 from .sampling import SampledDensity
 
 __all__ = [
@@ -145,33 +145,21 @@ class MeasureEstimate:
 # forward map: potential of a measure
 # ---------------------------------------------------------------------------
 
-def _log_memo(density):
-    """(host, key, q, own, ring) for a curve density, built once per density.
+def _log_memo(density, nodes=False):
+    """(host, q, u) for a curve density, built once per density.
 
     q = w * rho, the density times the host's arclength weights, weights
-    every sum over nodes, off the curve too.  own[k] is the spectral part
-    of the potential at node k over the component holding k
-    (``_own_part``).  On a closed contour of n nodes, ring[n - k, j] =
-    2|sin((th_j - th_k)/2)|, a window of 2|sin(pi m/n)|, m = j - k mod n
-    (None on arcs).  The tuple is kept on the density (not a field: ``==``
-    and ``repr`` ignore it) under the key (bytes, dtype, shape) of the
-    values it came from, and rebuilt when the host or that key changes:
-    values reassigned with the same bytes reuse it, an edit in place does
-    not.
+    every sum over nodes, off the curve too.  u, the potential at every node
+    (``_nodes_potential``), is formed on the first request with ``nodes``,
+    never by an off-curve call.  The density is frozen, so the tuple is kept
+    on it for good (not a field: ``==`` and ``repr`` ignore it).
     """
-    values = density.values
-    key = (values.tobytes(), values.dtype, values.shape)
     memo = getattr(density, "_log_memo", None)
-    if memo is None or memo[0] is not density.host or memo[1] != key:
-        host = density.host
-        q = host.weights * values.real
-        ring = None
-        if isinstance(host, ClosedContour):
-            n = host.n_nodes
-            chord = np.abs(2.0 * np.sin(np.pi * np.arange(n) / n))
-            ring = sliding_window_view(np.tile(chord, 2), n)
-        memo = (host, key, q, _own_part(host, q), ring)
-        density._log_memo = memo
+    if memo is None:
+        memo = (density.host, density.host.weights * density.values.real, None)
+    if nodes and memo[2] is None:
+        memo = memo[:2] + (_read_only(_nodes_potential(*memo[:2])),)
+    object.__setattr__(density, "_log_memo", memo)
     return memo
 
 
@@ -186,7 +174,7 @@ def _own_part(host, q):
     log|tau - tau_k| is diagonal too, T_0 -> -log 2 and T_n -> -T_n/n (S.
     Olver, Math. Comp. 80, 2011).  On a segment |t - t_k| / |tau - tau_k| is
     L/2, which adds log(L/2) c_0.  What is left, the log of that ratio on a
-    curve or a circular arc, is summed per node by ``_log_rows``.  Chain arcs
+    curve or a circular arc, is ``_nodes_potential``'s remainder.  Chain arcs
     get NaN: the potential on them is refused.
     """
     if isinstance(host, ClosedContour):
@@ -210,25 +198,22 @@ def _own_part(host, q):
     return own
 
 
-def _log_rows(t, q, x, pole=None, dist=None, speed=None, lo=0):
+def _log_rows(t, q, x, pole=None, dist=None, speed=None):
     """sum_j q_j log|t_j - x_i| for every target x_i.
 
-    With ``dist``, x_i is the node ``pole[i]`` and ``dist(rows)`` gives, for
-    those rows, parameter distances to the columns lo, lo + 1, ...: the log
-    on them is that of |t_j - x_i| / dist, smooth through the pole, and log
-    ``speed[i]`` (its limit) on the diagonal.  Rows go in blocks of
-    ``geometry._ROW_BLOCK`` elements; a row's sum does not depend on the
-    other rows.
+    With ``dist``, x_i is the node ``pole[i]`` and ``dist(rows)`` the
+    parameter distances of those rows to every column: the log is that of
+    |t_j - x_i| / dist, smooth through the pole, and log ``speed[i]`` (its
+    limit) on the diagonal.  A row's sum does not depend on the other rows.
     """
     def block(rows):
         d = np.abs(t - x[rows, None])
         if dist is not None:
             e = dist(rows)
-            own = d[:, lo:lo + e.shape[1]]
-            on = (np.arange(e.shape[0]), pole[rows] - lo)
-            own[on] = e[on] = 1.0
-            own /= e
-            own[on] = speed[rows]
+            on = (np.arange(e.shape[0]), pole[rows])
+            d[on] = e[on] = 1.0
+            d /= e
+            d[on] = speed[rows]
         np.log(d, out=d)
         d *= q
         return np.sum(d, axis=1)
@@ -236,53 +221,75 @@ def _log_rows(t, q, x, pole=None, dist=None, speed=None, lo=0):
     return _by_rows(block, x.size, t.size)
 
 
-def _on_nodes(density, idx):
-    """The potential of a curve density at its nodes ``idx`` (ascending).
+def _nodes_potential(host, q):
+    """The potential of the weighted density q at every node: own part plus remainder.
 
-    The memo's own part plus the ``_log_rows`` remainder of each node's
-    component: on a closed contour and on a circular arc the log of chord
-    over parameter distance (2|sin((th - th_k)/2)|, |tau - tau_k|), on an
-    arc system the other arcs' plain sums.
+    Closed contour: the remainder, the pole-subtracted ``_log_rows`` of chord
+    over 2|sin((th_j - th_k)/2)|, comes from ``_proxy_remainder`` as S's
+    does, judged against sum |q|, or is summed at every node.  Graded arc:
+    ``_interpolated`` of a smooth fn(tau), as S's ``_remainder``: the other
+    arcs' plain sums and, on a circular arc of radius r and sweep D, the log
+    of chord over parameter distance, log(r|D|/2) + log|sin y / y| with y =
+    D (tau_j - tau)/4.  Chain arcs stay NaN.
     """
-    host, _, q, own, ring = _log_memo(density)
+    own = _own_part(host, q)
     t = host.nodes
     if isinstance(host, ClosedContour):
-        return own[idx] + _log_rows(t, q, t[idx], idx, lambda r: ring[t.size - idx[r]],
-                                    np.abs(host.dz_dtheta[idx]))
+        n = t.size
+        ring = sliding_window_view(np.tile(np.abs(2.0 * np.sin(np.pi * np.arange(n) / n)), 2), n)
+
+        def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
+            return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
+
+        resolved = _resolved(np.fft.fft(q), np.max(np.abs(q))) and host._dz_resolved
+        row, done = _proxy_remainder(n, rows, np.sum(np.abs(q)), resolved, lambda: np.zeros(n))
+        if done is not None:
+            row[~done] = rows(np.flatnonzero(~done))
+        return own + row.real
     off = host.arc_offsets
-    cut = [bisect.bisect_left(idx, o) for o in off]  # idx is ascending
-    out = own[idx]
     for a, arc in enumerate(host.arcs):
-        rows = slice(cut[a], cut[a + 1])
-        k = idx[rows]
-        if k.size == 0:
-            continue
-        if not arc.graded:
+        others, mine = host._other_nodes[a], np.s_[off[a]:off[a + 1]]
+        q_others, q_own, sweep = np.delete(q, mine), q[mine], arc.theta_b - arc.theta_a
+
+        def circular(rows, tau):  # y / pi = D (tau_j - tau) / (4 pi)
+            ratio = np.sinc((0.25 / math.pi * sweep) * (arc.params - tau[rows, None]))
+            return np.sum(np.log(ratio, out=ratio) * q_own, axis=1)
+
+        def fn(tau):
+            out = _log_rows(others, q_others, arc.point_at(tau)) if others.size else 0.0
+            if arc.kind != "circular":
+                return out
+            return out + (math.log(0.5 * arc.radius * abs(sweep)) * np.sum(q_own)
+                          + _by_rows(lambda rows: circular(rows, tau), tau.size, q_own.size))
+
+        if arc.graded and (others.size or arc.kind == "circular"):
+            own[mine] += np.real(_interpolated(fn, arc))
+    return own
+
+
+def _on_nodes(density, idx):
+    """The memo's u at the nodes ``idx``; on chain arcs (NaN) GeometryError."""
+    host, _, u = _log_memo(density, nodes=True)
+    out = u[idx]
+    if isinstance(host, ArcSystem) and np.isnan(out).any():
+        if not all(host.arcs[a].graded for a in np.searchsorted(
+                host.arc_offsets, np.atleast_1d(idx), side="right") - 1):
             raise GeometryError("on-arc potential needs a graded (cosine) arc")
-        if arc.kind == "circular":
-            tau = arc.params
-            out[rows] += _log_rows(t, q, t[k], k, lambda r: np.abs(tau - tau[k[r] - off[a], None]),
-                                   np.abs(arc.dt_dtau[k - off[a]]), off[a])
-        elif len(off) > 2:
-            other = np.ones(t.size, dtype=bool)
-            other[off[a]:off[a + 1]] = False
-            out[rows] += _log_rows(t[other], q[other], t[k])
     return out
 
 
 def _curve_potential(density, z):
     host = density.host
-    t = host.nodes
-    d = np.abs(t - z)
+    d = np.abs(host.nodes - z)
     k = int(np.argmin(d))
     if d[k] <= 1e-9 * host.diameter():
-        return float(_on_nodes(density, np.array([k]))[0])
+        return float(_on_nodes(density, k))
     if d[k] < host.near_cutoff:
         raise NearBoundaryError(
             "potential evaluation between nodes near the curve; "
             "evaluate at a node or beyond the cutoff"
         )
-    return float(np.sum(_log_memo(density)[2] * np.log(d)))
+    return float(np.sum(_log_memo(density)[1] * np.log(d)))
 
 
 def _area_potential(dens, x0, y0, h, z):
@@ -305,18 +312,18 @@ def log_potential(measure, z):
     """u(z) = int log|z - t| dmu(t) for a sampled or estimated measure.
 
     Accepts a MeasureEstimate or a bare SampledDensity of curve samples.
-    On-curve requests must land on a node, where the curve part is spectral
-    (see ``log_potential_nodes``; chain arcs raise GeometryError); points
-    between nodes inside the near cutoff are refused.  Evaluation exactly
-    at a point mass raises the log domain error, and at a point that is
-    NaN or infinite ValueError.
+    On-curve requests must land on a node, where the value is bitwise the
+    one ``log_potential_nodes`` gives (chain arcs raise GeometryError);
+    points between nodes inside the near cutoff are refused.  Evaluation
+    exactly at a point mass raises the log domain error, at a point that is
+    NaN or infinite ValueError, and a potential that overflows OverflowError.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("evaluation point must be finite")
     if isinstance(measure, SampledDensity):
-        return _curve_potential(measure, z)
-    if not isinstance(measure, MeasureEstimate):
+        measure = MeasureEstimate(curve_density=measure)
+    elif not isinstance(measure, MeasureEstimate):
         raise TypeError("measure must be a MeasureEstimate or SampledDensity")
     total = 0.0
     if measure.curve_density is not None:
@@ -326,20 +333,25 @@ def log_potential(measure, z):
                                  measure.area_origin[1], measure.area_h, z)
     for a, m in measure.point_masses:
         total += m * math.log(abs(z - a))  # zero distance -> domain error
+    if not math.isfinite(total):
+        raise OverflowError("log_potential: the potential overflows")
     return total
 
 
 def log_potential_nodes(density):
     """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node t_k of a curve density.
 
-    rho is the real part of the samples of a ``SampledDensity``.  Each value
-    is bitwise the one ``log_potential`` gives at that node, and the own
-    part behind them is computed once per density (see ``_own_part``).
-    Nodes on chain arcs are refused with GeometryError.
+    rho is the real part of the samples of a ``SampledDensity``.  Returns a
+    copy of the values formed once per density (``_nodes_potential``), the
+    ones ``log_potential`` reads at a node.  Nodes on chain arcs are refused
+    with GeometryError, and a potential that overflows with OverflowError.
     """
     if not isinstance(density, SampledDensity):
         raise TypeError("density must be a SampledDensity")
-    return _on_nodes(density, np.arange(density.host.n_nodes))
+    out = _on_nodes(density, np.arange(density.host.n_nodes))
+    if not np.isfinite(out).all():
+        raise OverflowError("log_potential_nodes: the potential overflows")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,40 +24,29 @@ machine precision on the graded grid.
 S is ``_S_closed`` on a closed contour and ``_S_arcs`` on an arc system,
 reached only through ``cauchy.singular_S``, which checks the density
 class, the host and the node indices.  Both split S into a part diagonal in
-a spectral basis and a smooth remainder summed at a few proxy nodes and
-interpolated.  On a closed contour the first part is the periodic Hilbert
-transform, one FFT sign multiplier; the remainder at a proxy is the
-pole-subtracted row there (subtracted kernel integral pi*i, the Fourier
-derivative of the density on the diagonal) minus that transform.  Curves
-or data that leave the remainder unresolved (rounded polygons, rough data)
-get the pole-subtracted rows at every requested node: summed directly
-below ``_FMM_MIN_NODES`` nodes, and from there on by the fast multipole
-method: a ``_MultipolePlan`` of what the nodes alone fix, which the contour
-builds on its first multipole sum and keeps, and a pass per density.  The
-plan has one level of leaves, of about 16 nodes, where S sums.  Their near
-field contracts the data with a kernel 1/(t_j - t_i) that the plan holds
-once per unordered pair of near leaves, over the pairs that touch the
-requested rows only, and adds each leaf's partial sums by one reduction;
-the far field is a multipole pass whose M2L factor powers each pass forms.  On a graded arc, in the parameter tau = cos(u), the arc's
-own part is diagonal in Chebyshev coefficients (length-2m FFTs, whose
-twiddles and node factors the arc holds), and the remainder is the other
-arcs' sums (over the nodes the system holds per arc) and, on a circular
-arc, the difference between its kernel and 1/(tau - tau_x).  From
-``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of its remainders
-at the first proxies (``_proxy_kernels``), built on its first S, and there
-the remainders are products with the data.
+a spectral basis and a smooth remainder sampled at a few proxy nodes and
+interpolated, and the on-node log potential of ``potential`` takes the same
+two routes.  On a closed contour, where S's first part is the periodic
+Hilbert transform, one FFT sign multiplier, ``_proxy_remainder`` is the one
+proxy loop of both.  Curves or data that leave the remainder unresolved
+(rounded polygons, rough data) get the pole-subtracted rows at every
+requested node: summed directly, and for S from ``_FMM_MIN_NODES`` nodes on
+by the fast multipole method of the contour's ``_MultipolePlan``.  On a
+graded arc, in the parameter tau = cos(u), the arc's own part is diagonal in
+Chebyshev coefficients (length-2m FFTs, whose twiddles and node factors the
+arc holds), and ``_interpolated`` takes the remainder: the other arcs' sums
+and, on a circular arc, the difference between its kernel and the one in
+tau.  From ``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of S's
+remainders at the first proxies (``_proxy_kernels``), built on its first S,
+and there the remainders are products with the data.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
-``_closed_cauchy_sum``: summed directly for small hosts and small batches,
-and from there on by a walk of each point down the tree of the contour's
-``_MultipolePlan`` to the level above its leaves, O(log N) per point, a
-box still near a point there summed over its two leaves.  Every other
-Cauchy sum over nodes goes through one blocked kernel, ``_cauchy_sum``:
-the direct closed-contour rows and off-curve sums, the arc remainders the
-proxy plan does not hold, and the Cauchy transform and its one-sided limits
-on arcs.  ``neville`` is the one extrapolation tableau, fed by
-``normal_ladder`` for boundary limits and curve recovery.
+``_closed_cauchy_sum``, summed directly or by a walk of each point down the
+tree of the contour's ``_MultipolePlan``.  Every other Cauchy sum over nodes
+goes through one blocked kernel, ``_cauchy_sum``.  ``neville`` is the one
+extrapolation tableau, fed by ``normal_ladder`` for boundary limits and
+curve recovery.
 
 ``host_rule`` (which only checks that its argument is a host and returns
 it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
@@ -180,16 +169,16 @@ def closed_node_derivative(host, values):
     polynomials, which rules out fixed-order difference stencils at moderate
     node counts.
     """
-    return _derivative_of_dft(host, np.fft.fft(values))
+    fk = np.fft.fft(values)
+    return np.fft.ifft(1j * _wavenumbers(fk.size) * fk) / host.dz_dtheta
 
 
-def _derivative_of_dft(host, fk):
-    """``closed_node_derivative`` from the DFT ``fk`` of the values."""
-    n = fk.size
+def _wavenumbers(n):
+    """The wavenumbers of an n-point DFT, the Nyquist mode's zeroed (real-symmetric)."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
-        k[n // 2] = 0.0  # zero the Nyquist mode for a real-symmetric derivative
-    return np.fft.ifft(1j * k * fk) / host.dz_dtheta
+        k[n // 2] = 0.0
+    return k
 
 
 def fd4_arc_derivative(arc, values):
@@ -311,24 +300,52 @@ def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None)
     return _by_rows(block, z.size, t.size, complex)
 
 
+def _proxy_remainder(n, rows, scale, resolved, spectral):
+    """``rows`` at all n nodes of a closed contour from a smooth remainder at proxies.
+
+    ``rows(r)`` gives the rows at the nodes r, ``spectral()`` their part
+    diagonal in Fourier at every node.  When ``resolved`` (the data and
+    dz/dtheta are), the remainder, rows less that part, is taken at p = 32,
+    64, ... nested proxies while 4p <= n and p divides n until its DFT is
+    resolved against ``scale``: (rows at every node, None), trigonometrically
+    interpolated.  Else (row, done): the rows probed, where ``done``.
+    """
+    row = np.empty(n, dtype=complex)
+    done = np.zeros(n, dtype=bool)
+    p = 32 if resolved else n
+    while 4 * p <= n and n % p == 0:
+        if p == 32:  # the first probe forms the spectral part
+            part = spectral()
+        proxy = np.arange(0, n, n // p)
+        new = proxy[~done[proxy]]
+        row[new], done[new] = rows(new), True
+        c = np.fft.fft(row[proxy] - part[proxy])
+        if _resolved(c, scale):
+            h = p // 2
+            pad = np.zeros(n, dtype=complex)
+            pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
+            pad[h] = pad[n - h] = 0.5 * c[h]
+            return part + np.fft.ifft(pad) * (n / p), None
+        p *= 2
+    return row, done
+
+
 def _S_closed(host, values, idx):
     """S on a closed contour: the periodic Hilbert transform plus a smooth remainder.
 
     z'(th)/(z(th) - z(ph)) = cot((th - ph)/2)/2 + K(th, ph) with K smooth on
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
-    smooth in ph.  When f and z' are resolved, R is taken at p = 32, 64, ...
-    nested proxy nodes as the pole-subtracted row there minus H f until it
-    is resolved too, and trigonometrically interpolated; only then is H f
-    formed.  Otherwise, and past p = n/4 or when p does not divide n, the
-    requested rows are the pole-subtracted ones: summed directly below
-    ``_FMM_MIN_NODES`` nodes, the probed ones reused, and from there on by
-    the host's multipole plan.  The choice depends on the host and f only,
-    so S at any ``idx`` is bitwise the full S.
+    smooth in ph: ``_proxy_remainder`` takes R as the pole-subtracted rows at
+    proxies minus H f.  Where R is not resolved the requested rows are the
+    pole-subtracted ones: summed directly below ``_FMM_MIN_NODES`` nodes, the
+    probed ones reused, and from there on by the host's multipole plan.  The
+    choice depends on the host and f only, so S at any ``idx`` is bitwise the
+    full S.
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
-    fk = np.fft.fft(values)
-    df = _derivative_of_dft(host, fk)
+    fk, k = np.fft.fft(values), _wavenumbers(n)
+    df = np.fft.ifft(1j * k * fk) / host.dz_dtheta
 
     def s_of(total, r):
         return (total + values[r] * 1j * np.pi) / (1j * np.pi)
@@ -336,28 +353,12 @@ def _S_closed(host, values, idx):
     def rows(r):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
-    row = np.empty(n, dtype=complex)
-    done = np.zeros(n, dtype=bool)
     scale = np.max(np.abs(values))
     # rough data, or a curve with corners, leave R rough: no probes
-    p = 32 if _resolved(fk, scale) and host._dz_resolved else n
-    while 4 * p <= n and n % p == 0:
-        if p == 32:  # the first probe forms H f
-            sgn = np.sign(np.fft.fftfreq(n))
-            if n % 2 == 0:
-                sgn[n // 2] = 0.0
-            hf = np.fft.ifft(sgn * fk)
-        proxy = np.arange(0, n, n // p)
-        new = proxy[~done[proxy]]
-        row[new], done[new] = rows(new), True
-        c = np.fft.fft(row[proxy] - hf[proxy])
-        if _resolved(c, scale):
-            h = p // 2
-            pad = np.zeros(n, dtype=complex)
-            pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
-            pad[h] = pad[n - h] = 0.5 * c[h]
-            return (hf + np.fft.ifft(pad) * (n / p))[idx]
-        p *= 2
+    row, done = _proxy_remainder(n, rows, scale, _resolved(fk, scale) and host._dz_resolved,
+                                 lambda: np.fft.ifft(np.sign(k) * fk))
+    if done is None:
+        return row[idx]
     if n >= _FMM_MIN_NODES:
         return s_of(host._multipole_plan.rows(values, df, idx), idx)
     new = idx[~done[idx]]
@@ -432,18 +433,9 @@ class _MultipolePlan:
     c_parent)/r_parent), each node's leaf and leaf coordinate (t - c)/r,
     and each leaf's first node and its columns: its nodes padded with its
     last, their t and w (0 on the padding) and where they are its own.
-    Built on first use and kept:
-
-    * ``multipole_of_weights``: the expansions of w in every box down to
-      the leaves;
-    * ``_pairs``: the separated box pairs and the leaf pairs that are not;
-    * ``_m2l``: the separated pairs (A, B), sorted by A, with r_B/d, -r_A/d
-      and -1/d, d = c_A - c_B, whose powers each pass forms;
-    * ``_kernel``: the near field, D_ij = 1/(t_j - t_i) for i in leaf A
-      and j in leaf B over the leaf pairs with A <= B that are not
-      separated, 0 for i = j and on padding, with the place of each pair's
-      partial sums in the order that one reduction adds them per leaf;
-    * ``rows_of_weights``: sum_j w_j/(t_j - t_i) over j != i at every node.
+    Built on first use and kept, each a cached property:
+    ``multipole_of_weights``, ``_pairs``, ``_m2l``, ``_kernel`` (the near
+    field) and ``rows_of_weights``.
 
     ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
     curve) walks the tree and needs only the first.
@@ -780,11 +772,10 @@ def _resolved(c, scale):
 
 def _S_arcs(host, values, idx, density_class):
     """S on an arc system: per graded arc, ``_own_pv`` of its class fold plus
-    the ``_remainder`` interpolated from proxies.  From ``_FMM_MIN_NODES``
-    nodes on, the remainders at the first proxies of the arcs the system's
-    proxy plan holds are products with its kernels.  S is formed at every
-    node of each arc that holds one of ``idx``, and the route depends on
-    the host alone, so S at any ``idx`` is bitwise the full S.
+    the ``_remainder`` interpolated from proxies (the first of them from the
+    proxy plan).  S is formed at every node of each arc that holds one of
+    ``idx``, and the route depends on the host alone, so S at any ``idx`` is
+    bitwise the full S.
     """
     off = host.arc_offsets
     needed = np.flatnonzero(np.bincount(np.searchsorted(off, idx, side="right") - 1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError
-from .geometry import _write_node_table
+from .geometry import _read_only, _write_node_table
 
 __all__ = [
     "SampledDensity",
@@ -32,23 +32,25 @@ _DENSITY_HEADER = ["index", "re_f", "im_f"]
 _SOLUTION_HEADER = ["index", "s", "re_z", "im_z", "re_f", "im_f"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SampledDensity:
-    """Complex samples f(t_k) at the nodes of a host curve."""
+    """Complex samples f(t_k) at the nodes of a host curve: a frozen record,
+    as the hosts are, of a read-only complex copy of the values, so what is
+    derived once per density cannot go stale (an edit raises ValueError)."""
 
     host: object
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.array(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size != self.host.n_nodes:
             raise AlignmentError(
                 f"expected {self.host.n_nodes} samples, got {vals.size}"
             )
         if not np.all(np.isfinite(vals)):
             raise AlignmentError("samples must be finite")
-        self.values = vals
+        object.__setattr__(self, "values", _read_only(vals))
 
     @classmethod
     def from_function(cls, host, f):

@@ -236,6 +236,70 @@ def ellipse_equilibrium(dz_dtheta):
     return 1.0 / (2.0 * np.pi * np.abs(dz_dtheta))
 
 
+def log_potential_nodes_direct(host, rho):
+    """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node of a contour or of
+    a system of graded arcs, the smooth remainder summed directly at each node.
+
+    q = w rho with the host's arclength weights.  Closed contour: the
+    Fourier-diagonal part of log|2 sin((th - th_k)/2)| (one real FFT pair,
+    R. Kress, Linear Integral Equations, ch. 12) plus, row by row, sum_j q_j
+    log(|t_j - t_k| / 2|sin((th_j - th_k)/2)|) with log|z'_k| on the
+    diagonal: the arithmetic of the package's direct rows, so bitwise its
+    values where it sums them.  Graded arc: the Chebyshev-diagonal part of
+    log|tau - tau_k| (S. Olver, Math. Comp. 80, 2011), its coefficients from
+    an explicit cosine sum at the first-kind points, plus log(L/2) c_0 on a segment, the other arcs'
+    plain sums, and on a circular arc sum_j q_j log(|t_j - t_k| / |tau_j -
+    tau_k|) with log|dt/dtau| on the diagonal.
+    """
+    t, q = host.nodes, host.weights * rho
+    n = t.size
+    if not hasattr(host, "arcs"):
+        c = np.fft.rfft(q)
+        c[0] = 0.0
+        c[1:] *= -0.5 * n / np.arange(1, c.size)
+        u = np.fft.irfft(c, n)
+        chord = np.abs(2.0 * np.sin(np.pi * np.arange(n) / n))
+        for lo in range(0, n, 16):
+            k = np.arange(lo, min(lo + 16, n))
+            d = np.abs(t - t[k, None])
+            e = chord[(np.arange(n) - k[:, None]) % n]
+            on = (np.arange(k.size), k)
+            d[on] = e[on] = 1.0
+            d /= e
+            d[on] = np.abs(host.dz_dtheta[k])
+            np.log(d, out=d)
+            d *= q
+            u[k] += np.sum(d, axis=1)
+        return u
+    u = np.empty(n)
+    start = 0
+    for arc in host.arcs:
+        m = arc.n_nodes
+        mine = np.arange(start, start + m)
+        start += m
+        # cos(k u_j) at the first-kind angles u_j = pi (2(m - j) - 1)/(2m),
+        # the angle reduced in integers
+        turns = np.outer(np.arange(m), 2 * np.arange(m, 0, -1) - 1) % (4 * m)
+        cosines = np.cos(np.pi * turns / (2 * m))
+        coeff = (2.0 / m) * (cosines @ (m * q[mine]))
+        coeff[0] *= 0.5
+        scale = np.concatenate(([-math.log(2.0)], -1.0 / np.arange(1, m)))
+        if arc.kind == "segment":
+            scale[0] += math.log(0.5 * abs(arc.b - arc.a))
+        u[mine] = (coeff * scale) @ cosines
+        for k, j in enumerate(mine):
+            d = np.abs(t - t[j])
+            if arc.kind == "circular":
+                gap = np.abs(arc.params - arc.params[k])
+                gap[k] = 1.0
+                d[mine] /= gap
+                d[j] = abs(arc.dt_dtau[k])
+            else:
+                d[mine] = 1.0
+            u[j] += np.sum(q * np.log(d))
+    return u
+
+
 # ---------------------------------------------------------------------------
 # grid recoveries: the area density over the whole lattice, bitwise the
 # package's, and the point masses' clusters and contour moments point by point

@@ -98,6 +98,17 @@ def test_cauchy_transform_refuses_an_array_with_one_point_on_curve():
         cauchy_transform(f, z)
 
 
+def test_cauchy_transform_that_overflows_raises():
+    # the constant 1e308 on a 256-node circle: inf + NaN i before; 1e300 is
+    # fine, C 1 = 1 inside
+    c = circle(n_per=32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="cauchy_transform"):
+            cauchy_transform(SampledDensity(c, np.full(c.n_nodes, 1e308 + 0j)), 0.1j)
+    value = cauchy_transform(SampledDensity(c, np.full(c.n_nodes, 1e300 + 0j)), 0.1j)
+    assert abs(value - 1e300) <= 1e-12 * 1e300
+
+
 # ---------------------------------------------------------------------------
 # singular operator
 # ---------------------------------------------------------------------------
@@ -108,6 +119,22 @@ def test_S_fixes_positive_powers_on_circle():
         f = SampledDensity.from_function(c, lambda t, n=n: t ** n)
         sf = singular_S(f)
         assert np.max(np.abs(sf.values - c.nodes ** n)) <= 1e-9
+
+
+@pytest.mark.parametrize("host", [lambda: circle(n_per=32), lambda: segment(m=256)],
+                         ids=["circle", "segment"])
+def test_S_that_overflows_raises(host):
+    # S of the constant 1e308 overflows its sums: the output density blamed
+    # its own samples before (AlignmentError, a config error in the CLI);
+    # 1e300 is fine, S 1 = 1 on the circle
+    host = host()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match="singular_S"):
+            singular_S(SampledDensity(host, np.full(host.n_nodes, 1e308 + 0j)))
+    sf = singular_S(SampledDensity(host, np.full(host.n_nodes, 1e300 + 0j))).values
+    assert np.isfinite(sf).all()
+    if not hasattr(host, "arcs"):
+        assert np.max(np.abs(sf - 1e300)) <= 1e-12 * 1e300
 
 
 def test_S_negates_negative_powers_on_circle():

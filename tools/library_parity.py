@@ -29,7 +29,10 @@ multipole tree and boundary values at two nodes the direct sums, and
 ``plemelj_residuals`` and the grid on the 1200-node polygon, whose leaves
 differ in size by a node: its ladders take the tree, its grid is below the
 crossover and takes the direct sums), on-node
-and off-curve potentials, the integrals (and, summed exactly at scale,
+and off-curve potentials (on-node also on the 16384-node circle, a
+4096-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
+segment, a circular arc and a segment of 64, 2400 and 264 nodes), the
+integrals (and, summed exactly at scale,
 integrals of data whose exact integral is 0 on the 16384-node circle and on
 two mirrored segments of 2048 nodes), the equilibrium references, and
 curve, area and point-mass recovery: on a small lattice, on the 801^2
@@ -42,7 +45,7 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 146 results.  It needs the standard library and numpy
+(two segments far longer than the rest).  That makes 150 results.  It needs the standard library and numpy
 only.
 """
 
@@ -71,6 +74,9 @@ _x = np.linspace(2.0, 3.0, 40)
 CHAIN = {"type": "chain", "nodes": np.stack([_x, 0.2 * _x * _x - 2.0], axis=1).tolist()}
 POLYGON = {"type": "rounded-polygon", "corner_radius": 0.2,
            "vertices": [[0, 0], [2, 0], [2.5, 1], [0, 1.5]], "panels": 8}
+# the rounded polygon of the benchmark's closed-contour ops
+BENCH_POLYGON = {"type": "rounded-polygon", "corner_radius": 0.25,
+                 "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]]}
 
 
 def flat(result):
@@ -284,6 +290,25 @@ def calls():
     ellipse = closed["ellipse"][0]
     yield "ellipse potential at nodes", lambda: cp.log_potential_nodes(
         sd(ellipse, 1.0 + 0.2 * ellipse.nodes.real ** 2))
+
+    # on-node potentials at scale: the remainder interpolated from proxies
+    # on the circle and the ellipse, summed at every node on the benchmark's
+    # polygon (z' not resolved), and the three-arc host of the potential tests
+    on_nodes = {
+        "circle-16384": big_circle,
+        "ellipse-4096": cp.build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                                 "panels": 8, "nodes_per_panel": 512}),
+        "library polygon-4096": cp.build_closed_contour(dict(
+            BENCH_POLYGON, panels=8, nodes_per_panel=512)),
+        "three arcs": cp.build_arc_system([
+            dict(LEFT, panels=8, nodes_per_panel=8),
+            dict(CIRCULAR, center=[0.0, 0.0], theta_a=0.3, theta_b=1.4, nodes_per_panel=300),
+            {"type": "segment", "a": [0.2, -1.0], "b": [1.0, -1.2], "panels": 8,
+             "nodes_per_panel": 33}]),
+    }
+    for name, host in on_nodes.items():
+        yield f"{name} potential at nodes", lambda h=host: cp.log_potential_nodes(
+            sd(h, 1.0 + 0.3 * h.nodes.real + 0.2 * h.nodes.imag ** 2))
 
     def disk_wall(z):
         return max(math.log(abs(z - (0.1 - 0.2j))), math.log(1.3))
