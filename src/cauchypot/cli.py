@@ -40,7 +40,8 @@ from .errors import (
     ResolutionError,
     SchemaError,
 )
-from .geometry import _MAX_NODES, ArcSystem, ClosedContour, _as_complex, _real, parse_geometry
+from .geometry import (_MAX_NODES, ArcSystem, ClosedContour, _as_complex, _number, _real,
+                       parse_geometry)
 from .potential import (
     _write_grid_csv,
     detect_point_masses,
@@ -108,10 +109,6 @@ def _json17(obj, indent=0):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_summary(out_dir, doc):
-    (out_dir / "summary.json").write_text(_json17(doc) + "\n", encoding="ascii")
-
-
 def _pairs(values):
     return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
 
@@ -164,7 +161,7 @@ def _rhs_values(spec, host):
 def _degree(spec):
     """The integer degree of a polynomial rhs family, from 0 to ``_MAX_NODES``."""
     try:
-        n = int(spec["degree"])
+        n = int(_number(spec["degree"]))
     except (KeyError, TypeError, ValueError, OverflowError):
         n = -1
     if n < 0:
@@ -360,11 +357,9 @@ def _cmd_recover_area(config, out_dir, tols):
 
 def _cmd_point_masses(config, out_dir, tols):
     grid = _potential_grid(config.get("potential"))
-    if config.get("cluster_radius") is None:
-        raise SchemaError("point-masses needs 'cluster_radius'",
-                          key="cluster_radius")
-    radius = _real(config, "cluster_radius")
-    overlaps = []
+    radius = None if config.get("cluster_radius") is None else _real(config, "cluster_radius")
+    if radius is None or radius <= 0:
+        raise SchemaError("point-masses needs a positive 'cluster_radius'", key="cluster_radius")
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         est = detect_point_masses(grid, cluster_radius=radius)
@@ -438,7 +433,7 @@ def run_config(config, out_dir, tol=None, serial=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     code, summary = _HANDLERS[command](config, out_dir, tols)
     summary["serial"] = bool(serial)
-    _write_summary(out_dir, summary)
+    (out_dir / "summary.json").write_text(_json17(summary) + "\n", encoding="ascii")
     return code
 
 

@@ -28,7 +28,9 @@ A host is a frozen record of its inputs: the nodes and their parameter
 derivative on a contour, the arcs of a system.  Everything derived from them
 (tangents, arclength, the diameter and the near cutoff it scales, R and the
 plus values of sqrt(R)) is a ``functools.cached_property``, computed on first
-use and then kept, since the inputs never change.
+use and then kept, since the inputs never change.  Hosts and arcs keep
+read-only copies of their array inputs and derive read-only arrays, so an
+edit in place raises ValueError instead of leaving what was derived stale.
 
 Each host is its own quadrature rule over all its nodes: ``params``,
 ``nodes``, ``weights`` (arclength) and ``dt_weights`` (the complex line
@@ -152,11 +154,8 @@ class ClosedContour(_Host):
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
     0), ``total_length``, ``diameter()`` and ``near_cutoff``; on the first
-    proxy sum of resolved data (S, on-node log potential), whether dz_dtheta
-    is resolved too, and on the first multipole sum, the plan of its sums.  The
-    contour keeps read-only copies of ``nodes`` and ``dz_dtheta``, and
-    every array it derives and caches is read-only too, so an edit in
-    place raises ValueError instead of leaving them stale.
+    proxy sum, whether dz_dtheta is resolved, and on the first multipole
+    sum, the plan of its sums.
     """
 
     nodes: np.ndarray
@@ -493,7 +492,7 @@ def build_closed_contour(spec):
     if kind == "ellipse":
         c = _as_complex(spec.get("center", 0.0), "center")
         try:
-            sa, sb = (float(v) for v in spec["semi_axes"])
+            sa, sb = (float(_number(v)) for v in spec["semi_axes"])
         except (TypeError, ValueError):
             raise GeometryError(f"'semi_axes' must be two numbers, not {spec['semi_axes']!r}",
                                 key="semi_axes") from None
@@ -632,10 +631,7 @@ class Arc:
     factor over sin u in closed form, ``_own_sigma``), ``_twiddles`` (of
     the length-2m FFTs of Chebyshev coefficients and sums) and, for smooth
     densities, ``_smooth`` (the spectrum of the U_j integrals and the
-    log((1 - tau)/(1 + tau)) of the endpoint singularity).  The arc keeps
-    read-only copies of its array fields, and every array it derives is
-    read-only too, so an edit in place raises ValueError instead of leaving
-    them stale.
+    log((1 - tau)/(1 + tau)) of the endpoint singularity).
     """
 
     kind: str
@@ -729,9 +725,7 @@ class Arc:
     def point_at(self, tau):
         tau = np.asarray(tau, dtype=float)
         if self.kind == "segment":
-            mid = 0.5 * (self.a + self.b)
-            half = 0.5 * (self.b - self.a)
-            return mid + half * tau
+            return self.midpoint + 0.5 * (self.b - self.a) * tau
         if self.kind == "circular":
             th = 0.5 * (self.theta_a + self.theta_b) + 0.5 * (self.theta_b - self.theta_a) * tau
             return self.center + self.radius * np.exp(1j * th)
@@ -922,7 +916,7 @@ class ArcSystem(_Host):
     plus values of sqrt(R) at the nodes are derived once, on first use, and
     so are the proxy plan of S on systems of at least 1024 nodes, each
     arc's ``_other_nodes`` and the ``_moment_powers`` of the solvability
-    moments.  Every array the system derives is read-only, as are its arcs'.
+    moments.
     """
 
     arcs: tuple
@@ -1115,14 +1109,21 @@ def sqrtR_boundary_plus(system, point, arc_index):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _number(v):
+    """v itself, refusing a bool with TypeError: a JSON true is not the number 1."""
+    if isinstance(v, bool):
+        raise TypeError("a boolean is not a number")
+    return v
+
+
 def _as_complex(v, key):
     """A finite point given as a number or an [re, im] pair."""
     try:
         if isinstance(v, (list, tuple)):
             re, im = v
-            z = complex(float(re), float(im))
+            z = complex(float(_number(re)), float(_number(im)))
         else:
-            z = complex(v)
+            z = complex(_number(v))
         if cmath.isfinite(z):
             return z
     except (TypeError, ValueError, OverflowError):
@@ -1135,7 +1136,7 @@ def _real(spec, key, default=None):
     """A finite real-number field of a spec; required when there is no default."""
     v = spec[key] if default is None else spec.get(key, default)
     try:
-        if math.isfinite(float(v)):
+        if math.isfinite(float(_number(v))):
             return float(v)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -1146,7 +1147,7 @@ def _count(spec, key, default):
     """A positive integer field of a geometry spec."""
     v = spec.get(key, default)
     try:
-        if int(v) > 0:
+        if int(_number(v)) > 0:
             return int(v)
     except (TypeError, ValueError, OverflowError):
         pass

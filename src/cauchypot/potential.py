@@ -17,7 +17,10 @@ The forward map at the nodes, where the log kernel is singular, splits like
 S, once per density for every node: a part diagonal in a spectral basis
 (Fourier on closed contours, Chebyshev on graded arcs) plus a smooth
 remainder interpolated from proxies by S's own loops, or summed directly
-where it is not resolved.  ``log_potential`` at a node reads the same values.
+where it is not resolved.  Its rows, unlike S's, never use the density's
+derivative, so the curve alone decides: on a closed contour whose dz/dtheta
+is resolved every density takes the proxies.  ``log_potential`` at a node
+reads the same values.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import (_interpolated, _proxy_remainder, _resolved, _trig_coeffs, _trig_sum,
-                         normal_ladder)
+from .quadrature import _interpolated, _proxy_remainder, _trig_coeffs, _trig_sum, normal_ladder
 from .sampling import SampledDensity
 
 __all__ = [
@@ -225,8 +227,9 @@ def _nodes_potential(host, q):
     """The potential of the weighted density q at every node: own part plus remainder.
 
     Closed contour: the remainder, the pole-subtracted ``_log_rows`` of chord
-    over 2|sin((th_j - th_k)/2)|, comes from ``_proxy_remainder`` as S's
-    does, judged against sum |q|, or is summed at every node.  Graded arc:
+    over 2|sin((th_j - th_k)/2)|, is smooth for any q on a curve whose
+    dz/dtheta is resolved; there it comes from ``_proxy_remainder`` as S's
+    does, judged against sum |q|, else it is summed at every node.  Graded arc:
     ``_interpolated`` of a smooth fn(tau), as S's ``_remainder``: the other
     arcs' plain sums and, on a circular arc of radius r and sweep D, the log
     of chord over parameter distance, log(r|D|/2) + log|sin y / y| with y =
@@ -241,8 +244,8 @@ def _nodes_potential(host, q):
         def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
             return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
 
-        resolved = _resolved(np.fft.fft(q), np.max(np.abs(q))) and host._dz_resolved
-        row, done = _proxy_remainder(n, rows, np.sum(np.abs(q)), resolved, lambda: np.zeros(n))
+        row, done = _proxy_remainder(n, rows, np.sum(np.abs(q)), host._dz_resolved,
+                                     lambda: np.zeros(n))
         if done is not None:
             row[~done] = rows(np.flatnonzero(~done))
         return own + row.real
@@ -562,14 +565,14 @@ def detect_point_masses(u, cluster_radius):
     vanishes, |M0| < 1e-12 (1/2 pi) oint |F| |dz| or Re M0 = 0, the atom
     stays at c.  The overlap warning names the centroids.  The cost is one
     Laplacian over the lattice, shared with ``recover_area_density``, plus,
-    per cluster, its cells and its box's perimeter.  A non-finite
-    ``cluster_radius`` is refused, and so are values so large that the
-    Laplacian or its weighted sums overflow.
+    per cluster, its cells and its box's perimeter.  A ``cluster_radius``
+    that is not finite and positive is refused, and so are values so large
+    that the Laplacian or its weighted sums overflow.
     """
     if not isinstance(u, PotentialField):
         raise TypeError("point-mass detection needs a grid PotentialField")
-    if not math.isfinite(cluster_radius):  # a NaN would pass the next test and box nothing
-        raise ValueError("cluster radius must be finite")
+    if not (math.isfinite(cluster_radius) and cluster_radius > 0):  # a NaN would box nothing
+        raise ValueError("cluster radius must be finite and positive")
     h = u.h
     if cluster_radius / h < 4.0:
         raise ResolutionError("cluster radius must span at least 4 grid cells")
@@ -629,11 +632,8 @@ def equilibrium_density(shape):
             "center": shape.get("center", [0.0, 0.0]),
             "panels": panels, "nodes_per_panel": per,
         })
-        dens = np.full(host.n_nodes, 1.0 / (2.0 * math.pi * r), dtype=complex)
-        sd = SampledDensity(host, dens)
-        mass = float(np.sum(dens.real * host.weights))
-        return MeasureEstimate(curve_density=sd, total_mass=mass)
-    if kind == "segment":
+        dens = np.full(host.n_nodes, 1.0 / (2.0 * math.pi * r))
+    elif kind == "segment":
         host = build_arc_system([{
             "type": "segment", "a": shape["a"], "b": shape["b"],
             "panels": panels, "nodes_per_panel": per,
@@ -641,10 +641,10 @@ def equilibrium_density(shape):
         arc = host.arcs[0]
         t = host.nodes
         dens = 1.0 / (math.pi * np.sqrt(np.abs(t - arc.a) * np.abs(arc.b - t)))
-        sd = SampledDensity(host, dens.astype(complex))
-        mass = float(np.sum(dens * host.weights))
-        return MeasureEstimate(curve_density=sd, total_mass=mass)
-    raise NotImplementedError(f"no equilibrium reference for shape {kind!r}")
+    else:
+        raise NotImplementedError(f"no equilibrium reference for shape {kind!r}")
+    return MeasureEstimate(curve_density=SampledDensity(host, dens.astype(complex)),
+                           total_mass=float(np.sum(dens * host.weights)))
 
 
 # ---------------------------------------------------------------------------

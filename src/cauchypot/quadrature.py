@@ -28,10 +28,10 @@ a spectral basis and a smooth remainder sampled at a few proxy nodes and
 interpolated, and the on-node log potential of ``potential`` takes the same
 two routes.  On a closed contour, where S's first part is the periodic
 Hilbert transform, one FFT sign multiplier, ``_proxy_remainder`` is the one
-proxy loop of both.  Curves or data that leave the remainder unresolved
-(rounded polygons, rough data) get the pole-subtracted rows at every
-requested node: summed directly, and for S from ``_FMM_MIN_NODES`` nodes on
-by the fast multipole method of the contour's ``_MultipolePlan``.  On a
+proxy loop of both.  S's remainder needs the data and the curve resolved,
+the log kernel's the curve alone; elsewhere (rounded polygons, and for S
+rough data) the pole-subtracted rows are summed at the requested nodes,
+for S from ``_FMM_MIN_NODES`` nodes on by the contour's ``_MultipolePlan``.  On a
 graded arc, in the parameter tau = cos(u), the arc's own part is diagonal in
 Chebyshev coefficients (length-2m FFTs, whose twiddles and node factors the
 arc holds), and ``_interpolated`` takes the remainder: the other arcs' sums
@@ -304,8 +304,8 @@ def _proxy_remainder(n, rows, scale, resolved, spectral):
     """``rows`` at all n nodes of a closed contour from a smooth remainder at proxies.
 
     ``rows(r)`` gives the rows at the nodes r, ``spectral()`` their part
-    diagonal in Fourier at every node.  When ``resolved`` (the data and
-    dz/dtheta are), the remainder, rows less that part, is taken at p = 32,
+    diagonal in Fourier at every node.  When ``resolved`` (the caller's
+    kernel is), the remainder, rows less that part, is taken at p = 32,
     64, ... nested proxies while 4p <= n and p divides n until its DFT is
     resolved against ``scale``: (rows at every node, None), trigonometrically
     interpolated.  Else (row, done): the rows probed, where ``done``.

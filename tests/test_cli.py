@@ -18,7 +18,7 @@ import pytest
 
 import cauchypot
 from cauchypot.cauchy import singular_S
-from cauchypot.cli import main
+from cauchypot.cli import _json17, main
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.potential import PotentialField, write_potential_binary, write_potential_csv
 from cauchypot.sampling import (
@@ -428,6 +428,23 @@ BAD_NUMBERS = {
                                       "shape": {"type": "disk", "radius": "big"}}),
     "equilibrium-panels": ("panels", {"command": "equilibrium", "shape": {
         "type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0], "panels": "eight"}}),
+    # these exited 65 as under-resolved (a radius that is not positive) or ran
+    # with a JSON true read as 1
+    "cluster-radius-zero": ("cluster_radius", {"command": "point-masses", "cluster_radius": 0,
+                                               "potential": {"family": "csv"}}),
+    "cluster-radius-negative": ("cluster_radius", {"command": "point-masses",
+                                                   "cluster_radius": -0.2,
+                                                   "potential": {"family": "csv"}}),
+    "circle-radius-true": ("radius", {"command": "solve-closed", "rhs": RHS,
+                                      "geometry": {"curve": dict(CIRCLE, radius=True)}}),
+    "circle-panels-true": ("panels", {"command": "solve-closed", "rhs": RHS,
+                                      "geometry": {"curve": dict(CIRCLE, panels=True)}}),
+    "circle-center-true": ("center", {"command": "solve-closed", "rhs": RHS,
+                                      "geometry": {"curve": dict(CIRCLE, center=True)}}),
+    "circle-center-pair-true": ("center", {"command": "solve-closed", "rhs": RHS, "geometry": {
+        "curve": dict(CIRCLE, center=[True, 0.0])}}),
+    "degree-true": ("degree", {"command": "solve-closed", "geometry": {"curve": CIRCLE},
+                               "rhs": {"family": "monomial", "degree": True}}),
 }
 
 
@@ -549,6 +566,15 @@ def test_bad_potential_family_for_grid_command(tmp_path, capsys):
     }
     code, _ = run_cli(tmp_path, config)
     assert code == 64
+
+
+def test_point_masses_radius_under_four_cells_is_a_numerical_failure(tmp_path, capsys):
+    # positive but 2 cells of the h = 0.05 grid: the config is valid, the numerics not
+    config = {"command": "point-masses", "cluster_radius": 0.1,
+              "potential": {"family": "csv", "path": str(grid_csv(tmp_path)[0])}}
+    code, _ = run_cli(tmp_path, config)
+    assert code == 65
+    assert "4 grid cells" in capsys.readouterr().err
 
 
 def test_point_masses_needs_cluster_radius(tmp_path, capsys):
@@ -772,6 +798,20 @@ def test_serial_reruns_byte_identical_in_process(tmp_path):
         outs.append(out)
     for art in ("solution.csv", "summary.json"):
         assert (outs[0] / art).read_bytes() == (outs[1] / art).read_bytes()
+
+
+def test_json17_writes_every_supported_type_and_refuses_the_rest():
+    doc = {"empty": {}, "none": None, "list": [True, False, np.int64(3), 0.1, "a\"b"],
+           "nested": {"pair": (np.float64(-2.5e-300), [])}}
+    assert _json17(doc) == (
+        '{\n  "empty": {},\n  "none": null,\n  "list": [\n    true,\n    false,\n    3,\n'
+        '    0.10000000000000001,\n    "a\\"b"\n  ],\n  "nested": {\n    "pair": [\n'
+        '      -2.5e-300,\n      []\n    ]\n  }\n}')
+    assert json.loads(_json17(doc))["list"][3] == 0.1
+    assert (_json17({}), _json17(None)) == ("{}", "null")
+    for bad in (1j, {"set": {1}}, [object()]):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            _json17(bad)
 
 
 def test_serial_reruns_byte_identical_subprocess(tmp_path):

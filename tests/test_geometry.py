@@ -302,6 +302,38 @@ def test_convex_rounded_polygon_nodes_lie_on_edges_and_corners(gaps, axes, spin,
 # arc systems: construction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 11])
+def test_open_fd4_is_exact_on_polynomials_it_resolves(n):
+    # from 5 points every stencil is 4th order, exact on quartics; below,
+    # numpy's gradient, exact on lines (one-sided ends) and at interior
+    # points on quadratics.  Tolerances about twice the worst measured:
+    # 8.3e-14 (line), 1.9e-15 max|u'| (quartic), 5.6e-17 (quadratic)
+    x = 0.7 - 0.3 * np.arange(n)
+    quartic, line = (x - 0.2) ** 4 - 3.0 * x ** 3, 2.0 - 5.0 * x
+    d = geometry._open_fd4(line.astype(complex) * (1 + 2j), -0.3)
+    assert d.dtype == complex and np.max(np.abs(d + 5.0 * (1 + 2j))) <= 2e-13
+    if n >= 5:
+        want = 4.0 * (x - 0.2) ** 3 - 9.0 * x ** 2
+        gap = np.max(np.abs(geometry._open_fd4(quartic, -0.3) - want))
+        assert gap <= 4e-15 * np.max(np.abs(want))
+    elif n > 2:
+        d = geometry._open_fd4(x * x, -0.3)
+        assert np.max(np.abs(d[1:-1] - 2.0 * x[1:-1])) <= 1e-16
+
+
+def test_point_at_follows_the_arc_and_refuses_a_chain():
+    host = build_arc_system([
+        {"type": "segment", "a": [-1.0, 0.5], "b": [1.0, -0.5], "panels": 4, "nodes_per_panel": 8},
+        {"type": "circular", "center": [3.0, 0.0], "radius": 0.5, "theta_a": 0.2,
+         "theta_b": 2.0, "panels": 4, "nodes_per_panel": 8},
+        {"type": "chain", "nodes": [[5.0 + 0.1 * k, 0.02 * k * k] for k in range(12)]}])
+    for arc in host.arcs[:2]:
+        assert np.max(np.abs(arc.point_at(arc.params) - arc.nodes)) <= 1e-15
+        assert abs(arc.point_at(-1.0) - arc.a) <= 1e-15 and abs(arc.point_at(1.0) - arc.b) <= 1e-15
+    with pytest.raises(GeometryError, match="chain"):
+        host.arcs[2].point_at(0.0)
+
+
 def test_segment_arc_nodes_and_grading():
     sys1 = build_arc_system([
         {"type": "segment", "a": [-1, 0], "b": [1, 0], "panels": 4, "nodes_per_panel": 8},

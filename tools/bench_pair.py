@@ -21,13 +21,16 @@ and quartiles over the pairs, the change of the medians, the number of
 pairs the working tree won and the values of every pair; and each op kind
 with each tree's median time and worst oracle error over all runs, taken
 from the result files.  A run of another workload on the same two trees
-joins the file's ``workloads``.  It needs the standard library and numpy
-only.
+joins the file's ``workloads``.  Before it writes, the script checks that
+every end-to-end metric has a finite median on both trees; if one lacks it,
+the script names it and exits 1 without writing.  It needs the standard
+library and numpy only.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -79,7 +82,8 @@ def summary(spec, runs, seeds):
     metrics = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        values = {tree: [r[0][name] for r in runs[tree]] for tree in runs}
+        values = {tree: np.array([r[0].get(name) for r in runs[tree]], dtype=float).tolist()
+                  for tree in runs}  # a metric a run lacks is NaN
         parent, change = spread(values["parent"]), spread(values["change"])
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
         metrics[name] = {
@@ -129,9 +133,14 @@ def main():
                 runs[tree].append(run(roots[tree], spec["command"], args.workload, seed,
                                       args.seconds))
             print(f"pair {i + 1} of {len(seeds)} (seed {seed}): closed_group_s "
-                  + " / ".join(f"{runs[t][-1][0]['closed_group_s']:.4g}" for t in runs),
+                  + " / ".join(f"{runs[t][-1][0].get('closed_group_s', math.nan):.4g}"
+                               for t in runs),
                   flush=True)
     metrics, ops = summary(spec, runs, seeds)
+    lacking = [name for name, m in metrics.items()
+               if not all(math.isfinite(m[tree]["median"]) for tree in ("parent", "change"))]
+    if lacking:
+        sys.exit(f"no finite median on both trees, no BENCH file written: {', '.join(lacking)}")
     rev = git(root, "rev-parse", args.rev + "^{commit}")
     change = head[:7] if clean else "worktree-" + digests["change"][:8]
     bench = {

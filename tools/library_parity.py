@@ -31,7 +31,9 @@ differ in size by a node: its ladders take the tree, its grid is below the
 crossover and takes the direct sums), on-node
 and off-curve potentials (on-node also on the 16384-node circle, a
 4096-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
-segment, a circular arc and a segment of 64, 2400 and 264 nodes), the
+segment, a circular arc and a segment of 64, 2400 and 264 nodes, and of
+standard-normal samples on that circle and that ellipse and of the density
+recovered from the disk-wall potential on a 1024-node unit circle), the
 integrals (and, summed exactly at scale,
 integrals of data whose exact integral is 0 on the 16384-node circle and on
 two mirrored segments of 2048 nodes), the equilibrium references, and
@@ -45,7 +47,7 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 150 results.  It needs the standard library and numpy
+(two segments far longer than the rest).  That makes 153 results.  It needs the standard library and numpy
 only.
 """
 
@@ -309,6 +311,18 @@ def calls():
     for name, host in on_nodes.items():
         yield f"{name} potential at nodes", lambda h=host: cp.log_potential_nodes(
             sd(h, 1.0 + 0.3 * h.nodes.real + 0.2 * h.nodes.imag ** 2))
+    # rough densities on curves whose z' is resolved take the proxies too:
+    # seeded standard-normal samples, and a recovery with its ladder noise
+    for name in ("ellipse-4096", "circle-16384"):
+        host = on_nodes[name]
+        g = sd(host, np.random.default_rng(11).standard_normal(host.n_nodes) + 0j)
+        yield (f"{name} standard-normal potential at nodes",
+               lambda g=g: cp.log_potential_nodes(g), g.values)
+    unit = cp.build_closed_contour({"type": "circle", "radius": 1.0, "panels": 8,
+                                    "nodes_per_panel": 128})
+    wall = cp.recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), unit).curve_density
+    yield ("recovered disk-wall potential at nodes",
+           lambda: cp.log_potential_nodes(wall), wall.values)
 
     def disk_wall(z):
         return max(math.log(abs(z - (0.1 - 0.2j))), math.log(1.3))
