@@ -103,7 +103,7 @@ def _by_rows(fn, n, width, dtype=float):
 
 
 class _Host:
-    """Size and cutoffs common to both hosts, taken over their ``_points``."""
+    """Size, node lookup and cutoffs (over ``_points``) common to both hosts."""
 
     @property
     def n_nodes(self):
@@ -119,6 +119,12 @@ class _Host:
 
     def diameter(self):
         return self._diameter
+
+    @cached_property
+    def _node_index(self):
+        """{node: its first index}, for scalar lookups of exact nodes."""
+        nodes = self.nodes.tolist()
+        return dict(zip(nodes[::-1], range(len(nodes) - 1, -1, -1)))
 
     @cached_property
     def near_cutoff(self):
@@ -154,8 +160,9 @@ class ClosedContour(_Host):
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
     0), ``total_length``, ``diameter()`` and ``near_cutoff``; on the first
-    proxy sum, whether dz_dtheta is resolved, and on the first multipole
-    sum, the plan of its sums.
+    proxy sum, whether dz_dtheta is resolved; on the first S with resolved
+    data from 1024 nodes on, the Fourier table of S's smooth kernel (or
+    None); and on the first multipole sum, the plan of its sums.
     """
 
     nodes: np.ndarray
@@ -216,6 +223,13 @@ class ClosedContour(_Host):
 
         dz = self.dz_dtheta
         return _resolved(np.fft.fft(dz), np.max(np.abs(dz)))
+
+    @cached_property
+    def _kernel_table(self):
+        """The Fourier table of S's smooth kernel, or None, built on the first S that asks."""
+        from .quadrature import _kernel_table
+
+        return _kernel_table(self)
 
     @cached_property
     def _multipole_plan(self):

@@ -283,6 +283,9 @@ def _on_nodes(density, idx):
 
 def _curve_potential(density, z):
     host = density.host
+    k = host._node_index.get(z)
+    if k is not None:  # an exact node is its own nearest node
+        return float(_on_nodes(density, k))
     d = np.abs(host.nodes - z)
     k = int(np.argmin(d))
     if d[k] <= 1e-9 * host.diameter():
@@ -316,7 +319,8 @@ def log_potential(measure, z):
 
     Accepts a MeasureEstimate or a bare SampledDensity of curve samples.
     On-curve requests must land on a node, where the value is bitwise the
-    one ``log_potential_nodes`` gives (chain arcs raise GeometryError);
+    one ``log_potential_nodes`` gives (chain arcs raise GeometryError); an
+    exact node is found in the host's node map, with no search;
     points between nodes inside the near cutoff are refused.  Evaluation
     exactly at a point mass raises the log domain error, at a point that is
     NaN or infinite ValueError, and a potential that overflows OverflowError.

@@ -28,10 +28,15 @@ a spectral basis and a smooth remainder sampled at a few proxy nodes and
 interpolated, and the on-node log potential of ``potential`` takes the same
 two routes.  On a closed contour, where S's first part is the periodic
 Hilbert transform, one FFT sign multiplier, ``_proxy_remainder`` is the one
-proxy loop of both.  S's remainder needs the data and the curve resolved,
-the log kernel's the curve alone; elsewhere (rounded polygons, and for S
-rough data) the pole-subtracted rows are summed at the requested nodes,
-for S from ``_FMM_MIN_NODES`` nodes on by the contour's ``_MultipolePlan``.  On a
+proxy loop of both, at the proxy counts of ``_proxy_counts``.  S's
+remainder needs the data and the curve resolved, the log kernel's the curve
+alone.  From ``_FMM_MIN_NODES`` nodes on, S's remainder instead comes from
+the 2-d Fourier table of its smooth kernel (``_kernel_table``, p x p
+entries at most 16 n), which the contour derives on the first such S and
+keeps; a contour with no table takes the proxy loop.  Elsewhere (rounded
+polygons, and for S rough data) the pole-subtracted rows are summed at the
+requested nodes, for S from ``_FMM_MIN_NODES`` nodes on by the contour's
+``_MultipolePlan``.  On a
 graded arc, in the parameter tau = cos(u), the arc's own part is diagonal in
 Chebyshev coefficients (length-2m FFTs, whose twiddles and node factors the
 arc holds), and ``_interpolated`` takes the remainder: the other arcs' sums
@@ -300,20 +305,31 @@ def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None)
     return _by_rows(block, z.size, t.size, complex)
 
 
+def _proxy_counts(n):
+    """The proxy counts of a closed contour of n nodes: p = 32 if 32 divides n,
+    then after each the smallest even divisor of n at or above 2p, while 4p <= n."""
+    p = 32
+    if n % p:
+        return
+    while 4 * p <= n:
+        yield p
+        p = next(d for d in range(2 * p, n + 1, 2) if n % d == 0)
+
+
 def _proxy_remainder(n, rows, scale, resolved, spectral):
     """``rows`` at all n nodes of a closed contour from a smooth remainder at proxies.
 
     ``rows(r)`` gives the rows at the nodes r, ``spectral()`` their part
     diagonal in Fourier at every node.  When ``resolved`` (the caller's
-    kernel is), the remainder, rows less that part, is taken at p = 32,
-    64, ... nested proxies while 4p <= n and p divides n until its DFT is
-    resolved against ``scale``: (rows at every node, None), trigonometrically
-    interpolated.  Else (row, done): the rows probed, where ``done``.
+    kernel is), the remainder, rows less that part, is taken at the p
+    proxies of ``_proxy_counts`` (32, 64, ... where those divide n), rows
+    already probed reused, until its DFT is resolved against ``scale``:
+    (rows at every node, None), trigonometrically interpolated.  Else
+    (row, done): the rows probed, where ``done``.
     """
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
-    p = 32 if resolved else n
-    while 4 * p <= n and n % p == 0:
+    for p in _proxy_counts(n) if resolved else ():
         if p == 32:  # the first probe forms the spectral part
             part = spectral()
         proxy = np.arange(0, n, n // p)
@@ -326,8 +342,68 @@ def _proxy_remainder(n, rows, scale, resolved, spectral):
             pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
             pad[h] = pad[n - h] = 0.5 * c[h]
             return part + np.fft.ifft(pad) * (n / p), None
-        p *= 2
     return row, done
+
+
+def _kernel_table(host):
+    """(p, G^) for S's smooth kernel on a closed contour, or None.
+
+    G(th, ph) = z'(th)/(z(th) - z(ph)) - cot((th - ph)/2)/2 - i/2, with
+    z''(ph)/(2 z'(ph)) - i/2 on the diagonal, is smooth in both variables on
+    a smooth curve and 0 on a circle.  It is sampled at p x p proxies, p of
+    ``_proxy_counts``, and G^ is its 2-d DFT over p**2, G^_ab the
+    coefficient of e^{i a th} e^{i b ph}, |a|, |b| < p/2.  The first p whose
+    top eighth of frequencies in either variable is below 1e-14 max(1,
+    max|G^|) is kept; none is once p**2 > 16 n (256 bytes per node).
+    """
+    n, dz = host.n_nodes, host.dz_dtheta
+    # z'' spectrally, without the modes at rounding level that k would amplify
+    # (they tripled S's error on a 16384-node circle)
+    dk = np.fft.fft(dz)
+    dk[np.abs(dk) <= 1e-14 * math.sqrt(n) * np.max(np.abs(dz))] = 0.0
+    ddz = np.fft.ifft(1j * _wavenumbers(n) * dk)
+    for p in _proxy_counts(n):
+        if p * p > 16 * n:
+            break
+        proxy = np.arange(0, n, n // p)
+        t, d = host.nodes[proxy], dz[proxy]
+        half_cot = np.zeros(p)
+        half_cot[1:] = 0.5 / np.tan(np.pi * np.arange(1, p) / p)
+        den = t[:, None] - t
+        np.fill_diagonal(den, 1.0)
+        g = d[:, None] / den
+        g -= half_cot[np.subtract.outer(np.arange(p), np.arange(p)) % p]
+        np.fill_diagonal(g, 0.5 * ddz[proxy] / d)
+        g -= 0.5j
+        c = np.fft.fft2(g) / (p * p)
+        top = slice(7 * p // 16, p - 7 * p // 16)
+        if max(np.max(np.abs(c[top])), np.max(np.abs(c[:, top]))) <= 1e-14 * max(
+                1.0, np.max(np.abs(c))):
+            keep = np.r_[:p // 2, p // 2 + 1:p]
+            return p, _read_only(c[np.ix_(keep, keep)])
+    return None
+
+
+def _table_S(table, values, fk, k):
+    """S f = H f + f^_0 + R f at every node from the kernel table (p, G^).
+
+    R f(ph) = (2/(i n)) sum_j (f_j - f(ph)) G(th_j, ph) = (2/i) [sum_b
+    e^{i b ph} sum_a G^_ab f^_{-a} - f(ph) sum_b G^_0b e^{i b ph}], f^ =
+    fft(f)/n; the last sum is 0 in exact arithmetic (PV int dt/(t - t(ph))
+    = i pi) and cancels the table's own error.  One inverse FFT of two rows;
+    the sum over a is ``np.einsum``, not BLAS: at p = 128 a BLAS product at
+    default threads took 8 ms, ``np.einsum`` 0.05 ms (2 cores).
+    """
+    p, ghat = table
+    n, h = values.size, p // 2
+    a = np.r_[:h, 1 - h:0]  # the table's frequencies, in its order
+    pad = np.zeros((2, n), dtype=complex)
+    pad[0] = np.sign(k) * fk
+    pad[0, 0] = fk[0]
+    pad[0, a] -= 2j * np.einsum("a,ab->b", fk[-a], ghat)
+    pad[1, a] = (-2j * n) * ghat[0]
+    s, rest = np.fft.ifft(pad)
+    return s - values * rest
 
 
 def _S_closed(host, values, idx):
@@ -335,16 +411,23 @@ def _S_closed(host, values, idx):
 
     z'(th)/(z(th) - z(ph)) = cot((th - ph)/2)/2 + K(th, ph) with K smooth on
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
-    smooth in ph: ``_proxy_remainder`` takes R as the pole-subtracted rows at
-    proxies minus H f.  Where R is not resolved the requested rows are the
-    pole-subtracted ones: summed directly below ``_FMM_MIN_NODES`` nodes, the
-    probed ones reused, and from there on by the host's multipole plan.  The
-    choice depends on the host and f only, so S at any ``idx`` is bitwise the
-    full S.
+    smooth in ph.  With f and z' resolved, from ``_FMM_MIN_NODES`` nodes on
+    R comes from the host's kernel table (``_table_S``, no rows); below
+    that, or on a host with no table, ``_proxy_remainder`` takes R as the
+    pole-subtracted rows at proxies minus H f.  Where R is not resolved the
+    requested rows are the pole-subtracted ones: summed directly below
+    ``_FMM_MIN_NODES`` nodes, the probed ones reused, and from there on by
+    the host's multipole plan.  The choice depends on the host and f only,
+    so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
     fk, k = np.fft.fft(values), _wavenumbers(n)
+    scale = np.max(np.abs(values))
+    # rough data, or a curve with corners, leave R rough: no probes, no table
+    resolved = _resolved(fk, scale) and host._dz_resolved
+    if resolved and n >= _FMM_MIN_NODES and host._kernel_table is not None:
+        return _table_S(host._kernel_table, values, fk, k)[idx]
     df = np.fft.ifft(1j * k * fk) / host.dz_dtheta
 
     def s_of(total, r):
@@ -353,10 +436,7 @@ def _S_closed(host, values, idx):
     def rows(r):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
-    scale = np.max(np.abs(values))
-    # rough data, or a curve with corners, leave R rough: no probes
-    row, done = _proxy_remainder(n, rows, scale, _resolved(fk, scale) and host._dz_resolved,
-                                 lambda: np.fft.ifft(np.sign(k) * fk))
+    row, done = _proxy_remainder(n, rows, scale, resolved, lambda: np.fft.ifft(np.sign(k) * fk))
     if done is None:
         return row[idx]
     if n >= _FMM_MIN_NODES:

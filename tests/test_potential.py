@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cauchypot import potential
+from cauchypot.cauchy import singular_S
 from cauchypot.errors import (
     BoundaryLimitError,
     GeometryError,
@@ -197,6 +199,44 @@ def test_on_node_loop_is_bitwise_the_all_node_potential(name):
     sd = SampledDensity(host, rng.standard_normal(host.n_nodes) + 0j)
     loop = np.array([log_potential(sd, z) for z in host.nodes])
     assert np.array_equal(loop, log_potential_nodes(sd))
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_HOSTS))
+def test_log_potential_looks_up_an_exact_node(name, monkeypatch):
+    # an exact node is found in the host's node map, with no nearest-node
+    # search; a point 1e-12 off a node takes the search and lands on it
+    host = BITWISE_HOSTS[name]()
+    sd = SampledDensity(host, np.random.default_rng(3).standard_normal(host.n_nodes) + 0j)
+    want = log_potential_nodes(sd)
+    with monkeypatch.context() as m:
+        m.setattr(np, "argmin", None)
+        exact = np.array([log_potential(sd, z) for z in host.nodes])
+    assert exact.tobytes() == want.tobytes()
+    off = np.array([log_potential(sd, z + 1e-12) for z in host.nodes])
+    assert off.tobytes() == want.tobytes()
+
+
+def test_a_contour_of_32_times_an_odd_node_count_takes_the_proxies(monkeypatch):
+    # 4000 = 32 x 125: after 32 proxies the loop steps to 80, the smallest
+    # even divisor of 4000 from 64 on, of which 64 rows are new; S takes the
+    # kernel table at 80 proxies too
+    rows = []
+    log_rows = potential._log_rows
+
+    def counting(t, q, x, *args, **kwargs):
+        rows.append(x.size)
+        return log_rows(t, q, x, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "_log_rows", counting)
+    host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                 "panels": 8, "nodes_per_panel": 500})
+    rho = 1.0 + 0.3 * host.nodes.real
+    got = log_potential_nodes(SampledDensity(host, rho + 0j))
+    assert rows == [32, 64]
+    gap = np.max(np.abs(got - log_potential_nodes_direct(host, rho)))
+    assert gap <= DIRECT_SUM_TOLERANCE["closed"] * np.sum(np.abs(host.weights * rho))
+    singular_S(SampledDensity(host, np.exp(3j * host.params)))
+    assert vars(host)["_kernel_table"][0] == 80
 
 
 def test_on_node_potential_refuses_chain_arcs():
@@ -547,7 +587,8 @@ def test_consistency_loop_segment():
 
 def test_host_diameter_computed_once(monkeypatch):
     # the diameter scales every near-curve cutoff; it is fixed by the nodes,
-    # so one recovery plus a potential at every node measure it only once
+    # so one recovery plus a potential at and 1e-12 off every node measure
+    # it only once (an exact node is looked up and needs no diameter)
     import cauchypot.geometry as geometry
 
     calls = []
@@ -563,6 +604,7 @@ def test_host_diameter_computed_once(monkeypatch):
     est = recover_curve_density(segment_green, host)
     for z in host.nodes:
         log_potential(est.curve_density, z)
+        log_potential(est.curve_density, z + 1e-12)
     assert len(calls) == 1
 
 

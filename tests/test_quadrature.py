@@ -22,7 +22,8 @@ from cauchypot.errors import AlignmentError, GeometryError
 from cauchypot.arcs import bounded_solution, general_solution, solvability_moments
 from cauchypot.cauchy import boundary_value, plemelj_residuals, singular_S
 from cauchypot.closed import solve_closed
-from cauchypot.geometry import _angles, _own_sigma, build_arc_system, build_closed_contour
+from cauchypot.geometry import (ClosedContour, _angles, _own_sigma, build_arc_system,
+                                build_closed_contour)
 from cauchypot.quadrature import (
     _exact_sums,
     analytic_pole_kernel,
@@ -717,20 +718,22 @@ def test_plemelj_jump_on_random_closed_contours(host, degree, seed):
     assert jump <= np.sum(size * miss) + 1e-13 * np.sum(size)
 
 
-def pole_subtracted_rows(host, f):
+def pole_subtracted_rows(host, f, nodes=None):
     """S f as the trapezoid rule on (f(t) - f(x))/(t - x) dt plus pi*i f(x),
-    the diagonal term f'(x) dt, summed row by row over all nodes."""
+    the diagonal term f'(x) dt, summed row by row over all nodes (or at the
+    node indices ``nodes``)."""
     t, w = host.nodes, host.dt_weights
     df = closed_node_derivative(host, f)
-    out = np.empty(t.size, dtype=complex)
-    for lo in range(0, t.size, 64):
-        rows = np.arange(lo, min(lo + 64, t.size))
+    nodes = np.arange(t.size) if nodes is None else np.asarray(nodes)
+    out = np.empty(nodes.size, dtype=complex)
+    for lo in range(0, nodes.size, 64):
+        rows = nodes[lo:lo + 64]
         on = (np.arange(rows.size), rows)
         den = t - t[rows, None]
         den[on] = 1.0
         reg = (f - f[rows, None]) / den
         reg[on] = df[rows]
-        out[rows] = (np.sum(w * reg, axis=1) + f[rows] * 1j * np.pi) / (1j * np.pi)
+        out[lo:lo + 64] = (np.sum(w * reg, axis=1) + f[rows] * 1j * np.pi) / (1j * np.pi)
     return out
 
 
@@ -944,15 +947,30 @@ def counted_rows(monkeypatch):
 
 def test_S_on_a_circle_sums_few_rows(counted_rows):
     # on a circle the remainder S f - H f is the mean of f, so zero-mean data
-    # leave only rounding and the first 32 proxies settle it
-    host = circle(512, 8)
-    k, c, g = trig_polynomial(host, 40, 11)
-    g = g - np.mean(g)
-    got = closed_S(host, g)
-    want = np.exp(1j * np.outer(host.params, k)) @ (np.where(k > 0, 1.0, -1.0) * c)
-    want = want - np.mean(want)
-    assert 0 < sum(counted_rows) <= 64
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
+    # leave only rounding: below the crossover the first 32 proxies settle
+    # it, and from there on the circle's kernel table (G = 0) sums no row
+    for per in (64, 512):
+        counted_rows.clear()
+        host = circle(per, 8)
+        k, c, g = trig_polynomial(host, 40, 11)
+        g = g - np.mean(g)
+        got = closed_S(host, g)
+        want = np.exp(1j * np.outer(host.params, k)) @ (np.where(k > 0, 1.0, -1.0) * c)
+        want = want - np.mean(want)
+        if host.n_nodes < quadrature._FMM_MIN_NODES:
+            assert 0 < sum(counted_rows) <= 64
+        else:
+            assert counted_rows == []
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
+
+
+def test_proxy_counts_step_to_the_next_even_divisor():
+    # 32 and its doublings where they divide n; else the smallest even
+    # divisor of n from 2p on; none where 32 does not divide n; 4p <= n
+    assert list(quadrature._proxy_counts(4096)) == [32, 64, 128, 256, 512, 1024]
+    assert list(quadrature._proxy_counts(4000)) == [32, 80, 160, 400, 800]
+    assert list(quadrature._proxy_counts(480)) == [32, 80]
+    assert list(quadrature._proxy_counts(1200)) == list(quadrature._proxy_counts(96)) == []
 
 
 def test_S_takes_one_dft_of_the_values_and_one_of_dz_per_host(monkeypatch):
@@ -1038,6 +1056,147 @@ def test_S_above_the_crossover_imports_nothing_beyond_numpy():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# S from the kernel table on smooth closed contours
+# ---------------------------------------------------------------------------
+
+# the largest axis ratio of the ellipses drawn at each node count, whose
+# kernel table fits in 16 n entries: measured, p = 128 resolves the ratio 3.5
+# at 1024 and 2048 nodes, p = 160 the ratio 4 at 4000, p = 256 the ratio 7 at
+# 4096 and p = 512 the ratio 8 at 16384 (the last two at 0.76 and 0.90 of
+# the threshold)
+TABLE_RATIOS = {1024: 3.5, 2048: 3.5, 4000: 4.0, 4096: 7.0, 16384: 8.0}
+# twice the worst of the 25 draws of the property below, over max|g|:
+# measured 1.12e-13 against the direct rows and 6.4e-14 for S(S g) - g
+TABLE_TOLERANCE = 2.3e-13
+INVOLUTION_TOLERANCE = 1.3e-13
+
+
+def ellipse_contour(n, ratio, scale=1.0, turn=0.0, center=0.0, start=0.0):
+    """An ellipse of semi-axes ``scale`` and ``scale / ratio``, turned by
+    ``turn`` about ``center``, at n nodes from the parameter ``start`` on."""
+    th = start + 2.0 * np.pi * np.arange(n) / n
+    rot = scale * np.exp(1j * turn)
+    return ClosedContour(center + rot * (np.cos(th) + 1j / ratio * np.sin(th)),
+                         rot * (-np.sin(th) + 1j / ratio * np.cos(th)), 8)
+
+
+@st.composite
+def table_ellipses(draw):
+    """(host, g): a turned, moved and scaled ellipse of axis ratio up to its
+    node count's ``TABLE_RATIOS`` entry, with trigonometric data of degree up
+    to 64 or Laurent data of degree up to 32 about its centre."""
+    n = draw(st.sampled_from(sorted(TABLE_RATIOS)))
+    angle = st.floats(0.0, 2.0 * np.pi)
+    host = ellipse_contour(
+        n, draw(st.floats(1.0, TABLE_RATIOS[n])), draw(st.floats(0.1, 10.0)), draw(angle),
+        draw(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)),
+        draw(angle))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    if draw(st.booleans()):
+        _, _, g = trig_polynomial(host, draw(st.integers(0, 64)), int(rng.integers(2 ** 16)))
+        return host, g
+    degree = draw(st.integers(0, 32))
+    p, q = (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            for _ in range(2))
+    w = host.nodes - np.mean(host.nodes)
+    return host, (np.polynomial.polynomial.polyval(w / np.max(np.abs(w)), p)
+                  + np.polynomial.polynomial.polyval(np.min(np.abs(w)) / w, q) - q[0])
+
+
+def table_gaps(host, g, seed):
+    """max|S g - the direct rows| (at every node; at 2048 nodes drawn from
+    ``seed`` of 16384) and max|S(S g) - g|, each over max|g|."""
+    got = closed_S(host, g)
+    nodes = (None if host.n_nodes < 16384
+             else np.random.default_rng(seed).choice(host.n_nodes, 2048, replace=False))
+    want = pole_subtracted_rows(host, g, nodes)
+    scale = np.max(np.abs(g))
+    return (np.max(np.abs((got if nodes is None else got[nodes]) - want)) / scale,
+            np.max(np.abs(closed_S(host, got) - g)) / scale)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=table_ellipses(), seed=st.integers(0, 2 ** 16))
+def test_S_from_the_kernel_table_is_the_direct_rows_on_random_ellipses(case, seed):
+    host, g = case
+    assert host._kernel_table is not None
+    gap, back = table_gaps(host, g, seed)
+    assert gap <= TABLE_TOLERANCE
+    assert back <= INVOLUTION_TOLERANCE
+
+
+def without_table(host):
+    """A copy of ``host`` that has no kernel table: S takes the proxies."""
+    copy = ClosedContour(host.nodes, host.dz_dtheta, host.n_panels)
+    copy.__dict__["_kernel_table"] = None
+    return copy
+
+
+@pytest.mark.parametrize("ratio, per, p", [(1.5, 128, 64), (2.0, 512, 128), (4.0, 512, 256),
+                                           (8.0, 2048, 512)])
+def test_the_kernel_table_of_an_ellipse_is_small_and_as_accurate_as_the_proxies(ratio, per, p):
+    # S g = g for g analytic inside: a degree-32 polynomial in t and a pole
+    # outside.  The table holds at most 16 n entries, and S from it errs by
+    # at most twice S from the proxies (measured 0.99, 1.48, 1.28 and 1.38 times)
+    host = build_closed_contour({"type": "ellipse", "semi_axes": [1.0, 1.0 / ratio],
+                                 "panels": 8, "nodes_per_panel": per})
+    t = host.nodes
+    c = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, 33))
+    g = np.polynomial.polynomial.polyval(t, c) / 10.0 + 1.0 / (t - 3.0)
+    got = closed_S(host, g)
+    size, table = host._kernel_table
+    assert size == p and table.size <= 16 * host.n_nodes and not table.flags.writeable
+    err = np.max(np.abs(got - g))
+    assert err <= 2.0 * np.max(np.abs(closed_S(without_table(host), g) - g))
+    assert err <= 1e-14 * np.max(np.abs(g))
+
+
+def test_the_kernel_table_is_built_once_by_a_resolved_S(monkeypatch, counted_rows):
+    builds = []
+    build = quadrature._kernel_table
+
+    def counting(host):
+        builds.append(host.n_nodes)
+        return build(host)
+
+    monkeypatch.setattr(quadrature, "_kernel_table", counting)
+    ellipse = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                    "panels": 8, "nodes_per_panel": 512})
+    g = np.exp(3j * ellipse.params) + 0.5 / (ellipse.nodes - 3.0)
+    # rough data take the multipole rows, and build no table
+    rough = np.random.default_rng(4).standard_normal(ellipse.n_nodes) + 0j
+    closed_S(ellipse, rough)
+    assert builds == []
+    first = closed_S(ellipse, g)
+    assert builds == [ellipse.n_nodes] and counted_rows == []
+    # a second S, a second density, S at nodes and a solve reuse it
+    assert closed_S(ellipse, g).tobytes() == first.tobytes()
+    closed_S(ellipse, np.conj(g))
+    assert singular_S(SampledDensity(ellipse, g), at_indices=[7, 2, 7]).tobytes() == (
+        first[[7, 2, 7]].tobytes())
+    solve_closed(SampledDensity(ellipse, g), tolerance=None)
+    assert builds == [ellipse.n_nodes] and counted_rows == []
+    # below the crossover, and on a curve with corners, no table
+    small = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                  "panels": 8, "nodes_per_panel": 64})
+    polygon, _ = fallback_input("polygon")
+    closed_S(small, np.exp(3j * small.params))
+    closed_S(polygon, np.exp(3j * polygon.params))
+    assert builds == [ellipse.n_nodes]
+    assert "_kernel_table" not in vars(small) and "_kernel_table" not in vars(polygon)
+
+
+def test_the_kernel_table_of_a_circle_is_at_rounding():
+    # z'/(z(th) - z(ph)) is cot((th - ph)/2)/2 + i/2 on a circle, so G = 0;
+    # the first 32 proxies resolve it, whatever the centre, radius and nodes
+    for per, r, c in ((128, 1.0, 0.0), (2048, 1.3, 0.1 - 0.2j)):
+        host = build_closed_contour({"type": "circle", "radius": r, "center": [c.real, c.imag],
+                                     "panels": 8, "nodes_per_panel": per})
+        p, table = host._kernel_table
+        assert p == 32 and np.max(np.abs(table)) <= 1e-15
 
 
 def off_curve_targets(host, rng, count):

@@ -16,7 +16,9 @@ near 0 is not its own scale), and else the result's own largest entry.
 
 The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
-field from 1024 nodes on, at 1200, 4096 and 16384 nodes), S on each arc
+field from 1024 nodes on, at 1200, 4096 and 16384 nodes, and the kernel
+table of its smooth remainder on Laurent data from 1024 nodes on, on a
+4096-node 2:1 ellipse, a 16384-node circle and a 16384-node 8:1 ellipse), S on each arc
 kind (segment, circular, a segment beside a chain) in each density class,
 ``solve_closed``, the arc-system solvers on five systems, S in each class
 and the general and bounded solutions on five arc systems of 2048 nodes
@@ -30,7 +32,7 @@ multipole tree and boundary values at two nodes the direct sums, and
 differ in size by a node: its ladders take the tree, its grid is below the
 crossover and takes the direct sums), on-node
 and off-curve potentials (on-node also on the 16384-node circle, a
-4096-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
+4096-node and a 4000-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
 segment, a circular arc and a segment of 64, 2400 and 264 nodes, and of
 standard-normal samples on that circle and that ellipse and of the density
 recovered from the disk-wall potential on a 1024-node unit circle), the
@@ -47,7 +49,7 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 153 results.  It needs the standard library and numpy
+(two segments far longer than the rest).  That makes 157 results.  It needs the standard library and numpy
 only.
 """
 
@@ -311,6 +313,24 @@ def calls():
     for name, host in on_nodes.items():
         yield f"{name} potential at nodes", lambda h=host: cp.log_potential_nodes(
             sd(h, 1.0 + 0.3 * h.nodes.real + 0.2 * h.nodes.imag ** 2))
+    # a node count of 32 times an odd number: the proxies step from 32 to 80
+    ellipse_4000 = cp.build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                            "panels": 8, "nodes_per_panel": 500})
+    yield "ellipse-4000 potential at nodes", lambda: cp.log_potential_nodes(
+        sd(ellipse_4000, 1.0 + 0.3 * ellipse_4000.nodes.real + 0.2 * ellipse_4000.nodes.imag ** 2))
+    # S of seeded degree-32 Laurent data about the centre, from the kernel
+    # table of S's smooth remainder (p = 128, 32 and 512)
+    rng = np.random.default_rng(13)
+    p, q = ([1.0, 1j] @ rng.standard_normal((2, 33)) for _ in range(2))
+    tables = {"ellipse-4096": on_nodes["ellipse-4096"], "circle-16384": big_circle,
+              "ellipse 8:1-16384": cp.build_closed_contour({
+                  "type": "ellipse", "semi_axes": [1.0, 0.125], "panels": 8,
+                  "nodes_per_panel": 2048})}
+    for name, host in tables.items():
+        w = host.nodes - np.mean(host.nodes)
+        g = sd(host, np.polynomial.polynomial.polyval(w / np.max(np.abs(w)), p)
+               + np.polynomial.polynomial.polyval(np.min(np.abs(w)) / w, q) - q[0])
+        yield f"{name} Laurent S", lambda g=g: cp.singular_S(g).values, g.values
     # rough densities on curves whose z' is resolved take the proxies too:
     # seeded standard-normal samples, and a recovery with its ladder noise
     for name in ("ellipse-4096", "circle-16384"):
