@@ -13,14 +13,10 @@ Arcs are treated as two-sided curves: the normal derivative is taken from
 each side separately and the density is the sum over 2*pi, mirroring the
 two-sided jump structure of the Cauchy transform on arcs.
 
-The forward map at the nodes, where the log kernel is singular, splits like
-S, once per density for every node: a part diagonal in a spectral basis
-(Fourier on closed contours, Chebyshev on graded arcs) plus a smooth
-remainder interpolated from proxies by S's own loops, or summed directly
-where it is not resolved.  Its rows, unlike S's, never use the density's
-derivative, so the curve alone decides: on a closed contour whose dz/dtheta
-is resolved every density takes the proxies.  ``log_potential`` at a node
-reads the same values.
+The forward map at the nodes, where the log kernel is singular, is formed
+once per density at every node by ``quadrature._log_closed`` or
+``_log_arcs``, whose routes the ``quadrature`` module states beside S's.
+``log_potential`` at a node reads the same values.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     GeometryError,
@@ -43,13 +38,12 @@ from .errors import (
 from .geometry import (
     ArcSystem,
     ClosedContour,
-    _by_rows,
     _read_only,
     _real,
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import _interpolated, _proxy_remainder, _trig_coeffs, _trig_sum, normal_ladder
+from .quadrature import _log_arcs, _log_closed, normal_ladder
 from .sampling import SampledDensity
 
 __all__ = [
@@ -152,122 +146,20 @@ def _log_memo(density, nodes=False):
 
     q = w * rho, the density times the host's arclength weights, weights
     every sum over nodes, off the curve too.  u, the potential at every node
-    (``_nodes_potential``), is formed on the first request with ``nodes``,
-    never by an off-curve call.  The density is frozen, so the tuple is kept
-    on it for good (not a field: ``==`` and ``repr`` ignore it).
+    (``quadrature._log_closed`` or ``_log_arcs``), is formed on the first
+    request with ``nodes``, never by an off-curve call.  The density is
+    frozen, so the tuple is kept on it for good (not a field: ``==`` and
+    ``repr`` ignore it).
     """
     memo = getattr(density, "_log_memo", None)
     if memo is None:
         memo = (density.host, density.host.weights * density.values.real, None)
     if nodes and memo[2] is None:
-        memo = memo[:2] + (_read_only(_nodes_potential(*memo[:2])),)
+        host, q = memo[:2]
+        u = _log_closed(host, q) if isinstance(host, ClosedContour) else _log_arcs(host, q)
+        memo = (host, q, _read_only(u))
     object.__setattr__(density, "_log_memo", memo)
     return memo
-
-
-def _own_part(host, q):
-    """int rho log|t - t_k| ds over node k's own component, less a smooth remainder.
-
-    Closed contour: with v = rho |z'| (q = 2 pi v / n) the kernel
-    log|2 sin((th - th_k)/2)| is diagonal in Fourier, e^{i j th} -> -pi/|j|
-    e^{i j th_k} and 1 -> 0, the Nyquist mode taken as its cosine (R. Kress,
-    Linear Integral Equations, ch. 12); one real FFT pair.  Graded arc: with
-    phi = pi sin(u) |dt/dtau| rho = m q expanded in T_n(tau), the kernel
-    log|tau - tau_k| is diagonal too, T_0 -> -log 2 and T_n -> -T_n/n (S.
-    Olver, Math. Comp. 80, 2011).  On a segment |t - t_k| / |tau - tau_k| is
-    L/2, which adds log(L/2) c_0.  What is left, the log of that ratio on a
-    curve or a circular arc, is ``_nodes_potential``'s remainder.  Chain arcs
-    get NaN: the potential on them is refused.
-    """
-    if isinstance(host, ClosedContour):
-        n = q.size
-        c = np.fft.rfft(q)
-        c[0] = 0.0
-        c[1:] *= -0.5 * n / np.arange(1, c.size)
-        return np.fft.irfft(c, n)
-    own = np.full(q.size, math.nan)
-    off = host.arc_offsets
-    for j, arc in enumerate(host.arcs):
-        if not arc.graded:
-            continue
-        m = arc.n_nodes
-        coeff, total = arc._twiddles
-        c = _trig_coeffs(m * q[off[j]:off[j + 1]], coeff)
-        c[1:] /= -np.arange(1, m)
-        log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
-        c[0] *= log_half - math.log(2.0)
-        own[off[j]:off[j + 1]] = _trig_sum(c, total).real
-    return own
-
-
-def _log_rows(t, q, x, pole=None, dist=None, speed=None):
-    """sum_j q_j log|t_j - x_i| for every target x_i.
-
-    With ``dist``, x_i is the node ``pole[i]`` and ``dist(rows)`` the
-    parameter distances of those rows to every column: the log is that of
-    |t_j - x_i| / dist, smooth through the pole, and log ``speed[i]`` (its
-    limit) on the diagonal.  A row's sum does not depend on the other rows.
-    """
-    def block(rows):
-        d = np.abs(t - x[rows, None])
-        if dist is not None:
-            e = dist(rows)
-            on = (np.arange(e.shape[0]), pole[rows])
-            d[on] = e[on] = 1.0
-            d /= e
-            d[on] = speed[rows]
-        np.log(d, out=d)
-        d *= q
-        return np.sum(d, axis=1)
-
-    return _by_rows(block, x.size, t.size)
-
-
-def _nodes_potential(host, q):
-    """The potential of the weighted density q at every node: own part plus remainder.
-
-    Closed contour: the remainder, the pole-subtracted ``_log_rows`` of chord
-    over 2|sin((th_j - th_k)/2)|, is smooth for any q on a curve whose
-    dz/dtheta is resolved; there it comes from ``_proxy_remainder`` as S's
-    does, judged against sum |q|, else it is summed at every node.  Graded arc:
-    ``_interpolated`` of a smooth fn(tau), as S's ``_remainder``: the other
-    arcs' plain sums and, on a circular arc of radius r and sweep D, the log
-    of chord over parameter distance, log(r|D|/2) + log|sin y / y| with y =
-    D (tau_j - tau)/4.  Chain arcs stay NaN.
-    """
-    own = _own_part(host, q)
-    t = host.nodes
-    if isinstance(host, ClosedContour):
-        n = t.size
-        ring = sliding_window_view(np.tile(np.abs(2.0 * np.sin(np.pi * np.arange(n) / n)), 2), n)
-
-        def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
-            return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
-
-        row, done = _proxy_remainder(n, rows, np.sum(np.abs(q)), host._dz_resolved,
-                                     lambda: np.zeros(n))
-        if done is not None:
-            row[~done] = rows(np.flatnonzero(~done))
-        return own + row.real
-    off = host.arc_offsets
-    for a, arc in enumerate(host.arcs):
-        others, mine = host._other_nodes[a], np.s_[off[a]:off[a + 1]]
-        q_others, q_own, sweep = np.delete(q, mine), q[mine], arc.theta_b - arc.theta_a
-
-        def circular(rows, tau):  # y / pi = D (tau_j - tau) / (4 pi)
-            ratio = np.sinc((0.25 / math.pi * sweep) * (arc.params - tau[rows, None]))
-            return np.sum(np.log(ratio, out=ratio) * q_own, axis=1)
-
-        def fn(tau):
-            out = _log_rows(others, q_others, arc.point_at(tau)) if others.size else 0.0
-            if arc.kind != "circular":
-                return out
-            return out + (math.log(0.5 * arc.radius * abs(sweep)) * np.sum(q_own)
-                          + _by_rows(lambda rows: circular(rows, tau), tau.size, q_own.size))
-
-        if arc.graded and (others.size or arc.kind == "circular"):
-            own[mine] += np.real(_interpolated(fn, arc))
-    return own
 
 
 def _on_nodes(density, idx):
@@ -320,8 +212,10 @@ def log_potential(measure, z):
     Accepts a MeasureEstimate or a bare SampledDensity of curve samples.
     On-curve requests must land on a node, where the value is bitwise the
     one ``log_potential_nodes`` gives (chain arcs raise GeometryError); an
-    exact node is found in the host's node map, with no search;
-    points between nodes inside the near cutoff are refused.  Evaluation
+    exact node is found in the host's node map, with no search, and a point
+    within 1e-9 times the host's diameter of its nearest node reads that
+    node's value; other points between nodes inside the near cutoff are
+    refused.  Evaluation
     exactly at a point mass raises the log domain error, at a point that is
     NaN or infinite ValueError, and a potential that overflows OverflowError.
     """
@@ -349,7 +243,7 @@ def log_potential_nodes(density):
     """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node t_k of a curve density.
 
     rho is the real part of the samples of a ``SampledDensity``.  Returns a
-    copy of the values formed once per density (``_nodes_potential``), the
+    copy of the values formed once per density (``_log_memo``), the
     ones ``log_potential`` reads at a node.  Nodes on chain arcs are refused
     with GeometryError, and a potential that overflows with OverflowError.
     """
@@ -376,7 +270,8 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     by zero in it gives inf or NaN where a Python complex would raise.  Nodes
     failing the gap check (above 10x tol), or where ``u`` raises ValueError,
     OverflowError or FloatingPointError or returns a non-finite value, are
-    flagged in the estimate, never fatal.
+    flagged in the estimate, never fatal.  ``levels`` that is not an integer
+    of at least 2 raises ValueError.
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError("curve recovery needs a contour or arc system host")
@@ -384,8 +279,8 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
         raise ValueError("curve recovery needs a callable, not a grid")
     if not callable(u):
         raise TypeError("u must be callable")
-    if levels < 2:
-        raise ValueError("extrapolation needs at least two offset levels")
+    if not isinstance(levels, (int, np.integer)) or levels < 2:
+        raise ValueError("extrapolation needs an integer number of offset levels, at least two")
     # the offset scale is local: near an arc endpoint the potential is only
     # smooth in the normal direction out to the endpoint distance, so the
     # ladder must shrink with it or the extrapolation diverges there

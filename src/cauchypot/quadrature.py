@@ -21,29 +21,35 @@ first-kind Gauss-Chebyshev rule, exact for polynomial numerators.  This is
 what makes densities with inverse-square-root endpoint growth integrable to
 machine precision on the graded grid.
 
-S is ``_S_closed`` on a closed contour and ``_S_arcs`` on an arc system,
-reached only through ``cauchy.singular_S``, which checks the density
-class, the host and the node indices.  Both split S into a part diagonal in
-a spectral basis and a smooth remainder sampled at a few proxy nodes and
-interpolated, and the on-node log potential of ``potential`` takes the same
-two routes.  On a closed contour, where S's first part is the periodic
-Hilbert transform, one FFT sign multiplier, ``_proxy_remainder`` is the one
-proxy loop of both, at the proxy counts of ``_proxy_counts``.  S's
-remainder needs the data and the curve resolved, the log kernel's the curve
-alone.  From ``_FMM_MIN_NODES`` nodes on, S's remainder instead comes from
-the 2-d Fourier table of its smooth kernel (``_kernel_table``, p x p
-entries at most 16 n), which the contour derives on the first such S and
-keeps; a contour with no table takes the proxy loop.  Elsewhere (rounded
-polygons, and for S rough data) the pole-subtracted rows are summed at the
-requested nodes, for S from ``_FMM_MIN_NODES`` nodes on by the contour's
-``_MultipolePlan``.  On a
-graded arc, in the parameter tau = cos(u), the arc's own part is diagonal in
-Chebyshev coefficients (length-2m FFTs, whose twiddles and node factors the
-arc holds), and ``_interpolated`` takes the remainder: the other arcs' sums
-and, on a circular arc, the difference between its kernel and the one in
-tau.  From ``_FMM_MIN_NODES`` nodes on, a system keeps the kernels of S's
-remainders at the first proxies (``_proxy_kernels``), built on its first S,
-and there the remainders are products with the data.
+On the nodes, S and the log potential u are each a part diagonal in a
+spectral basis plus a smooth remainder taken at a few proxy nodes and
+interpolated: ``_S_closed`` and ``_log_closed`` on a closed contour,
+``_S_arcs`` and ``_log_arcs`` on an arc system.  S is reached only through
+``cauchy.singular_S``, which checks the density class, the host and the
+node indices; u is formed once per density by ``potential``.  The routes:
+
+- closed contour: the periodic Hilbert transform for S, log|2 sin| for u,
+  both diagonal in Fourier.  The remainder goes through
+  ``_proxy_remainder``, the one proxy loop, at the counts of
+  ``_proxy_counts``; S's needs the data and z' resolved, u's z' alone.
+  From ``_FMM_MIN_NODES`` nodes on, S's comes instead from the 2-d Fourier
+  table of its smooth kernel (``_kernel_table``, p x p entries at most
+  16 n), which the contour derives on the first such S and keeps.  Where
+  the loop does not interpolate, it keeps the rows it probed, and the
+  others are the pole-subtracted rows: u's summed directly (``_log_rows``),
+  S's directly below ``_FMM_MIN_NODES`` nodes and by the contour's
+  ``_MultipolePlan`` from there on.
+- graded arc, in the parameter tau = cos(u): the arc's own part is
+  diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
+  node factors the arc holds), and ``_interpolated`` takes the remainder:
+  the other arcs' sums and, on a circular arc, the difference between its
+  kernel and the one in tau.  From ``_FMM_MIN_NODES`` nodes on, a system
+  keeps the kernels of S's remainders at the first proxies
+  (``_proxy_kernels``), built on its first S, and there they are products
+  with the data.  Chain arcs have no u at their nodes (NaN).
+
+Each route depends on the host and the density alone, and each row on its
+own node, so S at any nodes is bitwise the full S.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
@@ -65,6 +71,7 @@ import math
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
 from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _coeff_twiddle,
@@ -306,32 +313,27 @@ def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None)
 
 
 def _proxy_counts(n):
-    """The proxy counts of a closed contour of n nodes: p = 32 if 32 divides n,
-    then after each the smallest even divisor of n at or above 2p, while 4p <= n."""
-    p = 32
-    if n % p:
-        return
-    while 4 * p <= n:
+    """The proxy counts of a closed contour of n nodes: each the smallest even
+    divisor of n at or above twice the last, from 32 on, while 4p <= n."""
+    p = 16
+    while p := next((d for d in range(2 * p, n // 4 + 1, 2) if n % d == 0), 0):
         yield p
-        p = next(d for d in range(2 * p, n + 1, 2) if n % d == 0)
 
 
-def _proxy_remainder(n, rows, scale, resolved, spectral):
-    """``rows`` at all n nodes of a closed contour from a smooth remainder at proxies.
+def _proxy_remainder(n, rows, part, scale, idx, rest):
+    """``rows`` at the nodes ``idx`` of a closed contour of n nodes.
 
-    ``rows(r)`` gives the rows at the nodes r, ``spectral()`` their part
-    diagonal in Fourier at every node.  When ``resolved`` (the caller's
-    kernel is), the remainder, rows less that part, is taken at the p
-    proxies of ``_proxy_counts`` (32, 64, ... where those divide n), rows
-    already probed reused, until its DFT is resolved against ``scale``:
-    (rows at every node, None), trigonometrically interpolated.  Else
-    (row, done): the rows probed, where ``done``.
+    ``rows(r)`` gives the rows at the nodes r, and ``part``, given only
+    where the caller's kernel is resolved, their part diagonal in Fourier
+    at every node.  The remainder, rows less part, is taken at the p
+    proxies of ``_proxy_counts``, rows already probed reused, until its DFT
+    is resolved against ``scale``, and trigonometrically interpolated to
+    ``idx``.  Else the probed rows are kept, and ``rest(r)`` gives the
+    others.  The probes depend on n, ``part`` and ``scale`` alone.
     """
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
-    for p in _proxy_counts(n) if resolved else ():
-        if p == 32:  # the first probe forms the spectral part
-            part = spectral()
+    for p in _proxy_counts(n) if part is not None else ():
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]
         row[new], done[new] = rows(new), True
@@ -341,8 +343,10 @@ def _proxy_remainder(n, rows, scale, resolved, spectral):
             pad = np.zeros(n, dtype=complex)
             pad[:h], pad[n - h + 1:] = c[:h], c[h + 1:]
             pad[h] = pad[n - h] = 0.5 * c[h]
-            return part + np.fft.ifft(pad) * (n / p), None
-    return row, done
+            return (part + np.fft.ifft(pad) * (n / p))[idx]
+    missing = idx[~done[idx]]
+    row[missing] = rest(missing)
+    return row[idx]
 
 
 def _kernel_table(host):
@@ -413,12 +417,12 @@ def _S_closed(host, values, idx):
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
     smooth in ph.  With f and z' resolved, from ``_FMM_MIN_NODES`` nodes on
     R comes from the host's kernel table (``_table_S``, no rows); below
-    that, or on a host with no table, ``_proxy_remainder`` takes R as the
-    pole-subtracted rows at proxies minus H f.  Where R is not resolved the
-    requested rows are the pole-subtracted ones: summed directly below
-    ``_FMM_MIN_NODES`` nodes, the probed ones reused, and from there on by
-    the host's multipole plan.  The choice depends on the host and f only,
-    so S at any ``idx`` is bitwise the full S.
+    that, or on a host with no table, H f is the part of the pole-subtracted
+    rows that ``_proxy_remainder`` is given.  Rows it neither interpolates
+    nor probed are summed directly below ``_FMM_MIN_NODES`` nodes and by
+    the host's multipole plan from there on.  The choice depends on the host
+    and f only, and each row on its own node, so S at any ``idx`` is
+    bitwise the full S.
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
@@ -436,14 +440,59 @@ def _S_closed(host, values, idx):
     def rows(r):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
-    row, done = _proxy_remainder(n, rows, scale, resolved, lambda: np.fft.ifft(np.sign(k) * fk))
-    if done is None:
-        return row[idx]
-    if n >= _FMM_MIN_NODES:
-        return s_of(host._multipole_plan.rows(values, df, idx), idx)
-    new = idx[~done[idx]]
-    row[new] = rows(new)
-    return row[idx]
+    def multipole(r):
+        return s_of(host._multipole_plan.rows(values, df, r), r)
+
+    part = np.fft.ifft(np.sign(k) * fk) if resolved else None
+    return _proxy_remainder(n, rows, part, scale, idx, rows if n < _FMM_MIN_NODES else multipole)
+
+
+def _log_rows(t, q, x, pole=None, dist=None, speed=None):
+    """sum_j q_j log|t_j - x_i| for every target x_i.
+
+    With ``dist``, x_i is the node ``pole[i]`` and ``dist(rows)`` the
+    parameter distances of those rows to every column: the log is that of
+    |t_j - x_i| / dist, smooth through the pole, and log ``speed[i]`` (its
+    limit) on the diagonal.  A row's sum does not depend on the other rows.
+    """
+    def block(rows):
+        d = np.abs(t - x[rows, None])
+        if dist is not None:
+            e = dist(rows)
+            on = (np.arange(e.shape[0]), pole[rows])
+            d[on] = e[on] = 1.0
+            d /= e
+            d[on] = speed[rows]
+        np.log(d, out=d)
+        d *= q
+        return np.sum(d, axis=1)
+
+    return _by_rows(block, x.size, t.size)
+
+
+def _log_closed(host, q):
+    """u at every node of a closed contour for the weighted density q.
+
+    With v = rho |z'| (q = 2 pi v / n) the kernel log|2 sin((th - th_k)/2)|
+    is diagonal in Fourier, e^{i j th} -> -pi/|j| e^{i j th_k} and 1 -> 0,
+    the Nyquist mode taken as its cosine (R. Kress, Linear Integral
+    Equations, ch. 12); one real FFT pair.  The remainder, the
+    pole-subtracted ``_log_rows`` of chord over 2|sin((th_j - th_k)/2)|, is
+    smooth for any q on a curve whose dz/dtheta is resolved; its DFT is
+    judged against sum |q|.
+    """
+    n, t = q.size, host.nodes
+    c = np.fft.rfft(q)
+    c[0] = 0.0
+    c[1:] *= -0.5 * n / np.arange(1, c.size)
+    ring = sliding_window_view(np.tile(np.abs(2.0 * np.sin(np.pi * np.arange(n) / n)), 2), n)
+
+    def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
+        return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
+
+    part = np.zeros(n) if host._dz_resolved else None
+    rest = _proxy_remainder(n, rows, part, np.sum(np.abs(q)), np.arange(n), rows)
+    return np.fft.irfft(c, n) + rest.real
 
 
 # The far field of the closed-contour rows.  Terms and separation were fixed
@@ -882,6 +931,49 @@ def _S_arcs(host, values, idx, density_class):
                                     arc, first)
         out[off[a]:off[a + 1]] = pv / (1j * np.pi)
     return out[idx]
+
+
+def _log_arcs(host, q):
+    """u at every node of an arc system for the weighted density q; NaN on chain arcs.
+
+    With phi = pi sin(u) |dt/dtau| rho = m q expanded in T_n(tau), the
+    kernel log|tau - tau_k| is diagonal, T_0 -> -log 2 and T_n -> -T_n/n
+    (S. Olver, Math. Comp. 80, 2011).  On a segment |t - t_k| / |tau -
+    tau_k| is L/2, which adds log(L/2) c_0.  The remainder is
+    ``_interpolated`` of a smooth fn(tau), as S's ``_remainder``: the other
+    arcs' plain sums and, on a circular arc of radius r and sweep D, the log
+    of chord over parameter distance, log(r|D|/2) + log|sin y / y| with y =
+    D (tau_j - tau)/4.
+    """
+    u = np.full(q.size, math.nan)
+    off = host.arc_offsets
+    for a, arc in enumerate(host.arcs):
+        if not arc.graded:
+            continue
+        m, mine = arc.n_nodes, np.s_[off[a]:off[a + 1]]
+        q_own, others, q_others = q[mine], host._other_nodes[a], np.delete(q, mine)
+        coeff, total = arc._twiddles
+        c = _trig_coeffs(m * q_own, coeff)
+        c[1:] /= -np.arange(1, m)
+        log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
+        c[0] *= log_half - math.log(2.0)
+        u[mine] = _trig_sum(c, total).real
+        sweep = arc.theta_b - arc.theta_a
+
+        def circular(rows, tau):  # y / pi = D (tau_j - tau) / (4 pi)
+            ratio = np.sinc((0.25 / math.pi * sweep) * (arc.params - tau[rows, None]))
+            return np.sum(np.log(ratio, out=ratio) * q_own, axis=1)
+
+        def fn(tau):
+            out = _log_rows(others, q_others, arc.point_at(tau)) if others.size else 0.0
+            if arc.kind != "circular":
+                return out
+            return out + (math.log(0.5 * arc.radius * abs(sweep)) * np.sum(q_own)
+                          + _by_rows(lambda rows: circular(rows, tau), tau.size, q_own.size))
+
+        if others.size or arc.kind == "circular":
+            u[mine] += np.real(_interpolated(fn, arc))
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cauchypot import potential
+from cauchypot import potential, quadrature
 from cauchypot.cauchy import singular_S
 from cauchypot.errors import (
     BoundaryLimitError,
@@ -221,13 +221,13 @@ def test_a_contour_of_32_times_an_odd_node_count_takes_the_proxies(monkeypatch):
     # even divisor of 4000 from 64 on, of which 64 rows are new; S takes the
     # kernel table at 80 proxies too
     rows = []
-    log_rows = potential._log_rows
+    log_rows = quadrature._log_rows
 
     def counting(t, q, x, *args, **kwargs):
         rows.append(x.size)
         return log_rows(t, q, x, *args, **kwargs)
 
-    monkeypatch.setattr(potential, "_log_rows", counting)
+    monkeypatch.setattr(quadrature, "_log_rows", counting)
     host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
                                  "panels": 8, "nodes_per_panel": 500})
     rho = 1.0 + 0.3 * host.nodes.real
@@ -237,6 +237,35 @@ def test_a_contour_of_32_times_an_odd_node_count_takes_the_proxies(monkeypatch):
     assert gap <= DIRECT_SUM_TOLERANCE["closed"] * np.sum(np.abs(host.weights * rho))
     singular_S(SampledDensity(host, np.exp(3j * host.params)))
     assert vars(host)["_kernel_table"][0] == 80
+
+
+def test_a_contour_whose_node_count_32_does_not_divide_takes_the_proxies(monkeypatch):
+    # 1000 = 8 x 125: the proxies start at 40, the smallest even divisor of
+    # 1000 from 32 on, and 40 rows resolve the potential's remainder and S's
+    log_rows, cauchy_sum = quadrature._log_rows, quadrature._cauchy_sum
+    rows, s_rows = [], []
+
+    def counting(t, q, x, *args, **kwargs):
+        rows.append(x.size)
+        return log_rows(t, q, x, *args, **kwargs)
+
+    def counting_s(t, z, *args, **kwargs):
+        s_rows.append(z.size)
+        return cauchy_sum(t, z, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_log_rows", counting)
+    monkeypatch.setattr(quadrature, "_cauchy_sum", counting_s)
+    host = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                 "panels": 8, "nodes_per_panel": 125})
+    rho = 1.0 + 0.3 * host.nodes.real
+    got = log_potential_nodes(SampledDensity(host, rho + 0j))
+    assert rows == [40]
+    gap = np.max(np.abs(got - log_potential_nodes_direct(host, rho)))
+    assert gap <= DIRECT_SUM_TOLERANCE["closed"] * np.sum(np.abs(host.weights * rho))
+    g = SampledDensity(host, np.exp(3j * host.params))
+    back = singular_S(singular_S(g)).values
+    assert s_rows == [40, 40]
+    assert np.max(np.abs(back - g.values)) <= 1e-14
 
 
 def test_on_node_potential_refuses_chain_arcs():
@@ -434,18 +463,18 @@ def test_log_potentials_that_overflow_raise(z):
 
 
 def test_curve_potential_takes_the_rule_once_per_density(monkeypatch):
-    # the weighted samples and the own part come from the memo after the
-    # first call, on the nodes and off the curve
+    # the weighted samples and the values at the nodes come from the memo
+    # after the first call, on the nodes and off the curve
     import cauchypot.potential as potential
 
     calls = []
-    own_part = potential._own_part
+    log_arcs = potential._log_arcs
 
     def counted(host, q):
         calls.append(host)
-        return own_part(host, q)
+        return log_arcs(host, q)
 
-    monkeypatch.setattr(potential, "_own_part", counted)
+    monkeypatch.setattr(potential, "_log_arcs", counted)
     sd = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0}).curve_density
     calls.clear()
     for z in sd.host.nodes:
@@ -619,6 +648,24 @@ def test_recovery_argument_validation():
         recover_curve_density(grid, host)
     with pytest.raises(ValueError):
         recover_curve_density(lambda z: 0.0, host, levels=1)
+
+
+@pytest.mark.parametrize("levels", [1, 0, -3, 2.5, 3.0, "3", None, True, np.int64(1)])
+def test_recovery_refuses_levels_that_are_not_an_integer_of_at_least_two(levels):
+    # every bad value fails the one check up front, with the one error class
+    with pytest.raises(ValueError, match="integer number of offset levels") as info:
+        recover_curve_density(lambda z: 0.0, circle_host(), levels=levels)
+    assert type(info.value) is ValueError
+
+
+def test_recovery_takes_numpy_integer_levels():
+    def u(z):
+        return math.log(max(abs(z), 1.0))
+
+    host = circle_host(per=16)
+    want = recover_curve_density(u, host, levels=3)
+    got = recover_curve_density(u, host, levels=np.int32(3))
+    assert got.curve_density.values.tobytes() == want.curve_density.values.tobytes()
 
 
 def test_recovery_flags_bad_nodes_without_raising():

@@ -965,12 +965,50 @@ def test_S_on_a_circle_sums_few_rows(counted_rows):
 
 
 def test_proxy_counts_step_to_the_next_even_divisor():
-    # 32 and its doublings where they divide n; else the smallest even
-    # divisor of n from 2p on; none where 32 does not divide n; 4p <= n
+    # each the smallest even divisor of n at or above twice the last, from
+    # 32 on, while 4p <= n: 32 and its doublings where they divide n; none
+    # for an odd n or where 4 x 32 > n
     assert list(quadrature._proxy_counts(4096)) == [32, 64, 128, 256, 512, 1024]
     assert list(quadrature._proxy_counts(4000)) == [32, 80, 160, 400, 800]
     assert list(quadrature._proxy_counts(480)) == [32, 80]
-    assert list(quadrature._proxy_counts(1200)) == list(quadrature._proxy_counts(96)) == []
+    assert list(quadrature._proxy_counts(1200)) == [40, 80, 200]
+    assert list(quadrature._proxy_counts(1000)) == [40, 100, 200]
+    assert list(quadrature._proxy_counts(96)) == list(quadrature._proxy_counts(1001)) == []
+
+
+# on the 40-lobe contour of the test below, over max|g| (max|S g| for the
+# second S): twice the measured 1.02e-15 (S g) and 8.8e-16 (S(S g)) against
+# the direct rows, and 1.44e-15 for S(S g) against the direct rows twice
+LOBE_TOLERANCE = 2.1e-15
+LOBE_INVOLUTION_TOLERANCE = 3.0e-15
+
+
+def test_S_keeps_the_probed_rows_where_the_proxies_do_not_resolve(counted_rows):
+    # r = 1 + 0.2 cos 40 th at 1024 nodes: z' and the data are resolved, but
+    # the remainder is not at p = 32 ... 256 and no kernel table is built;
+    # S keeps the 256 probed direct rows and takes the others from the
+    # multipole plan, so S at any nodes is bitwise the full S.  1024 nodes
+    # resolve S g on this curve only to a DFT tail of 1.6e-7, so S(S g) - g
+    # is the rule's 1.05e-3 of max|g| there, on the direct rows as on these
+    n = 1024
+    th = 2.0 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.2 * np.cos(40 * th)
+    host = ClosedContour(r * np.exp(1j * th), (-8.0 * np.sin(40 * th) + 1j * r) * np.exp(1j * th), 8)
+    g = np.exp(3j * th) + 0.5 * np.exp(-2j * th)
+    got = closed_S(host, g)
+    assert counted_rows == [32, 32, 64, 128]
+    assert host._dz_resolved and host._kernel_table is None
+    nodes = np.random.default_rng(5).choice(n, 50, replace=False)
+    assert singular_S(SampledDensity(host, g), at_indices=nodes).tobytes() == got[nodes].tobytes()
+    direct = pole_subtracted_rows(host, g)
+    scale = np.max(np.abs(g))
+    assert np.max(np.abs(got - direct)) <= LOBE_TOLERANCE * scale
+    back = closed_S(host, got)
+    assert np.max(np.abs(back - pole_subtracted_rows(host, got))) <= (
+        LOBE_TOLERANCE * np.max(np.abs(got)))
+    assert np.max(np.abs(back - pole_subtracted_rows(host, direct))) <= (
+        LOBE_INVOLUTION_TOLERANCE * scale)
+    assert np.max(np.abs(back - g)) <= 1.1e-3 * scale
 
 
 def test_S_takes_one_dft_of_the_values_and_one_of_dz_per_host(monkeypatch):

@@ -18,7 +18,10 @@ The calls cover S on closed contours along each of its paths (proxy
 interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
 field from 1024 nodes on, at 1200, 4096 and 16384 nodes, and the kernel
 table of its smooth remainder on Laurent data from 1024 nodes on, on a
-4096-node 2:1 ellipse, a 16384-node circle and a 16384-node 8:1 ellipse), S on each arc
+4096-node 2:1 ellipse, a 16384-node circle and a 16384-node 8:1 ellipse;
+proxies from 40 on a 1000-node 2:1 ellipse and the kernel table at 80 on a
+1200-node one, node counts that 32 does not divide; the probed direct rows
+and multipole rows for the rest on a 1024-node contour of 40 lobes), S on each arc
 kind (segment, circular, a segment beside a chain) in each density class,
 ``solve_closed``, the arc-system solvers on five systems, S in each class
 and the general and bounded solutions on five arc systems of 2048 nodes
@@ -32,7 +35,7 @@ multipole tree and boundary values at two nodes the direct sums, and
 differ in size by a node: its ladders take the tree, its grid is below the
 crossover and takes the direct sums), on-node
 and off-curve potentials (on-node also on the 16384-node circle, a
-4096-node and a 4000-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
+4096-node, a 4000-node, a 1200-node and a 1000-node 2:1 ellipse, the benchmark's 4096-node rounded polygon and a
 segment, a circular arc and a segment of 64, 2400 and 264 nodes, and of
 standard-normal samples on that circle and that ellipse and of the density
 recovered from the disk-wall potential on a 1024-node unit circle), the
@@ -49,7 +52,7 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 157 results.  It needs the standard library and numpy
+(two segments far longer than the rest).  That makes 162 results.  It needs the standard library and numpy
 only.
 """
 
@@ -318,6 +321,26 @@ def calls():
                                             "panels": 8, "nodes_per_panel": 500})
     yield "ellipse-4000 potential at nodes", lambda: cp.log_potential_nodes(
         sd(ellipse_4000, 1.0 + 0.3 * ellipse_4000.nodes.real + 0.2 * ellipse_4000.nodes.imag ** 2))
+    # node counts that 32 does not divide: the proxies start at 40, where
+    # they resolve S and the potential at 1000 nodes; at 1200 S takes the
+    # kernel table at p = 80
+    for per in (125, 150):
+        host = cp.build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0],
+                                        "panels": 8, "nodes_per_panel": per})
+        g = sd(host, host.nodes ** 3 + 0.5 / (host.nodes - 0.1 + 0.2j))
+        yield f"ellipse-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values, g.values
+        yield f"ellipse-{host.n_nodes} potential at nodes", lambda h=host: cp.log_potential_nodes(
+            sd(h, 1.0 + 0.3 * h.nodes.real + 0.2 * h.nodes.imag ** 2))
+    # r = 1 + 0.2 cos 40 th at 1024 nodes: S's proxies probe 256 rows and do
+    # not resolve, and there is no kernel table
+    from cauchypot.geometry import ClosedContour
+
+    th = 2.0 * np.pi * np.arange(1024) / 1024
+    r = 1.0 + 0.2 * np.cos(40 * th)
+    lobes = ClosedContour(r * np.exp(1j * th), (-8.0 * np.sin(40 * th) + 1j * r) * np.exp(1j * th),
+                          8)
+    g = sd(lobes, np.exp(3j * th) + 0.5 * np.exp(-2j * th))
+    yield "40 lobes-1024 S", lambda g=g: cp.singular_S(g).values, g.values
     # S of seeded degree-32 Laurent data about the centre, from the kernel
     # table of S's smooth remainder (p = 128, 32 and 512)
     rng = np.random.default_rng(13)
