@@ -30,8 +30,8 @@ import numpy as np
 
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
-from .geometry import ArcSystem, _by_rows
-from .quadrature import _exact_sums, _weighted_sums
+from .geometry import ArcSystem, _by_rows, _number, _read_only
+from .quadrature import _exact_sums, _held, _weighted_sums
 from .sampling import SampledDensity
 
 __all__ = [
@@ -74,7 +74,8 @@ class ComplexPolynomial:
 
     @classmethod
     def from_json(cls, pairs):
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        """From [re, im] pairs of numbers (``geometry._number``), lowest degree first."""
+        return cls(np.array([complex(_number(re), _number(im)) for re, im in pairs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +154,7 @@ def solvability_moments(g):
     as ``integrate`` takes it.
     """
     system = _require_system(g.host)
-    t_powers = system._moment_powers[0]
+    t_powers = _held(system, "_moment_powers", _moment_powers)[0]
     return _weighted_sums(system.dt_weights, t_powers * (g.values / system.sqrtR_plus_nodes()))
 
 
@@ -226,6 +227,17 @@ def modified_residual(g):
     return float(np.max(np.abs(sf0.values - rhs)))
 
 
+def _moment_powers(system):
+    """(t^k, tau^k, |tau|^k) at the nodes, k < N, stacked by k: the
+    solvability moments' powers in t and in tau = (t - c)/rho, c the mean of
+    the endpoints and rho their largest distance from c."""
+    ends, t = system.endpoints, system.nodes
+    c = np.mean(ends)
+    tau = (t - c) / np.max(np.abs(ends - c))
+    k = range(system.n_arcs)
+    return tuple(_read_only(np.array([x ** j for j in k])) for x in (t, tau, np.abs(tau)))
+
+
 def _moments_vanish(g, system):
     """Whether the N solvability moments of g are zero to rounding.
 
@@ -236,7 +248,7 @@ def _moments_vanish(g, system):
     change by the same factor, so the verdict does not depend on where the
     system lies or on its size.  Each set of N sums is one exact summation.
     """
-    _, tau_powers, abs_powers = system._moment_powers
+    _, tau_powers, abs_powers = _held(system, "_moment_powers", _moment_powers)
     base = g.values / system.sqrtR_plus_nodes()
     moments = _weighted_sums(system.dt_weights, tau_powers * base)
     sizes = _exact_sums(system.weights * (abs_powers * np.abs(base)))

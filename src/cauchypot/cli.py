@@ -181,8 +181,8 @@ def _potential_evaluator(spec):
     family = spec.get("family")
     if family == "point-charges":
         try:
-            charges = [(complex(float(c[0]), float(c[1])), float(c[2]))
-                       for c in spec.get("charges", [])]
+            charges = [(complex(float(_number(re)), float(_number(im))), float(_number(m)))
+                       for re, im, m in spec.get("charges", [])]
         except (TypeError, ValueError, IndexError, KeyError, OverflowError):
             charges = None
         if charges is None or not all(cmath.isfinite(a) and math.isfinite(m)

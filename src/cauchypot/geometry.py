@@ -31,6 +31,8 @@ plus values of sqrt(R)) is a ``functools.cached_property``, computed on first
 use and then kept, since the inputs never change.  Hosts and arcs keep
 read-only copies of their array inputs and derive read-only arrays, so an
 edit in place raises ValueError instead of leaving what was derived stale.
+A table that only an operator reads is the operator's to build and keep
+on the host; of this package, the module imports ``errors`` alone.
 
 Each host is its own quadrature rule over all its nodes: ``params``,
 ``nodes``, ``weights`` (arclength) and ``dt_weights`` (the complex line
@@ -47,6 +49,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -159,10 +162,7 @@ class ClosedContour(_Host):
     Derived once: ``params`` (the theta_k), the periodic trapezoid rule
     (``dt_weights`` and its magnitudes ``weights``), ``tangents`` (the unit
     field of dz_dtheta), ``arclength`` (cumulative at the nodes, starting at
-    0), ``total_length``, ``diameter()`` and ``near_cutoff``; on the first
-    proxy sum, whether dz_dtheta is resolved; on the first S with resolved
-    data from 1024 nodes on, the Fourier table of S's smooth kernel (or
-    None); and on the first multipole sum, the plan of its sums.
+    0), ``total_length``, ``diameter()`` and ``near_cutoff``.
     """
 
     nodes: np.ndarray
@@ -215,28 +215,6 @@ class ClosedContour(_Host):
     def weights(self):
         """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
         return _read_only((2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta))
-
-    @cached_property
-    def _dz_resolved(self):
-        """Whether dz/dtheta is resolved on the nodes, as the proxy sums need."""
-        from .quadrature import _resolved
-
-        dz = self.dz_dtheta
-        return _resolved(np.fft.fft(dz), np.max(np.abs(dz)))
-
-    @cached_property
-    def _kernel_table(self):
-        """The Fourier table of S's smooth kernel, or None, built on the first S that asks."""
-        from .quadrature import _kernel_table
-
-        return _kernel_table(self)
-
-    @cached_property
-    def _multipole_plan(self):
-        """The node-only arrays of the multipole rows of S, built on first use."""
-        from .quadrature import _MultipolePlan
-
-        return _MultipolePlan(self.nodes, self.dt_weights)
 
     def signed_area(self):
         z = self.nodes
@@ -639,13 +617,9 @@ class Arc:
     ``dt_weights``, and ``sqrt_own_plus``, the plus boundary values at the
     nodes of this arc's own factor s_j(z) = sqrt((z - a)(z - b)), normalized
     s_j(z)/z -> 1 at infinity with its cut along the arc.  On a graded arc
-    of m nodes, also derived once, what the own-arc part of S needs of the
-    nodes alone (``quadrature._own_pv`` and ``_fold``): the angles ``_u``
-    of the nodes (tau = cos u), ``_sin_of_u`` = sin u, ``_sigma`` (the own
-    factor over sin u in closed form, ``_own_sigma``), ``_twiddles`` (of
-    the length-2m FFTs of Chebyshev coefficients and sums) and, for smooth
-    densities, ``_smooth`` (the spectrum of the U_j integrals and the
-    log((1 - tau)/(1 + tau)) of the endpoint singularity).
+    of m nodes, also derived once: the angles ``_u`` of the nodes (tau =
+    cos u), ``_sin_of_u`` = sin u and ``_sigma``, the own factor over sin u
+    in closed form (``_own_sigma``).
     """
 
     kind: str
@@ -716,21 +690,6 @@ class Arc:
     def _sigma(self):
         return _read_only(_own_sigma(self, self._u))
 
-    @cached_property
-    def _twiddles(self):
-        m = self.n_nodes
-        return _read_only(_coeff_twiddle(m)), _read_only(_sum_twiddle(m))
-
-    @cached_property
-    def _smooth(self):
-        """(the conjugate length-2m DFT of mu_j = int U_j over (-1, 1), j < m - 1:
-        2/(j + 1) for even j and 0 for odd; log((1 - tau)/(1 + tau)) at the nodes)."""
-        m = self.n_nodes
-        j = np.arange(m - 1)
-        mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
-        return (_read_only(np.fft.fft(mu, 2 * m).conj()),
-                _read_only(np.log((1.0 - self.params) / (1.0 + self.params))))
-
     @property
     def sin_u(self):
         """sqrt(1 - tau^2) at the nodes."""
@@ -777,16 +736,6 @@ def _angles(m):
     """The angles u of the m first-kind points tau = cos(u), in node order."""
     k = np.arange(m, 0, -1)
     return (2.0 * k - 1.0) * np.pi / (2.0 * m)
-
-
-def _coeff_twiddle(m):
-    """exp(-i pi n/2m)/m, n < m: Chebyshev coefficients at ``_angles(m)`` from a length-2m FFT."""
-    return np.exp(-0.5j * np.pi * np.arange(m) / m) / m
-
-
-def _sum_twiddle(m):
-    """exp(i pi n/2m), 0 < n < m: Chebyshev sums at ``_angles(m)`` by a length-2m FFT."""
-    return np.exp(0.5j * np.pi * np.arange(1, m) / m)
 
 
 def _own_sigma(arc, u):
@@ -927,10 +876,7 @@ class ArcSystem(_Host):
     The one input is ``arcs``; the node set and its bookkeeping, the rule
     (the arcs' ``params`` and ``dt_weights`` in node order, and ``weights``,
     the magnitudes), ``R_coeffs``, ``diameter()``, ``near_cutoff`` and the
-    plus values of sqrt(R) at the nodes are derived once, on first use, and
-    so are the proxy plan of S on systems of at least 1024 nodes, each
-    arc's ``_other_nodes`` and the ``_moment_powers`` of the solvability
-    moments.
+    plus values of sqrt(R) at the nodes are derived once, on first use.
     """
 
     arcs: tuple
@@ -994,32 +940,6 @@ class ArcSystem(_Host):
     @cached_property
     def _points(self):
         return _read_only(np.concatenate([self.endpoints, self.nodes]))
-
-    @cached_property
-    def _other_nodes(self):
-        """Per arc, the nodes of all the other arcs, in node order."""
-        off = self.arc_offsets
-        return tuple(_read_only(np.delete(self.nodes, np.s_[off[a]:off[a + 1]]))
-                     for a in range(self.n_arcs))
-
-    @cached_property
-    def _moment_powers(self):
-        """(t^k, tau^k, |tau|^k) at the nodes, k < N, stacked by k: the
-        solvability moments' powers in t and in tau = (t - c)/rho, c the mean of
-        the endpoints and rho their largest distance from c."""
-        ends, t = self.endpoints, self.nodes
-        c = np.mean(ends)
-        tau = (t - c) / np.max(np.abs(ends - c))
-        k = range(self.n_arcs)
-        return tuple(_read_only(np.array([x ** j for j in k]))
-                     for x in (t, tau, np.abs(tau)))
-
-    @cached_property
-    def _proxy_plan(self):
-        """The geometry-only kernels of S's arc remainders, built on first use."""
-        from .quadrature import _proxy_kernels
-
-        return _proxy_kernels(self)
 
     def _check_disjoint(self):
         owner, i, j = _polyline_contacts(
@@ -1124,9 +1044,10 @@ def sqrtR_boundary_plus(system, point, arc_index):
 # ---------------------------------------------------------------------------
 
 def _number(v):
-    """v itself, refusing a bool with TypeError: a JSON true is not the number 1."""
-    if isinstance(v, bool):
-        raise TypeError("a boolean is not a number")
+    """v itself if it is a number, else TypeError: a JSON true is not the
+    number 1, and neither is the string "1"."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Number):
+        raise TypeError(f"{v!r} is not a number")
     return v
 
 

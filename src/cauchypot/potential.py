@@ -38,6 +38,8 @@ from .errors import (
 from .geometry import (
     ArcSystem,
     ClosedContour,
+    _by_rows,
+    _number,
     _read_only,
     _real,
     build_arc_system,
@@ -271,7 +273,8 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     failing the gap check (above 10x tol), or where ``u`` raises ValueError,
     OverflowError or FloatingPointError or returns a non-finite value, are
     flagged in the estimate, never fatal.  ``levels`` that is not an integer
-    of at least 2 raises ValueError.
+    of at least 2 raises ValueError, and so do an ``h0`` (a number, or one
+    per node) and a ``tol`` that are not finite positive reals.
     """
     if not isinstance(host, (ClosedContour, ArcSystem)):
         raise GeometryError("curve recovery needs a contour or arc system host")
@@ -281,12 +284,18 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
         raise TypeError("u must be callable")
     if not isinstance(levels, (int, np.integer)) or levels < 2:
         raise ValueError("extrapolation needs an integer number of offset levels, at least two")
+    if h0 is not None:
+        _require_positive("h0", h0, ((), (host.n_nodes,)))
+    if tol is not None:
+        _require_positive("tol", tol)
     # the offset scale is local: near an arc endpoint the potential is only
     # smooth in the normal direction out to the endpoint distance, so the
     # ladder must shrink with it or the extrapolation diverges there
     scale = np.full(host.n_nodes, host.local_panel_length)
     if isinstance(host, ArcSystem):
-        scale = np.minimum(scale, np.min(np.abs(host.nodes[:, None] - host.endpoints), axis=1))
+        ends = host.endpoints
+        scale = np.minimum(scale, _by_rows(lambda r: np.min(np.abs(host.nodes[r, None] - ends),
+                                                            axis=1), host.n_nodes, ends.size))
 
     def u_or_nan(zi):  # float(u) at one point, NaN where u fails there
         try:
@@ -308,6 +317,18 @@ def recover_curve_density(u, host, h0=None, levels=3, tol=None):
     sd = SampledDensity(host, dens.astype(complex))
     mass = float(np.sum(dens * host.weights))
     return MeasureEstimate(curve_density=sd, total_mass=mass, flagged_nodes=flagged)
+
+
+def _require_positive(name, v, shapes=((),)):
+    """ValueError naming ``name`` unless ``v`` holds finite positive reals in one of ``shapes``."""
+    try:
+        a = np.asarray(v)
+    except (TypeError, ValueError):  # a ragged sequence
+        a = None
+    if not (a is not None and a.dtype.kind in "iuf" and a.shape in shapes
+            and np.all(np.isfinite(a) & (a > 0))):
+        what = "a number or one per node" if len(shapes) > 1 else "a number"
+        raise ValueError(f"{name} must be {what}, finite and positive")
 
 
 def _laplacian(values, h):
@@ -618,13 +639,10 @@ def read_potential_binary(data_path, header_path):
             hdr = json.load(fh)
     except ValueError as exc:
         raise SchemaError(f"potential header is not JSON: {exc}") from None
-    try:
-        nx, ny = int(hdr["nx"]), int(hdr["ny"])
-        x0, y0, h = float(hdr["x0"]), float(hdr["y0"]), float(hdr["h"])
-    except KeyError as exc:
-        raise SchemaError(f"potential header missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"potential header fields must be numbers: {exc}") from None
+    if not isinstance(hdr, dict):
+        raise SchemaError("potential header must be a JSON object")
+    nx, ny = (_header_field(hdr, key, int) for key in ("nx", "ny"))
+    x0, y0, h = (_header_field(hdr, key, float) for key in ("x0", "y0", "h"))
     if nx < 1 or ny < 1 or not (h > 0 and np.isfinite([x0, y0, h]).all()):
         raise SchemaError("potential header needs nx, ny >= 1, finite x0 and y0, "
                           "and a finite h > 0")
@@ -636,6 +654,22 @@ def read_potential_binary(data_path, header_path):
     if not np.isfinite(raw).all():
         raise SchemaError("binary lattice holds a value that is not finite")
     return PotentialField(values=raw.reshape(ny, nx), x0=x0, y0=y0, h=h)
+
+
+def _header_field(hdr, key, kind):
+    """hdr[key] as ``kind``: a number (``geometry._number``), and for int an integer."""
+    if key not in hdr:
+        raise SchemaError(f"potential header missing key {key!r}")
+    v = hdr[key]
+    try:
+        out = kind(_number(v))
+        if kind is float or out == v:  # int(3.9) is not 3.9
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "an integer" if kind is int else "a number"
+    raise SchemaError(f"potential header fields must be numbers: {key!r} must be {what}, "
+                      f"not {v!r}")
 
 
 def write_potential_binary(data_path, header_path, fieldobj):

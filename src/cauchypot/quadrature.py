@@ -34,11 +34,10 @@ node indices; u is formed once per density by ``potential``.  The routes:
   ``_proxy_counts``; S's needs the data and z' resolved, u's z' alone.
   From ``_FMM_MIN_NODES`` nodes on, S's comes instead from the 2-d Fourier
   table of its smooth kernel (``_kernel_table``, p x p entries at most
-  16 n), which the contour derives on the first such S and keeps.  Where
-  the loop does not interpolate, it keeps the rows it probed, and the
-  others are the pole-subtracted rows: u's summed directly (``_log_rows``),
-  S's directly below ``_FMM_MIN_NODES`` nodes and by the contour's
-  ``_MultipolePlan`` from there on.
+  16 n).  Where the loop does not interpolate, it keeps the rows it
+  probed, and the others are the pole-subtracted rows: u's summed directly
+  (``_log_rows``), S's directly below ``_FMM_MIN_NODES`` nodes and by the
+  contour's ``_MultipolePlan`` from there on.
 - graded arc, in the parameter tau = cos(u): the arc's own part is
   diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
   node factors the arc holds), and ``_interpolated`` takes the remainder:
@@ -50,6 +49,11 @@ node indices; u is formed once per density by ``potential``.  The routes:
 
 Each route depends on the host and the density alone, and each row on its
 own node, so S at any nodes is bitwise the full S.
+
+``_held`` keeps on the host, from first use, what a route reads of the
+geometry alone: a contour's ``_dz_resolved``, ``_kernel_table`` and
+``_multipole_plan``, a system's ``_proxy_plan`` (and, for ``arcs``, its
+``_moment_powers``) and a graded arc's ``_twiddles`` and ``_smooth``.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
@@ -74,8 +78,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
-from .geometry import (_ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _coeff_twiddle,
-                       _open_fd4, _read_only)
+from .geometry import _ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _read_only
 
 __all__ = [
     "host_rule",
@@ -92,6 +95,15 @@ def host_rule(host):
     if isinstance(host, (ClosedContour, ArcSystem)):
         return host
     raise GeometryError(f"no quadrature rule for host {type(host).__name__}")
+
+
+def _held(host, name, build):
+    """``build(host)``, kept in ``vars(host)[name]`` from the first call on, as
+    ``functools.cached_property`` keeps it: per host (or arc), and gone with it."""
+    held = vars(host)
+    if name not in held:
+        held[name] = build(host)
+    return held[name]
 
 
 def _exact_sums(rows):
@@ -429,9 +441,10 @@ def _S_closed(host, values, idx):
     fk, k = np.fft.fft(values), _wavenumbers(n)
     scale = np.max(np.abs(values))
     # rough data, or a curve with corners, leave R rough: no probes, no table
-    resolved = _resolved(fk, scale) and host._dz_resolved
-    if resolved and n >= _FMM_MIN_NODES and host._kernel_table is not None:
-        return _table_S(host._kernel_table, values, fk, k)[idx]
+    resolved = _resolved(fk, scale) and _held(host, "_dz_resolved", _dz_resolved)
+    table = resolved and n >= _FMM_MIN_NODES and _held(host, "_kernel_table", _kernel_table)
+    if table:
+        return _table_S(table, values, fk, k)[idx]
     df = np.fft.ifft(1j * k * fk) / host.dz_dtheta
 
     def s_of(total, r):
@@ -441,7 +454,7 @@ def _S_closed(host, values, idx):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
     def multipole(r):
-        return s_of(host._multipole_plan.rows(values, df, r), r)
+        return s_of(_held(host, "_multipole_plan", _multipole_plan).rows(values, df, r), r)
 
     part = np.fft.ifft(np.sign(k) * fk) if resolved else None
     return _proxy_remainder(n, rows, part, scale, idx, rows if n < _FMM_MIN_NODES else multipole)
@@ -490,7 +503,7 @@ def _log_closed(host, q):
     def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
         return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
 
-    part = np.zeros(n) if host._dz_resolved else None
+    part = np.zeros(n) if _held(host, "_dz_resolved", _dz_resolved) else None
     rest = _proxy_remainder(n, rows, part, np.sum(np.abs(q)), np.arange(n), rows)
     return np.fft.irfft(c, n) + rest.real
 
@@ -568,9 +581,6 @@ class _MultipolePlan:
 
     ``rows`` (S at nodes) uses all of them; ``off_curve`` (targets off the
     curve) walks the tree and needs only the first.
-    ``ClosedContour._multipole_plan`` builds the plan on the first sum that
-    takes a multipole route, not before, and keeps it for the host's
-    lifetime.
     """
 
     def __init__(self, t, w):
@@ -867,6 +877,11 @@ class _MultipolePlan:
         return _sum_by(i, near, z.size) + _sum_by(fi, acc, z.size)
 
 
+def _multipole_plan(host):
+    """The ``_MultipolePlan`` of a closed contour's nodes and ``dt_weights``."""
+    return _MultipolePlan(host.nodes, host.dt_weights)
+
+
 def _sum_by(index, values, n):
     """The complex ``values`` summed per ``index`` in [0, n), each in the order given."""
     out = np.empty(n, dtype=complex)
@@ -889,7 +904,7 @@ def _closed_cauchy_sum(host, z, f, s=None):
     t, w = host.nodes, host.dt_weights
     if t.size < _FMM_MIN_NODES or (z.size - _TREE_TARGETS) * t.size < _TREE_PAIRS:
         return _cauchy_sum(t, z, w * f) if s is None else _cauchy_sum(t, z, f, s, w)
-    return host._multipole_plan.off_curve(z, f, s)
+    return _held(host, "_multipole_plan", _multipole_plan).off_curve(z, f, s)
 
 
 def _resolved(c, scale):
@@ -897,6 +912,11 @@ def _resolved(c, scale):
     1e-14 * scale (a size of the samples)."""
     m = c.size
     return np.max(np.abs(c[7 * m // 16:m - 7 * m // 16])) <= 1e-14 * m * scale
+
+
+def _dz_resolved(host):
+    """Whether a closed contour's dz/dtheta is resolved on its nodes, as the proxy sums need."""
+    return _resolved(np.fft.fft(host.dz_dtheta), np.max(np.abs(host.dz_dtheta)))
 
 
 def _S_arcs(host, values, idx, density_class):
@@ -919,12 +939,12 @@ def _S_arcs(host, values, idx, density_class):
                          else arc.dt_weights * values[off[a]:off[a + 1]]
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     large = host.n_nodes >= _FMM_MIN_NODES
-    plan = host._proxy_plan if large else (None,) * host.n_arcs
+    plan = _held(host, "_proxy_plan", _proxy_kernels) if large else (None,) * host.n_arcs
     out = np.empty(host.n_nodes, dtype=complex)
     for a in needed:
         arc, (g, q) = host.arcs[a], folds[a]
         pv = _own_pv(g, arc, density_class)
-        t, w = host._other_nodes[a], np.concatenate((wf[:off[a]], wf[off[a + 1]:]))
+        t, w = (np.concatenate((x[:off[a]], x[off[a + 1]:])) for x in (host.nodes, wf))
         if t.size or arc.kind == "circular":
             first = None if plan[a] is None else _remainder(arc, q, t, w, _FIRST_PROXIES, plan[a])
             pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau, large=large),
@@ -951,8 +971,8 @@ def _log_arcs(host, q):
         if not arc.graded:
             continue
         m, mine = arc.n_nodes, np.s_[off[a]:off[a + 1]]
-        q_own, others, q_others = q[mine], host._other_nodes[a], np.delete(q, mine)
-        coeff, total = arc._twiddles
+        q_own, others, q_others = q[mine], np.delete(host.nodes, mine), np.delete(q, mine)
+        coeff, total = _held(arc, "_twiddles", _twiddles)
         c = _trig_coeffs(m * q_own, coeff)
         c[1:] /= -np.arange(1, m)
         log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
@@ -980,11 +1000,34 @@ def _log_arcs(host, q):
 # the spectral operator on graded arcs
 # ---------------------------------------------------------------------------
 
+def _coeff_twiddle(m):
+    """exp(-i pi n/2m)/m, n < m: Chebyshev coefficients at ``_angles(m)`` from a length-2m FFT."""
+    return np.exp(-0.5j * np.pi * np.arange(m) / m) / m
+
+
+def _twiddles(arc):
+    """(``_coeff_twiddle(m)``, exp(i pi n/2m) for 0 < n < m) on a graded arc of m
+    nodes: its Chebyshev coefficients and sums at ``_angles(m)`` by length-2m FFTs."""
+    m = arc.n_nodes
+    return _read_only(_coeff_twiddle(m)), _read_only(np.exp(0.5j * np.pi * np.arange(1, m) / m))
+
+
+def _smooth(arc):
+    """(the conjugate length-2m DFT of mu_j = int U_j over (-1, 1), j < m - 1:
+    2/(j + 1) for even j and 0 for odd; log((1 - tau)/(1 + tau)) at the nodes)
+    of a graded arc of m nodes, for ``_own_pv`` of smooth densities."""
+    m = arc.n_nodes
+    j = np.arange(m - 1)
+    mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
+    return (_read_only(np.fft.fft(mu, 2 * m).conj()),
+            _read_only(np.log((1.0 - arc.params) / (1.0 + arc.params))))
+
+
 def _trig_coeffs(v, twiddle, odd=False):
     """c_n, n < m, with v = sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``.
 
     One length-2m FFT of the even (odd) extension, times ``twiddle``, which
-    is ``geometry._coeff_twiddle(m)``; the cosine coefficients are the
+    is ``_coeff_twiddle(m)``; the cosine coefficients are the
     Chebyshev coefficients of the interpolant of v in tau.
     """
     m = v.size
@@ -998,7 +1041,7 @@ def _trig_coeffs(v, twiddle, odd=False):
 
 def _trig_sum(c, twiddle, odd=False):
     """sum_n c_n cos(n u) (sin with ``odd``) at ``_angles(m)``, for c.size <= m,
-    with ``twiddle`` the m - 1 values of ``geometry._sum_twiddle(m)``."""
+    with ``twiddle`` the m - 1 sum twiddles of ``_twiddles``."""
     m = twiddle.size + 1
     n = np.arange(1, c.size)
     ph = twiddle[:c.size - 1]
@@ -1041,7 +1084,7 @@ def _own_pv(g, arc, density_class):
     spectrum of mu.
     """
     m = g.size
-    coeff, total = arc._twiddles
+    coeff, total = _held(arc, "_twiddles", _twiddles)
     if density_class == "sqrt":
         return -np.pi * _trig_sum(_trig_coeffs(g, coeff, odd=True), total)
     c = _trig_coeffs(g, coeff)
@@ -1050,7 +1093,7 @@ def _own_pv(g, arc, density_class):
         for r in (0, 1):
             e[r::2] = np.pi * np.cumsum(c[1 + r::2][::-1])[::-1]
     else:
-        mu, log_ratio = arc._smooth
+        mu, log_ratio = _held(arc, "_smooth", _smooth)
         e = np.fft.ifft(np.fft.fft(c[1:], 2 * m) * mu)[:m - 1]
     e[1:] *= 2.0
     out = _trig_sum(e, total)
@@ -1088,7 +1131,7 @@ def _proxy_kernels(host):
         if not arc.graded or 4 * arc.n_nodes < host.n_nodes:
             plan.append(None)
             continue
-        t = host._other_nodes[a]
+        t = np.delete(host.nodes, np.s_[host.arc_offsets[a]:host.arc_offsets[a + 1]])
         r = _read_only(1.0 / (t - arc.point_at(_FIRST_PROXIES)[:, None]))
         k = None
         if arc.kind == "circular":
@@ -1150,6 +1193,6 @@ def _interpolated(fn, arc, first=None):
         else:
             c = _trig_coeffs(fn(np.cos(_angles(p))), _coeff_twiddle(p))
         if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
-            return _trig_sum(c, arc._twiddles[1])
+            return _trig_sum(c, _held(arc, "_twiddles", _twiddles)[1])
         p *= 2
     return fn(arc.params)

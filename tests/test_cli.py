@@ -20,7 +20,9 @@ import cauchypot
 from cauchypot.cauchy import singular_S
 from cauchypot.cli import _json17, main
 from cauchypot.geometry import build_arc_system, build_closed_contour
-from cauchypot.potential import PotentialField, write_potential_binary, write_potential_csv
+from cauchypot.errors import SchemaError
+from cauchypot.potential import (PotentialField, read_potential_binary, write_potential_binary,
+                                 write_potential_csv)
 from cauchypot.sampling import (
     SampledDensity,
     read_density_csv,
@@ -445,6 +447,19 @@ BAD_NUMBERS = {
         "curve": dict(CIRCLE, center=[True, 0.0])}}),
     "degree-true": ("degree", {"command": "solve-closed", "geometry": {"curve": CIRCLE},
                                "rhs": {"family": "monomial", "degree": True}}),
+    # these ran (text read as its number, a charge's fourth entry ignored, a
+    # JSON true read as 1) or exited 65 (a charge put at 1, the segment's end)
+    "circle-radius-text": ("radius", {"command": "solve-closed", "rhs": RHS,
+                                      "geometry": {"curve": dict(CIRCLE, radius="1.0")}}),
+    "point-charge-text": ("charges", dict(ON_SEGMENT, potential={
+        "family": "point-charges", "charges": [["2.0", "0.0", "1"]]})),
+    "point-charge-four": ("charges", dict(ON_SEGMENT, potential={
+        "family": "point-charges", "charges": [[2.0, 0.0, 1.0, "junk"]]})),
+    "point-charge-true": ("charges", dict(ON_SEGMENT, potential={
+        "family": "point-charges", "charges": [[True, 0.0, 1.0]]})),
+    "defect-poly-true": ("defect_poly", {"command": "solve-arcs", "rhs": RHS,
+                                         "geometry": {"arcs": [SEGMENT]},
+                                         "defect_poly": [[True, False]]}),
 }
 
 
@@ -458,6 +473,34 @@ def test_bad_number_reports_its_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert f":{config_line(tmp_path, key)}: " in err
     assert key in err
+
+
+@pytest.mark.parametrize("key, value", [("h", True), ("nx", 3.9), ("x0", "0"), ("ny", "4"),
+                                        ("y0", [0.0]), ("nx", None)])
+def test_a_potential_header_takes_numbers_only(tmp_path, capsys, key, value):
+    # "h": true was read as 1.0, "nx": 3.9 as 3 and "x0": "0" as 0.0; each
+    # bad field is a schema error naming its key, and the command exits 64
+    data, header = tmp_path / "u.f64", tmp_path / "u.json"
+    write_potential_binary(data, header, PotentialField(values=np.zeros((4, 4)), h=0.1))
+    fields = json.loads(header.read_text())
+    header.write_text(json.dumps(dict(fields, **{key: value})))
+    with pytest.raises(SchemaError, match=f"'{key}'"):
+        read_potential_binary(data, header)
+    code, _ = run_cli(tmp_path, {"command": "recover-area", "potential": {
+        "family": "binary", "data": str(data), "header": str(header)}})
+    assert code == 64
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_a_potential_header_takes_integral_floats_for_its_sizes(tmp_path):
+    data, header = tmp_path / "u.f64", tmp_path / "u.json"
+    field = PotentialField(values=np.arange(12.0).reshape(3, 4), x0=-1.0, y0=0.5, h=0.1)
+    write_potential_binary(data, header, field)
+    fields = json.loads(header.read_text())
+    header.write_text(json.dumps(dict(fields, nx=4.0, ny=3.0)))
+    got = read_potential_binary(data, header)
+    assert got.values.tobytes() == field.values.tobytes()
+    assert (got.x0, got.y0, got.h) == (field.x0, field.y0, field.h)
 
 
 def test_bad_key_shared_with_an_earlier_section_reports_its_own_line(tmp_path, capsys):

@@ -16,7 +16,7 @@ from cauchypot.errors import (
     NearBoundaryError,
     ResolutionError,
 )
-from cauchypot import geometry
+from cauchypot import arcs, geometry, quadrature
 from cauchypot.geometry import (
     ArcSystem,
     ClosedContour,
@@ -32,6 +32,7 @@ from cauchypot.geometry import (
 
 from cauchypot.arcs import bounded_solution
 from cauchypot.cauchy import singular_S
+from cauchypot.quadrature import _held
 from cauchypot.sampling import SampledDensity
 
 from oracles import ellipse_perimeter, ELLIPSE_2_1_PERIMETER
@@ -1060,14 +1061,16 @@ def test_an_arc_system_cannot_be_edited_under_what_it_caches():
     held = [getattr(system, name) for name in (
         "endpoints", "nodes", "params", "dt_weights", "weights", "tangents", "arclength",
         "R_coeffs", "_points", "_plus_nodes")]
-    held += [*system._other_nodes, *system._moment_powers]
-    held += [k for kernels in system._proxy_plan if kernels for k in kernels if k is not None]
+    held += [*_held(system, "_moment_powers", arcs._moment_powers)]
+    plan = _held(system, "_proxy_plan", quadrature._proxy_kernels)
+    held += [k for kernels in plan if kernels for k in kernels if k is not None]
     for arc in system.arcs:
         held += [getattr(arc, name) for name in (
             "nodes", "params", "dt_dtau", "tangents", "arclength", "sqrt_own_plus",
             "dt_weights", "_u", "_sin_of_u", "_sigma")]
-        held += [*arc._twiddles, *arc._smooth]
-    assert len(held) == 10 + 2 + 3 + 3 + 2 * 14
+        held += [*_held(arc, "_twiddles", quadrature._twiddles),
+                 *_held(arc, "_smooth", quadrature._smooth)]
+    assert len(held) == 10 + 3 + 3 + 2 * 14
     for a in held:
         with pytest.raises(ValueError):
             a[...] *= 2.0

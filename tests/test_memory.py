@@ -8,9 +8,11 @@ and proxy plans) as well as its temporaries.  c is 1.5 times the peak per node
 measured in one run (numpy 2.4.6), rounded up to 10 bytes, room for other
 numpy versions' temporaries but not for a second copy of a plan: closed
 contours at 16384 nodes (the rounded polygon's on-node potential, which sums
-its direct rows, at 4096), arc systems at 2 x 4096.
+its direct rows, at 4096), arc systems at 2 x 4096 and, for curve recovery,
+64 x 256.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,20 @@ def segment_and_circular(per):
          "nodes_per_panel": per},
         {"type": "circular", "center": [0.0, 2.0], "radius": 1.0, "theta_a": 0.3,
          "theta_b": 2.4, "panels": 8, "nodes_per_panel": per}])
+
+
+def radial_segments(per):
+    """64 segments from radius 0.8 to 1.2, at equally spaced angles."""
+    th = 2.0 * np.pi * np.arange(64) / 64
+    return cp.build_arc_system([
+        {"type": "segment", "a": [0.8 * np.cos(t), 0.8 * np.sin(t)],
+         "b": [1.2 * np.cos(t), 1.2 * np.sin(t)], "panels": 1, "nodes_per_panel": per}
+        for t in th])
+
+
+def charge_potential(z):
+    """The potential of a unit charge at 3, off the curves."""
+    return math.log(abs(z - 3.0))
 
 
 def laurent(host):
@@ -83,6 +99,11 @@ CASES = {
                                  490),  # 321
     "arcs log_potential_nodes": (segment_and_circular, 512, density, cp.log_potential_nodes,
                                  320),  # 213
+    # the host itself is the data; the distances to the 128 endpoints were
+    # one N x 128 array, 3080 bytes per node
+    "64 segments recover_curve_density": (
+        radial_segments, 256, lambda host: host,
+        lambda host: cp.recover_curve_density(charge_potential, host), 500),  # 328
 }
 
 

@@ -17,7 +17,6 @@ from hypothesis import assume, given, settings, strategies as st
 from cauchypot import potential, quadrature
 from cauchypot.cauchy import singular_S
 from cauchypot.errors import (
-    BoundaryLimitError,
     GeometryError,
     NearBoundaryError,
     ResolutionError,
@@ -705,23 +704,40 @@ def test_recovery_hands_u_numpy_points():
     assert est.flagged_nodes == [5]
 
 
-@pytest.mark.parametrize("h0", [-1e-4, 0.0, math.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize("h0", [-1e-4, 0.0, math.nan, "x", True, np.full(5, 1e-3),
+                                [1e-3, [1e-3]]],
+                         ids=["negative", "zero", "nan", "text", "bool", "wrong-size", "ragged"])
 def test_recovery_rejects_a_bad_offset(h0):
     # a negative offset would walk the ladder to the wrong sides and negate
-    # the measure; zero or NaN would flag every node instead of failing
+    # the measure; zero or NaN would flag every node instead of failing.
+    # Every bad value fails the one check up front, as levels does, with
+    # ValueError naming h0 (the 64-node circle takes a number or 64 of them)
     host = circle_host(per=8)
-    with pytest.raises(BoundaryLimitError):
+    with pytest.raises(ValueError, match="h0") as info:
         recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), host, h0=h0)
+    assert type(info.value) is ValueError
 
 
-@pytest.mark.parametrize("tol", [-1e-6, 0.0, math.nan, math.inf],
-                         ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize("tol", [-1e-6, 0.0, math.nan, math.inf, "x", [1e-6]],
+                         ids=["negative", "zero", "nan", "inf", "text", "array"])
 def test_recovery_rejects_a_bad_tolerance(tol):
     # a negative or zero tolerance would flag every node, a NaN or infinite
-    # one would switch the gap check off
+    # one would switch the gap check off; each raises ValueError naming tol
     host = circle_host(per=8)
-    with pytest.raises(BoundaryLimitError):
+    with pytest.raises(ValueError, match="tol") as info:
         recover_curve_density(lambda z: max(math.log(abs(z)), 0.0), host, tol=tol)
+    assert type(info.value) is ValueError
+
+
+def test_recovery_takes_an_offset_per_node():
+    def u(z):
+        return math.log(max(abs(z), 1.0))
+
+    host = circle_host(per=8)
+    h0 = 1e-3 * host.local_panel_length
+    want = recover_curve_density(u, host, h0=h0, tol=1e-6)
+    got = recover_curve_density(u, host, h0=np.full(host.n_nodes, h0), tol=1e-6)
+    assert got.curve_density.values.tobytes() == want.curve_density.values.tobytes()
 
 
 FLOATS = dict(allow_nan=False, allow_infinity=False)
