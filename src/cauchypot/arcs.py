@@ -154,7 +154,7 @@ def solvability_moments(g):
     as ``integrate`` takes it.
     """
     system = _require_system(g.host)
-    t_powers = _held(system, "_moment_powers", _moment_powers)[0]
+    t_powers = _held(system, _moment_powers)[0]
     return _weighted_sums(system.dt_weights, t_powers * (g.values / system.sqrtR_plus_nodes()))
 
 
@@ -248,7 +248,7 @@ def _moments_vanish(g, system):
     change by the same factor, so the verdict does not depend on where the
     system lies or on its size.  Each set of N sums is one exact summation.
     """
-    _, tau_powers, abs_powers = _held(system, "_moment_powers", _moment_powers)
+    _, tau_powers, abs_powers = _held(system, _moment_powers)
     base = g.values / system.sqrtR_plus_nodes()
     moments = _weighted_sums(system.dt_weights, tau_powers * base)
     sizes = _exact_sums(system.weights * (abs_powers * np.abs(base)))

@@ -44,14 +44,15 @@ node indices; u is formed once per density by ``potential``.  The routes:
   the other arcs' sums and, on a circular arc, the difference between its
   kernel and the one in tau.  From ``_FMM_MIN_NODES`` nodes on, a system
   keeps the kernels of S's remainders at the first proxies
-  (``_proxy_kernels``), built on its first S, and there they are products
+  (``_proxy_plan``), built on its first S, and there they are products
   with the data.  Chain arcs have no u at their nodes (NaN).
 
 Each route depends on the host and the density alone, and each row on its
 own node, so S at any nodes is bitwise the full S.
 
-``_held`` keeps on the host, from first use, what a route reads of the
-geometry alone: a contour's ``_dz_resolved``, ``_kernel_table`` and
+``_held(host, build)`` keeps ``build(host)`` on the host under the
+builder's name, from first use, for what a route reads of the geometry
+alone: a contour's ``_dz_resolved``, ``_kernel_table`` and
 ``_multipole_plan``, a system's ``_proxy_plan`` (and, for ``arcs``, its
 ``_moment_powers``) and a graded arc's ``_twiddles`` and ``_smooth``.
 
@@ -97,13 +98,18 @@ def host_rule(host):
     raise GeometryError(f"no quadrature rule for host {type(host).__name__}")
 
 
-def _held(host, name, build):
-    """``build(host)``, kept in ``vars(host)[name]`` from the first call on, as
-    ``functools.cached_property`` keeps it: per host (or arc), and gone with it."""
-    held = vars(host)
+def _held(host, build):
+    """``build(host)``, kept in ``vars(host)`` under ``build``'s name from the first
+    call on, as ``cached_property`` keeps it: per host (or arc), and gone with it."""
+    held, name = vars(host), build.__name__
     if name not in held:
         held[name] = build(host)
     return held[name]
+
+
+def _off_arc(x, off, a):
+    """The entries of ``x``, one per node of a system, off its arc ``a``."""
+    return np.concatenate((x[:off[a]], x[off[a + 1]:]))
 
 
 def _exact_sums(rows):
@@ -369,10 +375,17 @@ def _kernel_table(host):
     a smooth curve and 0 on a circle.  It is sampled at p x p proxies, p of
     ``_proxy_counts``, and G^ is its 2-d DFT over p**2, G^_ab the
     coefficient of e^{i a th} e^{i b ph}, |a|, |b| < p/2.  The first p whose
-    top eighth of frequencies in either variable is below 1e-14 max(1,
-    max|G^|) is kept; none is once p**2 > 16 n (256 bytes per node).
+    top eighth of frequencies in either variable is below max(1e-14,
+    sqrt(p) e) max(1, max|G^|) is kept; none is once p**2 > 16 n (256
+    bytes per node).  e = eps max|t| / (2 max|t - mean t|), over the
+    diameter on an ellipse, is the nodes' own rounding, which G's
+    1/(z(th) - z(ph)) amplifies: it put up to 0.65 sqrt(p) e in the top
+    frequencies of 180 ellipses 5 to 50 semi-axes from the origin.  sqrt(p) e
+    passes 1e-14 from 3 (p = 512) to 15 (p = 32) semi-axes out; nearer, the
+    test is the plain 1e-14, since a sum let truncation through.
     """
-    n, dz = host.n_nodes, host.dz_dtheta
+    n, dz, x = host.n_nodes, host.dz_dtheta, host.nodes
+    rounding = np.finfo(float).eps * np.max(np.abs(x)) / (2.0 * np.max(np.abs(x - np.mean(x))))
     # z'' spectrally, without the modes at rounding level that k would amplify
     # (they tripled S's error on a 16384-node circle)
     dk = np.fft.fft(dz)
@@ -393,8 +406,8 @@ def _kernel_table(host):
         g -= 0.5j
         c = np.fft.fft2(g) / (p * p)
         top = slice(7 * p // 16, p - 7 * p // 16)
-        if max(np.max(np.abs(c[top])), np.max(np.abs(c[:, top]))) <= 1e-14 * max(
-                1.0, np.max(np.abs(c))):
+        if max(np.max(np.abs(c[top])), np.max(np.abs(c[:, top]))) <= max(
+                1e-14, math.sqrt(p) * rounding) * max(1.0, np.max(np.abs(c))):
             keep = np.r_[:p // 2, p // 2 + 1:p]
             return p, _read_only(c[np.ix_(keep, keep)])
     return None
@@ -441,8 +454,8 @@ def _S_closed(host, values, idx):
     fk, k = np.fft.fft(values), _wavenumbers(n)
     scale = np.max(np.abs(values))
     # rough data, or a curve with corners, leave R rough: no probes, no table
-    resolved = _resolved(fk, scale) and _held(host, "_dz_resolved", _dz_resolved)
-    table = resolved and n >= _FMM_MIN_NODES and _held(host, "_kernel_table", _kernel_table)
+    resolved = _resolved(fk, scale) and _held(host, _dz_resolved)
+    table = resolved and n >= _FMM_MIN_NODES and _held(host, _kernel_table)
     if table:
         return _table_S(table, values, fk, k)[idx]
     df = np.fft.ifft(1j * k * fk) / host.dz_dtheta
@@ -454,7 +467,7 @@ def _S_closed(host, values, idx):
         return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
 
     def multipole(r):
-        return s_of(_held(host, "_multipole_plan", _multipole_plan).rows(values, df, r), r)
+        return s_of(_held(host, _multipole_plan).rows(values, df, r), r)
 
     part = np.fft.ifft(np.sign(k) * fk) if resolved else None
     return _proxy_remainder(n, rows, part, scale, idx, rows if n < _FMM_MIN_NODES else multipole)
@@ -503,7 +516,7 @@ def _log_closed(host, q):
     def rows(r):  # ring[n - k, j] = 2|sin(pi (j - k)/n)|
         return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
 
-    part = np.zeros(n) if _held(host, "_dz_resolved", _dz_resolved) else None
+    part = np.zeros(n) if _held(host, _dz_resolved) else None
     rest = _proxy_remainder(n, rows, part, np.sum(np.abs(q)), np.arange(n), rows)
     return np.fft.irfft(c, n) + rest.real
 
@@ -904,7 +917,7 @@ def _closed_cauchy_sum(host, z, f, s=None):
     t, w = host.nodes, host.dt_weights
     if t.size < _FMM_MIN_NODES or (z.size - _TREE_TARGETS) * t.size < _TREE_PAIRS:
         return _cauchy_sum(t, z, w * f) if s is None else _cauchy_sum(t, z, f, s, w)
-    return _held(host, "_multipole_plan", _multipole_plan).off_curve(z, f, s)
+    return _held(host, _multipole_plan).off_curve(z, f, s)
 
 
 def _resolved(c, scale):
@@ -939,12 +952,12 @@ def _S_arcs(host, values, idx, density_class):
                          else arc.dt_weights * values[off[a]:off[a + 1]]
                          for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
     large = host.n_nodes >= _FMM_MIN_NODES
-    plan = _held(host, "_proxy_plan", _proxy_kernels) if large else (None,) * host.n_arcs
+    plan = _held(host, _proxy_plan) if large else (None,) * host.n_arcs
     out = np.empty(host.n_nodes, dtype=complex)
     for a in needed:
         arc, (g, q) = host.arcs[a], folds[a]
         pv = _own_pv(g, arc, density_class)
-        t, w = (np.concatenate((x[:off[a]], x[off[a + 1]:])) for x in (host.nodes, wf))
+        t, w = (_off_arc(x, off, a) for x in (host.nodes, wf))
         if t.size or arc.kind == "circular":
             first = None if plan[a] is None else _remainder(arc, q, t, w, _FIRST_PROXIES, plan[a])
             pv = pv + _interpolated(lambda tau: _remainder(arc, q, t, w, tau, large=large),
@@ -971,8 +984,8 @@ def _log_arcs(host, q):
         if not arc.graded:
             continue
         m, mine = arc.n_nodes, np.s_[off[a]:off[a + 1]]
-        q_own, others, q_others = q[mine], np.delete(host.nodes, mine), np.delete(q, mine)
-        coeff, total = _held(arc, "_twiddles", _twiddles)
+        q_own, others, q_others = q[mine], _off_arc(host.nodes, off, a), _off_arc(q, off, a)
+        coeff, total = _held(arc, _twiddles)
         c = _trig_coeffs(m * q_own, coeff)
         c[1:] /= -np.arange(1, m)
         log_half = math.log(0.5 * arc.total_length) if arc.kind == "segment" else 0.0
@@ -1084,7 +1097,7 @@ def _own_pv(g, arc, density_class):
     spectrum of mu.
     """
     m = g.size
-    coeff, total = _held(arc, "_twiddles", _twiddles)
+    coeff, total = _held(arc, _twiddles)
     if density_class == "sqrt":
         return -np.pi * _trig_sum(_trig_coeffs(g, coeff, odd=True), total)
     c = _trig_coeffs(g, coeff)
@@ -1093,7 +1106,7 @@ def _own_pv(g, arc, density_class):
         for r in (0, 1):
             e[r::2] = np.pi * np.cumsum(c[1 + r::2][::-1])[::-1]
     else:
-        mu, log_ratio = _held(arc, "_smooth", _smooth)
+        mu, log_ratio = _held(arc, _smooth)
         e = np.fft.ifft(np.fft.fft(c[1:], 2 * m) * mu)[:m - 1]
     e[1:] *= 2.0
     out = _trig_sum(e, total)
@@ -1116,7 +1129,7 @@ def _circular_kernel(d4, params, tau):
                     1.0 / np.tan(y_far) - 1.0 / y_far)
 
 
-def _proxy_kernels(host):
+def _proxy_plan(host):
     """The proxy plan of an arc system: per arc, (R, K) or None.
 
     What the geometry alone fixes of ``_remainder`` at the first 32 proxies
@@ -1131,7 +1144,7 @@ def _proxy_kernels(host):
         if not arc.graded or 4 * arc.n_nodes < host.n_nodes:
             plan.append(None)
             continue
-        t = np.delete(host.nodes, np.s_[host.arc_offsets[a]:host.arc_offsets[a + 1]])
+        t = _off_arc(host.nodes, host.arc_offsets, a)
         r = _read_only(1.0 / (t - arc.point_at(_FIRST_PROXIES)[:, None]))
         k = None
         if arc.kind == "circular":
@@ -1193,6 +1206,6 @@ def _interpolated(fn, arc, first=None):
         else:
             c = _trig_coeffs(fn(np.cos(_angles(p))), _coeff_twiddle(p))
         if np.max(np.abs(c[-(p // 8):])) <= 1e-14 * np.max(np.abs(c)):
-            return _trig_sum(c, _held(arc, "_twiddles", _twiddles)[1])
+            return _trig_sum(c, _held(arc, _twiddles)[1])
         p *= 2
     return fn(arc.params)

@@ -1061,15 +1061,15 @@ def test_an_arc_system_cannot_be_edited_under_what_it_caches():
     held = [getattr(system, name) for name in (
         "endpoints", "nodes", "params", "dt_weights", "weights", "tangents", "arclength",
         "R_coeffs", "_points", "_plus_nodes")]
-    held += [*_held(system, "_moment_powers", arcs._moment_powers)]
-    plan = _held(system, "_proxy_plan", quadrature._proxy_kernels)
+    held += [*_held(system, arcs._moment_powers)]
+    plan = _held(system, quadrature._proxy_plan)
     held += [k for kernels in plan if kernels for k in kernels if k is not None]
     for arc in system.arcs:
         held += [getattr(arc, name) for name in (
             "nodes", "params", "dt_dtau", "tangents", "arclength", "sqrt_own_plus",
             "dt_weights", "_u", "_sin_of_u", "_sigma")]
-        held += [*_held(arc, "_twiddles", quadrature._twiddles),
-                 *_held(arc, "_smooth", quadrature._smooth)]
+        held += [*_held(arc, quadrature._twiddles),
+                 *_held(arc, quadrature._smooth)]
     assert len(held) == 10 + 3 + 3 + 2 * 14
     for a in held:
         with pytest.raises(ValueError):

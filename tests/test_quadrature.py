@@ -371,7 +371,7 @@ def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
     tables = {"_twiddles": quadrature._twiddles, "_smooth": quadrature._smooth}
 
     def read(name):  # a field of the arc, or a table S keeps on it
-        return quadrature._held(arc, name, tables[name]) if name in tables else getattr(arc, name)
+        return quadrature._held(arc, tables[name]) if name in tables else getattr(arc, name)
 
     for name, want in fresh.items():
         held = read(name)
@@ -400,7 +400,7 @@ def test_S_and_the_bounded_solution_give_the_same_bytes_on_a_second_call(per):
     assert (one.residual, one.bounded) == (two.residual, two.bounded)
     ends = host.endpoints
     tau = (host.nodes - np.mean(ends)) / np.max(np.abs(ends - np.mean(ends)))
-    powers = quadrature._held(host, "_moment_powers", arcs._moment_powers)
+    powers = quadrature._held(host, arcs._moment_powers)
     for held, x in zip(powers, (host.nodes, tau, np.abs(tau)), strict=True):
         assert [row.tobytes() for row in held] == [(x ** k).tobytes()
                                                    for k in range(host.n_arcs)]
@@ -567,13 +567,14 @@ def two_circular_arcs(per):
 
 def test_the_proxy_plan_is_built_on_first_use_and_kept_with_its_host(monkeypatch):
     builds = []
-    kernels = quadrature._proxy_kernels
+    kernels = quadrature._proxy_plan
 
+    @functools.wraps(kernels)
     def counting(host):
         builds.append(host.n_nodes)
         return kernels(host)
 
-    monkeypatch.setattr(quadrature, "_proxy_kernels", counting)
+    monkeypatch.setattr(quadrature, "_proxy_plan", counting)
     host, small = two_circular_arcs(128), two_circular_arcs(32)
     assert host.n_nodes == 2048 and small.n_nodes < quadrature._FMM_MIN_NODES
     assert "_proxy_plan" not in vars(host) and "_proxy_plan" not in vars(small)
@@ -1147,22 +1148,12 @@ def ellipse_contour(n, ratio, scale=1.0, turn=0.0, center=0.0, start=0.0):
 def table_ellipses(draw):
     """(host, g): a turned, moved and scaled ellipse of axis ratio up to its
     node count's ``TABLE_RATIOS`` entry, with trigonometric data of degree up
-    to 64 or Laurent data of degree up to 32 about its centre.
-
-    The centre lies within 5 semi-major axes of the origin.  Much further
-    out the nodes' own rounding, eps |centre|, outgrows the table's test
-    and these tolerances: of 300 draws with the centre moved up to 5
-    whatever the scale, those 30-50 axes out had no table in 5 of 24 and
-    missed the direct rows by up to 3.8e-13 of max|g|; those within 20 axes
-    all had a table and missed by at most 1.2e-13.
-    """
+    to 64 or Laurent data of degree up to 32 about its centre."""
     n = draw(st.sampled_from(sorted(TABLE_RATIOS)))
     angle = st.floats(0.0, 2.0 * np.pi)
-    ratio, scale = draw(st.floats(1.0, TABLE_RATIOS[n])), draw(st.floats(0.1, 10.0))
     host = ellipse_contour(
-        n, ratio, scale, draw(angle),
-        scale * draw(st.complex_numbers(max_magnitude=5.0, allow_nan=False,
-                                        allow_infinity=False)),
+        n, draw(st.floats(1.0, TABLE_RATIOS[n])), draw(st.floats(0.1, 10.0)), draw(angle),
+        draw(st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False)),
         draw(angle))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     if draw(st.booleans()):
@@ -1190,9 +1181,13 @@ def table_gaps(host, g, seed):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=table_ellipses(), seed=st.integers(0, 2 ** 16))
+# 40 semi-axes out, the nodes' rounding lifts the top of the table at p = 128
+# to 1.1e-14: a table is kept only as that rounding allows
+@example(case=(ellipse_contour(1024, 2.0, 0.125, center=5.0), np.full(1024, 0.125 - 0.13j)),
+         seed=0)
 def test_S_from_the_kernel_table_is_the_direct_rows_on_random_ellipses(case, seed):
     host, g = case
-    assert quadrature._held(host, "_kernel_table", quadrature._kernel_table) is not None
+    assert quadrature._held(host, quadrature._kernel_table) is not None
     gap, back = table_gaps(host, g, seed)
     assert gap <= TABLE_TOLERANCE
     assert back <= INVOLUTION_TOLERANCE
@@ -1228,6 +1223,7 @@ def test_the_kernel_table_is_built_once_by_a_resolved_S(monkeypatch, counted_row
     builds = []
     build = quadrature._kernel_table
 
+    @functools.wraps(build)
     def counting(host):
         builds.append(host.n_nodes)
         return build(host)
@@ -1265,7 +1261,7 @@ def test_the_kernel_table_of_a_circle_is_at_rounding():
     for per, r, c in ((128, 1.0, 0.0), (2048, 1.3, 0.1 - 0.2j)):
         host = build_closed_contour({"type": "circle", "radius": r, "center": [c.real, c.imag],
                                      "panels": 8, "nodes_per_panel": per})
-        p, table = quadrature._held(host, "_kernel_table", quadrature._kernel_table)
+        p, table = quadrature._held(host, quadrature._kernel_table)
         assert p == 32 and np.max(np.abs(table)) <= 1e-15
 
 
