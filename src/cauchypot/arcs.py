@@ -150,12 +150,15 @@ def solvability_moments(g):
     """Moments m_k = int t^k g(t) / sqrt(R)+(t) dt, k = 0..N-1.
 
     The inverse square root is folded into the graded rule, so polynomial g
-    is integrated exactly.  All N sums go through one exact summation, each
-    as ``integrate`` takes it.
+    is integrated exactly.  Each sum is exact, as ``integrate`` takes it,
+    and a block of rows of the products is formed at a time (``_by_rows``):
+    a row's exact sum does not depend on the others.
     """
     system = _require_system(g.host)
     t_powers = _held(system, _moment_powers)[0]
-    return _weighted_sums(system.dt_weights, t_powers * (g.values / system.sqrtR_plus_nodes()))
+    base = g.values / system.sqrtR_plus_nodes()
+    return _by_rows(lambda r: _weighted_sums(system.dt_weights, t_powers[r] * base),
+                    system.n_arcs, system.n_nodes, complex)
 
 
 def general_solution(g, P=None):
@@ -246,13 +249,17 @@ def _moments_vanish(g, system):
     they do in t^k.  Each is compared with the same sum over absolute
     values, sum |w| |tau|^k |g| / |sqrtR+|, at 1e-8.  Under z -> az + b both
     change by the same factor, so the verdict does not depend on where the
-    system lies or on its size.  Each set of N sums is one exact summation.
+    system lies or on its size.  Each sum is exact and formed by blocks of
+    rows, as in ``solvability_moments``.
     """
     _, tau_powers, abs_powers = _held(system, _moment_powers)
     base = g.values / system.sqrtR_plus_nodes()
-    moments = _weighted_sums(system.dt_weights, tau_powers * base)
-    sizes = _exact_sums(system.weights * (abs_powers * np.abs(base)))
-    return all(abs(m) <= 1e-8 * size for m, size in zip(moments.tolist(), sizes.tolist()))
+    size = np.abs(base)
+    n, k = system.n_nodes, system.n_arcs
+    moments = _by_rows(lambda r: _weighted_sums(system.dt_weights, tau_powers[r] * base), k, n,
+                       complex)
+    sizes = _by_rows(lambda r: _exact_sums(system.weights * (abs_powers[r] * size)), k, n)
+    return all(abs(m) <= 1e-8 * s for m, s in zip(moments.tolist(), sizes.tolist()))
 
 
 def bounded_solution(g):

@@ -32,7 +32,8 @@ use and then kept, since the inputs never change.  Hosts and arcs keep
 read-only copies of their array inputs and derive read-only arrays, so an
 edit in place raises ValueError instead of leaving what was derived stale.
 A table that only an operator reads is the operator's to build and keep
-on the host; of this package, the module imports ``errors`` alone.
+on the host; of this package, the module imports ``errors`` alone, and it
+reads and writes no files.
 
 Each host is its own quadrature rule over all its nodes: ``params``,
 ``nodes``, ``weights`` (arclength) and ``dt_weights`` (the complex line
@@ -47,7 +48,6 @@ and curve recovery.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -72,7 +72,6 @@ __all__ = [
     "build_arc_system",
     "sqrtR_boundary_plus",
     "parse_geometry",
-    "node_table_csv",
 ]
 
 _MIN_NODES = 16
@@ -83,6 +82,9 @@ _BLOCK = 1 << 18  # segment pairs per pass of the polyline contact test
 # array elements per block of rows of point-to-node sums: about 2**14 keeps a
 # block's temporaries in cache (2**18 ran 1.5-3x slower at 4096-16384 nodes)
 _ROW_BLOCK = 1 << 14
+# coordinates whose largest binary exponent lies beyond this, either way, are
+# scaled for the orientation and contact tests (products stay normal within)
+_EXPONENT_BAND = np.finfo(float).maxexp // 4
 
 
 def _ranges(start, count):
@@ -94,6 +96,23 @@ def _read_only(a):
     """The array ``a``, made read-only: what is cached from it cannot go stale."""
     a.flags.writeable = False
     return a
+
+
+def _in_band(z):
+    """The points ``z`` as they are, or, when the binary exponent of their
+    largest coordinate lies beyond ``_EXPONENT_BAND``, times the power of two
+    that brings that coordinate into [1/2, 1).  The scaling is exact (but for
+    coordinates that fall below the normal range), and the products of two
+    coordinates that orientations and areas form then neither overflow nor
+    underflow."""
+    e = np.frexp(max(np.max(np.abs(z.real)), np.max(np.abs(z.imag))))[1]
+    return z if abs(e) <= _EXPONENT_BAND else np.ldexp(z.real, -e) + 1j * np.ldexp(z.imag, -e)
+
+
+def _signed_area(z):
+    """The shoelace area of the closed polyline ``z``, positive when it runs
+    counter-clockwise."""
+    return 0.5 * float(np.sum(np.imag(np.conj(z) * np.roll(z, -1))))
 
 
 def _by_rows(fn, n, width, dtype=float):
@@ -178,9 +197,10 @@ class ClosedContour(_Host):
         speed = np.abs(self.dz_dtheta)
         if np.any(speed <= 0.0):
             raise GeometryError("vanishing parameter speed at a node")
-        if self.signed_area() <= 0.0:
+        z = _in_band(self.nodes)
+        if _signed_area(z) <= 0.0:
             raise GeometryError("contour is not positively oriented")
-        _, i, j = _polyline_contacts([self.nodes], closed=True)
+        _, i, j = _polyline_contacts([z], closed=True)
         if i.size:
             raise GeometryError(f"curve crosses or touches itself at segments {i[0]} and {j[0]}")
 
@@ -217,33 +237,7 @@ class ClosedContour(_Host):
         return _read_only((2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta))
 
     def signed_area(self):
-        z = self.nodes
-        zn = np.roll(z, -1)
-        return 0.5 * float(np.sum(np.imag(np.conj(z) * zn)))
-
-    def winding_number(self, z):
-        """Winding number of the node polyline about each point of ``z``.
-
-        Counts the signed crossings of each point's rightward horizontal ray
-        over all segments (D. Sunday's rule: a segment going up past the
-        point's left counts +1, one going down past its right -1), O(n) per
-        point.
-        """
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        a, b = self.nodes, np.roll(self.nodes, -1)
-
-        def turns(rows):
-            x, y = flat.real[rows, None], flat.imag[rows, None]
-            side = (b.real - a.real) * (y - a.imag) - (x - a.real) * (b.imag - a.imag)
-            up = (a.imag <= y) & (b.imag > y) & (side > 0)
-            down = (b.imag <= y) & (a.imag > y) & (side < 0)
-            return np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
-
-        return _by_rows(turns, flat.size, a.size, int).reshape(z.shape)[()]
-
-    def contains(self, z):
-        return self.winding_number(z) != 0
+        return _signed_area(self.nodes)
 
 
 def _polyline_contacts(polylines, closed=False, circles=None):
@@ -512,8 +506,7 @@ def _rounded_polygon(verts, radius, n_nodes, n_panels):
         raise GeometryError("corner radius must be positive")
     if np.any(verts == np.roll(verts, -1)):
         raise GeometryError("polygon repeats a vertex in a row")
-    area = 0.5 * float(np.sum(np.imag(np.conj(verts) * np.roll(verts, -1))))
-    if area < 0:
+    if _signed_area(_in_band(verts)) < 0:
         verts = verts[::-1]
 
     nv = verts.size
@@ -960,9 +953,6 @@ class ArcSystem(_Host):
     def R_coeffs(self):
         return _read_only(np.polynomial.polynomial.polyfromroots(self.endpoints))
 
-    def eval_R(self, z):
-        return np.polynomial.polynomial.polyval(z, self.R_coeffs)
-
     def eval_sqrtR(self, z, check_distance=True):
         """sqrt(R) on the single-valued branch, for finite z off the arcs."""
         z = np.asarray(z, dtype=complex)
@@ -1040,7 +1030,7 @@ def sqrtR_boundary_plus(system, point, arc_index):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# specs
 # ---------------------------------------------------------------------------
 
 def _number(v):
@@ -1106,21 +1096,3 @@ def parse_geometry(spec):
         return build_arc_system(spec["arcs"])
     raise GeometryError("geometry spec needs a 'curve' or 'arcs' entry")
 
-
-def node_table_csv(host, path):
-    """Write the node table: index, s, re_z, im_z, re_tangent, im_tangent."""
-    _write_node_table(path, host, ["re_tangent", "im_tangent"], host.tangents)
-
-
-def _write_node_table(path, host, names, values):
-    """Rows index, s, re_z, im_z and the real and imaginary parts of values."""
-    nodes, s = host.nodes, host.arclength
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "s", "re_z", "im_z", *names])
-        for k in range(nodes.size):
-            writer.writerow([
-                k, f"{s[k]:.17g}",
-                f"{nodes[k].real:.17g}", f"{nodes[k].imag:.17g}",
-                f"{values[k].real:.17g}", f"{values[k].imag:.17g}",
-            ])

@@ -45,7 +45,7 @@ from .geometry import (
     build_arc_system,
     build_closed_contour,
 )
-from .quadrature import _log_arcs, _log_closed, normal_ladder
+from .quadrature import _held, _log_arcs, _log_closed, normal_ladder
 from .sampling import SampledDensity
 
 __all__ = [
@@ -143,31 +143,24 @@ class MeasureEstimate:
 # forward map: potential of a measure
 # ---------------------------------------------------------------------------
 
-def _log_memo(density, nodes=False):
-    """(host, q, u) for a curve density, built once per density.
+def _charges(density):
+    """q = w * rho, the density times the host's arclength weights, which
+    weights every sum over nodes, off the curve too; held on the density."""
+    return density.host.weights * density.values.real
 
-    q = w * rho, the density times the host's arclength weights, weights
-    every sum over nodes, off the curve too.  u, the potential at every node
-    (``quadrature._log_closed`` or ``_log_arcs``), is formed on the first
-    request with ``nodes``, never by an off-curve call.  The density is
-    frozen, so the tuple is kept on it for good (not a field: ``==`` and
-    ``repr`` ignore it).
-    """
-    memo = getattr(density, "_log_memo", None)
-    if memo is None:
-        memo = (density.host, density.host.weights * density.values.real, None)
-    if nodes and memo[2] is None:
-        host, q = memo[:2]
-        u = _log_closed(host, q) if isinstance(host, ClosedContour) else _log_arcs(host, q)
-        memo = (host, q, _read_only(u))
-    object.__setattr__(density, "_log_memo", memo)
-    return memo
+
+def _node_potential(density):
+    """u, the potential at every node (``quadrature._log_closed`` or
+    ``_log_arcs``), held on the density from the first on-node request."""
+    host, q = density.host, _held(density, _charges)
+    return _read_only(_log_closed(host, q) if isinstance(host, ClosedContour)
+                      else _log_arcs(host, q))
 
 
 def _on_nodes(density, idx):
-    """The memo's u at the nodes ``idx``; on chain arcs (NaN) GeometryError."""
-    host, _, u = _log_memo(density, nodes=True)
-    out = u[idx]
+    """The held u at the nodes ``idx``; on chain arcs (NaN) GeometryError."""
+    host = density.host
+    out = _held(density, _node_potential)[idx]
     if isinstance(host, ArcSystem) and np.isnan(out).any():
         if not all(host.arcs[a].graded for a in np.searchsorted(
                 host.arc_offsets, np.atleast_1d(idx), side="right") - 1):
@@ -189,7 +182,7 @@ def _curve_potential(density, z):
             "potential evaluation between nodes near the curve; "
             "evaluate at a node or beyond the cutoff"
         )
-    return float(np.sum(_log_memo(density)[1] * np.log(d)))
+    return float(np.sum(_held(density, _charges) * np.log(d)))
 
 
 def _area_potential(dens, x0, y0, h, z):
@@ -245,7 +238,7 @@ def log_potential_nodes(density):
     """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node t_k of a curve density.
 
     rho is the real part of the samples of a ``SampledDensity``.  Returns a
-    copy of the values formed once per density (``_log_memo``), the
+    copy of the values formed once per density (``_node_potential``), the
     ones ``log_potential`` reads at a node.  Nodes on chain arcs are refused
     with GeometryError, and a potential that overflows with OverflowError.
     """

@@ -55,6 +55,8 @@ builder's name, from first use, for what a route reads of the geometry
 alone: a contour's ``_dz_resolved``, ``_kernel_table`` and
 ``_multipole_plan``, a system's ``_proxy_plan`` (and, for ``arcs``, its
 ``_moment_powers``) and a graded arc's ``_twiddles`` and ``_smooth``.
+``potential`` holds a density's charges and on-node potential the same
+way, on the frozen density.
 
 Every off-curve Cauchy sum on a closed contour (the ladders of the
 one-sided limits and the Cauchy transform) goes through
@@ -65,9 +67,9 @@ extrapolation tableau, fed by ``normal_ladder`` for boundary limits and
 curve recovery.
 
 ``host_rule`` (which only checks that its argument is a host and returns
-it), ``fd4_arc_derivative`` and ``analytic_pole_kernel`` stay only because
-the benchmark's span tracer, ``perfbench/spans.py``, names them: no code in
-the package calls them.
+it), ``closed_node_derivative``, ``fd4_arc_derivative`` and
+``analytic_pole_kernel`` stay only because the benchmark's span tracer,
+``perfbench/spans.py``, names them: no code in the package calls them.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def host_rule(host):
 
 def _held(host, build):
     """``build(host)``, kept in ``vars(host)`` under ``build``'s name from the first
-    call on, as ``cached_property`` keeps it: per host (or arc), and gone with it."""
+    call on, as ``cached_property`` keeps it: per host (arc or density), and gone
+    with it."""
     held, name = vars(host), build.__name__
     if name not in held:
         held[name] = build(host)
@@ -610,6 +613,9 @@ class _MultipolePlan:
                                + np.maximum.reduceat(t.imag, first)))
             r = np.maximum.reduceat(np.abs(t - c[box]), first)
             center[1 << lev:2 << lev], radius[1 << lev:2 << lev] = c, r
+        # the root's radius is that of its larger child, so the shifts of level
+        # 1, which no pass uses, stay finite however large the contour
+        radius[:2] = radius[2:4].max()
         parent = np.arange(2 << depth) >> 1
         self.center, self.radius = center, radius
         self.rho = _powers(radius / radius[parent])

@@ -236,6 +236,22 @@ def ellipse_equilibrium(dz_dtheta):
     return 1.0 / (2.0 * np.pi * np.abs(dz_dtheta))
 
 
+def angle_sum_winding(host, z):
+    """The winding number of a closed contour's node polyline about each
+    point of the 1-d array z, as the sum of the angles its segments subtend
+    there, and each point's distance to the polyline, where that sum is
+    undefined.  O(n) per point, in chunks of about 2**20 point-node pairs."""
+    turns, dist = [], []
+    p, q = host.nodes, np.roll(host.nodes, -1)
+    z = np.asarray(z, dtype=complex)
+    for chunk in np.array_split(z, max(1, z.size * p.size >> 20)):
+        v = p - chunk[:, None]
+        turns.append(np.rint(np.sum(np.angle(np.roll(v, -1, axis=1) / v), axis=1) / (2 * np.pi)))
+        s = np.clip(np.real(-v * np.conj(q - p)) / np.abs(q - p) ** 2, 0.0, 1.0)
+        dist.append(np.min(np.abs(v + s * (q - p)), axis=1))
+    return np.concatenate(turns).astype(int), np.concatenate(dist)
+
+
 def log_potential_nodes_direct(host, rho):
     """u(t_k) = int log|t_k - t| rho(t) ds(t) at every node of a contour or of
     a system of graded arcs, the smooth remainder summed directly at each node.

@@ -27,7 +27,7 @@ from cauchypot.sampling import (
     write_solution_csv,
 )
 
-from oracles import cauchy_dense, chebyshev_T, chebyshev_U
+from oracles import angle_sum_winding, cauchy_dense, chebyshev_T, chebyshev_U
 
 
 def circle(n_per=128, panels=8, r=1.0):
@@ -463,7 +463,7 @@ def test_ladder_rungs_take_the_winding_number_of_their_side(monkeypatch, spec, e
     compensated, rungs = cauchy._compensated_cauchy, []
 
     def both(host, values, z, k, chi):
-        wind = host.winding_number(z)
+        wind, _ = angle_sum_winding(host, z)
         assert np.array_equal(chi, wind)
         got = compensated(host, values, z, k, chi)
         assert np.array_equal(got, compensated(host, values, z, k, wind))
@@ -534,6 +534,18 @@ def test_solution_csv_round_trip_and_host_check(tmp_path):
     other = segment(128)
     with pytest.raises(AlignmentError):
         read_solution_csv(p, other)
+
+
+def test_solution_csv_lists_the_nodes_by_arclength(tmp_path):
+    c = circle(8, panels=4)
+    p = tmp_path / "sol.csv"
+    write_solution_csv(p, c, c.tangents)
+    lines = p.read_text().strip().split("\n")
+    assert lines[0] == "index,s,re_z,im_z,re_f,im_f"
+    assert len(lines) == c.n_nodes + 1
+    s_vals = [float(l.split(",")[1]) for l in lines[1:]]
+    assert all(b > a for a, b in zip(s_vals, s_vals[1:]))
+    assert np.array_equal(read_solution_csv(p, c), c.tangents)
 
 
 def test_density_arithmetic():

@@ -905,8 +905,14 @@ CRASHES = {
     "fd": (64, {"command": "moments", "geometry": {"arcs": [SEGMENT]},
                 "rhs": {"family": "csv", "path": 1}}),
     "equilibrium-shape": (64, {"command": "equilibrium", "shape": {"type": None}}),
-    "overflow": (65, {"command": "solve-closed", "rhs": RHS,
+    # the nodes' real parts all round to 1e308: a segment, not positively
+    # oriented, refused as the geometry is built
+    "overflow": (64, {"command": "solve-closed", "rhs": RHS,
                       "geometry": {"curve": dict(CIRCLE, center=1e308)}}),
+    # an overflow in the arithmetic, here t**2 at |t| = 1e200, exits 65
+    "overflow-in-rhs": (65, {"command": "solve-closed",
+                             "rhs": {"family": "monomial", "degree": 2},
+                             "geometry": {"curve": dict(CIRCLE, radius=1e200)}}),
 }
 
 

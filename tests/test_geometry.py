@@ -25,7 +25,6 @@ from cauchypot.geometry import (
     _polyline_contacts,
     build_arc_system,
     build_closed_contour,
-    node_table_csv,
     parse_geometry,
     sqrtR_boundary_plus,
 )
@@ -90,6 +89,39 @@ def test_orientation_is_enforced():
     cw = np.exp(-1j * th)  # clockwise
     with pytest.raises(GeometryError):
         build_closed_contour({"type": "node-chain", "nodes": np.stack([cw.real, cw.imag], axis=1).tolist(), "panels": 8})
+
+
+def scaled_contour(shape, scale, center):
+    """A 1024-node circle, ellipse or rounded polygon, its size times ``scale``."""
+    at, panels = [center.real, center.imag], {"panels": 8, "nodes_per_panel": 128}
+    if shape == "circle":
+        return build_closed_contour(dict(panels, type="circle", center=at, radius=scale))
+    if shape == "ellipse":
+        return build_closed_contour(dict(panels, type="ellipse", center=at,
+                                         semi_axes=[2.0 * scale, scale]))
+    verts = np.array([[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]]) * scale + at
+    return build_closed_contour(dict(panels, type="rounded-polygon", vertices=verts.tolist(),
+                                     corner_radius=0.25 * scale))
+
+
+# |S w^3 - w^3| at unit scale is 4e-15 on the circle, 2e-14 on the ellipse
+# and 1.5e-5 on the polygon, whose corners are only C^1
+@pytest.mark.parametrize("shape, tol", [("circle", 1e-13), ("ellipse", 1e-13),
+                                        ("polygon", 2e-5)])
+@pytest.mark.parametrize("exponent", range(-300, 301, 50))
+def test_closed_contours_build_solve_and_refuse_reversal_at_every_scale(shape, tol, exponent):
+    # the orientation and contact tests take the nodes times a power of two
+    # when their size is extreme, so the shoelace area neither underflows to
+    # 0 (refusing a small curve) nor overflows to NaN (accepting a clockwise
+    # one)
+    scale = 10.0 ** exponent
+    center = (0.3 - 0.2j) * scale
+    host = scaled_contour(shape, scale, center)
+    w = (host.nodes - center) / scale
+    f = SampledDensity(host, w ** 3)
+    assert np.max(np.abs(singular_S(f).values - f.values)) < tol
+    with pytest.raises(GeometryError, match="not positively oriented"):
+        ClosedContour(host.nodes[::-1], -host.dz_dtheta[::-1], host.n_panels)
 
 
 def test_too_few_nodes_rejected():
@@ -165,64 +197,6 @@ def test_jittered_rounded_polygons_accepted():
             "corner_radius": 0.25, "panels": 8, "nodes_per_panel": per,
         })
         assert host.n_nodes == 8 * per
-
-
-def test_winding_number():
-    c = circle(r=1.5, c=0.3j)
-    assert c.winding_number(0.3j) == 1
-    assert c.winding_number(0.5 + 0.5j) == 1
-    assert c.winding_number(2.0 + 2.0j) == 0
-    assert c.contains(0.0) and not c.contains(10.0)
-
-
-def test_winding_number_of_an_array_matches_each_point():
-    c = circle()
-    z = np.array([[0.3j, 2.0 + 2.0j, 0.0], [10.0, -0.99, 0.5 - 0.5j]])
-    got = c.winding_number(z)
-    assert got.shape == z.shape
-    assert got.tolist() == [[c.winding_number(p) for p in row] for row in z]
-    assert got.tolist() == [[1, 0, 1], [0, 1, 1]]
-
-
-def angle_sum_winding(host, z):
-    """The winding number as the sum of the angles the node polyline's
-    segments subtend at each point (O(n) per point), and each point's
-    distance to the polyline, where that sum is undefined."""
-    turns, dist = [], []
-    p, q = host.nodes, np.roll(host.nodes, -1)
-    for chunk in np.array_split(np.asarray(z, dtype=complex), max(1, z.size // 256)):
-        v = p - chunk[:, None]
-        turns.append(np.rint(np.sum(np.angle(np.roll(v, -1, axis=1) / v), axis=1) / (2 * np.pi)))
-        s = np.clip(np.real(-v * np.conj(q - p)) / np.abs(q - p) ** 2, 0.0, 1.0)
-        dist.append(np.min(np.abs(v + s * (q - p)), axis=1))
-    return np.concatenate(turns).astype(int), np.concatenate(dist)
-
-
-@pytest.mark.parametrize("spec", [
-    {"type": "rounded-polygon", "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]],
-     "corner_radius": 0.25, "panels": 8, "nodes_per_panel": 128},
-    # horizontal edges put many segments at exactly one y
-    {"type": "rounded-polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]],
-     "corner_radius": 0.2, "panels": 8, "nodes_per_panel": 64},
-    {"type": "ellipse", "center": [0.3, -0.2], "semi_axes": [2.0, 1.0], "panels": 8,
-     "nodes_per_panel": 64},
-    {"type": "circle", "radius": 1.0, "panels": 8, "nodes_per_panel": 256},
-], ids=["polygon", "rectangle", "ellipse", "circle"])
-def test_winding_number_counts_crossings_as_the_angle_sum(spec):
-    host = build_closed_contour(spec)
-    gen = np.random.default_rng(5)
-    t, n = host.nodes, host.n_nodes
-    lo, hi = t.real.min() - 0.5, t.real.max() + 0.5
-    x = gen.uniform(lo, hi, 2000)
-    ys = np.concatenate([gen.uniform(t.imag.min() - 0.5, t.imag.max() + 0.5, 1000),
-                         t.imag[gen.integers(0, n, 1000)]])  # half at a node's height
-    ladder = t[:, None] + np.outer(1j * host.tangents, [1e-9, -1e-9, 1e-3, -1e-3, 0.02])
-    z = np.concatenate([x + 1j * ys, ladder.ravel()])
-    want, dist = angle_sum_winding(host, z)
-    off = dist > 1e-12
-    got = host.winding_number(z[off])
-    assert np.array_equal(got, want[off])
-    assert set(got.tolist()) == {0, 1}
 
 
 def test_rounded_polygon():
@@ -687,6 +661,11 @@ def test_self_contact_error_names_the_first_pair_in_segment_order():
 # sqrt(R): branch identities
 # ---------------------------------------------------------------------------
 
+def eval_R(system, z):
+    """R(z), the product of (z - e) over the system's endpoints e."""
+    return np.prod(np.subtract.outer(z, system.endpoints), axis=-1)
+
+
 def test_sqrtR_square_is_R():
     sysm = build_arc_system([
         {"type": "segment", "a": [-2, 0], "b": [-1, 0.5], "panels": 2, "nodes_per_panel": 8},
@@ -696,7 +675,8 @@ def test_sqrtR_square_is_R():
     pts = 3.0 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
     pts = np.array([z for z in pts if sysm.distance_to(z) > 0.05])
     v = sysm.eval_sqrtR(pts)
-    assert np.max(np.abs(v**2 - sysm.eval_R(pts))) < 1e-10 * np.max(np.abs(sysm.eval_R(pts)))
+    R = eval_R(sysm, pts)
+    assert np.max(np.abs(v**2 - R)) < 1e-10 * np.max(np.abs(R))
 
 
 def test_sqrtR_normalized_at_infinity():
@@ -732,7 +712,7 @@ def test_boundary_values_are_opposite_and_square_to_R():
     plus = sysm.sqrtR_plus_nodes()
     nodes = sysm.nodes
     # plus value squared equals R on the arc (the modulus is continuous)
-    assert np.max(np.abs(plus**2 - sysm.eval_R(nodes))) < 1e-10
+    assert np.max(np.abs(plus**2 - eval_R(sysm, nodes))) < 1e-10
     # compare with a numerical limit from either side
     tang = sysm.tangents
     for idx in (3, 20, 40, 60):
@@ -756,7 +736,7 @@ def test_circular_arc_boundary_limit():
     n = n / abs(n)
     lim = sysm.eval_sqrtR(t + 1e-8 * n, check_distance=False)
     assert abs(p - lim) < 1e-6
-    assert abs(p**2 - sysm.eval_R(t)) < 1e-10
+    assert abs(p**2 - eval_R(sysm, t)) < 1e-10
 
 
 def test_chain_arc_matches_segment_closed_form():
@@ -1008,17 +988,6 @@ def test_parse_geometry_dispatch(tmp_path):
     p.write_text(json.dumps(spec))
     host3 = parse_geometry(json.loads(p.read_text()))
     assert host3.n_nodes == host.n_nodes
-
-
-def test_node_table_csv(tmp_path):
-    c = circle(panels=4, per=8)
-    path = tmp_path / "nodes.csv"
-    node_table_csv(c, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,s,re_z,im_z,re_tangent,im_tangent"
-    assert len(lines) == c.n_nodes + 1
-    s_vals = [float(l.split(",")[1]) for l in lines[1:]]
-    assert all(b > a for a, b in zip(s_vals, s_vals[1:]))
 
 
 def test_a_closed_contour_cannot_be_edited_under_what_it_caches():

@@ -8,8 +8,8 @@ and proxy plans) as well as its temporaries.  c is 1.5 times the peak per node
 measured in one run (numpy 2.4.6), rounded up to 10 bytes, room for other
 numpy versions' temporaries but not for a second copy of a plan: closed
 contours at 16384 nodes (the rounded polygon's on-node potential, which sums
-its direct rows, at 4096), arc systems at 2 x 4096 and, for curve recovery,
-64 x 256.
+its direct rows, at 4096), arc systems at 2 x 4096, 64 x 128 for the
+solvability sums and, for curve recovery, 64 x 256.
 """
 
 import math
@@ -99,6 +99,12 @@ CASES = {
                                  490),  # 321
     "arcs log_potential_nodes": (segment_and_circular, 512, density, cp.log_potential_nodes,
                                  320),  # 213
+    # the held powers are 2560 bytes per node; all K x N products with the
+    # data at once took 8756
+    "64 segments solvability_moments": (radial_segments, 128, arc_data,
+                                        cp.solvability_moments, 4650),  # 3097
+    "64 segments bounded_solution": (radial_segments, 128, arc_data, cp.bounded_solution,
+                                     4650),  # 3097
     # the host itself is the data; the distances to the 128 endpoints were
     # one N x 128 array, 3080 bytes per node
     "64 segments recover_curve_density": (

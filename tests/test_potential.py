@@ -292,7 +292,7 @@ def test_on_node_memo_follows_the_values(edit):
     text = repr(sd)
     before = log_potential(sd, host.nodes[5])
     assert repr(sd) == text  # the memo is no field
-    memo = sd._log_memo
+    memo = vars(sd)["_node_potential"]  # held by quadrature._held
     given[:] = 0.0  # the caller's array is not the density's
     assert sd.values is not given
     new = sd.values + rng.standard_normal(host.n_nodes)
@@ -308,7 +308,7 @@ def test_on_node_memo_follows_the_values(edit):
         with pytest.raises(AttributeError):
             sd.values = new
     assert log_potential(sd, host.nodes[5]) == before
-    assert sd._log_memo is memo
+    assert vars(sd)["_node_potential"] is memo
     fresh = SampledDensity(host, new)
     assert log_potential(fresh, host.nodes[5]) != before
     assert np.array_equal(log_potential_nodes(fresh),
