@@ -30,8 +30,8 @@ import numpy as np
 
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
-from .geometry import ArcSystem, _by_rows, _number, _read_only
-from .quadrature import _exact_sums, _held, _weighted_sums
+from .geometry import ArcSystem, _by_rows, _number
+from .quadrature import _exact_sums, _weighted_sums
 from .sampling import SampledDensity
 
 __all__ = [
@@ -151,14 +151,19 @@ def solvability_moments(g):
 
     The inverse square root is folded into the graded rule, so polynomial g
     is integrated exactly.  Each sum is exact, as ``integrate`` takes it,
-    and a block of rows of the products is formed at a time (``_by_rows``):
-    a row's exact sum does not depend on the others.
+    and a block of rows of the products, powers and all, is formed at a
+    time (``_by_rows``): a row's exact sum does not depend on the others.
     """
     system = _require_system(g.host)
-    t_powers = _held(system, _moment_powers)[0]
     base = g.values / system.sqrtR_plus_nodes()
-    return _by_rows(lambda r: _weighted_sums(system.dt_weights, t_powers[r] * base),
-                    system.n_arcs, system.n_nodes, complex)
+    k = system.n_arcs
+    return _by_rows(lambda r: _weighted_sums(system.dt_weights, _powers(system.nodes, r, k) * base),
+                    k, system.n_nodes, complex)
+
+
+def _powers(x, rows, n):
+    """x ** k for the k < n in the slice ``rows``, stacked by k."""
+    return np.array([x ** k for k in range(*rows.indices(n))])
 
 
 def general_solution(g, P=None):
@@ -230,17 +235,6 @@ def modified_residual(g):
     return float(np.max(np.abs(sf0.values - rhs)))
 
 
-def _moment_powers(system):
-    """(t^k, tau^k, |tau|^k) at the nodes, k < N, stacked by k: the
-    solvability moments' powers in t and in tau = (t - c)/rho, c the mean of
-    the endpoints and rho their largest distance from c."""
-    ends, t = system.endpoints, system.nodes
-    c = np.mean(ends)
-    tau = (t - c) / np.max(np.abs(ends - c))
-    k = range(system.n_arcs)
-    return tuple(_read_only(np.array([x ** j for j in k])) for x in (t, tau, np.abs(tau)))
-
-
 def _moments_vanish(g, system):
     """Whether the N solvability moments of g are zero to rounding.
 
@@ -252,13 +246,14 @@ def _moments_vanish(g, system):
     system lies or on its size.  Each sum is exact and formed by blocks of
     rows, as in ``solvability_moments``.
     """
-    _, tau_powers, abs_powers = _held(system, _moment_powers)
+    ends = system.endpoints
+    tau = (system.nodes - np.mean(ends)) / np.max(np.abs(ends - np.mean(ends)))
     base = g.values / system.sqrtR_plus_nodes()
-    size = np.abs(base)
+    size, abs_tau = np.abs(base), np.abs(tau)
     n, k = system.n_nodes, system.n_arcs
-    moments = _by_rows(lambda r: _weighted_sums(system.dt_weights, tau_powers[r] * base), k, n,
+    moments = _by_rows(lambda r: _weighted_sums(system.dt_weights, _powers(tau, r, k) * base), k, n,
                        complex)
-    sizes = _by_rows(lambda r: _exact_sums(system.weights * (abs_powers[r] * size)), k, n)
+    sizes = _by_rows(lambda r: _exact_sums(system.weights * (_powers(abs_tau, r, k) * size)), k, n)
     return all(abs(m) <= 1e-8 * s for m, s in zip(moments.tolist(), sizes.tolist()))
 
 

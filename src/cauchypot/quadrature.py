@@ -5,8 +5,8 @@ A host is its own quadrature rule: its ``params``, ``nodes``, ``weights``
 geometry layer.  ``integrate`` and ``integrate_arclength`` take the host.
 They sum the weighted samples exactly and round once, by ``_exact_sums``,
 which gives ``math.fsum`` of each row of an array bit for bit, all rows in
-one vectorized pass; the solvability moments of ``arcs`` sum all of theirs
-in one call.
+one vectorized pass; the solvability moments of ``arcs`` sum theirs a block
+of rows at a time, each row's powers formed as it is summed.
 Closed contours carry the periodic trapezoid rule, which is spectrally
 accurate for smooth integrands.  Chain arcs carry the composite trapezoid
 rule over their points.  Graded arcs carry the rule induced by the cosine
@@ -34,10 +34,11 @@ node indices; u is formed once per density by ``potential``.  The routes:
   ``_proxy_counts``; S's needs the data and z' resolved, u's z' alone.
   From ``_FMM_MIN_NODES`` nodes on, S's comes instead from the 2-d Fourier
   table of its smooth kernel (``_kernel_table``, p x p entries at most
-  16 n).  Where the loop does not interpolate, it keeps the rows it
-  probed, and the others are the pole-subtracted rows: u's summed directly
-  (``_log_rows``), S's directly below ``_FMM_MIN_NODES`` nodes and by the
-  contour's ``_MultipolePlan`` from there on.
+  16 n); with no table, S probes only up to that p.  Where the loop does
+  not interpolate, it keeps the rows it probed, and the others are the
+  pole-subtracted rows: u's summed directly (``_log_rows``), S's directly
+  below ``_FMM_MIN_NODES`` nodes, and from there on by the contour's
+  ``_MultipolePlan``.
 - graded arc, in the parameter tau = cos(u): the arc's own part is
   diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
   node factors the arc holds), and ``_interpolated`` takes the remainder:
@@ -53,8 +54,8 @@ own node, so S at any nodes is bitwise the full S.
 ``_held(host, build)`` keeps ``build(host)`` on the host under the
 builder's name, from first use, for what a route reads of the geometry
 alone: a contour's ``_dz_resolved``, ``_kernel_table`` and
-``_multipole_plan``, a system's ``_proxy_plan`` (and, for ``arcs``, its
-``_moment_powers``) and a graded arc's ``_twiddles`` and ``_smooth``.
+``_multipole_plan``, a system's ``_proxy_plan`` and a graded arc's
+``_twiddles`` and ``_smooth``; none grows with arcs times nodes.
 ``potential`` holds a density's charges and on-node potential the same
 way, on the frozen density.
 
@@ -66,10 +67,10 @@ goes through one blocked kernel, ``_cauchy_sum``.  ``neville`` is the one
 extrapolation tableau, fed by ``normal_ladder`` for boundary limits and
 curve recovery.
 
-``host_rule`` (which only checks that its argument is a host and returns
-it), ``closed_node_derivative``, ``fd4_arc_derivative`` and
-``analytic_pole_kernel`` stay only because the benchmark's span tracer,
-``perfbench/spans.py``, names them: no code in the package calls them.
+``host_rule`` checks the host of ``integrate`` and ``integrate_arclength``.
+No code in the package calls ``closed_node_derivative`` (the tests' diagonal
+of the pole-subtracted rows), ``fd4_arc_derivative`` or
+``analytic_pole_kernel``: they stay because ``perfbench/spans.py`` names them.
 """
 
 from __future__ import annotations
@@ -179,14 +180,15 @@ def integrate(samples, host):
     ``samples`` is a SampledDensity or an array of one value per node.
     The products are summed exactly and rounded once (``_exact_sums``), so
     the result is deterministic, the correctly rounded sum, and bitwise
-    ``math.fsum`` of the real and of the imaginary parts.
+    ``math.fsum`` of the real and of the imaginary parts.  A ``host`` that
+    is not a contour or arc system raises GeometryError (``host_rule``).
     """
-    return _weighted_sum(host.dt_weights, samples)
+    return _weighted_sum(host_rule(host).dt_weights, samples)
 
 
 def integrate_arclength(samples, host):
     """int f(t) |dt|: the samples summed against the host's ``weights``."""
-    return _weighted_sum(host.weights, samples)
+    return _weighted_sum(host_rule(host).weights, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +335,16 @@ def _cauchy_sum(t, z, phi, s=None, w=None, div=None, diag=None, diag_value=None)
     return _by_rows(block, z.size, t.size, complex)
 
 
-def _proxy_counts(n):
+def _proxy_counts(n, capped=False):
     """The proxy counts of a closed contour of n nodes: each the smallest even
-    divisor of n at or above twice the last, from 32 on, while 4p <= n."""
-    p = 16
-    while p := next((d for d in range(2 * p, n // 4 + 1, 2) if n % d == 0), 0):
+    divisor of n at or above twice the last, from 32 on, while 4p <= n and,
+    if ``capped``, p**2 <= 16 n (a kernel table's bound)."""
+    p, top = 16, min(n // 4, math.isqrt(16 * n) if capped else n)
+    while p := next((d for d in range(2 * p, top + 1, 2) if n % d == 0), 0):
         yield p
 
 
-def _proxy_remainder(n, rows, part, scale, idx, rest):
+def _proxy_remainder(n, rows, part, scale, idx, rest=None):
     """``rows`` at the nodes ``idx`` of a closed contour of n nodes.
 
     ``rows(r)`` gives the rows at the nodes r, and ``part``, given only
@@ -349,12 +352,13 @@ def _proxy_remainder(n, rows, part, scale, idx, rest):
     at every node.  The remainder, rows less part, is taken at the p
     proxies of ``_proxy_counts``, rows already probed reused, until its DFT
     is resolved against ``scale``, and trigonometrically interpolated to
-    ``idx``.  Else the probed rows are kept, and ``rest(r)`` gives the
-    others.  The probes depend on n, ``part`` and ``scale`` alone.
+    ``idx``.  Else the probed rows are kept, and ``rest(r)`` (else
+    ``rows``) gives the others; a ``rest`` caps the probes, since its rows
+    cost less.  The probes depend on n, ``part``, ``scale`` and ``rest``.
     """
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
-    for p in _proxy_counts(n) if part is not None else ():
+    for p in _proxy_counts(n, rest is not None) if part is not None else ():
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]
         row[new], done[new] = rows(new), True
@@ -366,7 +370,7 @@ def _proxy_remainder(n, rows, part, scale, idx, rest):
             pad[h] = pad[n - h] = 0.5 * c[h]
             return (part + np.fft.ifft(pad) * (n / p))[idx]
     missing = idx[~done[idx]]
-    row[missing] = rest(missing)
+    row[missing] = (rest or rows)(missing)
     return row[idx]
 
 
@@ -394,9 +398,7 @@ def _kernel_table(host):
     dk = np.fft.fft(dz)
     dk[np.abs(dk) <= 1e-14 * math.sqrt(n) * np.max(np.abs(dz))] = 0.0
     ddz = np.fft.ifft(1j * _wavenumbers(n) * dk)
-    for p in _proxy_counts(n):
-        if p * p > 16 * n:
-            break
+    for p in _proxy_counts(n, capped=True):
         proxy = np.arange(0, n, n // p)
         t, d = host.nodes[proxy], dz[proxy]
         half_cot = np.zeros(p)
@@ -448,9 +450,9 @@ def _S_closed(host, values, idx):
     that, or on a host with no table, H f is the part of the pole-subtracted
     rows that ``_proxy_remainder`` is given.  Rows it neither interpolates
     nor probed are summed directly below ``_FMM_MIN_NODES`` nodes and by
-    the host's multipole plan from there on.  The choice depends on the host
-    and f only, and each row on its own node, so S at any ``idx`` is
-    bitwise the full S.
+    the host's multipole plan from there on, where the probes stop as the
+    table's do.  The choice depends on the host and f only, and each row on
+    its own node, so S at any ``idx`` is bitwise the full S.
     """
     n = values.size
     t, w = host.nodes, host.dt_weights
@@ -473,7 +475,7 @@ def _S_closed(host, values, idx):
         return s_of(_held(host, _multipole_plan).rows(values, df, r), r)
 
     part = np.fft.ifft(np.sign(k) * fk) if resolved else None
-    return _proxy_remainder(n, rows, part, scale, idx, rows if n < _FMM_MIN_NODES else multipole)
+    return _proxy_remainder(n, rows, part, scale, idx, None if n < _FMM_MIN_NODES else multipole)
 
 
 def _log_rows(t, q, x, pole=None, dist=None, speed=None):
@@ -520,7 +522,7 @@ def _log_closed(host, q):
         return _log_rows(t, q, t[r], r, lambda b: ring[n - r[b]], np.abs(host.dz_dtheta[r]))
 
     part = np.zeros(n) if _held(host, _dz_resolved) else None
-    rest = _proxy_remainder(n, rows, part, np.sum(np.abs(q)), np.arange(n), rows)
+    rest = _proxy_remainder(n, rows, part, np.sum(np.abs(q)), np.arange(n))
     return np.fft.irfft(c, n) + rest.real
 
 

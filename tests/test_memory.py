@@ -8,10 +8,13 @@ and proxy plans) as well as its temporaries.  c is 1.5 times the peak per node
 measured in one run (numpy 2.4.6), rounded up to 10 bytes, room for other
 numpy versions' temporaries but not for a second copy of a plan: closed
 contours at 16384 nodes (the rounded polygon's on-node potential, which sums
-its direct rows, at 4096), arc systems at 2 x 4096, 64 x 128 for the
-solvability sums and, for curve recovery, 64 x 256.
+its direct rows, at 4096), arc systems at 2 x 4096, 4 x 2048, 16 x 512 and
+64 x 128 for the solvability sums, which hold nothing that grows with the
+number of arcs, so that one c bounds all three, and, for curve recovery,
+64 x 256.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -41,9 +44,9 @@ def segment_and_circular(per):
          "theta_b": 2.4, "panels": 8, "nodes_per_panel": per}])
 
 
-def radial_segments(per):
-    """64 segments from radius 0.8 to 1.2, at equally spaced angles."""
-    th = 2.0 * np.pi * np.arange(64) / 64
+def radial_segments(per, count=64):
+    """``count`` segments from radius 0.8 to 1.2, at equally spaced angles."""
+    th = 2.0 * np.pi * np.arange(count) / count
     return cp.build_arc_system([
         {"type": "segment", "a": [0.8 * np.cos(t), 0.8 * np.sin(t)],
          "b": [1.2 * np.cos(t), 1.2 * np.sin(t)], "panels": 1, "nodes_per_panel": per}
@@ -94,17 +97,23 @@ CASES = {
     "arcs general_solution": (segment_and_circular, 512, arc_data,
                               lambda g: cp.general_solution(g, P=[0.5]), 2180),  # 1449
     "arcs bounded_solution": (segment_and_circular, 512, arc_data, cp.bounded_solution,
-                              2320),  # 1545
+                              2190),  # 1457
     "arcs solvability_moments": (segment_and_circular, 512, arc_data, cp.solvability_moments,
-                                 490),  # 321
+                                 390),  # 257
     "arcs log_potential_nodes": (segment_and_circular, 512, density, cp.log_potential_nodes,
                                  320),  # 213
-    # the held powers are 2560 bytes per node; all K x N products with the
-    # data at once took 8756
+    # the solvability sums form their powers as they sum them, so one c
+    # holds for any number K of arcs: the powers held on the system took
+    # 40 K bytes per node (3097 in all at K = 64), and all K x N products
+    # with the data at once 8756
+    "4 segments solvability_moments": (functools.partial(radial_segments, count=4), 2048,
+                                       arc_data, cp.solvability_moments, 390),  # 257
+    "16 segments solvability_moments": (functools.partial(radial_segments, count=16), 512,
+                                        arc_data, cp.solvability_moments, 390),  # 257
     "64 segments solvability_moments": (radial_segments, 128, arc_data,
-                                        cp.solvability_moments, 4650),  # 3097
+                                        cp.solvability_moments, 390),  # 258
     "64 segments bounded_solution": (radial_segments, 128, arc_data, cp.bounded_solution,
-                                     4650),  # 3097
+                                     610),  # 403
     # the host itself is the data; the distances to the 128 endpoints were
     # one N x 128 array, 3080 bytes per node
     "64 segments recover_curve_density": (

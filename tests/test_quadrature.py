@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
-from cauchypot import arcs, quadrature
+from cauchypot import quadrature
 from cauchypot.errors import AlignmentError, GeometryError
 from cauchypot.arcs import bounded_solution, general_solution, solvability_moments
 from cauchypot.cauchy import boundary_value, plemelj_residuals, singular_S
@@ -383,8 +383,9 @@ def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
 
 @pytest.mark.parametrize("per", [32, 128])
 def test_S_and_the_bounded_solution_give_the_same_bytes_on_a_second_call(per):
-    # below (512 nodes) and above (2048) the crossover; the system's held
-    # moment powers are bitwise the expressions they replace
+    # below (512 nodes) and above (2048) the crossover; the moments, their
+    # powers formed as each block of rows is summed, are bitwise the
+    # integrals of t^k g / sqrt(R)+ taken one k at a time
     host = build_arc_system([
         {"type": "segment", "a": [-1.0, 0.0], "b": [-0.3, 0.0], "panels": 8, "nodes_per_panel": per},
         {"type": "circular", "center": [0.0, 0.5], "radius": 0.6, "theta_a": -0.3,
@@ -398,18 +399,16 @@ def test_S_and_the_bounded_solution_give_the_same_bytes_on_a_second_call(per):
     assert one.solution.values.tobytes() == two.solution.values.tobytes()
     assert one.moments.tobytes() == two.moments.tobytes()
     assert (one.residual, one.bounded) == (two.residual, two.bounded)
-    ends = host.endpoints
-    tau = (host.nodes - np.mean(ends)) / np.max(np.abs(ends - np.mean(ends)))
-    powers = quadrature._held(host, arcs._moment_powers)
-    for held, x in zip(powers, (host.nodes, tau, np.abs(tau)), strict=True):
-        assert [row.tobytes() for row in held] == [(x ** k).tobytes()
-                                                   for k in range(host.n_arcs)]
+    base = g / host.sqrtR_plus_nodes()
+    assert one.moments.tobytes() == np.array([integrate(host.nodes ** k * base, host)
+                                              for k in range(host.n_arcs)]).tobytes()
 
 
 def test_an_arc_system_holds_no_copy_of_the_nodes_off_each_arc():
     # S and the potential form the nodes of the other arcs where they sum
     # over them; a system of 64 segments once held 64 copies of about all
-    # of its nodes, one per arc
+    # of its nodes, one per arc, and the solvability sums' powers, 64 rows
+    # of all of its nodes each, until they were formed as they are summed
     th = 2.0 * np.pi * np.arange(64) / 64
     host = build_arc_system([
         {"type": "segment", "a": [0.8 * np.cos(t), 0.8 * np.sin(t)],
@@ -420,11 +419,12 @@ def test_an_arc_system_holds_no_copy_of_the_nodes_off_each_arc():
     for c in ("smooth", "inverse_sqrt", "sqrt"):
         singular_S(class_density(host, g.values, c), density_class=c)
     bounded_solution(g)
-    assert {"_proxy_plan", "_moment_powers"} <= set(vars(host))
+    assert "_proxy_plan" in vars(host)
     held = [a for v in vars(host).values() for a in (v if isinstance(v, tuple) else (v,))
             if isinstance(a, np.ndarray)]
     complements = {host.n_nodes - arc.n_nodes for arc in host.arcs}
     assert held and not any(a.shape[-1] in complements for a in held)
+    assert not any(a.size >= host.n_arcs * host.n_nodes for a in held)
 
 
 @pytest.mark.parametrize("density_class", ["inverse_sqrt", "sqrt", "smooth"])
@@ -997,6 +997,10 @@ def test_proxy_counts_step_to_the_next_even_divisor():
     assert list(quadrature._proxy_counts(1200)) == [40, 80, 200]
     assert list(quadrature._proxy_counts(1000)) == [40, 100, 200]
     assert list(quadrature._proxy_counts(96)) == list(quadrature._proxy_counts(1001)) == []
+    # capped, as the kernel table and S's probes from the crossover on: p**2 <= 16 n
+    assert list(quadrature._proxy_counts(4096, capped=True)) == [32, 64, 128, 256]
+    assert list(quadrature._proxy_counts(4000, capped=True)) == [32, 80, 160]
+    assert list(quadrature._proxy_counts(1024, capped=True)) == [32, 64, 128]
 
 
 # on the 40-lobe contour of the test below, over max|g| (max|S g| for the
@@ -1008,9 +1012,10 @@ LOBE_INVOLUTION_TOLERANCE = 3.0e-15
 
 def test_S_keeps_the_probed_rows_where_the_proxies_do_not_resolve(counted_rows):
     # r = 1 + 0.2 cos 40 th at 1024 nodes: z' and the data are resolved, but
-    # the remainder is not at p = 32 ... 256 and no kernel table is built;
-    # S keeps the 256 probed direct rows and takes the others from the
-    # multipole plan, so S at any nodes is bitwise the full S.  1024 nodes
+    # the remainder is not at p = 32 ... 128, where the probes stop as the
+    # kernel table's do (p**2 <= 16 n), and no table is built; S keeps the
+    # 128 probed direct rows and takes the others from the multipole plan,
+    # so S at any nodes is bitwise the full S.  1024 nodes
     # resolve S g on this curve only to a DFT tail of 1.6e-7, so S(S g) - g
     # is the rule's 1.05e-3 of max|g| there, on the direct rows as on these
     n = 1024
@@ -1019,7 +1024,7 @@ def test_S_keeps_the_probed_rows_where_the_proxies_do_not_resolve(counted_rows):
     host = ClosedContour(r * np.exp(1j * th), (-8.0 * np.sin(40 * th) + 1j * r) * np.exp(1j * th), 8)
     g = np.exp(3j * th) + 0.5 * np.exp(-2j * th)
     got = closed_S(host, g)
-    assert counted_rows == [32, 32, 64, 128]
+    assert counted_rows == [32, 32, 64]
     assert host._dz_resolved and host._kernel_table is None
     nodes = np.random.default_rng(5).choice(n, 50, replace=False)
     assert singular_S(SampledDensity(host, g), at_indices=nodes).tobytes() == got[nodes].tobytes()
@@ -1402,6 +1407,16 @@ def test_host_rule_is_the_host_and_refuses_anything_else():
     for other in (seg.arcs[0], SampledDensity(c, np.ones(c.n_nodes)), None):
         with pytest.raises(GeometryError):
             host_rule(other)
+
+
+def test_the_integrals_refuse_anything_but_a_host():
+    # a bare arc once summed over itself alone, and a string raised
+    # AttributeError
+    c, seg = circle(8, 8), segment(16)
+    for other in (seg.arcs[0], "circle", SampledDensity(c, np.ones(c.n_nodes)), None):
+        for integral in (integrate, integrate_arclength):
+            with pytest.raises(GeometryError):
+                integral(np.ones(seg.n_nodes), other)
 
 
 # ---------------------------------------------------------------------------

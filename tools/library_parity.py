@@ -26,7 +26,8 @@ kind (segment, circular, a segment beside a chain) in each density class,
 ``solve_closed``, the arc-system solvers on five systems, S in each class
 and the general and bounded solutions on five arc systems of 2048 nodes
 (the benchmark's four and a segment beside a circular arc), whose
-remainders take the proxy plan, Plemelj
+remainders take the proxy plan, the moments and the bounded and general
+solutions on 64 segments of 128 nodes, Plemelj
 residuals, boundary values and Cauchy transforms (on a 256-node circle,
 summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
@@ -52,7 +53,7 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 162 results.  It needs the standard library and numpy
+(two segments far longer than the rest).  That makes 165 results.  It needs the standard library and numpy
 only.
 """
 
@@ -238,6 +239,18 @@ def calls():
             yield f"{name} S {cls}", lambda f=f, c=cls: cp.singular_S(f, density_class=c).values
         yield f"{name} general", lambda g=g: cp.general_solution(g, P=[0.5]).values
         yield f"{name} bounded", lambda g=g: flat(cp.bounded_solution(g))
+
+    # many arcs: 64 segments of 128 nodes from radius 0.8 to 1.2, the system
+    # of the memory tests, whose solvability sums take 64 powers of t
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    radial = cp.build_arc_system([
+        {"type": "segment", "a": [0.8 * np.cos(a), 0.8 * np.sin(a)],
+         "b": [1.2 * np.cos(a), 1.2 * np.sin(a)], "panels": 1, "nodes_per_panel": 128}
+        for a in angles])
+    g = sd(radial, rhs(radial.nodes))
+    yield "64 segments-8192 moments", lambda g=g: cp.solvability_moments(g)
+    yield "64 segments-8192 bounded", lambda g=g: flat(cp.bounded_solution(g))
+    yield "64 segments-8192 general", lambda g=g: cp.general_solution(g, P=[0.5]).values
 
     chain = cp.build_arc_system([SEGMENT, CHAIN])
     n_seg = chain.arcs[0].n_nodes
