@@ -44,24 +44,24 @@ from .geometry import (
 )
 from .potential import (
     MeasureEstimate,
-    PotentialField,
     detect_point_masses,
     equilibrium_density,
     log_potential,
     log_potential_nodes,
-    read_potential_binary,
-    read_potential_csv,
     recover_area_density,
     recover_curve_density,
-    write_potential_binary,
-    write_potential_csv,
 )
 from .quadrature import host_rule, integrate, integrate_arclength
 from .sampling import (
+    PotentialField,
     SampledDensity,
     read_density_csv,
+    read_potential_binary,
+    read_potential_csv,
     read_solution_csv,
     write_density_csv,
+    write_potential_binary,
+    write_potential_csv,
     write_solution_csv,
 )
 

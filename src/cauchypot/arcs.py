@@ -20,6 +20,9 @@ part Q of sqrt(R) at infinity.
 Everything here works on the graded node sets of the geometry layer, where
 the two weighted quadrature folds (divide or multiply samples by the
 plus values of the arc's own square-root factor) are spectrally accurate.
+The solvability sums are exact and formed a block of rows at a time, their
+powers of t with them.  The module knows no file or summary format: the
+command-line tool writes a report's JSON form.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .cauchy import singular_S
 from .errors import GeometryError, ResolutionError
-from .geometry import ArcSystem, _by_rows, _number
+from .geometry import ArcSystem, _by_rows
 from .quadrature import _exact_sums, _weighted_sums
 from .sampling import SampledDensity
 
@@ -69,14 +72,6 @@ class ComplexPolynomial:
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coefficients)
 
-    def to_json(self):
-        return [[float(c.real), float(c.imag)] for c in self.coefficients]
-
-    @classmethod
-    def from_json(cls, pairs):
-        """From [re, im] pairs of numbers (``geometry._number``), lowest degree first."""
-        return cls(np.array([complex(_number(re), _number(im)) for re, im in pairs]))
-
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
@@ -84,10 +79,7 @@ class SolveReport:
 
     ``solution`` always satisfies the modified equation S_L f = g + P; when
     ``bounded`` is true the defect P is numerically zero and ``residual`` is
-    taken against g itself.  ``endpoint_values``, derived from ``bounded``,
-    follow the order of the system's endpoint list (a_0, b_0, a_1, ...):
-    zero by the continuity limit when bounded, NaN markers otherwise since
-    1/sqrt(R) terms blow up.
+    taken against g itself.
     """
 
     solution: SampledDensity
@@ -95,20 +87,6 @@ class SolveReport:
     defect_poly: ComplexPolynomial
     residual: float
     bounded: bool
-
-    @property
-    def endpoint_values(self):
-        fill = 0.0 if self.bounded else complex("nan")
-        return np.full(2 * self.moments.size, fill, dtype=complex)
-
-    def to_json(self, solution_csv):
-        return {
-            "bounded": bool(self.bounded),
-            "moments": [[float(m.real), float(m.imag)] for m in self.moments],
-            "defect_poly": self.defect_poly.to_json(),
-            "residual": float(self.residual),
-            "solution_csv": str(solution_csv),
-        }
 
 
 def _require_system(host):

@@ -5,6 +5,9 @@ needs.  Results land in the output directory as ``solution.csv`` (or a
 grid/atom table for the recovery commands) plus ``summary.json``.  All
 floating-point output is printed with 17 significant digits so files
 round-trip losslessly; serial reruns of the same config are byte-identical.
+The tables are read and written by ``sampling``; this module reads only
+the config and writes only ``summary.json``, whose JSON forms (``_json17``,
+and ``_pairs`` for complex numbers and polynomials) no other module knows.
 
 Exit codes: 0 for success (including "no bounded solution", which is an
 answer, not a failure), 64 for config/schema violations (message carries a
@@ -42,21 +45,10 @@ from .errors import (
 )
 from .geometry import (_MAX_NODES, ArcSystem, ClosedContour, _as_complex, _number, _real,
                        parse_geometry)
-from .potential import (
-    _write_grid_csv,
-    detect_point_masses,
-    equilibrium_density,
-    read_potential_binary,
-    read_potential_csv,
-    recover_area_density,
-    recover_curve_density,
-)
-from .sampling import (
-    SampledDensity,
-    read_density_csv,
-    read_solution_csv,
-    write_solution_csv,
-)
+from .potential import (detect_point_masses, equilibrium_density, recover_area_density,
+                        recover_curve_density)
+from .sampling import (SampledDensity, _write_grid_csv, read_potential_binary, read_potential_csv,
+                       read_samples_csv, write_masses_csv, write_solution_csv)
 
 __all__ = ["main", "run_config"]
 
@@ -75,10 +67,6 @@ def _key_line(text, key, section=None):
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if section and f'"{section}"' in line), 0)
     return next((i + 1 for i in range(start, len(lines)) if key and f'"{key}"' in lines[i]), 1)
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 def _json17(obj, indent=0):
@@ -103,7 +91,7 @@ def _json17(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -111,6 +99,12 @@ def _json17(obj, indent=0):
 
 def _pairs(values):
     return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
+
+
+def _polynomial(pairs):
+    """The polynomial of [re, im] coefficient pairs of numbers
+    (``geometry._number``), lowest degree first: the inverse of ``_pairs``."""
+    return ComplexPolynomial(np.array([complex(_number(re), _number(im)) for re, im in pairs]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +142,7 @@ def _rhs_values(spec, host):
         path = spec.get("path")
         if not (path and isinstance(path, str)):  # an int would open a file descriptor
             raise SchemaError("csv rhs needs a 'path'", key="rhs")
-        # accept both the 3-column density table and the 6-column solution
-        # table, so solver outputs feed straight back in as right-hand sides
-        with open(path, newline="") as fh:
-            ncols = len(fh.readline().split(","))
-        if ncols >= 6:
-            return read_solution_csv(path, host=host)
-        return read_density_csv(path, expect=host.n_nodes)
+        return read_samples_csv(path, host)
     raise SchemaError(f"unknown rhs family {family!r}", key="rhs")
 
 
@@ -272,7 +260,7 @@ def _cmd_solve_arcs(config, out_dir, tols):
             "coefficients as [re, im] pairs; use [[0.0, 0.0]] for none)",
             key="defect_poly")
     try:
-        P = ComplexPolynomial.from_json(config["defect_poly"])
+        P = _polynomial(config["defect_poly"])
     except (TypeError, ValueError, OverflowError):
         raise SchemaError("'defect_poly' must be a nonempty list of [re, im] pairs",
                           key="defect_poly") from None
@@ -284,7 +272,7 @@ def _cmd_solve_arcs(config, out_dir, tols):
     summary = {
         "command": "solve-arcs",
         "n_nodes": host.n_nodes,
-        "kernel_poly": P.to_json(),
+        "kernel_poly": _pairs(P.coefficients),
         "residual": residual,
         "tolerance": tol,
     }
@@ -300,8 +288,14 @@ def _cmd_bounded(config, out_dir, tols):
     g = SampledDensity(host, _rhs_values(config.get("rhs"), host))
     report = bounded_solution(g)
     write_solution_csv(out_dir / "solution.csv", host, report.solution.values)
-    summary = {"command": "bounded"}
-    summary.update(report.to_json("solution.csv"))
+    summary = {
+        "command": "bounded",
+        "bounded": bool(report.bounded),
+        "moments": _pairs(report.moments),
+        "defect_poly": _pairs(report.defect_poly.coefficients),
+        "residual": float(report.residual),
+        "solution_csv": "solution.csv",
+    }
     # no bounded solution is a result, not a tool failure: exit 0 either way
     return 0, summary
 
@@ -364,10 +358,7 @@ def _cmd_point_masses(config, out_dir, tols):
         warnings.simplefilter("always")
         est = detect_point_masses(grid, cluster_radius=radius)
         overlaps = [str(w.message) for w in rec]
-    with open(out_dir / "masses.csv", "w", encoding="ascii") as fh:
-        fh.write("index,re_a,im_a,mass\n")
-        for k, (a, m) in enumerate(est.point_masses):
-            fh.write(f"{k},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(m)}\n")
+    write_masses_csv(out_dir / "masses.csv", est.point_masses)
     return 0, {
         "command": "point-masses",
         "point_masses": [[float(a.real), float(a.imag), float(m)]

@@ -236,9 +236,6 @@ class ClosedContour(_Host):
         """Trapezoid weights w_k with  integral f(t) |dt|  ~=  sum w_k f(t_k)."""
         return _read_only((2.0 * np.pi / self.n_nodes) * np.abs(self.dz_dtheta))
 
-    def signed_area(self):
-        return _signed_area(self.nodes)
-
 
 def _polyline_contacts(polylines, closed=False, circles=None):
     """Non-adjacent segments of point polylines that cross or touch.

@@ -17,89 +17,42 @@ The forward map at the nodes, where the log kernel is singular, is formed
 once per density at every node by ``quadrature._log_closed`` or
 ``_log_arcs``, whose routes the ``quadrature`` module states beside S's.
 ``log_potential`` at a node reads the same values.
+
+A gridded potential is a ``sampling.PotentialField``; its lattice Laplacian
+is formed once per field, kept on it by ``quadrature._held``, and shared by
+the area and point-mass recoveries.  The module opens no files: the grid's
+CSV and binary forms are read and written by ``sampling``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GeometryError,
-    NearBoundaryError,
-    ResolutionError,
-    SchemaError,
-)
+from .errors import GeometryError, NearBoundaryError, ResolutionError
 from .geometry import (
     ArcSystem,
     ClosedContour,
     _by_rows,
-    _number,
     _read_only,
     _real,
     build_arc_system,
     build_closed_contour,
 )
 from .quadrature import _held, _log_arcs, _log_closed, normal_ladder
-from .sampling import SampledDensity
+from .sampling import (PotentialField, SampledDensity, read_potential_binary, read_potential_csv,
+                       write_potential_binary, write_potential_csv)
 
-__all__ = [
-    "PotentialField",
-    "MeasureEstimate",
-    "log_potential",
-    "log_potential_nodes",
-    "recover_curve_density",
-    "recover_area_density",
-    "detect_point_masses",
-    "equilibrium_density",
-    "read_potential_csv",
-    "write_potential_csv",
-    "read_potential_binary",
-    "write_potential_binary",
-]
-
-
-class PotentialField:
-    """A potential sampled on a square grid.
-
-    Values are row-major: ``values[iy, ix]`` sits at (x0 + ix*h, y0 + iy*h).
-    Values, origin and spacing must be finite: a NaN cell would drop out of
-    the recoveries' thresholds and turn their sums into NaN.  The field
-    holds a read-only copy of the values, and neither they nor ``h`` can be
-    reassigned, so the lattice Laplacian is computed once, on first use, and
-    shared by ``detect_point_masses`` and ``recover_area_density``.  Curve
-    recovery takes the potential as a plain callable instead.
-    """
-
-    def __init__(self, values, x0=0.0, y0=0.0, h=0.0):
-        values = np.array(values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("grid values must be 2-d")
-        x0, y0, h = float(x0), float(y0), float(h)
-        if not (np.isfinite(values).all() and np.isfinite([x0, y0, h]).all()):
-            raise ValueError("grid values, origin and spacing must be finite")
-        if h <= 0:
-            raise ValueError("grid spacing must be positive")
-        self._values, self._h = _read_only(values), h
-        self.x0, self.y0 = x0, y0
-
-    @property
-    def values(self):
-        return self._values
-
-    @property
-    def h(self):
-        return self._h
-
-    @cached_property
-    def _lattice_laplacian(self):
-        """The 5-point Laplacian on the interior lattice (one ring in), read-only."""
-        return _read_only(_laplacian(self._values, self._h))
+# The grid field and its file forms live in ``sampling``; they are imported
+# and listed here too because callers, the benchmark's span tracer
+# (perfbench/spans.py) among them, look them up in ``cauchypot.potential``.
+__all__ = ["PotentialField", "MeasureEstimate", "log_potential", "log_potential_nodes",
+           "recover_curve_density", "recover_area_density", "detect_point_masses",
+           "equilibrium_density", "read_potential_csv", "write_potential_csv",
+           "read_potential_binary", "write_potential_binary"]
 
 
 @dataclass(eq=False)
@@ -324,10 +277,14 @@ def _require_positive(name, v, shapes=((),)):
         raise ValueError(f"{name} must be {what}, finite and positive")
 
 
-def _laplacian(values, h):
-    return (values[1:-1, :-2] + values[1:-1, 2:] +
-            values[:-2, 1:-1] + values[2:, 1:-1] -
-            4.0 * values[1:-1, 1:-1]) / (h * h)
+def _lattice_laplacian(u):
+    """The 5-point Laplacian of the field ``u`` on its interior lattice (one
+    ring in), read-only; held on the field by ``quadrature._held``, so both
+    grid recoveries share it."""
+    values, h = u.values, u.h
+    return _read_only((values[1:-1, :-2] + values[1:-1, 2:] +
+                       values[:-2, 1:-1] + values[2:, 1:-1] -
+                       4.0 * values[1:-1, 1:-1]) / (h * h))
 
 
 def recover_area_density(u, h_max=None):
@@ -350,7 +307,7 @@ def recover_area_density(u, h_max=None):
         raise ResolutionError(
             f"grid spacing {u.h:.3g} exceeds the configured maximum {h_max:.3g}"
         )
-    lap = u._lattice_laplacian
+    lap = _held(u, _lattice_laplacian)
     floor = 10.0 / (u.h * u.h) * np.finfo(float).eps * np.max(np.abs(u.values))
     dens = lap / (2.0 * math.pi)
     dens[np.abs(lap) <= floor] = 0.0
@@ -489,7 +446,7 @@ def detect_point_masses(u, cluster_radius):
     h = u.h
     if cluster_radius / h < 4.0:
         raise ResolutionError("cluster radius must span at least 4 grid cells")
-    lap = u._lattice_laplacian
+    lap = _held(u, _lattice_laplacian)
     ny, nx = lap.shape
     xs = u.x0 + h * (1 + np.arange(nx))
     ys = u.y0 + h * (1 + np.arange(ny))
@@ -558,117 +515,3 @@ def equilibrium_density(shape):
         raise NotImplementedError(f"no equilibrium reference for shape {kind!r}")
     return MeasureEstimate(curve_density=SampledDensity(host, dens.astype(complex)),
                            total_mass=float(np.sum(dens * host.weights)))
-
-
-# ---------------------------------------------------------------------------
-# grid ingestion
-# ---------------------------------------------------------------------------
-
-def read_potential_csv(path):
-    """Read a potential grid from CSV rows x,y,u forming a full lattice."""
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise SchemaError(f"potential CSV is not a table of numbers: {exc}") from None
-    if data.shape[1] != 3:
-        raise SchemaError("potential CSV needs exactly the columns x,y,u")
-    if not np.isfinite(data).all():
-        raise SchemaError("potential CSV holds a value that is not finite")
-    xs, ys = _axis(data[:, 0]), _axis(data[:, 1])
-    nx, ny = xs.size, ys.size
-    if nx < 2 or ny < 2:
-        raise SchemaError("potential lattice needs at least 2 points per axis")
-    if nx * ny != data.shape[0]:
-        raise SchemaError("potential CSV rows do not form a full lattice")
-    h = float(xs[1] - xs[0])
-    hx = np.diff(xs)
-    hy = np.diff(ys)
-    if (np.max(np.abs(hx - h)) > 1e-9 * abs(h)
-            or np.max(np.abs(hy - h)) > 1e-9 * abs(h)):
-        raise SchemaError("potential lattice spacing is not uniform")
-    vals = np.empty((ny, nx))
-    ix = np.searchsorted(xs, data[:, 0])
-    iy = np.searchsorted(ys, data[:, 1])
-    vals[iy, ix] = data[:, 2]
-    seen = np.zeros((ny, nx), dtype=bool)
-    seen[iy, ix] = True
-    if not seen.all():
-        raise SchemaError("potential CSV gives a lattice point twice and leaves another out")
-    return PotentialField(values=vals, x0=float(xs[0]), y0=float(ys[0]), h=h)
-
-
-def _axis(coords):
-    """The distinct values of ``coords``, ascending."""
-    v = np.sort(coords)
-    keep = np.ones(v.size, dtype=bool)
-    keep[1:] = v[1:] != v[:-1]
-    return v[keep]
-
-
-def write_potential_csv(path, fieldobj):
-    _write_grid_csv(path, "u", fieldobj.values, fieldobj.x0, fieldobj.y0, fieldobj.h)
-
-
-def _write_grid_csv(path, column, values, x0, y0, h):
-    """Rows x, y and the value at each lattice point, 17 significant digits.
-
-    Each column's x and each row's y is formatted once, and a row of the
-    lattice is written in one call.
-    """
-    ny, nx = values.shape
-    xs = [format(x0 + ix * h, ".17g") for ix in range(nx)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"x,y,{column}\n")
-        for iy in range(ny):
-            y = "," + format(y0 + iy * h, ".17g") + ","
-            fh.write("".join([x + y + format(v, ".17g") + "\n"
-                              for x, v in zip(xs, values[iy].tolist())]))
-
-
-def read_potential_binary(data_path, header_path):
-    """Row-major little-endian float64 lattice with a JSON header."""
-    try:
-        with open(header_path, "r", encoding="ascii") as fh:
-            hdr = json.load(fh)
-    except ValueError as exc:
-        raise SchemaError(f"potential header is not JSON: {exc}") from None
-    if not isinstance(hdr, dict):
-        raise SchemaError("potential header must be a JSON object")
-    nx, ny = (_header_field(hdr, key, int) for key in ("nx", "ny"))
-    x0, y0, h = (_header_field(hdr, key, float) for key in ("x0", "y0", "h"))
-    if nx < 1 or ny < 1 or not (h > 0 and np.isfinite([x0, y0, h]).all()):
-        raise SchemaError("potential header needs nx, ny >= 1, finite x0 and y0, "
-                          "and a finite h > 0")
-    raw = np.fromfile(data_path, dtype="<f8")
-    if raw.size != nx * ny:
-        raise SchemaError(
-            f"binary lattice holds {raw.size} values, header says {nx * ny}"
-        )
-    if not np.isfinite(raw).all():
-        raise SchemaError("binary lattice holds a value that is not finite")
-    return PotentialField(values=raw.reshape(ny, nx), x0=x0, y0=y0, h=h)
-
-
-def _header_field(hdr, key, kind):
-    """hdr[key] as ``kind``: a number (``geometry._number``), and for int an integer."""
-    if key not in hdr:
-        raise SchemaError(f"potential header missing key {key!r}")
-    v = hdr[key]
-    try:
-        out = kind(_number(v))
-        if kind is float or out == v:  # int(3.9) is not 3.9
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
-    what = "an integer" if kind is int else "a number"
-    raise SchemaError(f"potential header fields must be numbers: {key!r} must be {what}, "
-                      f"not {v!r}")
-
-
-def write_potential_binary(data_path, header_path, fieldobj):
-    ny, nx = fieldobj.values.shape
-    fieldobj.values.astype("<f8").tofile(data_path)
-    with open(header_path, "w", encoding="ascii") as fh:
-        json.dump({"nx": nx, "ny": ny, "x0": fieldobj.x0,
-                   "y0": fieldobj.y0, "h": fieldobj.h}, fh)
-        fh.write("\n")

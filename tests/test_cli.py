@@ -18,7 +18,8 @@ import pytest
 
 import cauchypot
 from cauchypot.cauchy import singular_S
-from cauchypot.cli import _json17, main
+from cauchypot.arcs import ComplexPolynomial
+from cauchypot.cli import _json17, _pairs, _polynomial, main
 from cauchypot.geometry import build_arc_system, build_closed_contour
 from cauchypot.errors import SchemaError
 from cauchypot.potential import (PotentialField, read_potential_binary, write_potential_binary,
@@ -132,6 +133,30 @@ def test_bounded_false_still_exits_zero(tmp_path):
     doc = summary(out)
     assert doc["bounded"] is False
     assert abs(complex(*doc["defect_poly"][0]) + 1.0) <= 1e-9
+
+
+def test_bounded_summary_schema(tmp_path):
+    # the report's JSON form, which only the command line knows
+    config = {
+        "command": "bounded",
+        "geometry": {"arcs": [SEGMENT]},
+        "rhs": {"family": "constant", "value": 1.0},
+    }
+    code, out = run_cli(tmp_path, config, "--serial")
+    assert code == 0
+    doc = summary(out)
+    assert list(doc) == ["command", "bounded", "moments", "defect_poly", "residual",
+                         "solution_csv", "serial"]
+    assert doc["bounded"] is False
+    assert doc["solution_csv"] == "solution.csv"
+    assert len(doc["moments"]) == 1 and len(doc["moments"][0]) == 2
+
+
+def test_polynomial_pairs_roundtrip():
+    # defect_poly in, kernel_poly and defect_poly out
+    p = ComplexPolynomial([1.0, 0.0, 2.0 + 1.0j])
+    q = _polynomial(_pairs(p.coefficients))
+    assert np.array_equal(q.coefficients, p.coefficients)
 
 
 def test_bounded_solution_roundtrips_as_rhs(tmp_path):
@@ -678,6 +703,7 @@ MALFORMED_TABLES = {
     "solution-off-host": ("shifted", lambda r: r, "deviate from host nodes"),
     "grid-csv-cell": ("grid-csv", lambda r: r[:2] + ["-1.45,-1.5,abc"] + r[3:],
                       "not a table of numbers"),
+    "grid-csv-header": ("grid-csv", lambda r: ["y,x,u"] + r[1:], "header must be x,y,u"),
     "grid-header-nx": ("grid-binary",
                        lambda r: ['{"nx": "two", "ny": 4, "x0": 0, "y0": 0, "h": 0.1}'],
                        "must be numbers"),

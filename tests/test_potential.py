@@ -26,7 +26,6 @@ from cauchypot.geometry import ClosedContour, build_arc_system, build_closed_con
 from cauchypot.potential import (
     MeasureEstimate,
     _clusters_8,
-    _write_grid_csv,
     PotentialField,
     detect_point_masses,
     equilibrium_density,
@@ -39,7 +38,12 @@ from cauchypot.potential import (
     write_potential_binary,
     write_potential_csv,
 )
-from cauchypot.sampling import SampledDensity, read_density_csv, write_density_csv
+from cauchypot.sampling import (
+    SampledDensity,
+    _write_grid_csv,
+    read_density_csv,
+    write_density_csv,
+)
 
 from oracles import (
     area_density_full_lattice,
@@ -1178,8 +1182,8 @@ def test_area_recovery_is_bitwise_the_full_lattice_formula(lattice):
 
 
 def test_grid_values_are_a_read_only_copy():
-    # the field copies its values once and keeps the Laplacian that both
-    # grid recoveries share; an edit in place would leave it stale
+    # the field copies its values once, and the Laplacian that both grid
+    # recoveries share is kept on it; an edit in place would leave it stale
     values = np.add.outer(np.arange(8.0), 2.0 * np.arange(9.0))
     grid = PotentialField(values, h=0.5)
     values[3, 3] = 1e6
@@ -1190,8 +1194,9 @@ def test_grid_values_are_a_read_only_copy():
         grid.values = values
     area = recover_area_density(grid)
     assert detect_point_masses(grid, 2.0).point_masses == []
-    assert grid._lattice_laplacian is grid._lattice_laplacian
-    assert not grid._lattice_laplacian.flags.writeable
+    lap = vars(grid)["_lattice_laplacian"]  # kept by the first recovery
+    assert quadrature._held(grid, potential._lattice_laplacian) is lap
+    assert not lap.flags.writeable
     assert area.area_density.tobytes() == area_density_full_lattice(grid.values, 0.5)[0].tobytes()
 
 
@@ -1392,6 +1397,30 @@ def test_potential_csv_schema_errors(tmp_path):
     short.write_text("x,y\n0,0\n1,0\n")
     with pytest.raises(SchemaError):
         read_potential_csv(short)
+
+
+def test_potential_csv_refuses_a_transposed_header(tmp_path):
+    # a 5 x 7 lattice written as y,x,u columns under that header: read as
+    # x,y,u it would come back as a 7 x 5 field with x0 and y0 swapped
+    vals = np.random.default_rng(13).standard_normal((5, 7))
+    path = tmp_path / "grid.csv"
+    write_potential_csv(path, PotentialField(values=vals, x0=-0.5, y0=0.25, h=0.125))
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    path.write_text("".join(f"{y},{x},{u}\n" for x, y, u in rows))
+    with pytest.raises(SchemaError, match="x,y,u"):
+        read_potential_csv(path)
+
+
+def test_potential_binary_refuses_a_partial_trailing_value(tmp_path):
+    # 20 float64 values for a 5 x 4 header, then 3 stray bytes
+    data = tmp_path / "grid.f64"
+    header = tmp_path / "grid.json"
+    data.write_bytes(np.arange(20.0).astype("<f8").tobytes() + b"\x00\x01\x02")
+    header.write_text(json.dumps({"nx": 5, "ny": 4, "x0": 0, "y0": 0, "h": 0.1}))
+    with pytest.raises(SchemaError, match="partial"):
+        read_potential_binary(data, header)
+    data.write_bytes(np.arange(20.0).astype("<f8").tobytes())
+    assert read_potential_binary(data, header).values.shape == (4, 5)
 
 
 def test_potential_binary_schema_errors(tmp_path):

@@ -53,8 +53,12 @@ that touch between their nodes, a 16384-node 2:1 ellipse, a union of 16
 segments on the real axis, a regular 64-gon with one vertex 1e-13 of its
 radius inside the chord of its neighbours, and two segments that meet end
 to end, and a 4096-node circle with one node out at 3 times its radius
-(two segments far longer than the rest).  That makes 165 results.  It needs the standard library and numpy
-only.
+(two segments far longer than the rest).  The data files close it: for each
+writer and reader pair (the potential grid as CSV and as binary with its
+JSON header, the density table and the solution table), on fixed values
+with signed zeros, a subnormal and extremes of the exponent range, the
+bytes written in a temporary directory and the values read back.  That
+makes 169 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -427,6 +431,39 @@ def calls():
                                   x0=xs[0], y0=xs[0], h=h)
     yield "edge and pair point masses", lambda: flat(cp.detect_point_masses(grid_edge, 0.1))
     yield "edge and pair area recovery", lambda: flat(cp.recover_area_density(grid_edge))
+
+    # the data files: the bytes each writer writes to two paths, then those
+    # of the values its reader reads back from them
+    def roundtrip(write, read):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = (Path(tmp) / "data", Path(tmp) / "header")
+            write(*paths)
+            written = b"".join(p.read_bytes() for p in paths if p.exists())
+            back = np.ascontiguousarray(read(*paths))
+        return np.frombuffer(written + back.tobytes(), dtype=np.uint8)
+
+    def field_values(f):
+        return np.append(f.values.ravel(), [f.x0, f.y0, f.h])
+
+    rng = np.random.default_rng(17)
+    extremes = [0.0, -0.0, 5e-324, -1e-300, 1.7976931348623157e308, math.pi, -1.0 / 3.0]
+    lattice = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-30, 30, (6, 9))
+    lattice.flat[:len(extremes)] = extremes
+    field = cp.PotentialField(lattice, x0=-0.5, y0=1e-300, h=0.1)
+    yield "potential csv round trip", lambda: roundtrip(
+        lambda a, b: cp.write_potential_csv(a, field),
+        lambda a, b: field_values(cp.read_potential_csv(a)))
+    yield "potential binary round trip", lambda: roundtrip(
+        lambda a, b: cp.write_potential_binary(a, b, field),
+        lambda a, b: field_values(cp.read_potential_binary(a, b)))
+    samples = rng.standard_normal(circle.n_nodes) + 1j * rng.standard_normal(circle.n_nodes)
+    samples[:len(extremes)] = np.array(extremes) - 1j * np.array(extremes[::-1])
+    yield "density csv round trip", lambda: roundtrip(
+        lambda a, b: cp.write_density_csv(a, samples),
+        lambda a, b: cp.read_density_csv(a, expect=circle.n_nodes))
+    yield "solution csv round trip", lambda: roundtrip(
+        lambda a, b: cp.write_solution_csv(a, circle, samples),
+        lambda a, b: cp.read_solution_csv(a, host=circle))
 
 
 def results():
