@@ -19,6 +19,9 @@ Two kinds of hosts are supported:
   segments and circular arcs, a root of (z - a)/(z - b) cut along the ray
   through the arc's midpoint, whose sign follows from that ray's angle; on
   chains, the sign of a product of principal roots, one per chain segment.
+  Its plus values come from the parameter, not from node coordinates: on
+  segments and circular arcs sigma(u) sin(u) at the angle u (tau = cos u),
+  on chains the exact limit of each segment's root.
 
 Arc nodes are placed at cosine-graded parameters (the first-kind Chebyshev
 points mapped onto the arc), which is the natural grid for densities with
@@ -609,7 +612,9 @@ class Arc:
     s_j(z)/z -> 1 at infinity with its cut along the arc.  On a graded arc
     of m nodes, also derived once: the angles ``_u`` of the nodes (tau =
     cos u), ``_sin_of_u`` = sin u and ``_sigma``, the own factor over sin u
-    in closed form (``_own_sigma``).
+    in closed form (``_own_sigma``), the one spelling of each: there
+    ``sqrt_own_plus`` is ``_sigma * _sin_of_u`` and ``dt_weights`` take
+    ``_sin_of_u``.
     """
 
     kind: str
@@ -639,10 +644,6 @@ class Arc:
         return self.nodes.size
 
     @property
-    def midpoint(self):
-        return 0.5 * (self.a + self.b)
-
-    @property
     def _sign(self):
         """+1 or -1 so the closed form ~ z at infinity, where (z - a)/(z - b) -> 1.
 
@@ -657,14 +658,15 @@ class Arc:
 
     @cached_property
     def sqrt_own_plus(self):
-        return _read_only(self.factor_plus(self.nodes, tau=self.params))
+        return _read_only(self._sigma * self._sin_of_u if self.graded
+                          else _chain_factor(self, self.nodes, plus=True))
 
     @cached_property
     def dt_weights(self):
         """w_j with int f dt ~= sum w_j f(t_j): (pi/m) sin(u_j) (dt/dtau)_j on a graded
         arc; on a chain half the chords to both neighbours (composite trapezoid)."""
         if self.graded:
-            return _read_only((np.pi / self.n_nodes) * self.sin_u * self.dt_dtau)
+            return _read_only((np.pi / self.n_nodes) * self._sin_of_u * self.dt_dtau)
         d = np.diff(np.concatenate(([self.a], self.nodes, [self.b])))
         return _read_only(0.5 * (d[:-1] + d[1:]))
 
@@ -680,15 +682,10 @@ class Arc:
     def _sigma(self):
         return _read_only(_own_sigma(self, self._u))
 
-    @property
-    def sin_u(self):
-        """sqrt(1 - tau^2) at the nodes."""
-        return np.sqrt(1.0 - self.params ** 2)
-
     def point_at(self, tau):
         tau = np.asarray(tau, dtype=float)
         if self.kind == "segment":
-            return self.midpoint + 0.5 * (self.b - self.a) * tau
+            return 0.5 * (self.a + self.b) + 0.5 * (self.b - self.a) * tau
         if self.kind == "circular":
             th = 0.5 * (self.theta_a + self.theta_b) + 0.5 * (self.theta_b - self.theta_a) * tau
             return self.center + self.radius * np.exp(1j * th)
@@ -697,23 +694,23 @@ class Arc:
     def factor_eval(self, z):
         """This arc's own square-root factor s_j(z) at points off the arc."""
         if self.kind == "chain":
-            return _chain_factor_eval(self, z)
+            return _chain_factor(self, z)
         zb = z - self.b
         xi = (z - self.a) / zb
         return self._sign * zb * _sqrt_ray(xi, self._psi)
 
-    def factor_plus(self, t, tau=None):
-        """Plus boundary value of the own factor at a point t on the open arc."""
+    def factor_plus(self, t):
+        """Plus boundary value of the own factor at points t on the open arc: on
+        a graded arc sigma(u) sin(u), at the angle u (tau = cos u) of each point."""
+        if not self.graded:
+            return _chain_factor(self, t, plus=True)
         if self.kind == "segment":
-            if tau is None:
-                half = 0.5 * (self.b - self.a)
-                tau = np.real((np.asarray(t) - self.midpoint) / half)
-            return 1j * 0.5 * (self.b - self.a) * np.sqrt(1.0 - np.asarray(tau) ** 2)
-        if self.kind == "circular":
-            t = np.asarray(t)
-            r = np.abs((t - self.a) / (t - self.b))
-            return self._sign * (t - self.b) * (-np.sqrt(r) * np.exp(0.5j * self._psi))
-        return _chain_factor_plus(self, t)
+            tau = np.real((2.0 * np.asarray(t) - self.a - self.b) / (self.b - self.a))
+        else:
+            mid, half = 0.5 * (self.theta_a + self.theta_b), 0.5 * (self.theta_b - self.theta_a)
+            tau = np.angle((np.asarray(t) - self.center) * cmath.exp(-1j * mid)) / half
+        u = np.arccos(np.clip(tau, -1.0, 1.0))
+        return _own_sigma(self, u) * np.sin(u)
 
 
 def _sqrt_ray(xi, psi):
@@ -729,20 +726,19 @@ def _angles(m):
 
 
 def _own_sigma(arc, u):
-    """The arc's own factor over sin(u), s_own / sqrt(1 - tau^2), in closed form.
+    """The arc's own factor over sin(u), s_own / sin(u), at the angles u.
 
     On a segment it is i(b - a)/2.  On a circular arc of radius r, sweep D
     and mid angle th_m, (t - a)(t - b) = 4 r^2 e^{i(th + th_m)}
-    sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs,
-    so 1 - tau^2 is never formed; the root is the one ``sqrt_own_plus`` takes,
-    -``arc._sign`` times this one.
+    sin(D c^2/2) sin(D s^2/2) with c = cos(u/2), s = sin(u/2), sin(u) = 2cs
+    and th = th_m + D cos(u)/2, so nothing is formed from the point's
+    coordinates.  The root is the plus value's: -``arc._sign`` times this one.
     """
     if arc.kind == "segment":
-        return np.full(u.size, 0.5j * (arc.b - arc.a))
-    half = 0.5 * (arc.theta_b - arc.theta_a)
+        return np.full(np.shape(u), 0.5j * (arc.b - arc.a))
+    half, mid = 0.5 * (arc.theta_b - arc.theta_a), 0.5 * (arc.theta_a + arc.theta_b)
     c2, s2 = np.cos(0.5 * u) ** 2, np.sin(0.5 * u) ** 2
-    mid = 0.5 * (arc.theta_a + arc.theta_b)
-    sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * arc.params)) * np.sqrt(
+    sigma = arc.radius * np.exp(1j * (mid + 0.5 * half * np.cos(u))) * np.sqrt(
         np.sin(half * c2) / c2 * (np.sin(half * s2) / s2))
     return sigma if arc._sign < 0 else -sigma
 
@@ -812,47 +808,49 @@ def _build_chain_arc(points):
     )
 
 
-def _chain_factor_eval(arc, z):
+def _chain_factor(arc, z, plus=False):
     """Own factor on a chain arc: the principal pair sqrt(z - a)*sqrt(z - b)
     with the sign of the polyline product over p = (a, nodes, b),
 
         (z - b) * prod_k sqrt((z - p_k)/(z - p_{k+1})),
 
-    whose principal roots are each cut exactly along their own segment: the
-    product is single valued off the chain and tends to z at infinity.
+    whose principal roots are each cut exactly along their own segment: it is
+    single valued off the chain, tends to z at infinity, and its phase is
+    Arg(z - b) plus half of each ratio's Arg.
+
+    With ``plus``, z lies on the chain and the value is the plus-side limit,
+    of modulus sqrt(|z - a| |z - b|).  Inside segment k, the root of its ratio
+    -alpha/beta tends to -i sqrt(alpha/beta).  At node p_k, with A = p_k -
+    p_{k-1}, B = p_k - p_{k+1} and e the plus-side bisector, the two adjacent
+    roots tend to sqrt|A/B| exp(i (Arg(A/e) + Arg(e/B))/2).  The others are
+    continuous there.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     p = np.concatenate(([arc.a], arc.nodes, [arc.b]))
+    A, B = p[1:-1] - p[:-2], p[1:-1] - p[2:]
+    e = -B / np.abs(B) * np.exp(0.5j * np.mod(np.angle(A / B), 2.0 * np.pi))
 
-    def signed(rows):
-        w = flat[rows]
-        branch = (w - arc.b) * np.prod(np.sqrt((w[:, None] - p[:-1]) / (w[:, None] - p[1:])),
-                                       axis=1)
-        pair = np.sqrt(w - arc.a) * np.sqrt(w - arc.b)
-        return np.where(np.abs(branch - pair) < np.abs(branch + pair), 1.0, -1.0) * pair
+    def phase(rows):
+        w = flat[rows, None]
+        den = w - p[1:]
+        phi = np.angle((w - p[:-1]) / np.where(den == 0, 1.0, den))
+        if plus:
+            hit = den[:, :-1] == 0
+            # off the nodes, the segment a point lies on subtends pi, every other less
+            r = np.flatnonzero(~hit.any(axis=1))
+            phi[r, np.argmax(np.abs(phi[r]), axis=1)] = -np.pi
+            i, k = np.nonzero(hit)
+            phi[i, k], phi[i, k + 1] = np.angle(A[k] / e[k]), np.angle(e[k] / B[k])
+        return np.angle(w[:, 0] - arc.b) + 0.5 * np.sum(phi, axis=1)
 
-    return _by_rows(signed, flat.size, p.size, complex).reshape(z.shape)[()]
-
-
-def _nearest_node(nodes, z):
-    """Index of the node nearest to each point of the 1-d array z."""
-    return _by_rows(lambda r: np.argmin(np.abs(nodes - z[r, None]), axis=1), z.size,
-                    nodes.size, int)
-
-
-def _chain_factor_plus(arc, t):
-    t = np.asarray(t, dtype=complex)
-    ts = t.ravel()
-    normal = 1j * arc.tangents[_nearest_node(arc.nodes, ts)]
-    diam = max(abs(arc.b - arc.a), arc.total_length)
-    eps1 = 1e-5 * diam
-    v = _chain_factor_eval(arc, np.concatenate((ts + eps1 * normal, ts + 0.5 * eps1 * normal)))
-    ph1, ph2 = np.angle(v[:ts.size]), np.angle(v[ts.size:])
-    ph2 = ph2 + np.round((ph1 - ph2) / (2 * np.pi)) * 2 * np.pi
-    phase = 2.0 * ph2 - ph1
-    out = np.sqrt(np.abs((ts - arc.a) * (ts - arc.b))) * np.exp(1j * phase)
-    return out.reshape(t.shape)[()]
+    ph = _by_rows(phase, flat.size, p.size)
+    if plus:
+        out = np.sqrt(np.abs(flat - arc.a)) * np.sqrt(np.abs(flat - arc.b)) * np.exp(1j * ph)
+    else:
+        pair = np.sqrt(flat - arc.a) * np.sqrt(flat - arc.b)
+        out = np.where(np.cos(ph - np.angle(pair)) > 0.0, 1.0, -1.0) * pair
+    return out.reshape(z.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -969,19 +967,21 @@ class ArcSystem(_Host):
 
     @cached_property
     def _plus_nodes(self):
-        return _read_only(np.concatenate([self.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
+        return _read_only(np.concatenate([arc.sqrt_own_plus * self._others_at(k, arc.nodes)
                                           for k, arc in enumerate(self.arcs)]))
 
     def sqrtR_plus_nodes(self):
         """Plus boundary values of sqrt(R) at every host node (cached)."""
         return self._plus_nodes
 
-    def sqrtR_plus_at(self, arc_index, t, tau=None):
-        """Plus boundary value at an arbitrary interior point of one arc."""
-        own = self.arcs[arc_index].factor_plus(t, tau=tau)
-        t = np.asarray(t, dtype=complex)
-        others = [arc.factor_eval(t) for l, arc in enumerate(self.arcs) if l != arc_index]
-        return own * np.prod(others, axis=0) if others else own
+    def sqrtR_plus_at(self, arc_index, t):
+        """Plus boundary value at arbitrary interior points of one arc."""
+        return self.arcs[arc_index].factor_plus(t) * self._others_at(arc_index, t)
+
+    def _others_at(self, arc_index, t):
+        """The product of the other arcs' factors at points t of arc ``arc_index``."""
+        return np.prod([arc.factor_eval(t) for l, arc in enumerate(self.arcs) if l != arc_index],
+                       axis=0)
 
 
 def build_arc_system(arc_specs):
@@ -1016,14 +1016,16 @@ def build_arc_system(arc_specs):
 def sqrtR_boundary_plus(system, point, arc_index):
     """Plus-side boundary value of sqrt(R) at a ``point`` on arc ``arc_index``.
 
-    At the nodes the values are ``system.sqrtR_plus_nodes()``.  Requests at
-    an arc endpoint raise, since sqrt(R) vanishes there only as a limit and
-    the reciprocal densities blow up.
+    At a node it is that node's value in ``system.sqrtR_plus_nodes()``;
+    between nodes, ``system.sqrtR_plus_at``.
+    Requests at an arc endpoint raise, since sqrt(R) vanishes there only as
+    a limit and the reciprocal densities blow up.
     """
     arc = system.arcs[arc_index]
     if min(abs(point - arc.a), abs(point - arc.b)) < system.near_cutoff:
         raise EndpointSingularityError("boundary value requested at an arc endpoint")
-    return system.sqrtR_plus_at(arc_index, point)
+    k = system._node_index.get(point)
+    return system.sqrtR_plus_at(arc_index, point) if k is None else system.sqrtR_plus_nodes()[k]
 
 
 # ---------------------------------------------------------------------------

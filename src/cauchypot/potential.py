@@ -488,7 +488,8 @@ def equilibrium_density(shape):
     """Closed-form equilibrium measures used as recovery references.
 
     disk(r): uniform density 1/(2 pi r) on the bounding circle.
-    segment(a, b): arcsine density 1/(pi sqrt(|t - a| |b - t|)).
+    segment(a, b): arcsine density 1/(pi sqrt(|t - a| |b - t|)), which is
+    1/(pi |b - a| sin(u) / 2) at the node of angle u.
     Both carry unit mass; the graded rule integrates the arcsine density
     to 1 exactly, node count notwithstanding.
     """
@@ -509,8 +510,7 @@ def equilibrium_density(shape):
             "panels": panels, "nodes_per_panel": per,
         }])
         arc = host.arcs[0]
-        t = host.nodes
-        dens = 1.0 / (math.pi * np.sqrt(np.abs(t - arc.a) * np.abs(arc.b - t)))
+        dens = 1.0 / (math.pi * (0.5 * abs(arc.b - arc.a)) * arc._sin_of_u)
     else:
         raise NotImplementedError(f"no equilibrium reference for shape {kind!r}")
     return MeasureEstimate(curve_density=SampledDensity(host, dens.astype(complex)),

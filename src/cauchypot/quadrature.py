@@ -227,7 +227,7 @@ def fd4_arc_derivative(arc, values):
         raise GeometryError("arc derivative needs cosine-graded nodes")
     m = values.size
     df_du = _open_fd4(values, -np.pi / m)
-    dt_du = -arc.dt_dtau * arc.sin_u
+    dt_du = -arc.dt_dtau * arc._sin_of_u
     return df_du / dt_du
 
 
@@ -952,18 +952,13 @@ def _S_arcs(host, values, idx, density_class):
     if not all(host.arcs[a].graded for a in needed):
         raise GeometryError("the singular operator needs cosine-graded arcs")
 
-    # every arc is a source: its samples times its rule's dt weights, the
-    # weights of a graded arc taken through the class fold
-    folds = [_fold(arc, values[off[a]:off[a + 1]], density_class) if arc.graded else None
-             for a, arc in enumerate(host.arcs)]
-    wf = np.concatenate([(np.pi / arc.n_nodes) * fold[1] * arc.dt_dtau if arc.graded
-                         else arc.dt_weights * values[off[a]:off[a + 1]]
-                         for a, (arc, fold) in enumerate(zip(host.arcs, folds))])
+    # every arc is a source: its samples times its rule's dt weights
+    wf = host.dt_weights * values
     large = host.n_nodes >= _FMM_MIN_NODES
     plan = _held(host, _proxy_plan) if large else (None,) * host.n_arcs
     out = np.empty(host.n_nodes, dtype=complex)
     for a in needed:
-        arc, (g, q) = host.arcs[a], folds[a]
+        arc, (g, q) = host.arcs[a], _fold(host.arcs[a], values[off[a]:off[a + 1]], density_class)
         pv = _own_pv(g, arc, density_class)
         t, w = (_off_arc(x, off, a) for x in (host.nodes, wf))
         if t.size or arc.kind == "circular":
@@ -1075,21 +1070,14 @@ def _trig_sum(c, twiddle, odd=False):
 
 
 def _fold(arc, f, density_class):
-    """(g, q) for the samples f of a density on one graded arc.
+    """(g, q) for the samples f of a density on one graded arc, from sin(u) alone.
 
     g is what the own-arc transform expands: f = g / sin(u) for
     ``inverse_sqrt``, f = g otherwise (for ``sqrt``, g is a sine series).
-    The arc's own factor is undone with the ``sqrt_own_plus`` samples the
-    density was built with, so their rounding cancels, and sin(u) comes
-    from u in closed form (the arc's ``_sigma`` and ``_sin_of_u``).
     q = f sin(u) gives int f h dtau = (pi/m) sum_j q_j h(tau_j) for smooth h.
     """
-    if density_class == "inverse_sqrt":
-        g = f * arc.sqrt_own_plus / arc._sigma
-        return g, g
-    if density_class == "sqrt":
-        f = f / arc.sqrt_own_plus * arc._sigma * arc._sin_of_u
-    return f, f * arc._sin_of_u
+    q = f * arc._sin_of_u
+    return (q if density_class == "inverse_sqrt" else f), q
 
 
 def _own_pv(g, arc, density_class):

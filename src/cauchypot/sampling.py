@@ -16,6 +16,7 @@ trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -116,22 +117,27 @@ def _read_rows(path, header, what, cols):
     """One complex array per pair of the float columns ``cols`` (real part,
     imaginary part) of a CSV table whose rows are indexed 0, 1, 2, ...
 
-    A wrong header, a row that is short or has a cell that is not a number
-    (named by its file line), or a gap in the index raises AlignmentError.
+    A file that is not UTF-8 text, a wrong header, a row that is short or has
+    a cell that is not a number (named by its file line), or a gap in the
+    index raises AlignmentError.
     """
     idx, vals = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        first = next(r, [])
-        if [h.strip() for h in first] != header:
-            raise AlignmentError(f"unexpected {what} header {first!r}")
-        for row in r:
-            try:
-                idx.append(int(row[0]))
-                vals.append([float(row[c]) for c in cols])
-            except (IndexError, ValueError):
-                raise AlignmentError(f"{what} row at line {r.line_num} is not "
-                                     f"{len(header)} numbers: {row!r}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            r = csv.reader(io.StringIO(fh.read(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise AlignmentError(f"{what} table {path} is not UTF-8 text: byte "
+                             f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    first = next(r, [])
+    if [h.strip() for h in first] != header:
+        raise AlignmentError(f"unexpected {what} header {first!r}")
+    for row in r:
+        try:
+            idx.append(int(row[0]))
+            vals.append([float(row[c]) for c in cols])
+        except (IndexError, ValueError):
+            raise AlignmentError(f"{what} row at line {r.line_num} is not "
+                                 f"{len(header)} numbers: {row!r}") from None
     if idx != list(range(len(idx))):
         raise AlignmentError(f"{what} rows are not a contiguous index range")
     return np.array(vals, dtype=float).reshape(-1, len(cols)).view(complex).T.copy()
@@ -180,8 +186,8 @@ def read_samples_csv(path, host):
     """The samples for ``host`` in a solution table (a header of at least 6
     columns, its nodes checked against the host's) or else a density table,
     so that solver outputs feed straight back in as right-hand sides."""
-    with open(path, newline="") as fh:
-        ncols = len(fh.readline().split(","))
+    with open(path, "rb") as fh:  # bytes: a table that is not UTF-8 is refused when read
+        ncols = len(fh.readline().split(b","))
     if ncols >= 6:
         return read_solution_csv(path, host=host)
     return read_density_csv(path, expect=host.n_nodes)
@@ -193,15 +199,17 @@ def read_potential_csv(path):
     A table whose header is not x,y,u (with ``y,x,u`` the lattice would be
     read transposed) raises SchemaError.
     """
+    # latin-1 decodes any byte: the table is read as numbers, only its names as text
+    with open(path, newline="", encoding="latin-1") as fh:
+        first = next(csv.reader(fh), [])
+        if not any(line.strip() for line in fh):
+            raise SchemaError(f"potential CSV {path} has no rows")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise SchemaError(f"potential CSV is not a table of numbers: {exc}") from None
     if data.shape[1] != 3:
         raise SchemaError("potential CSV needs exactly the columns x,y,u")
-    # latin-1 decodes any byte: the table has been read, only its names are checked
-    with open(path, newline="", encoding="latin-1") as fh:
-        first = next(csv.reader(fh), [])
     if [h.strip() for h in first] != _GRID_HEADER:
         raise SchemaError(f"potential CSV header must be x,y,u, not {first!r}")
     if not np.isfinite(data).all():

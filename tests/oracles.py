@@ -129,6 +129,14 @@ def cauchy_dense(f, z_of_theta, dz_dtheta, z, n=8192):
     return (2.0 * np.pi / n) * np.sum(vals) / (2j * np.pi)
 
 
+def node_sin(m):
+    """sin u at the m first-kind points tau = cos u, in node order: the exact
+    sin of each node's angle, which sqrt(1 - tau^2) of the rounded tau misses
+    by up to about eps / sin(u)^2 near the ends."""
+    k = np.arange(m, 0, -1)
+    return np.sin((2 * k - 1) * np.pi / (2 * m))
+
+
 def chebyshev_T(n, x):
     return special.eval_chebyt(n, x)
 

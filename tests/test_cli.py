@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from cauchypot.cauchy import singular_S
 from cauchypot.arcs import ComplexPolynomial
 from cauchypot.cli import _json17, _pairs, _polynomial, main
 from cauchypot.geometry import build_arc_system, build_closed_contour
-from cauchypot.errors import SchemaError
+from cauchypot.errors import AlignmentError, SchemaError
 from cauchypot.potential import (PotentialField, read_potential_binary, write_potential_binary,
                                  write_potential_csv)
 from cauchypot.sampling import (
@@ -726,6 +727,35 @@ def test_malformed_input_table_exits_64(tmp_path, capsys, case):
     assert code == 64, err
     assert words in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table", ["density", "solution"])
+def test_a_table_that_is_not_utf8_exits_64_naming_the_file(tmp_path, capsys, table):
+    # a byte 0xff in the header once escaped as a UnicodeDecodeError traceback, exit 1
+    config = _rhs_table(tmp_path, table, lambda r: r)
+    path = Path(config["rhs"]["path"])
+    path.write_bytes(path.read_bytes().replace(b"re_f", b"re_f\xff", 1))
+    code, _ = run_cli(tmp_path, config)
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert "rhs.csv is not UTF-8 text: byte 0xff" in err and "Traceback" not in err
+    with pytest.raises(AlignmentError, match="rhs.csv is not UTF-8"):
+        (read_density_csv if table == "density" else read_solution_csv)(path)
+
+
+@pytest.mark.parametrize("text", ["x,y,u\n", "", "x,y,u\n\n  \n"],
+                         ids=["header-only", "empty", "blank-rows"])
+def test_a_potential_csv_without_rows_exits_64_on_one_line(tmp_path, capsys, text):
+    # numpy once warned "input contained no data" on stderr, and the message
+    # then blamed the columns
+    (tmp_path / "u.csv").write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(tmp_path, {"command": "recover-area", "potential": {
+            "family": "csv", "path": str(tmp_path / "u.csv")}})
+    err = capsys.readouterr().err
+    assert code == 64, err
+    assert len(err.splitlines()) == 1 and "u.csv has no rows" in err
 
 
 def _atom_grid(tmp_path, case):

@@ -784,15 +784,11 @@ def test_chain_branch_matches_recorded_values():
     }
     got = chain.eval_sqrtR(np.array(list(recorded)))
     assert np.max(np.abs(got - np.array(list(recorded.values())))) < 1e-14
-    plus = {
-        0: -2.542395171445839e-12 + 0.31118401306441j,
-        7: -1.1914139757281458e-14 + 0.8041533354407604j,
-        19: 6.123233995736766e-17 + 1j,
-        33: 2.526943638459045e-14 + 0.7190198929518353j,
-        38: 2.5424332804963878e-12 + 0.31118401306440935j,
-    }
-    own = chain.arcs[0].sqrt_own_plus[list(plus)]
-    assert np.max(np.abs(own - np.array(list(plus.values())))) < 1e-14
+    # on the plus side of a straight chain the factor is i sqrt(|t - a| |b - t|)
+    # exactly; the two-offset extrapolation it once took erred by 2.5e-12
+    t = chain.nodes
+    want = 1j * np.sqrt(np.abs(t - chain.arcs[0].a) * np.abs(chain.arcs[0].b - t))
+    assert np.max(np.abs(chain.arcs[0].sqrt_own_plus - want)) < 1e-14
 
 
 def test_curved_chain_branch_matches_circular_arc():
@@ -893,19 +889,22 @@ def segment_circular_chain(per=16):
 
 
 def test_sqrtR_plus_at_nodes_matches_node_values():
+    # at a node, the boundary value is that node's own
     sysm = segment_circular_chain()
     plus = sysm.sqrtR_plus_nodes()
     off = sysm.arc_offsets
     for k, arc in enumerate(sysm.arcs):
         ref = plus[off[k]:off[k + 1]]
-        at = sysm.sqrtR_plus_at(k, arc.nodes, tau=arc.params)
+        at = np.array([sqrtR_boundary_plus(sysm, point=t, arc_index=k) for t in arc.nodes])
         assert np.max(np.abs(at - ref) / np.abs(ref)) <= 1e-15
 
 
 @pytest.mark.parametrize("per", [16, 256])
 def test_sqrtR_boundary_plus_at_nodes_matches_node_values(per):
-    # by point and arc it is computed afresh (on a segment from tau
-    # recovered from the point), and agrees with the cached node values
+    # by point and arc it is looked up; computed afresh from the point's
+    # coordinates (on a graded arc from the angle u recovered from them), it
+    # agrees with the node values to the rounding of those coordinates, a
+    # relative eps max|t| / |t - end| (measured at most 0.3 of that bound)
     sysm = segment_circular_chain(per)
     plus = sysm.sqrtR_plus_nodes()
     off = sysm.arc_offsets
@@ -913,6 +912,10 @@ def test_sqrtR_boundary_plus_at_nodes_matches_node_values(per):
         ref = plus[off[k]:off[k + 1]]
         got = np.array([sqrtR_boundary_plus(sysm, point=t, arc_index=k) for t in arc.nodes])
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+        afresh = sysm.sqrtR_plus_at(k, arc.nodes)
+        ends = np.minimum(np.abs(arc.nodes - arc.a), np.abs(arc.nodes - arc.b))
+        bound = np.finfo(float).eps * np.max(np.abs(sysm._points)) / ends
+        assert np.all(np.abs(afresh - ref) / np.abs(ref) <= bound)
 
 
 def test_near_boundary_guard():

@@ -36,7 +36,8 @@ from cauchypot.quadrature import (
 )
 from cauchypot.sampling import SampledDensity
 
-from oracles import chebyshev_T, chebyshev_U, pv_arc_theta_dense, pv_segment_dense
+from oracles import (chebyshev_T, chebyshev_U, node_sin, pv_arc_theta_dense,
+                     pv_segment_dense)
 
 
 def circle(n_per=16, panels=8, r=1.0):
@@ -64,12 +65,11 @@ def test_trapezoid_integrates_entire_integrand_to_zero():
 
 def test_first_kind_chebyshev_nodes_and_weights():
     # the graded rule on [-1, 1]: first-kind points, weights pi/m times the
-    # first-kind weight function sqrt(1 - t^2)
+    # first-kind weight function sqrt(1 - t^2) = sin u, at each node's angle u
     rule = segment(16)
     k = np.arange(16, 0, -1)
     assert np.array_equal(rule.params, np.cos((2 * k - 1) * np.pi / 32))
-    assert np.allclose(rule.weights / np.sqrt(1.0 - rule.params ** 2), np.pi / 16,
-                       rtol=1e-15, atol=0)
+    assert np.allclose(rule.weights / node_sin(16), np.pi / 16, rtol=1e-15, atol=0)
 
 
 def test_first_kind_chebyshev_arcsine_integral():
@@ -336,17 +336,19 @@ def test_pv_on_segment_beside_a_chain_arc():
 )
 def test_own_sigma_takes_the_root_of_sqrt_own_plus(m, radius, centre, theta_a, sweep,
                                                    clockwise):
-    # the closed form's sign is -arc._sign, set by rule rather than by a
-    # comparison with sqrt_own_plus; a wrong sign misses by 2
+    # the closed form's sign is -arc._sign, set by rule; the factor itself
+    # 1e-11 radii off each node along the plus normal agrees with it to
+    # about the offset over the distance to the nearer end (at most 1.3e-7
+    # over these draws, so 1e-6), and a wrong sign misses by 2
     theta_b = theta_a - sweep if clockwise else theta_a + sweep
     arc = build_arc_system([{
         "type": "circular", "center": [radius * centre[0], radius * centre[1]],
         "radius": radius, "theta_a": theta_a, "theta_b": theta_b,
         "panels": 1, "nodes_per_panel": m}]).arcs[0]
     u = _angles(m)
-    want = arc.sqrt_own_plus
+    want = arc.factor_eval(arc.nodes + 1e-11 * radius * 1j * arc.tangents)
     got = _own_sigma(arc, u) * np.sin(u)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
 
 
 @pytest.mark.parametrize("m", [16, 688, 4096])
@@ -435,7 +437,7 @@ def test_S_of_T3_plus_iT4_on_a_segment_in_closed_form(density_class):
     seg = segment(64)
     x = seg.nodes.real
     T, U = (lambda n: chebyshev_T(n, x)), (lambda n: chebyshev_U(n, x))
-    p, w = T(3) + 1j * T(4), np.sqrt(1.0 - x ** 2)
+    p, w = T(3) + 1j * T(4), node_sin(x.size)
     if density_class == "inverse_sqrt":
         f, want = p / w, -1j * (U(2) + 1j * U(3))
     elif density_class == "sqrt":

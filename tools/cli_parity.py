@@ -17,15 +17,20 @@ that exit 65, one of them on an ellipse rhs that is not resolved; a
 node-chain figure eight that crosses itself once and exits 64; and four
 schema errors, 35 configs in all.
 For every config the script compares each output file, stdout, stderr and
-the exit code, prints one line, and exits 1 if anything differs.  For the
+the exit code, prints one line, and exits 1 if anything differs.  For each
+CSV or JSON file that differs it also prints the largest absolute difference
+over its numbers and that over the largest magnitude among REV's, as
+``library_parity.py`` does.  For the
 two point-masses configs it also prints, per tree, the largest position and
 mass error of the atoms found against those the grids were made from.  It needs
 the standard library and numpy only.
 """
 
 import argparse
+import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,6 +219,31 @@ def atom_errors(table):
     return tuple(max(e) for e in zip(*errors)) if errors else (np.nan, np.nan)
 
 
+def numbers(name, data):
+    """The numbers of a JSON file, or of a CSV file's rows under its header, in order."""
+    if name.endswith(".json"):
+        def walk(v):
+            if isinstance(v, (dict, list)):
+                for item in v.values() if isinstance(v, dict) else v:
+                    yield from walk(item)
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                yield float(v)
+        return np.array(list(walk(json.loads(data))))
+    return np.array([float(c) for row in list(csv.reader(io.StringIO(data.decode())))[1:]
+                     for c in row])
+
+
+def difference(name, new, old):
+    """How the numbers of one output file differ, in words."""
+    a, b = numbers(name, new), numbers(name, old)
+    if a.shape != b.shape:
+        return f"{a.size} numbers against {b.size}"
+    gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+    top = float(np.max(gap, initial=0.0))
+    scale = float(np.max(np.abs(b), initial=0.0))
+    return f"largest difference {top:.3g} ({top / scale if scale else math.inf:.3g} of max)"
+
+
 def imported_from(src):
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", "import cauchypot; print(cauchypot.__file__)"],
@@ -262,6 +292,9 @@ def main():
             status = f"DIFFERS in {', '.join(diff)}" if diff else "identical"
             print(f"{name}: exit {got['work']['exit code']}, {len(keys) - 3} files, {status}",
                   flush=True)
+            for k in diff:
+                if k.endswith((".csv", ".json")) and k in got["rev"] and k in got["work"]:
+                    print(f"  {k}: {difference(k, got['work'][k], got['rev'][k])}")
             for tree, files in got.items():
                 if "masses.csv" in files:
                     position, mass = atom_errors(files["masses.csv"])

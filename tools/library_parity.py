@@ -27,7 +27,10 @@ kind (segment, circular, a segment beside a chain) in each density class,
 and the general and bounded solutions on five arc systems of 2048 nodes
 (the benchmark's four and a segment beside a circular arc), whose
 remainders take the proxy plan, the moments and the bounded and general
-solutions on 64 segments of 128 nodes, Plemelj
+solutions on 64 segments of 128 nodes, the plus values of sqrt(R) on the
+parabola and C chains of ``cli_parity.py``, the general solution on a
+segment beside a circular arc, 2048 nodes each, shifted by 1000 + 2000i,
+turned by 0.7 rad and scaled by 300, Plemelj
 residuals, boundary values and Cauchy transforms (on a 256-node circle,
 summed directly, and on a 4096-node polygon and a 16384-node circle, where
 ``plemelj_residuals`` and a 64-point grid of the transform take the
@@ -58,7 +61,7 @@ writer and reader pair (the potential grid as CSV and as binary with its
 JSON header, the density table and the solution table), on fixed values
 with signed zeros, a subnormal and extremes of the exponent range, the
 bytes written in a temporary directory and the values read back.  That
-makes 169 results.  It needs the standard library and numpy only.
+makes 174 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -84,11 +87,24 @@ CIRCULAR = {"type": "circular", "center": [0.0, 2.0], "radius": 1.0, "theta_a": 
             "theta_b": 2.4, "panels": 8, "nodes_per_panel": 16}
 _x = np.linspace(2.0, 3.0, 40)
 CHAIN = {"type": "chain", "nodes": np.stack([_x, 0.2 * _x * _x - 2.0], axis=1).tolist()}
+_ct = np.linspace(0.25 * np.pi, 1.75 * np.pi, 60)
+C_CHAIN = {"type": "chain", "nodes": np.stack([3.0 + np.cos(_ct), np.sin(_ct)], axis=1).tolist()}
 POLYGON = {"type": "rounded-polygon", "corner_radius": 0.2,
            "vertices": [[0, 0], [2, 0], [2.5, 1], [0, 1.5]], "panels": 8}
 # the rounded polygon of the benchmark's closed-contour ops
 BENCH_POLYGON = {"type": "rounded-polygon", "corner_radius": 0.25,
                  "vertices": [[1.2, 0.0], [0.0, 1.0], [-1.1, 0.1], [-0.2, -1.0]]}
+
+
+def similar(spec, alpha, beta):
+    """A segment or circular arc spec moved by z -> alpha z + beta."""
+    if spec["type"] == "segment":
+        return dict(spec, **{k: [(alpha * complex(*spec[k]) + beta).real,
+                                 (alpha * complex(*spec[k]) + beta).imag] for k in "ab"})
+    c = alpha * complex(*spec["center"]) + beta
+    turn = float(np.angle(alpha))
+    return dict(spec, center=[c.real, c.imag], radius=abs(alpha) * spec["radius"],
+                theta_a=spec["theta_a"] + turn, theta_b=spec["theta_b"] + turn)
 
 
 def flat(result):
@@ -264,6 +280,22 @@ def calls():
         yield f"segment and chain S {cls}", lambda f=f, c=cls: cp.singular_S(
             f, at_indices=np.arange(n_seg), density_class=c)
     yield "segment and chain moments", lambda: cp.solvability_moments(g)
+    # the plus values of both chains of cli_parity.py, the parabola and the C
+    for name, spec in (("parabola", CHAIN), ("C", C_CHAIN)):
+        yield f"{name} chain plus values", lambda s=spec: cp.build_arc_system(
+            [s]).sqrtR_plus_nodes()
+
+    # the segment [-1, -0.2] beside a unit-circle arc, 2048 nodes each, moved by
+    # z -> alpha z + beta: shifted by 1000 + 2000i, turned by 0.7 rad, scaled by 300
+    pair = [dict(SEGMENT, b=[-0.2, 0.0], nodes_per_panel=256),
+            {"type": "circular", "center": [0.0, 0.0], "radius": 1.0, "theta_a": 0.4,
+             "theta_b": 2.9, "panels": 8, "nodes_per_panel": 256}]
+    for name, alpha, beta in (("shifted", 1.0, 1000 + 2000j), ("turned", np.exp(0.7j), 0.0),
+                              ("scaled", 300.0, 0.0)):
+        moved = cp.build_arc_system([similar(spec, alpha, beta) for spec in pair])
+        w = moved.nodes
+        yield f"{name} segment and arc general", lambda g=sd(moved, rhs((w - beta) / alpha)): (
+            cp.general_solution(g).values)
 
     # the geometry check's contacts, each as (i, j, owner of i, owner of j) in
     # (i, j) order: a 4096-node circle with one spiked node, a 2000-step
