@@ -82,7 +82,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AlignmentError, BoundaryLimitError, GeometryError
-from .geometry import _ROW_BLOCK, ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _read_only
+from .geometry import ArcSystem, ClosedContour, _angles, _by_rows, _open_fd4, _read_only
 
 __all__ = [
     "host_rule",
@@ -533,8 +533,13 @@ def _log_closed(host, q):
 # fast.  S's leaves hold about _FMM_LEAF nodes: once the upward and downward
 # passes made the far field cheap, leaves of 16 took S on the 4096-node
 # polygon from 14.5 to 10.8 ms against leaves of 32, and with the near field
-# a kernel held per leaf pair (_kernel) S takes 7.4 ms against 13.5 ms for
+# a kernel held per leaf pair (_kernel) S took 7.4 ms against 13.5 ms for
 # leaves of 32 without it (2 cores, one BLAS thread, alternating runs).
+# Each level of the upward and downward passes is one product with
+# _PASCAL, and the near field two stacked products, since numpy's call
+# overhead, not arithmetic, bounds these passes: S there takes about 0.75
+# of the time of 23 Pascal steps of two calls per level and of blocked
+# contractions (medians of 21 interleaved calls in one process).
 _FMM_TERMS = 24
 _FMM_SEPARATION = 3.0
 _FMM_LEAF = 16
@@ -542,16 +547,30 @@ _FMM_MIN_NODES = 1024
 # C(k + l, k): row k, column l
 _BINOMIAL = np.array([[math.comb(k + l, k) for l in range(_FMM_TERMS)]
                       for k in range(_FMM_TERMS)], dtype=float)
+# C(k, j), the lower Pascal matrix: row k, column j
+_PASCAL = np.array([[math.comb(k, j) for j in range(_FMM_TERMS)]
+                    for k in range(_FMM_TERMS)], dtype=float)
+# The shifts between a box and its parent go through _PASCAL, scaled by the
+# powers of delta = (c_child - c_parent)/r_parent and of rho/delta, rho =
+# r_child/r_parent < 1.5.  A child centre nearer its parent's than this
+# floor (in r_parent) is moved out to it, so those powers stay below 1e60.
+# |delta| is 0.30-0.72 at every level of circles, ellipses up to 8:1 and
+# rounded polygons, and 0.017 at least on the lobed contour r = 1 + 0.1
+# cos(100 th) of 16384 nodes: no centre moves on any of them.
+_FMM_SHIFT_FLOOR = 2.0 ** -8
 # Off-curve targets.  A point is separated from box B where |z - c_B| >
 # _TARGET_SEPARATION r_B: a box pair's alpha plus one, fixed by the largest
 # difference from the direct sums, 2e-15 max|f| on 1024-16384 nodes (at 3,
-# 6e-13).  The walk stops a level above the leaves and sums a box still not
-# separated there over its two leaves (walking down to the leaves made
-# plemelj_residuals on the 16384-node circle about 10 % slower), and takes
-# _TARGET_BLOCK targets at a time.  The tree costs about the direct sums of
-# _TREE_TARGETS targets plus _TREE_PAIRS target-node pairs: it broke even at
-# about 28, 56 and 150 targets on 16384, 4096 and 1024 nodes (2 cores, one
-# BLAS thread).
+# 6e-13).  Both err by rounding: at 400 points 0.5-50 spacings off the
+# 4096-node polygon of the tests the walk is within 1.1e-15 max|f| of the
+# sums in long double and the direct sums within 1.4e-15, and the two
+# differ by up to 2.3e-15.  The walk stops a level above the leaves and
+# sums a box still not separated there over its two leaves (walking down
+# to the leaves made plemelj_residuals on the 16384-node circle about 10 %
+# slower), and takes _TARGET_BLOCK targets at a time.  The tree costs about
+# the direct sums of _TREE_TARGETS targets plus _TREE_PAIRS target-node
+# pairs: it broke even at about 28, 56 and 150 targets on 16384, 4096 and
+# 1024 nodes (2 cores, one BLAS thread).
 _TARGET_SEPARATION = _FMM_SEPARATION + 1.0
 _TARGET_BLOCK = 1024
 _TREE_TARGETS = 16
@@ -559,8 +578,9 @@ _TREE_PAIRS = 1 << 17
 # pairs per product with _BINOMIAL: 24 x 24 x 256 (the real and imaginary
 # parts of 128 pairs) stays under OpenBLAS's threshold for threads (one
 # unblocked product made S at 4096 nodes up to 2.5x slower at default
-# threads on 2 cores); the gathered source expansions are formed one block
-# at a time
+# threads on 2 cores).  The products with _PASCAL, 24 x 2048 reals at the
+# leaves of 16384 nodes, are np.einsum, which calls no BLAS: their bits do
+# not depend on the CPU's BLAS kernel, and the off-curve sums take them.
 _M2L_BLOCK = 128
 
 
@@ -589,8 +609,10 @@ class _MultipolePlan:
 
     The plan is what depends on the nodes t and weights w alone, every
     array of it read-only.  Built at once: the tree, each box's shift to
-    its parent (the powers of rho = r_child/r_parent and delta = (c_child -
-    c_parent)/r_parent), each node's leaf and leaf coordinate (t - c)/r,
+    its parent (delta = (c_child - c_parent)/r_parent and rho/delta, rho =
+    r_child/r_parent; a centre within ``_FMM_SHIFT_FLOOR`` r_parent of its
+    parent's is moved out to that distance, and its radius taken about it),
+    each node's leaf and leaf coordinate (t - c)/r,
     and each leaf's first node and its columns: its nodes padded with its
     last, their t and w (0 on the padding) and where they are its own.
     Built on first use and kept, each a cached property:
@@ -613,15 +635,21 @@ class _MultipolePlan:
             c = 0.5 * (np.minimum.reduceat(t.real, first) + np.maximum.reduceat(t.real, first)
                        + 1j * (np.minimum.reduceat(t.imag, first)
                                + np.maximum.reduceat(t.imag, first)))
+            if lev > 1:  # no pass shifts level 1 to the root
+                up = (1 << (lev - 1)) + (np.arange(1 << lev) >> 1)
+                d, floor = c - center[up], _FMM_SHIFT_FLOOR * radius[up]
+                # moved out along d, or along the real axis where d is 0
+                c = np.where(np.abs(d) < floor, center[up] + floor * np.exp(1j * np.angle(d)), c)
             r = np.maximum.reduceat(np.abs(t - c[box]), first)
             center[1 << lev:2 << lev], radius[1 << lev:2 << lev] = c, r
-        # the root's radius is that of its larger child, so the shifts of level
-        # 1, which no pass uses, stay finite however large the contour
-        radius[:2] = radius[2:4].max()
         parent = np.arange(2 << depth) >> 1
         self.center, self.radius = center, radius
-        self.rho = _powers(radius / radius[parent])
-        self.delta = (center - center[parent]) / radius[parent]
+        # each box's shift to its parent, delta and rho/delta; boxes 0 to 3,
+        # which no pass shifts, take 1, so that the powers of every box are finite
+        self.delta = np.ones(2 << depth, dtype=complex)
+        self.delta[4:] = (center[4:] - center[parent[4:]]) / radius[parent[4:]]
+        self.ratio = np.ones(2 << depth, dtype=complex)
+        self.ratio[4:] = radius[4:] / radius[parent[4:]] / self.delta[4:]
         self.nodes, self.weights = t, w
         # the loop ends at the leaves: first and box are theirs
         self.first, self.leaf = first, box
@@ -632,7 +660,7 @@ class _MultipolePlan:
         self.leaf_own = col < size[:, None]
         self.leaf_nodes = t[self.leaf_cols]
         self.leaf_weights = np.where(self.leaf_own, w[self.leaf_cols], 0.0)
-        for a in (center, radius, self.rho, self.delta, self.first, self.leaf, self.coords,
+        for a in (center, radius, self.delta, self.ratio, self.first, self.leaf, self.coords,
                   self.leaf_cols, self.leaf_own, self.leaf_nodes, self.leaf_weights):
             _read_only(a)
 
@@ -702,10 +730,13 @@ class _MultipolePlan:
         """sum_j D_ij x_j over the near leaves at the nodes of the leaves with
         ``need``: row r for the r-th of those leaves, by position in the leaf.
 
-        Only the pairs that touch those leaves are summed, each a
-        contraction by ``np.einsum`` (no BLAS call, no product array), in
-        blocks of about ``geometry._ROW_BLOCK`` kernel entries.  Each pair's
-        partial sums depend on that pair alone.  Only the partials of the
+        Only the pairs that touch those leaves are summed: one stacked
+        ``np.matmul`` takes their rows, one their columns for the other
+        leaf of each pair A < B.  Each pair is its own product, a matrix
+        and vector of at most ``_FMM_LEAF``, far below OpenBLAS's
+        threshold for threads, so its partial sums depend on that pair
+        alone.  The kernels are a view where the pairs are a run of
+        ``_kernel``'s, as for every node.  Only the partials of the
         leaves asked for are formed, packed run after run, and one
         ``np.add.reduceat`` adds each leaf's partials one by one in the order
         of ``_kernel``, so a node's sum does not depend on the other leaves
@@ -713,7 +744,6 @@ class _MultipolePlan:
         """
         kernel, a, b, at, starts = self._kernel
         width = kernel.shape[1]
-        h = width // 2
         xs = x[self.leaf_cols]
         # the runs of the leaves asked for, packed one after the other: the
         # partial at ``at`` = g of leaf L goes to g + shift[L]
@@ -723,20 +753,15 @@ class _MultipolePlan:
         shift = np.zeros_like(starts)
         shift[leaves] = packed - starts[leaves]
         part = np.empty((int(np.sum(runs)), width), dtype=complex)
-        step = max(1, _ROW_BLOCK // width ** 2)
 
-        def blocks(pairs):
-            for lo in range(0, pairs.size, step):
-                p = pairs[lo:lo + step]
-                yield p, kernel[p[0]:p[-1] + 1] if p[-1] - p[0] == p.size - 1 else kernel[p]
+        def pairs(mask):  # the pairs of ``mask`` and their kernels, a view if they are a run
+            p = np.flatnonzero(mask)
+            return p, kernel[p[0]:p[-1] + 1] if p.size and p[-1] - p[0] == p.size - 1 else kernel[p]
 
-        for p, d in blocks(np.flatnonzero(need[a])):
-            # a row summed in two halves, which halves the rounding of one run
-            y = xs[b[p]]
-            part[at[p] + shift[a[p]]] = (np.einsum("pij,pj->pi", d[:, :, :h], y[:, :h])
-                                         + np.einsum("pij,pj->pi", d[:, :, h:], y[:, h:]))
-        for p, d in blocks(np.flatnonzero(need[b] & (a < b))):
-            part[at[a.size + p] + shift[b[p]]] = -np.einsum("pij,pi->pj", d, xs[a[p]])
+        p, d = pairs(need[a])
+        part[at[p] + shift[a[p]]] = np.matmul(d, xs[b[p], :, None])[..., 0]
+        p, d = pairs(need[b] & (a < b))
+        part[at[a.size + p] + shift[b[p]]] = -np.matmul(xs[a[p], None, :], d)[:, 0]
         return np.add.reduceat(part, packed) if leaves.size else part
 
     @cached_property
@@ -757,19 +782,21 @@ class _MultipolePlan:
         levels ``top`` to ``depth``, the leaves.
 
         M_k(B) = sum_j s_j ((t_j - c_B)/r_B)**k over B's nodes: P2M at the
-        leaves and M2M up the tree.  A box's expansion does not depend on
-        ``top``.
+        leaves and M2M up the tree, one product with the real ``_PASCAL``
+        per level, between the powers of rho/delta and of delta, formed per
+        pass.  A box's expansion does not depend on ``top``.
         """
-        p, depth = _FMM_TERMS, self.depth
-        multipole = np.zeros((p, 2 << depth), dtype=complex)
+        depth = self.depth
+        multipole = np.zeros((_FMM_TERMS, 2 << depth), dtype=complex)
         multipole[:, 1 << depth:] = np.add.reduceat(_powers(self.coords, s), self.first, axis=1)
+        ratio, delta = _powers(self.ratio), _powers(self.delta)
         for lev in range(depth, top, -1):
-            # M_k(parent) = sum_j C(k, j) rho^j delta^(k - j) M_j(child): the
-            # Pascal triangle, one diagonal per step
+            # M_k(parent) = sum_j C(k, j) rho^j delta^(k - j) M_j(child)
+            #             = delta^k sum_j C(k, j) (rho/delta)^j M_j(child)
             box = slice(1 << lev, 2 << lev)
-            y, delta = self.rho[:, box] * multipole[:, box], self.delta[box]
-            for k in range(1, p):
-                y[k:] += delta * y[k - 1:-1]
+            y = multipole[:, box] * ratio[:, box]
+            y = np.einsum("kj,jb->kb", _PASCAL, y.view(float)).view(complex)
+            y *= delta[:, box]
             multipole[:, 1 << (lev - 1):1 << lev] = y[:, 0::2] + y[:, 1::2]
         return multipole
 
@@ -779,32 +806,36 @@ class _MultipolePlan:
         From the expansions of s down to the leaves (``_upward``): M2L
         between the separated pairs (products with the real table
         C(k + l, k) in blocks of ``_M2L_BLOCK`` pairs, summed per target
-        box), L2L down the tree, and each target's local expansion summed
-        at its leaf by Horner's rule.  The M2L factor powers are formed per
-        pass.  The expansions are needed
-        from the top level (``_m2l``) down only.  Every expansion is formed
-        whatever ``idx``, and each target is summed on its own, so a row
-        does not depend on the others asked for.
+        box), L2L down the tree (one product with the transpose of
+        ``_PASCAL`` per level, as in ``_upward``), and each target's local
+        expansion summed at its leaf by Horner's rule.  The M2L factor
+        powers and the shift powers are formed per pass.  The expansions
+        are needed from the top level (``_m2l``) down only.  Every
+        expansion is formed whatever ``idx``, and each target is summed on
+        its own, so a row does not depend on the others asked for.
         """
         p, depth = _FMM_TERMS, self.depth
         source, rb, ra, inv, first_pair, target, top = self._m2l
-        from_source, to_target = _powers(rb), _powers(ra, inv)
-        m2l = np.empty_like(to_target)
-        for lo in range(0, source.size, _M2L_BLOCK):
-            pairs = slice(lo, lo + _M2L_BLOCK)
-            # the real table times the real and imaginary parts
-            x = (multipole[:, source[pairs]] * from_source[:, pairs]).view(float)
-            m2l[:, pairs] = (_BINOMIAL.T @ x).view(complex) * to_target[:, pairs]
+        x = np.take(multipole, source, axis=1)
+        x *= _powers(rb)
+        m2l = np.empty_like(x)
+        # the real table times the real and imaginary parts
+        for lo in range(0, 2 * source.size, 2 * _M2L_BLOCK):
+            cols = slice(lo, lo + 2 * _M2L_BLOCK)
+            m2l.view(float)[:, cols] = _BINOMIAL.T @ x.view(float)[:, cols]
+        del x  # before the target powers: two arrays of every pair's terms at once
+        m2l *= _powers(ra, inv)
         local = np.zeros_like(multipole)
         local[:, target] = np.add.reduceat(m2l, first_pair, axis=1)
+        ratio, delta = _powers(self.ratio), _powers(self.delta)
         for lev in range(top, depth):
-            # L_j(child) = rho^j sum_l C(l, j) delta^(l - j) L_l(parent): the
-            # transposed triangle
+            # L_j(child) = rho^j sum_l C(l, j) delta^(l - j) L_l(parent)
+            #            = (rho/delta)^j sum_l C(l, j) delta^l L_l(parent)
             box = slice(2 << lev, 4 << lev)
-            y, delta = local[:, 1 << lev:2 << lev].repeat(2, axis=1), self.delta[box]
-            for k in range(p - 1, 0, -1):
-                y[k - 1:-1] += delta * y[k:]
-            local[:, box] += self.rho[:, box] * y
+            y = local[:, 1 << lev:2 << lev].repeat(2, axis=1) * delta[:, box]
+            y = np.einsum("lj,lb->jb", _PASCAL, y.view(float)).view(complex)
+            y *= ratio[:, box]
+            local[:, box] += y
 
         k = self.leaf[idx] + (1 << depth)
         v = self.coords[idx]
@@ -1031,12 +1062,14 @@ def _twiddles(arc):
 def _smooth(arc):
     """(the conjugate length-2m DFT of mu_j = int U_j over (-1, 1), j < m - 1:
     2/(j + 1) for even j and 0 for odd; log((1 - tau)/(1 + tau)) at the nodes)
-    of a graded arc of m nodes, for ``_own_pv`` of smooth densities."""
+    of a graded arc of m nodes, for ``_own_pv`` of smooth densities.  The log
+    is 2 log tan(u/2) at the nodes' angles u: from tau it cancels at the
+    ends (by 1.6e-7 at the end nodes of 65536)."""
     m = arc.n_nodes
     j = np.arange(m - 1)
     mu = np.where(j % 2 == 0, 2.0 / (j + 1), 0.0)
     return (_read_only(np.fft.fft(mu, 2 * m).conj()),
-            _read_only(np.log((1.0 - arc.params) / (1.0 + arc.params))))
+            _read_only(2.0 * np.log(np.tan(0.5 * arc._u))))
 
 
 def _trig_coeffs(v, twiddle, odd=False):

@@ -357,7 +357,9 @@ def test_own_sigma_takes_the_root_of_sqrt_own_plus(m, radius, centre, theta_a, s
     {"type": "circular", "center": [0.3, -0.2], "radius": 1.7, "theta_a": 0.4, "theta_b": -2.1},
 ], ids=["segment", "circular"])
 def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
-    # the expressions S evaluated on every call before the arc held them
+    # the expressions S evaluated on every call before the arc held them,
+    # in the angles u: the smooth class's log((1 - tau)/(1 + tau)) is
+    # 2 log tan(u/2), which does not cancel at the ends as the form in tau did
     arc = build_arc_system([{**spec, "panels": 1, "nodes_per_panel": m}]).arcs[0]
     u = _angles(m)
     j = np.arange(m - 1)
@@ -368,7 +370,7 @@ def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
         "_twiddles": (np.exp(-0.5j * np.pi * np.arange(m) / m) / m,
                       np.exp(0.5j * np.pi * np.arange(1, m) / m)),
         "_smooth": (np.fft.fft(np.where(j % 2 == 0, 2.0 / (j + 1), 0.0), 2 * m).conj(),
-                    np.log((1.0 - arc.params) / (1.0 + arc.params))),
+                    2.0 * np.log(np.tan(0.5 * u))),
     }
     tables = {"_twiddles": quadrature._twiddles, "_smooth": quadrature._smooth}
 
@@ -381,6 +383,20 @@ def test_an_arc_holds_its_spectral_factors_bitwise_as_computed_afresh(spec, m):
         for h, w in zip(held if isinstance(held, tuple) else (held,), want, strict=True):
             assert h.dtype == w.dtype and h.tobytes() == w.tobytes()
             assert not h.flags.writeable
+
+
+def test_S_of_a_constant_on_a_segment_is_its_log_to_rounding_at_the_end_nodes():
+    # PV int dt/(t - x) over (-1, 1) is log((1 - x)/(1 + x)) = 2 log tan(u/2)
+    # at x = cos u: the smooth class's own-arc term itself.  Formed from
+    # tau it missed by 1.8e-10 at the end nodes of 4096
+    m = 4096
+    host = build_arc_system([{"type": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0],
+                              "panels": 1, "nodes_per_panel": m}])
+    got = singular_S(SampledDensity(host, np.ones(m, dtype=complex)),
+                     density_class="smooth").values
+    u = _angles(m).astype(np.longdouble)
+    want = 2.0 * np.log(np.tan(0.5 * u)) / np.pi
+    assert np.max(np.abs(got.real)) <= 1e-14 and np.max(np.abs(got.imag + want)) <= 1e-14
 
 
 @pytest.mark.parametrize("per", [32, 128])
@@ -856,6 +872,43 @@ def near_rows(host, g):
     return got, want
 
 
+def test_a_child_centred_on_its_parent_is_moved_to_the_floor():
+    # 1024 points: the first leaf's 16 on the boundary of the square
+    # [-1, 1]^2, through its corners, the rest of the first half within it,
+    # so that every box on the tree's left edge has the bounding box, and so
+    # the centre, of its parent: delta = 0 from level 2 to the leaves, and
+    # the powers of rho/delta in the shifts would not be finite.  The plan
+    # moves those centres out to the floor; every sum stays finite and
+    # within rounding of the direct sums
+    n, rng = 1024, np.random.default_rng(11)
+    s = np.arange(16) / 4  # 0 to 4 along the square, corners at 0, 1, 2, 3
+    side = s.astype(int)
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])[side] + (s - side) * np.array(
+        [2, 2j, -2, -2j])[side]
+    inner = 0.9 * np.exp(2j * np.pi * np.arange(n // 2 - 16) / (n // 2 - 16))
+    t = np.concatenate([square, inner, 4.0 + np.exp(2j * np.pi * np.arange(n // 2) / (n // 2))])
+    w = (2 * np.pi / n) * np.exp(2j * np.pi * rng.random(n))
+    g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    df = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plan = quadrature._MultipolePlan(t, w)
+    left = 1 << np.arange(2, plan.depth + 1)  # the first box of each level from 2 on
+    assert plan.depth >= 4 and plan.first[1] == 16
+    assert np.all(np.abs(plan.delta[left]) >= 0.5 * quadrature._FMM_SHIFT_FLOOR)
+    every = np.arange(n)
+    got = plan.rows(g, df, every)
+    want = quadrature._cauchy_sum(t, t, g, g, w, diag=every, diag_value=df)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
+    z = rng.uniform(-2.0, 6.0, 4000) + 1j * rng.uniform(-2.0, 2.0, 4000)
+    z = z[np.min(np.abs(z[:, None] - t), axis=1) > 0.01]
+    for sub in (None, g[rng.integers(0, n, z.size)]):
+        got = plan.off_curve(z, g, sub)
+        want = (quadrature._cauchy_sum(t, z, w * g) if sub is None
+                else quadrature._cauchy_sum(t, z, g, sub, w))
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(g))
+
+
 def _plan_bytes(host):
     """The bytes of the arrays a host's multipole plan holds beyond the host's own."""
     own = (host.nodes, host.dt_weights)
@@ -890,8 +943,9 @@ def test_the_multipole_plan_is_built_on_first_use_and_kept_with_its_host(monkeyp
     singular_S(SampledDensity(host, g), at_indices=[3, 1, 3])
     solve_closed(SampledDensity(host, g), tolerance=None)
     assert builds == [host.n_nodes]
-    # the 4096-node plan held 989 bytes per node: 768 of them the near
-    # kernel's, and the M2L factors as r_B/d, -r_A/d and -1/d, not their powers;
+    # the 4096-node plan holds 968 bytes per node: 768 of them the near
+    # kernel's, the M2L factors as r_B/d, -r_A/d and -1/d and the shifts as
+    # delta and rho/delta, not their powers;
     # the off-curve walk of plemelj_residuals adds nothing to it
     assert _plan_bytes(host) <= 1024 * host.n_nodes
     plemelj_residuals(SampledDensity(host, g))
@@ -936,24 +990,46 @@ def test_the_near_kernel_is_built_once_and_dies_with_its_host(monkeypatch):
     assert ref() is None
 
 
+def off_curve_sums(host, z, g, k):
+    """The sums at z with the pole subtraction of the nodes k and without
+    it, stacked."""
+    return np.concatenate([quadrature._closed_cauchy_sum(host, z, g, g[k]),
+                           quadrature._closed_cauchy_sum(host, z, g)])
+
+
 def test_off_curve_sums_do_not_depend_on_the_leaves_of_S():
     # the walk shares S's leaves, and needs none of S's pairs or kernel.
     # Its sums on a 4096-node polygon are bitwise the same before and after
     # S builds its pairs and near kernel over those leaves; the hash is
     # theirs (numpy 2.4.6 on x86-64 Linux: re-pin it if numpy changes its
-    # sums)
+    # sums).  The upward pass's products are np.einsum, not BLAS, so the
+    # hash does not depend on the CPU's BLAS kernel
     host, g = fallback_input("polygon")
     z, k = off_curve_targets(host, np.random.default_rng(5), 400)
-
-    def sums(h):
-        return np.concatenate([quadrature._closed_cauchy_sum(h, z, g, g[k]),
-                               quadrature._closed_cauchy_sum(h, z, g)])
-
-    first = sums(host)
+    first = off_curve_sums(host, z, g, k)
     closed_S(host, g)
-    assert sums(host).tobytes() == first.tobytes()
+    assert off_curve_sums(host, z, g, k).tobytes() == first.tobytes()
     assert hashlib.sha256(first.tobytes()).hexdigest() == (
-        "73bab810da1062daeb6955ac011c89303a84d9fed1f6088f57b9b967866a7800")
+        "29902369095fad7459ca79de26a0dc4860197f50e9d4a2b8911c6dd9da0c2e5a")
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_off_curve_sums_are_within_their_bound_of_the_sums_in_extended_precision():
+    # the bound that fixed _TARGET_SEPARATION, 2e-15 max|f|, at the points
+    # of the test above, against the same sums in long double (64-bit
+    # significand): the walk was within 1.1e-15 of them, and the direct
+    # sums 1.4e-15, so the walk and the direct sums differ by up to 2.3e-15
+    host, g = fallback_input("polygon")
+    z, k = off_curve_targets(host, np.random.default_rng(5), 400)
+    got = off_curve_sums(host, z, g, k)
+    t, w = (a.astype(np.clongdouble) for a in (host.nodes, host.dt_weights))
+    f = g.astype(np.clongdouble)
+    want = np.empty(got.size, dtype=np.clongdouble)
+    for i, zi in enumerate(z.astype(np.clongdouble)):
+        want[i] = np.sum(w * (f - f[k[i]]) / (t - zi))
+        want[z.size + i] = np.sum(w * f / (t - zi))
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(g))
 
 
 @pytest.fixture
