@@ -29,16 +29,14 @@ interpolated: ``_S_closed`` and ``_log_closed`` on a closed contour,
 node indices; u is formed once per density by ``potential``.  The routes:
 
 - closed contour: the periodic Hilbert transform for S, log|2 sin| for u,
-  both diagonal in Fourier.  The remainder goes through
-  ``_proxy_remainder``, the one proxy loop, at the counts of
-  ``_proxy_counts``; S's needs the data and z' resolved, u's z' alone.
-  From ``_FMM_MIN_NODES`` nodes on, S's comes instead from the 2-d Fourier
-  table of its smooth kernel (``_kernel_table``, p x p entries at most
-  16 n); with no table, S probes only up to that p.  Where the loop does
-  not interpolate, it keeps the rows it probed, and the others are the
-  pole-subtracted rows: u's summed directly (``_log_rows``), S's directly
-  below ``_FMM_MIN_NODES`` nodes, and from there on by the contour's
-  ``_MultipolePlan``.
+  both diagonal in Fourier.  S's remainder below ``_FMM_MIN_NODES`` nodes,
+  and u's at every n, go through ``_proxy_remainder``, the one proxy loop,
+  at the counts of ``_proxy_counts`` (S's where the data and z' are
+  resolved, u's where z' is); the rows it neither interpolates nor probed
+  are summed directly.  From ``_FMM_MIN_NODES`` nodes on, S is the 2-d
+  Fourier table of its smooth kernel (``_kernel_table``, p x p entries at
+  most 16 n) where the data and z' are resolved and the table exists, and
+  else every row from the contour's ``_MultipolePlan``.
 - graded arc, in the parameter tau = cos(u): the arc's own part is
   diagonal in Chebyshev coefficients (length-2m FFTs, whose twiddles and
   node factors the arc holds), and ``_interpolated`` takes the remainder:
@@ -344,7 +342,7 @@ def _proxy_counts(n, capped=False):
         yield p
 
 
-def _proxy_remainder(n, rows, part, scale, idx, rest=None):
+def _proxy_remainder(n, rows, part, scale, idx):
     """``rows`` at the nodes ``idx`` of a closed contour of n nodes.
 
     ``rows(r)`` gives the rows at the nodes r, and ``part``, given only
@@ -352,13 +350,11 @@ def _proxy_remainder(n, rows, part, scale, idx, rest=None):
     at every node.  The remainder, rows less part, is taken at the p
     proxies of ``_proxy_counts``, rows already probed reused, until its DFT
     is resolved against ``scale``, and trigonometrically interpolated to
-    ``idx``.  Else the probed rows are kept, and ``rest(r)`` (else
-    ``rows``) gives the others; a ``rest`` caps the probes, since its rows
-    cost less.  The probes depend on n, ``part``, ``scale`` and ``rest``.
+    ``idx``; else the probed rows are kept and ``rows`` gives the others.
     """
     row = np.empty(n, dtype=complex)
     done = np.zeros(n, dtype=bool)
-    for p in _proxy_counts(n, rest is not None) if part is not None else ():
+    for p in _proxy_counts(n) if part is not None else ():
         proxy = np.arange(0, n, n // p)
         new = proxy[~done[proxy]]
         row[new], done[new] = rows(new), True
@@ -370,7 +366,7 @@ def _proxy_remainder(n, rows, part, scale, idx, rest=None):
             pad[h] = pad[n - h] = 0.5 * c[h]
             return (part + np.fft.ifft(pad) * (n / p))[idx]
     missing = idx[~done[idx]]
-    row[missing] = (rest or rows)(missing)
+    row[missing] = rows(missing)
     return row[idx]
 
 
@@ -445,37 +441,32 @@ def _S_closed(host, values, idx):
 
     z'(th)/(z(th) - z(ph)) = cot((th - ph)/2)/2 + K(th, ph) with K smooth on
     a smooth curve, so S f = H f + R with H f = ifft(sgn(k) fft(f)) and R
-    smooth in ph.  With f and z' resolved, from ``_FMM_MIN_NODES`` nodes on
-    R comes from the host's kernel table (``_table_S``, no rows); below
-    that, or on a host with no table, H f is the part of the pole-subtracted
-    rows that ``_proxy_remainder`` is given.  Rows it neither interpolates
-    nor probed are summed directly below ``_FMM_MIN_NODES`` nodes and by
-    the host's multipole plan from there on, where the probes stop as the
-    table's do.  The choice depends on the host and f only, and each row on
-    its own node, so S at any ``idx`` is bitwise the full S.
+    smooth in ph.  Below ``_FMM_MIN_NODES`` nodes S is the pole-subtracted
+    rows through ``_proxy_remainder``, with H f their part where f and z'
+    are resolved.  From there on R comes from the host's kernel table
+    (``_table_S``) where f and z' are resolved and the table exists, and
+    else every row at ``idx`` from its multipole plan.  The choice depends
+    on the host and f only, and each row on its own node, so S at any
+    ``idx`` is bitwise the full S.
     """
-    n = values.size
-    t, w = host.nodes, host.dt_weights
+    n, t = values.size, host.nodes
     fk, k = np.fft.fft(values), _wavenumbers(n)
     scale = np.max(np.abs(values))
     # rough data, or a curve with corners, leave R rough: no probes, no table
     resolved = _resolved(fk, scale) and _held(host, _dz_resolved)
-    table = resolved and n >= _FMM_MIN_NODES and _held(host, _kernel_table)
-    if table:
+    large = n >= _FMM_MIN_NODES
+    if resolved and large and (table := _held(host, _kernel_table)):
         return _table_S(table, values, fk, k)[idx]
     df = np.fft.ifft(1j * k * fk) / host.dz_dtheta
 
-    def s_of(total, r):
+    def rows(r):  # S at the nodes r from the pole-subtracted rows
+        total = (_held(host, _multipole_plan).rows(values, df, r) if large else
+                 _cauchy_sum(t, t[r], values, values[r], host.dt_weights, diag=r, diag_value=df[r]))
         return (total + values[r] * 1j * np.pi) / (1j * np.pi)
 
-    def rows(r):
-        return s_of(_cauchy_sum(t, t[r], values, values[r], w, diag=r, diag_value=df[r]), r)
-
-    def multipole(r):
-        return s_of(_held(host, _multipole_plan).rows(values, df, r), r)
-
-    part = np.fft.ifft(np.sign(k) * fk) if resolved else None
-    return _proxy_remainder(n, rows, part, scale, idx, None if n < _FMM_MIN_NODES else multipole)
+    if large:
+        return rows(idx)
+    return _proxy_remainder(n, rows, np.fft.ifft(np.sign(k) * fk) if resolved else None, scale, idx)
 
 
 def _log_rows(t, q, x, pole=None, dist=None, speed=None):

@@ -59,11 +59,19 @@ class SampledDensity:
     def from_function(cls, host, f):
         return cls(host, np.asarray(f(host.nodes), dtype=complex))
 
+    def _other(self, other):
+        """The values of ``other``, a density on this density's host."""
+        if not isinstance(other, SampledDensity):
+            raise TypeError(f"no density arithmetic with {type(other).__name__}")
+        if other.host is not self.host:
+            raise AlignmentError("densities on different hosts")
+        return other.values
+
     def __add__(self, other):
-        return SampledDensity(self.host, self.values + other.values)
+        return SampledDensity(self.host, self.values + self._other(other))
 
     def __sub__(self, other):
-        return SampledDensity(self.host, self.values - other.values)
+        return SampledDensity(self.host, self.values - self._other(other))
 
     def __mul__(self, c):
         return SampledDensity(self.host, self.values * c)

@@ -1,5 +1,7 @@
 """Cauchy transform, singular operator, and Plemelj limits."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -555,6 +557,19 @@ def test_density_arithmetic():
     h = 2.0 * f - g
     assert np.allclose(h.values, 2.0 * c.nodes - c.nodes ** 2)
     assert np.allclose((f + g).values, c.nodes + c.nodes ** 2)
+    # a density on another host, even one of as many nodes, or a bare
+    # array or number, is refused rather than its values taken as this host's
+    e = build_closed_contour({"type": "ellipse", "semi_axes": [2.0, 1.0], "panels": 8,
+                              "nodes_per_panel": 16})
+    for other in (SampledDensity.from_function(e, lambda t: t),
+                  SampledDensity(circle(16), f.values)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(AlignmentError, match="different hosts"):
+                op(f, other)
+    for other in (f.values, 1.0):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(TypeError, match="density arithmetic"):
+                op(f, other)
 
 
 # ---------------------------------------------------------------------------

@@ -465,26 +465,19 @@ def test_log_potentials_that_overflow_raise(z):
     assert abs(log_potential(sd, 0.1j)) <= 1e-12 * 1e300
 
 
-def test_curve_potential_takes_the_rule_once_per_density(monkeypatch):
-    # the weighted samples and the values at the nodes come from the memo
-    # after the first call, on the nodes and off the curve
-    import cauchypot.potential as potential
-
-    calls = []
-    log_arcs = potential._log_arcs
-
-    def counted(host, q):
-        calls.append(host)
-        return log_arcs(host, q)
-
-    monkeypatch.setattr(potential, "_log_arcs", counted)
+def test_curve_potential_takes_the_rule_once_per_density():
+    # the weighted samples and the values at the nodes are held on the
+    # density from the first call on, on the nodes and off the curve
     sd = equilibrium_density({"type": "segment", "a": -1.0, "b": 1.0}).curve_density
-    calls.clear()
+    assert not {"_charges", "_node_potential"} & set(vars(sd))
+    log_potential(sd, sd.host.nodes[0])
+    held = {name: vars(sd)[name] for name in ("_charges", "_node_potential")}
     for z in sd.host.nodes:
         log_potential(sd, z)
         log_potential(sd, z + 2.0j)
+        assert all(vars(sd)[name] is v for name, v in held.items())
     log_potential_nodes(sd)
-    assert len(calls) == 1
+    assert all(vars(sd)[name] is v for name, v in held.items())
 
 
 def test_segment_potential_off_curve_matches_branch():

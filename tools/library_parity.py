@@ -14,14 +14,15 @@ a scale, and exits 1 if any differs.  The scale is the largest entry of the
 data a result is formed from where the call names them (so that a residual
 near 0 is not its own scale), and else the result's own largest entry.
 
-The calls cover S on closed contours along each of its paths (proxy
-interpolation, direct pole-subtracted rows below 1024 nodes, multipole far
-field from 1024 nodes on, at 1200, 4096 and 16384 nodes, and the kernel
-table of its smooth remainder on Laurent data from 1024 nodes on, on a
-4096-node 2:1 ellipse, a 16384-node circle and a 16384-node 8:1 ellipse;
-proxies from 40 on a 1000-node 2:1 ellipse and the kernel table at 80 on a
-1200-node one, node counts that 32 does not divide; the probed direct rows
-and multipole rows for the rest on a 1024-node contour of 40 lobes), S on each arc
+The calls cover S on closed contours along each of its paths (below 1024
+nodes, proxy interpolation and direct pole-subtracted rows; from 1024 nodes
+on, the kernel table of its smooth remainder on Laurent data, on a
+4096-node 2:1 ellipse, a 16384-node circle and a 16384-node 8:1 ellipse,
+and else the multipole rows, at 1200, 4096 and 16384 nodes and on the two
+1024-node contours with no kernel table, one of 40 lobes, where the proxies
+do not resolve the remainder, and a 4:1 ellipse, where they do; proxies
+from 40 on a 1000-node 2:1 ellipse and the kernel table at 80 on a
+1200-node one, node counts that 32 does not divide), S on each arc
 kind (segment, circular, a segment beside a chain) in each density class,
 ``solve_closed``, the arc-system solvers on five systems, S in each class
 and the general and bounded solutions on five arc systems of 2048 nodes
@@ -61,7 +62,7 @@ writer and reader pair (the potential grid as CSV and as binary with its
 JSON header, the density table and the solution table), on fixed values
 with signed zeros, a subnormal and extremes of the exponent range, the
 bytes written in a temporary directory and the values read back.  That
-makes 174 results.  It needs the standard library and numpy only.
+makes 175 results.  It needs the standard library and numpy only.
 """
 
 import argparse
@@ -380,8 +381,9 @@ def calls():
         yield f"ellipse-{host.n_nodes} S", lambda g=g: cp.singular_S(g).values, g.values
         yield f"ellipse-{host.n_nodes} potential at nodes", lambda h=host: cp.log_potential_nodes(
             sd(h, 1.0 + 0.3 * h.nodes.real + 0.2 * h.nodes.imag ** 2))
-    # r = 1 + 0.2 cos 40 th at 1024 nodes: S's proxies probe 256 rows and do
-    # not resolve, and there is no kernel table
+    # no kernel table at 1024 nodes, so S takes the multipole rows: on
+    # r = 1 + 0.2 cos 40 th, whose remainder no proxies resolve, and on the
+    # 4:1 ellipse, whose remainder 32 proxies resolve
     from cauchypot.geometry import ClosedContour
 
     th = 2.0 * np.pi * np.arange(1024) / 1024
@@ -390,6 +392,10 @@ def calls():
                           8)
     g = sd(lobes, np.exp(3j * th) + 0.5 * np.exp(-2j * th))
     yield "40 lobes-1024 S", lambda g=g: cp.singular_S(g).values, g.values
+    narrow = cp.build_closed_contour({"type": "ellipse", "semi_axes": [1.0, 0.25],
+                                      "panels": 8, "nodes_per_panel": 128})
+    g = sd(narrow, np.exp(3j * narrow.params) + 0.5 * np.exp(-2j * narrow.params))
+    yield "ellipse 4:1-1024 S", lambda g=g: cp.singular_S(g).values, g.values
     # S of seeded degree-32 Laurent data about the centre, from the kernel
     # table of S's smooth remainder (p = 128, 32 and 512)
     rng = np.random.default_rng(13)
